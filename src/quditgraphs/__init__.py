@@ -3,7 +3,9 @@
 States live as integer phase tables f: Z_d^n -> Z_d; diagonal edge gates add
 monomials, stabilizer generators are verified exactly, and the correspondence
 between phase tables and edge weights is decided by exact linear algebra over
-Z_d (Gaussian elimination for prime d, Smith normal form otherwise).
+Z_d: one Kronecker Smith-form solve for every d and both modes, which
+factors only the small digit-power matrix W[i][s] = i^s mod d, never the
+d^n-sized system.
 """
 
 from .correspondence import (
@@ -15,7 +17,6 @@ from .correspondence import (
     NonCanonical,
     RoundTripFailure,
     SolveOutcome,
-    block_solve_prime,
     build_system,
     census,
     coefficient_block,
@@ -99,7 +100,6 @@ __all__ = [
     "apply_multi_cz",
     "apply_shift",
     "apply_uv",
-    "block_solve_prime",
     "build_state",
     "build_system",
     "canonicalize",

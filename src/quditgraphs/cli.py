@@ -152,6 +152,13 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quditgraphs",
@@ -172,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--phases", required=True, help="phase-table JSON file")
     solve.add_argument("--mode", required=True, choices=correspondence.MODES)
     solve.add_argument("--all-solutions", action="store_true")
-    solve.add_argument("--solution-cap", type=int, default=1024)
+    solve.add_argument("--solution-cap", type=_non_negative_int, default=1024)
     solve.set_defaults(func=_cmd_solve)
 
     ver = sub.add_parser("verify-stabilizers", help="check g_k|G> = |G> per vertex")

@@ -10,9 +10,19 @@ has a solution in the edge weights m_e. In hypergraph mode the variables are
 the 2^n - 1 plain hyperedges; in multihypergraph mode all d^n - 1 decorated
 edges. Equations are ordered by ascending flat index of the tuple (mixed
 radix, i_0 most significant); variables follow the enumeration order of the
-graphs module. Solving goes through Gaussian elimination over GF(q) for prime
-d and through the Smith normal form for composite d, so solution counts are
-exact. ``census`` classifies every canonical table at fixed (d, n).
+graphs module.
+
+Writing each edge as its exponent vector s (s_v = 0 off the support) and
+adding a constant variable m_0 for s = 0, the system over all d^n tuples is
+W^{⊗n} x = f with the digit-power matrix W[i][s] = i^s mod d (0^0 = 1),
+s in 0..d-1 (multihypergraph) or {0, 1} (hypergraph). Row i = 0 pins
+m_0 = f(0) = 0, so the solutions are exactly those of the canonical system.
+``solve_weights`` solves it for every d and both modes with one Kronecker
+Smith-form solve (``residues.KroneckerSolver``): only the small W is
+factored, and solution counts are exact. The dense canonical matrix is kept
+for the fingerprint, the left nullspace and the census, which factors it
+once and then solves every table. ``census`` classifies every canonical
+table at fixed (d, n).
 """
 
 from __future__ import annotations
@@ -21,8 +31,8 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
+from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 
@@ -33,11 +43,14 @@ from .graphs import (
     enumerate_multihyperedges,
 )
 from .residues import (
+    KroneckerSolver,
+    Modulus,
     NonPrimeModulus,
     PrimeSolver,
     RingMatrix,
     SmithSolver,
     SolutionSet,
+    power_at_least,
 )
 from .states import PhaseFunction, SizeLimit, build_state, digits_of
 
@@ -67,15 +80,19 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def coefficient(index_tuple: tuple[int, ...], edge: MultiHyperedge, d: int) -> int:
-    """prod_{v in e} i_v^{s_v} mod d; zero unless the edge support lies inside
-    the tuple's support."""
-    out = 1
-    for v, s in zip(edge.vertices, edge.exponents):
-        out = out * pow(index_tuple[v], s, d) % d
-        if not out:
-            return 0
-    return out
+def _digit_powers(d: int, mode: str) -> np.ndarray:
+    """W[i][s] = i^s mod d with 0^0 = 1, for i in 0..d-1 and s in 0..d-1
+    (multihypergraph) or s in {0, 1} (hypergraph)."""
+    exponents = 2 if mode == HYPERGRAPH else d
+    return np.array([[pow(i, s, d) for s in range(exponents)] for i in range(d)], dtype=np.int64)
+
+
+def _exponent_columns(variables: tuple[MultiHyperedge, ...], k: int, n: int) -> list[int]:
+    """Column of each edge in W^{⊗n}: the flat index, base k and vertex 0
+    most significant, of its exponent vector (0 off the support)."""
+    return [
+        sum(s * k ** (n - 1 - v) for v, s in zip(e.vertices, e.exponents)) for e in variables
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -86,8 +103,11 @@ def _system_parts(
         enumerate_hyperedges(n) if mode == HYPERGRAPH else enumerate_multihyperedges(n, d)
     )
     tuples = tuple(digits_of(i, d, n) for i in range(1, d**n))
-    rows = [[coefficient(t, e, d) for e in variables] for t in tuples]
-    return variables, tuples, RingMatrix.from_rows(rows, d)
+    base = _digit_powers(d, mode)
+    full = reduce(lambda a, b: np.kron(a, b) % d, [base] * n)
+    block = full[1:, _exponent_columns(variables, base.shape[1], n)]
+    matrix = RingMatrix(*block.shape, tuple(block.ravel().tolist()), Modulus(d))
+    return variables, tuples, matrix
 
 
 @dataclass(frozen=True)
@@ -167,13 +187,35 @@ def _checked_outcome(
     return SolveOutcome(system.mode, system, solution, edge_map)
 
 
+def _on_columns(solution: SolutionSet, columns: list[int]) -> SolutionSet:
+    """The solution set restricted to the unknowns ``columns``, in that order.
+
+    Only valid when every unknown left out is 0 in every solution.
+    """
+    if not solution.consistent:
+        return solution
+    assert solution.particular is not None
+
+    def pick(vector: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(vector[j] for j in columns)
+
+    return SolutionSet(
+        solution.modulus,
+        True,
+        pick(solution.particular),
+        solution.count,
+        tuple((pick(direction), order) for direction, order in solution.generators),
+    )
+
+
 def solve_weights(table: PhaseFunction, mode: str) -> SolveOutcome:
     """Decide reachability of a canonical table and count all weight solutions."""
     system = build_system(table, mode)
-    if system.matrix.modulus.is_prime:
-        solution = PrimeSolver(system.matrix).solve(system.rhs)
-    else:
-        solution = SmithSolver(system.matrix).solve(system.rhs)
+    base = _digit_powers(table.d, mode)
+    solver = KroneckerSolver(RingMatrix.from_rows(base.tolist(), table.d), table.n)
+    # The constant m_0 is pinned to f(0) = 0; the rest are the edge weights.
+    columns = _exponent_columns(system.variables, base.shape[1], table.n)
+    solution = _on_columns(solver.solve(table.table), columns)
     return _checked_outcome(table, system, solution)
 
 
@@ -192,63 +234,6 @@ def coefficient_block(d: int, size: int, limit: int | None = None) -> RingMatrix
     for _ in range(size - 1):
         block = block.kron(base)
     return block
-
-
-def _tensor_apply(matrix: np.ndarray, vec: np.ndarray, t: int, d: int) -> np.ndarray:
-    """Apply matrix (x) ... (x) matrix (t factors) to vec, mod d."""
-    ten = vec.reshape((d - 1,) * t)
-    for axis in range(t):
-        ten = np.tensordot(matrix, ten, axes=([1], [axis])) % d
-        ten = np.moveaxis(ten, 0, axis)
-    return ten.reshape(-1)
-
-
-def _prime_inverse(matrix: RingMatrix) -> np.ndarray:
-    solver = PrimeSolver(matrix)
-    if solver.rank != matrix.rows or matrix.rows != matrix.cols:
-        raise ValueError("matrix is not invertible")
-    return np.array(solver.transform, dtype=np.int64)
-
-
-def block_solve_prime(table: PhaseFunction) -> SolveOutcome:
-    """Multihypergraph solve for prime d by ascending-support blocks.
-
-    Each support set of size t contributes an invertible (d-1)^t block, the
-    t-fold Kronecker power of the digit-power matrix, so the unique solution
-    is found group by group without eliminating the full system.
-    """
-    d, n = table.d, table.n
-    system = build_system(table, MULTIHYPERGRAPH)
-    if not system.matrix.modulus.is_prime:
-        raise NonPrimeModulus(f"modulus {d} is not prime")
-    vinv = _prime_inverse(coefficient_block(d, 1))
-    weights: dict[MultiHyperedge, int] = {}
-    digit_axis = list(range(1, d))
-    for t in range(1, n + 1):
-        for support in combinations(range(n), t):
-            assignments = list(product(digit_axis, repeat=t))
-            rhs = np.empty(len(assignments), dtype=np.int64)
-            for row, assignment in enumerate(assignments):
-                index = [0] * n
-                for v, value in zip(support, assignment):
-                    index[v] = value
-                known = 0
-                for size in range(1, t):
-                    for sub in combinations(support, size):
-                        for exps in product(digit_axis, repeat=size):
-                            edge = MultiHyperedge(sub, exps)
-                            w = weights.get(edge)
-                            if w:
-                                known += w * coefficient(tuple(index), edge, d)
-                rhs[row] = (table.entry(index) - known) % d
-            solved = _tensor_apply(vinv, rhs, t, d)
-            for exps, value in zip(product(digit_axis, repeat=t), solved):
-                if value % d:
-                    weights[MultiHyperedge(support, exps)] = int(value % d)
-    edge_map = WeightedEdgeMap(d, n, weights)
-    particular = tuple(weights.get(e, 0) for e in system.variables)
-    solution = SolutionSet(system.matrix.modulus, True, particular, 1, ())
-    return _checked_outcome(table, system, solution)
 
 
 def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, ...]]:
@@ -305,10 +290,14 @@ def census(
     exceeds the budget.
     """
     _check_mode(mode)
+    if d < 2 or n < 1:
+        raise ValueError("need d >= 2 and n >= 1")
     cap = DEFAULT_CENSUS_BUDGET if budget is None else budget
+    # d^(d^n - 1) > cap, decided without building either power: once
+    # d^n - 1 exceeds cap's bit length, the table count exceeds cap.
+    if power_at_least(d, n, cap.bit_length() + 2) or power_at_least(d, d**n - 1, cap + 1):
+        raise BudgetExceeded(f"census needs {d}^({d}^{n} - 1) solver calls, budget is {cap}")
     total = d ** (d**n - 1)
-    if total > cap:
-        raise BudgetExceeded(f"census needs {total} solver calls, budget is {cap}")
     variables, tuples, matrix = _system_parts(d, n, mode)
     solver = PrimeSolver(matrix) if matrix.modulus.is_prime else SmithSolver(matrix)
     histogram: Counter[int] = Counter()

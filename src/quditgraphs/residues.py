@@ -1,7 +1,7 @@
 """Exact arithmetic and linear algebra over Z_d and over GF(q) for prime q.
 
-Everything here works on plain Python integers, so results are exact for any
-modulus. Systems A·x = b (mod d) are solved two ways:
+Results are exact for any modulus. Dense systems A·x = b (mod d) are solved
+on plain Python integers two ways:
 
 * prime modulus: Gaussian elimination over the field (``PrimeSolver``),
 * any modulus: Smith normal form of the integer lift of A with explicit
@@ -9,7 +9,9 @@ modulus. Systems A·x = b (mod d) are solved two ways:
   solution count.
 
 Both solvers factor the matrix once and can then answer many right-hand
-sides, which is what the census machinery leans on.
+sides, which is what the census machinery leans on. Systems whose matrix is
+a Kronecker power W ⊗ ... ⊗ W of a small base go through ``KroneckerSolver``,
+which factors only W and works on numpy tensors with entries reduced mod d.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class NonPrimeModulus(ValueError):
@@ -41,6 +45,22 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         factors.append((n, 1))
     return tuple(factors)
+
+
+def power_at_least(base: int, exponent: int, bound: int) -> bool:
+    """Whether base**exponent >= bound, for base >= 2 and exponent >= 0.
+
+    Multiplies with an early exit, so a huge exponent costs at most about
+    log2(bound) steps and the power itself is never built.
+    """
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
+    value = 1
+    for _ in range(exponent):
+        if value >= bound:
+            return True
+        value *= base
+    return value >= bound
 
 
 @dataclass(frozen=True)
@@ -463,6 +483,89 @@ class SmithSolver:
     def _v_column(self, j: int, scale: int) -> tuple[int, ...]:
         d = self.d
         return tuple(self.v[r][j] * scale % d for r in range(len(self.v)))
+
+
+def _apply_on_every_axis(matrix: np.ndarray, tensor: np.ndarray, d: int) -> np.ndarray:
+    """(matrix ⊗ ... ⊗ matrix) applied to a tensor with one axis per factor, mod d.
+
+    Entries stay below d, so each dot product is below d^3: int64 holds it
+    for every d whose d x d matrix fits in memory.
+    """
+    for axis in range(tensor.ndim):
+        tensor = np.moveaxis(np.tensordot(matrix, tensor, axes=([1], [axis])) % d, 0, axis)
+    return tensor
+
+
+class KroneckerSolver:
+    """Solve (W ⊗ ... ⊗ W)·x = b (mod d), ``power`` factors, for any d >= 2.
+
+    Unknowns and equations are digit tuples in flat order, first digit most
+    significant. Only the small base W (m x k, m >= k) is factored: with
+    U·W·V = D its Smith form, the mixed-product property gives
+    U^{⊗n}·W^{⊗n}·V^{⊗n} = D^{⊗n}, whose only nonzero entries sit at (j, j)
+    for tuples j with every digit below k, with value prod_v D[j_v][j_v].
+    So a solve is n tensor passes to form c = U^{⊗n} b, one elementwise
+    division y_j = c_j / D_j (mod d) with exactly gcd(D_j, d) choices each,
+    and n passes back to x = V^{⊗n} y. Equations j with a digit >= k have
+    no diagonal entry and demand c_j = 0.
+    """
+
+    def __init__(self, base: RingMatrix, power: int):
+        if base.rows < base.cols:
+            raise ValueError("the base needs at least as many rows as columns")
+        if power < 1:
+            raise ValueError("power must be >= 1")
+        d = base.modulus.d
+        self.modulus = base.modulus
+        self.d, self.power = d, power
+        self.rows, self.cols = base.rows, base.cols
+        dmat, u, v = smith_normal_form(base.row_lists())
+        self.u = np.array([[x % d for x in row] for row in u], dtype=np.int64)
+        self.v = np.array([[x % d for x in row] for row in v], dtype=np.int64)
+        # diagonal[j] = prod_v D[j_v][j_v] mod d over the k^n column tuples.
+        diag = np.array([dmat[j][j] % d for j in range(base.cols)], dtype=np.int64)
+        diagonal = diag
+        for _ in range(power - 1):
+            diagonal = np.multiply.outer(diagonal, diag) % d
+        # Per residue a of the diagonal: g = gcd(a, d), and the inverse of
+        # a / g modulo d / g that turns c = a·y into y = (c / g)·inverse.
+        gcds = [math.gcd(a, d) for a in range(d)]
+        inverses = [
+            pow(a // g, -1, d // g) if g < d else 0 for a, g in zip(range(d), gcds)
+        ]
+        self.gcd = np.array(gcds, dtype=np.int64)[diagonal]
+        self.inverse = np.array(inverses, dtype=np.int64)[diagonal]
+        orders, multiplicity = np.unique(self.gcd, return_counts=True)
+        self.count = math.prod(int(g) ** int(m) for g, m in zip(orders, multiplicity))
+
+    def solve(self, rhs: Sequence[int] | np.ndarray) -> SolutionSet:
+        d, n, k = self.d, self.power, self.cols
+        b = np.asarray(rhs, dtype=np.int64)
+        if b.shape != (self.rows**n,):
+            raise ValueError("rhs length mismatch")
+        c = _apply_on_every_axis(self.u, b.reshape((self.rows,) * n) % d, d)
+        diagonal_part = c[(slice(0, k),) * n]
+        if np.count_nonzero(c) != np.count_nonzero(diagonal_part) or (
+            diagonal_part % self.gcd
+        ).any():
+            return _no_solution(self.modulus)
+        y = (diagonal_part // self.gcd) * self.inverse % (d // self.gcd)
+        x = _apply_on_every_axis(self.v, y, d).reshape(-1)
+        return SolutionSet(self.modulus, True, tuple(x.tolist()), self.count, self._generators())
+
+    def _generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Column j of V^{⊗n} scaled by d / g_j, of order g_j, for every g_j > 1."""
+        d, k = self.d, self.cols
+        gcd = self.gcd.reshape(-1)
+        free = np.flatnonzero(gcd > 1)
+        digits = np.unravel_index(free, (k,) * self.power)
+        columns = np.ones((len(free), 1), dtype=np.int64)
+        for digit in digits:
+            factor = self.v.T[digit]  # row f holds column digit[f] of V
+            outer = columns[:, :, None] * factor[:, None, :]
+            columns = outer.reshape(len(free), columns.shape[1] * k) % d
+        columns = columns * (d // gcd[free])[:, None] % d
+        return tuple(zip(map(tuple, columns.tolist()), gcd[free].tolist()))
 
 
 def solve_prime(matrix: RingMatrix, rhs: Sequence[int]) -> SolutionSet:

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import MultiHyperedge, WeightedEdgeMap
+from .residues import power_at_least
 
 DEFAULT_TABLE_LIMIT = 2**24
 
@@ -34,11 +35,10 @@ class DimensionMismatch(ValueError):
 
 
 def _check_size(d: int, n: int, limit: int | None) -> int:
-    size = d**n
     cap = DEFAULT_TABLE_LIMIT if limit is None else limit
-    if size >= cap:
-        raise SizeLimit(f"table of {size} entries meets or exceeds the limit {cap}")
-    return size
+    if power_at_least(d, n, cap):
+        raise SizeLimit(f"table of {d}^{n} entries meets or exceeds the limit {cap}")
+    return d**n
 
 
 def _freeze(table: np.ndarray) -> np.ndarray:
@@ -246,6 +246,7 @@ def phases_from_dict(payload: object) -> PhaseFunction:
             raise SchemaError(key, "missing required field")
     d = _expect_int(payload["d"], "d", minimum=2)
     n = _expect_int(payload["n"], "n", minimum=1)
+    _check_size(d, n, None)
     phases = _expect_int_list(payload["phases"], "phases")
     if len(phases) != d**n:
         raise SchemaError("phases", f"expected d^n = {d ** n} entries, got {len(phases)}")

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -136,6 +137,16 @@ class TestSolve:
         assert "all_solutions" not in payload
         assert "exceeds cap" in payload["all_solutions_omitted"]
 
+    def test_negative_solution_cap_is_usage_error(self, tmp_path, capsys):
+        phases = write_json(tmp_path / "p.json", {"d": 4, "n": 1, "phases": [0, 1, 2, 1]})
+        code, out, err = run(
+            capsys,
+            "solve", "--phases", phases, "--mode", "multihypergraph",
+            "--all-solutions", "--solution-cap", "-1",
+        )
+        assert code == 2 and out == ""
+        assert "--solution-cap" in err
+
     def test_noncanonical_is_usage_error(self, tmp_path, capsys):
         phases = write_json(tmp_path / "p.json", {"d": 2, "n": 1, "phases": [1, 0]})
         code, _, err = run(capsys, "solve", "--phases", phases, "--mode", "hypergraph")
@@ -152,6 +163,41 @@ class TestSolve:
         )
         assert code == 0
         assert json.loads(out)["solution"] == WORKED_GRAPH
+
+
+class TestLimitsBeforeWork:
+    """Sizes whose power d^n would take minutes to build are refused at once."""
+
+    @staticmethod
+    def run_timed(capsys, *argv):
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        return result
+
+    def test_build_state_huge_table(self, tmp_path, capsys):
+        graph = write_json(tmp_path / "g.json", {"d": 1000, "n": 100000000, "edges": []})
+        code, out, err = self.run_timed(capsys, "build-state", "--graph", graph)
+        assert code == 3 and out == "" and "limit" in err
+
+    def test_solve_huge_table(self, tmp_path, capsys):
+        phases = write_json(tmp_path / "p.json", {"d": 1000, "n": 100000000, "phases": [0]})
+        code, out, err = self.run_timed(
+            capsys, "solve", "--phases", phases, "--mode", "multihypergraph"
+        )
+        assert code == 3 and out == "" and "limit" in err
+
+    def test_census_huge_table_count(self, capsys):
+        code, out, err = self.run_timed(
+            capsys, "census", "--d", "10", "--n", "10", "--mode", "hypergraph"
+        )
+        assert code == 3 and out == "" and "budget" in err
+
+    def test_census_dimension_below_two_is_usage_error(self, capsys):
+        code, out, _ = self.run_timed(
+            capsys, "census", "--d", "0", "--n", "1", "--mode", "hypergraph"
+        )
+        assert code == 2 and out == ""
 
 
 class TestVerifyStabilizers:

@@ -3,13 +3,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditgraphs.correspondence import (
     HYPERGRAPH,
+    MODES,
     MULTIHYPERGRAPH,
     BudgetExceeded,
     NonCanonical,
-    block_solve_prime,
     build_system,
     census,
     coefficient_block,
@@ -17,10 +19,10 @@ from quditgraphs.correspondence import (
     solve_weights,
 )
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
-from quditgraphs.residues import NonPrimeModulus, PrimeSolver
+from quditgraphs.residues import NonPrimeModulus, PrimeSolver, SmithSolver
 from quditgraphs.states import PhaseFunction, build_state
 
-from helpers import phase_table_of_map, random_edge_map
+from helpers import brute_force_solutions, phase_table_of_map, random_edge_map
 
 WORKED_TABLE = PhaseFunction(3, 2, np.array([0, 1, 0, 1, 1, 0, 0, 1, 0]))
 WORKED_WEIGHTS = {
@@ -68,6 +70,23 @@ class TestBuildSystem:
                 entry = entry * pow((2, 1)[v], s, 3) % 3
             expected.append(entry)
         assert list(system.matrix.row(row_index)) == expected
+
+    @pytest.mark.parametrize(
+        "d,n,mode",
+        [(2, 3, MULTIHYPERGRAPH), (3, 2, HYPERGRAPH), (4, 2, MULTIHYPERGRAPH),
+         (6, 2, MULTIHYPERGRAPH), (5, 2, HYPERGRAPH), (3, 3, MULTIHYPERGRAPH)],
+    )
+    def test_every_entry_is_the_edge_monomial(self, d, n, mode):
+        # The fingerprint hashes these entries, so they must not change.
+        system = build_system(pf(d, n, [0] * d**n), mode)
+        expected = []
+        for t in system.tuples:
+            for edge in system.variables:
+                entry = 1
+                for v, s in zip(edge.vertices, edge.exponents):
+                    entry = entry * pow(t[v], s, d) % d
+                expected.append(entry)
+        assert list(system.matrix.entries) == expected
 
     def test_modes_coincide_for_qubits(self):
         table = pf(2, 3, [0, 1, 1, 0, 1, 0, 0, 1])
@@ -140,26 +159,86 @@ class TestSolveWeights:
                 assert build_state(solved) == table
 
 
-class TestBlockSolve:
-    def test_matches_full_solver_exhaustively_d3_n2(self):
+class TestKroneckerSolve:
+    def test_matches_prime_solver_exhaustively_d3_n2(self):
+        reference = PrimeSolver(build_system(pf(3, 2, [0] * 9), MULTIHYPERGRAPH).matrix)
         for entries in product(range(3), repeat=8):
             table = pf(3, 2, (0,) + entries)
-            blocked = block_solve_prime(table)
-            full = solve_weights(table, MULTIHYPERGRAPH)
-            assert blocked.solution.particular == full.solution.particular
-            assert blocked.solution.count == full.solution.count == 1
+            outcome = solve_weights(table, MULTIHYPERGRAPH)
+            expected = reference.solve(entries)
+            assert outcome.solution.particular == expected.particular
+            assert outcome.solution.count == expected.count == 1
 
-    def test_composite_rejected(self):
-        with pytest.raises(NonPrimeModulus):
-            block_solve_prime(pf(4, 1, [0, 1, 2, 1]))
-
-    def test_three_qudit_case(self):
+    def test_three_qudit_round_trips(self):
         rng = random.Random(11)
-        for d in (2, 3):
+        for d in (2, 3, 4, 6):
             emap = random_edge_map(rng, d, 3)
             table = build_state(emap)
-            outcome = block_solve_prime(table)
+            outcome = solve_weights(table, MULTIHYPERGRAPH)
             assert build_state(outcome.edge_map) == table
+
+
+def _differential_cases():
+    return [
+        (d, n, mode)
+        for d in range(2, 9)
+        for n in range(1, 9)
+        if d**n <= 400
+        for mode in MODES
+    ]
+
+
+def _random_kind_map(rng, d, n, mode):
+    """Random weights on a random subset of the mode's edges."""
+    emap = random_edge_map(rng, d, n)
+    if mode == MULTIHYPERGRAPH:
+        return emap
+    plain = {hyperedge(*e.vertices): w for e, w in emap.items()}
+    return WeightedEdgeMap(d, n, plain)
+
+
+def _assert_agrees(table, mode, reference):
+    """solve_weights against a factored dense solver, and against brute force
+    when the weight space is small enough to enumerate."""
+    outcome = solve_weights(table, mode)
+    rhs = outcome.system.rhs
+    expected = reference.solve(rhs)
+    ours = outcome.solution
+    assert ours.consistent == expected.consistent
+    assert ours.count == expected.count
+    if ours.consistent and ours.count <= 64:
+        assert ours.solutions() == expected.solutions()
+    matrix = outcome.system.matrix
+    if table.d**matrix.cols <= 10**5:
+        assert ours.solutions() == sorted(
+            brute_force_solutions(matrix.row_lists(), rhs, table.d)
+        )
+
+
+class TestDifferential:
+    """The Kronecker solve against PrimeSolver / SmithSolver on the dense system."""
+
+    @pytest.mark.parametrize("d,n,mode", _differential_cases())
+    def test_random_and_built_tables(self, d, n, mode):
+        rng = random.Random(f"{d}:{n}:{mode}")
+        matrix = build_system(pf(d, n, [0] * d**n), mode).matrix
+        reference = PrimeSolver(matrix) if matrix.modulus.is_prime else SmithSolver(matrix)
+        tables = [build_state(_random_kind_map(rng, d, n, mode)) for _ in range(3)]
+        tables += [pf(d, n, [0] + [rng.randrange(d) for _ in range(d**n - 1)]) for _ in range(3)]
+        for table in tables:
+            _assert_agrees(table, mode, reference)
+
+    @given(st.sampled_from(_differential_cases()), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_random_canonical_tables(self, case, rnd):
+        d, n, mode = case
+        if rnd.random() < 0.5:
+            table = build_state(_random_kind_map(rnd, d, n, mode))
+        else:
+            table = pf(d, n, [0] + [rnd.randrange(d) for _ in range(d**n - 1)])
+        matrix = build_system(table, mode).matrix
+        reference = PrimeSolver(matrix) if matrix.modulus.is_prime else SmithSolver(matrix)
+        _assert_agrees(table, mode, reference)
 
 
 class TestCoefficientBlock:

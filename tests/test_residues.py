@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from quditgraphs.residues import (
+    KroneckerSolver,
     Modulus,
     NonPrimeModulus,
     PrimeSolver,
     Residue,
     RingMatrix,
+    SmithSolver,
     left_nullspace_prime,
     mod_inverse,
+    power_at_least,
     rank_and_consistency,
     smith_normal_form,
     solve_prime,
@@ -275,3 +278,77 @@ class TestRankAndNullspace:
                 for y in basis:
                     for j in range(n):
                         assert sum(y[i] * rows[i][j] for i in range(m)) % q == 0
+
+
+def kron_power(base, power):
+    out = base
+    for _ in range(power - 1):
+        out = out.kron(base)
+    return out
+
+
+class TestKroneckerSolver:
+    @given(
+        st.sampled_from([2, 3, 4, 6, 8, 9, 12]),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_smith_solver_on_the_explicit_power(self, d, rows, cols, power, rnd):
+        # Random bases, zero and repeated columns included: not only digit powers.
+        cols = min(cols, rows)
+        if rows**power > 64:
+            power = 1
+        base = RingMatrix.from_rows(random_matrix_rows(rnd, rows, cols, d), d)
+        full = kron_power(base, power)
+        reference = SmithSolver(full)
+        solver = KroneckerSolver(base, power)
+        for _ in range(3):
+            if rnd.random() < 0.5:
+                rhs = [rnd.randrange(d) for _ in range(full.rows)]
+            else:
+                rhs = full.mul_vector([rnd.randrange(d) for _ in range(full.cols)])
+            ours, expected = solver.solve(rhs), reference.solve(rhs)
+            assert ours.consistent == expected.consistent
+            assert ours.count == expected.count
+            if ours.consistent and ours.count <= 256:
+                solutions = ours.solutions()
+                assert solutions == expected.solutions()
+                assert all(full.mul_vector(x) == tuple(rhs) for x in solutions)
+
+    def test_counts_match_brute_force(self):
+        rng = random.Random(4242)
+        for d in (2, 4, 6):
+            for _ in range(4):
+                base = RingMatrix.from_rows(random_matrix_rows(rng, 3, 2, d), d)
+                full = kron_power(base, 2)
+                rhs = [rng.randrange(d) for _ in range(full.rows)]
+                if rng.random() < 0.5:
+                    rhs = full.mul_vector([rng.randrange(d) for _ in range(full.cols)])
+                expected = brute_force_solutions(full.row_lists(), rhs, d)
+                assert KroneckerSolver(base, 2).solve(rhs).solutions() == sorted(expected)
+
+    def test_rejects_wide_base_and_bad_rhs(self):
+        with pytest.raises(ValueError):
+            KroneckerSolver(RingMatrix.from_rows([[1, 2]], 5), 2)
+        with pytest.raises(ValueError):
+            KroneckerSolver(RingMatrix.identity(2, 5), 2).solve([0, 0, 0])
+
+
+class TestPowerAtLeast:
+    def test_matches_the_built_power(self):
+        for base in range(2, 7):
+            for exponent in range(0, 12):
+                for bound in (-3, 0, 1, 2, 7, 64, 1000, 4096, 10**6):
+                    assert power_at_least(base, exponent, bound) == (base**exponent >= bound)
+
+    def test_huge_exponent_is_immediate(self):
+        assert power_at_least(1000, 10**100, 2**24)
+        assert not power_at_least(2, 23, 2**24)
+        assert power_at_least(2, 24, 2**24)
+
+    def test_base_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            power_at_least(1, 10**9, 5)

@@ -36,15 +36,9 @@ from .graphs import (
 from .residues import (
     Modulus,
     NonPrimeModulus,
-    Residue,
     RingMatrix,
     SolutionSet,
-    left_nullspace_prime,
-    mod_inverse,
-    rank_and_consistency,
     smith_normal_form,
-    solve_prime,
-    solve_residue,
 )
 from .stabilizers import (
     ConjugationReport,
@@ -87,7 +81,6 @@ __all__ = [
     "NonCanonical",
     "NonPrimeModulus",
     "PhaseFunction",
-    "Residue",
     "RingMatrix",
     "RoundTripFailure",
     "SchemaError",
@@ -111,14 +104,9 @@ __all__ = [
     "enumerate_multihyperedges",
     "generator",
     "hyperedge",
-    "left_nullspace_prime",
-    "mod_inverse",
     "plus_state",
-    "rank_and_consistency",
     "representability_constraints",
     "smith_normal_form",
-    "solve_prime",
-    "solve_residue",
     "solve_weights",
     "states_equal",
     "to_dense",

@@ -13,6 +13,7 @@ import sys
 from typing import Sequence
 
 from . import correspondence, graphs, stabilizers, states
+from .residues import power_at_least
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -97,11 +98,31 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_identity_size(d: int, n: int, exhaustive: bool) -> None:
+    """Refuse before any edge is listed when the checks would compute
+    checked × d^n table entries at or above the table limit.
+
+    Each edge of arity t gives d·t checks. Over every edge that is
+    n(d-1)d^n checks; over the edges of arity <= 2, d·(n(d-1) + n(n-1)(d-1)^2).
+    """
+    if d < 2 or n < 1:
+        raise ValueError("need d >= 2 and n >= 1")
+    if exhaustive:
+        factor, exponent = n * (d - 1), 2 * n
+    else:
+        factor, exponent = n * (d - 1) + n * (n - 1) * (d - 1) ** 2, n + 1
+    cap = states.DEFAULT_TABLE_LIMIT
+    # factor·d^exponent >= cap iff d^exponent >= ceil(cap / factor).
+    if power_at_least(d, exponent, -(-cap // factor)):
+        raise states.SizeLimit(
+            f"identity-check at d={d}, n={n} meets or exceeds the limit {cap} on table entries"
+        )
+
+
 def _cmd_identity_check(args: argparse.Namespace) -> int:
     d, n = args.d, args.n
-    edges = graphs.enumerate_multihyperedges(n, d)
-    if not args.exhaustive:
-        edges = [e for e in edges if e.arity <= 2]
+    _check_identity_size(d, n, args.exhaustive)
+    edges = graphs.enumerate_multihyperedges(n, d, max_arity=None if args.exhaustive else 2)
     mismatches = []
     verdicts: dict[int, bool] = {}
     checked = 0

@@ -19,20 +19,20 @@ s in 0..d-1 (multihypergraph) or {0, 1} (hypergraph). Row i = 0 pins
 m_0 = f(0) = 0, so the solutions are exactly those of the canonical system.
 ``solve_weights`` solves it for every d and both modes with one Kronecker
 Smith-form solve (``residues.KroneckerSolver``): only the small W is
-factored, and solution counts are exact. The dense canonical matrix is kept
-for the fingerprint, the left nullspace and the census, which factors it
-once and then solves every table. ``census`` classifies every canonical
-table at fixed (d, n).
+factored, and solution counts are exact. ``census`` classifies every
+canonical table at fixed (d, n) with the same solver, testing consistency a
+block of tables at a time. The dense canonical matrix is kept for the
+fingerprint and the left nullspace.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
+from typing import Iterator
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .residues import (
     NonPrimeModulus,
     PrimeSolver,
     RingMatrix,
-    SmithSolver,
     SolutionSet,
     power_at_least,
 )
@@ -60,6 +59,8 @@ MODES = (HYPERGRAPH, MULTIHYPERGRAPH)
 
 DEFAULT_CENSUS_BUDGET = 10**7
 DEFAULT_BLOCK_LIMIT = 2**24
+# Table entries the census hands the solver at once.
+CENSUS_BLOCK_ENTRIES = 2**12
 
 
 class NonCanonical(ValueError):
@@ -71,7 +72,7 @@ class RoundTripFailure(RuntimeError):
 
 
 class BudgetExceeded(RuntimeError):
-    """The census would need more solver calls than the configured budget."""
+    """The census would cover more tables than the configured budget."""
 
 
 def _check_mode(mode: str) -> str:
@@ -85,6 +86,11 @@ def _digit_powers(d: int, mode: str) -> np.ndarray:
     (multihypergraph) or s in {0, 1} (hypergraph)."""
     exponents = 2 if mode == HYPERGRAPH else d
     return np.array([[pow(i, s, d) for s in range(exponents)] for i in range(d)], dtype=np.int64)
+
+
+def _kronecker_solver(d: int, n: int, mode: str) -> KroneckerSolver:
+    """The solver of W^{⊗n} x = f for the mode's digit-power matrix W."""
+    return KroneckerSolver(RingMatrix.from_rows(_digit_powers(d, mode).tolist(), d), n)
 
 
 def _exponent_columns(variables: tuple[MultiHyperedge, ...], k: int, n: int) -> list[int]:
@@ -211,10 +217,9 @@ def _on_columns(solution: SolutionSet, columns: list[int]) -> SolutionSet:
 def solve_weights(table: PhaseFunction, mode: str) -> SolveOutcome:
     """Decide reachability of a canonical table and count all weight solutions."""
     system = build_system(table, mode)
-    base = _digit_powers(table.d, mode)
-    solver = KroneckerSolver(RingMatrix.from_rows(base.tolist(), table.d), table.n)
+    solver = _kronecker_solver(table.d, table.n, mode)
     # The constant m_0 is pinned to f(0) = 0; the rest are the edge weights.
-    columns = _exponent_columns(system.variables, base.shape[1], table.n)
+    columns = _exponent_columns(system.variables, solver.cols, table.n)
     solution = _on_columns(solver.solve(table.table), columns)
     return _checked_outcome(table, system, solution)
 
@@ -225,11 +230,16 @@ def coefficient_block(d: int, size: int, limit: int | None = None) -> RingMatrix
     if d < 2 or size < 1:
         raise ValueError("need d >= 2 and size >= 1")
     cap = DEFAULT_BLOCK_LIMIT if limit is None else limit
-    if (d - 1) ** size >= cap:
-        raise SizeLimit(f"block of {(d - 1) ** size} rows meets or exceeds the limit {cap}")
+    # (d-1)^(2·size) entries, decided without building the power. At d = 2
+    # the block is [[1]] for every size.
+    too_large = cap <= 1 if d == 2 else power_at_least(d - 1, 2 * size, cap)
+    if too_large:
+        raise SizeLimit(f"block of {d - 1}^{2 * size} entries meets or exceeds the limit {cap}")
     base = RingMatrix.from_rows(
         [[pow(i, s, d) for s in range(1, d)] for i in range(1, d)], d
     )
+    if d == 2:
+        return base
     block = base
     for _ in range(size - 1):
         block = block.kron(base)
@@ -280,14 +290,37 @@ class CensusReport:
         }
 
 
+def _canonical_tables(d: int, n: int) -> Iterator[np.ndarray]:
+    """Every canonical table at (d, n), one row each, in blocks of at most
+    CENSUS_BLOCK_ENTRIES entries (or one table, if it is larger).
+
+    A numpy grid runs over the trailing entries and ``product`` over the
+    leading ones, so no table index is ever formed and none has to fit int64.
+    Each block is the same array, refilled: use it before taking the next.
+    """
+    size = d**n
+    trailing = 0
+    while trailing < size - 1 and d ** (trailing + 1) * size <= CENSUS_BLOCK_ENTRIES:
+        trailing += 1
+    leading = size - 1 - trailing
+    block = np.zeros((d**trailing, size), dtype=np.int64)
+    grid = np.indices((d,) * trailing).reshape(trailing, d**trailing).T
+    block[:, size - trailing :] = grid
+    for digits in product(range(d), repeat=leading):
+        block[:, 1 : 1 + leading] = digits
+        yield block
+
+
 def census(
     d: int, n: int, mode: str, budget: int | None = None
 ) -> CensusReport:
     """Solve every canonical phase table at (d, n) and tally multiplicities.
 
-    The coefficient matrix is factored once; each of the d^(d^n - 1) tables
-    costs one transformed-rhs solve. Refuses cleanly when the table count
-    exceeds the budget.
+    W is factored once and every table is tested for consistency, a block at
+    a time. Every consistent right-hand side of one linear system has exactly
+    as many solutions as its kernel, K, so the histogram is
+    {0: total - R, K: R} over the R reachable tables. Refuses cleanly when
+    the table count exceeds the budget.
     """
     _check_mode(mode)
     if d < 2 or n < 1:
@@ -296,19 +329,14 @@ def census(
     # d^(d^n - 1) > cap, decided without building either power: once
     # d^n - 1 exceeds cap's bit length, the table count exceeds cap.
     if power_at_least(d, n, cap.bit_length() + 2) or power_at_least(d, d**n - 1, cap + 1):
-        raise BudgetExceeded(f"census needs {d}^({d}^{n} - 1) solver calls, budget is {cap}")
+        raise BudgetExceeded(f"census covers {d}^({d}^{n} - 1) tables, budget is {cap}")
     total = d ** (d**n - 1)
     variables, tuples, matrix = _system_parts(d, n, mode)
-    solver = PrimeSolver(matrix) if matrix.modulus.is_prime else SmithSolver(matrix)
-    histogram: Counter[int] = Counter()
-    reachable = 0
-    solution_sum = 0
-    for rhs in product(range(d), repeat=d**n - 1):
-        result = solver.solve(rhs)
-        histogram[result.count] += 1
-        if result.consistent:
-            reachable += 1
-            solution_sum += result.count
+    solver = _kronecker_solver(d, n, mode)
+    reachable = sum(
+        int(np.count_nonzero(solver.consistent(block))) for block in _canonical_tables(d, n)
+    )
+    histogram = {0: total - reachable, solver.count: reachable}
     fingerprint = CorrespondenceSystem(
         d, n, mode, variables, tuples, matrix, (0,) * matrix.rows
     ).fingerprint()
@@ -318,8 +346,8 @@ def census(
         mode=mode,
         total_states=total,
         reachable=reachable,
-        histogram=tuple(sorted(histogram.items())),
-        solution_sum=solution_sum,
+        histogram=tuple(sorted((k, v) for k, v in histogram.items() if v)),
+        solution_sum=reachable * solver.count,
         weight_assignments=d ** len(variables),
         matrix_fingerprint=fingerprint,
     )

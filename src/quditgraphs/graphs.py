@@ -138,16 +138,18 @@ def enumerate_hyperedges(n: int) -> list[MultiHyperedge]:
     ]
 
 
-def enumerate_multihyperedges(n: int, d: int) -> list[MultiHyperedge]:
+def enumerate_multihyperedges(
+    n: int, d: int, max_arity: int | None = None
+) -> list[MultiHyperedge]:
     """All d^n - 1 multihyperedges: every nonempty support crossed with every
     exponent tuple in {1, ..., d-1}^t, ordered by support size, vertex tuple,
-    then exponent tuple."""
+    then exponent tuple. ``max_arity`` keeps only supports up to that size."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if d < 2:
         raise ValueError("d must be >= 2")
     out = []
-    for size in range(1, n + 1):
+    for size in range(1, (n if max_arity is None else min(n, max_arity)) + 1):
         for subset in combinations(range(n), size):
             for exps in product(range(1, d), repeat=size):
                 out.append(MultiHyperedge(subset, exps))

@@ -9,9 +9,10 @@ on plain Python integers two ways:
   solution count.
 
 Both solvers factor the matrix once and can then answer many right-hand
-sides, which is what the census machinery leans on. Systems whose matrix is
-a Kronecker power W ⊗ ... ⊗ W of a small base go through ``KroneckerSolver``,
-which factors only W and works on numpy tensors with entries reduced mod d.
+sides. Systems whose matrix is a Kronecker power W ⊗ ... ⊗ W of a small base
+go through ``KroneckerSolver``, which factors only W and works on numpy
+tensors with entries reduced mod d, a whole batch of right-hand sides at a
+time when only consistency is asked.
 """
 
 from __future__ import annotations
@@ -79,46 +80,6 @@ class Modulus:
     def is_prime(self) -> bool:
         (_, e), *rest = self.factorization
         return not rest and e == 1
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z_d. Arithmetic is only defined between equal moduli."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.modulus.d:
-            raise ValueError(f"value {self.value} not reduced mod {self.modulus.d}")
-
-    def _coerce(self, other: "Residue") -> int:
-        if self.modulus.d != other.modulus.d:
-            raise ValueError("mixed moduli")
-        return other.value
-
-    def __add__(self, other: "Residue") -> "Residue":
-        return Residue((self.value + self._coerce(other)) % self.modulus.d, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        return Residue((self.value - self._coerce(other)) % self.modulus.d, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        return Residue((self.value * self._coerce(other)) % self.modulus.d, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value % self.modulus.d, self.modulus)
-
-    def __pow__(self, exponent: int) -> "Residue":
-        return Residue(pow(self.value, exponent, self.modulus.d), self.modulus)
-
-
-def mod_inverse(a: Residue) -> Residue | None:
-    """Multiplicative inverse of a in Z_d, or None when gcd(a, d) > 1."""
-    try:
-        return Residue(pow(a.value, -1, a.modulus.d), a.modulus)
-    except ValueError:
-        return None
 
 
 @dataclass(frozen=True)
@@ -485,13 +446,16 @@ class SmithSolver:
         return tuple(self.v[r][j] * scale % d for r in range(len(self.v)))
 
 
-def _apply_on_every_axis(matrix: np.ndarray, tensor: np.ndarray, d: int) -> np.ndarray:
-    """(matrix ⊗ ... ⊗ matrix) applied to a tensor with one axis per factor, mod d.
+def _apply_on_every_axis(
+    matrix: np.ndarray, tensor: np.ndarray, d: int, power: int
+) -> np.ndarray:
+    """(matrix ⊗ ... ⊗ matrix), ``power`` factors, applied mod d to the last
+    ``power`` axes of a tensor, one axis per factor; leading axes are a batch.
 
     Entries stay below d, so each dot product is below d^3: int64 holds it
     for every d whose d x d matrix fits in memory.
     """
-    for axis in range(tensor.ndim):
+    for axis in range(-power, 0):
         tensor = np.moveaxis(np.tensordot(matrix, tensor, axes=([1], [axis])) % d, 0, axis)
     return tensor
 
@@ -535,22 +499,40 @@ class KroneckerSolver:
         ]
         self.gcd = np.array(gcds, dtype=np.int64)[diagonal]
         self.inverse = np.array(inverses, dtype=np.int64)[diagonal]
-        orders, multiplicity = np.unique(self.gcd, return_counts=True)
-        self.count = math.prod(int(g) ** int(m) for g, m in zip(orders, multiplicity))
+        # c_j must be a multiple of divisor_j: g_j on the diagonal, and d
+        # (so c_j = 0) on the equations without a diagonal entry.
+        self.divisor = np.full((self.rows,) * power, d, dtype=np.int64)
+        self.divisor[(slice(0, self.cols),) * power] = self.gcd
+        multiplicity = np.bincount(self.gcd.reshape(-1))
+        self.count = math.prod(g ** int(m) for g, m in enumerate(multiplicity) if m)
+
+    def consistent(self, rhs: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Whether each right-hand side along the last axis of ``rhs``, shape
+        (..., rows**power), has a solution: a bool array of shape rhs.shape[:-1]."""
+        return self._consistent(self._transform(rhs))
+
+    def _transform(self, rhs: Sequence[int] | np.ndarray) -> np.ndarray:
+        """c = U^{⊗n} b for each b along the last axis, as (..., rows, ..., rows)."""
+        b = np.asarray(rhs, dtype=np.int64)
+        if b.shape[-1:] != (self.rows**self.power,):
+            raise ValueError("rhs length mismatch")
+        grid = b.reshape(b.shape[:-1] + (self.rows,) * self.power) % self.d
+        return _apply_on_every_axis(self.u, grid, self.d, self.power)
+
+    def _consistent(self, c: np.ndarray) -> np.ndarray:
+        batch = c.shape[: c.ndim - self.power]
+        return ~(c % self.divisor).reshape(batch + (self.divisor.size,)).any(axis=-1)
 
     def solve(self, rhs: Sequence[int] | np.ndarray) -> SolutionSet:
         d, n, k = self.d, self.power, self.cols
-        b = np.asarray(rhs, dtype=np.int64)
-        if b.shape != (self.rows**n,):
+        if np.ndim(rhs) != 1:
             raise ValueError("rhs length mismatch")
-        c = _apply_on_every_axis(self.u, b.reshape((self.rows,) * n) % d, d)
-        diagonal_part = c[(slice(0, k),) * n]
-        if np.count_nonzero(c) != np.count_nonzero(diagonal_part) or (
-            diagonal_part % self.gcd
-        ).any():
+        c = self._transform(rhs)
+        if not self._consistent(c):
             return _no_solution(self.modulus)
+        diagonal_part = c[(slice(0, k),) * n]
         y = (diagonal_part // self.gcd) * self.inverse % (d // self.gcd)
-        x = _apply_on_every_axis(self.v, y, d).reshape(-1)
+        x = _apply_on_every_axis(self.v, y, d, n).reshape(-1)
         return SolutionSet(self.modulus, True, tuple(x.tolist()), self.count, self._generators())
 
     def _generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -566,68 +548,3 @@ class KroneckerSolver:
             columns = outer.reshape(len(free), columns.shape[1] * k) % d
         columns = columns * (d // gcd[free])[:, None] % d
         return tuple(zip(map(tuple, columns.tolist()), gcd[free].tolist()))
-
-
-def solve_prime(matrix: RingMatrix, rhs: Sequence[int]) -> SolutionSet:
-    """Solve A·x = b over GF(q) by Gaussian elimination (q prime)."""
-    return PrimeSolver(matrix).solve(rhs)
-
-
-def solve_residue(matrix: RingMatrix, rhs: Sequence[int]) -> SolutionSet:
-    """Solve A·x = b (mod d) for any d >= 2, with the exact solution count."""
-    return SmithSolver(matrix).solve(rhs)
-
-
-def left_nullspace_prime(matrix: RingMatrix) -> list[tuple[int, ...]]:
-    """Canonical basis of the left nullspace {y : y^T A = 0} over GF(q)."""
-    return PrimeSolver(matrix).left_nullspace()
-
-
-@dataclass(frozen=True)
-class PrimePowerConsistency:
-    """Rank data for one prime-power factor p^e of the modulus."""
-
-    prime: int
-    exponent: int
-    rank: int
-    rank_augmented: int
-    consistent: bool
-
-
-@dataclass(frozen=True)
-class RankReport:
-    per_factor: tuple[PrimePowerConsistency, ...]
-    consistent: bool
-
-
-def rank_and_consistency(matrix: RingMatrix, rhs: Sequence[int]) -> RankReport:
-    """Per prime-power report: GF(p) ranks of A and [A|b], consistency mod p^e.
-
-    For prime d this is the classic rank test; for composite d the system is
-    consistent iff it is consistent modulo every prime-power factor (CRT).
-    """
-    if len(rhs) != matrix.rows:
-        raise ValueError("rhs length mismatch")
-
-    def reduced(mod: int, augment: bool) -> RingMatrix:
-        cols = matrix.cols + (1 if augment else 0)
-        entries = []
-        for i in range(matrix.rows):
-            entries.extend(x % mod for x in matrix.row(i))
-            if augment:
-                entries.append(rhs[i] % mod)
-        return RingMatrix(matrix.rows, cols, tuple(entries), Modulus(mod))
-
-    reports = []
-    for p, e in matrix.modulus.factorization:
-        rank_a = PrimeSolver(reduced(p, augment=False)).rank
-        rank_aug = PrimeSolver(reduced(p, augment=True)).rank
-        if e == 1:
-            consistent = rank_a == rank_aug
-        else:
-            pe = p**e
-            consistent = SmithSolver(reduced(pe, augment=False)).solve(
-                [b % pe for b in rhs]
-            ).consistent
-        reports.append(PrimePowerConsistency(p, e, rank_a, rank_aug, consistent))
-    return RankReport(tuple(reports), all(r.consistent for r in reports))

@@ -24,7 +24,6 @@ import numpy as np
 
 from .graphs import MultiHyperedge, WeightedEdgeMap
 from .states import (
-    GeneralState,
     PhaseFunction,
     VertexOutOfRange,
     build_state,
@@ -33,7 +32,7 @@ from .states import (
 )
 
 
-def apply_shift(state: GeneralState, k: int) -> GeneralState:
+def apply_shift(state: PhaseFunction, k: int) -> PhaseFunction:
     """Shift vertex k down one level: new f(i) = f(..., i_k + 1 mod d, ...)."""
     if not 0 <= k < state.n:
         raise VertexOutOfRange(f"vertex {k} out of range [0, {state.n})")
@@ -127,7 +126,7 @@ def generator(edge_map: WeightedEdgeMap, k: int) -> GeneratorSpec:
     return GeneratorSpec(d, edge_map.n, k, tuple(terms))
 
 
-def apply_generator(state: GeneralState, spec: GeneratorSpec) -> GeneralState:
+def apply_generator(state: PhaseFunction, spec: GeneratorSpec) -> PhaseFunction:
     """Apply g_k: trailing diagonals first (exact corrections), then the shift."""
     if (state.d, state.n) != (spec.d, spec.n):
         raise ValueError("state and generator dimensions differ")

@@ -49,7 +49,11 @@ def _freeze(table: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PhaseFunction:
-    """Exponent table of a state; canonical means f(0, ..., 0) = 0."""
+    """Exponent table of a state; canonical means f(0, ..., 0) = 0.
+
+    Canonicity is not required: the stabilizer machinery shifts tables, and a
+    shifted table may have f(0, ..., 0) != 0.
+    """
 
     d: int
     n: int
@@ -82,11 +86,6 @@ class PhaseFunction:
 
     def entry(self, digits: Sequence[int]) -> int:
         return int(self.table[index_of(digits, self.d)])
-
-
-# The stabilizer machinery moves states out of canonical form (a shifted table
-# may have f(0,...,0) != 0); the class itself does not require canonicity.
-GeneralState = PhaseFunction
 
 
 def index_of(digits: Sequence[int], d: int) -> int:

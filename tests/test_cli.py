@@ -199,6 +199,33 @@ class TestLimitsBeforeWork:
         )
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("d,n", [("50", "8"), ("3", "30")])
+    def test_identity_check_huge_table(self, capsys, d, n):
+        code, out, err = self.run_timed(capsys, "identity-check", "--d", d, "--n", n)
+        assert code == 3 and out == "" and "limit" in err
+
+    def test_identity_check_limit_counts_only_the_checked_edges(self, capsys):
+        # Every edge at d=2, n=11: 11·4^11 entries, over the limit. Arity <= 2:
+        # 2·(11 + 110) = 242 checks of 2^11 entries each, under it.
+        code, out, err = self.run_timed(
+            capsys, "identity-check", "--d", "2", "--n", "11", "--exhaustive"
+        )
+        assert code == 3 and out == "" and "limit" in err
+        code, out, _ = self.run_timed(capsys, "identity-check", "--d", "2", "--n", "11")
+        assert code == 0 and json.loads(out)["checked"] == 242
+
+    def test_matrix_huge_entries(self, capsys):
+        code, out, err = self.run_timed(capsys, "matrix", "--d", "100000", "--block", "1")
+        assert code == 3 and out == "" and "99999^2 entries" in err
+
+    def test_matrix_huge_power(self, capsys):
+        code, out, err = self.run_timed(capsys, "matrix", "--d", "5", "--block", "30000000")
+        assert code == 3 and out == "" and "4^60000000 entries" in err
+
+    def test_matrix_qubit_block_is_one_entry_at_any_power(self, capsys):
+        code, out, _ = self.run_timed(capsys, "matrix", "--d", "2", "--block", "30000000")
+        assert code == 0 and json.loads(out)["entries"] == [1]
+
 
 class TestVerifyStabilizers:
     def test_worked_graph_all_stabilized(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditgraphs import correspondence
 from quditgraphs.correspondence import (
     HYPERGRAPH,
     MODES,
     MULTIHYPERGRAPH,
     BudgetExceeded,
+    CensusReport,
     NonCanonical,
     build_system,
     census,
@@ -335,3 +338,63 @@ class TestCensus:
             counts[entries] = solve_weights(table, MULTIHYPERGRAPH).solution.count
         assert report.reachable == sum(1 for c in counts.values() if c)
         assert report.solution_sum == sum(counts.values())
+
+
+def _census_cases():
+    """Every (d, n, mode) whose census has at most 8000 tables."""
+    return [
+        (d, n, mode)
+        for d in range(2, 9)
+        for n in range(1, 5)
+        if d ** (d**n - 1) <= 8000
+        for mode in MODES
+    ]
+
+
+def _per_table_census(d, n, mode):
+    """The census by one dense-system solve per table: the slow reference."""
+    system = build_system(pf(d, n, [0] * d**n), mode)
+    matrix = system.matrix
+    solver = PrimeSolver(matrix) if matrix.modulus.is_prime else SmithSolver(matrix)
+    histogram = Counter()
+    reachable = solution_sum = 0
+    for rhs in product(range(d), repeat=d**n - 1):
+        result = solver.solve(rhs)
+        histogram[result.count] += 1
+        if result.consistent:
+            reachable += 1
+            solution_sum += result.count
+    return CensusReport(
+        d=d,
+        n=n,
+        mode=mode,
+        total_states=d ** (d**n - 1),
+        reachable=reachable,
+        histogram=tuple(sorted(histogram.items())),
+        solution_sum=solution_sum,
+        weight_assignments=d ** len(system.variables),
+        matrix_fingerprint=system.fingerprint(),
+    )
+
+
+class TestCensusDifferential:
+    """The block census through KroneckerSolver against a per-table solve."""
+
+    @pytest.mark.parametrize("d,n,mode", _census_cases())
+    def test_matches_per_table_solves(self, d, n, mode):
+        assert census(d, n, mode) == _per_table_census(d, n, mode)
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (6, 1)])
+    def test_blocks_cover_every_table_once(self, d, n):
+        rows = []
+        for block in correspondence._canonical_tables(d, n):
+            assert block.size <= correspondence.CENSUS_BLOCK_ENTRIES
+            rows += map(tuple, block.tolist())
+        assert sorted(rows) == [(0,) + rest for rest in product(range(d), repeat=d**n - 1)]
+
+    def test_one_table_per_block(self, monkeypatch):
+        # Tables larger than a block are handed over one at a time.
+        monkeypatch.setattr(correspondence, "CENSUS_BLOCK_ENTRIES", 1)
+        for mode in MODES:
+            assert census(3, 2, mode) == _per_table_census(3, 2, mode)
+

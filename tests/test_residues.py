@@ -2,6 +2,7 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -13,70 +14,70 @@ from quditgraphs.residues import (
     Modulus,
     NonPrimeModulus,
     PrimeSolver,
-    Residue,
     RingMatrix,
     SmithSolver,
-    left_nullspace_prime,
-    mod_inverse,
     power_at_least,
-    rank_and_consistency,
     smith_normal_form,
-    solve_prime,
-    solve_residue,
 )
 
 from helpers import brute_force_solutions, random_matrix_rows
 
 
-def residue(value, d):
-    return Residue(value, Modulus(d))
+def inverse(a, d):
+    """The x with a·x = 1 (mod d) found by the Kronecker solver on the 1x1
+    base [a], or None when there is none."""
+    solution = KroneckerSolver(RingMatrix.from_rows([[a]], d), 1).solve([1])
+    return solution.particular[0] if solution.consistent else None
 
 
 class TestModInverse:
+    """Units of Z_d, through the per-residue inverse table of KroneckerSolver."""
+
     def test_identity_element(self):
-        assert mod_inverse(residue(1, 4)) == residue(1, 4)
+        assert inverse(1, 4) == 1
 
     def test_non_unit_has_no_inverse(self):
-        assert mod_inverse(residue(2, 4)) is None
+        assert inverse(2, 4) is None
 
     def test_five_mod_six(self):
         # exhaustive scan oracle
         expected = next(b for b in range(6) if 5 * b % 6 == 1)
-        assert mod_inverse(residue(5, 6)) == residue(expected, 6)
+        assert inverse(5, 6) == expected
 
     def test_exists_iff_coprime(self):
         for d in range(2, 51):
             for a in range(d):
-                inv = mod_inverse(residue(a, d))
+                inv = inverse(a, d)
                 if math.gcd(a, d) == 1:
-                    assert inv is not None and a * inv.value % d == 1
+                    assert inv is not None and a * inv % d == 1
                 else:
                     assert inv is None
 
 
 class TestResidueArithmetic:
+    """Arithmetic of Z_d as RingMatrix carries it."""
+
     def test_ops(self):
-        m = Modulus(7)
-        a, b = Residue(5, m), Residue(4, m)
-        assert (a + b).value == 2
-        assert (a - b).value == 1
-        assert (a * b).value == 6
-        assert (-a).value == 2
-        assert (a**3).value == pow(5, 3, 7)
+        five, four = RingMatrix.from_rows([[5]], 7), RingMatrix.from_rows([[4]], 7)
+        assert RingMatrix.from_rows([[1, 1]], 7).mul_vector((5, 4)) == (2,)
+        assert RingMatrix.from_rows([[1, -1]], 7).mul_vector((5, 4)) == (1,)
+        assert five.kron(four).entries == (6,)
+        assert RingMatrix.from_rows([[-5]], 7).entries == (2,)
+        assert five.kron(five).kron(five).entries == (pow(5, 3, 7),)
 
     def test_mixed_moduli_rejected(self):
         with pytest.raises(ValueError):
-            residue(1, 3) + residue(1, 4)
+            RingMatrix.identity(1, 3).kron(RingMatrix.identity(1, 4))
 
     def test_unreduced_value_rejected(self):
         with pytest.raises(ValueError):
-            residue(5, 4)
+            RingMatrix(1, 1, (5,), Modulus(4))
 
 
 class TestSolvePrime:
     def test_identity_matrix(self):
         mat = RingMatrix.identity(4, 5)
-        sol = solve_prime(mat, (1, 4, 2, 0))
+        sol = PrimeSolver(mat).solve((1, 4, 2, 0))
         assert sol.consistent and sol.count == 1
         assert sol.particular == (1, 4, 2, 0)
 
@@ -99,7 +100,7 @@ class TestSolvePrime:
                 row.append(entry)
             rows.append(row)
         rhs = [1, 0, 1, 1, 0, 0, 1, 0]  # table (0,1,0,1,1,0,0,1,0) minus its zero entry
-        sol = solve_prime(RingMatrix.from_rows(rows, 3), rhs)
+        sol = PrimeSolver(RingMatrix.from_rows(rows, 3)).solve(rhs)
         assert sol.consistent and sol.count == 1
         assert sol.particular == (2, 2, 2, 2, 0, 1, 0, 1)
 
@@ -108,7 +109,7 @@ class TestSolvePrime:
         for _ in range(8):
             rows = random_matrix_rows(rng, 4, 4, 5)
             rhs = [rng.randrange(5) for _ in range(4)]
-            sol = solve_prime(RingMatrix.from_rows(rows, 5), rhs)
+            sol = PrimeSolver(RingMatrix.from_rows(rows, 5)).solve(rhs)
             expected = brute_force_solutions(rows, rhs, 5)
             assert sol.count == len(expected)
             if expected:
@@ -116,18 +117,18 @@ class TestSolvePrime:
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(NonPrimeModulus):
-            solve_prime(RingMatrix.identity(2, 6), (0, 0))
+            PrimeSolver(RingMatrix.identity(2, 6))
 
 
 class TestSolveResidue:
     def test_unsolvable_3x3_mod4(self):
         mat = RingMatrix.from_rows([[1, 1, 1], [2, 0, 0], [3, 1, 3]], 4)
-        sol = solve_residue(mat, (1, 1, 2))
+        sol = SmithSolver(mat).solve((1, 1, 2))
         assert not sol.consistent and sol.count == 0
 
     def test_four_solution_3x3_mod4(self):
         rows = [[1, 1, 1], [2, 0, 0], [3, 1, 3]]
-        sol = solve_residue(RingMatrix.from_rows(rows, 4), (1, 2, 1))
+        sol = SmithSolver(RingMatrix.from_rows(rows, 4)).solve((1, 2, 1))
         expected = brute_force_solutions(rows, (1, 2, 1), 4)
         assert sol.consistent
         assert sol.count == len(expected) == 4
@@ -136,9 +137,9 @@ class TestSolveResidue:
 
     def test_zero_matrix_everything_solves(self):
         mat = RingMatrix.from_rows([[0, 0, 0], [0, 0, 0]], 6)
-        sol = solve_residue(mat, (0, 0))
+        sol = SmithSolver(mat).solve((0, 0))
         assert sol.consistent and sol.count == 6**3
-        assert not solve_residue(mat, (1, 0)).consistent
+        assert not SmithSolver(mat).solve((1, 0)).consistent
 
     def test_counts_match_brute_force(self):
         rng = random.Random(911)
@@ -147,7 +148,7 @@ class TestSolveResidue:
                 m, n = rng.randint(1, 4), rng.randint(1, 4)
                 rows = random_matrix_rows(rng, m, n, d)
                 rhs = [rng.randrange(d) for _ in range(m)]
-                sol = solve_residue(RingMatrix.from_rows(rows, d), rhs)
+                sol = SmithSolver(RingMatrix.from_rows(rows, d)).solve(rhs)
                 expected = brute_force_solutions(rows, rhs, d)
                 assert sol.count == len(expected)
                 assert sol.solutions() == sorted(expected)
@@ -158,7 +159,7 @@ class TestSolveResidue:
             for _ in range(2):
                 rows = random_matrix_rows(rng, 3, 6, d)
                 rhs = [rng.randrange(d) for _ in range(3)]
-                sol = solve_residue(RingMatrix.from_rows(rows, d), rhs)
+                sol = SmithSolver(RingMatrix.from_rows(rows, d)).solve(rhs)
                 assert sol.count == len(brute_force_solutions(rows, rhs, d))
 
     def test_agrees_with_prime_solver(self):
@@ -169,7 +170,7 @@ class TestSolveResidue:
                 rows = random_matrix_rows(rng, m, n, d)
                 rhs = [rng.randrange(d) for _ in range(m)]
                 mat = RingMatrix.from_rows(rows, d)
-                a, b = solve_prime(mat, rhs), solve_residue(mat, rhs)
+                a, b = PrimeSolver(mat).solve(rhs), SmithSolver(mat).solve(rhs)
                 assert a.consistent == b.consistent
                 assert a.count == b.count
                 if a.consistent and a.count <= 4096:
@@ -185,7 +186,7 @@ class TestSolveResidue:
     def test_every_enumerated_solution_satisfies_system(self, d, m, n, rnd):
         rows = [[rnd.randrange(d) for _ in range(n)] for _ in range(m)]
         rhs = [rnd.randrange(d) for _ in range(m)]
-        sol = solve_residue(RingMatrix.from_rows(rows, d), rhs)
+        sol = SmithSolver(RingMatrix.from_rows(rows, d)).solve(rhs)
         for x in sol.solutions(cap=1000):
             assert all(
                 sum(a * v for a, v in zip(row, x)) % d == b
@@ -236,35 +237,39 @@ class TestRankAndNullspace:
         tuples = [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
         rows = [[i0 % 3, i1 % 3, i0 * i1 % 3] for i0, i1 in tuples]
         rhs = [1, 0, 1, 1, 0, 0, 1, 0]
-        report = rank_and_consistency(RingMatrix.from_rows(rows, 3), rhs)
-        (entry,) = report.per_factor
-        assert entry.rank == 3
-        assert entry.rank_augmented == 4
-        assert not report.consistent
+        solver = PrimeSolver(RingMatrix.from_rows(rows, 3))
+        augmented = RingMatrix.from_rows([row + [b] for row, b in zip(rows, rhs)], 3)
+        assert solver.rank == 3
+        assert PrimeSolver(augmented).rank == 4
+        assert not solver.solve(rhs).consistent
 
     def test_empty_system_is_consistent(self):
-        mat = RingMatrix(0, 3, (), Modulus(6))
-        report = rank_and_consistency(mat, ())
-        assert report.consistent
-        assert all(e.rank == 0 for e in report.per_factor)
+        solution = SmithSolver(RingMatrix(0, 3, (), Modulus(6))).solve(())
+        assert solution.consistent and solution.count == 6**3
+        assert all(PrimeSolver(RingMatrix(0, 3, (), Modulus(p))).rank == 0 for p in (2, 3))
 
     def test_composite_agrees_with_solver(self):
+        # Consistent mod d iff consistent modulo every prime-power factor (CRT).
         rng = random.Random(5150)
         for _ in range(20):
             d = rng.choice([4, 6, 9, 12])
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             rows = random_matrix_rows(rng, m, n, d)
             rhs = [rng.randrange(d) for _ in range(m)]
-            mat = RingMatrix.from_rows(rows, d)
-            assert rank_and_consistency(mat, rhs).consistent == solve_residue(mat, rhs).consistent
+            per_factor = [
+                SmithSolver(RingMatrix.from_rows(rows, p**e)).solve([b % p**e for b in rhs])
+                for p, e in Modulus(d).factorization
+            ]
+            whole = SmithSolver(RingMatrix.from_rows(rows, d)).solve(rhs)
+            assert whole.consistent == all(s.consistent for s in per_factor)
 
     def test_invertible_matrix_has_empty_left_nullspace(self):
         mat = RingMatrix.from_rows([[1, 2], [3, 4]], 5)
-        assert left_nullspace_prime(mat) == []
+        assert PrimeSolver(mat).left_nullspace() == []
 
     def test_repeated_row(self):
         mat = RingMatrix.from_rows([[1, 2, 0], [1, 2, 0]], 7)
-        assert left_nullspace_prime(mat) == [(1, 6)]
+        assert PrimeSolver(mat).left_nullspace() == [(1, 6)]
 
     def test_left_nullspace_annihilates_rows(self):
         rng = random.Random(31337)
@@ -273,7 +278,7 @@ class TestRankAndNullspace:
                 m, n = rng.randint(1, 6), rng.randint(1, 4)
                 rows = random_matrix_rows(rng, m, n, q)
                 mat = RingMatrix.from_rows(rows, q)
-                basis = left_nullspace_prime(mat)
+                basis = PrimeSolver(mat).left_nullspace()
                 assert len(basis) == m - PrimeSolver(mat).rank
                 for y in basis:
                     for j in range(n):
@@ -318,6 +323,35 @@ class TestKroneckerSolver:
                 assert solutions == expected.solutions()
                 assert all(full.mul_vector(x) == tuple(rhs) for x in solutions)
 
+    @given(
+        st.sampled_from([2, 3, 4, 5, 6, 8, 12]),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.lists(st.integers(0, 5), min_size=1, max_size=2),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batched_consistency_matches_each_solve(self, d, rows, cols, power, batch, rnd):
+        cols = min(cols, rows)
+        if rows**power > 64:
+            power = 1
+        base = RingMatrix.from_rows(random_matrix_rows(rnd, rows, cols, d), d)
+        solver = KroneckerSolver(base, power)
+        full = kron_power(base, power)
+        # Half the rows are images A·x, so both verdicts occur.
+        tables = [
+            full.mul_vector([rnd.randrange(d) for _ in range(full.cols)])
+            if rnd.random() < 0.5
+            else [rnd.randrange(d) for _ in range(full.rows)]
+            for _ in range(math.prod(batch))
+        ]
+        rhs = np.array(tables, dtype=np.int64).reshape(*batch, full.rows)
+        verdicts = solver.consistent(rhs)
+        assert verdicts.shape == tuple(batch) and verdicts.dtype == bool
+        expected = [solver.solve(table).consistent for table in tables]
+        assert verdicts.reshape(-1).tolist() == expected
+
     def test_counts_match_brute_force(self):
         rng = random.Random(4242)
         for d in (2, 4, 6):
@@ -335,6 +369,10 @@ class TestKroneckerSolver:
             KroneckerSolver(RingMatrix.from_rows([[1, 2]], 5), 2)
         with pytest.raises(ValueError):
             KroneckerSolver(RingMatrix.identity(2, 5), 2).solve([0, 0, 0])
+        with pytest.raises(ValueError):
+            KroneckerSolver(RingMatrix.identity(2, 5), 2).solve([[0, 0, 0, 0]])
+        with pytest.raises(ValueError):
+            KroneckerSolver(RingMatrix.identity(2, 5), 2).consistent([[0, 0, 0]])
 
 
 class TestPowerAtLeast:

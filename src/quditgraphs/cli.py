@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 from . import correspondence, graphs, stabilizers, states
 from .residues import power_at_least
@@ -23,6 +24,21 @@ EXIT_LIMIT = 3
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+
+
+@contextmanager
+def _any_int_digits() -> Iterator[None]:
+    """Lift Python's limit on int -> str digits, for output only: input is
+    parsed under the limit. Python before 3.10.7 has no such limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _read_edge_map(args: argparse.Namespace) -> graphs.WeightedEdgeMap:
@@ -57,18 +73,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "consistent": solution.consistent,
         "count": solution.count,
         "solution": graphs.to_dict(outcome.edge_map) if outcome.edge_map else None,
-        "fingerprint": outcome.system.fingerprint(),
+        "fingerprint": outcome.fingerprint,
     }
-    if args.all_solutions and solution.consistent:
-        if solution.count <= args.solution_cap:
-            payload["all_solutions"] = [
-                graphs.to_dict(m) for m in outcome.edge_maps(cap=args.solution_cap)
-            ]
-        else:
-            payload["all_solutions_omitted"] = (
-                f"count {solution.count} exceeds cap {args.solution_cap}"
-            )
-    _emit(payload)
+    # An exact count may have any number of digits.
+    with _any_int_digits():
+        if args.all_solutions and solution.consistent:
+            if solution.count <= args.solution_cap:
+                payload["all_solutions"] = [
+                    graphs.to_dict(m) for m in outcome.edge_maps(cap=args.solution_cap)
+                ]
+            else:
+                payload["all_solutions_omitted"] = (
+                    f"count {solution.count} exceeds cap {args.solution_cap}"
+                )
+        _emit(payload)
     return EXIT_OK if solution.consistent else EXIT_NEGATIVE
 
 

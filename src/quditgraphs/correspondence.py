@@ -19,10 +19,12 @@ s in 0..d-1 (multihypergraph) or {0, 1} (hypergraph). Row i = 0 pins
 m_0 = f(0) = 0, so the solutions are exactly those of the canonical system.
 ``solve_weights`` solves it for every d and both modes with one Kronecker
 Smith-form solve (``residues.KroneckerSolver``): only the small W is
-factored, and solution counts are exact. ``census`` classifies every
-canonical table at fixed (d, n) with the same solver, testing consistency a
-block of tables at a time. The dense canonical matrix is kept for the
-fingerprint and the left nullspace.
+factored, and solution counts are exact. ``census`` solves no table: the
+reachable tables are the image of the linear map, d^{#vars} / K of them for
+a kernel of size K, and each has exactly K solutions. W and the column of
+each variable in W^{⊗n} fix the whole system, so ``system_fingerprint``
+hashes those. Only ``build_system`` and ``representability_constraints``
+(its left nullspace, prime d) assemble the dense canonical matrix.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
-from typing import Iterator
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .residues import (
     SolutionSet,
     power_at_least,
 )
-from .states import PhaseFunction, SizeLimit, build_state, digits_of
+from .states import DEFAULT_TABLE_LIMIT, PhaseFunction, SizeLimit, build_state, digits_of
 
 HYPERGRAPH = "hypergraph"
 MULTIHYPERGRAPH = "multihypergraph"
@@ -59,8 +59,6 @@ MODES = (HYPERGRAPH, MULTIHYPERGRAPH)
 
 DEFAULT_CENSUS_BUDGET = 10**7
 DEFAULT_BLOCK_LIMIT = 2**24
-# Table entries the census hands the solver at once.
-CENSUS_BLOCK_ENTRIES = 2**12
 
 
 class NonCanonical(ValueError):
@@ -88,31 +86,63 @@ def _digit_powers(d: int, mode: str) -> np.ndarray:
     return np.array([[pow(i, s, d) for s in range(exponents)] for i in range(d)], dtype=np.int64)
 
 
+def _kron_power(base: np.ndarray, power: int, d: int) -> np.ndarray:
+    """base ⊗ ... ⊗ base, ``power`` factors, reduced mod d."""
+    return reduce(lambda a, b: np.kron(a, b) % d, [base] * power)
+
+
+def _ring_matrix(array: np.ndarray, d: int) -> RingMatrix:
+    return RingMatrix(*array.shape, tuple(array.ravel().tolist()), Modulus(d))
+
+
 def _kronecker_solver(d: int, n: int, mode: str) -> KroneckerSolver:
     """The solver of W^{⊗n} x = f for the mode's digit-power matrix W."""
-    return KroneckerSolver(RingMatrix.from_rows(_digit_powers(d, mode).tolist(), d), n)
+    return KroneckerSolver(_ring_matrix(_digit_powers(d, mode), d), n)
 
 
-def _exponent_columns(variables: tuple[MultiHyperedge, ...], k: int, n: int) -> list[int]:
-    """Column of each edge in W^{⊗n}: the flat index, base k and vertex 0
-    most significant, of its exponent vector (0 off the support)."""
-    return [
+def _variables(d: int, n: int, mode: str) -> tuple[tuple[MultiHyperedge, ...], list[int]]:
+    """The mode's edges in the graphs enumeration order, and the column of
+    each in W^{⊗n}: the flat index, base k and vertex 0 most significant,
+    of its exponent vector (0 off the support)."""
+    if mode == HYPERGRAPH:
+        variables, k = tuple(enumerate_hyperedges(n)), 2
+    else:
+        variables, k = tuple(enumerate_multihyperedges(n, d)), d
+    columns = [
         sum(s * k ** (n - 1 - v) for v, s in zip(e.vertices, e.exponents)) for e in variables
     ]
+    return variables, columns
+
+
+def system_fingerprint(d: int, n: int, mode: str) -> str:
+    """Hash of the canonical system at (d, n, mode); no table enters it.
+
+    Rows are the nonzero index tuples in flat order, and column j of the
+    dense matrix is column ``columns[j]`` of W^{⊗n}. So W and the columns fix
+    every entry and both orderings, and they are hashed instead.
+    """
+    return _fingerprint(d, n, mode, _variables(d, n, mode)[1])
+
+
+def _fingerprint(d: int, n: int, mode: str, columns: list[int]) -> str:
+    payload = {
+        "d": d,
+        "n": n,
+        "mode": mode,
+        "base": _digit_powers(d, mode).tolist(),
+        "columns": columns,
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @lru_cache(maxsize=None)
 def _system_parts(
     d: int, n: int, mode: str
 ) -> tuple[tuple[MultiHyperedge, ...], tuple[tuple[int, ...], ...], RingMatrix]:
-    variables = tuple(
-        enumerate_hyperedges(n) if mode == HYPERGRAPH else enumerate_multihyperedges(n, d)
-    )
+    variables, columns = _variables(d, n, mode)
     tuples = tuple(digits_of(i, d, n) for i in range(1, d**n))
-    base = _digit_powers(d, mode)
-    full = reduce(lambda a, b: np.kron(a, b) % d, [base] * n)
-    block = full[1:, _exponent_columns(variables, base.shape[1], n)]
-    matrix = RingMatrix(*block.shape, tuple(block.ravel().tolist()), Modulus(d))
+    matrix = _ring_matrix(_kron_power(_digit_powers(d, mode), n, d)[1:, columns], d)
     return variables, tuples, matrix
 
 
@@ -130,25 +160,18 @@ class CorrespondenceSystem:
 
     def fingerprint(self) -> str:
         """Hash of the matrix and its orderings (rhs-independent)."""
-        payload = {
-            "d": self.d,
-            "n": self.n,
-            "mode": self.mode,
-            "variables": [
-                [list(e.vertices), list(e.exponents)] for e in self.variables
-            ],
-            "tuples": [list(t) for t in self.tuples],
-            "entries": list(self.matrix.entries),
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return system_fingerprint(self.d, self.n, self.mode)
+
+
+def _check_table(table: PhaseFunction, mode: str) -> None:
+    _check_mode(mode)
+    if not table.is_canonical:
+        raise NonCanonical("phase table must have f(0, ..., 0) = 0")
 
 
 def build_system(table: PhaseFunction, mode: str) -> CorrespondenceSystem:
     """One equation per nonzero index tuple, all variables on the left."""
-    _check_mode(mode)
-    if not table.is_canonical:
-        raise NonCanonical("phase table must have f(0, ..., 0) = 0")
+    _check_table(table, mode)
     variables, tuples, matrix = _system_parts(table.d, table.n, mode)
     rhs = tuple(int(x) for x in table.table[1:])
     return CorrespondenceSystem(table.d, table.n, mode, variables, tuples, matrix, rhs)
@@ -156,41 +179,33 @@ def build_system(table: PhaseFunction, mode: str) -> CorrespondenceSystem:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """Result of solving one correspondence system.
+    """Result of solving one canonical table.
 
-    ``edge_map`` is rebuilt from the particular solution when consistent and
-    is always round-trip checked against the input table.
+    Solution vectors list the weights of ``variables`` in order. ``edge_map``
+    is rebuilt from the particular solution when consistent and is always
+    round-trip checked against the input table.
     """
 
     mode: str
-    system: CorrespondenceSystem
+    variables: tuple[MultiHyperedge, ...]
+    fingerprint: str
     solution: SolutionSet
     edge_map: WeightedEdgeMap | None
 
     def edge_maps(self, cap: int | None = None) -> list[WeightedEdgeMap]:
         """Every solution as an edge map, in lexicographic weight-vector order."""
+        if self.edge_map is None:
+            return []
+        d, n = self.edge_map.d, self.edge_map.n
         return [
-            _vector_to_map(self.system, vec) for vec in self.solution.solutions(cap=cap)
+            _vector_to_map(d, n, self.variables, vec) for vec in self.solution.solutions(cap=cap)
         ]
 
 
-def _vector_to_map(system: CorrespondenceSystem, vector: tuple[int, ...]) -> WeightedEdgeMap:
-    weights = {e: w for e, w in zip(system.variables, vector) if w % system.d}
-    return WeightedEdgeMap(system.d, system.n, weights)
-
-
-def _checked_outcome(
-    table: PhaseFunction, system: CorrespondenceSystem, solution: SolutionSet
-) -> SolveOutcome:
-    edge_map = None
-    if solution.consistent:
-        assert solution.particular is not None
-        edge_map = _vector_to_map(system, solution.particular)
-        if build_state(edge_map) != table:
-            raise RoundTripFailure(
-                f"solved weights do not rebuild the table (fingerprint {system.fingerprint()})"
-            )
-    return SolveOutcome(system.mode, system, solution, edge_map)
+def _vector_to_map(
+    d: int, n: int, variables: tuple[MultiHyperedge, ...], vector: tuple[int, ...]
+) -> WeightedEdgeMap:
+    return WeightedEdgeMap(d, n, {e: w for e, w in zip(variables, vector) if w % d})
 
 
 def _on_columns(solution: SolutionSet, columns: list[int]) -> SolutionSet:
@@ -214,14 +229,40 @@ def _on_columns(solution: SolutionSet, columns: list[int]) -> SolutionSet:
     )
 
 
+def _check_generators(solver: KroneckerSolver) -> None:
+    """Refuse before solving when the kernel generators, one column of
+    V^{⊗n} per free unknown, would reach the table limit."""
+    free = int(np.count_nonzero(solver.gcd > 1))
+    k, n, cap = solver.cols, solver.power, DEFAULT_TABLE_LIMIT
+    if free * k**n >= cap:
+        raise SizeLimit(
+            f"kernel generators of {free} x {k}^{n} entries meet or exceed the limit {cap}"
+        )
+
+
 def solve_weights(table: PhaseFunction, mode: str) -> SolveOutcome:
-    """Decide reachability of a canonical table and count all weight solutions."""
-    system = build_system(table, mode)
-    solver = _kronecker_solver(table.d, table.n, mode)
+    """Decide reachability of a canonical table and count all weight solutions.
+
+    Raises SizeLimit, before solving, when the kernel generators would reach
+    the table limit; that depends on (d, n, mode) alone.
+    """
+    _check_table(table, mode)
+    d, n = table.d, table.n
+    solver = _kronecker_solver(d, n, mode)
+    _check_generators(solver)
+    variables, columns = _variables(d, n, mode)
     # The constant m_0 is pinned to f(0) = 0; the rest are the edge weights.
-    columns = _exponent_columns(system.variables, solver.cols, table.n)
     solution = _on_columns(solver.solve(table.table), columns)
-    return _checked_outcome(table, system, solution)
+    fingerprint = _fingerprint(d, n, mode, columns)
+    edge_map = None
+    if solution.consistent:
+        assert solution.particular is not None
+        edge_map = _vector_to_map(d, n, variables, solution.particular)
+        if build_state(edge_map) != table:
+            raise RoundTripFailure(
+                f"solved weights do not rebuild the table (fingerprint {fingerprint})"
+            )
+    return SolveOutcome(mode, variables, fingerprint, solution, edge_map)
 
 
 def coefficient_block(d: int, size: int, limit: int | None = None) -> RingMatrix:
@@ -235,15 +276,8 @@ def coefficient_block(d: int, size: int, limit: int | None = None) -> RingMatrix
     too_large = cap <= 1 if d == 2 else power_at_least(d - 1, 2 * size, cap)
     if too_large:
         raise SizeLimit(f"block of {d - 1}^{2 * size} entries meets or exceeds the limit {cap}")
-    base = RingMatrix.from_rows(
-        [[pow(i, s, d) for s in range(1, d)] for i in range(1, d)], d
-    )
-    if d == 2:
-        return base
-    block = base
-    for _ in range(size - 1):
-        block = block.kron(base)
-    return block
+    base = _digit_powers(d, MULTIHYPERGRAPH)[1:, 1:]
+    return _ring_matrix(_kron_power(base, 1 if d == 2 else size, d), d)
 
 
 def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, ...]]:
@@ -261,7 +295,7 @@ def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, .
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Exhaustive classification of all canonical tables at fixed (d, n)."""
+    """Classification of all canonical tables at fixed (d, n) by solution count."""
 
     d: int
     n: int
@@ -290,37 +324,16 @@ class CensusReport:
         }
 
 
-def _canonical_tables(d: int, n: int) -> Iterator[np.ndarray]:
-    """Every canonical table at (d, n), one row each, in blocks of at most
-    CENSUS_BLOCK_ENTRIES entries (or one table, if it is larger).
-
-    A numpy grid runs over the trailing entries and ``product`` over the
-    leading ones, so no table index is ever formed and none has to fit int64.
-    Each block is the same array, refilled: use it before taking the next.
-    """
-    size = d**n
-    trailing = 0
-    while trailing < size - 1 and d ** (trailing + 1) * size <= CENSUS_BLOCK_ENTRIES:
-        trailing += 1
-    leading = size - 1 - trailing
-    block = np.zeros((d**trailing, size), dtype=np.int64)
-    grid = np.indices((d,) * trailing).reshape(trailing, d**trailing).T
-    block[:, size - trailing :] = grid
-    for digits in product(range(d), repeat=leading):
-        block[:, 1 : 1 + leading] = digits
-        yield block
-
-
 def census(
     d: int, n: int, mode: str, budget: int | None = None
 ) -> CensusReport:
-    """Solve every canonical phase table at (d, n) and tally multiplicities.
+    """Classify every canonical phase table at (d, n) by its solution count.
 
-    W is factored once and every table is tested for consistency, a block at
-    a time. Every consistent right-hand side of one linear system has exactly
-    as many solutions as its kernel, K, so the histogram is
-    {0: total - R, K: R} over the R reachable tables. Refuses cleanly when
-    the table count exceeds the budget.
+    No table is solved. The reachable tables are the image of the linear
+    map, R = d^{#vars} / K of them for a kernel of size K, and each has
+    exactly K solutions, so the histogram is {0: total - R, K: R}. K comes
+    from the Smith form of W alone. Refuses cleanly when the table count
+    exceeds the budget.
     """
     _check_mode(mode)
     if d < 2 or n < 1:
@@ -331,15 +344,11 @@ def census(
     if power_at_least(d, n, cap.bit_length() + 2) or power_at_least(d, d**n - 1, cap + 1):
         raise BudgetExceeded(f"census covers {d}^({d}^{n} - 1) tables, budget is {cap}")
     total = d ** (d**n - 1)
-    variables, tuples, matrix = _system_parts(d, n, mode)
-    solver = _kronecker_solver(d, n, mode)
-    reachable = sum(
-        int(np.count_nonzero(solver.consistent(block))) for block in _canonical_tables(d, n)
-    )
-    histogram = {0: total - reachable, solver.count: reachable}
-    fingerprint = CorrespondenceSystem(
-        d, n, mode, variables, tuples, matrix, (0,) * matrix.rows
-    ).fingerprint()
+    variables, columns = _variables(d, n, mode)
+    kernel = _kronecker_solver(d, n, mode).count
+    weight_assignments = d ** len(variables)
+    reachable = weight_assignments // kernel
+    histogram = {0: total - reachable, kernel: reachable}
     return CensusReport(
         d=d,
         n=n,
@@ -347,7 +356,7 @@ def census(
         total_states=total,
         reachable=reachable,
         histogram=tuple(sorted((k, v) for k, v in histogram.items() if v)),
-        solution_sum=reachable * solver.count,
-        weight_assignments=d ** len(variables),
-        matrix_fingerprint=fingerprint,
+        solution_sum=reachable * kernel,
+        weight_assignments=weight_assignments,
+        matrix_fingerprint=_fingerprint(d, n, mode, columns),
     )

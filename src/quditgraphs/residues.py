@@ -11,14 +11,14 @@ on plain Python integers two ways:
 Both solvers factor the matrix once and can then answer many right-hand
 sides. Systems whose matrix is a Kronecker power W ⊗ ... ⊗ W of a small base
 go through ``KroneckerSolver``, which factors only W and works on numpy
-tensors with entries reduced mod d, a whole batch of right-hand sides at a
-time when only consistency is asked.
+tensors with entries reduced mod d; its kernel size needs no right-hand side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -129,23 +129,6 @@ class RingMatrix:
         return tuple(
             sum(a * v for a, v in zip(self.row(i), x)) % d for i in range(self.rows)
         )
-
-    def kron(self, other: "RingMatrix") -> "RingMatrix":
-        """Kronecker product, reduced mod d."""
-        if self.modulus.d != other.modulus.d:
-            raise ValueError("mixed moduli")
-        d = self.modulus.d
-        rows = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                rows.append(
-                    [
-                        self[i, j] * other[k, l] % d
-                        for j in range(self.cols)
-                        for l in range(other.cols)
-                    ]
-                )
-        return RingMatrix.from_rows(rows, d) if rows else RingMatrix(0, 0, (), self.modulus)
 
 
 @dataclass(frozen=True)
@@ -446,16 +429,13 @@ class SmithSolver:
         return tuple(self.v[r][j] * scale % d for r in range(len(self.v)))
 
 
-def _apply_on_every_axis(
-    matrix: np.ndarray, tensor: np.ndarray, d: int, power: int
-) -> np.ndarray:
-    """(matrix ⊗ ... ⊗ matrix), ``power`` factors, applied mod d to the last
-    ``power`` axes of a tensor, one axis per factor; leading axes are a batch.
+def _apply_on_every_axis(matrix: np.ndarray, tensor: np.ndarray, d: int) -> np.ndarray:
+    """(matrix ⊗ ... ⊗ matrix) applied mod d to a tensor, one factor per axis.
 
     Entries stay below d, so each dot product is below d^3: int64 holds it
     for every d whose d x d matrix fits in memory.
     """
-    for axis in range(-power, 0):
+    for axis in range(tensor.ndim):
         tensor = np.moveaxis(np.tensordot(matrix, tensor, axes=([1], [axis])) % d, 0, axis)
     return tensor
 
@@ -503,36 +483,25 @@ class KroneckerSolver:
         # (so c_j = 0) on the equations without a diagonal entry.
         self.divisor = np.full((self.rows,) * power, d, dtype=np.int64)
         self.divisor[(slice(0, self.cols),) * power] = self.gcd
+
+    @cached_property
+    def count(self) -> int:
+        """Solutions of every consistent right-hand side: the kernel size,
+        prod_j g_j. Computed on first use, as it can have millions of digits."""
         multiplicity = np.bincount(self.gcd.reshape(-1))
-        self.count = math.prod(g ** int(m) for g, m in enumerate(multiplicity) if m)
-
-    def consistent(self, rhs: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Whether each right-hand side along the last axis of ``rhs``, shape
-        (..., rows**power), has a solution: a bool array of shape rhs.shape[:-1]."""
-        return self._consistent(self._transform(rhs))
-
-    def _transform(self, rhs: Sequence[int] | np.ndarray) -> np.ndarray:
-        """c = U^{⊗n} b for each b along the last axis, as (..., rows, ..., rows)."""
-        b = np.asarray(rhs, dtype=np.int64)
-        if b.shape[-1:] != (self.rows**self.power,):
-            raise ValueError("rhs length mismatch")
-        grid = b.reshape(b.shape[:-1] + (self.rows,) * self.power) % self.d
-        return _apply_on_every_axis(self.u, grid, self.d, self.power)
-
-    def _consistent(self, c: np.ndarray) -> np.ndarray:
-        batch = c.shape[: c.ndim - self.power]
-        return ~(c % self.divisor).reshape(batch + (self.divisor.size,)).any(axis=-1)
+        return math.prod(g ** int(m) for g, m in enumerate(multiplicity) if m)
 
     def solve(self, rhs: Sequence[int] | np.ndarray) -> SolutionSet:
         d, n, k = self.d, self.power, self.cols
-        if np.ndim(rhs) != 1:
+        b = np.asarray(rhs, dtype=np.int64)
+        if b.shape != (self.rows**n,):
             raise ValueError("rhs length mismatch")
-        c = self._transform(rhs)
-        if not self._consistent(c):
+        c = _apply_on_every_axis(self.u, b.reshape((self.rows,) * n) % d, d)
+        if (c % self.divisor).any():
             return _no_solution(self.modulus)
         diagonal_part = c[(slice(0, k),) * n]
         y = (diagonal_part // self.gcd) * self.inverse % (d // self.gcd)
-        x = _apply_on_every_axis(self.v, y, d, n).reshape(-1)
+        x = _apply_on_every_axis(self.v, y, d).reshape(-1)
         return SolutionSet(self.modulus, True, tuple(x.tolist()), self.count, self._generators())
 
     def _generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -1,9 +1,21 @@
 import io
 import json
+import math
+import os
+import re
+import resource
+import subprocess
+import sys
 import time
+from decimal import Decimal
+from itertools import product
+from pathlib import Path
 
 import pytest
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form
 
+import quditgraphs
 from quditgraphs.cli import main
 
 WORKED_GRAPH = {
@@ -31,6 +43,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ADDRESS_SPACE = 3 * 2**29  # 1.5 GB
+
+
+def run_capped(*argv):
+    """The CLI in a child process whose address space is capped at 1.5 GB."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+    src = str(Path(quditgraphs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "quditgraphs", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
 
 
 class TestBuildState:
@@ -225,6 +258,50 @@ class TestLimitsBeforeWork:
     def test_matrix_qubit_block_is_one_entry_at_any_power(self, capsys):
         code, out, _ = self.run_timed(capsys, "matrix", "--d", "2", "--block", "30000000")
         assert code == 0 and json.loads(out)["entries"] == [1]
+
+    @pytest.mark.parametrize("mode", ["hypergraph", "multihypergraph"])
+    def test_solve_builds_no_dense_system(self, tmp_path, mode):
+        # 2^14 entries: its dense (2^14 - 1)^2 system does not fit in 1.5 GB.
+        phases = write_json(tmp_path / "p.json", {"d": 2, "n": 14, "phases": [0] * 2**14})
+        result = run_capped("solve", "--phases", phases, "--mode", mode)
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["consistent"] and payload["count"] == 1
+        assert payload["solution"] == {"d": 2, "n": 14, "edges": []}
+
+    @pytest.mark.parametrize("d,n", [(4, 7), (6, 5)])
+    def test_solve_refuses_huge_kernel_generators(self, tmp_path, d, n):
+        phases = write_json(tmp_path / "p.json", {"d": d, "n": n, "phases": [0] * d**n})
+        start = time.perf_counter()
+        result = run_capped("solve", "--phases", phases, "--mode", "multihypergraph")
+        assert time.perf_counter() - start < 1.0
+        assert result.returncode == 3 and result.stdout == ""
+        assert "kernel generators" in result.stderr and "limit" in result.stderr
+
+    def test_solve_prints_counts_of_any_length(self, tmp_path):
+        d, n = 16, 3
+        phases = write_json(tmp_path / "p.json", {"d": d, "n": n, "phases": [0] * d**n})
+        result = run_capped(
+            "solve", "--phases", phases, "--mode", "multihypergraph", "--all-solutions"
+        )
+        assert result.returncode == 0, result.stderr
+        # The kernel of W^{⊗3} mod 16 from the integer Smith form of W:
+        # one factor gcd(D_a·D_b·D_c, 16) per diagonal position (a, b, c).
+        smith = smith_normal_form(Matrix([[pow(i, s, d) for s in range(d)] for i in range(d)]))
+        diagonal = [int(smith[i, i]) for i in range(d)]
+        expected = math.prod(
+            math.gcd(a * b * c, d) for a, b, c in product(diagonal, repeat=n)
+        )
+        digits = str(Decimal(expected))  # no int -> str digit limit
+        assert len(digits) > 4300
+        assert re.search(r'"count": (\d+)', result.stdout).group(1) == digits
+        assert f'"all_solutions_omitted": "count {digits} exceeds cap 1024"' in result.stdout
+
+    def test_input_ints_stay_under_the_digit_limit(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"d": 2, "n": 1, "phases": [0, ' + "1" * 5000 + "]}")
+        result = run_capped("solve", "--phases", str(path), "--mode", "hypergraph")
+        assert result.returncode == 2 and result.stdout == ""
 
 
 class TestVerifyStabilizers:

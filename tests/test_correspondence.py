@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from itertools import product
 
@@ -20,10 +21,11 @@ from quditgraphs.correspondence import (
     coefficient_block,
     representability_constraints,
     solve_weights,
+    system_fingerprint,
 )
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
 from quditgraphs.residues import NonPrimeModulus, PrimeSolver, SmithSolver
-from quditgraphs.states import PhaseFunction, build_state
+from quditgraphs.states import PhaseFunction, SizeLimit, build_state
 
 from helpers import brute_force_solutions, phase_table_of_map, random_edge_map
 
@@ -108,6 +110,18 @@ class TestBuildSystem:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != build_system(WORKED_TABLE, MULTIHYPERGRAPH).fingerprint()
 
+    def test_every_verb_reports_the_same_fingerprint(self):
+        seen = set()
+        for d, n, mode in [(2, 2, HYPERGRAPH), (2, 2, MULTIHYPERGRAPH), (3, 1, MULTIHYPERGRAPH),
+                           (3, 2, HYPERGRAPH), (4, 1, MULTIHYPERGRAPH), (6, 1, HYPERGRAPH)]:
+            table = pf(d, n, [0] * d**n)
+            fingerprint = system_fingerprint(d, n, mode)
+            assert build_system(table, mode).fingerprint() == fingerprint
+            assert solve_weights(table, mode).fingerprint == fingerprint
+            assert census(d, n, mode).matrix_fingerprint == fingerprint
+            seen.add(fingerprint)
+        assert len(seen) == 6
+
 
 class TestSolveWeights:
     def test_worked_table_not_plain_reachable(self):
@@ -154,12 +168,33 @@ class TestSolveWeights:
                         c = rng.randrange(order)
                         vec = [(x + c * g) % d for x, g in zip(vec, direction)]
                     candidates.append(tuple(vec))
-            system = outcome.system
             for vec in candidates:
                 solved = WeightedEdgeMap(
-                    d, n, {e: w for e, w in zip(system.variables, vec)}
+                    d, n, {e: w for e, w in zip(outcome.variables, vec)}
                 )
                 assert build_state(solved) == table
+
+
+class TestGeneratorBound:
+    """solve_weights refuses, before solving, kernel generators that would
+    reach the table limit: (#free unknowns) x k^n entries."""
+
+    def test_bound_is_exact(self, monkeypatch):
+        # d=4: two of W's four Smith entries are units, so at n=2 there are
+        # 4^2 - 2^2 = 12 free unknowns and 12 x 4^2 = 192 generator entries.
+        table = pf(4, 2, [0] * 16)
+        monkeypatch.setattr(correspondence, "DEFAULT_TABLE_LIMIT", 193)
+        solution = solve_weights(table, MULTIHYPERGRAPH).solution
+        assert len(solution.generators) == 12
+        monkeypatch.setattr(correspondence, "DEFAULT_TABLE_LIMIT", 192)
+        with pytest.raises(SizeLimit, match="12 x 4\\^2"):
+            solve_weights(table, MULTIHYPERGRAPH)
+
+    def test_units_only_never_refused(self, monkeypatch):
+        # Prime d, and plain hyperedges for any d: W has only unit Smith entries.
+        monkeypatch.setattr(correspondence, "DEFAULT_TABLE_LIMIT", 1)
+        for d, n, mode in [(3, 2, MULTIHYPERGRAPH), (4, 2, HYPERGRAPH), (6, 2, HYPERGRAPH)]:
+            assert solve_weights(pf(d, n, [0] * d**n), mode).solution.count == 1
 
 
 class TestKroneckerSolve:
@@ -204,14 +239,14 @@ def _assert_agrees(table, mode, reference):
     """solve_weights against a factored dense solver, and against brute force
     when the weight space is small enough to enumerate."""
     outcome = solve_weights(table, mode)
-    rhs = outcome.system.rhs
+    rhs = tuple(int(x) for x in table.table[1:])
     expected = reference.solve(rhs)
     ours = outcome.solution
     assert ours.consistent == expected.consistent
     assert ours.count == expected.count
     if ours.consistent and ours.count <= 64:
         assert ours.solutions() == expected.solutions()
-    matrix = outcome.system.matrix
+    matrix = build_system(table, mode).matrix
     if table.d**matrix.cols <= 10**5:
         assert ours.solutions() == sorted(
             brute_force_solutions(matrix.row_lists(), rhs, table.d)
@@ -264,8 +299,8 @@ class TestCoefficientBlock:
         assert PrimeSolver(block).rank == 4
 
     def test_kron_structure(self):
-        base = coefficient_block(3, 1)
-        assert coefficient_block(3, 2) == base.kron(base)
+        base = np.array(coefficient_block(3, 1).row_lists())
+        assert coefficient_block(3, 2).row_lists() == (np.kron(base, base) % 3).tolist()
 
 
 class TestRepresentabilityConstraints:
@@ -378,23 +413,54 @@ def _per_table_census(d, n, mode):
 
 
 class TestCensusDifferential:
-    """The block census through KroneckerSolver against a per-table solve."""
+    """The closed-form census against a per-table solve."""
 
     @pytest.mark.parametrize("d,n,mode", _census_cases())
     def test_matches_per_table_solves(self, d, n, mode):
         assert census(d, n, mode) == _per_table_census(d, n, mode)
 
-    @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (6, 1)])
-    def test_blocks_cover_every_table_once(self, d, n):
-        rows = []
-        for block in correspondence._canonical_tables(d, n):
-            assert block.size <= correspondence.CENSUS_BLOCK_ENTRIES
-            rows += map(tuple, block.tolist())
-        assert sorted(rows) == [(0,) + rest for rest in product(range(d), repeat=d**n - 1)]
 
-    def test_one_table_per_block(self, monkeypatch):
-        # Tables larger than a block are handed over one at a time.
-        monkeypatch.setattr(correspondence, "CENSUS_BLOCK_ENTRIES", 1)
-        for mode in MODES:
-            assert census(3, 2, mode) == _per_table_census(3, 2, mode)
+class TestClosedFormCensus:
+    """The census reads its histogram off the kernel size: no table is solved."""
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_past_any_enumeration(self, mode):
+        start = time.perf_counter()
+        report = census(3, 3, mode, budget=3**26)
+        assert time.perf_counter() - start < 1.0
+        assert report.total_states == 3**26
+        if mode == MULTIHYPERGRAPH:
+            # Prime d: decorated weights and canonical tables are in bijection.
+            assert report.histogram_dict() == {1: 3**26}
+        else:
+            # One table per weight vector on the 2^3 - 1 plain hyperedges.
+            assert report.histogram_dict() == {0: 3**26 - 3**7, 1: 3**7}
+        assert report.solution_sum == report.weight_assignments
+
+
+class TestNoDenseSystem:
+    """solve_weights and census work on the Kronecker factor alone."""
+
+    @pytest.mark.parametrize(
+        "d,n,mode",
+        [(2, 3, HYPERGRAPH), (3, 1, MULTIHYPERGRAPH), (4, 1, MULTIHYPERGRAPH),
+         (6, 1, HYPERGRAPH), (3, 2, HYPERGRAPH)],
+    )
+    def test_never_assembled(self, monkeypatch, d, n, mode):
+        rng = random.Random(f"factor-only:{d}:{n}:{mode}")
+        tables = [build_state(_random_kind_map(rng, d, n, mode))]
+        tables += [pf(d, n, [0] + [rng.randrange(d) for _ in range(d**n - 1)]) for _ in range(2)]
+        matrix = build_system(tables[0], mode).matrix
+        reference = PrimeSolver(matrix) if matrix.modulus.is_prime else SmithSolver(matrix)
+        expected = [reference.solve(tuple(int(x) for x in t.table[1:])) for t in tables]
+        expected_census = _per_table_census(d, n, mode)
+
+        def refuse(*args):
+            raise AssertionError("the dense system was assembled")
+
+        monkeypatch.setattr(correspondence, "_system_parts", refuse)
+        for table, reference_solution in zip(tables, expected):
+            solution = solve_weights(table, mode).solution
+            assert solution.consistent == reference_solution.consistent
+            assert solution.count == reference_solution.count
+        assert census(d, n, mode) == expected_census

@@ -26,9 +26,11 @@ from .graphs import MultiHyperedge, WeightedEdgeMap
 from .states import (
     PhaseFunction,
     VertexOutOfRange,
+    _flat,
+    _grid,
+    _on_axis,
     build_state,
-    digit_values,
-    monomial_table,
+    monomial_grid,
 )
 
 
@@ -36,8 +38,25 @@ def apply_shift(state: PhaseFunction, k: int) -> PhaseFunction:
     """Shift vertex k down one level: new f(i) = f(..., i_k + 1 mod d, ...)."""
     if not 0 <= k < state.n:
         raise VertexOutOfRange(f"vertex {k} out of range [0, {state.n})")
-    grid = state.table.reshape((state.d,) * state.n)
-    return PhaseFunction(state.d, state.n, np.roll(grid, -1, axis=k).reshape(-1))
+    return PhaseFunction(state.d, state.n, np.roll(_grid(state), -1, axis=k).reshape(-1))
+
+
+def _correction_grid(
+    edge: MultiHyperedge, power: int, k: int, d: int, n: int
+) -> np.ndarray:
+    """``correction_exponents`` as a grid that broadcasts to (d,)*n."""
+    if k not in edge.vertices:
+        raise ValueError(f"vertex {k} not in edge {edge}")
+    s_k = edge.exponents[edge.vertices.index(k)]
+    delta = np.array(
+        [(power % d) * (pow((i - 1) % d, s_k, d) - pow(i, s_k, d)) % d for i in range(d)],
+        dtype=np.int64,
+    )
+    grid = _on_axis(delta, k, n)
+    reduced = edge.without_vertex(k)
+    if reduced is not None:
+        grid = grid * monomial_grid(d, n, reduced) % d
+    return grid
 
 
 def correction_exponents(
@@ -45,18 +64,7 @@ def correction_exponents(
 ) -> np.ndarray:
     """Exact diagonal exponent table of CZ_e^m X_k CZ_e^{d-m} with the leading
     shift factored off: m * ((i_k-1)^{s_k} - i_k^{s_k}) * prod_{v != k} i_v^{s_v}."""
-    if k not in edge.vertices:
-        raise ValueError(f"vertex {k} not in edge {edge}")
-    s_k = edge.exponents[edge.vertices.index(k)]
-    delta = np.array(
-        [(pow((i - 1) % d, s_k, d) - pow(i, s_k, d)) % d for i in range(d)],
-        dtype=np.int64,
-    )
-    acc = (power % d) * delta[digit_values(d, n, k)] % d
-    reduced = edge.without_vertex(k)
-    if reduced is not None:
-        acc = acc * monomial_table(d, n, reduced) % d
-    return acc
+    return _flat(_correction_grid(edge, power, k, d, n), d, n)
 
 
 def printed_exponents(
@@ -68,11 +76,10 @@ def printed_exponents(
     """
     if k not in edge.vertices:
         raise ValueError(f"vertex {k} not in edge {edge}")
-    coeff = power * (d - 1) % d
+    coeff = np.int64(power * (d - 1) % d)
     reduced = edge.without_vertex(k)
-    if reduced is None:
-        return np.full(d**n, coeff, dtype=np.int64)
-    return coeff * monomial_table(d, n, reduced) % d
+    grid = coeff if reduced is None else coeff * monomial_grid(d, n, reduced) % d
+    return _flat(grid, d, n)
 
 
 @dataclass(frozen=True)
@@ -130,12 +137,11 @@ def apply_generator(state: PhaseFunction, spec: GeneratorSpec) -> PhaseFunction:
     """Apply g_k: trailing diagonals first (exact corrections), then the shift."""
     if (state.d, state.n) != (spec.d, spec.n):
         raise ValueError("state and generator dimensions differ")
-    table = state.table
+    grid = _grid(state).copy()
     for term in spec.terms:
-        table = (
-            table + correction_exponents(term.edge, term.weight, spec.vertex, spec.d, spec.n)
-        ) % spec.d
-    return apply_shift(PhaseFunction(spec.d, spec.n, table), spec.vertex)
+        grid += _correction_grid(term.edge, term.weight, spec.vertex, spec.d, spec.n)
+    grid %= spec.d
+    return apply_shift(PhaseFunction(spec.d, spec.n, grid.reshape(-1)), spec.vertex)
 
 
 @dataclass(frozen=True)
@@ -152,7 +158,7 @@ def verify(edge_map: WeightedEdgeMap, limit: int | None = None) -> list[VertexCh
     for k in range(edge_map.n):
         moved = apply_generator(state, generator(edge_map, k))
         diff = np.nonzero(moved.table != state.table)[0]
-        results.append(VertexCheck(k, diff.size == 0, tuple(int(i) for i in diff)))
+        results.append(VertexCheck(k, diff.size == 0, tuple(diff.tolist())))
     return results
 
 
@@ -186,9 +192,9 @@ def conjugation_report(
         vertex=k,
         target_exponent=edge.exponents[edge.vertices.index(k)],
         holds=diff.size == 0,
-        exact_diagonal=tuple(int(x) for x in exact),
-        printed_diagonal=tuple(int(x) for x in printed),
-        mismatch_indices=tuple(int(i) for i in diff),
+        exact_diagonal=tuple(exact.tolist()),
+        printed_diagonal=tuple(printed.tolist()),
+        mismatch_indices=tuple(diff.tolist()),
     )
 
 

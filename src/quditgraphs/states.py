@@ -7,6 +7,17 @@ Index convention: i_0 is the most significant digit, so the flat index of
 
 All diagonal gates act by adding an integer exponent table mod d, so gate
 application is exact and order-independent.
+
+Tables are computed on the C-order grid of shape (d,)*n, whose axis v is
+digit i_v; reshaping the grid to one axis gives the flat table above. A
+monomial prod_{v in e} i_v^{s_v} is a product of per-vertex lookup vectors
+[i^s mod d], each laid along its vertex's axis, so its grid has extent d on
+the edge's axes and 1 elsewhere and broadcasts against the full grid. No
+table is ever computed from its flat index. ``build_state`` adds each
+``weight * grid % d`` into one int64 grid and reduces mod d once at the end.
+That sum is exact: each term is below d, and a map has fewer than d^n
+distinct edges, so under the default limit (d^n < 2^24, hence d < 2^24) the
+sum stays below 2^48.
 """
 
 from __future__ import annotations
@@ -104,23 +115,44 @@ def digits_of(index: int, d: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def digit_values(d: int, n: int, vertex: int) -> np.ndarray:
-    """Array of length d^n holding digit i_vertex of every flat index."""
+def _on_axis(values: np.ndarray, vertex: int, n: int) -> np.ndarray:
+    """A length-d vector laid along the grid axis of ``vertex``; it broadcasts
+    against the (d,)*n grid."""
     if not 0 <= vertex < n:
         raise VertexOutOfRange(f"vertex {vertex} out of range [0, {n})")
-    idx = np.arange(d**n, dtype=np.int64)
-    return (idx // d ** (n - 1 - vertex)) % d
+    return values.reshape((-1,) + (1,) * (n - 1 - vertex))
+
+
+def _flat(grid: np.ndarray, d: int, n: int) -> np.ndarray:
+    """A fresh flat table of d^n entries holding the grid broadcast to (d,)*n."""
+    return np.array(np.broadcast_to(grid, (d,) * n), order="C").reshape(-1)
+
+
+def digit_values(d: int, n: int, vertex: int) -> np.ndarray:
+    """Array of length d^n holding digit i_vertex of every flat index."""
+    return _flat(_on_axis(np.arange(d, dtype=np.int64), vertex, n), d, n)
+
+
+def monomial_grid(d: int, n: int, edge: MultiHyperedge) -> np.ndarray:
+    """prod_{v in edge} i_v^{s_v} mod d as a grid that broadcasts to (d,)*n:
+    extent d on the edge's axes, 1 on the others."""
+    if edge.vertices[-1] >= n:
+        raise VertexOutOfRange(f"edge {edge} references a vertex >= {n}")
+    grid = np.ones((), dtype=np.int64)
+    for v, s in zip(edge.vertices, edge.exponents):
+        lut = np.array([pow(i, s, d) for i in range(d)], dtype=np.int64)
+        grid = grid * _on_axis(lut, v, n) % d
+    return grid
 
 
 def monomial_table(d: int, n: int, edge: MultiHyperedge) -> np.ndarray:
     """Table of prod_{v in edge} i_v^{s_v} mod d over all d^n indices."""
-    if edge.vertices[-1] >= n:
-        raise VertexOutOfRange(f"edge {edge} references a vertex >= {n}")
-    acc = np.ones(d**n, dtype=np.int64)
-    for v, s in zip(edge.vertices, edge.exponents):
-        lut = np.array([pow(i, s, d) for i in range(d)], dtype=np.int64)
-        acc = acc * lut[digit_values(d, n, v)] % d
-    return acc
+    return _flat(monomial_grid(d, n, edge), d, n)
+
+
+def _grid(state: PhaseFunction) -> np.ndarray:
+    """The state's table as a read-only (d,)*n grid view."""
+    return state.table.reshape((state.d,) * state.n)
 
 
 def plus_state(n: int, d: int, limit: int | None = None) -> PhaseFunction:
@@ -135,8 +167,8 @@ def apply_multi_cz(state: PhaseFunction, edge: MultiHyperedge, power: int) -> Ph
     m = power % state.d
     if m == 0:
         return state
-    table = (state.table + m * monomial_table(state.d, state.n, edge)) % state.d
-    return PhaseFunction(state.d, state.n, table)
+    grid = _grid(state) + m * monomial_grid(state.d, state.n, edge)
+    return PhaseFunction(state.d, state.n, (grid % state.d).reshape(-1))
 
 
 def apply_uv(state: PhaseFunction, vertex: int, coefficients: Sequence[int]) -> PhaseFunction:
@@ -153,8 +185,8 @@ def apply_uv(state: PhaseFunction, vertex: int, coefficients: Sequence[int]) -> 
     )
     if not h.any():
         return state
-    table = (state.table + h[digit_values(d, state.n, vertex)]) % d
-    return PhaseFunction(d, state.n, table)
+    grid = _grid(state) + _on_axis(h, vertex, state.n)
+    return PhaseFunction(d, state.n, (grid % d).reshape(-1))
 
 
 def monomial_coefficients(eta: int) -> tuple[int, ...]:
@@ -171,11 +203,12 @@ def build_state(edge_map: WeightedEdgeMap, limit: int | None = None) -> PhaseFun
     order of edge application never matters (all gates are diagonal).
     """
     d, n = edge_map.d, edge_map.n
-    size = _check_size(d, n, limit)
-    table = np.zeros(size, dtype=np.int64)
+    _check_size(d, n, limit)
+    grid = np.zeros((d,) * n, dtype=np.int64)
     for edge, weight in edge_map.items():
-        table = (table + weight * monomial_table(d, n, edge)) % d
-    return PhaseFunction(d, n, table)
+        grid += weight * monomial_grid(d, n, edge) % d
+    grid %= d
+    return PhaseFunction(d, n, grid.reshape(-1))
 
 
 def states_equal(a: PhaseFunction, b: PhaseFunction) -> bool:
@@ -221,11 +254,14 @@ def to_dense(state: PhaseFunction, limit: int | None = None) -> DenseState:
 
 
 def dense_text(state: DenseState) -> str:
-    """Text export, one line per amplitude: 'index re im' at 17 significant digits."""
-    lines = [
-        f"{i} {amp.real:.17g} {amp.imag:.17g}" for i, amp in enumerate(state.amplitudes)
-    ]
-    return "\n".join(lines) + "\n"
+    """Text export, one line per amplitude: 'index re im' at 17 significant digits.
+
+    Each distinct amplitude is formatted once. Amplitudes are told apart by
+    their 16 bytes, not by value, so 0.0 and -0.0 keep their own text.
+    """
+    distinct, which = np.unique(state.amplitudes.view("V16"), return_inverse=True)
+    texts = [f"{amp.real:.17g} {amp.imag:.17g}" for amp in distinct.view(np.complex128).tolist()]
+    return "".join(f"{i} {texts[j]}\n" for i, j in enumerate(which.tolist()))
 
 
 # --- JSON serialization of phase tables --------------------------------------
@@ -249,7 +285,11 @@ def phases_from_dict(payload: object) -> PhaseFunction:
     phases = _expect_int_list(payload["phases"], "phases")
     if len(phases) != d**n:
         raise SchemaError("phases", f"expected d^n = {d ** n} entries, got {len(phases)}")
-    for i, x in enumerate(phases):
-        if not 0 <= x < d:
-            raise SchemaError(f"phases[{i}]", f"entry out of range [0, {d})")
-    return PhaseFunction(d, n, np.array(phases, dtype=np.int64))
+    try:
+        table = np.array(phases, dtype=np.int64)
+    except OverflowError:  # an entry past int64 is out of range; the loop finds the first
+        table = None
+    if table is None or table.min() < 0 or table.max() >= d:
+        i = next(i for i, x in enumerate(phases) if not 0 <= x < d)
+        raise SchemaError(f"phases[{i}]", f"entry out of range [0, {d})")
+    return PhaseFunction(d, n, table)

@@ -297,6 +297,15 @@ class TestLimitsBeforeWork:
         assert re.search(r'"count": (\d+)', result.stdout).group(1) == digits
         assert f'"all_solutions_omitted": "count {digits} exceeds cap 1024"' in result.stdout
 
+    @pytest.mark.parametrize("bad", [True, 1.5, "1", -1, 3, 2**70])
+    def test_bad_phase_entry_is_usage_error(self, tmp_path, capsys, bad):
+        phases = [0] * 9
+        phases[5] = bad
+        path = write_json(tmp_path / "p.json", {"d": 3, "n": 2, "phases": phases})
+        code, out, err = run(capsys, "solve", "--phases", path, "--mode", "hypergraph")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: phases[5]: ")
+
     def test_input_ints_stay_under_the_digit_limit(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text('{"d": 2, "n": 1, "phases": [0, ' + "1" * 5000 + "]}")

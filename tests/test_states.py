@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
 from quditgraphs.states import (
+    DenseState,
     DimensionMismatch,
     PhaseFunction,
     SizeLimit,
@@ -215,6 +216,15 @@ class TestDense:
         assert lines[0].split() == ["0", f"{2 ** -0.5:.17g}", "0"]
         assert lines[1].split()[0] == "1"
 
+    def test_text_export_keeps_the_sign_of_zero(self):
+        half = [complex(0.5, 0.0), complex(0.5, -0.0), complex(0.5, 0.0), complex(0.5, 0.0)]
+        state = DenseState(2, 2, np.array(half))
+        per_line = "\n".join(
+            f"{i} {amp.real:.17g} {amp.imag:.17g}" for i, amp in enumerate(state.amplitudes)
+        ) + "\n"
+        assert dense_text(state) == per_line
+        assert dense_text(state).splitlines()[1] == "1 0.5 -0"
+
 
 class TestEquality:
     def test_global_phase_offset_ignored(self):
@@ -257,3 +267,31 @@ class TestPhaseSerialization:
         with pytest.raises(SchemaError) as exc:
             phases_from_dict({"d": 2, "n": 1, "phases": [0, 2]})
         assert exc.value.path == "phases[1]"
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (True, "expected an integer, got True"),
+            (1.0, "expected an integer, got 1.0"),
+            ("1", "expected an integer, got '1'"),
+            (-1, "entry out of range [0, 3)"),
+            (3, "entry out of range [0, 3)"),
+            (2**70, "entry out of range [0, 3)"),
+        ],
+    )
+    def test_first_bad_entry_is_named(self, bad, message):
+        from quditgraphs.graphs import SchemaError
+
+        phases = [0, 1, 2, 0, 1, 2, 0, 1, 2]
+        phases[4] = bad
+        phases[7] = -(2**70)
+        with pytest.raises(SchemaError) as exc:
+            phases_from_dict({"d": 3, "n": 2, "phases": phases})
+        assert (exc.value.path, str(exc.value)) == ("phases[4]", f"phases[4]: {message}")
+
+    def test_int_subclass_entries_accepted(self):
+        class Level(int):
+            pass
+
+        state = phases_from_dict({"d": 2, "n": 1, "phases": [Level(0), Level(1)]})
+        assert state.table.tolist() == [0, 1]

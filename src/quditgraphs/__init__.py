@@ -5,113 +5,79 @@ monomials, stabilizer generators are verified exactly, and the correspondence
 between phase tables and edge weights is decided by exact linear algebra over
 Z_d: one Kronecker Smith-form solve for every d and both modes, which
 factors only the small digit-power matrix W[i][s] = i^s mod d, never the
-d^n-sized system.
+d^n-sized system. The census needs no solve at all: the Smith form of W is
+diag(s!), so the kernel size has a closed form.
+
+Exports load on first use (PEP 562), so ``import quditgraphs`` and the
+census import no numpy; the state and solver names load it.
 """
 
-from .correspondence import (
-    HYPERGRAPH,
-    MULTIHYPERGRAPH,
-    BudgetExceeded,
-    CensusReport,
-    CorrespondenceSystem,
-    NonCanonical,
-    RoundTripFailure,
-    SolveOutcome,
-    build_system,
-    census,
-    coefficient_block,
-    representability_constraints,
-    solve_weights,
-)
-from .graphs import (
-    GraphKind,
-    MultiHyperedge,
-    SchemaError,
-    WeightedEdgeMap,
-    enumerate_hyperedges,
-    enumerate_multihyperedges,
-    hyperedge,
-    validate_kind,
-)
-from .residues import (
-    Modulus,
-    NonPrimeModulus,
-    RingMatrix,
-    SolutionSet,
-    smith_normal_form,
-)
-from .stabilizers import (
-    ConjugationReport,
-    GeneratorSpec,
-    apply_generator,
-    apply_shift,
-    conjugation_identity,
-    conjugation_report,
-    generator,
-    verify,
-)
-from .states import (
-    DenseState,
-    DimensionMismatch,
-    PhaseFunction,
-    SizeLimit,
-    VertexOutOfRange,
-    apply_multi_cz,
-    apply_uv,
-    build_state,
-    canonicalize,
-    plus_state,
-    states_equal,
-    to_dense,
-)
+import importlib
 
-__all__ = [
-    "HYPERGRAPH",
-    "MULTIHYPERGRAPH",
-    "BudgetExceeded",
-    "CensusReport",
-    "ConjugationReport",
-    "CorrespondenceSystem",
-    "DenseState",
-    "DimensionMismatch",
-    "GraphKind",
-    "GeneratorSpec",
-    "Modulus",
-    "MultiHyperedge",
-    "NonCanonical",
-    "NonPrimeModulus",
-    "PhaseFunction",
-    "RingMatrix",
-    "RoundTripFailure",
-    "SchemaError",
-    "SizeLimit",
-    "SolutionSet",
-    "SolveOutcome",
-    "VertexOutOfRange",
-    "WeightedEdgeMap",
-    "apply_generator",
-    "apply_multi_cz",
-    "apply_shift",
-    "apply_uv",
-    "build_state",
-    "build_system",
-    "canonicalize",
-    "census",
-    "coefficient_block",
-    "conjugation_identity",
-    "conjugation_report",
-    "enumerate_hyperedges",
-    "enumerate_multihyperedges",
-    "generator",
-    "hyperedge",
-    "plus_state",
-    "representability_constraints",
-    "smith_normal_form",
-    "solve_weights",
-    "states_equal",
-    "to_dense",
-    "validate_kind",
-    "verify",
-]
+# Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "HYPERGRAPH": "counting",
+    "MULTIHYPERGRAPH": "counting",
+    "BudgetExceeded": "counting",
+    "CensusReport": "counting",
+    "ConjugationReport": "stabilizers",
+    "CorrespondenceSystem": "correspondence",
+    "DenseState": "states",
+    "DimensionMismatch": "states",
+    "GraphKind": "graphs",
+    "GeneratorSpec": "stabilizers",
+    "Modulus": "residues",
+    "MultiHyperedge": "graphs",
+    "NonCanonical": "correspondence",
+    "NonPrimeModulus": "residues",
+    "PhaseFunction": "states",
+    "RingMatrix": "residues",
+    "RoundTripFailure": "correspondence",
+    "SchemaError": "graphs",
+    "SizeLimit": "residues",
+    "SolutionSet": "residues",
+    "SolveOutcome": "correspondence",
+    "VertexOutOfRange": "states",
+    "WeightedEdgeMap": "graphs",
+    "apply_generator": "stabilizers",
+    "apply_multi_cz": "states",
+    "apply_shift": "stabilizers",
+    "apply_uv": "states",
+    "build_state": "states",
+    "build_system": "correspondence",
+    "canonicalize": "states",
+    "census": "counting",
+    "coefficient_block": "correspondence",
+    "conjugation_identity": "stabilizers",
+    "conjugation_report": "stabilizers",
+    "enumerate_hyperedges": "graphs",
+    "enumerate_multihyperedges": "graphs",
+    "generator": "stabilizers",
+    "hyperedge": "graphs",
+    "plus_state": "states",
+    "representability_constraints": "correspondence",
+    "smith_normal_form": "residues",
+    "solve_weights": "correspondence",
+    "states_equal": "states",
+    "to_dense": "states",
+    "validate_kind": "graphs",
+    "verify": "stabilizers",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"

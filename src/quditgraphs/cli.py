@@ -3,6 +3,11 @@
 Exit codes: 0 success / affirmative result, 1 negative mathematical result
 (unsolvable system, unstabilized vertex, broken identity), 2 usage or schema
 error, 3 size or budget limit. Data goes to stdout, diagnostics to stderr.
+
+Only the verbs that work on arrays (``build-state``, ``solve``,
+``verify-stabilizers``, ``identity-check`` past its size check, ``matrix``)
+import the numpy-backed modules, inside the verb. ``census``, usage errors
+and size refusals start and finish without numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
-from . import correspondence, graphs, stabilizers, states
-from .residues import power_at_least
+from . import counting, graphs
+from .residues import DEFAULT_TABLE_LIMIT, SizeLimit, power_at_least
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -55,6 +60,8 @@ def _read_file(path: str) -> str:
 
 
 def _cmd_build_state(args: argparse.Namespace) -> int:
+    from . import states
+
     edge_map = _read_edge_map(args)
     state = states.build_state(edge_map)
     if args.dense:
@@ -65,6 +72,8 @@ def _cmd_build_state(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from . import correspondence, states
+
     table = states.phases_from_dict(json.loads(_read_file(args.phases)))
     outcome = correspondence.solve_weights(table, args.mode)
     solution = outcome.solution
@@ -91,6 +100,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_stabilizers(args: argparse.Namespace) -> int:
+    from . import stabilizers
+
     edge_map = _read_edge_map(args)
     checks = stabilizers.verify(edge_map)
     payload = {
@@ -111,7 +122,7 @@ def _cmd_verify_stabilizers(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    report = correspondence.census(args.d, args.n, args.mode, budget=args.budget)
+    report = counting.census(args.d, args.n, args.mode, budget=args.budget)
     _emit(report.to_dict())
     return EXIT_OK
 
@@ -129,10 +140,10 @@ def _check_identity_size(d: int, n: int, exhaustive: bool) -> None:
         factor, exponent = n * (d - 1), 2 * n
     else:
         factor, exponent = n * (d - 1) + n * (n - 1) * (d - 1) ** 2, n + 1
-    cap = states.DEFAULT_TABLE_LIMIT
+    cap = DEFAULT_TABLE_LIMIT
     # factor·d^exponent >= cap iff d^exponent >= ceil(cap / factor).
     if power_at_least(d, exponent, -(-cap // factor)):
-        raise states.SizeLimit(
+        raise SizeLimit(
             f"identity-check at d={d}, n={n} meets or exceeds the limit {cap} on table entries"
         )
 
@@ -140,6 +151,8 @@ def _check_identity_size(d: int, n: int, exhaustive: bool) -> None:
 def _cmd_identity_check(args: argparse.Namespace) -> int:
     d, n = args.d, args.n
     _check_identity_size(d, n, args.exhaustive)
+    from . import stabilizers  # after the size check: a refusal loads no numpy
+
     edges = graphs.enumerate_multihyperedges(n, d, max_arity=None if args.exhaustive else 2)
     mismatches = []
     verdicts: dict[int, bool] = {}
@@ -179,6 +192,8 @@ def _cmd_identity_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from . import correspondence
+
     block = correspondence.coefficient_block(args.d, args.block)
     payload = {
         "d": args.d,
@@ -216,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="phase-table JSON -> weight solution JSON")
     solve.add_argument("--phases", required=True, help="phase-table JSON file")
-    solve.add_argument("--mode", required=True, choices=correspondence.MODES)
+    solve.add_argument("--mode", required=True, choices=counting.MODES)
     solve.add_argument("--all-solutions", action="store_true")
     solve.add_argument("--solution-cap", type=_non_negative_int, default=1024)
     solve.set_defaults(func=_cmd_solve)
@@ -230,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cen = sub.add_parser("census", help="classify every canonical table at (d, n)")
     cen.add_argument("--d", type=int, required=True)
     cen.add_argument("--n", type=int, required=True)
-    cen.add_argument("--mode", required=True, choices=correspondence.MODES)
+    cen.add_argument("--mode", required=True, choices=counting.MODES)
     cen.add_argument("--budget", type=int, default=None)
     cen.set_defaults(func=_cmd_census)
 
@@ -264,10 +279,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (graphs.SchemaError, json.JSONDecodeError, correspondence.NonCanonical) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (states.SizeLimit, correspondence.BudgetExceeded) as exc:
+    # SizeLimit is a ValueError, so it is caught first. Schema, JSON and
+    # non-canonical table errors are ValueErrors too.
+    except (SizeLimit, counting.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except ValueError as exc:

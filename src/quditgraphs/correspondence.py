@@ -19,45 +19,51 @@ s in 0..d-1 (multihypergraph) or {0, 1} (hypergraph). Row i = 0 pins
 m_0 = f(0) = 0, so the solutions are exactly those of the canonical system.
 ``solve_weights`` solves it for every d and both modes with one Kronecker
 Smith-form solve (``residues.KroneckerSolver``): only the small W is
-factored, and solution counts are exact. ``census`` solves no table: the
-reachable tables are the image of the linear map, d^{#vars} / K of them for
-a kernel of size K, and each has exactly K solutions. W and the column of
-each variable in W^{⊗n} fix the whole system, so ``system_fingerprint``
-hashes those. Only ``build_system`` and ``representability_constraints``
+factored, and solution counts are exact. ``census`` solves no table and
+factors nothing: the reachable tables are the image of the linear map,
+d^{#vars} / K of them for a kernel of size K, and each has exactly K
+solutions; K has a closed form, as the Smith form of W is diag(s!). W and
+the column of each variable in W^{⊗n} fix the whole system, so
+``system_fingerprint`` hashes those. ``census``, the fingerprint and the
+variable order live in the numpy-free ``counting`` module and are
+re-exported here. Only ``build_system`` and ``representability_constraints``
 (its left nullspace, prime d) assemble the dense canonical matrix.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .graphs import (
-    MultiHyperedge,
-    WeightedEdgeMap,
-    enumerate_hyperedges,
-    enumerate_multihyperedges,
+from .counting import (
+    HYPERGRAPH,
+    MODES,
+    MULTIHYPERGRAPH,
+    BudgetExceeded,
+    CensusReport,
+    _check_mode,
+    _digit_power_rows,
+    _fingerprint,
+    _variables,
+    census,
+    system_fingerprint,
 )
+from .graphs import MultiHyperedge, WeightedEdgeMap
 from .residues import (
+    DEFAULT_TABLE_LIMIT,
     KroneckerSolver,
     Modulus,
     NonPrimeModulus,
     PrimeSolver,
     RingMatrix,
+    SizeLimit,
     SolutionSet,
     power_at_least,
 )
-from .states import DEFAULT_TABLE_LIMIT, PhaseFunction, SizeLimit, build_state, digits_of
+from .states import PhaseFunction, build_state, digits_of
 
-HYPERGRAPH = "hypergraph"
-MULTIHYPERGRAPH = "multihypergraph"
-MODES = (HYPERGRAPH, MULTIHYPERGRAPH)
-
-DEFAULT_CENSUS_BUDGET = 10**7
 DEFAULT_BLOCK_LIMIT = 2**24
 
 
@@ -69,21 +75,9 @@ class RoundTripFailure(RuntimeError):
     """A solved edge map failed to rebuild its own phase table (solver bug)."""
 
 
-class BudgetExceeded(RuntimeError):
-    """The census would cover more tables than the configured budget."""
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
-
-
 def _digit_powers(d: int, mode: str) -> np.ndarray:
-    """W[i][s] = i^s mod d with 0^0 = 1, for i in 0..d-1 and s in 0..d-1
-    (multihypergraph) or s in {0, 1} (hypergraph)."""
-    exponents = 2 if mode == HYPERGRAPH else d
-    return np.array([[pow(i, s, d) for s in range(exponents)] for i in range(d)], dtype=np.int64)
+    """The digit-power matrix W of ``counting._digit_power_rows`` as an array."""
+    return np.array(_digit_power_rows(d, mode), dtype=np.int64)
 
 
 def _kron_power(base: np.ndarray, power: int, d: int) -> np.ndarray:
@@ -98,42 +92,6 @@ def _ring_matrix(array: np.ndarray, d: int) -> RingMatrix:
 def _kronecker_solver(d: int, n: int, mode: str) -> KroneckerSolver:
     """The solver of W^{⊗n} x = f for the mode's digit-power matrix W."""
     return KroneckerSolver(_ring_matrix(_digit_powers(d, mode), d), n)
-
-
-def _variables(d: int, n: int, mode: str) -> tuple[tuple[MultiHyperedge, ...], list[int]]:
-    """The mode's edges in the graphs enumeration order, and the column of
-    each in W^{⊗n}: the flat index, base k and vertex 0 most significant,
-    of its exponent vector (0 off the support)."""
-    if mode == HYPERGRAPH:
-        variables, k = tuple(enumerate_hyperedges(n)), 2
-    else:
-        variables, k = tuple(enumerate_multihyperedges(n, d)), d
-    columns = [
-        sum(s * k ** (n - 1 - v) for v, s in zip(e.vertices, e.exponents)) for e in variables
-    ]
-    return variables, columns
-
-
-def system_fingerprint(d: int, n: int, mode: str) -> str:
-    """Hash of the canonical system at (d, n, mode); no table enters it.
-
-    Rows are the nonzero index tuples in flat order, and column j of the
-    dense matrix is column ``columns[j]`` of W^{⊗n}. So W and the columns fix
-    every entry and both orderings, and they are hashed instead.
-    """
-    return _fingerprint(d, n, mode, _variables(d, n, mode)[1])
-
-
-def _fingerprint(d: int, n: int, mode: str, columns: list[int]) -> str:
-    payload = {
-        "d": d,
-        "n": n,
-        "mode": mode,
-        "base": _digit_powers(d, mode).tolist(),
-        "columns": columns,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @lru_cache(maxsize=None)
@@ -291,72 +249,3 @@ def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, .
     if not matrix.modulus.is_prime:
         raise NonPrimeModulus(f"modulus {d} is not prime")
     return PrimeSolver(matrix).left_nullspace()
-
-
-@dataclass(frozen=True)
-class CensusReport:
-    """Classification of all canonical tables at fixed (d, n) by solution count."""
-
-    d: int
-    n: int
-    mode: str
-    total_states: int
-    reachable: int
-    histogram: tuple[tuple[int, int], ...]  # (solution_count, #tables), sorted
-    solution_sum: int
-    weight_assignments: int
-    matrix_fingerprint: str
-
-    def histogram_dict(self) -> dict[int, int]:
-        return dict(self.histogram)
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "mode": self.mode,
-            "total_states": self.total_states,
-            "reachable": self.reachable,
-            "histogram": {str(k): v for k, v in self.histogram},
-            "solution_sum": self.solution_sum,
-            "weight_assignments": self.weight_assignments,
-            "matrix_fingerprint": self.matrix_fingerprint,
-        }
-
-
-def census(
-    d: int, n: int, mode: str, budget: int | None = None
-) -> CensusReport:
-    """Classify every canonical phase table at (d, n) by its solution count.
-
-    No table is solved. The reachable tables are the image of the linear
-    map, R = d^{#vars} / K of them for a kernel of size K, and each has
-    exactly K solutions, so the histogram is {0: total - R, K: R}. K comes
-    from the Smith form of W alone. Refuses cleanly when the table count
-    exceeds the budget.
-    """
-    _check_mode(mode)
-    if d < 2 or n < 1:
-        raise ValueError("need d >= 2 and n >= 1")
-    cap = DEFAULT_CENSUS_BUDGET if budget is None else budget
-    # d^(d^n - 1) > cap, decided without building either power: once
-    # d^n - 1 exceeds cap's bit length, the table count exceeds cap.
-    if power_at_least(d, n, cap.bit_length() + 2) or power_at_least(d, d**n - 1, cap + 1):
-        raise BudgetExceeded(f"census covers {d}^({d}^{n} - 1) tables, budget is {cap}")
-    total = d ** (d**n - 1)
-    variables, columns = _variables(d, n, mode)
-    kernel = _kronecker_solver(d, n, mode).count
-    weight_assignments = d ** len(variables)
-    reachable = weight_assignments // kernel
-    histogram = {0: total - reachable, kernel: reachable}
-    return CensusReport(
-        d=d,
-        n=n,
-        mode=mode,
-        total_states=total,
-        reachable=reachable,
-        histogram=tuple(sorted((k, v) for k, v in histogram.items() if v)),
-        solution_sum=reachable * kernel,
-        weight_assignments=weight_assignments,
-        matrix_fingerprint=_fingerprint(d, n, mode, columns),
-    )

@@ -11,18 +11,25 @@ on plain Python integers two ways:
 Both solvers factor the matrix once and can then answer many right-hand
 sides. Systems whose matrix is a Kronecker power W ⊗ ... ⊗ W of a small base
 go through ``KroneckerSolver``, which factors only W and works on numpy
-tensors with entries reduced mod d; its kernel size needs no right-hand side.
+tensors with entries reduced mod d. The kernel size of such a power needs
+neither a right-hand side nor numpy: ``kernel_size`` reads it off the
+diagonal of the base's Smith form.
+
+Only ``KroneckerSolver`` uses numpy, and it imports numpy when it runs, so
+this module, the size limits and ``kernel_size`` load without it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NonPrimeModulus(ValueError):
@@ -48,6 +55,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
+DEFAULT_TABLE_LIMIT = 2**24
+
+
+class SizeLimit(ValueError):
+    """Table would meet or exceed the configured entry limit."""
+
+
 def power_at_least(base: int, exponent: int, bound: int) -> bool:
     """Whether base**exponent >= bound, for base >= 2 and exponent >= 0.
 
@@ -62,6 +76,25 @@ def power_at_least(base: int, exponent: int, bound: int) -> bool:
             return True
         value *= base
     return value >= bound
+
+
+def kernel_size(diagonal: Sequence[int], d: int, n: int) -> int:
+    """Size of the kernel of D^{⊗n} over Z_d for D = diag(diagonal).
+
+    That is the product of gcd(prod_v D[j_v], d) over the k^n tuples j of
+    diagonal positions. The tuples are never listed: n convolution steps
+    count them by that gcd alone, since gcd(ab, d) = gcd(gcd(a, d)·gcd(b, d), d),
+    so each step costs at most (#divisors of d)^2.
+    """
+    base = Counter(math.gcd(x, d) for x in diagonal)
+    tally = Counter({1: 1})
+    for _ in range(n):
+        step: Counter = Counter()
+        for g, count in tally.items():
+            for h, multiplicity in base.items():
+                step[math.gcd(g * h, d)] += count * multiplicity
+        tally = step
+    return math.prod(g**count for g, count in tally.items())
 
 
 @dataclass(frozen=True)
@@ -435,6 +468,8 @@ def _apply_on_every_axis(matrix: np.ndarray, tensor: np.ndarray, d: int) -> np.n
     Entries stay below d, so each dot product is below d^3: int64 holds it
     for every d whose d x d matrix fits in memory.
     """
+    import numpy as np
+
     for axis in range(tensor.ndim):
         tensor = np.moveaxis(np.tensordot(matrix, tensor, axes=([1], [axis])) % d, 0, axis)
     return tensor
@@ -459,15 +494,18 @@ class KroneckerSolver:
             raise ValueError("the base needs at least as many rows as columns")
         if power < 1:
             raise ValueError("power must be >= 1")
+        import numpy as np
+
         d = base.modulus.d
         self.modulus = base.modulus
         self.d, self.power = d, power
         self.rows, self.cols = base.rows, base.cols
         dmat, u, v = smith_normal_form(base.row_lists())
+        self.smith_diagonal = [dmat[j][j] for j in range(base.cols)]
         self.u = np.array([[x % d for x in row] for row in u], dtype=np.int64)
         self.v = np.array([[x % d for x in row] for row in v], dtype=np.int64)
         # diagonal[j] = prod_v D[j_v][j_v] mod d over the k^n column tuples.
-        diag = np.array([dmat[j][j] % d for j in range(base.cols)], dtype=np.int64)
+        diag = np.array([x % d for x in self.smith_diagonal], dtype=np.int64)
         diagonal = diag
         for _ in range(power - 1):
             diagonal = np.multiply.outer(diagonal, diag) % d
@@ -488,10 +526,11 @@ class KroneckerSolver:
     def count(self) -> int:
         """Solutions of every consistent right-hand side: the kernel size,
         prod_j g_j. Computed on first use, as it can have millions of digits."""
-        multiplicity = np.bincount(self.gcd.reshape(-1))
-        return math.prod(g ** int(m) for g, m in enumerate(multiplicity) if m)
+        return kernel_size(self.smith_diagonal, self.d, self.power)
 
     def solve(self, rhs: Sequence[int] | np.ndarray) -> SolutionSet:
+        import numpy as np
+
         d, n, k = self.d, self.power, self.cols
         b = np.asarray(rhs, dtype=np.int64)
         if b.shape != (self.rows**n,):
@@ -506,6 +545,8 @@ class KroneckerSolver:
 
     def _generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Column j of V^{⊗n} scaled by d / g_j, of order g_j, for every g_j > 1."""
+        import numpy as np
+
         d, k = self.d, self.cols
         gcd = self.gcd.reshape(-1)
         free = np.flatnonzero(gcd > 1)

@@ -28,13 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import MultiHyperedge, WeightedEdgeMap
-from .residues import power_at_least
-
-DEFAULT_TABLE_LIMIT = 2**24
-
-
-class SizeLimit(ValueError):
-    """Table would meet or exceed the configured entry limit."""
+from .residues import DEFAULT_TABLE_LIMIT, SizeLimit, power_at_least
 
 
 class VertexOutOfRange(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -127,7 +128,28 @@ class TestBuildState:
         assert first == second
 
 
+# SHA-256 of solve stdout, taken before the census moved out of the
+# numpy-backed modules: (phase table, extra flags, exit code, digest).
+PINNED_SOLVE = [
+    (WORKED_PHASES, ["--mode", "multihypergraph"], 0,
+     "931b06ed81f8f2b85941882ded3554e65779c8a08ba43a11be6b9f4bb9f10909"),
+    (WORKED_PHASES, ["--mode", "hypergraph"], 1,
+     "97ef2abb487e3e5cac5db824630a996f93b57b3e2c805f677ad9fd1ab45e3519"),
+    ({"d": 4, "n": 1, "phases": [0, 2, 0, 2]}, ["--mode", "multihypergraph", "--all-solutions"], 0,
+     "ebb5440eef1b8103d3b8f7111a1889dcb30125e1b8dbc9acac6dae805e85553c"),
+    ({"d": 6, "n": 2, "phases": [0] * 36}, ["--mode", "multihypergraph", "--all-solutions"], 0,
+     "79a0cdd80bdc00b23545af88d198d4573072cc332fd0bf0205df6ad131ce4e81"),
+]
+
+
 class TestSolve:
+    @pytest.mark.parametrize("table,flags,exit_code,digest", PINNED_SOLVE)
+    def test_pinned_output(self, tmp_path, capsys, table, flags, exit_code, digest):
+        phases = write_json(tmp_path / "p.json", table)
+        code, out, _ = run(capsys, "solve", "--phases", phases, *flags)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_plain_mode_unsolvable(self, tmp_path, capsys):
         phases = write_json(tmp_path / "p.json", WORKED_PHASES)
         code, out, _ = run(capsys, "solve", "--phases", phases, "--mode", "hypergraph")
@@ -326,7 +348,49 @@ class TestVerifyStabilizers:
         ]
 
 
+# SHA-256 of census stdout for the benchmark's census cells, taken before
+# the census moved from the Smith form of W to its closed form.
+PINNED_CENSUS = [
+    ("multihypergraph", 2, 3, "70579c5f56e06e942f74137d456ef7ea71bd204c5c39b3a6748ec38352f94c70"),
+    ("hypergraph", 2, 3, "6a61699374bf664a32cddc8fe3a154c7fee7d924a8ce992e5b90916d43076333"),
+    ("multihypergraph", 2, 4, "6a008bd0f5a03ad0e6cf47ee3cf49dc5777771aa2254a3e04e616dff6711d7a4"),
+    ("hypergraph", 2, 4, "7720ea1093764b0fe8ba6b22466c3502844a7f29f78fbc8e91d19ba446cb60c4"),
+    ("multihypergraph", 3, 1, "7d7c8387e9548cc754ef578c9c19d1b0dfcc4ae412005b74117b739e0b50fb0e"),
+    ("hypergraph", 3, 1, "34c54ff77634d06d8ff5c804ecd7685b7799a287337715c2048a6e8d88775c07"),
+    ("multihypergraph", 3, 2, "9be888a8cad48f8002c0d9ce32014eccc5186ac4beeec855575f911c89a621c2"),
+    ("hypergraph", 3, 2, "0785dd241e67b66cfd51514787458435bc1e747301566e65f670ae8468012027"),
+    ("multihypergraph", 4, 1, "bf7eca73ea48e2e9e2920353e542caffd000deea152c2d614122050730a098c2"),
+    ("hypergraph", 4, 1, "d4f2ab81dfb8f7d42628f49f87114f52da168f50777e93691c8b5445f04c733b"),
+    ("multihypergraph", 5, 1, "5acbf6cf185dd631001dbcece193b36287683bd05223a9879f8092b1509417b7"),
+    ("hypergraph", 5, 1, "00bbc384c8436ce4ac27a417f58c58a4d076c951753d8d6d00bac354dac27771"),
+    ("multihypergraph", 6, 1, "305679be9f19c74d8fdb4fc91339d67e899dd7d4acc7614a24f3ebcac9d1b87a"),
+    ("hypergraph", 6, 1, "739f0f005f52b0b5324c1eca55969a4192f1fd211cd2a05e32e165b9b322c099"),
+    ("multihypergraph", 7, 1, "3ca3de47af41e0d4973702473b493cb4112cd0b497c3058de98c298c71bf252d"),
+    ("hypergraph", 7, 1, "670596eb64a411eaeb014eed2fb51d128e10511c1e12055ee1b4dd373f35f65d"),
+]
+
+
 class TestCensus:
+    @pytest.mark.parametrize("mode,d,n,digest", PINNED_CENSUS)
+    def test_pinned_output(self, capsys, mode, d, n, digest):
+        code, out, _ = run(capsys, "census", "--d", str(d), "--n", str(n), "--mode", mode)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_large_base_is_not_factored(self, capsys):
+        # Factoring this 512 x 512 W in pure Python took minutes; the digest
+        # is of the output that run printed.
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "census", "--d", "512", "--n", "1", "--mode", "multihypergraph",
+            "--budget", str(10**1400),
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "da248a9fefdc344031255c876fa8ca8cb35ab11adc57901a526e43e107f73ef8"
+        )
+
     def test_mod4_histogram(self, capsys):
         code, out, _ = run(
             capsys, "census", "--d", "4", "--n", "1", "--mode", "multihypergraph"

@@ -1,0 +1,121 @@
+"""Paths that do no array work start and finish without importing numpy.
+
+Each check runs in a fresh interpreter, because this test process has
+numpy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import quditgraphs
+from quditgraphs import counting, residues, states
+
+SRC = str(Path(quditgraphs.__file__).resolve().parents[1])
+
+# Runs the CLI as ``python -m quditgraphs`` does and reports, as the last
+# line of stderr, the exit code and whether numpy was imported.
+CLI_PROBE = """
+import json, runpy, sys
+sys.argv = ["quditgraphs", *sys.argv[1:]]
+try:
+    runpy.run_module("quditgraphs", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}), file=sys.stderr)
+"""
+
+
+def _python(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+
+
+def _cli(*argv):
+    result = _python("-c", CLI_PROBE, *argv)
+    return json.loads(result.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "statement", ["import quditgraphs", "import quditgraphs.cli", "import quditgraphs.counting"]
+)
+def test_import_loads_no_numpy(statement):
+    result = _python("-c", f"{statement}; import sys; print('numpy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["census", "--d", "4", "--n", "1", "--mode", "multihypergraph"], 0),
+        (["census", "--d", "2", "--n", "3", "--mode", "hypergraph"], 0),
+        (["census", "--d", "3", "--n", "2", "--mode", "multihypergraph", "--budget", "10"], 3),
+        (["census", "--d", "0", "--n", "1", "--mode", "hypergraph"], 2),
+        (["frobnicate"], 2),
+        (["identity-check", "--d", "10", "--n", "10"], 3),
+    ],
+    ids=["census", "census-hypergraph", "census-budget", "census-usage", "unknown-verb",
+         "identity-check-limit"],
+)
+def test_cli_path_loads_no_numpy(argv, code):
+    assert _cli(*argv) == {"code": code, "numpy": False}
+
+
+def test_array_verbs_still_load_numpy():
+    # The probe itself can see numpy: a matrix request needs it.
+    assert _cli("matrix", "--d", "3", "--block", "1") == {"code": 0, "numpy": True}
+
+
+def test_importtime_lists_no_numpy_module():
+    result = _python(
+        "-X", "importtime", "-m", "quditgraphs",
+        "census", "--d", "4", "--n", "1", "--mode", "multihypergraph",
+    )
+    assert result.returncode == 0, result.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
+    assert "quditgraphs.counting" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+class TestLazyExports:
+    def test_dir_lists_exports_before_they_load(self):
+        result = _python(
+            "-c",
+            "import quditgraphs, sys; "
+            "print(set(quditgraphs.__all__) <= set(dir(quditgraphs)), 'numpy' in sys.modules)",
+        )
+        assert result.stdout.split() == ["True", "False"], result.stderr
+
+    def test_every_exported_name_resolves(self):
+        for name in quditgraphs.__all__:
+            assert getattr(quditgraphs, name) is not None
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from quditgraphs import *", namespace)
+        assert set(quditgraphs.__all__) <= set(namespace)
+        assert namespace["census"] is counting.census
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            quditgraphs.no_such_name
+
+    def test_size_limit_is_one_class(self):
+        assert quditgraphs.SizeLimit is states.SizeLimit is residues.SizeLimit
+
+    def test_census_is_one_function(self):
+        from quditgraphs import cli, correspondence
+
+        assert quditgraphs.census is correspondence.census is counting.census
+        assert cli.counting is counting

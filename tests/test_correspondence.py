@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from collections import Counter
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditgraphs import correspondence
+from quditgraphs import correspondence, counting
 from quditgraphs.correspondence import (
     HYPERGRAPH,
     MODES,
@@ -24,7 +25,7 @@ from quditgraphs.correspondence import (
     system_fingerprint,
 )
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
-from quditgraphs.residues import NonPrimeModulus, PrimeSolver, SmithSolver
+from quditgraphs.residues import NonPrimeModulus, PrimeSolver, SmithSolver, kernel_size
 from quditgraphs.states import PhaseFunction, SizeLimit, build_state
 
 from helpers import brute_force_solutions, phase_table_of_map, random_edge_map
@@ -464,3 +465,38 @@ class TestNoDenseSystem:
             assert solution.consistent == reference_solution.consistent
             assert solution.count == reference_solution.count
         assert census(d, n, mode) == expected_census
+
+
+def _closed_form_kernel(d, n, mode):
+    return kernel_size(counting._factorial_diagonal(d, mode), d, n)
+
+
+class TestClosedFormKernel:
+    """The kernel size from the closed-form Smith diagonal s! of W against
+    the Smith form the solver computes, and against the dense system."""
+
+    @pytest.mark.parametrize("d", range(2, 41))
+    def test_matches_the_kronecker_solver(self, d):
+        n = 1
+        while d**n <= 3000:
+            for mode in MODES:
+                solver = correspondence._kronecker_solver(d, n, mode)
+                per_tuple = math.prod(solver.gcd.reshape(-1).tolist())
+                assert _closed_form_kernel(d, n, mode) == solver.count == per_tuple, (d, n, mode)
+            n += 1
+
+    @pytest.mark.parametrize(
+        "d,n", [(d, n) for d in range(2, 9) for n in range(1, 4) if d**n <= 36]
+    )
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_the_dense_smith_solver(self, d, n, mode):
+        system = build_system(pf(d, n, [0] * d**n), mode)
+        zero = SmithSolver(system.matrix).solve([0] * system.matrix.rows)
+        assert _closed_form_kernel(d, n, mode) == zero.count
+
+    def test_large_base_matches_legendre(self):
+        # gcd(s!, 2^9) over s < 512, with v_2(s!) = s - popcount(s) (Legendre).
+        kernel = math.prod(2 ** min(s - bin(s).count("1"), 9) for s in range(512))
+        total = 512**511
+        report = census(512, 1, MULTIHYPERGRAPH, budget=10**1400)
+        assert report.histogram_dict() == {0: total - total // kernel, kernel: total // kernel}

@@ -16,6 +16,7 @@ from quditgraphs.residues import (
     PrimeSolver,
     RingMatrix,
     SmithSolver,
+    kernel_size,
     power_at_least,
     smith_normal_form,
 )
@@ -341,6 +342,28 @@ class TestKroneckerSolver:
             KroneckerSolver(RingMatrix.identity(2, 5), 2).solve([0, 0, 0])
         with pytest.raises(ValueError):
             KroneckerSolver(RingMatrix.identity(2, 5), 2).solve([[0, 0, 0, 0]])
+
+
+class TestKernelSize:
+    @given(
+        d=st.integers(2, 60),
+        diagonal=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+        n=st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_product_over_every_tuple(self, d, diagonal, n):
+        expected = math.prod(
+            math.gcd(math.prod(entries), d) for entries in product(diagonal, repeat=n)
+        )
+        assert kernel_size(diagonal, d, n) == expected
+
+    def test_units_give_a_trivial_kernel(self):
+        assert kernel_size([1, 5, 7], 12, 9) == 1
+
+    def test_zero_entries_are_fully_free(self):
+        # gcd(0, d) = d: one zero on the diagonal of a 2 x 2 base, power 3,
+        # leaves 2^3 - 1 = 7 tuples with a zero factor.
+        assert kernel_size([1, 0], 6, 3) == 6**7
 
 
 class TestPowerAtLeast:

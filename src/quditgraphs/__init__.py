@@ -3,10 +3,11 @@
 States live as integer phase tables f: Z_d^n -> Z_d; diagonal edge gates add
 monomials, stabilizer generators are verified exactly, and the correspondence
 between phase tables and edge weights is decided by exact linear algebra over
-Z_d: one Kronecker Smith-form solve for every d and both modes, which
-factors only the small digit-power matrix W[i][s] = i^s mod d, never the
-d^n-sized system. The census needs no solve at all: the Smith form of W is
-diag(s!), so the kernel size has a closed form.
+Z_d: one Kronecker solve for every d and both modes on the small
+digit-power matrix W[i][s] = i^s mod d, never the d^n-sized system. W's
+Smith form is diag(s!) with Pascal and Stirling matrices as its unimodular
+factors, so the solve factors nothing, and the census needs no solve at
+all: the kernel size has a closed form.
 
 Exports load on first use (PEP 562), so ``import quditgraphs`` and the
 census import no numpy; the state and solver names load it.
@@ -56,7 +57,6 @@ _EXPORTS = {
     "hyperedge": "graphs",
     "plus_state": "states",
     "representability_constraints": "correspondence",
-    "smith_normal_form": "residues",
     "solve_weights": "correspondence",
     "states_equal": "states",
     "to_dense": "states",

@@ -18,16 +18,17 @@ W^{⊗n} x = f with the digit-power matrix W[i][s] = i^s mod d (0^0 = 1),
 s in 0..d-1 (multihypergraph) or {0, 1} (hypergraph). Row i = 0 pins
 m_0 = f(0) = 0, so the solutions are exactly those of the canonical system.
 ``solve_weights`` solves it for every d and both modes with one Kronecker
-Smith-form solve (``residues.KroneckerSolver``): only the small W is
-factored, and solution counts are exact. ``census`` solves no table and
-factors nothing: the reachable tables are the image of the linear map,
-d^{#vars} / K of them for a kernel of size K, and each has exactly K
-solutions; K has a closed form, as the Smith form of W is diag(s!). W and
-the column of each variable in W^{⊗n} fix the whole system, so
-``system_fingerprint`` hashes those. ``census``, the fingerprint and the
-variable order live in the numpy-free ``counting`` module and are
-re-exported here. Only ``build_system`` and ``representability_constraints``
-(its left nullspace, prime d) assemble the dense canonical matrix.
+solve (``residues.KroneckerSolver``) on the closed-form factor
+U·W·V = diag(s!) of the small W (``counting.smith_factor``), so nothing is
+factored and solution counts are exact. ``census`` solves no table: the
+reachable tables are the image of the linear map, d^{#vars} / K of them for
+a kernel of size K, and each has exactly K solutions; K has a closed form
+in the diagonal s!. W and the column of each variable in W^{⊗n} fix the
+whole system, so ``system_fingerprint`` hashes those. ``census``, the
+factor, the fingerprint and the variable order live in the numpy-free
+``counting`` module and are re-exported here. ``representability_constraints``
+reads rows of U^{⊗n}; only ``build_system`` assembles the dense canonical
+matrix.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .counting import (
     _fingerprint,
     _variables,
     census,
+    smith_factor,
     system_fingerprint,
 )
 from .graphs import MultiHyperedge, WeightedEdgeMap
@@ -56,10 +58,10 @@ from .residues import (
     KroneckerSolver,
     Modulus,
     NonPrimeModulus,
-    PrimeSolver,
     RingMatrix,
     SizeLimit,
     SolutionSet,
+    _power_rows,
     power_at_least,
 )
 from .states import PhaseFunction, build_state, digits_of
@@ -90,8 +92,9 @@ def _ring_matrix(array: np.ndarray, d: int) -> RingMatrix:
 
 
 def _kronecker_solver(d: int, n: int, mode: str) -> KroneckerSolver:
-    """The solver of W^{⊗n} x = f for the mode's digit-power matrix W."""
-    return KroneckerSolver(_ring_matrix(_digit_powers(d, mode), d), n)
+    """The solver of W^{⊗n} x = f from the closed-form factor of the mode's
+    digit-power matrix W; raises SizeLimit first when that factor is too large."""
+    return KroneckerSolver(*smith_factor(d, mode), d=d, power=n)
 
 
 @lru_cache(maxsize=None)
@@ -239,13 +242,18 @@ def coefficient_block(d: int, size: int, limit: int | None = None) -> RingMatrix
 
 
 def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, ...]]:
-    """Left-nullspace basis of the coefficient matrix (prime d only).
+    """A basis of the left nullspace of the coefficient matrix (prime d only).
 
     A canonical table is reachable iff every basis vector y has
-    y . rhs = 0 (mod d), rhs taken in equation order.
+    y . rhs = 0 (mod d), rhs taken in equation order. The vectors are the
+    rows j of U^{⊗n} whose divisor is d (``residues.KroneckerSolver``), for
+    the closed-form factor U·W·V = D: some digit j_v >= k, or
+    prod_v D[j_v] = 0 (mod d). Column 0 is dropped, as f(0) = 0. Row j has
+    its unit pivot at column j != 0, so the rows are independent.
     """
     _check_mode(mode)
-    _, _, matrix = _system_parts(d, n, mode)
-    if not matrix.modulus.is_prime:
+    if not Modulus(d).is_prime:
         raise NonPrimeModulus(f"modulus {d} is not prime")
-    return PrimeSolver(matrix).left_nullspace()
+    solver = _kronecker_solver(d, n, mode)
+    picked = np.flatnonzero(solver.divisor.reshape(-1) == d)
+    return [tuple(row) for row in _power_rows(solver.u, picked, n, d)[:, 1:].tolist()]

@@ -18,6 +18,11 @@ kernel of W^{⊗n} over Z_d then has K = prod_{j in [k]^n} gcd(prod_v j_v!, d)
 elements (``residues.kernel_size``). Every reachable table has exactly K weight
 solutions, so R = d^{#vars} / K tables are reachable, and no table and no
 factorisation is needed to count them.
+
+``smith_factor`` builds the inverses U = P^{-1} and V = (S^T)^{-1} by
+recurrences mod d, so U·W·V = D. It is the package's only factor of W:
+``solve`` hands it to ``residues.KroneckerSolver``, and ``census`` reads its
+diagonal alone (``_factorial_diagonal``).
 """
 
 from __future__ import annotations
@@ -25,9 +30,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from typing import Sequence
 
 from .graphs import MultiHyperedge, enumerate_hyperedges, enumerate_multihyperedges
-from .residues import kernel_size, power_at_least
+from .residues import DEFAULT_TABLE_LIMIT, SizeLimit, kernel_size, power_at_least
 
 HYPERGRAPH = "hypergraph"
 MULTIHYPERGRAPH = "multihypergraph"
@@ -52,18 +59,58 @@ def _exponent_count(d: int, mode: str) -> int:
 
 
 def _digit_power_rows(d: int, mode: str) -> list[list[int]]:
-    """W[i][s] = i^s mod d with 0^0 = 1, for i in 0..d-1 and s in 0..k-1."""
-    k = _exponent_count(d, mode)
-    return [[pow(i, s, d) for s in range(k)] for i in range(d)]
+    """W[i][s] = i^s mod d with 0^0 = 1, for i in 0..d-1 and s in 0..k-1,
+    each row a running product. Entries are taken from ``residue``, so the
+    d·k of them share d int objects and cost a pointer each."""
+    k, residue = _exponent_count(d, mode), list(range(d))
+    return [
+        list(accumulate(repeat(i, k - 1), lambda power, _: residue[power * i % d], initial=1))
+        for i in range(d)
+    ]
 
 
 def _factorial_diagonal(d: int, mode: str) -> list[int]:
-    """The Smith diagonal of W reduced mod d: s! mod d for s in 0..k-1."""
+    """The diagonal of ``smith_factor``: s! mod d for s in 0..k-1. The census
+    needs nothing else, so it reads this alone and stays O(k)."""
     diagonal, value = [], 1
     for s in range(_exponent_count(d, mode)):
         value = value * max(s, 1) % d
         diagonal.append(value)
     return diagonal
+
+
+def _signed_triangle(steps: Sequence[int], d: int) -> list[list[int]]:
+    """The square T with T[0] = e_0 and T[r+1][c] = T[r][c-1] - steps[r]·T[r][c]
+    (mod d), T[r][-1] = 0: lower unitriangular, one row per step plus one.
+    Entries share one int object per residue, as in ``_digit_power_rows``."""
+    rows, residue = [[1]], list(range(d))
+    for step in steps:
+        row = rows[-1]
+        rows.append([residue[(left - step * here) % d] for left, here in zip([0] + row, row + [0])])
+    for row in rows:
+        row.extend([0] * (len(rows) - len(row)))
+    return rows
+
+
+def smith_factor(d: int, mode: str) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """U, the diagonal s! and V with U·W·V = diag(s!) (mod d); see the module
+    docstring. Built by recurrences mod d in O(d^2) steps, nothing factored:
+
+    * U[i][t] = (-1)^(i-t)·C(i, t), d x d, from Pascal's rule;
+    * V[s][t] = s(t, s), k x k, the signed Stirling numbers of the first kind
+      from s(t+1, s) = s(t, s-1) - t·s(t, s), so V is upper unitriangular.
+
+    Raises SizeLimit before building anything when U's d^2 entries, the most
+    of any part (W has d·k), would reach the table limit.
+    """
+    if d * d >= DEFAULT_TABLE_LIMIT:
+        raise SizeLimit(
+            f"the factor of the base W holds {d} x {d} entries, which meets or exceeds "
+            f"the limit {DEFAULT_TABLE_LIMIT}"
+        )
+    pascal = _signed_triangle([1] * (d - 1), d)
+    stirling = _signed_triangle(range(_exponent_count(d, mode) - 1), d)
+    return pascal, _factorial_diagonal(d, mode), [list(column) for column in zip(*stirling)]
 
 
 def _variables(d: int, n: int, mode: str) -> tuple[tuple[MultiHyperedge, ...], list[int]]:

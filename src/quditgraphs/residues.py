@@ -1,19 +1,11 @@
-"""Exact arithmetic and linear algebra over Z_d and over GF(q) for prime q.
+"""Exact arithmetic over Z_d and Kronecker-power solves.
 
-Results are exact for any modulus. Dense systems A·x = b (mod d) are solved
-on plain Python integers two ways:
-
-* prime modulus: Gaussian elimination over the field (``PrimeSolver``),
-* any modulus: Smith normal form of the integer lift of A with explicit
-  unimodular transforms (``SmithSolver``), which also yields the exact
-  solution count.
-
-Both solvers factor the matrix once and can then answer many right-hand
-sides. Systems whose matrix is a Kronecker power W ⊗ ... ⊗ W of a small base
-go through ``KroneckerSolver``, which factors only W and works on numpy
-tensors with entries reduced mod d. The kernel size of such a power needs
-neither a right-hand side nor numpy: ``kernel_size`` reads it off the
-diagonal of the base's Smith form.
+Systems whose matrix is a Kronecker power W ⊗ ... ⊗ W of a small base go
+through ``KroneckerSolver``. It takes a factor U·W·V = D of the base mod d,
+with U and V invertible and D diagonal, factors nothing itself, and works on
+numpy tensors with entries reduced mod d. Solution counts are exact for any
+modulus. The kernel size of such a power needs neither a right-hand side nor
+numpy: ``kernel_size`` reads it off the diagonal of D.
 
 Only ``KroneckerSolver`` uses numpy, and it imports numpy when it runs, so
 this module, the size limits and ``kernel_size`` load without it.
@@ -26,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -141,10 +133,6 @@ class RingMatrix:
         flat = tuple(x % d for row in rows for x in row)
         return cls(nrows, ncols, flat, modulus)
 
-    @classmethod
-    def identity(cls, n: int, d: int) -> "RingMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], d)
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -154,14 +142,6 @@ class RingMatrix:
 
     def row_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def mul_vector(self, x: Sequence[int]) -> tuple[int, ...]:
-        if len(x) != self.cols:
-            raise ValueError("vector length mismatch")
-        d = self.modulus.d
-        return tuple(
-            sum(a * v for a, v in zip(self.row(i), x)) % d for i in range(self.rows)
-        )
 
 
 @dataclass(frozen=True)
@@ -216,252 +196,6 @@ def _no_solution(modulus: Modulus) -> SolutionSet:
     return SolutionSet(modulus, False, None, 0, ())
 
 
-class PrimeSolver:
-    """Row-reduce a matrix over GF(q) once, then solve many right-hand sides."""
-
-    def __init__(self, matrix: RingMatrix):
-        if not matrix.modulus.is_prime:
-            raise NonPrimeModulus(f"modulus {matrix.modulus.d} is not prime")
-        self.matrix = matrix
-        self.q = matrix.modulus.d
-        q = self.q
-        m, n = matrix.rows, matrix.cols
-        a = matrix.row_lists()
-        # Carry the identity along so that u @ A = reduced form.
-        u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        pivots: list[int] = []
-        r = 0
-        for col in range(n):
-            pivot_row = next((i for i in range(r, m) if a[i][col] % q), None)
-            if pivot_row is None:
-                continue
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            u[r], u[pivot_row] = u[pivot_row], u[r]
-            inv = pow(a[r][col], -1, q)
-            a[r] = [x * inv % q for x in a[r]]
-            u[r] = [x * inv % q for x in u[r]]
-            for i in range(m):
-                if i != r and a[i][col]:
-                    factor = a[i][col]
-                    a[i] = [(x - factor * p) % q for x, p in zip(a[i], a[r])]
-                    u[i] = [(x - factor * p) % q for x, p in zip(u[i], u[r])]
-            pivots.append(col)
-            r += 1
-            if r == m:
-                break
-        self.reduced = a
-        self.transform = u
-        self.pivots = pivots
-        self.rank = len(pivots)
-        self.free_cols = [j for j in range(n) if j not in set(pivots)]
-
-    def kernel_basis(self) -> list[tuple[int, ...]]:
-        """Basis of {x : A x = 0}, one vector per free column."""
-        q, n = self.q, self.matrix.cols
-        basis = []
-        for j in self.free_cols:
-            vec = [0] * n
-            vec[j] = 1
-            for r, p in enumerate(self.pivots):
-                vec[p] = -self.reduced[r][j] % q
-            basis.append(tuple(vec))
-        return basis
-
-    def left_nullspace(self) -> list[tuple[int, ...]]:
-        """Canonical basis of {y : y^T A = 0}, each vector with leading entry 1."""
-        rows = [tuple(self.transform[i]) for i in range(self.rank, self.matrix.rows)]
-        return _row_space_basis(rows, self.q)
-
-    def solve(self, rhs: Sequence[int]) -> SolutionSet:
-        q = self.q
-        m, n = self.matrix.rows, self.matrix.cols
-        if len(rhs) != m:
-            raise ValueError("rhs length mismatch")
-        c = [sum(u_ij * b for u_ij, b in zip(self.transform[i], rhs)) % q for i in range(m)]
-        modulus = self.matrix.modulus
-        if any(c[i] for i in range(self.rank, m)):
-            return _no_solution(modulus)
-        x = [0] * n
-        for r, p in enumerate(self.pivots):
-            x[p] = c[r]
-        generators = tuple((vec, q) for vec in self.kernel_basis())
-        return SolutionSet(modulus, True, tuple(x), q ** len(self.free_cols), generators)
-
-
-def _row_space_basis(rows: Iterable[tuple[int, ...]], q: int) -> list[tuple[int, ...]]:
-    """Reduced row-echelon basis of the span of ``rows`` over GF(q)."""
-    work = [list(r) for r in rows]
-    if not work:
-        return []
-    n = len(work[0])
-    basis: list[list[int]] = []
-    for row in work:
-        for b in basis:
-            lead = next(j for j, x in enumerate(b) if x)
-            if row[lead]:
-                f = row[lead]
-                row[:] = [(x - f * y) % q for x, y in zip(row, b)]
-        if any(row):
-            lead = next(j for j, x in enumerate(row) if x)
-            inv = pow(row[lead], -1, q)
-            basis.append([x * inv % q for x in row])
-            basis.sort(key=lambda b: next(j for j, x in enumerate(b) if x))
-    # Back-substitute to make the basis fully reduced.
-    for i, b in enumerate(basis):
-        for other in basis[:i]:
-            lead = next(j for j, x in enumerate(b) if x)
-            if other[lead]:
-                f = other[lead]
-                other[:] = [(x - f * y) % q for x, y in zip(other, b)]
-    return [tuple(b) for b in basis]
-
-
-def smith_normal_form(
-    rows: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form of an integer matrix.
-
-    Returns (D, U, V) with U·A·V = D, U and V unimodular, D diagonal with
-    non-negative entries satisfying the divisibility chain d1 | d2 | ...
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[int(x) for x in row] for row in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    for t in range(min(m, n)):
-        while True:
-            # Move the smallest nonzero entry of the trailing block to (t, t).
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            if best[0] != t:
-                swap_rows(t, best[0])
-            if best[1] != t:
-                swap_cols(t, best[1])
-            if a[t][t] < 0:
-                negate_row(t)
-            # Clear the rest of column t and row t.
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    dirty = dirty or bool(a[i][t])
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    dirty = dirty or bool(a[t][j])
-            if dirty:
-                continue
-            # Enforce divisibility: the pivot must divide the whole block.
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if t < min(m, n) and a[t][t] < 0:
-            negate_row(t)
-    d = [[a[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
-    return d, u, v
-
-
-class SmithSolver:
-    """Solve A·x = b (mod d) for arbitrary d via the Smith form of A's integer lift."""
-
-    def __init__(self, matrix: RingMatrix):
-        self.matrix = matrix
-        self.d = matrix.modulus.d
-        if matrix.rows == 0:
-            dmat: list[list[int]] = []
-            u: list[list[int]] = []
-            v = [[1 if i == j else 0 for j in range(matrix.cols)] for i in range(matrix.cols)]
-        else:
-            dmat, u, v = smith_normal_form(matrix.row_lists())
-        self.diag = [dmat[i][i] for i in range(min(matrix.rows, matrix.cols))]
-        self.u = u
-        self.v = v
-
-    def solve(self, rhs: Sequence[int]) -> SolutionSet:
-        d = self.d
-        m, n = self.matrix.rows, self.matrix.cols
-        if len(rhs) != m:
-            raise ValueError("rhs length mismatch")
-        modulus = self.matrix.modulus
-        c = [sum(u_ij * b for u_ij, b in zip(self.u[i], rhs)) % d for i in range(m)]
-        # Substituting x = V y turns A x = b into the diagonal system D y = U b.
-        y = [0] * n
-        generators: list[tuple[tuple[int, ...], int]] = []
-        count = 1
-        for i in range(n):
-            di = self.diag[i] if i < len(self.diag) else 0
-            g = math.gcd(di, d)
-            if i < m or di:
-                ci = c[i] if i < m else 0
-                if g == d:
-                    if ci % d:
-                        return _no_solution(modulus)
-                    y[i] = 0
-                else:
-                    if ci % g:
-                        return _no_solution(modulus)
-                    step = d // g
-                    y[i] = (ci // g) * pow(di // g, -1, step) % step
-                count *= g
-                if g > 1:
-                    generators.append((self._v_column(i, d // g), g))
-            else:
-                # Column with no diagonal constraint at all: fully free.
-                count *= d
-                generators.append((self._v_column(i, 1), d))
-        # Rows beyond the diagonal demand c_i = 0 outright.
-        for i in range(n, m):
-            if c[i] % d:
-                return _no_solution(modulus)
-        x = tuple(
-            sum(self.v[r][j] * y[j] for j in range(n)) % d for r in range(n)
-        )
-        return SolutionSet(modulus, True, x, count, tuple(generators))
-
-    def _v_column(self, j: int, scale: int) -> tuple[int, ...]:
-        d = self.d
-        return tuple(self.v[r][j] * scale % d for r in range(len(self.v)))
-
-
 def _apply_on_every_axis(matrix: np.ndarray, tensor: np.ndarray, d: int) -> np.ndarray:
     """(matrix ⊗ ... ⊗ matrix) applied mod d to a tensor, one factor per axis.
 
@@ -479,54 +213,63 @@ class KroneckerSolver:
     """Solve (W ⊗ ... ⊗ W)·x = b (mod d), ``power`` factors, for any d >= 2.
 
     Unknowns and equations are digit tuples in flat order, first digit most
-    significant. Only the small base W (m x k, m >= k) is factored: with
-    U·W·V = D its Smith form, the mixed-product property gives
-    U^{⊗n}·W^{⊗n}·V^{⊗n} = D^{⊗n}, whose only nonzero entries sit at (j, j)
-    for tuples j with every digit below k, with value prod_v D[j_v][j_v].
+    significant. The base W (m x k, m >= k) enters only through a factor
+    U·W·V = D mod d, with U (m x m) and V (k x k) invertible mod d and D the
+    m x k matrix with ``diagonal`` on its diagonal. The mixed-product property
+    gives U^{⊗n}·W^{⊗n}·V^{⊗n} = D^{⊗n}, whose only nonzero entries sit at
+    (j, j) for tuples j with every digit below k, with value prod_v D[j_v].
     So a solve is n tensor passes to form c = U^{⊗n} b, one elementwise
     division y_j = c_j / D_j (mod d) with exactly gcd(D_j, d) choices each,
     and n passes back to x = V^{⊗n} y. Equations j with a digit >= k have
     no diagonal entry and demand c_j = 0.
     """
 
-    def __init__(self, base: RingMatrix, power: int):
-        if base.rows < base.cols:
-            raise ValueError("the base needs at least as many rows as columns")
-        if power < 1:
-            raise ValueError("power must be >= 1")
+    def __init__(
+        self,
+        u: Sequence[Sequence[int]],
+        diagonal: Sequence[int],
+        v: Sequence[Sequence[int]],
+        *,
+        d: int,
+        power: int,
+    ):
         import numpy as np
 
-        d = base.modulus.d
-        self.modulus = base.modulus
+        self.u, self.v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+        self.u %= d
+        self.v %= d
+        m, k = len(self.u), len(diagonal)
+        if self.u.shape != (m, m) or self.v.shape != (k, k) or m < k:
+            raise ValueError("need U m x m, V k x k and k diagonal entries, with m >= k")
+        if power < 1:
+            raise ValueError("power must be >= 1")
+        self.modulus = Modulus(d)
         self.d, self.power = d, power
-        self.rows, self.cols = base.rows, base.cols
-        dmat, u, v = smith_normal_form(base.row_lists())
-        self.smith_diagonal = [dmat[j][j] for j in range(base.cols)]
-        self.u = np.array([[x % d for x in row] for row in u], dtype=np.int64)
-        self.v = np.array([[x % d for x in row] for row in v], dtype=np.int64)
-        # diagonal[j] = prod_v D[j_v][j_v] mod d over the k^n column tuples.
-        diag = np.array([x % d for x in self.smith_diagonal], dtype=np.int64)
-        diagonal = diag
+        self.rows, self.cols = m, k
+        self.diagonal = list(diagonal)
+        # entries[j] = prod_v D[j_v] mod d over the k^n column tuples.
+        diag = np.array([x % d for x in diagonal], dtype=np.int64)
+        entries = diag
         for _ in range(power - 1):
-            diagonal = np.multiply.outer(diagonal, diag) % d
+            entries = np.multiply.outer(entries, diag) % d
         # Per residue a of the diagonal: g = gcd(a, d), and the inverse of
         # a / g modulo d / g that turns c = a·y into y = (c / g)·inverse.
         gcds = [math.gcd(a, d) for a in range(d)]
         inverses = [
             pow(a // g, -1, d // g) if g < d else 0 for a, g in zip(range(d), gcds)
         ]
-        self.gcd = np.array(gcds, dtype=np.int64)[diagonal]
-        self.inverse = np.array(inverses, dtype=np.int64)[diagonal]
+        self.gcd = np.array(gcds, dtype=np.int64)[entries]
+        self.inverse = np.array(inverses, dtype=np.int64)[entries]
         # c_j must be a multiple of divisor_j: g_j on the diagonal, and d
         # (so c_j = 0) on the equations without a diagonal entry.
-        self.divisor = np.full((self.rows,) * power, d, dtype=np.int64)
-        self.divisor[(slice(0, self.cols),) * power] = self.gcd
+        self.divisor = np.full((m,) * power, d, dtype=np.int64)
+        self.divisor[(slice(0, k),) * power] = self.gcd
 
     @cached_property
     def count(self) -> int:
         """Solutions of every consistent right-hand side: the kernel size,
         prod_j g_j. Computed on first use, as it can have millions of digits."""
-        return kernel_size(self.smith_diagonal, self.d, self.power)
+        return kernel_size(self.diagonal, self.d, self.power)
 
     def solve(self, rhs: Sequence[int] | np.ndarray) -> SolutionSet:
         import numpy as np
@@ -547,14 +290,21 @@ class KroneckerSolver:
         """Column j of V^{⊗n} scaled by d / g_j, of order g_j, for every g_j > 1."""
         import numpy as np
 
-        d, k = self.d, self.cols
+        d = self.d
         gcd = self.gcd.reshape(-1)
         free = np.flatnonzero(gcd > 1)
-        digits = np.unravel_index(free, (k,) * self.power)
-        columns = np.ones((len(free), 1), dtype=np.int64)
-        for digit in digits:
-            factor = self.v.T[digit]  # row f holds column digit[f] of V
-            outer = columns[:, :, None] * factor[:, None, :]
-            columns = outer.reshape(len(free), columns.shape[1] * k) % d
-        columns = columns * (d // gcd[free])[:, None] % d
+        columns = _power_rows(self.v.T, free, self.power, d) * (d // gcd[free])[:, None] % d
         return tuple(zip(map(tuple, columns.tolist()), gcd[free].tolist()))
+
+
+def _power_rows(matrix: np.ndarray, picked: np.ndarray, power: int, d: int) -> np.ndarray:
+    """Rows ``picked`` (flat digit-tuple indices) of matrix^{⊗power} mod d,
+    one Kronecker factor at a time, without building the power."""
+    import numpy as np
+
+    rows = np.ones((len(picked), 1), dtype=np.int64)
+    for digit in np.unravel_index(picked, (len(matrix),) * power):
+        factor = matrix[digit]  # row f holds row digit[f] of matrix
+        outer = rows[:, :, None] * factor[:, None, :]
+        rows = outer.reshape(len(picked), rows.shape[1] * factor.shape[1]) % d
+    return rows

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import resource
 import subprocess
@@ -17,7 +18,10 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import quditgraphs
+from quditgraphs import graphs
 from quditgraphs.cli import main
+
+from helpers import phase_table_of_map, random_edge_map
 
 WORKED_GRAPH = {
     "d": 3,
@@ -207,6 +211,25 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--phases", phases, "--mode", "hypergraph")
         assert code == 2 and "f(0" in err
 
+    @pytest.mark.parametrize("built", [False, True])
+    def test_large_base_is_not_factored(self, tmp_path, capsys, built):
+        # Factoring this 512 x 512 W by elimination took about 2 minutes.
+        d = 512
+        phases = [0] * d
+        if built:
+            phases = phase_table_of_map(random_edge_map(random.Random(512), d, 1))
+        path = write_json(tmp_path / "p.json", {"d": d, "n": 1, "phases": phases})
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "solve", "--phases", path, "--mode", "multihypergraph")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        payload = json.loads(out)
+        # gcd(s!, 2^9) over s < 512, with v_2(s!) = s - popcount(s) (Legendre).
+        kernel = math.prod(2 ** min(s - bin(s).count("1"), 9) for s in range(d))
+        assert payload["consistent"] and payload["count"] == kernel
+        rebuilt = phase_table_of_map(graphs.from_json(json.dumps(payload["solution"])))
+        assert rebuilt == phases
+
     def test_round_trip_via_files(self, tmp_path, capsys):
         graph = write_json(tmp_path / "g.json", WORKED_GRAPH)
         code, out, _ = run(capsys, "build-state", "--graph", graph)
@@ -290,6 +313,16 @@ class TestLimitsBeforeWork:
         payload = json.loads(result.stdout)
         assert payload["consistent"] and payload["count"] == 1
         assert payload["solution"] == {"d": 2, "n": 14, "edges": []}
+
+    @pytest.mark.parametrize("mode", ["hypergraph", "multihypergraph"])
+    def test_solve_refuses_an_oversized_base(self, tmp_path, mode):
+        # A valid 4099-entry table, but the factor of its base has 4099^2 entries.
+        phases = write_json(tmp_path / "p.json", {"d": 4099, "n": 1, "phases": [0] * 4099})
+        start = time.perf_counter()
+        result = run_capped("solve", "--phases", phases, "--mode", mode)
+        assert time.perf_counter() - start < 1.0
+        assert result.returncode == 3 and result.stdout == ""
+        assert "4099 x 4099" in result.stderr and "limit" in result.stderr
 
     @pytest.mark.parametrize("d,n", [(4, 7), (6, 5)])
     def test_solve_refuses_huge_kernel_generators(self, tmp_path, d, n):

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -25,10 +26,11 @@ from quditgraphs.correspondence import (
     system_fingerprint,
 )
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
-from quditgraphs.residues import NonPrimeModulus, PrimeSolver, SmithSolver, kernel_size
+from quditgraphs.residues import KroneckerSolver, NonPrimeModulus, kernel_size
 from quditgraphs.states import PhaseFunction, SizeLimit, build_state
 
 from helpers import brute_force_solutions, phase_table_of_map, random_edge_map
+from oracles import PrimeSolver, SmithSolver, smith_factor_of
 
 WORKED_TABLE = PhaseFunction(3, 2, np.array([0, 1, 0, 1, 1, 0, 0, 1, 0]))
 WORKED_WEIGHTS = {
@@ -43,6 +45,14 @@ WORKED_WEIGHTS = {
 
 def pf(d, n, entries):
     return PhaseFunction(d, n, np.array(entries))
+
+
+@lru_cache(maxsize=None)
+def dense_reference(d, n, mode):
+    """The dense oracle solver factored once per (d, n, mode): elimination
+    over GF(d) for prime d, the Smith form otherwise."""
+    matrix = build_system(pf(d, n, [0] * d**n), mode).matrix
+    return PrimeSolver(matrix) if matrix.modulus.is_prime else SmithSolver(matrix)
 
 
 class TestBuildSystem:
@@ -260,8 +270,7 @@ class TestDifferential:
     @pytest.mark.parametrize("d,n,mode", _differential_cases())
     def test_random_and_built_tables(self, d, n, mode):
         rng = random.Random(f"{d}:{n}:{mode}")
-        matrix = build_system(pf(d, n, [0] * d**n), mode).matrix
-        reference = PrimeSolver(matrix) if matrix.modulus.is_prime else SmithSolver(matrix)
+        reference = dense_reference(d, n, mode)
         tables = [build_state(_random_kind_map(rng, d, n, mode)) for _ in range(3)]
         tables += [pf(d, n, [0] + [rng.randrange(d) for _ in range(d**n - 1)]) for _ in range(3)]
         for table in tables:
@@ -275,9 +284,7 @@ class TestDifferential:
             table = build_state(_random_kind_map(rnd, d, n, mode))
         else:
             table = pf(d, n, [0] + [rnd.randrange(d) for _ in range(d**n - 1)])
-        matrix = build_system(table, mode).matrix
-        reference = PrimeSolver(matrix) if matrix.modulus.is_prime else SmithSolver(matrix)
-        _assert_agrees(table, mode, reference)
+        _assert_agrees(table, mode, dense_reference(d, n, mode))
 
 
 class TestCoefficientBlock:
@@ -332,6 +339,25 @@ class TestRepresentabilityConstraints:
     def test_composite_rejected(self):
         with pytest.raises(NonPrimeModulus):
             representability_constraints(4, 1, MULTIHYPERGRAPH)
+
+    @pytest.mark.parametrize(
+        "d,n,mode",
+        [(d, n, mode) for d in (2, 3, 5, 7) for n in range(1, 9) if d**n <= 400 for mode in MODES],
+    )
+    def test_spans_the_dense_left_nullspace(self, d, n, mode):
+        # Rows of U^{⊗n} against elimination on the dense system.
+        width = d**n - 1
+        ours = np.array(representability_constraints(d, n, mode), dtype=np.int64).reshape(-1, width)
+        basis = dense_reference(d, n, mode).left_nullspace()
+        expected = np.array(basis, dtype=np.int64).reshape(-1, width)
+        assert ours.shape == expected.shape
+        # In the span of the reduced row-echelon basis: a vector's coordinates
+        # there are its entries at the basis pivots.
+        pivots = (expected != 0).argmax(axis=1)
+        assert (ours[:, pivots] @ expected % d == ours).all()
+        # Independent: the rows end in distinct columns.
+        ends = width - 1 - (ours[:, ::-1] != 0).argmax(axis=1)
+        assert len(set(ends.tolist())) == len(ours)
 
 
 class TestCensus:
@@ -390,8 +416,7 @@ def _census_cases():
 def _per_table_census(d, n, mode):
     """The census by one dense-system solve per table: the slow reference."""
     system = build_system(pf(d, n, [0] * d**n), mode)
-    matrix = system.matrix
-    solver = PrimeSolver(matrix) if matrix.modulus.is_prime else SmithSolver(matrix)
+    solver = dense_reference(d, n, mode)
     histogram = Counter()
     reachable = solution_sum = 0
     for rhs in product(range(d), repeat=d**n - 1):
@@ -451,8 +476,7 @@ class TestNoDenseSystem:
         rng = random.Random(f"factor-only:{d}:{n}:{mode}")
         tables = [build_state(_random_kind_map(rng, d, n, mode))]
         tables += [pf(d, n, [0] + [rng.randrange(d) for _ in range(d**n - 1)]) for _ in range(2)]
-        matrix = build_system(tables[0], mode).matrix
-        reference = PrimeSolver(matrix) if matrix.modulus.is_prime else SmithSolver(matrix)
+        reference = dense_reference(d, n, mode)
         expected = [reference.solve(tuple(int(x) for x in t.table[1:])) for t in tables]
         expected_census = _per_table_census(d, n, mode)
 
@@ -471,16 +495,45 @@ def _closed_form_kernel(d, n, mode):
     return kernel_size(counting._factorial_diagonal(d, mode), d, n)
 
 
+class TestClosedFormFactor:
+    """U·W·V = diag(s!) (mod d) from recurrences, checked by multiplying out."""
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_factors_the_digit_power_matrix(self, d, mode):
+        u, diagonal, v = (np.array(part, dtype=np.int64) for part in counting.smith_factor(d, mode))
+        k = len(diagonal)
+        w = np.array([[pow(i, s, d) for s in range(k)] for i in range(d)], dtype=np.int64)
+        expected = np.zeros((d, k), dtype=np.int64)
+        expected[range(k), range(k)] = [math.factorial(s) % d for s in range(k)]
+        assert (u @ w % d @ v % d == expected).all()
+        # Unitriangular, so invertible over Z: U lower, V upper.
+        assert (u == np.tril(u)).all() and (np.diag(u) == 1).all()
+        assert (v == np.triu(v)).all() and (np.diag(v) == 1).all()
+        assert u.shape == (d, d) and v.shape == (k, k)
+
+    def test_refuses_a_base_at_the_table_limit(self, monkeypatch):
+        # U is d x d in both modes, W only d x k.
+        with pytest.raises(SizeLimit, match="4096 x 4096"):
+            counting.smith_factor(4096, HYPERGRAPH)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", 26)
+        assert len(counting.smith_factor(5, HYPERGRAPH)[0]) == 5
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", 25)
+        with pytest.raises(SizeLimit, match="5 x 5"):
+            counting.smith_factor(5, MULTIHYPERGRAPH)
+
+
 class TestClosedFormKernel:
     """The kernel size from the closed-form Smith diagonal s! of W against
-    the Smith form the solver computes, and against the dense system."""
+    the Smith form found by elimination, and against the dense system."""
 
     @pytest.mark.parametrize("d", range(2, 41))
     def test_matches_the_kronecker_solver(self, d):
         n = 1
         while d**n <= 3000:
             for mode in MODES:
-                solver = correspondence._kronecker_solver(d, n, mode)
+                rows = counting._digit_power_rows(d, mode)
+                solver = KroneckerSolver(*smith_factor_of(rows, d), d=d, power=n)
                 per_tuple = math.prod(solver.gcd.reshape(-1).tolist())
                 assert _closed_form_kernel(d, n, mode) == solver.count == per_tuple, (d, n, mode)
             n += 1

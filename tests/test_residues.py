@@ -13,21 +13,26 @@ from quditgraphs.residues import (
     KroneckerSolver,
     Modulus,
     NonPrimeModulus,
-    PrimeSolver,
     RingMatrix,
-    SmithSolver,
     kernel_size,
     power_at_least,
-    smith_normal_form,
 )
 
 from helpers import brute_force_solutions, random_matrix_rows
+from oracles import (
+    PrimeSolver,
+    SmithSolver,
+    identity,
+    mul_vector,
+    smith_factor_of,
+    smith_normal_form,
+)
 
 
 def inverse(a, d):
     """The x with a·x = 1 (mod d) found by the Kronecker solver on the 1x1
-    base [a], or None when there is none."""
-    solution = KroneckerSolver(RingMatrix.from_rows([[a]], d), 1).solve([1])
+    base [a], whose factor is 1·[a]·1, or None when there is none."""
+    solution = KroneckerSolver([[1]], [a], [[1]], d=d, power=1).solve([1])
     return solution.particular[0] if solution.consistent else None
 
 
@@ -60,11 +65,11 @@ class TestResidueArithmetic:
 
     def test_ops(self):
         five = RingMatrix.from_rows([[5]], 7)
-        assert RingMatrix.from_rows([[1, 1]], 7).mul_vector((5, 4)) == (2,)
-        assert RingMatrix.from_rows([[1, -1]], 7).mul_vector((5, 4)) == (1,)
-        assert five.mul_vector((4,)) == (6,)
+        assert mul_vector(RingMatrix.from_rows([[1, 1]], 7), (5, 4)) == (2,)
+        assert mul_vector(RingMatrix.from_rows([[1, -1]], 7), (5, 4)) == (1,)
+        assert mul_vector(five, (4,)) == (6,)
         assert RingMatrix.from_rows([[-5]], 7).entries == (2,)
-        assert five.mul_vector(five.mul_vector((5,))) == (pow(5, 3, 7),)
+        assert mul_vector(five, mul_vector(five, (5,))) == (pow(5, 3, 7),)
 
     def test_unreduced_value_rejected(self):
         with pytest.raises(ValueError):
@@ -73,7 +78,7 @@ class TestResidueArithmetic:
 
 class TestSolvePrime:
     def test_identity_matrix(self):
-        mat = RingMatrix.identity(4, 5)
+        mat = identity(4, 5)
         sol = PrimeSolver(mat).solve((1, 4, 2, 0))
         assert sol.consistent and sol.count == 1
         assert sol.particular == (1, 4, 2, 0)
@@ -114,7 +119,7 @@ class TestSolvePrime:
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(NonPrimeModulus):
-            PrimeSolver(RingMatrix.identity(2, 6))
+            PrimeSolver(identity(2, 6))
 
 
 class TestSolveResidue:
@@ -309,19 +314,19 @@ class TestKroneckerSolver:
         base = RingMatrix.from_rows(random_matrix_rows(rnd, rows, cols, d), d)
         full = kron_power(base, power)
         reference = SmithSolver(full)
-        solver = KroneckerSolver(base, power)
+        solver = KroneckerSolver(*smith_factor_of(base.row_lists(), d), d=d, power=power)
         for _ in range(3):
             if rnd.random() < 0.5:
                 rhs = [rnd.randrange(d) for _ in range(full.rows)]
             else:
-                rhs = full.mul_vector([rnd.randrange(d) for _ in range(full.cols)])
+                rhs = mul_vector(full, [rnd.randrange(d) for _ in range(full.cols)])
             ours, expected = solver.solve(rhs), reference.solve(rhs)
             assert ours.consistent == expected.consistent
             assert ours.count == expected.count
             if ours.consistent and ours.count <= 256:
                 solutions = ours.solutions()
                 assert solutions == expected.solutions()
-                assert all(full.mul_vector(x) == tuple(rhs) for x in solutions)
+                assert all(mul_vector(full, x) == tuple(rhs) for x in solutions)
 
     def test_counts_match_brute_force(self):
         rng = random.Random(4242)
@@ -331,17 +336,19 @@ class TestKroneckerSolver:
                 full = kron_power(base, 2)
                 rhs = [rng.randrange(d) for _ in range(full.rows)]
                 if rng.random() < 0.5:
-                    rhs = full.mul_vector([rng.randrange(d) for _ in range(full.cols)])
+                    rhs = mul_vector(full, [rng.randrange(d) for _ in range(full.cols)])
                 expected = brute_force_solutions(full.row_lists(), rhs, d)
-                assert KroneckerSolver(base, 2).solve(rhs).solutions() == sorted(expected)
+                solver = KroneckerSolver(*smith_factor_of(base.row_lists(), d), d=d, power=2)
+                assert solver.solve(rhs).solutions() == sorted(expected)
 
     def test_rejects_wide_base_and_bad_rhs(self):
+        unit = [[1, 0], [0, 1]]
         with pytest.raises(ValueError):
-            KroneckerSolver(RingMatrix.from_rows([[1, 2]], 5), 2)
+            KroneckerSolver([[1]], [1, 1], unit, d=5, power=2)
         with pytest.raises(ValueError):
-            KroneckerSolver(RingMatrix.identity(2, 5), 2).solve([0, 0, 0])
+            KroneckerSolver(unit, [1, 1], unit, d=5, power=2).solve([0, 0, 0])
         with pytest.raises(ValueError):
-            KroneckerSolver(RingMatrix.identity(2, 5), 2).solve([[0, 0, 0, 0]])
+            KroneckerSolver(unit, [1, 1], unit, d=5, power=2).solve([[0, 0, 0, 0]])
 
 
 class TestKernelSize:

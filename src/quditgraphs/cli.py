@@ -4,10 +4,11 @@ Exit codes: 0 success / affirmative result, 1 negative mathematical result
 (unsolvable system, unstabilized vertex, broken identity), 2 usage or schema
 error, 3 size or budget limit. Data goes to stdout, diagnostics to stderr.
 
-Only the verbs that work on arrays (``build-state``, ``solve``,
-``verify-stabilizers``, ``identity-check`` past its size check, ``matrix``)
-import the numpy-backed modules, inside the verb. ``census``, usage errors
-and size refusals start and finish without numpy.
+Only the verbs that work on arrays (``build-state`` and ``identity-check``
+past their size checks, ``solve``, ``verify-stabilizers``, ``matrix``) import
+the numpy-backed modules, inside the verb. ``census``, usage errors, and the
+schema and size refusals of ``build-state`` and ``identity-check`` start and
+finish without numpy. Every size refusal is ``residues.check_entries``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from . import counting, graphs
-from .residues import DEFAULT_TABLE_LIMIT, SizeLimit, power_at_least
+from .residues import SizeLimit, check_entries
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -60,9 +61,10 @@ def _read_file(path: str) -> str:
 
 
 def _cmd_build_state(args: argparse.Namespace) -> int:
-    from . import states
-
     edge_map = _read_edge_map(args)
+    check_entries("table", 1, edge_map.d, edge_map.n)
+    from . import states  # after the size check: a refusal loads no numpy
+
     state = states.build_state(edge_map)
     if args.dense:
         sys.stdout.write(states.dense_text(states.to_dense(state)))
@@ -133,19 +135,15 @@ def _check_identity_size(d: int, n: int, exhaustive: bool) -> None:
 
     Each edge of arity t gives d·t checks. Over every edge that is
     n(d-1)d^n checks; over the edges of arity <= 2, d·(n(d-1) + n(n-1)(d-1)^2).
+    So the entries are n(d-1)·d^(2n) or (n(d-1) + n(n-1)(d-1)^2)·d^(n+1).
     """
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
     if exhaustive:
-        factor, exponent = n * (d - 1), 2 * n
+        count, exponent = n * (d - 1), 2 * n
     else:
-        factor, exponent = n * (d - 1) + n * (n - 1) * (d - 1) ** 2, n + 1
-    cap = DEFAULT_TABLE_LIMIT
-    # factor·d^exponent >= cap iff d^exponent >= ceil(cap / factor).
-    if power_at_least(d, exponent, -(-cap // factor)):
-        raise SizeLimit(
-            f"identity-check at d={d}, n={n} meets or exceeds the limit {cap} on table entries"
-        )
+        count, exponent = n * (d - 1) + n * (n - 1) * (d - 1) ** 2, n + 1
+    check_entries("identity-check tables", count, d, exponent)
 
 
 def _cmd_identity_check(args: argparse.Namespace) -> int:

@@ -29,12 +29,17 @@ factor, the fingerprint and the variable order live in the numpy-free
 ``counting`` module and are re-exported here. ``representability_constraints``
 reads rows of U^{⊗n}; only ``build_system`` assembles the dense canonical
 matrix.
+
+Sizes go through ``residues.check_entries`` before any work: ``solve_weights``
+refuses a factor of d·d entries and kernel generators of free·k^n entries
+(one column of V^{⊗n} per free unknown), and ``coefficient_block`` a block
+of (d-1)^(2·size) entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,19 +59,15 @@ from .counting import (
 )
 from .graphs import MultiHyperedge, WeightedEdgeMap
 from .residues import (
-    DEFAULT_TABLE_LIMIT,
     KroneckerSolver,
     Modulus,
     NonPrimeModulus,
     RingMatrix,
-    SizeLimit,
     SolutionSet,
     _power_rows,
-    power_at_least,
+    check_entries,
 )
 from .states import PhaseFunction, build_state, digits_of
-
-DEFAULT_BLOCK_LIMIT = 2**24
 
 
 class NonCanonical(ValueError):
@@ -80,11 +81,6 @@ class RoundTripFailure(RuntimeError):
 def _digit_powers(d: int, mode: str) -> np.ndarray:
     """The digit-power matrix W of ``counting._digit_power_rows`` as an array."""
     return np.array(_digit_power_rows(d, mode), dtype=np.int64)
-
-
-def _kron_power(base: np.ndarray, power: int, d: int) -> np.ndarray:
-    """base ⊗ ... ⊗ base, ``power`` factors, reduced mod d."""
-    return reduce(lambda a, b: np.kron(a, b) % d, [base] * power)
 
 
 def _ring_matrix(array: np.ndarray, d: int) -> RingMatrix:
@@ -103,7 +99,8 @@ def _system_parts(
 ) -> tuple[tuple[MultiHyperedge, ...], tuple[tuple[int, ...], ...], RingMatrix]:
     variables, columns = _variables(d, n, mode)
     tuples = tuple(digits_of(i, d, n) for i in range(1, d**n))
-    matrix = _ring_matrix(_kron_power(_digit_powers(d, mode), n, d)[1:, columns], d)
+    power = _power_rows(_digit_powers(d, mode), np.arange(d**n), n, d)
+    matrix = _ring_matrix(power[1:, columns], d)
     return variables, tuples, matrix
 
 
@@ -190,27 +187,18 @@ def _on_columns(solution: SolutionSet, columns: list[int]) -> SolutionSet:
     )
 
 
-def _check_generators(solver: KroneckerSolver) -> None:
-    """Refuse before solving when the kernel generators, one column of
-    V^{⊗n} per free unknown, would reach the table limit."""
-    free = int(np.count_nonzero(solver.gcd > 1))
-    k, n, cap = solver.cols, solver.power, DEFAULT_TABLE_LIMIT
-    if free * k**n >= cap:
-        raise SizeLimit(
-            f"kernel generators of {free} x {k}^{n} entries meet or exceed the limit {cap}"
-        )
-
-
 def solve_weights(table: PhaseFunction, mode: str) -> SolveOutcome:
     """Decide reachability of a canonical table and count all weight solutions.
 
-    Raises SizeLimit, before solving, when the kernel generators would reach
-    the table limit; that depends on (d, n, mode) alone.
+    Raises SizeLimit, before solving, when the kernel generators, one column
+    of V^{⊗n} per free unknown, would reach the table limit; that depends on
+    (d, n, mode) alone.
     """
     _check_table(table, mode)
     d, n = table.d, table.n
     solver = _kronecker_solver(d, n, mode)
-    _check_generators(solver)
+    free = int(np.count_nonzero(solver.gcd > 1))
+    check_entries("kernel generators", free, solver.cols, n)
     variables, columns = _variables(d, n, mode)
     # The constant m_0 is pinned to f(0) = 0; the rest are the edge weights.
     solution = _on_columns(solver.solve(table.table), columns)
@@ -226,19 +214,15 @@ def solve_weights(table: PhaseFunction, mode: str) -> SolveOutcome:
     return SolveOutcome(mode, variables, fingerprint, solution, edge_map)
 
 
-def coefficient_block(d: int, size: int, limit: int | None = None) -> RingMatrix:
+def coefficient_block(d: int, size: int) -> RingMatrix:
     """size-fold Kronecker power of the (d-1)x(d-1) digit-power matrix
     V[i][s] = i^s mod d (i, s in 1..d-1)."""
     if d < 2 or size < 1:
         raise ValueError("need d >= 2 and size >= 1")
-    cap = DEFAULT_BLOCK_LIMIT if limit is None else limit
-    # (d-1)^(2·size) entries, decided without building the power. At d = 2
-    # the block is [[1]] for every size.
-    too_large = cap <= 1 if d == 2 else power_at_least(d - 1, 2 * size, cap)
-    if too_large:
-        raise SizeLimit(f"block of {d - 1}^{2 * size} entries meets or exceeds the limit {cap}")
+    check_entries("block", 1, d - 1, 2 * size)
     base = _digit_powers(d, MULTIHYPERGRAPH)[1:, 1:]
-    return _ring_matrix(_kron_power(base, 1 if d == 2 else size, d), d)
+    power = 1 if d == 2 else size  # at d = 2 the block is [[1]] for every size
+    return _ring_matrix(_power_rows(base, np.arange((d - 1) ** power), power, d), d)
 
 
 def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, ...]]:

@@ -34,7 +34,7 @@ from itertools import accumulate, repeat
 from typing import Sequence
 
 from .graphs import MultiHyperedge, enumerate_hyperedges, enumerate_multihyperedges
-from .residues import DEFAULT_TABLE_LIMIT, SizeLimit, kernel_size, power_at_least
+from .residues import check_entries, kernel_size, power_at_least
 
 HYPERGRAPH = "hypergraph"
 MULTIHYPERGRAPH = "multihypergraph"
@@ -103,11 +103,7 @@ def smith_factor(d: int, mode: str) -> tuple[list[list[int]], list[int], list[li
     Raises SizeLimit before building anything when U's d^2 entries, the most
     of any part (W has d·k), would reach the table limit.
     """
-    if d * d >= DEFAULT_TABLE_LIMIT:
-        raise SizeLimit(
-            f"the factor of the base W holds {d} x {d} entries, which meets or exceeds "
-            f"the limit {DEFAULT_TABLE_LIMIT}"
-        )
+    check_entries("base factor U", d, d, 1)
     pascal = _signed_triangle([1] * (d - 1), d)
     stirling = _signed_triangle(range(_exponent_count(d, mode) - 1), d)
     return pascal, _factorial_diagonal(d, mode), [list(column) for column in zip(*stirling)]

@@ -118,13 +118,10 @@ class WeightedEdgeMap:
     def items(self) -> Iterable[tuple[MultiHyperedge, int]]:
         return self.weights.items()
 
-    def kind_valid(self, kind: GraphKind) -> bool:
-        return all(edge_fits_kind(e, kind) for e in self.weights)
-
 
 def validate_kind(edge_map: WeightedEdgeMap, kind: GraphKind) -> bool:
     """True iff every edge of the map satisfies the kind's restriction."""
-    return edge_map.kind_valid(kind)
+    return all(edge_fits_kind(e, kind) for e in edge_map.weights)
 
 
 def enumerate_hyperedges(n: int) -> list[MultiHyperedge]:

@@ -8,7 +8,9 @@ modulus. The kernel size of such a power needs neither a right-hand side nor
 numpy: ``kernel_size`` reads it off the diagonal of D.
 
 Only ``KroneckerSolver`` uses numpy, and it imports numpy when it runs, so
-this module, the size limits and ``kernel_size`` load without it.
+this module, ``kernel_size`` and the size rule load without it. That rule,
+``check_entries``, is the one place that refuses an array: count·base^exponent
+entries at or above ``DEFAULT_TABLE_LIMIT`` raise ``SizeLimit``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,30 @@ DEFAULT_TABLE_LIMIT = 2**24
 
 
 class SizeLimit(ValueError):
-    """Table would meet or exceed the configured entry limit."""
+    """An array would meet or exceed the table limit on its entries."""
+
+
+def check_entries(what: str, count: int, base: int, exponent: int) -> None:
+    """Raise SizeLimit when count·base^exponent >= DEFAULT_TABLE_LIMIT.
+
+    The package's one size rule: every array a verb builds holds a closed
+    form of entries in (d, n, mode), decided here before any work. The power
+    is never built, so a huge exponent costs at most about 24 steps. A count
+    of 0 is never refused, and base 1 only when the count alone reaches the
+    limit.
+    """
+    limit = DEFAULT_TABLE_LIMIT
+    if count < 1:
+        return
+    if base == 1:
+        too_large = count >= limit
+    else:  # count·x >= limit iff x >= ceil(limit / count), for integers x
+        too_large = power_at_least(base, exponent, -(-limit // count))
+    if too_large:
+        times = f"{count} x " if count > 1 else ""
+        raise SizeLimit(
+            f"{what} of {times}{base}^{exponent} entries would reach the limit {limit}"
+        )
 
 
 def power_at_least(base: int, exponent: int, bound: int) -> bool:

@@ -151,9 +151,9 @@ class VertexCheck:
     mismatch_indices: tuple[int, ...]
 
 
-def verify(edge_map: WeightedEdgeMap, limit: int | None = None) -> list[VertexCheck]:
+def verify(edge_map: WeightedEdgeMap) -> list[VertexCheck]:
     """Check g_k|G> = |G> for every vertex k, by exact phase-table equality."""
-    state = build_state(edge_map, limit=limit)
+    state = build_state(edge_map)
     results = []
     for k in range(edge_map.n):
         moved = apply_generator(state, generator(edge_map, k))

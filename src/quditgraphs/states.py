@@ -16,8 +16,12 @@ the edge's axes and 1 elsewhere and broadcasts against the full grid. No
 table is ever computed from its flat index. ``build_state`` adds each
 ``weight * grid % d`` into one int64 grid and reduces mod d once at the end.
 That sum is exact: each term is below d, and a map has fewer than d^n
-distinct edges, so under the default limit (d^n < 2^24, hence d < 2^24) the
+distinct edges, so under the table limit (d^n < 2^24, hence d < 2^24) the
 sum stays below 2^48.
+
+``plus_state``, ``build_state``, ``to_dense`` and ``phases_from_dict`` each
+count their d^n entries against that limit with ``residues.check_entries``
+before they allocate, and raise its ``SizeLimit`` (re-exported here).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import MultiHyperedge, WeightedEdgeMap
-from .residues import DEFAULT_TABLE_LIMIT, SizeLimit, power_at_least
+from .residues import SizeLimit, check_entries  # noqa: F401 (SizeLimit is re-exported)
 
 
 class VertexOutOfRange(ValueError):
@@ -37,13 +41,6 @@ class VertexOutOfRange(ValueError):
 
 class DimensionMismatch(ValueError):
     """Two states with different (d, n) were compared."""
-
-
-def _check_size(d: int, n: int, limit: int | None) -> int:
-    cap = DEFAULT_TABLE_LIMIT if limit is None else limit
-    if power_at_least(d, n, cap):
-        raise SizeLimit(f"table of {d}^{n} entries meets or exceeds the limit {cap}")
-    return d**n
 
 
 def _freeze(table: np.ndarray) -> np.ndarray:
@@ -122,11 +119,6 @@ def _flat(grid: np.ndarray, d: int, n: int) -> np.ndarray:
     return np.array(np.broadcast_to(grid, (d,) * n), order="C").reshape(-1)
 
 
-def digit_values(d: int, n: int, vertex: int) -> np.ndarray:
-    """Array of length d^n holding digit i_vertex of every flat index."""
-    return _flat(_on_axis(np.arange(d, dtype=np.int64), vertex, n), d, n)
-
-
 def monomial_grid(d: int, n: int, edge: MultiHyperedge) -> np.ndarray:
     """prod_{v in edge} i_v^{s_v} mod d as a grid that broadcasts to (d,)*n:
     extent d on the edge's axes, 1 on the others."""
@@ -149,10 +141,10 @@ def _grid(state: PhaseFunction) -> np.ndarray:
     return state.table.reshape((state.d,) * state.n)
 
 
-def plus_state(n: int, d: int, limit: int | None = None) -> PhaseFunction:
+def plus_state(n: int, d: int) -> PhaseFunction:
     """|+_d>^{(x)n}: the uniform superposition, i.e. the all-zero table."""
-    size = _check_size(d, n, limit)
-    return PhaseFunction(d, n, np.zeros(size, dtype=np.int64))
+    check_entries("table", 1, d, n)
+    return PhaseFunction(d, n, np.zeros(d**n, dtype=np.int64))
 
 
 def apply_multi_cz(state: PhaseFunction, edge: MultiHyperedge, power: int) -> PhaseFunction:
@@ -190,14 +182,14 @@ def monomial_coefficients(eta: int) -> tuple[int, ...]:
     return (0,) * eta + (1,)
 
 
-def build_state(edge_map: WeightedEdgeMap, limit: int | None = None) -> PhaseFunction:
+def build_state(edge_map: WeightedEdgeMap) -> PhaseFunction:
     """State of a weighted edge map: f(i) = sum_e m_e prod_{v in e} i_v^{s_v} mod d.
 
     Every monomial vanishes at (0, ..., 0), so the result is canonical; the
     order of edge application never matters (all gates are diagonal).
     """
     d, n = edge_map.d, edge_map.n
-    _check_size(d, n, limit)
+    check_entries("table", 1, d, n)
     grid = np.zeros((d,) * n, dtype=np.int64)
     for edge, weight in edge_map.items():
         grid += weight * monomial_grid(d, n, edge) % d
@@ -240,9 +232,9 @@ class DenseState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def to_dense(state: PhaseFunction, limit: int | None = None) -> DenseState:
+def to_dense(state: PhaseFunction) -> DenseState:
     """Amplitudes d^{-n/2} * exp(2*pi*1j*f(i)/d)."""
-    _check_size(state.d, state.n, limit)
+    check_entries("table", 1, state.d, state.n)
     phases = np.exp(2j * np.pi * state.table / state.d)
     return DenseState(state.d, state.n, phases * state.d ** (-state.n / 2))
 
@@ -275,7 +267,7 @@ def phases_from_dict(payload: object) -> PhaseFunction:
             raise SchemaError(key, "missing required field")
     d = _expect_int(payload["d"], "d", minimum=2)
     n = _expect_int(payload["n"], "n", minimum=1)
-    _check_size(d, n, None)
+    check_entries("table", 1, d, n)
     phases = _expect_int_list(payload["phases"], "phases")
     if len(phases) != d**n:
         raise SchemaError("phases", f"expected d^n = {d ** n} entries, got {len(phases)}")

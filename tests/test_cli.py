@@ -18,7 +18,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import quditgraphs
-from quditgraphs import graphs
+from quditgraphs import graphs, residues
 from quditgraphs.cli import main
 
 from helpers import phase_table_of_map, random_edge_map
@@ -366,6 +366,55 @@ class TestLimitsBeforeWork:
         path.write_text('{"d": 2, "n": 1, "phases": [0, ' + "1" * 5000 + "]}")
         result = run_capped("solve", "--phases", str(path), "--mode", "hypergraph")
         assert result.returncode == 2 and result.stdout == ""
+
+
+class TestLimitBoundaries:
+    """Each verb's closed-form entry count, pinned: with the table limit set
+    to exactly that count the request exits 3, and at count + 1 it runs."""
+
+    @staticmethod
+    def refused_at_size(monkeypatch, capsys, entries, *argv):
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", entries)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "limit" in err
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", entries + 1)
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1)
+        return json.loads(out)
+
+    def test_build_state_table(self, tmp_path, monkeypatch, capsys):
+        graph = write_json(tmp_path / "g.json", WORKED_GRAPH)
+        payload = self.refused_at_size(monkeypatch, capsys, 9, "build-state", "--graph", graph)
+        assert payload == WORKED_PHASES
+
+    @pytest.mark.parametrize("d,block", [(3, 3), (4, 1), (5, 2)])
+    def test_matrix_block(self, monkeypatch, capsys, d, block):
+        entries = (d - 1) ** (2 * block)
+        payload = self.refused_at_size(
+            monkeypatch, capsys, entries, "matrix", "--d", str(d), "--block", str(block)
+        )
+        assert len(payload["entries"]) == entries
+
+    @pytest.mark.parametrize("block", ["1", "30000000"])
+    def test_qubit_block_is_one_entry(self, monkeypatch, capsys, block):
+        payload = self.refused_at_size(
+            monkeypatch, capsys, 1, "matrix", "--d", "2", "--block", block
+        )
+        assert payload["entries"] == [1]
+
+    @pytest.mark.parametrize(
+        "d,n,exhaustive",
+        [(2, 2, True), (3, 2, True), (2, 3, False), (3, 2, False), (4, 3, False)],
+    )
+    def test_identity_check(self, monkeypatch, capsys, d, n, exhaustive):
+        if exhaustive:
+            entries = n * (d - 1) * d ** (2 * n)
+        else:
+            entries = (n * (d - 1) + n * (n - 1) * (d - 1) ** 2) * d ** (n + 1)
+        argv = ["identity-check", "--d", str(d), "--n", str(n)] + ["--exhaustive"] * exhaustive
+        payload = self.refused_at_size(monkeypatch, capsys, entries, *argv)
+        # The closed form counts exactly the table entries the checks compute.
+        assert payload["checked"] * d**n == entries
 
 
 class TestVerifyStabilizers:

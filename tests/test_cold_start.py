@@ -64,11 +64,26 @@ def test_import_loads_no_numpy(statement):
         (["census", "--d", "0", "--n", "1", "--mode", "hypergraph"], 2),
         (["frobnicate"], 2),
         (["identity-check", "--d", "10", "--n", "10"], 3),
+        (["build-state", "--graph", {"d": 1000, "n": 100000000, "edges": []}], 3),
+        (
+            [
+                "build-state",
+                "--graph",
+                {"d": 3, "n": 1, "edges": [{"vertices": [0], "exponents": [0], "weight": 1}]},
+            ],
+            2,
+        ),
     ],
     ids=["census", "census-hypergraph", "census-budget", "census-usage", "unknown-verb",
-         "identity-check-limit"],
+         "identity-check-limit", "build-state-limit", "build-state-schema"],
 )
-def test_cli_path_loads_no_numpy(argv, code):
+def test_cli_path_loads_no_numpy(argv, code, tmp_path):
+    # A dict in argv is an input file: write it and pass its path.
+    path = tmp_path / "input.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            path.write_text(json.dumps(arg))
+    argv = [str(path) if isinstance(arg, dict) else arg for arg in argv]
     assert _cli(*argv) == {"code": code, "numpy": False}
 
 

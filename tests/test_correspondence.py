@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditgraphs import correspondence, counting
+from quditgraphs import correspondence, counting, residues
 from quditgraphs.correspondence import (
     HYPERGRAPH,
     MODES,
@@ -194,17 +194,18 @@ class TestGeneratorBound:
         # d=4: two of W's four Smith entries are units, so at n=2 there are
         # 4^2 - 2^2 = 12 free unknowns and 12 x 4^2 = 192 generator entries.
         table = pf(4, 2, [0] * 16)
-        monkeypatch.setattr(correspondence, "DEFAULT_TABLE_LIMIT", 193)
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 193)
         solution = solve_weights(table, MULTIHYPERGRAPH).solution
         assert len(solution.generators) == 12
-        monkeypatch.setattr(correspondence, "DEFAULT_TABLE_LIMIT", 192)
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 192)
         with pytest.raises(SizeLimit, match="12 x 4\\^2"):
             solve_weights(table, MULTIHYPERGRAPH)
 
     def test_units_only_never_refused(self, monkeypatch):
         # Prime d, and plain hyperedges for any d: W has only unit Smith entries.
-        monkeypatch.setattr(correspondence, "DEFAULT_TABLE_LIMIT", 1)
+        # The limit is the least that the d x d factor and the d^n table pass.
         for d, n, mode in [(3, 2, MULTIHYPERGRAPH), (4, 2, HYPERGRAPH), (6, 2, HYPERGRAPH)]:
+            monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", max(d * d, d**n) + 1)
             assert solve_weights(pf(d, n, [0] * d**n), mode).solution.count == 1
 
 
@@ -516,9 +517,9 @@ class TestClosedFormFactor:
         # U is d x d in both modes, W only d x k.
         with pytest.raises(SizeLimit, match="4096 x 4096"):
             counting.smith_factor(4096, HYPERGRAPH)
-        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", 26)
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 26)
         assert len(counting.smith_factor(5, HYPERGRAPH)[0]) == 5
-        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", 25)
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 25)
         with pytest.raises(SizeLimit, match="5 x 5"):
             counting.smith_factor(5, MULTIHYPERGRAPH)
 

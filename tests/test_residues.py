@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from quditgraphs import residues
 from quditgraphs.residues import (
     KroneckerSolver,
     Modulus,
     NonPrimeModulus,
     RingMatrix,
+    SizeLimit,
+    check_entries,
     kernel_size,
     power_at_least,
 )
@@ -388,3 +392,36 @@ class TestPowerAtLeast:
     def test_base_below_two_rejected(self):
         with pytest.raises(ValueError):
             power_at_least(1, 10**9, 5)
+
+
+class TestCheckEntries:
+    """The one size rule: count·base^exponent entries at or above the table
+    limit are refused, and the power is never built."""
+
+    @given(
+        st.integers(0, 40), st.integers(1, 7), st.integers(0, 12), st.integers(1, 10**6)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_built_product(self, count, base, exponent, limit):
+        with mock.patch.object(residues, "DEFAULT_TABLE_LIMIT", limit):
+            try:
+                check_entries("table", count, base, exponent)
+                refused = False
+            except SizeLimit:
+                refused = True
+        assert refused == (count * base**exponent >= limit)
+
+    def test_message_names_the_count_only_above_one(self):
+        message = r"^table of 2\^24 entries would reach the limit 16777216$"
+        with pytest.raises(SizeLimit, match=message):
+            check_entries("table", 1, 2, 24)
+        with pytest.raises(SizeLimit, match=r"^generators of 3 x 2\^23 entries"):
+            check_entries("generators", 3, 2, 23)
+
+    def test_huge_exponent_is_immediate(self):
+        with pytest.raises(SizeLimit, match="4\\^60000000 entries"):
+            check_entries("block", 1, 4, 60_000_000)
+        check_entries("block", 0, 4, 60_000_000)
+        check_entries("block", 2**24 - 1, 1, 60_000_000)
+        with pytest.raises(SizeLimit):
+            check_entries("block", 2**24, 1, 60_000_000)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditgraphs import residues
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
 from quditgraphs.states import (
     DenseState,
@@ -60,10 +61,12 @@ class TestPlusState:
         with pytest.raises(SizeLimit):
             plus_state(3, 256)
 
-    def test_custom_limit(self):
+    def test_custom_limit(self, monkeypatch):
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 9)
         with pytest.raises(SizeLimit):
-            plus_state(2, 3, limit=9)
-        assert plus_state(2, 3, limit=10).n == 2
+            plus_state(2, 3)
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 10)
+        assert plus_state(2, 3).n == 2
 
 
 class TestApplyMultiCz:
@@ -295,3 +298,28 @@ class TestPhaseSerialization:
 
         state = phases_from_dict({"d": 2, "n": 1, "phases": [Level(0), Level(1)]})
         assert state.table.tolist() == [0, 1]
+
+
+class TestTableLimitBoundary:
+    """A d^n table is refused at a limit of exactly d^n entries and built at
+    d^n + 1; ``TestPlusState.test_custom_limit`` pins ``plus_state``."""
+
+    @staticmethod
+    def refused_at_size(monkeypatch, entries, make):
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", entries)
+        with pytest.raises(SizeLimit):
+            make()
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", entries + 1)
+        return make()
+
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 3), (5, 2), (7, 1)])
+    def test_phases_from_dict(self, monkeypatch, d, n):
+        phases = [i % d for i in range(d**n)]
+        payload = {"d": d, "n": n, "phases": phases}
+        state = self.refused_at_size(monkeypatch, d**n, lambda: phases_from_dict(payload))
+        assert table(state) == phases
+
+    def test_build_state_and_dense(self, monkeypatch):
+        emap = WeightedEdgeMap(3, 2, {MultiHyperedge((0, 1), (1, 2)): 1})
+        state = self.refused_at_size(monkeypatch, 9, lambda: build_state(emap))
+        assert self.refused_at_size(monkeypatch, 9, lambda: to_dense(state)).n == 2

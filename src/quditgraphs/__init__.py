@@ -27,12 +27,10 @@ _EXPORTS = {
     "DimensionMismatch": "states",
     "GraphKind": "graphs",
     "GeneratorSpec": "stabilizers",
-    "Modulus": "residues",
     "MultiHyperedge": "graphs",
     "NonCanonical": "correspondence",
     "NonPrimeModulus": "residues",
     "PhaseFunction": "states",
-    "RingMatrix": "residues",
     "RoundTripFailure": "correspondence",
     "SchemaError": "graphs",
     "SizeLimit": "residues",

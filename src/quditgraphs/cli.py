@@ -4,11 +4,11 @@ Exit codes: 0 success / affirmative result, 1 negative mathematical result
 (unsolvable system, unstabilized vertex, broken identity), 2 usage or schema
 error, 3 size or budget limit. Data goes to stdout, diagnostics to stderr.
 
-Only the verbs that work on arrays (``build-state`` and ``identity-check``
-past their size checks, ``solve``, ``verify-stabilizers``, ``matrix``) import
-the numpy-backed modules, inside the verb. ``census``, usage errors, and the
-schema and size refusals of ``build-state`` and ``identity-check`` start and
-finish without numpy. Every size refusal is ``residues.check_entries``.
+Only the verbs that work on arrays (``solve``, and ``build-state``,
+``verify-stabilizers``, ``identity-check`` and ``matrix`` past their size
+checks) import the numpy-backed modules, inside the verb. ``census``, usage
+errors, and the schema and size refusals of every verb but ``solve`` start
+and finish without numpy. Every size refusal is ``residues.check_entries``.
 """
 
 from __future__ import annotations
@@ -102,9 +102,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_stabilizers(args: argparse.Namespace) -> int:
-    from . import stabilizers
-
     edge_map = _read_edge_map(args)
+    check_entries("table", 1, edge_map.d, edge_map.n)
+    from . import stabilizers  # after the size check: a refusal loads no numpy
+
     checks = stabilizers.verify(edge_map)
     payload = {
         "d": edge_map.d,
@@ -190,15 +191,16 @@ def _cmd_identity_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    from . import correspondence
+    counting._check_block(args.d, args.block)
+    from . import correspondence  # after the size check: a refusal loads no numpy
 
     block = correspondence.coefficient_block(args.d, args.block)
     payload = {
         "d": args.d,
         "block": args.block,
-        "rows": block.rows,
-        "cols": block.cols,
-        "entries": list(block.entries),
+        "rows": block.shape[0],
+        "cols": block.shape[1],
+        "entries": block.ravel().tolist(),
     }
     _emit(payload)
     return EXIT_OK

@@ -28,11 +28,14 @@ whole system, so ``system_fingerprint`` hashes those. ``census``, the
 factor, the fingerprint and the variable order live in the numpy-free
 ``counting`` module and are re-exported here. ``representability_constraints``
 reads rows of U^{⊗n}; only ``build_system`` assembles the dense canonical
-matrix.
+matrix. Matrices are C-contiguous, read-only int64 arrays with entries
+reduced mod d, frozen as ``PhaseFunction`` tables are.
 
 Sizes go through ``residues.check_entries`` before any work: ``solve_weights``
 refuses a factor of d·d entries and kernel generators of free·k^n entries
-(one column of V^{⊗n} per free unknown), and ``coefficient_block`` a block
+(one column of V^{⊗n} per free unknown), ``build_system`` a W^{⊗n} of
+k^n·d^n entries, ``representability_constraints`` a solver of d^n divisors
+and its picked rows of d^n entries each, and ``coefficient_block`` a block
 of (d-1)^(2·size) entries.
 """
 
@@ -49,8 +52,10 @@ from .counting import (
     MULTIHYPERGRAPH,
     BudgetExceeded,
     CensusReport,
+    _check_block,
     _check_mode,
     _digit_power_rows,
+    _exponent_count,
     _fingerprint,
     _variables,
     census,
@@ -60,14 +65,13 @@ from .counting import (
 from .graphs import MultiHyperedge, WeightedEdgeMap
 from .residues import (
     KroneckerSolver,
-    Modulus,
     NonPrimeModulus,
-    RingMatrix,
     SolutionSet,
     _power_rows,
     check_entries,
+    is_prime,
 )
-from .states import PhaseFunction, build_state, digits_of
+from .states import PhaseFunction, _freeze, build_state, digits_of
 
 
 class NonCanonical(ValueError):
@@ -83,10 +87,6 @@ def _digit_powers(d: int, mode: str) -> np.ndarray:
     return np.array(_digit_power_rows(d, mode), dtype=np.int64)
 
 
-def _ring_matrix(array: np.ndarray, d: int) -> RingMatrix:
-    return RingMatrix(*array.shape, tuple(array.ravel().tolist()), Modulus(d))
-
-
 def _kronecker_solver(d: int, n: int, mode: str) -> KroneckerSolver:
     """The solver of W^{⊗n} x = f from the closed-form factor of the mode's
     digit-power matrix W; raises SizeLimit first when that factor is too large."""
@@ -96,15 +96,16 @@ def _kronecker_solver(d: int, n: int, mode: str) -> KroneckerSolver:
 @lru_cache(maxsize=None)
 def _system_parts(
     d: int, n: int, mode: str
-) -> tuple[tuple[MultiHyperedge, ...], tuple[tuple[int, ...], ...], RingMatrix]:
+) -> tuple[tuple[MultiHyperedge, ...], tuple[tuple[int, ...], ...], np.ndarray]:
+    # W^{⊗n} is built whole, d^n x k^n entries, before its columns are picked.
+    check_entries("system", _exponent_count(d, mode) ** n, d, n)
     variables, columns = _variables(d, n, mode)
     tuples = tuple(digits_of(i, d, n) for i in range(1, d**n))
     power = _power_rows(_digit_powers(d, mode), np.arange(d**n), n, d)
-    matrix = _ring_matrix(power[1:, columns], d)
-    return variables, tuples, matrix
+    return variables, tuples, _freeze(power[1:, columns])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrespondenceSystem:
     """The coefficient matrix and right-hand side for one phase table."""
 
@@ -113,7 +114,7 @@ class CorrespondenceSystem:
     mode: str
     variables: tuple[MultiHyperedge, ...]
     tuples: tuple[tuple[int, ...], ...]
-    matrix: RingMatrix
+    matrix: np.ndarray
     rhs: tuple[int, ...]
 
     def fingerprint(self) -> str:
@@ -179,7 +180,7 @@ def _on_columns(solution: SolutionSet, columns: list[int]) -> SolutionSet:
         return tuple(vector[j] for j in columns)
 
     return SolutionSet(
-        solution.modulus,
+        solution.d,
         True,
         pick(solution.particular),
         solution.count,
@@ -214,15 +215,13 @@ def solve_weights(table: PhaseFunction, mode: str) -> SolveOutcome:
     return SolveOutcome(mode, variables, fingerprint, solution, edge_map)
 
 
-def coefficient_block(d: int, size: int) -> RingMatrix:
+def coefficient_block(d: int, size: int) -> np.ndarray:
     """size-fold Kronecker power of the (d-1)x(d-1) digit-power matrix
-    V[i][s] = i^s mod d (i, s in 1..d-1)."""
-    if d < 2 or size < 1:
-        raise ValueError("need d >= 2 and size >= 1")
-    check_entries("block", 1, d - 1, 2 * size)
+    V[i][s] = i^s mod d (i, s in 1..d-1), as a read-only int64 array."""
+    _check_block(d, size)
     base = _digit_powers(d, MULTIHYPERGRAPH)[1:, 1:]
     power = 1 if d == 2 else size  # at d = 2 the block is [[1]] for every size
-    return _ring_matrix(_power_rows(base, np.arange((d - 1) ** power), power, d), d)
+    return _freeze(_power_rows(base, np.arange((d - 1) ** power), power, d))
 
 
 def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, ...]]:
@@ -234,10 +233,15 @@ def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, .
     the closed-form factor U·W·V = D: some digit j_v >= k, or
     prod_v D[j_v] = 0 (mod d). Column 0 is dropped, as f(0) = 0. Row j has
     its unit pivot at column j != 0, so the rows are independent.
+
+    Raises SizeLimit before allocating the solver's d^n divisors or the
+    picked rows of d^n entries each, when they would reach the table limit.
     """
     _check_mode(mode)
-    if not Modulus(d).is_prime:
+    check_entries("solver divisors", 1, d, n)
+    if not is_prime(d):
         raise NonPrimeModulus(f"modulus {d} is not prime")
     solver = _kronecker_solver(d, n, mode)
     picked = np.flatnonzero(solver.divisor.reshape(-1) == d)
+    check_entries("constraint rows", len(picked), d, n)
     return [tuple(row) for row in _power_rows(solver.u, picked, n, d)[:, 1:].tolist()]

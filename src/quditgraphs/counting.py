@@ -69,6 +69,13 @@ def _digit_power_rows(d: int, mode: str) -> list[list[int]]:
     ]
 
 
+def _check_block(d: int, size: int) -> None:
+    """The refusals of ``correspondence.coefficient_block``, without numpy."""
+    if d < 2 or size < 1:
+        raise ValueError("need d >= 2 and size >= 1")
+    check_entries("block", 1, d - 1, 2 * size)
+
+
 def _factorial_diagonal(d: int, mode: str) -> list[int]:
     """The diagonal of ``smith_factor``: s! mod d for s in 0..k-1. The census
     needs nothing else, so it reads this alone and stays O(k)."""

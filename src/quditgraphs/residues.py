@@ -8,16 +8,18 @@ modulus. The kernel size of such a power needs neither a right-hand side nor
 numpy: ``kernel_size`` reads it off the diagonal of D.
 
 Only ``KroneckerSolver`` uses numpy, and it imports numpy when it runs, so
-this module, ``kernel_size`` and the size rule load without it. That rule,
-``check_entries``, is the one place that refuses an array: count·base^exponent
-entries at or above ``DEFAULT_TABLE_LIMIT`` raise ``SizeLimit``.
+this module, ``kernel_size``, ``is_prime`` and the size rule load without it.
+That rule, ``check_entries``, is the one place that refuses an array:
+count·base^exponent entries at or above ``DEFAULT_TABLE_LIMIT`` raise
+``SizeLimit``. There is no matrix type: bases come in as nested sequences,
+and matrices are int64 arrays with entries reduced mod d.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING, Sequence
@@ -30,23 +32,9 @@ class NonPrimeModulus(ValueError):
     """A field-only routine was called with a composite modulus."""
 
 
-def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 2 by trial division, as (prime, exponent) pairs."""
-    if n < 2:
-        raise ValueError(f"cannot factorize {n}")
-    factors = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
-    return tuple(factors)
+def is_prime(d: int) -> bool:
+    """Whether d is prime, by trial division up to isqrt(d)."""
+    return d >= 2 and all(d % p for p in range(2, math.isqrt(d) + 1))
 
 
 DEFAULT_TABLE_LIMIT = 2**24
@@ -115,61 +103,6 @@ def kernel_size(diagonal: Sequence[int], d: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class Modulus:
-    """A ring modulus d >= 2 with its factorization computed up front."""
-
-    d: int
-    factorization: tuple[tuple[int, int], ...] = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.d}")
-        object.__setattr__(self, "factorization", factorize(self.d))
-
-    @property
-    def is_prime(self) -> bool:
-        (_, e), *rest = self.factorization
-        return not rest and e == 1
-
-
-@dataclass(frozen=True)
-class RingMatrix:
-    """Dense matrix over Z_d, entries stored row-major and reduced mod d."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-    modulus: Modulus
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-        d = self.modulus.d
-        if any(not 0 <= x < d for x in self.entries):
-            raise ValueError("entries not reduced mod d")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], d: int) -> "RingMatrix":
-        modulus = Modulus(d)
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = tuple(x % d for row in rows for x in row)
-        return cls(nrows, ncols, flat, modulus)
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-
-@dataclass(frozen=True)
 class SolutionSet:
     """All solutions of one linear system over Z_d.
 
@@ -180,7 +113,7 @@ class SolutionSet:
     the orders.
     """
 
-    modulus: Modulus
+    d: int
     consistent: bool
     particular: tuple[int, ...] | None
     count: int
@@ -199,7 +132,7 @@ class SolutionSet:
             return []
         if cap is not None and self.count > cap:
             raise ValueError(f"solution count {self.count} exceeds cap {cap}")
-        d = self.modulus.d
+        d = self.d
         base = self.particular
         assert base is not None
         out = []
@@ -217,8 +150,8 @@ class SolutionSet:
         return out
 
 
-def _no_solution(modulus: Modulus) -> SolutionSet:
-    return SolutionSet(modulus, False, None, 0, ())
+def _no_solution(d: int) -> SolutionSet:
+    return SolutionSet(d, False, None, 0, ())
 
 
 def _apply_on_every_axis(matrix: np.ndarray, tensor: np.ndarray, d: int) -> np.ndarray:
@@ -266,9 +199,8 @@ class KroneckerSolver:
         m, k = len(self.u), len(diagonal)
         if self.u.shape != (m, m) or self.v.shape != (k, k) or m < k:
             raise ValueError("need U m x m, V k x k and k diagonal entries, with m >= k")
-        if power < 1:
-            raise ValueError("power must be >= 1")
-        self.modulus = Modulus(d)
+        if power < 1 or d < 2:
+            raise ValueError(f"need power >= 1 and d >= 2, got {power} and {d}")
         self.d, self.power = d, power
         self.rows, self.cols = m, k
         self.diagonal = list(diagonal)
@@ -305,11 +237,11 @@ class KroneckerSolver:
             raise ValueError("rhs length mismatch")
         c = _apply_on_every_axis(self.u, b.reshape((self.rows,) * n) % d, d)
         if (c % self.divisor).any():
-            return _no_solution(self.modulus)
+            return _no_solution(d)
         diagonal_part = c[(slice(0, k),) * n]
         y = (diagonal_part // self.gcd) * self.inverse % (d // self.gcd)
         x = _apply_on_every_axis(self.v, y, d).reshape(-1)
-        return SolutionSet(self.modulus, True, tuple(x.tolist()), self.count, self._generators())
+        return SolutionSet(d, True, tuple(x.tolist()), self.count, self._generators())
 
     def _generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Column j of V^{⊗n} scaled by d / g_j, of order g_j, for every g_j > 1."""

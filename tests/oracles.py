@@ -18,17 +18,27 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from quditgraphs.residues import (
     NonPrimeModulus,
-    RingMatrix,
     SolutionSet,
     _no_solution,
+    is_prime,
 )
 
 
-def identity(n: int, d: int) -> RingMatrix:
+def reduced_rows(rows, d: int) -> tuple[list[list[int]], int, int]:
+    """A matrix given as nested sequences or a 2-D array: its entries reduced
+    mod d as Python ints, and its shape (a 0 x n array keeps its n)."""
+    shape = np.shape(rows)
+    cols = shape[1] if len(shape) == 2 else 0
+    return [[int(x) % d for x in row] for row in rows], len(rows), cols
+
+
+def identity(n: int, d: int) -> list[list[int]]:
     """The n x n identity matrix over Z_d."""
-    return RingMatrix.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], d)
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def smith_factor_of(rows: Sequence[Sequence[int]], d: int):
@@ -40,27 +50,23 @@ def smith_factor_of(rows: Sequence[Sequence[int]], d: int):
     return [[x % d for x in row] for row in u], diagonal, [[x % d for x in row] for row in v]
 
 
-def mul_vector(matrix: RingMatrix, x: Sequence[int]) -> tuple[int, ...]:
-    """matrix · x reduced mod d."""
-    if len(x) != matrix.cols:
+def mul_vector(rows, d: int, x: Sequence[int]) -> tuple[int, ...]:
+    """rows · x reduced mod d."""
+    a, m, n = reduced_rows(rows, d)
+    if len(x) != n:
         raise ValueError("vector length mismatch")
-    d = matrix.modulus.d
-    return tuple(
-        sum(a * v for a, v in zip(matrix.row(i), x)) % d for i in range(matrix.rows)
-    )
+    return tuple(sum(a_ij * v for a_ij, v in zip(a[i], x)) % d for i in range(m))
 
 
 class PrimeSolver:
     """Row-reduce a matrix over GF(q) once, then solve many right-hand sides."""
 
-    def __init__(self, matrix: RingMatrix):
-        if not matrix.modulus.is_prime:
-            raise NonPrimeModulus(f"modulus {matrix.modulus.d} is not prime")
-        self.matrix = matrix
-        self.q = matrix.modulus.d
-        q = self.q
-        m, n = matrix.rows, matrix.cols
-        a = matrix.row_lists()
+    def __init__(self, rows, d: int):
+        if not is_prime(d):
+            raise NonPrimeModulus(f"modulus {d} is not prime")
+        self.q = q = d
+        a, m, n = reduced_rows(rows, d)
+        self.rows, self.cols = m, n
         # Carry the identity along so that u @ A = reduced form.
         u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
         pivots: list[int] = []
@@ -91,7 +97,7 @@ class PrimeSolver:
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of {x : A x = 0}, one vector per free column."""
-        q, n = self.q, self.matrix.cols
+        q, n = self.q, self.cols
         basis = []
         for j in self.free_cols:
             vec = [0] * n
@@ -103,23 +109,22 @@ class PrimeSolver:
 
     def left_nullspace(self) -> list[tuple[int, ...]]:
         """Canonical basis of {y : y^T A = 0}, each vector with leading entry 1."""
-        rows = [tuple(self.transform[i]) for i in range(self.rank, self.matrix.rows)]
+        rows = [tuple(self.transform[i]) for i in range(self.rank, self.rows)]
         return _row_space_basis(rows, self.q)
 
     def solve(self, rhs: Sequence[int]) -> SolutionSet:
         q = self.q
-        m, n = self.matrix.rows, self.matrix.cols
+        m, n = self.rows, self.cols
         if len(rhs) != m:
             raise ValueError("rhs length mismatch")
         c = [sum(u_ij * b for u_ij, b in zip(self.transform[i], rhs)) % q for i in range(m)]
-        modulus = self.matrix.modulus
         if any(c[i] for i in range(self.rank, m)):
-            return _no_solution(modulus)
+            return _no_solution(q)
         x = [0] * n
         for r, p in enumerate(self.pivots):
             x[p] = c[r]
         generators = tuple((vec, q) for vec in self.kernel_basis())
-        return SolutionSet(modulus, True, tuple(x), q ** len(self.free_cols), generators)
+        return SolutionSet(q, True, tuple(x), q ** len(self.free_cols), generators)
 
 
 def _row_space_basis(rows: Iterable[tuple[int, ...]], q: int) -> list[tuple[int, ...]]:
@@ -237,25 +242,25 @@ def smith_normal_form(
 class SmithSolver:
     """Solve A·x = b (mod d) for arbitrary d via the Smith form of A's integer lift."""
 
-    def __init__(self, matrix: RingMatrix):
-        self.matrix = matrix
-        self.d = matrix.modulus.d
-        if matrix.rows == 0:
+    def __init__(self, rows, d: int):
+        self.d = d
+        a, m, n = reduced_rows(rows, d)
+        self.rows, self.cols = m, n
+        if m == 0:
             dmat: list[list[int]] = []
             u: list[list[int]] = []
-            v = [[1 if i == j else 0 for j in range(matrix.cols)] for i in range(matrix.cols)]
+            v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         else:
-            dmat, u, v = smith_normal_form(matrix.row_lists())
-        self.diag = [dmat[i][i] for i in range(min(matrix.rows, matrix.cols))]
+            dmat, u, v = smith_normal_form(a)
+        self.diag = [dmat[i][i] for i in range(min(m, n))]
         self.u = u
         self.v = v
 
     def solve(self, rhs: Sequence[int]) -> SolutionSet:
         d = self.d
-        m, n = self.matrix.rows, self.matrix.cols
+        m, n = self.rows, self.cols
         if len(rhs) != m:
             raise ValueError("rhs length mismatch")
-        modulus = self.matrix.modulus
         c = [sum(u_ij * b for u_ij, b in zip(self.u[i], rhs)) % d for i in range(m)]
         # Substituting x = V y turns A x = b into the diagonal system D y = U b.
         y = [0] * n
@@ -268,11 +273,11 @@ class SmithSolver:
                 ci = c[i] if i < m else 0
                 if g == d:
                     if ci % d:
-                        return _no_solution(modulus)
+                        return _no_solution(d)
                     y[i] = 0
                 else:
                     if ci % g:
-                        return _no_solution(modulus)
+                        return _no_solution(d)
                     step = d // g
                     y[i] = (ci // g) * pow(di // g, -1, step) % step
                 count *= g
@@ -285,11 +290,11 @@ class SmithSolver:
         # Rows beyond the diagonal demand c_i = 0 outright.
         for i in range(n, m):
             if c[i] % d:
-                return _no_solution(modulus)
+                return _no_solution(d)
         x = tuple(
             sum(self.v[r][j] * y[j] for j in range(n)) % d for r in range(n)
         )
-        return SolutionSet(modulus, True, x, count, tuple(generators))
+        return SolutionSet(d, True, x, count, tuple(generators))
 
     def _v_column(self, j: int, scale: int) -> tuple[int, ...]:
         d = self.d

@@ -83,7 +83,7 @@ def test_c01_qutrit_pair_system_matrix():
     assert system.variables == (hyperedge(0), hyperedge(1), hyperedge(0, 1))
     assert system.tuples == tuple(QUTRIT_TUPLES)
     # Rows are (i0, i1, i0*i1) mod 3 in equation order.
-    assert system.matrix.row_lists() == [
+    assert system.matrix.tolist() == [
         [0, 1, 0],
         [0, 2, 0],
         [1, 0, 0],
@@ -323,10 +323,10 @@ def test_c11_digit_power_blocks():
     with budget("c11 digit-power blocks d=4 and d=6", 0.001):
         mod4 = coefficient_block(4, 1)
         mod6 = coefficient_block(6, 1)
-    assert mod4.row_lists() == [[1, 1, 1], [2, 0, 0], [3, 1, 3]]
+    assert mod4.tolist() == [[1, 1, 1], [2, 0, 0], [3, 1, 3]]
     expected6 = [[pow(i, s, 6) for s in range(1, 6)] for i in range(1, 6)]
-    assert mod6.row_lists() == expected6
+    assert mod6.tolist() == expected6
     # 2^3 = 8 = 2 (mod 6): row i=2 is (2,4,2,4,2); the variant (2,4,4,4,2)
     # printed elsewhere is wrong at s=3 and must not appear.
-    assert mod6.row_lists()[1] == [2, 4, 2, 4, 2]
-    assert mod6.row_lists()[1] != [2, 4, 4, 4, 2]
+    assert mod6.tolist()[1] == [2, 4, 2, 4, 2]
+    assert mod6.tolist()[1] != [2, 4, 4, 4, 2]

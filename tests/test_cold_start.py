@@ -73,9 +73,20 @@ def test_import_loads_no_numpy(statement):
             ],
             2,
         ),
+        (["verify-stabilizers", "--graph", {"d": 1000, "n": 100000000, "edges": []}], 3),
+        (
+            [
+                "verify-stabilizers",
+                "--graph",
+                {"d": 3, "n": 1, "edges": [{"vertices": [0], "exponents": [0], "weight": 1}]},
+            ],
+            2,
+        ),
+        (["matrix", "--d", "5", "--block", "30000000"], 3),
     ],
     ids=["census", "census-hypergraph", "census-budget", "census-usage", "unknown-verb",
-         "identity-check-limit", "build-state-limit", "build-state-schema"],
+         "identity-check-limit", "build-state-limit", "build-state-schema",
+         "verify-stabilizers-limit", "verify-stabilizers-schema", "matrix-limit"],
 )
 def test_cli_path_loads_no_numpy(argv, code, tmp_path):
     # A dict in argv is an input file: write it and pass its path.

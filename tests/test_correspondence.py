@@ -26,7 +26,7 @@ from quditgraphs.correspondence import (
     system_fingerprint,
 )
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
-from quditgraphs.residues import KroneckerSolver, NonPrimeModulus, kernel_size
+from quditgraphs.residues import KroneckerSolver, NonPrimeModulus, is_prime, kernel_size
 from quditgraphs.states import PhaseFunction, SizeLimit, build_state
 
 from helpers import brute_force_solutions, phase_table_of_map, random_edge_map
@@ -52,7 +52,7 @@ def dense_reference(d, n, mode):
     """The dense oracle solver factored once per (d, n, mode): elimination
     over GF(d) for prime d, the Smith form otherwise."""
     matrix = build_system(pf(d, n, [0] * d**n), mode).matrix
-    return PrimeSolver(matrix) if matrix.modulus.is_prime else SmithSolver(matrix)
+    return PrimeSolver(matrix, d) if is_prime(d) else SmithSolver(matrix, d)
 
 
 class TestBuildSystem:
@@ -62,7 +62,7 @@ class TestBuildSystem:
         assert system.tuples == (
             (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
         )
-        assert system.matrix.row_lists() == [
+        assert system.matrix.tolist() == [
             [0, 1, 0],
             [0, 2, 0],
             [1, 0, 0],
@@ -76,7 +76,7 @@ class TestBuildSystem:
 
     def test_two_qutrit_decorated_system_entries(self):
         system = build_system(WORKED_TABLE, MULTIHYPERGRAPH)
-        assert system.matrix.rows == system.matrix.cols == 8
+        assert system.matrix.shape == (8, 8)
         # spot check the row for the tuple (2, 1) against direct evaluation
         row_index = system.tuples.index((2, 1))
         expected = []
@@ -85,7 +85,7 @@ class TestBuildSystem:
             for v, s in zip(edge.vertices, edge.exponents):
                 entry = entry * pow((2, 1)[v], s, 3) % 3
             expected.append(entry)
-        assert list(system.matrix.row(row_index)) == expected
+        assert system.matrix[row_index].tolist() == expected
 
     @pytest.mark.parametrize(
         "d,n,mode",
@@ -102,14 +102,14 @@ class TestBuildSystem:
                 for v, s in zip(edge.vertices, edge.exponents):
                     entry = entry * pow(t[v], s, d) % d
                 expected.append(entry)
-        assert list(system.matrix.entries) == expected
+        assert system.matrix.ravel().tolist() == expected
 
     def test_modes_coincide_for_qubits(self):
         table = pf(2, 3, [0, 1, 1, 0, 1, 0, 0, 1])
         a = build_system(table, HYPERGRAPH)
         b = build_system(table, MULTIHYPERGRAPH)
         assert a.variables == b.variables
-        assert a.matrix == b.matrix
+        assert np.array_equal(a.matrix, b.matrix)
 
     def test_noncanonical_rejected(self):
         with pytest.raises(NonCanonical):
@@ -132,6 +132,84 @@ class TestBuildSystem:
             assert census(d, n, mode).matrix_fingerprint == fingerprint
             seen.add(fingerprint)
         assert len(seen) == 6
+
+
+class TestReadOnlyArrays:
+    """Matrices are C-contiguous, read-only int64 arrays reduced mod d."""
+
+    @staticmethod
+    def _check(matrix, d):
+        assert matrix.dtype == np.int64 and matrix.flags.c_contiguous
+        assert not matrix.flags.writeable
+        assert 0 <= matrix.min() and matrix.max() < d
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0
+
+    @pytest.mark.parametrize(
+        "d,n,mode",
+        [(2, 3, HYPERGRAPH), (3, 2, MULTIHYPERGRAPH), (4, 2, MULTIHYPERGRAPH),
+         (6, 2, HYPERGRAPH), (6, 2, MULTIHYPERGRAPH), (5, 1, MULTIHYPERGRAPH)],
+    )
+    def test_system_matrix(self, d, n, mode):
+        self._check(build_system(pf(d, n, [0] * d**n), mode).matrix, d)
+
+    @pytest.mark.parametrize("d,size", [(2, 3), (3, 2), (4, 1), (6, 1), (5, 2)])
+    def test_coefficient_block(self, d, size):
+        self._check(coefficient_block(d, size), d)
+
+
+class TestSizeRefusals:
+    """build_system refuses the whole W^{⊗n}, d^n rows of k^n entries, and
+    representability_constraints the solver's d^n divisors and its picked
+    rows of d^n entries each, before allocating either."""
+
+    @pytest.mark.parametrize(
+        "d,n,mode",
+        [(2, 3, HYPERGRAPH), (3, 2, HYPERGRAPH), (3, 2, MULTIHYPERGRAPH), (4, 2, MULTIHYPERGRAPH)],
+    )
+    def test_system_bound_is_exact(self, monkeypatch, d, n, mode):
+        k = 2 if mode == HYPERGRAPH else d
+        table = pf(d, n, [0] * d**n)
+        correspondence._system_parts.cache_clear()
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", k**n * d**n)
+        with pytest.raises(SizeLimit, match=f"^system of {k**n} x {d}\\^{n} entries"):
+            build_system(table, mode)
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", k**n * d**n + 1)
+        assert build_system(table, mode).matrix.shape[0] == d**n - 1
+
+    def test_system_at_the_table_limit(self):
+        # 3^7 x 3^7 = 4.78M entries build; 3^8 x 3^8 = 43M are refused.
+        correspondence._system_parts.cache_clear()
+        try:
+            system = build_system(pf(3, 7, [0] * 3**7), MULTIHYPERGRAPH)
+            assert system.matrix.shape == (3**7 - 1, 3**7 - 1)
+            with pytest.raises(SizeLimit, match="system of 6561 x 3\\^8 entries"):
+                build_system(pf(3, 8, [0] * 3**8), MULTIHYPERGRAPH)
+        finally:
+            correspondence._system_parts.cache_clear()
+
+    def test_constraint_bounds_are_exact(self, monkeypatch):
+        # At (3, 3) the solver holds 3^3 = 27 divisors. Multihypergraph mode
+        # picks no row; hypergraph mode picks the 3^3 - 2^3 = 19 rows with a
+        # digit 2, 19 x 27 = 513 entries.
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 27)
+        for mode in MODES:
+            with pytest.raises(SizeLimit, match="^solver divisors of 3\\^3 entries"):
+                representability_constraints(3, 3, mode)
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 28)
+        assert representability_constraints(3, 3, MULTIHYPERGRAPH) == []
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 513)
+        with pytest.raises(SizeLimit, match="^constraint rows of 19 x 3\\^3 entries"):
+            representability_constraints(3, 3, HYPERGRAPH)
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 514)
+        assert len(representability_constraints(3, 3, HYPERGRAPH)) == 19
+
+    def test_constraints_at_the_table_limit(self):
+        # 3^8 - 2^8 = 6305 rows of 3^8 entries: 41M, refused.
+        with pytest.raises(SizeLimit, match="constraint rows of 6305 x 3\\^8 entries"):
+            representability_constraints(3, 8, HYPERGRAPH)
+        with pytest.raises(SizeLimit, match="solver divisors of 2\\^24 entries"):
+            representability_constraints(2, 24, MULTIHYPERGRAPH)
 
 
 class TestSolveWeights:
@@ -211,7 +289,7 @@ class TestGeneratorBound:
 
 class TestKroneckerSolve:
     def test_matches_prime_solver_exhaustively_d3_n2(self):
-        reference = PrimeSolver(build_system(pf(3, 2, [0] * 9), MULTIHYPERGRAPH).matrix)
+        reference = PrimeSolver(build_system(pf(3, 2, [0] * 9), MULTIHYPERGRAPH).matrix, 3)
         for entries in product(range(3), repeat=8):
             table = pf(3, 2, (0,) + entries)
             outcome = solve_weights(table, MULTIHYPERGRAPH)
@@ -259,9 +337,9 @@ def _assert_agrees(table, mode, reference):
     if ours.consistent and ours.count <= 64:
         assert ours.solutions() == expected.solutions()
     matrix = build_system(table, mode).matrix
-    if table.d**matrix.cols <= 10**5:
+    if table.d ** matrix.shape[1] <= 10**5:
         assert ours.solutions() == sorted(
-            brute_force_solutions(matrix.row_lists(), rhs, table.d)
+            brute_force_solutions(matrix.tolist(), rhs, table.d)
         )
 
 
@@ -290,26 +368,26 @@ class TestDifferential:
 
 class TestCoefficientBlock:
     def test_mod4_digit_powers(self):
-        assert coefficient_block(4, 1).row_lists() == [[1, 1, 1], [2, 0, 0], [3, 1, 3]]
+        assert coefficient_block(4, 1).tolist() == [[1, 1, 1], [2, 0, 0], [3, 1, 3]]
 
     def test_qubit_blocks_are_trivial(self):
-        assert coefficient_block(2, 3).row_lists() == [[1]]
+        assert coefficient_block(2, 3).tolist() == [[1]]
 
     def test_mod6_digit_powers(self):
         block = coefficient_block(6, 1)
         expected = [[pow(i, s, 6) for s in range(1, 6)] for i in range(1, 6)]
-        assert block.row_lists() == expected
+        assert block.tolist() == expected
         # 2^3 = 8 = 2 (mod 6): the i=2 row is (2,4,2,4,2), not (2,4,4,4,2)
-        assert block.row_lists()[1] == [2, 4, 2, 4, 2]
-        assert block.row_lists()[1] != [2, 4, 4, 4, 2]
+        assert block.tolist()[1] == [2, 4, 2, 4, 2]
+        assert block.tolist()[1] != [2, 4, 4, 4, 2]
 
     def test_prime_block_invertible(self):
         block = coefficient_block(5, 1)
-        assert PrimeSolver(block).rank == 4
+        assert PrimeSolver(block, 5).rank == 4
 
     def test_kron_structure(self):
-        base = np.array(coefficient_block(3, 1).row_lists())
-        assert coefficient_block(3, 2).row_lists() == (np.kron(base, base) % 3).tolist()
+        base = coefficient_block(3, 1)
+        assert coefficient_block(3, 2).tolist() == (np.kron(base, base) % 3).tolist()
 
 
 class TestRepresentabilityConstraints:
@@ -545,7 +623,7 @@ class TestClosedFormKernel:
     @pytest.mark.parametrize("mode", MODES)
     def test_matches_the_dense_smith_solver(self, d, n, mode):
         system = build_system(pf(d, n, [0] * d**n), mode)
-        zero = SmithSolver(system.matrix).solve([0] * system.matrix.rows)
+        zero = SmithSolver(system.matrix, d).solve([0] * len(system.matrix))
         assert _closed_form_kernel(d, n, mode) == zero.count
 
     def test_large_base_matches_legendre(self):

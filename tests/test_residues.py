@@ -13,11 +13,10 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from quditgraphs import residues
 from quditgraphs.residues import (
     KroneckerSolver,
-    Modulus,
     NonPrimeModulus,
-    RingMatrix,
     SizeLimit,
     check_entries,
+    is_prime,
     kernel_size,
     power_at_least,
 )
@@ -65,25 +64,25 @@ class TestModInverse:
 
 
 class TestResidueArithmetic:
-    """Arithmetic of Z_d as RingMatrix carries it."""
+    """Arithmetic of Z_d as the dense oracles carry it."""
 
     def test_ops(self):
-        five = RingMatrix.from_rows([[5]], 7)
-        assert mul_vector(RingMatrix.from_rows([[1, 1]], 7), (5, 4)) == (2,)
-        assert mul_vector(RingMatrix.from_rows([[1, -1]], 7), (5, 4)) == (1,)
-        assert mul_vector(five, (4,)) == (6,)
-        assert RingMatrix.from_rows([[-5]], 7).entries == (2,)
-        assert mul_vector(five, mul_vector(five, (5,))) == (pow(5, 3, 7),)
+        five = [[5]]
+        assert mul_vector([[1, 1]], 7, (5, 4)) == (2,)
+        assert mul_vector([[1, -1]], 7, (5, 4)) == (1,)
+        assert mul_vector(five, 7, (4,)) == (6,)
+        assert mul_vector(five, 7, mul_vector(five, 7, (5,))) == (pow(5, 3, 7),)
 
-    def test_unreduced_value_rejected(self):
-        with pytest.raises(ValueError):
-            RingMatrix(1, 1, (5,), Modulus(4))
+
+class TestIsPrime:
+    def test_agrees_with_sympy(self):
+        assert all(is_prime(d) == sympy.isprime(d) for d in range(5000))
 
 
 class TestSolvePrime:
     def test_identity_matrix(self):
         mat = identity(4, 5)
-        sol = PrimeSolver(mat).solve((1, 4, 2, 0))
+        sol = PrimeSolver(mat, 5).solve((1, 4, 2, 0))
         assert sol.consistent and sol.count == 1
         assert sol.particular == (1, 4, 2, 0)
 
@@ -106,7 +105,7 @@ class TestSolvePrime:
                 row.append(entry)
             rows.append(row)
         rhs = [1, 0, 1, 1, 0, 0, 1, 0]  # table (0,1,0,1,1,0,0,1,0) minus its zero entry
-        sol = PrimeSolver(RingMatrix.from_rows(rows, 3)).solve(rhs)
+        sol = PrimeSolver(rows, 3).solve(rhs)
         assert sol.consistent and sol.count == 1
         assert sol.particular == (2, 2, 2, 2, 0, 1, 0, 1)
 
@@ -115,7 +114,7 @@ class TestSolvePrime:
         for _ in range(8):
             rows = random_matrix_rows(rng, 4, 4, 5)
             rhs = [rng.randrange(5) for _ in range(4)]
-            sol = PrimeSolver(RingMatrix.from_rows(rows, 5)).solve(rhs)
+            sol = PrimeSolver(rows, 5).solve(rhs)
             expected = brute_force_solutions(rows, rhs, 5)
             assert sol.count == len(expected)
             if expected:
@@ -123,18 +122,18 @@ class TestSolvePrime:
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(NonPrimeModulus):
-            PrimeSolver(identity(2, 6))
+            PrimeSolver(identity(2, 6), 6)
 
 
 class TestSolveResidue:
     def test_unsolvable_3x3_mod4(self):
-        mat = RingMatrix.from_rows([[1, 1, 1], [2, 0, 0], [3, 1, 3]], 4)
-        sol = SmithSolver(mat).solve((1, 1, 2))
+        mat = [[1, 1, 1], [2, 0, 0], [3, 1, 3]]
+        sol = SmithSolver(mat, 4).solve((1, 1, 2))
         assert not sol.consistent and sol.count == 0
 
     def test_four_solution_3x3_mod4(self):
         rows = [[1, 1, 1], [2, 0, 0], [3, 1, 3]]
-        sol = SmithSolver(RingMatrix.from_rows(rows, 4)).solve((1, 2, 1))
+        sol = SmithSolver(rows, 4).solve((1, 2, 1))
         expected = brute_force_solutions(rows, (1, 2, 1), 4)
         assert sol.consistent
         assert sol.count == len(expected) == 4
@@ -142,10 +141,10 @@ class TestSolveResidue:
         assert sorted(expected) == [(1, 1, 3), (1, 3, 1), (3, 1, 1), (3, 3, 3)]
 
     def test_zero_matrix_everything_solves(self):
-        mat = RingMatrix.from_rows([[0, 0, 0], [0, 0, 0]], 6)
-        sol = SmithSolver(mat).solve((0, 0))
+        mat = [[0, 0, 0], [0, 0, 0]]
+        sol = SmithSolver(mat, 6).solve((0, 0))
         assert sol.consistent and sol.count == 6**3
-        assert not SmithSolver(mat).solve((1, 0)).consistent
+        assert not SmithSolver(mat, 6).solve((1, 0)).consistent
 
     def test_counts_match_brute_force(self):
         rng = random.Random(911)
@@ -154,7 +153,7 @@ class TestSolveResidue:
                 m, n = rng.randint(1, 4), rng.randint(1, 4)
                 rows = random_matrix_rows(rng, m, n, d)
                 rhs = [rng.randrange(d) for _ in range(m)]
-                sol = SmithSolver(RingMatrix.from_rows(rows, d)).solve(rhs)
+                sol = SmithSolver(rows, d).solve(rhs)
                 expected = brute_force_solutions(rows, rhs, d)
                 assert sol.count == len(expected)
                 assert sol.solutions() == sorted(expected)
@@ -165,7 +164,7 @@ class TestSolveResidue:
             for _ in range(2):
                 rows = random_matrix_rows(rng, 3, 6, d)
                 rhs = [rng.randrange(d) for _ in range(3)]
-                sol = SmithSolver(RingMatrix.from_rows(rows, d)).solve(rhs)
+                sol = SmithSolver(rows, d).solve(rhs)
                 assert sol.count == len(brute_force_solutions(rows, rhs, d))
 
     def test_agrees_with_prime_solver(self):
@@ -175,8 +174,7 @@ class TestSolveResidue:
                 m, n = rng.randint(1, 8), rng.randint(1, 8)
                 rows = random_matrix_rows(rng, m, n, d)
                 rhs = [rng.randrange(d) for _ in range(m)]
-                mat = RingMatrix.from_rows(rows, d)
-                a, b = PrimeSolver(mat).solve(rhs), SmithSolver(mat).solve(rhs)
+                a, b = PrimeSolver(rows, d).solve(rhs), SmithSolver(rows, d).solve(rhs)
                 assert a.consistent == b.consistent
                 assert a.count == b.count
                 if a.consistent and a.count <= 4096:
@@ -192,7 +190,7 @@ class TestSolveResidue:
     def test_every_enumerated_solution_satisfies_system(self, d, m, n, rnd):
         rows = [[rnd.randrange(d) for _ in range(n)] for _ in range(m)]
         rhs = [rnd.randrange(d) for _ in range(m)]
-        sol = SmithSolver(RingMatrix.from_rows(rows, d)).solve(rhs)
+        sol = SmithSolver(rows, d).solve(rhs)
         for x in sol.solutions(cap=1000):
             assert all(
                 sum(a * v for a, v in zip(row, x)) % d == b
@@ -243,16 +241,17 @@ class TestRankAndNullspace:
         tuples = [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
         rows = [[i0 % 3, i1 % 3, i0 * i1 % 3] for i0, i1 in tuples]
         rhs = [1, 0, 1, 1, 0, 0, 1, 0]
-        solver = PrimeSolver(RingMatrix.from_rows(rows, 3))
-        augmented = RingMatrix.from_rows([row + [b] for row, b in zip(rows, rhs)], 3)
+        solver = PrimeSolver(rows, 3)
+        augmented = [row + [b] for row, b in zip(rows, rhs)]
         assert solver.rank == 3
-        assert PrimeSolver(augmented).rank == 4
+        assert PrimeSolver(augmented, 3).rank == 4
         assert not solver.solve(rhs).consistent
 
     def test_empty_system_is_consistent(self):
-        solution = SmithSolver(RingMatrix(0, 3, (), Modulus(6))).solve(())
+        empty = np.zeros((0, 3), dtype=np.int64)
+        solution = SmithSolver(empty, 6).solve(())
         assert solution.consistent and solution.count == 6**3
-        assert all(PrimeSolver(RingMatrix(0, 3, (), Modulus(p))).rank == 0 for p in (2, 3))
+        assert all(PrimeSolver(empty, p).rank == 0 for p in (2, 3))
 
     def test_composite_agrees_with_solver(self):
         # Consistent mod d iff consistent modulo every prime-power factor (CRT).
@@ -263,19 +262,17 @@ class TestRankAndNullspace:
             rows = random_matrix_rows(rng, m, n, d)
             rhs = [rng.randrange(d) for _ in range(m)]
             per_factor = [
-                SmithSolver(RingMatrix.from_rows(rows, p**e)).solve([b % p**e for b in rhs])
-                for p, e in Modulus(d).factorization
+                SmithSolver(rows, p**e).solve([b % p**e for b in rhs])
+                for p, e in sympy.factorint(d).items()
             ]
-            whole = SmithSolver(RingMatrix.from_rows(rows, d)).solve(rhs)
+            whole = SmithSolver(rows, d).solve(rhs)
             assert whole.consistent == all(s.consistent for s in per_factor)
 
     def test_invertible_matrix_has_empty_left_nullspace(self):
-        mat = RingMatrix.from_rows([[1, 2], [3, 4]], 5)
-        assert PrimeSolver(mat).left_nullspace() == []
+        assert PrimeSolver([[1, 2], [3, 4]], 5).left_nullspace() == []
 
     def test_repeated_row(self):
-        mat = RingMatrix.from_rows([[1, 2, 0], [1, 2, 0]], 7)
-        assert PrimeSolver(mat).left_nullspace() == [(1, 6)]
+        assert PrimeSolver([[1, 2, 0], [1, 2, 0]], 7).left_nullspace() == [(1, 6)]
 
     def test_left_nullspace_annihilates_rows(self):
         rng = random.Random(31337)
@@ -283,22 +280,20 @@ class TestRankAndNullspace:
             for _ in range(10):
                 m, n = rng.randint(1, 6), rng.randint(1, 4)
                 rows = random_matrix_rows(rng, m, n, q)
-                mat = RingMatrix.from_rows(rows, q)
-                basis = PrimeSolver(mat).left_nullspace()
-                assert len(basis) == m - PrimeSolver(mat).rank
+                basis = PrimeSolver(rows, q).left_nullspace()
+                assert len(basis) == m - PrimeSolver(rows, q).rank
                 for y in basis:
                     for j in range(n):
                         assert sum(y[i] * rows[i][j] for i in range(m)) % q == 0
 
 
-def kron_power(base, power):
-    """The explicit Kronecker power, by numpy, as a RingMatrix."""
-    d = base.modulus.d
-    factor = np.array(base.row_lists(), dtype=np.int64)
+def kron_power(base, d, power):
+    """The explicit Kronecker power, by numpy, reduced mod d."""
+    factor = np.array(base, dtype=np.int64) % d
     out = factor
     for _ in range(power - 1):
         out = np.kron(out, factor) % d
-    return RingMatrix.from_rows(out.tolist(), d)
+    return out.tolist()
 
 
 class TestKroneckerSolver:
@@ -315,34 +310,34 @@ class TestKroneckerSolver:
         cols = min(cols, rows)
         if rows**power > 64:
             power = 1
-        base = RingMatrix.from_rows(random_matrix_rows(rnd, rows, cols, d), d)
-        full = kron_power(base, power)
-        reference = SmithSolver(full)
-        solver = KroneckerSolver(*smith_factor_of(base.row_lists(), d), d=d, power=power)
+        base = random_matrix_rows(rnd, rows, cols, d)
+        full = kron_power(base, d, power)
+        reference = SmithSolver(full, d)
+        solver = KroneckerSolver(*smith_factor_of(base, d), d=d, power=power)
         for _ in range(3):
             if rnd.random() < 0.5:
-                rhs = [rnd.randrange(d) for _ in range(full.rows)]
+                rhs = [rnd.randrange(d) for _ in range(len(full))]
             else:
-                rhs = mul_vector(full, [rnd.randrange(d) for _ in range(full.cols)])
+                rhs = mul_vector(full, d, [rnd.randrange(d) for _ in range(len(full[0]))])
             ours, expected = solver.solve(rhs), reference.solve(rhs)
             assert ours.consistent == expected.consistent
             assert ours.count == expected.count
             if ours.consistent and ours.count <= 256:
                 solutions = ours.solutions()
                 assert solutions == expected.solutions()
-                assert all(mul_vector(full, x) == tuple(rhs) for x in solutions)
+                assert all(mul_vector(full, d, x) == tuple(rhs) for x in solutions)
 
     def test_counts_match_brute_force(self):
         rng = random.Random(4242)
         for d in (2, 4, 6):
             for _ in range(4):
-                base = RingMatrix.from_rows(random_matrix_rows(rng, 3, 2, d), d)
-                full = kron_power(base, 2)
-                rhs = [rng.randrange(d) for _ in range(full.rows)]
+                base = random_matrix_rows(rng, 3, 2, d)
+                full = kron_power(base, d, 2)
+                rhs = [rng.randrange(d) for _ in range(len(full))]
                 if rng.random() < 0.5:
-                    rhs = mul_vector(full, [rng.randrange(d) for _ in range(full.cols)])
-                expected = brute_force_solutions(full.row_lists(), rhs, d)
-                solver = KroneckerSolver(*smith_factor_of(base.row_lists(), d), d=d, power=2)
+                    rhs = mul_vector(full, d, [rng.randrange(d) for _ in range(len(full[0]))])
+                expected = brute_force_solutions(full, rhs, d)
+                solver = KroneckerSolver(*smith_factor_of(base, d), d=d, power=2)
                 assert solver.solve(rhs).solutions() == sorted(expected)
 
     def test_rejects_wide_base_and_bad_rhs(self):
@@ -353,6 +348,8 @@ class TestKroneckerSolver:
             KroneckerSolver(unit, [1, 1], unit, d=5, power=2).solve([0, 0, 0])
         with pytest.raises(ValueError):
             KroneckerSolver(unit, [1, 1], unit, d=5, power=2).solve([[0, 0, 0, 0]])
+        with pytest.raises(ValueError, match="d >= 2"):
+            KroneckerSolver(unit, [1, 1], unit, d=1, power=2)
 
 
 class TestKernelSize:

@@ -4,11 +4,18 @@ Exit codes: 0 success / affirmative result, 1 negative mathematical result
 (unsolvable system, unstabilized vertex, broken identity), 2 usage or schema
 error, 3 size or budget limit. Data goes to stdout, diagnostics to stderr.
 
-Only the verbs that work on arrays (``solve``, and ``build-state``,
-``verify-stabilizers``, ``identity-check`` and ``matrix`` past their size
-checks) import the numpy-backed modules, inside the verb. ``census``, usage
-errors, and the schema and size refusals of every verb but ``solve`` start
-and finish without numpy. Every size refusal is ``residues.check_entries``.
+Only the verbs that work on arrays (``solve``, ``build-state``,
+``verify-stabilizers``, ``identity-check`` and ``matrix``, each past its
+size check) import the numpy-backed modules, inside the verb. ``census``,
+usage errors, every size refusal, and every schema refusal up to the size
+check start and finish without numpy; ``solve`` checks d and n with
+``graphs.table_shape`` before it loads numpy to read the table. Every size
+refusal is ``residues.check_entries``.
+
+Payloads are written by ``_encode``, byte for byte what
+``json.dumps(payload, indent=2)`` writes, and ``build-state --dense``
+streams its lines in blocks. The process entry is ``__main__``, which runs
+OpenBLAS with one thread unless the caller set ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -29,7 +36,31 @@ EXIT_LIMIT = 3
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_encode(payload, "\n") + "\n")
+
+
+def _encode(value: object, newline: str) -> str:
+    """The text ``json.dumps(value, indent=2)`` gives, for ``value`` nested
+    at the depth whose lines start with ``newline``. Dict keys are str, as
+    in every payload.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder on every
+    item. Here containers are written out level by level, and a list of
+    plain ints, such as a phase table, goes through the C encoder in one
+    call, with the item separator carrying the line break and the indent.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in value.items())
+    elif isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {int}:  # one pass in C; a bool is not an int here
+            body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+            return "[" + inner + body + newline + "]"
+        items = (_encode(v, inner) for v in value)
+    else:
+        return json.dumps(value)
+    opening, closing = ("{", "}") if isinstance(value, dict) else ("[", "]")
+    return opening + inner + ("," + inner).join(items) + newline + closing
 
 
 @contextmanager
@@ -67,16 +98,19 @@ def _cmd_build_state(args: argparse.Namespace) -> int:
 
     state = states.build_state(edge_map)
     if args.dense:
-        sys.stdout.write(states.dense_text(states.to_dense(state)))
+        for block in states.dense_blocks(states.to_dense(state)):
+            sys.stdout.write(block)
     else:
         _emit(states.phases_to_dict(state))
     return EXIT_OK
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from . import correspondence, states
+    request = json.loads(_read_file(args.phases))
+    graphs.table_shape(request)
+    from . import correspondence, states  # after the size check: a refusal loads no numpy
 
-    table = states.phases_from_dict(json.loads(_read_file(args.phases)))
+    table = states.phases_from_dict(request)
     outcome = correspondence.solve_weights(table, args.mode)
     solution = outcome.solution
     payload = {
@@ -288,6 +322,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -93,7 +93,7 @@ def _kronecker_solver(d: int, n: int, mode: str) -> KroneckerSolver:
     return KroneckerSolver(*smith_factor(d, mode), d=d, power=n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)  # a (3, 7) system holds about 37 MB: keep few alive
 def _system_parts(
     d: int, n: int, mode: str
 ) -> tuple[tuple[MultiHyperedge, ...], tuple[tuple[int, ...], ...], np.ndarray]:

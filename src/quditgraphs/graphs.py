@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Any, Iterable, Mapping
 
+from .residues import check_entries
+
 
 class SchemaError(ValueError):
     """Invalid serialized input; ``path`` points at the offending field."""
@@ -192,6 +194,22 @@ def _expect_int_list(value: Any, path: str) -> list[int]:
     if set(map(type, value)) <= {int}:  # one pass in C; subclasses take the loop
         return value
     return [_expect_int(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+
+def table_shape(payload: Any) -> tuple[int, int]:
+    """(d, n) of a phase-table payload {"d", "n", "phases"}, with its d^n
+    entries checked against the table limit. It needs no numpy, so ``solve``
+    refuses a bad header before loading it; ``states.phases_from_dict`` calls
+    this first and then reads the entries."""
+    if not isinstance(payload, dict):
+        raise SchemaError("$", f"expected an object, got {payload!r}")
+    for key in ("d", "n", "phases"):
+        if key not in payload:
+            raise SchemaError(key, "missing required field")
+    d = _expect_int(payload["d"], "d", minimum=2)
+    n = _expect_int(payload["n"], "n", minimum=1)
+    check_entries("table", 1, d, n)
+    return d, n
 
 
 def from_dict(payload: Any) -> WeightedEdgeMap:

@@ -27,7 +27,7 @@ before they allocate, and raise its ``SizeLimit`` (re-exported here).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -239,35 +239,40 @@ def to_dense(state: PhaseFunction) -> DenseState:
     return DenseState(state.d, state.n, phases * state.d ** (-state.n / 2))
 
 
-def dense_text(state: DenseState) -> str:
-    """Text export, one line per amplitude: 'index re im' at 17 significant digits.
+_DENSE_BLOCK_LINES = 1 << 14
+
+
+def dense_blocks(state: DenseState) -> Iterator[str]:
+    """Text export, one line per amplitude: 'index re im' at 17 significant
+    digits, in blocks of ``_DENSE_BLOCK_LINES`` lines, so a writer holds one
+    block of strings at a time rather than one per amplitude.
 
     Each distinct amplitude is formatted once. Amplitudes are told apart by
     their 16 bytes, not by value, so 0.0 and -0.0 keep their own text.
     """
     distinct, which = np.unique(state.amplitudes.view("V16"), return_inverse=True)
     texts = [f"{amp.real:.17g} {amp.imag:.17g}" for amp in distinct.view(np.complex128).tolist()]
-    return "".join(f"{i} {texts[j]}\n" for i, j in enumerate(which.tolist()))
+    for start in range(0, which.size, _DENSE_BLOCK_LINES):
+        block = which[start : start + _DENSE_BLOCK_LINES].tolist()
+        yield "".join(f"{i} {texts[j]}\n" for i, j in enumerate(block, start))
+
+
+def dense_text(state: DenseState) -> str:
+    """The whole text export of ``dense_blocks`` as one string."""
+    return "".join(dense_blocks(state))
 
 
 # --- JSON serialization of phase tables --------------------------------------
 
 
 def phases_to_dict(state: PhaseFunction) -> dict:
-    return {"d": state.d, "n": state.n, "phases": [int(x) for x in state.table]}
+    return {"d": state.d, "n": state.n, "phases": state.table.tolist()}
 
 
 def phases_from_dict(payload: object) -> PhaseFunction:
-    from .graphs import SchemaError, _expect_int, _expect_int_list
+    from .graphs import SchemaError, _expect_int_list, table_shape
 
-    if not isinstance(payload, dict):
-        raise SchemaError("$", f"expected an object, got {payload!r}")
-    for key in ("d", "n", "phases"):
-        if key not in payload:
-            raise SchemaError(key, "missing required field")
-    d = _expect_int(payload["d"], "d", minimum=2)
-    n = _expect_int(payload["n"], "n", minimum=1)
-    check_entries("table", 1, d, n)
+    d, n = table_shape(payload)
     phases = _expect_int_list(payload["phases"], "phases")
     if len(phases) != d**n:
         raise SchemaError("phases", f"expected d^n = {d ** n} entries, got {len(phases)}")

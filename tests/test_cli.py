@@ -14,12 +14,14 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import quditgraphs
 from quditgraphs import graphs, residues
-from quditgraphs.cli import main
+from quditgraphs.cli import _any_int_digits, _encode, main
 
 from helpers import phase_table_of_map, random_edge_map
 
@@ -525,6 +527,33 @@ class TestMatrix:
         payload = json.loads(out)
         expected = [pow(i, s, 6) for i in range(1, 6) for s in range(1, 6)]
         assert payload["entries"] == expected
+
+
+# Ints past Python's default 4300-digit limit on int -> str, either sign.
+HUGE_INTS = st.builds(
+    lambda digits, sign: sign * (10**digits + 7), st.integers(4300, 4310), st.sampled_from([1, -1])
+)
+TEXT = st.text() | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "é", "\u2028", "\ud800", "😀"])
+SCALARS = st.none() | st.booleans() | st.integers() | HUGE_INTS | st.floats() | TEXT
+# Lists of plain ints take the encoder's C path; a bool sends a list down the other.
+INT_LISTS = st.lists(st.integers() | HUGE_INTS, max_size=12) | st.lists(
+    st.integers() | st.booleans(), min_size=1, max_size=12
+)
+JSON_VALUES = st.recursive(
+    SCALARS | INT_LISTS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+class TestEncoder:
+    @given(JSON_VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_indented_json_dumps(self, value):
+        with _any_int_digits():
+            assert _encode(value, "\n") == json.dumps(value, indent=2)
 
 
 class TestUsage:

@@ -30,13 +30,30 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}), file=sys.stde
 """
 
 
-def _python(*args):
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+# Appended to a probe: a last stderr line with the process's thread count and
+# the OPENBLAS_NUM_THREADS it ran under.
+THREADS = """
+import json, os, sys
+with open("/proc/self/status") as status:
+    threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+print(json.dumps({"threads": threads, "setting": os.environ.get("OPENBLAS_NUM_THREADS")}), file=sys.stderr)
+"""
+
+# The environment without a BLAS thread setting of the caller's.
+UNSET_BLAS = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+needs_proc_status = pytest.mark.skipif(
+    not Path("/proc/self/status").is_file(), reason="no /proc/self/status to count threads"
+)
+
+
+def _python(*args, environ=os.environ):
+    path = os.pathsep.join(filter(None, [SRC, environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(environ, PYTHONPATH=path),
         timeout=60,
     )
 
@@ -83,10 +100,22 @@ def test_import_loads_no_numpy(statement):
             2,
         ),
         (["matrix", "--d", "5", "--block", "30000000"], 3),
+        (["solve", "--phases", {"d": 3, "n": 1}, "--mode", "hypergraph"], 2),
+        (
+            [
+                "solve",
+                "--phases",
+                {"d": 1000, "n": 100000000, "phases": []},
+                "--mode",
+                "multihypergraph",
+            ],
+            3,
+        ),
     ],
     ids=["census", "census-hypergraph", "census-budget", "census-usage", "unknown-verb",
          "identity-check-limit", "build-state-limit", "build-state-schema",
-         "verify-stabilizers-limit", "verify-stabilizers-schema", "matrix-limit"],
+         "verify-stabilizers-limit", "verify-stabilizers-schema", "matrix-limit",
+         "solve-schema", "solve-limit"],
 )
 def test_cli_path_loads_no_numpy(argv, code, tmp_path):
     # A dict in argv is an input file: write it and pass its path.
@@ -101,6 +130,44 @@ def test_cli_path_loads_no_numpy(argv, code, tmp_path):
 def test_array_verbs_still_load_numpy():
     # The probe itself can see numpy: a matrix request needs it.
     assert _cli("matrix", "--d", "3", "--block", "1") == {"code": 0, "numpy": True}
+
+
+def _solve_threads(tmp_path, environ):
+    path = tmp_path / "phases.json"
+    path.write_text(json.dumps({"d": 3, "n": 2, "phases": [0, 1, 0, 1, 1, 0, 0, 1, 0]}))
+    result = _python(
+        "-c", CLI_PROBE + THREADS, "solve", "--phases", str(path), "--mode", "multihypergraph",
+        environ=environ,
+    )
+    *_, request, process = result.stderr.splitlines()
+    assert json.loads(request) == {"code": 0, "numpy": True}, result.stderr
+    return json.loads(process)
+
+
+@needs_proc_status
+def test_cli_runs_blas_single_threaded(tmp_path):
+    # OpenBLAS starts one thread per core when numpy loads, unless told not to.
+    assert _solve_threads(tmp_path, UNSET_BLAS) == {"threads": 1, "setting": "1"}
+
+
+@needs_proc_status
+def test_cli_keeps_a_blas_setting_of_the_callers(tmp_path):
+    environ = dict(UNSET_BLAS, OPENBLAS_NUM_THREADS="2")
+    bare_numpy = _python("-c", "import numpy" + THREADS, environ=environ)
+    assert bare_numpy.returncode == 0, bare_numpy.stderr
+    expected = json.loads(bare_numpy.stderr.splitlines()[-1])
+    assert expected["setting"] == "2"
+    assert _solve_threads(tmp_path, environ) == expected
+
+
+def test_library_import_leaves_the_environment_alone():
+    result = _python(
+        "-c",
+        "import os; before = dict(os.environ); import quditgraphs, quditgraphs.cli; "
+        "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)",
+        environ=UNSET_BLAS,
+    )
+    assert result.stdout.split() == ["True", "False"], result.stderr
 
 
 def test_importtime_lists_no_numpy_module():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditgraphs import residues
+from quditgraphs import residues, states
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
 from quditgraphs.states import (
     DenseState,
@@ -227,6 +227,14 @@ class TestDense:
         ) + "\n"
         assert dense_text(state) == per_line
         assert dense_text(state).splitlines()[1] == "1 0.5 -0"
+
+    def test_text_export_streams_in_blocks(self, monkeypatch):
+        state = to_dense(build_state(random_edge_map(random.Random(7), 3, 2)))
+        whole = dense_text(state)
+        monkeypatch.setattr(states, "_DENSE_BLOCK_LINES", 4)
+        blocks = list(states.dense_blocks(state))
+        assert [block.count("\n") for block in blocks] == [4, 4, 1]
+        assert "".join(blocks) == whole
 
 
 class TestEquality:

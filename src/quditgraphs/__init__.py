@@ -34,7 +34,7 @@ _EXPORTS = {
     "RoundTripFailure": "correspondence",
     "SchemaError": "graphs",
     "SizeLimit": "residues",
-    "SolutionSet": "residues",
+    "SolutionSet": "correspondence",
     "SolveOutcome": "correspondence",
     "VertexOutOfRange": "states",
     "WeightedEdgeMap": "graphs",

@@ -4,13 +4,41 @@ No verb calls BLAS: every result is exact int64 arithmetic. OpenBLAS would
 still start a worker thread per core when numpy loads, so the entry asks for
 one thread before anything can import numpy. A value the caller exported
 wins. A library ``import quditgraphs`` leaves the environment alone.
+
+A reader that closes stdout early (``quditgraphs ... | head``) ends the
+process with status 141, 128 + SIGPIPE as a shell reports a process that
+signal ended, and no traceback: exit 1 means a negative mathematical result.
+
+Once ``cli.main`` returns, every object the request made is garbage or
+lives until exit, so ``main`` freezes them all (``gc.freeze``) and the
+interpreter's shutdown collections skip them. Exit handlers, stream flushes
+and profiler output still run. A library call of ``cli.main`` never freezes.
 """
 
+import gc
 import os
+import sys
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .cli import main  # noqa: E402 (after the setting: cli may load numpy)
+from . import cli  # noqa: E402 (after the setting: cli may load numpy)
+
+EXIT_CLOSED_STDOUT = 141
+
+
+def main() -> int:
+    try:
+        code = cli.main()
+        sys.stdout.flush()  # a closed reader shows up here, not at shutdown
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send what is left to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
+    gc.freeze()
+    return code
+
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -4,18 +4,21 @@ Exit codes: 0 success / affirmative result, 1 negative mathematical result
 (unsolvable system, unstabilized vertex, broken identity), 2 usage or schema
 error, 3 size or budget limit. Data goes to stdout, diagnostics to stderr.
 
-Only the verbs that work on arrays (``solve``, ``build-state``,
-``verify-stabilizers``, ``identity-check`` and ``matrix``, each past its
-size check) import the numpy-backed modules, inside the verb. ``census``,
-usage errors, every size refusal, and every schema refusal up to the size
-check start and finish without numpy; ``solve`` checks d and n with
-``graphs.table_shape`` before it loads numpy to read the table. Every size
+A verb imports what it runs, inside the verb: ``graphs`` where it reads an
+edge map or a table, and the numpy-backed modules (``solve``,
+``build-state``, ``verify-stabilizers``, ``identity-check`` and ``matrix``)
+only past every refusal. So ``census``, usage errors, every size refusal
+and every schema refusal start and finish without numpy, and ``census``
+loads neither ``graphs`` nor ``dataclasses``; ``solve`` checks its whole
+table with ``graphs.phase_table`` before it loads numpy. Every size
 refusal is ``residues.check_entries``.
 
 Payloads are written by ``_encode``, byte for byte what
 ``json.dumps(payload, indent=2)`` writes, and ``build-state --dense``
-streams its lines in blocks. The process entry is ``__main__``, which runs
-OpenBLAS with one thread unless the caller set ``OPENBLAS_NUM_THREADS``.
+streams its lines in blocks. The process entry is ``__main__``: it runs
+OpenBLAS with one thread unless the caller set ``OPENBLAS_NUM_THREADS``,
+turns a closed stdout into exit 141, and freezes the request's objects so
+the interpreter's shutdown collections skip them.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from . import counting, graphs
+from . import counting
 from .residues import SizeLimit, check_entries
+
+if TYPE_CHECKING:
+    from .graphs import WeightedEdgeMap
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -78,7 +84,9 @@ def _any_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-def _read_edge_map(args: argparse.Namespace) -> graphs.WeightedEdgeMap:
+def _read_edge_map(args: argparse.Namespace) -> WeightedEdgeMap:
+    from . import graphs
+
     text = sys.stdin.read() if args.graph is None else _read_file(args.graph)
     return graphs.from_json(text)
 
@@ -88,7 +96,9 @@ def _read_file(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise graphs.SchemaError("$", f"cannot read {path}: {exc.strerror}") from exc
+        from .graphs import SchemaError
+
+        raise SchemaError("$", f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _cmd_build_state(args: argparse.Namespace) -> int:
@@ -106,11 +116,12 @@ def _cmd_build_state(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    request = json.loads(_read_file(args.phases))
-    graphs.table_shape(request)
-    from . import correspondence, states  # after the size check: a refusal loads no numpy
+    from . import graphs
 
-    table = states.phases_from_dict(request)
+    d, n, phases = graphs.phase_table(json.loads(_read_file(args.phases)))
+    from . import correspondence, states  # after every check: a refusal loads no numpy
+
+    table = states.PhaseFunction(d, n, phases)
     outcome = correspondence.solve_weights(table, args.mode)
     solution = outcome.solution
     payload = {
@@ -184,7 +195,7 @@ def _check_identity_size(d: int, n: int, exhaustive: bool) -> None:
 def _cmd_identity_check(args: argparse.Namespace) -> int:
     d, n = args.d, args.n
     _check_identity_size(d, n, args.exhaustive)
-    from . import stabilizers  # after the size check: a refusal loads no numpy
+    from . import graphs, stabilizers  # after the size check: a refusal loads no numpy
 
     edges = graphs.enumerate_multihyperedges(n, d, max_arity=None if args.exhaustive else 2)
     mismatches = []

@@ -18,18 +18,21 @@ W^{⊗n} x = f with the digit-power matrix W[i][s] = i^s mod d (0^0 = 1),
 s in 0..d-1 (multihypergraph) or {0, 1} (hypergraph). Row i = 0 pins
 m_0 = f(0) = 0, so the solutions are exactly those of the canonical system.
 ``solve_weights`` solves it for every d and both modes with one Kronecker
-solve (``residues.KroneckerSolver``) on the closed-form factor
+solve (``KroneckerSolver``, below) on the closed-form factor
 U·W·V = diag(s!) of the small W (``counting.smith_factor``), so nothing is
-factored and solution counts are exact. ``census`` solves no table: the
-reachable tables are the image of the linear map, d^{#vars} / K of them for
-a kernel of size K, and each has exactly K solutions; K has a closed form
-in the diagonal s!. W and the column of each variable in W^{⊗n} fix the
-whole system, so ``system_fingerprint`` hashes those. ``census``, the
-factor, the fingerprint and the variable order live in the numpy-free
-``counting`` module and are re-exported here. ``representability_constraints``
-reads rows of U^{⊗n}; only ``build_system`` assembles the dense canonical
-matrix. Matrices are C-contiguous, read-only int64 arrays with entries
-reduced mod d, frozen as ``PhaseFunction`` tables are.
+factored and solution counts are exact. The solver and its ``SolutionSet``
+live here, with their only caller, so ``residues`` stays numpy-free.
+``census`` solves no table: the reachable tables are the image of the
+linear map, d^{#vars} / K of them for a kernel of size K, and each has
+exactly K solutions; K has a closed form in the diagonal s!. W and the
+column of each variable in W^{⊗n} fix the whole system, so
+``system_fingerprint`` hashes those. ``census``, the factor, the
+fingerprint and the variable order (``counting.edge_tuples``) live in the
+numpy-free ``counting`` module and are re-exported here.
+``representability_constraints`` reads rows of U^{⊗n}; only
+``build_system`` assembles the dense canonical matrix. Matrices are
+C-contiguous, read-only int64 arrays with entries reduced mod d, frozen as
+``PhaseFunction`` tables are.
 
 Sizes go through ``residues.check_entries`` before any work: ``solve_weights``
 refuses a factor of d·d entries and kernel generators of free·k^n entries
@@ -41,8 +44,11 @@ of (d-1)^(2·size) entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -54,23 +60,21 @@ from .counting import (
     CensusReport,
     _check_block,
     _check_mode,
+    _columns,
     _digit_power_rows,
     _exponent_count,
     _fingerprint,
-    _variables,
     census,
     smith_factor,
     system_fingerprint,
 )
-from .graphs import MultiHyperedge, WeightedEdgeMap
-from .residues import (
-    KroneckerSolver,
-    NonPrimeModulus,
-    SolutionSet,
-    _power_rows,
-    check_entries,
-    is_prime,
+from .graphs import (
+    MultiHyperedge,
+    WeightedEdgeMap,
+    enumerate_hyperedges,
+    enumerate_multihyperedges,
 )
+from .residues import NonPrimeModulus, check_entries, is_prime, kernel_size
 from .states import PhaseFunction, _freeze, build_state, digits_of
 
 
@@ -82,9 +86,171 @@ class RoundTripFailure(RuntimeError):
     """A solved edge map failed to rebuild its own phase table (solver bug)."""
 
 
+@dataclass(frozen=True)
+class SolutionSet:
+    """All solutions of one linear system over Z_d.
+
+    ``generators`` describes the solution affine sublattice: each entry is a
+    (direction, order) pair, and the full set is
+    ``particular + sum_j c_j * direction_j (mod d)`` for c_j in range(order_j).
+    The directions are independent mod d, so ``count`` equals the product of
+    the orders.
+    """
+
+    d: int
+    consistent: bool
+    particular: tuple[int, ...] | None
+    count: int
+    generators: tuple[tuple[tuple[int, ...], int], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.consistent != (self.particular is not None) or self.consistent != (self.count >= 1):
+            raise ValueError("inconsistent SolutionSet fields")
+
+    def solutions(self, cap: int | None = None) -> list[tuple[int, ...]]:
+        """Enumerate every solution, sorted lexicographically.
+
+        Raises ValueError when the exact count exceeds ``cap``.
+        """
+        if not self.consistent:
+            return []
+        if cap is not None and self.count > cap:
+            raise ValueError(f"solution count {self.count} exceeds cap {cap}")
+        d = self.d
+        base = self.particular
+        assert base is not None
+        out = []
+        ranges = [range(order) for _, order in self.generators]
+        for coeffs in product(*ranges):
+            vec = list(base)
+            for c, (direction, _) in zip(coeffs, self.generators):
+                if c:
+                    for i, g in enumerate(direction):
+                        vec[i] = (vec[i] + c * g) % d
+            out.append(tuple(vec))
+        out.sort()
+        if len(out) != self.count:
+            raise AssertionError("generator enumeration does not match count")
+        return out
+
+
+def _no_solution(d: int) -> SolutionSet:
+    return SolutionSet(d, False, None, 0, ())
+
+
+def _apply_on_every_axis(matrix: np.ndarray, tensor: np.ndarray, d: int) -> np.ndarray:
+    """(matrix ⊗ ... ⊗ matrix) applied mod d to a tensor, one factor per axis.
+
+    Entries stay below d, so each dot product is below d^3: int64 holds it
+    for every d whose d x d matrix fits in memory.
+    """
+    for axis in range(tensor.ndim):
+        tensor = np.moveaxis(np.tensordot(matrix, tensor, axes=([1], [axis])) % d, 0, axis)
+    return tensor
+
+
+class KroneckerSolver:
+    """Solve (W ⊗ ... ⊗ W)·x = b (mod d), ``power`` factors, for any d >= 2.
+
+    Unknowns and equations are digit tuples in flat order, first digit most
+    significant. The base W (m x k, m >= k) enters only through a factor
+    U·W·V = D mod d, with U (m x m) and V (k x k) invertible mod d and D the
+    m x k matrix with ``diagonal`` on its diagonal. The mixed-product property
+    gives U^{⊗n}·W^{⊗n}·V^{⊗n} = D^{⊗n}, whose only nonzero entries sit at
+    (j, j) for tuples j with every digit below k, with value prod_v D[j_v].
+    So a solve is n tensor passes to form c = U^{⊗n} b, one elementwise
+    division y_j = c_j / D_j (mod d) with exactly gcd(D_j, d) choices each,
+    and n passes back to x = V^{⊗n} y. Equations j with a digit >= k have
+    no diagonal entry and demand c_j = 0.
+    """
+
+    def __init__(
+        self,
+        u: Sequence[Sequence[int]],
+        diagonal: Sequence[int],
+        v: Sequence[Sequence[int]],
+        *,
+        d: int,
+        power: int,
+    ):
+        self.u, self.v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+        self.u %= d
+        self.v %= d
+        m, k = len(self.u), len(diagonal)
+        if self.u.shape != (m, m) or self.v.shape != (k, k) or m < k:
+            raise ValueError("need U m x m, V k x k and k diagonal entries, with m >= k")
+        if power < 1 or d < 2:
+            raise ValueError(f"need power >= 1 and d >= 2, got {power} and {d}")
+        self.d, self.power = d, power
+        self.rows, self.cols = m, k
+        self.diagonal = list(diagonal)
+        # entries[j] = prod_v D[j_v] mod d over the k^n column tuples.
+        diag = np.array([x % d for x in diagonal], dtype=np.int64)
+        entries = diag
+        for _ in range(power - 1):
+            entries = np.multiply.outer(entries, diag) % d
+        # Per residue a of the diagonal: g = gcd(a, d), and the inverse of
+        # a / g modulo d / g that turns c = a·y into y = (c / g)·inverse.
+        gcds = [math.gcd(a, d) for a in range(d)]
+        inverses = [
+            pow(a // g, -1, d // g) if g < d else 0 for a, g in zip(range(d), gcds)
+        ]
+        self.gcd = np.array(gcds, dtype=np.int64)[entries]
+        self.inverse = np.array(inverses, dtype=np.int64)[entries]
+        # c_j must be a multiple of divisor_j: g_j on the diagonal, and d
+        # (so c_j = 0) on the equations without a diagonal entry.
+        self.divisor = np.full((m,) * power, d, dtype=np.int64)
+        self.divisor[(slice(0, k),) * power] = self.gcd
+
+    @cached_property
+    def count(self) -> int:
+        """Solutions of every consistent right-hand side: the kernel size,
+        prod_j g_j. Computed on first use, as it can have millions of digits."""
+        return kernel_size(self.diagonal, self.d, self.power)
+
+    def solve(self, rhs: Sequence[int] | np.ndarray) -> SolutionSet:
+        d, n, k = self.d, self.power, self.cols
+        b = np.asarray(rhs, dtype=np.int64)
+        if b.shape != (self.rows**n,):
+            raise ValueError("rhs length mismatch")
+        c = _apply_on_every_axis(self.u, b.reshape((self.rows,) * n) % d, d)
+        if (c % self.divisor).any():
+            return _no_solution(d)
+        diagonal_part = c[(slice(0, k),) * n]
+        y = (diagonal_part // self.gcd) * self.inverse % (d // self.gcd)
+        x = _apply_on_every_axis(self.v, y, d).reshape(-1)
+        return SolutionSet(d, True, tuple(x.tolist()), self.count, self._generators())
+
+    def _generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Column j of V^{⊗n} scaled by d / g_j, of order g_j, for every g_j > 1."""
+        d = self.d
+        gcd = self.gcd.reshape(-1)
+        free = np.flatnonzero(gcd > 1)
+        columns = _power_rows(self.v.T, free, self.power, d) * (d // gcd[free])[:, None] % d
+        return tuple(zip(map(tuple, columns.tolist()), gcd[free].tolist()))
+
+
+def _power_rows(matrix: np.ndarray, picked: np.ndarray, power: int, d: int) -> np.ndarray:
+    """Rows ``picked`` (flat digit-tuple indices) of matrix^{⊗power} mod d,
+    one Kronecker factor at a time, without building the power."""
+    rows = np.ones((len(picked), 1), dtype=np.int64)
+    for digit in np.unravel_index(picked, (len(matrix),) * power):
+        factor = matrix[digit]  # row f holds row digit[f] of matrix
+        outer = rows[:, :, None] * factor[:, None, :]
+        rows = outer.reshape(len(picked), rows.shape[1] * factor.shape[1]) % d
+    return rows
+
+
 def _digit_powers(d: int, mode: str) -> np.ndarray:
     """The digit-power matrix W of ``counting._digit_power_rows`` as an array."""
     return np.array(_digit_power_rows(d, mode), dtype=np.int64)
+
+
+def _variables(d: int, n: int, mode: str) -> tuple[MultiHyperedge, ...]:
+    """The mode's edges, the unknowns of the system, in ``counting._columns`` order."""
+    if mode == HYPERGRAPH:
+        return tuple(enumerate_hyperedges(n))
+    return tuple(enumerate_multihyperedges(n, d))
 
 
 def _kronecker_solver(d: int, n: int, mode: str) -> KroneckerSolver:
@@ -99,7 +265,7 @@ def _system_parts(
 ) -> tuple[tuple[MultiHyperedge, ...], tuple[tuple[int, ...], ...], np.ndarray]:
     # W^{⊗n} is built whole, d^n x k^n entries, before its columns are picked.
     check_entries("system", _exponent_count(d, mode) ** n, d, n)
-    variables, columns = _variables(d, n, mode)
+    variables, columns = _variables(d, n, mode), _columns(d, n, mode)
     tuples = tuple(digits_of(i, d, n) for i in range(1, d**n))
     power = _power_rows(_digit_powers(d, mode), np.arange(d**n), n, d)
     return variables, tuples, _freeze(power[1:, columns])
@@ -200,7 +366,7 @@ def solve_weights(table: PhaseFunction, mode: str) -> SolveOutcome:
     solver = _kronecker_solver(d, n, mode)
     free = int(np.count_nonzero(solver.gcd > 1))
     check_entries("kernel generators", free, solver.cols, n)
-    variables, columns = _variables(d, n, mode)
+    variables, columns = _variables(d, n, mode), _columns(d, n, mode)
     # The constant m_0 is pinned to f(0) = 0; the rest are the edge weights.
     solution = _on_columns(solver.solve(table.table), columns)
     fingerprint = _fingerprint(d, n, mode, columns)
@@ -229,7 +395,7 @@ def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, .
 
     A canonical table is reachable iff every basis vector y has
     y . rhs = 0 (mod d), rhs taken in equation order. The vectors are the
-    rows j of U^{⊗n} whose divisor is d (``residues.KroneckerSolver``), for
+    rows j of U^{⊗n} whose divisor is d (``KroneckerSolver``), for
     the closed-form factor U·W·V = D: some digit j_v >= k, or
     prod_v D[j_v] = 0 (mod d). Column 0 is dropped, as f(0) = 0. Row j has
     its unit pivot at column j != 0, so the rows are independent.

@@ -1,6 +1,9 @@
 """The census: how many canonical phase tables the edge weights reach.
 
-This module needs no numpy, so ``census`` starts and finishes without it.
+This module needs neither numpy nor ``graphs``, so ``census`` starts and
+finishes without either: the variables are (support, exponents) pairs from
+``edge_tuples``, which ``graphs.enumerate_*`` wrap as edges, and a census
+reads only their columns in W^{⊗n}.
 
 The canonical system at (d, n, mode) is W^{⊗n} x = f with the digit-power
 matrix W[i][s] = i^s mod d (0^0 = 1), s in 0..k-1 for k = d
@@ -21,19 +24,17 @@ factorisation is needed to count them.
 
 ``smith_factor`` builds the inverses U = P^{-1} and V = (S^T)^{-1} by
 recurrences mod d, so U·W·V = D. It is the package's only factor of W:
-``solve`` hands it to ``residues.KroneckerSolver``, and ``census`` reads its
-diagonal alone (``_factorial_diagonal``).
+``solve`` hands it to ``correspondence.KroneckerSolver``, and ``census``
+reads its diagonal alone (``_factorial_diagonal``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from itertools import accumulate, repeat
-from typing import Sequence
+from itertools import accumulate, combinations, product, repeat
+from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import MultiHyperedge, enumerate_hyperedges, enumerate_multihyperedges
 from .residues import check_entries, kernel_size, power_at_least
 
 HYPERGRAPH = "hypergraph"
@@ -116,19 +117,29 @@ def smith_factor(d: int, mode: str) -> tuple[list[list[int]], list[int], list[li
     return pascal, _factorial_diagonal(d, mode), [list(column) for column in zip(*stirling)]
 
 
-def _variables(d: int, n: int, mode: str) -> tuple[tuple[MultiHyperedge, ...], list[int]]:
-    """The mode's edges in the graphs enumeration order, and the column of
-    each in W^{⊗n}: the flat index, base k and vertex 0 most significant,
-    of its exponent vector (0 off the support)."""
-    if mode == HYPERGRAPH:
-        variables = tuple(enumerate_hyperedges(n))
-    else:
-        variables = tuple(enumerate_multihyperedges(n, d))
+def edge_tuples(
+    n: int, k: int, max_arity: int | None = None
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(vertices, exponents) of every edge on n vertices with exponents in
+    1..k-1, ordered by support size, vertex tuple, then exponent tuple: the
+    one definition of the variable order. ``max_arity`` keeps only supports
+    up to that size. ``graphs.enumerate_*`` wrap these pairs as edges."""
+    for size in range(1, (n if max_arity is None else min(n, max_arity)) + 1):
+        for support in combinations(range(n), size):
+            for exponents in product(range(1, k), repeat=size):
+                yield support, exponents
+
+
+def _columns(d: int, n: int, mode: str) -> list[int]:
+    """The column in W^{⊗n} of each of the mode's edges, in ``edge_tuples``
+    order: the flat index, base k and vertex 0 most significant, of the
+    edge's exponent vector (0 off the support)."""
     k = _exponent_count(d, mode)
-    columns = [
-        sum(s * k ** (n - 1 - v) for v, s in zip(e.vertices, e.exponents)) for e in variables
+    place = [k ** (n - 1 - v) for v in range(n)]
+    return [
+        sum(s * place[v] for v, s in zip(support, exponents))
+        for support, exponents in edge_tuples(n, k)
     ]
-    return variables, columns
 
 
 def system_fingerprint(d: int, n: int, mode: str) -> str:
@@ -138,7 +149,7 @@ def system_fingerprint(d: int, n: int, mode: str) -> str:
     dense matrix is column ``columns[j]`` of W^{⊗n}. So W and the columns fix
     every entry and both orderings, and they are hashed instead.
     """
-    return _fingerprint(d, n, mode, _variables(d, n, mode)[1])
+    return _fingerprint(d, n, mode, _columns(d, n, mode))
 
 
 def _fingerprint(d: int, n: int, mode: str, columns: list[int]) -> str:
@@ -153,8 +164,7 @@ def _fingerprint(d: int, n: int, mode: str, columns: list[int]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Classification of all canonical tables at fixed (d, n) by solution count."""
 
     d: int
@@ -205,9 +215,9 @@ def census(
     if power_at_least(d, n, cap.bit_length() + 2) or power_at_least(d, d**n - 1, cap + 1):
         raise BudgetExceeded(f"census covers {d}^({d}^{n} - 1) tables, budget is {cap}")
     total = d ** (d**n - 1)
-    variables, columns = _variables(d, n, mode)
+    columns = _columns(d, n, mode)
     kernel = kernel_size(_factorial_diagonal(d, mode), d, n)
-    weight_assignments = d ** len(variables)
+    weight_assignments = d ** len(columns)
     reachable = weight_assignments // kernel
     histogram = {0: total - reachable, kernel: reachable}
     return CensusReport(

@@ -13,9 +13,9 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, product
 from typing import Any, Iterable, Mapping
 
+from .counting import edge_tuples
 from .residues import check_entries
 
 
@@ -130,11 +130,7 @@ def enumerate_hyperedges(n: int) -> list[MultiHyperedge]:
     """All 2^n - 1 nonempty hyperedges, by support size then vertex tuple."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [
-        hyperedge(*subset)
-        for size in range(1, n + 1)
-        for subset in combinations(range(n), size)
-    ]
+    return [MultiHyperedge(*pair) for pair in edge_tuples(n, 2)]
 
 
 def enumerate_multihyperedges(
@@ -147,12 +143,7 @@ def enumerate_multihyperedges(
         raise ValueError("n must be >= 1")
     if d < 2:
         raise ValueError("d must be >= 2")
-    out = []
-    for size in range(1, (n if max_arity is None else min(n, max_arity)) + 1):
-        for subset in combinations(range(n), size):
-            for exps in product(range(1, d), repeat=size):
-                out.append(MultiHyperedge(subset, exps))
-    return out
+    return [MultiHyperedge(*pair) for pair in edge_tuples(n, d, max_arity)]
 
 
 # --- JSON serialization -----------------------------------------------------
@@ -196,11 +187,11 @@ def _expect_int_list(value: Any, path: str) -> list[int]:
     return [_expect_int(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
-def table_shape(payload: Any) -> tuple[int, int]:
-    """(d, n) of a phase-table payload {"d", "n", "phases"}, with its d^n
-    entries checked against the table limit. It needs no numpy, so ``solve``
-    refuses a bad header before loading it; ``states.phases_from_dict`` calls
-    this first and then reads the entries."""
+def phase_table(payload: Any) -> tuple[int, int, list[int]]:
+    """(d, n, phases) of a phase-table payload {"d", "n", "phases"}, every
+    schema and size rule checked: d^n entries under the table limit, each an
+    int in [0, d). It needs no numpy, so ``solve`` refuses any bad table
+    before loading it; ``states.phases_from_dict`` is this and the array."""
     if not isinstance(payload, dict):
         raise SchemaError("$", f"expected an object, got {payload!r}")
     for key in ("d", "n", "phases"):
@@ -209,7 +200,13 @@ def table_shape(payload: Any) -> tuple[int, int]:
     d = _expect_int(payload["d"], "d", minimum=2)
     n = _expect_int(payload["n"], "n", minimum=1)
     check_entries("table", 1, d, n)
-    return d, n
+    phases = _expect_int_list(payload["phases"], "phases")
+    if len(phases) != d**n:
+        raise SchemaError("phases", f"expected d^n = {d ** n} entries, got {len(phases)}")
+    if min(phases) < 0 or max(phases) >= d:
+        i = next(i for i, x in enumerate(phases) if not 0 <= x < d)
+        raise SchemaError(f"phases[{i}]", f"entry out of range [0, {d})")
+    return d, n, phases
 
 
 def from_dict(payload: Any) -> WeightedEdgeMap:

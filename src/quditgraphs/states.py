@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graphs import MultiHyperedge, WeightedEdgeMap
+from .graphs import MultiHyperedge, WeightedEdgeMap, phase_table
 from .residues import SizeLimit, check_entries  # noqa: F401 (SizeLimit is re-exported)
 
 
@@ -270,17 +270,4 @@ def phases_to_dict(state: PhaseFunction) -> dict:
 
 
 def phases_from_dict(payload: object) -> PhaseFunction:
-    from .graphs import SchemaError, _expect_int_list, table_shape
-
-    d, n = table_shape(payload)
-    phases = _expect_int_list(payload["phases"], "phases")
-    if len(phases) != d**n:
-        raise SchemaError("phases", f"expected d^n = {d ** n} entries, got {len(phases)}")
-    try:
-        table = np.array(phases, dtype=np.int64)
-    except OverflowError:  # an entry past int64 is out of range; the loop finds the first
-        table = None
-    if table is None or table.min() < 0 or table.max() >= d:
-        i = next(i for i, x in enumerate(phases) if not 0 <= x < d)
-        raise SchemaError(f"phases[{i}]", f"entry out of range [0, {d})")
-    return PhaseFunction(d, n, table)
+    return PhaseFunction(*phase_table(payload))

@@ -1,7 +1,7 @@
 """Reference solvers for dense systems over Z_d, kept as test oracles.
 
 The package solves every system through the Kronecker factor of its small
-base (``quditgraphs.residues.KroneckerSolver``). The dense solvers here work
+base (``quditgraphs.correspondence.KroneckerSolver``). The dense solvers here work
 on the whole matrix instead, on plain Python integers:
 
 * prime modulus: Gaussian elimination over the field (``PrimeSolver``), with
@@ -20,12 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from quditgraphs.residues import (
-    NonPrimeModulus,
-    SolutionSet,
-    _no_solution,
-    is_prime,
-)
+from quditgraphs.correspondence import SolutionSet, _no_solution
+from quditgraphs.residues import NonPrimeModulus, is_prime
 
 
 def reduced_rows(rows, d: int) -> tuple[list[list[int]], int, int]:

@@ -574,3 +574,60 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["entries"] == [1]
+
+
+def _map_6_7():
+    """64 edges of arity <= 3 at d = 6, n = 7, as in the benchmark's largest map."""
+    pool = graphs.enumerate_multihyperedges(7, 6, max_arity=3)
+    edges = random.Random(7).sample(pool, 64)
+    return graphs.to_dict(graphs.WeightedEdgeMap(6, 7, {e: 1 + i % 5 for i, e in enumerate(edges)}))
+
+
+class TestProcessEntry:
+    """``python -m quditgraphs`` runs ``__main__.main``, the entry the console
+    script shares, in a real process."""
+
+    @pytest.mark.parametrize(
+        "argv,exit_code",
+        [
+            (["census", "--d", "3", "--n", "1", "--mode", "hypergraph"], 0),
+            (["solve", "--phases", WORKED_PHASES, "--mode", "hypergraph"], 1),
+            (["census", "--d", "0", "--n", "1", "--mode", "hypergraph"], 2),
+            (["census", "--d", "10", "--n", "10", "--mode", "hypergraph"], 3),
+            (["build-state", "--dense", "--graph", _map_6_7()], 0),
+            (["identity-check", "--d", "7", "--n", "3"], 1),
+        ],
+        ids=["exit-0", "exit-1", "exit-2", "exit-3", "dense-6-7", "identity-7-3"],
+    )
+    def test_same_output_as_in_process(self, tmp_path, capsys, argv, exit_code):
+        # A dict in argv is an input file.
+        argv = [
+            write_json(tmp_path / "input.json", arg) if isinstance(arg, dict) else arg
+            for arg in argv
+        ]
+        process = subprocess.run(
+            [sys.executable, "-m", "quditgraphs", *argv], capture_output=True, timeout=120
+        )
+        code, out, _ = run(capsys, *argv)
+        assert (process.returncode, code) == (exit_code, exit_code)
+        assert process.stdout == out.encode()
+
+    def test_closed_stdout_exits_141_without_a_traceback(self, tmp_path):
+        # About 1.8 MB in four blocks: far more than a pipe holds.
+        graph = {"d": 4, "n": 8, "edges": [{"vertices": [0, 1], "exponents": [1, 2], "weight": 1}]}
+        process = subprocess.Popen(
+            [sys.executable, "-m", "quditgraphs", "build-state", "--dense", "--graph",
+             write_json(tmp_path / "g.json", graph)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert process.stdout.read(1) == b"0"
+        process.stdout.close()
+        stderr = process.stderr.read()
+        assert (process.wait(timeout=60), stderr) == (141, b"")
+
+    def test_library_call_freezes_nothing(self, capsys):
+        import gc
+
+        assert main(["census", "--d", "3", "--n", "1", "--mode", "hypergraph"]) == 0
+        assert gc.get_freeze_count() == 0

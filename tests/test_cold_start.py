@@ -101,6 +101,10 @@ def test_import_loads_no_numpy(statement):
         ),
         (["matrix", "--d", "5", "--block", "30000000"], 3),
         (["solve", "--phases", {"d": 3, "n": 1}, "--mode", "hypergraph"], 2),
+        *(
+            (["solve", "--phases", {"d": 3, "n": 1, "phases": phases}, "--mode", "hypergraph"], 2)
+            for phases in ([0, True, 2], [0, 1], [0, 1, 3])
+        ),
         (
             [
                 "solve",
@@ -115,7 +119,8 @@ def test_import_loads_no_numpy(statement):
     ids=["census", "census-hypergraph", "census-budget", "census-usage", "unknown-verb",
          "identity-check-limit", "build-state-limit", "build-state-schema",
          "verify-stabilizers-limit", "verify-stabilizers-schema", "matrix-limit",
-         "solve-schema", "solve-limit"],
+         "solve-schema", "solve-entry-type", "solve-entry-count", "solve-entry-range",
+         "solve-limit"],
 )
 def test_cli_path_loads_no_numpy(argv, code, tmp_path):
     # A dict in argv is an input file: write it and pass its path.
@@ -170,6 +175,14 @@ def test_library_import_leaves_the_environment_alone():
     assert result.stdout.split() == ["True", "False"], result.stderr
 
 
+# Modules a census never runs: the edge and state layers, the solver's
+# module, and dataclasses with the inspect it imports.
+NOT_FOR_CENSUS = [
+    "dataclasses", "inspect", "quditgraphs.graphs", "quditgraphs.states",
+    "quditgraphs.correspondence",
+]
+
+
 def test_importtime_lists_no_numpy_module():
     result = _python(
         "-X", "importtime", "-m", "quditgraphs",
@@ -179,6 +192,15 @@ def test_importtime_lists_no_numpy_module():
     imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
     assert "quditgraphs.counting" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
+    assert not set(NOT_FOR_CENSUS) & set(imported)
+
+
+def test_cli_import_loads_no_edge_layer():
+    result = _python(
+        "-c", "import json, sys, quditgraphs.cli; print(json.dumps(list(sys.modules)))"
+    )
+    assert result.returncode == 0, result.stderr
+    assert not {"dataclasses", "inspect", "quditgraphs.graphs"} & set(json.loads(result.stdout))
 
 
 class TestLazyExports:

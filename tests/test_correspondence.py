@@ -17,6 +17,7 @@ from quditgraphs.correspondence import (
     MULTIHYPERGRAPH,
     BudgetExceeded,
     CensusReport,
+    KroneckerSolver,
     NonCanonical,
     build_system,
     census,
@@ -26,7 +27,7 @@ from quditgraphs.correspondence import (
     system_fingerprint,
 )
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
-from quditgraphs.residues import KroneckerSolver, NonPrimeModulus, is_prime, kernel_size
+from quditgraphs.residues import NonPrimeModulus, is_prime, kernel_size
 from quditgraphs.states import PhaseFunction, SizeLimit, build_state
 
 from helpers import brute_force_solutions, phase_table_of_map, random_edge_map
@@ -479,6 +480,32 @@ class TestCensus:
             counts[entries] = solve_weights(table, MULTIHYPERGRAPH).solution.count
         assert report.reachable == sum(1 for c in counts.values() if c)
         assert report.solution_sum == sum(counts.values())
+
+
+class TestVariableColumns:
+    """``counting`` reads each variable's column in W^{⊗n} off bare
+    (support, exponents) pairs; the solver's unknowns are ``graphs`` edges."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_columns_follow_the_graphs_enumeration(self, mode):
+        for d in range(2, 9):
+            k = 2 if mode == HYPERGRAPH else d
+            for n in range(1, 13):
+                if d**n > 4096:
+                    break
+                edges = correspondence._variables(d, n, mode)
+                expected = [
+                    sum(s * k ** (n - 1 - v) for v, s in zip(e.vertices, e.exponents))
+                    for e in edges
+                ]
+                assert counting._columns(d, n, mode) == expected, (d, n)
+                assert len(edges) == (2**n if mode == HYPERGRAPH else d**n) - 1
+
+    def test_report_keeps_its_fields_and_repr(self):
+        report = census(2, 1, HYPERGRAPH)
+        assert repr(report).startswith("CensusReport(d=2, n=1, mode='hypergraph', total_states=2,")
+        assert report == census(2, 1, HYPERGRAPH) != census(2, 1, MULTIHYPERGRAPH)
+        assert report.histogram_dict() == {1: 2}
 
 
 def _census_cases():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from quditgraphs import residues
+from quditgraphs.correspondence import KroneckerSolver
 from quditgraphs.residues import (
-    KroneckerSolver,
     NonPrimeModulus,
     SizeLimit,
     check_entries,

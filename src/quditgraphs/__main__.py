@@ -8,6 +8,11 @@ wins. A library ``import quditgraphs`` leaves the environment alone.
 A reader that closes stdout early (``quditgraphs ... | head``) ends the
 process with status 141, 128 + SIGPIPE as a shell reports a process that
 signal ended, and no traceback: exit 1 means a negative mathematical result.
+Under ``python -u`` or ``PYTHONUNBUFFERED`` stdout writes straight to the
+raw file, whose text layer drops the rest of a short write without a word,
+so a reader that closes mid-write would go unseen and the process exit 0.
+The entry then gives stdout a buffered layer, which writes every byte or
+raises.
 
 Once ``cli.main`` returns, every object the request made is garbage or
 lives until exit, so ``main`` freezes them all (``gc.freeze``) and the
@@ -16,6 +21,7 @@ and profiler output still run. A library call of ``cli.main`` never freezes.
 """
 
 import gc
+import io
 import os
 import sys
 
@@ -27,6 +33,11 @@ EXIT_CLOSED_STDOUT = 141
 
 
 def main() -> int:
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        sys.stdout = open(
+            sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+            errors=sys.stdout.errors, closefd=False,
+        )
     try:
         code = cli.main()
         sys.stdout.flush()  # a closed reader shows up here, not at shutdown

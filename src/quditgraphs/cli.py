@@ -118,7 +118,7 @@ def _cmd_build_state(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     from . import graphs
 
-    d, n, phases = graphs.phase_table(json.loads(_read_file(args.phases)))
+    d, n, phases = graphs.phase_table(graphs.decode_json(_read_file(args.phases)))
     from . import correspondence, states  # after every check: a refusal loads no numpy
 
     table = states.PhaseFunction(d, n, phases)

@@ -20,8 +20,10 @@ m_0 = f(0) = 0, so the solutions are exactly those of the canonical system.
 ``solve_weights`` solves it for every d and both modes with one Kronecker
 solve (``KroneckerSolver``, below) on the closed-form factor
 U·W·V = diag(s!) of the small W (``counting.smith_factor``), so nothing is
-factored and solution counts are exact. The solver and its ``SolutionSet``
-live here, with their only caller, so ``residues`` stays numpy-free.
+factored and solution counts are exact. The solver reports x at the
+edges' columns only, so the pinned m_0 never reaches the answer. The
+solver and its ``SolutionSet`` live here, with their only caller, so
+``residues`` stays numpy-free.
 ``census`` solves no table: the reachable tables are the image of the
 linear map, d^{#vars} / K of them for a kernel of size K, and each has
 exactly K solutions; K has a closed form in the diagonal s!. W and the
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -65,15 +67,11 @@ from .counting import (
     _exponent_count,
     _fingerprint,
     census,
+    edge_tuples,
     smith_factor,
     system_fingerprint,
 )
-from .graphs import (
-    MultiHyperedge,
-    WeightedEdgeMap,
-    enumerate_hyperedges,
-    enumerate_multihyperedges,
-)
+from .graphs import MultiHyperedge, WeightedEdgeMap
 from .residues import NonPrimeModulus, check_entries, is_prime, kernel_size
 from .states import PhaseFunction, _freeze, build_state, digits_of
 
@@ -208,7 +206,14 @@ class KroneckerSolver:
         prod_j g_j. Computed on first use, as it can have millions of digits."""
         return kernel_size(self.diagonal, self.d, self.power)
 
-    def solve(self, rhs: Sequence[int] | np.ndarray) -> SolutionSet:
+    def solve(self, rhs: Sequence[int] | np.ndarray, unknowns: Sequence[int]) -> SolutionSet:
+        """The solutions of W^{⊗n} x = rhs, each vector listing x at the flat
+        indices ``unknowns``, in that order.
+
+        The set is the image of all solutions under that pick, and ``count``
+        is the number of solutions. The two agree only when every unknown
+        left out is 0 in every solution.
+        """
         d, n, k = self.d, self.power, self.cols
         b = np.asarray(rhs, dtype=np.int64)
         if b.shape != (self.rows**n,):
@@ -219,14 +224,19 @@ class KroneckerSolver:
         diagonal_part = c[(slice(0, k),) * n]
         y = (diagonal_part // self.gcd) * self.inverse % (d // self.gcd)
         x = _apply_on_every_axis(self.v, y, d).reshape(-1)
-        return SolutionSet(d, True, tuple(x.tolist()), self.count, self._generators())
+        picked = np.asarray(unknowns, dtype=np.intp)
+        particular = tuple(x[picked].tolist())
+        return SolutionSet(d, True, particular, self.count, self._generators(picked))
 
-    def _generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Column j of V^{⊗n} scaled by d / g_j, of order g_j, for every g_j > 1."""
+    def _generators(self, picked: np.ndarray) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Column j of V^{⊗n} at the rows ``picked``, scaled by d / g_j, of
+        order g_j, for every g_j > 1."""
         d = self.d
         gcd = self.gcd.reshape(-1)
         free = np.flatnonzero(gcd > 1)
-        columns = _power_rows(self.v.T, free, self.power, d) * (d // gcd[free])[:, None] % d
+        columns = _power_rows(self.v.T, free, self.power, d)[:, picked]
+        columns *= (d // gcd[free])[:, None]
+        columns %= d
         return tuple(zip(map(tuple, columns.tolist()), gcd[free].tolist()))
 
 
@@ -248,9 +258,7 @@ def _digit_powers(d: int, mode: str) -> np.ndarray:
 
 def _variables(d: int, n: int, mode: str) -> tuple[MultiHyperedge, ...]:
     """The mode's edges, the unknowns of the system, in ``counting._columns`` order."""
-    if mode == HYPERGRAPH:
-        return tuple(enumerate_hyperedges(n))
-    return tuple(enumerate_multihyperedges(n, d))
+    return tuple(MultiHyperedge(*pair) for pair in edge_tuples(n, _exponent_count(d, mode)))
 
 
 def _kronecker_solver(d: int, n: int, mode: str) -> KroneckerSolver:
@@ -259,7 +267,6 @@ def _kronecker_solver(d: int, n: int, mode: str) -> KroneckerSolver:
     return KroneckerSolver(*smith_factor(d, mode), d=d, power=n)
 
 
-@lru_cache(maxsize=2)  # a (3, 7) system holds about 37 MB: keep few alive
 def _system_parts(
     d: int, n: int, mode: str
 ) -> tuple[tuple[MultiHyperedge, ...], tuple[tuple[int, ...], ...], np.ndarray]:
@@ -333,27 +340,6 @@ def _vector_to_map(
     return WeightedEdgeMap(d, n, {e: w for e, w in zip(variables, vector) if w % d})
 
 
-def _on_columns(solution: SolutionSet, columns: list[int]) -> SolutionSet:
-    """The solution set restricted to the unknowns ``columns``, in that order.
-
-    Only valid when every unknown left out is 0 in every solution.
-    """
-    if not solution.consistent:
-        return solution
-    assert solution.particular is not None
-
-    def pick(vector: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(vector[j] for j in columns)
-
-    return SolutionSet(
-        solution.d,
-        True,
-        pick(solution.particular),
-        solution.count,
-        tuple((pick(direction), order) for direction, order in solution.generators),
-    )
-
-
 def solve_weights(table: PhaseFunction, mode: str) -> SolveOutcome:
     """Decide reachability of a canonical table and count all weight solutions.
 
@@ -367,8 +353,8 @@ def solve_weights(table: PhaseFunction, mode: str) -> SolveOutcome:
     free = int(np.count_nonzero(solver.gcd > 1))
     check_entries("kernel generators", free, solver.cols, n)
     variables, columns = _variables(d, n, mode), _columns(d, n, mode)
-    # The constant m_0 is pinned to f(0) = 0; the rest are the edge weights.
-    solution = _on_columns(solver.solve(table.table), columns)
+    # The constant m_0, left out, is pinned to f(0) = 0 in every solution.
+    solution = solver.solve(table.table, columns)
     fingerprint = _fingerprint(d, n, mode, columns)
     edge_map = None
     if solution.consistent:

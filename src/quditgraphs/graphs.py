@@ -257,9 +257,15 @@ def from_dict(payload: Any) -> WeightedEdgeMap:
     return WeightedEdgeMap(d, n, weights)
 
 
-def from_json(text: str) -> WeightedEdgeMap:
+def decode_json(text: str) -> Any:
+    """``json.loads``, raising SchemaError at "$" on malformed JSON, nesting
+    too deep for the decoder included: a CLI request exits 2 on either, not
+    with a traceback."""
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    return from_dict(payload)
+
+
+def from_json(text: str) -> WeightedEdgeMap:
+    return from_dict(decode_json(text))

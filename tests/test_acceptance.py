@@ -22,7 +22,6 @@ import pytest
 from quditgraphs.correspondence import (
     HYPERGRAPH,
     MULTIHYPERGRAPH,
-    _system_parts,
     build_system,
     census,
     coefficient_block,
@@ -77,7 +76,6 @@ QUTRIT_TUPLES = [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 
 
 def test_c01_qutrit_pair_system_matrix():
-    _system_parts.cache_clear()
     with budget("c01 coefficient matrix (d=3, n=2, hypergraph)", 0.001):
         system = build_system(pf(3, 2, [0] * 9), HYPERGRAPH)
     assert system.variables == (hyperedge(0), hyperedge(1), hyperedge(0, 1))

@@ -612,16 +612,25 @@ class TestProcessEntry:
         assert (process.returncode, code) == (exit_code, exit_code)
         assert process.stdout == out.encode()
 
-    def test_closed_stdout_exits_141_without_a_traceback(self, tmp_path):
-        # About 1.8 MB in four blocks: far more than a pipe holds.
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "flags,first", [(["--dense"], b"0"), ([], b"{")], ids=["dense-stream", "json-payload"]
+    )
+    def test_closed_stdout_exits_141_without_a_traceback(self, tmp_path, unbuffered, flags, first):
+        # About 1.8 MB in four blocks, or 0.3 MB of JSON in one write: far
+        # more than a pipe holds. Unbuffered, stdout writes to the raw file.
         graph = {"d": 4, "n": 8, "edges": [{"vertices": [0, 1], "exponents": [1, 2], "weight": 1}]}
+        environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered is not None:
+            environ["PYTHONUNBUFFERED"] = unbuffered
         process = subprocess.Popen(
-            [sys.executable, "-m", "quditgraphs", "build-state", "--dense", "--graph",
+            [sys.executable, "-m", "quditgraphs", "build-state", *flags, "--graph",
              write_json(tmp_path / "g.json", graph)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=environ,
         )
-        assert process.stdout.read(1) == b"0"
+        assert process.stdout.read(1) == first
         process.stdout.close()
         stderr = process.stderr.read()
         assert (process.wait(timeout=60), stderr) == (141, b"")

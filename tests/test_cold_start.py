@@ -47,10 +47,11 @@ needs_proc_status = pytest.mark.skipif(
 )
 
 
-def _python(*args, environ=os.environ):
+def _python(*args, environ=os.environ, stdin=None):
     path = os.pathsep.join(filter(None, [SRC, environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
+        input=stdin,
         capture_output=True,
         text=True,
         env=dict(environ, PYTHONPATH=path),
@@ -130,6 +131,29 @@ def test_cli_path_loads_no_numpy(argv, code, tmp_path):
             path.write_text(json.dumps(arg))
     argv = [str(path) if isinstance(arg, dict) else arg for arg in argv]
     assert _cli(*argv) == {"code": code, "numpy": False}
+
+
+DEEP = "[" * 100_000  # far deeper than the JSON decoder recurses
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--phases", DEEP, "--mode", "hypergraph"],
+        ["build-state", "--graph", DEEP],
+        ["build-state", "--stdin"],
+        ["verify-stabilizers", "--graph", DEEP],
+    ],
+    ids=["solve", "build-state-file", "build-state-stdin", "verify-stabilizers"],
+)
+def test_deeply_nested_json_is_a_schema_error(argv, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    argv = [str(path) if arg is DEEP else arg for arg in argv]
+    result = _python("-c", CLI_PROBE, *argv, stdin=DEEP if "--stdin" in argv else "")
+    *message, probe = result.stderr.splitlines()
+    assert json.loads(probe) == {"code": 2, "numpy": False}
+    assert len(message) == 1 and message[0].startswith("error: $: invalid JSON: "), message
 
 
 def test_array_verbs_still_load_numpy():

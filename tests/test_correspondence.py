@@ -171,7 +171,6 @@ class TestSizeRefusals:
     def test_system_bound_is_exact(self, monkeypatch, d, n, mode):
         k = 2 if mode == HYPERGRAPH else d
         table = pf(d, n, [0] * d**n)
-        correspondence._system_parts.cache_clear()
         monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", k**n * d**n)
         with pytest.raises(SizeLimit, match=f"^system of {k**n} x {d}\\^{n} entries"):
             build_system(table, mode)
@@ -180,14 +179,10 @@ class TestSizeRefusals:
 
     def test_system_at_the_table_limit(self):
         # 3^7 x 3^7 = 4.78M entries build; 3^8 x 3^8 = 43M are refused.
-        correspondence._system_parts.cache_clear()
-        try:
-            system = build_system(pf(3, 7, [0] * 3**7), MULTIHYPERGRAPH)
-            assert system.matrix.shape == (3**7 - 1, 3**7 - 1)
-            with pytest.raises(SizeLimit, match="system of 6561 x 3\\^8 entries"):
-                build_system(pf(3, 8, [0] * 3**8), MULTIHYPERGRAPH)
-        finally:
-            correspondence._system_parts.cache_clear()
+        system = build_system(pf(3, 7, [0] * 3**7), MULTIHYPERGRAPH)
+        assert system.matrix.shape == (3**7 - 1, 3**7 - 1)
+        with pytest.raises(SizeLimit, match="system of 6561 x 3\\^8 entries"):
+            build_system(pf(3, 8, [0] * 3**8), MULTIHYPERGRAPH)
 
     def test_constraint_bounds_are_exact(self, monkeypatch):
         # At (3, 3) the solver holds 3^3 = 27 divisors. Multihypergraph mode

@@ -35,7 +35,7 @@ from oracles import (
 def inverse(a, d):
     """The x with a·x = 1 (mod d) found by the Kronecker solver on the 1x1
     base [a], whose factor is 1·[a]·1, or None when there is none."""
-    solution = KroneckerSolver([[1]], [a], [[1]], d=d, power=1).solve([1])
+    solution = KroneckerSolver([[1]], [a], [[1]], d=d, power=1).solve([1], [0])
     return solution.particular[0] if solution.consistent else None
 
 
@@ -319,13 +319,52 @@ class TestKroneckerSolver:
                 rhs = [rnd.randrange(d) for _ in range(len(full))]
             else:
                 rhs = mul_vector(full, d, [rnd.randrange(d) for _ in range(len(full[0]))])
-            ours, expected = solver.solve(rhs), reference.solve(rhs)
+            ours, expected = solver.solve(rhs, range(cols**power)), reference.solve(rhs)
             assert ours.consistent == expected.consistent
             assert ours.count == expected.count
             if ours.consistent and ours.count <= 256:
                 solutions = ours.solutions()
                 assert solutions == expected.solutions()
                 assert all(mul_vector(full, d, x) == tuple(rhs) for x in solutions)
+
+    @given(
+        st.sampled_from([2, 3, 4, 6, 8, 9, 12]),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unknowns_pick_and_order_the_full_solve(self, d, rows, cols, power, rnd):
+        # Any order of all k^n unknowns gives the full answer, reordered.
+        cols = min(cols, rows)
+        if rows**power > 64:
+            power = 1
+        base = random_matrix_rows(rnd, rows, cols, d)
+        full = kron_power(base, d, power)
+        solver = KroneckerSolver(*smith_factor_of(base, d), d=d, power=power)
+        perm = rnd.sample(range(cols**power), cols**power)
+
+        def permuted(vector):
+            return tuple(vector[j] for j in perm)
+
+        for _ in range(3):
+            if rnd.random() < 0.5:
+                rhs = [rnd.randrange(d) for _ in range(len(full))]
+            else:
+                rhs = mul_vector(full, d, [rnd.randrange(d) for _ in range(len(full[0]))])
+            whole, ours = solver.solve(rhs, range(cols**power)), solver.solve(rhs, perm)
+            assert ours.consistent == whole.consistent
+            assert ours.count == whole.count
+            if not whole.consistent:
+                assert ours.particular is None and ours.generators == ()
+                continue
+            assert ours.particular == permuted(whole.particular)
+            assert ours.generators == tuple(
+                (permuted(direction), order) for direction, order in whole.generators
+            )
+            if whole.count <= 256:
+                assert ours.solutions() == sorted(map(permuted, whole.solutions()))
 
     def test_counts_match_brute_force(self):
         rng = random.Random(4242)
@@ -338,16 +377,16 @@ class TestKroneckerSolver:
                     rhs = mul_vector(full, d, [rng.randrange(d) for _ in range(len(full[0]))])
                 expected = brute_force_solutions(full, rhs, d)
                 solver = KroneckerSolver(*smith_factor_of(base, d), d=d, power=2)
-                assert solver.solve(rhs).solutions() == sorted(expected)
+                assert solver.solve(rhs, range(4)).solutions() == sorted(expected)
 
     def test_rejects_wide_base_and_bad_rhs(self):
         unit = [[1, 0], [0, 1]]
         with pytest.raises(ValueError):
             KroneckerSolver([[1]], [1, 1], unit, d=5, power=2)
         with pytest.raises(ValueError):
-            KroneckerSolver(unit, [1, 1], unit, d=5, power=2).solve([0, 0, 0])
+            KroneckerSolver(unit, [1, 1], unit, d=5, power=2).solve([0, 0, 0], range(4))
         with pytest.raises(ValueError):
-            KroneckerSolver(unit, [1, 1], unit, d=5, power=2).solve([[0, 0, 0, 0]])
+            KroneckerSolver(unit, [1, 1], unit, d=5, power=2).solve([[0, 0, 0, 0]], range(4))
         with pytest.raises(ValueError, match="d >= 2"):
             KroneckerSolver(unit, [1, 1], unit, d=1, power=2)
 

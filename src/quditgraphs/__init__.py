@@ -26,7 +26,6 @@ _EXPORTS = {
     "DenseState": "states",
     "DimensionMismatch": "states",
     "GraphKind": "graphs",
-    "GeneratorSpec": "stabilizers",
     "MultiHyperedge": "graphs",
     "NonCanonical": "correspondence",
     "NonPrimeModulus": "residues",
@@ -47,11 +46,9 @@ _EXPORTS = {
     "canonicalize": "states",
     "census": "counting",
     "coefficient_block": "correspondence",
-    "conjugation_identity": "stabilizers",
     "conjugation_report": "stabilizers",
     "enumerate_hyperedges": "graphs",
     "enumerate_multihyperedges": "graphs",
-    "generator": "stabilizers",
     "hyperedge": "graphs",
     "plus_state": "states",
     "representability_constraints": "correspondence",

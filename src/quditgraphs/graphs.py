@@ -171,17 +171,30 @@ def to_json(edge_map: WeightedEdgeMap) -> str:
     return json.dumps(to_dict(edge_map), indent=2) + "\n"
 
 
+def _cut(text: str) -> str:
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _shown(value: Any) -> str:
+    """A repr of an input value for an error message, at most 80 characters:
+    ``reprlib`` elides long containers, strings and ints without building
+    their full repr, so a refusal never echoes a large input back."""
+    import reprlib  # only refusals need it
+
+    return _cut(reprlib.repr(value))
+
+
 def _expect_int(value: Any, path: str, minimum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(path, f"expected an integer, got {value!r}")
+        raise SchemaError(path, f"expected an integer, got {_shown(value)}")
     if minimum is not None and value < minimum:
-        raise SchemaError(path, f"expected an integer >= {minimum}, got {value}")
+        raise SchemaError(path, f"expected an integer >= {minimum}, got {_shown(value)}")
     return value
 
 
 def _expect_int_list(value: Any, path: str) -> list[int]:
     if not isinstance(value, list):
-        raise SchemaError(path, f"expected a list, got {value!r}")
+        raise SchemaError(path, f"expected a list, got {_shown(value)}")
     if set(map(type, value)) <= {int}:  # one pass in C; subclasses take the loop
         return value
     return [_expect_int(x, f"{path}[{i}]") for i, x in enumerate(value)]
@@ -193,7 +206,7 @@ def phase_table(payload: Any) -> tuple[int, int, list[int]]:
     int in [0, d). It needs no numpy, so ``solve`` refuses any bad table
     before loading it; ``states.phases_from_dict`` is this and the array."""
     if not isinstance(payload, dict):
-        raise SchemaError("$", f"expected an object, got {payload!r}")
+        raise SchemaError("$", f"expected an object, got {_shown(payload)}")
     for key in ("d", "n", "phases"):
         if key not in payload:
             raise SchemaError(key, "missing required field")
@@ -211,23 +224,23 @@ def phase_table(payload: Any) -> tuple[int, int, list[int]]:
 
 def from_dict(payload: Any) -> WeightedEdgeMap:
     if not isinstance(payload, dict):
-        raise SchemaError("$", f"expected an object, got {payload!r}")
+        raise SchemaError("$", f"expected an object, got {_shown(payload)}")
     for key in ("d", "n", "edges"):
         if key not in payload:
             raise SchemaError(key, "missing required field")
     unknown = set(payload) - {"d", "n", "edges"}
     if unknown:
-        raise SchemaError(sorted(unknown)[0], "unknown field")
+        raise SchemaError(_cut(sorted(unknown)[0]), "unknown field")
     d = _expect_int(payload["d"], "d", minimum=2)
     n = _expect_int(payload["n"], "n", minimum=1)
     edges = payload["edges"]
     if not isinstance(edges, list):
-        raise SchemaError("edges", f"expected a list, got {edges!r}")
+        raise SchemaError("edges", f"expected a list, got {_shown(edges)}")
     weights: dict[MultiHyperedge, int] = {}
     for i, item in enumerate(edges):
         path = f"edges[{i}]"
         if not isinstance(item, dict):
-            raise SchemaError(path, f"expected an object, got {item!r}")
+            raise SchemaError(path, f"expected an object, got {_shown(item)}")
         for key in ("vertices", "exponents", "weight"):
             if key not in item:
                 raise SchemaError(f"{path}.{key}", "missing required field")
@@ -259,11 +272,11 @@ def from_dict(payload: Any) -> WeightedEdgeMap:
 
 def decode_json(text: str) -> Any:
     """``json.loads``, raising SchemaError at "$" on malformed JSON, nesting
-    too deep for the decoder included: a CLI request exits 2 on either, not
-    with a traceback."""
+    too deep for the decoder and integers past Python's digit limit included:
+    a CLI request exits 2 on each, not with a traceback."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
 
 

@@ -7,9 +7,11 @@ k. Conjugating a single edge gate CZ_e^m by the shift gives the diagonal
     T_e(i) = m * ((i_k - 1)^{s_k} - i_k^{s_k}) * prod_{v in e, v != k} i_v^{s_v}  (mod d),
 
 so g_k = X_k * prod_{e: k in e} diag(omega^{T_e}) fixes the state exactly, for
-every edge map. When s_k = 1 the correction collapses to the deleted-edge gate
-on e minus {k} raised to m*(d-1); for s_k >= 2 it generally does not, and
-``conjugation_report`` measures that gap case by case.
+every edge map; ``apply_generator(state, edge_map, k)`` applies it and
+``verify`` checks it at every vertex. When s_k = 1 the correction collapses to
+the deleted-edge gate on e minus {k} raised to m*(d-1); for s_k >= 2 it does
+only in some cases. ``printed_exponents`` is the one place that form is
+computed, and ``conjugation_report`` the one judge of whether it is exact.
 
 Shift convention: X_k lowers the ket, X_k|i_k> = |i_k - 1 mod d>, which in
 phase-table form reads f'(i) = f(..., i_k + 1, ...). This is the convention
@@ -72,7 +74,7 @@ def printed_exponents(
 ) -> np.ndarray:
     """Deleted-edge form of the same diagonal: m*(d-1) * prod_{v != k} i_v^{s_v}.
 
-    Exact when s_k = 1; for s_k >= 2 compare against ``correction_exponents``.
+    Exact when s_k = 1; for s_k >= 2 ``conjugation_report`` says whether it is.
     """
     if k not in edge.vertices:
         raise ValueError(f"vertex {k} not in edge {edge}")
@@ -82,66 +84,20 @@ def printed_exponents(
     return _flat(grid, d, n)
 
 
-@dataclass(frozen=True)
-class GeneratorTerm:
-    """One trailing diagonal of a generator, from one edge containing k.
-
-    ``reduced_edge``/``reduced_power`` give the deleted-edge form (None for a
-    single-vertex edge, whose residue is a bare diagonal); ``deleted_edge_exact``
-    says whether that form equals the exact correction (always true for
-    exponent 1 on the target vertex).
-    """
-
-    edge: MultiHyperedge
-    weight: int
-    target_exponent: int
-    reduced_edge: MultiHyperedge | None
-    reduced_power: int
-    deleted_edge_exact: bool
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Leading shift on ``vertex`` plus one diagonal term per incident edge."""
-
-    d: int
-    n: int
-    vertex: int
-    terms: tuple[GeneratorTerm, ...]
-
-
-def generator(edge_map: WeightedEdgeMap, k: int) -> GeneratorSpec:
-    """Stabilizer generator spec for vertex k: edges not containing k drop out."""
-    if not 0 <= k < edge_map.n:
-        raise VertexOutOfRange(f"vertex {k} out of range [0, {edge_map.n})")
-    d = edge_map.d
-    terms = []
-    for edge, weight in edge_map.items():
-        if k not in edge.vertices:
-            continue
-        s_k = edge.exponents[edge.vertices.index(k)]
-        terms.append(
-            GeneratorTerm(
-                edge=edge,
-                weight=weight,
-                target_exponent=s_k,
-                reduced_edge=edge.without_vertex(k),
-                reduced_power=weight * (d - 1) % d,
-                deleted_edge_exact=s_k == 1,
-            )
-        )
-    return GeneratorSpec(d, edge_map.n, k, tuple(terms))
-
-
-def apply_generator(state: PhaseFunction, spec: GeneratorSpec) -> PhaseFunction:
-    """Apply g_k: trailing diagonals first (exact corrections), then the shift."""
-    if (state.d, state.n) != (spec.d, spec.n):
-        raise ValueError("state and generator dimensions differ")
+def apply_generator(state: PhaseFunction, edge_map: WeightedEdgeMap, k: int) -> PhaseFunction:
+    """Apply the map's generator g_k: the exact correction of every edge
+    containing k first (edges without k drop out), then the shift on k."""
+    d, n = edge_map.d, edge_map.n
+    if (state.d, state.n) != (d, n):
+        raise ValueError("state and edge map dimensions differ")
+    if not 0 <= k < n:
+        raise VertexOutOfRange(f"vertex {k} out of range [0, {n})")
     grid = _grid(state).copy()
-    for term in spec.terms:
-        grid += _correction_grid(term.edge, term.weight, spec.vertex, spec.d, spec.n)
-    grid %= spec.d
-    return apply_shift(PhaseFunction(spec.d, spec.n, grid.reshape(-1)), spec.vertex)
+    for edge, weight in edge_map.items():
+        if k in edge.vertices:
+            grid += _correction_grid(edge, weight, k, d, n)
+    grid %= d
+    return apply_shift(PhaseFunction(d, n, grid.reshape(-1)), k)
 
 
 @dataclass(frozen=True)
@@ -156,7 +112,7 @@ def verify(edge_map: WeightedEdgeMap) -> list[VertexCheck]:
     state = build_state(edge_map)
     results = []
     for k in range(edge_map.n):
-        moved = apply_generator(state, generator(edge_map, k))
+        moved = apply_generator(state, edge_map, k)
         diff = np.nonzero(moved.table != state.table)[0]
         results.append(VertexCheck(k, diff.size == 0, tuple(diff.tolist())))
     return results
@@ -197,8 +153,3 @@ def conjugation_report(
         mismatch_indices=tuple(diff.tolist()),
     )
 
-
-def conjugation_identity(edge: MultiHyperedge, power: int, k: int, d: int, n: int) -> bool:
-    """True iff the deleted-edge form of the conjugated gate is exact, i.e.
-    CZ_e^m X_k CZ_e^{d-m} = X_k CZ_{e\\{k}}^{m(d-1)} as operators on d^n states."""
-    return conjugation_report(edge, power, k, d, n).holds

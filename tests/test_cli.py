@@ -370,6 +370,52 @@ class TestLimitsBeforeWork:
         assert result.returncode == 2 and result.stdout == ""
 
 
+MILLION_ZEROS = "[" + ", ".join(["0"] * 10**6) + "]"
+LONG_INT = "1" * 5000  # past Python's int <-> str digit limit
+
+
+class TestOversizedInputs:
+    """A refusal names the bad field in one short stderr line, and never echoes
+    a large input back."""
+
+    @pytest.mark.parametrize(
+        "verb,text,start",
+        [
+            ("solve", MILLION_ZEROS, "$: expected an object, got [0, 0, 0"),
+            ("build-state", MILLION_ZEROS, "$: expected an object, got [0, 0, 0"),
+            ("verify-stabilizers", MILLION_ZEROS, "$: expected an object, got [0, 0, 0"),
+            (
+                "solve",
+                json.dumps({"d": 3, "n": 1, "phases": "a" * 10**6}),
+                "phases: expected a list, got 'aaa",
+            ),
+            (
+                "build-state",
+                json.dumps(
+                    {"d": 3, "n": 1, "edges": [
+                        {"vertices": "a" * 10**6, "exponents": [1], "weight": 1}
+                    ]}
+                ),
+                "edges[0].vertices: expected a list, got 'aaa",
+            ),
+            ("build-state", json.dumps({"d": 3, "n": 1, "edges": [], "k" * 10**6: 0}), "kkk"),
+            ("solve", '{"d": ' + LONG_INT + ', "n": 1, "phases": [0]}', "$: invalid JSON: "),
+            ("build-state", '{"d": ' + LONG_INT + ', "n": 1, "edges": []}', "$: invalid JSON: "),
+        ],
+        ids=["solve-list", "build-state-list", "verify-stabilizers-list", "solve-string",
+             "build-state-string", "build-state-key", "solve-long-int", "build-state-long-int"],
+    )
+    def test_one_short_line(self, tmp_path, capsys, verb, text, start):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        flag = "--phases" if verb == "solve" else "--graph"
+        mode = ["--mode", "hypergraph"] if verb == "solve" else []
+        code, out, err = run(capsys, verb, flag, str(path), *mode)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + start), err[:300]
+        assert err.count("\n") == 1 and len(err.encode()) < 300, len(err)
+
+
 class TestLimitBoundaries:
     """Each verb's closed-form entry count, pinned: with the table limit set
     to exactly that count the request exits 3, and at count + 1 it runs."""

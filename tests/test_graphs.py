@@ -166,6 +166,11 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             from_json("{not json")
 
+    def test_integer_past_the_digit_limit_is_invalid_json(self):
+        with pytest.raises(SchemaError, match="invalid JSON") as exc:
+            from_json('{"d": ' + "1" * 5000 + ', "n": 1, "edges": []}')
+        assert exc.value.path == "$"
+
     def test_duplicate_edge_rejected(self):
         text = json.dumps(
             {

@@ -15,7 +15,6 @@ from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap
 from quditgraphs.stabilizers import (
     apply_generator,
     correction_exponents,
-    generator,
     printed_exponents,
     verify,
 )
@@ -99,7 +98,7 @@ def test_grid_kernels_match_per_index_evaluation(d, n):
         checks = verify(edge_map)
         for k in range(n):
             moved = [generated_at(i, edge_map, k) for i in range(d**n)]
-            assert apply_generator(state, generator(edge_map, k)).table.tolist() == moved
+            assert apply_generator(state, edge_map, k).table.tolist() == moved
             mismatches = tuple(i for i, f in enumerate(state.table.tolist()) if moved[i] != f)
             assert (checks[k].vertex, checks[k].stabilized, checks[k].mismatch_indices) == (
                 k,

@@ -14,10 +14,8 @@ from quditgraphs.graphs import (
 from quditgraphs.stabilizers import (
     apply_generator,
     apply_shift,
-    conjugation_identity,
     conjugation_report,
     correction_exponents,
-    generator,
     printed_exponents,
     verify,
 )
@@ -64,36 +62,29 @@ class TestApplyShift:
 
 
 class TestGenerator:
-    def test_qubit_graph_edge(self):
-        emap = WeightedEdgeMap(2, 2, {hyperedge(0, 1): 1})
-        spec = generator(emap, 0)
-        (term,) = spec.terms
-        assert term.reduced_edge == hyperedge(1)
-        assert term.reduced_power == 1
-        assert term.deleted_edge_exact
-
     def test_vertex_without_edges_gets_bare_shift(self):
         emap = WeightedEdgeMap(3, 2, {hyperedge(1): 2})
-        assert generator(emap, 0).terms == ()
+        state = pf(3, 2, [0, 1, 2, 2, 0, 1, 1, 1, 0])
+        assert apply_generator(state, emap, 0) == apply_shift(state, 0)
 
     def test_single_vertex_decorated_edge_residual_diagonal(self):
         # e = {0} with exponent 2 at d = 3: deleting the vertex leaves a bare
         # diagonal ((i-1)^2 - i^2 table), not a deleted-edge gate.
-        emap = WeightedEdgeMap(3, 1, {MultiHyperedge((0,), (2,)): 1})
-        spec = generator(emap, 0)
-        (term,) = spec.terms
-        assert term.reduced_edge is None
-        assert not term.deleted_edge_exact
-        diag = correction_exponents(term.edge, term.weight, 0, 3, 1)
-        assert list(diag) == [1, 2, 0]
+        edge = MultiHyperedge((0,), (2,))
+        assert list(correction_exponents(edge, 1, 0, 3, 1)) == [1, 2, 0]
+        assert not conjugation_report(edge, 1, 0, 3, 1).holds
 
-    def test_trailing_gates_are_edges_for_arity_two_and_up(self):
-        emap = WeightedEdgeMap(
-            4, 3, {MultiHyperedge((0, 1, 2), (1, 2, 3)): 3, MultiHyperedge((0, 2), (1, 1)): 1}
-        )
-        for term in generator(emap, 0).terms:
-            assert term.reduced_edge is not None
-            assert term.reduced_edge.arity == term.edge.arity - 1
+    def test_refuses_mismatched_dimensions(self):
+        emap = WeightedEdgeMap(3, 2, {hyperedge(0, 1): 1})
+        for state in (plus_state(3, 3), plus_state(2, 2)):
+            with pytest.raises(ValueError, match="dimensions differ"):
+                apply_generator(state, emap, 0)
+
+    def test_refuses_vertex_out_of_range(self):
+        emap = WeightedEdgeMap(3, 2, {hyperedge(0, 1): 1})
+        for k in (-1, 2):
+            with pytest.raises(VertexOutOfRange):
+                apply_generator(build_state(emap), emap, k)
 
 
 class TestVerify:
@@ -150,26 +141,26 @@ class TestVerify:
             for k in range(n):
                 x_k = site_operator(lowering_shift(d), k, d, n)
                 g_matrix = gate_product @ x_k @ gate_product.conj().T
-                moved = apply_generator(state, generator(emap, k))
+                moved = apply_generator(state, emap, k)
                 assert np.allclose(to_dense(moved).amplitudes, g_matrix @ dense, atol=1e-10)
 
 
 class TestConjugation:
     def test_qubit_cz_identity(self):
-        assert conjugation_identity(hyperedge(0, 1), 1, 0, 2, 2)
+        assert conjugation_report(hyperedge(0, 1), 1, 0, 2, 2).holds
 
     def test_plain_edges_always_match(self):
         for d in (2, 3, 4, 5):
             for edge in enumerate_hyperedges(2):
                 for m in range(d):
                     for k in edge.vertices:
-                        assert conjugation_identity(edge, m, k, d, 2)
+                        assert conjugation_report(edge, m, k, d, 2).holds
 
     def test_zero_power_always_matches(self):
         for d in (3, 4):
             for edge in enumerate_multihyperedges(2, d):
                 for k in edge.vertices:
-                    assert conjugation_identity(edge, 0, k, d, 2)
+                    assert conjugation_report(edge, 0, k, d, 2).holds
 
     def test_decorated_target_vertex_mismatch(self):
         report = conjugation_report(MultiHyperedge((0, 1), (2, 2)), 1, 1, 3, 2)
@@ -179,8 +170,20 @@ class TestConjugation:
 
     def test_even_power_accidental_match_mod4(self):
         # (i-1)^2 - i^2 = 1 - 2i; doubled it is constant 2 = 2*(d-1) mod 4
-        assert conjugation_identity(MultiHyperedge((0,), (2,)), 2, 0, 4, 1)
-        assert not conjugation_identity(MultiHyperedge((0,), (2,)), 1, 0, 4, 1)
+        assert conjugation_report(MultiHyperedge((0,), (2,)), 2, 0, 4, 1).holds
+        assert not conjugation_report(MultiHyperedge((0,), (2,)), 1, 0, 4, 1).holds
+
+    def test_qudit6_decorated_target_holds_only_at_half_power(self):
+        # (i-1)^2 - i^2 = 1 - 2i, so the gap to -m*j is 2m(1 - i)*j: zero mod 6
+        # at m = 3 although the deleted vertex carries exponent 2.
+        d, n, edge = 6, 2, MultiHyperedge((0, 1), (2, 1))
+        cz = edge_gate_matrix(d, n, edge, 1)
+        x_0 = site_operator(lowering_shift(d), 0, d, n)
+        for m, holds in ((3, True), (1, False)):
+            lhs = np.linalg.matrix_power(cz, m) @ x_0 @ np.linalg.matrix_power(cz, d - m)
+            deleted = edge_gate_matrix(d, n, hyperedge(1), m * (d - 1))
+            assert np.allclose(lhs, x_0 @ deleted, atol=1e-9) is holds
+            assert conjugation_report(edge, m, 0, d, n).holds is holds
 
     def test_exact_diagonal_reproduces_conjugated_matrix(self):
         rng = random.Random(55)
@@ -202,10 +205,10 @@ class TestConjugation:
             exact = np.diag(omega ** correction_exponents(edge, m, k, d, n))
             printed = np.diag(omega ** printed_exponents(edge, m, k, d, n))
             assert np.allclose(lhs, x_k @ exact, atol=1e-9)
-            assert np.allclose(lhs, x_k @ printed, atol=1e-9) == conjugation_identity(
+            assert np.allclose(lhs, x_k @ printed, atol=1e-9) == conjugation_report(
                 edge, m, k, d, n
-            )
+            ).holds
 
     def test_requires_vertex_in_edge(self):
         with pytest.raises(ValueError):
-            conjugation_identity(hyperedge(0), 1, 1, 3, 2)
+            conjugation_report(hyperedge(0), 1, 1, 3, 2).holds

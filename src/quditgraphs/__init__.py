@@ -10,7 +10,8 @@ factors, so the solve factors nothing, and the census needs no solve at
 all: the kernel size has a closed form.
 
 Exports load on first use (PEP 562), so ``import quditgraphs`` and the
-census import no numpy; the state and solver names load it.
+census import no numpy; the state names and the numpy-backed solver names
+load it, while the solution types and solve errors (``newton``) do not.
 """
 
 import importlib
@@ -27,14 +28,14 @@ _EXPORTS = {
     "DimensionMismatch": "states",
     "GraphKind": "graphs",
     "MultiHyperedge": "graphs",
-    "NonCanonical": "correspondence",
+    "NonCanonical": "newton",
     "NonPrimeModulus": "residues",
     "PhaseFunction": "states",
-    "RoundTripFailure": "correspondence",
+    "RoundTripFailure": "newton",
     "SchemaError": "graphs",
     "SizeLimit": "residues",
-    "SolutionSet": "correspondence",
-    "SolveOutcome": "correspondence",
+    "SolutionSet": "newton",
+    "SolveOutcome": "newton",
     "VertexOutOfRange": "states",
     "WeightedEdgeMap": "graphs",
     "apply_generator": "stabilizers",

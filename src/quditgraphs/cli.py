@@ -5,13 +5,14 @@ Exit codes: 0 success / affirmative result, 1 negative mathematical result
 error, 3 size or budget limit. Data goes to stdout, diagnostics to stderr.
 
 A verb imports what it runs, inside the verb: ``graphs`` where it reads an
-edge map or a table, and the numpy-backed modules (``solve``,
-``build-state``, ``verify-stabilizers``, ``identity-check`` and ``matrix``)
-only past every refusal. So ``census``, usage errors, every size refusal
-and every schema refusal start and finish without numpy, and ``census``
-loads neither ``graphs`` nor ``dataclasses``; ``solve`` checks its whole
-table with ``graphs.phase_table`` before it loads numpy. Every size
-refusal is ``residues.check_entries``.
+edge map or a table, and the numpy-backed modules (``build-state``,
+``verify-stabilizers``, ``identity-check`` and ``matrix``) only past every
+refusal. So ``census``, usage errors, every size refusal and every schema
+refusal start and finish without numpy, and ``census`` loads neither
+``graphs`` nor ``dataclasses``. ``solve`` checks its whole table with
+``graphs.phase_table`` and hands it to ``newton.solve_phases``, which
+solves on Python lists and loads no numpy at all. Every size refusal is
+``residues.check_entries``, the listing of ``--all-solutions`` included.
 
 Payloads are written by ``_encode``, byte for byte what
 ``json.dumps(payload, indent=2)`` writes, and ``build-state --dense``
@@ -116,13 +117,10 @@ def _cmd_build_state(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from . import graphs
+    from . import graphs, newton
 
     d, n, phases = graphs.phase_table(graphs.decode_json(_read_file(args.phases)))
-    from . import correspondence, states  # after every check: a refusal loads no numpy
-
-    table = states.PhaseFunction(d, n, phases)
-    outcome = correspondence.solve_weights(table, args.mode)
+    outcome = newton.solve_phases(d, n, phases, args.mode)
     solution = outcome.solution
     payload = {
         "mode": args.mode,
@@ -135,6 +133,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     with _any_int_digits():
         if args.all_solutions and solution.consistent:
             if solution.count <= args.solution_cap:
+                check_entries("solutions", solution.count, len(outcome.variables), 1)
                 payload["all_solutions"] = [
                     graphs.to_dict(m) for m in outcome.edge_maps(cap=args.solution_cap)
                 ]

@@ -22,15 +22,20 @@ solve (``KroneckerSolver``, below) on the closed-form factor
 U·W·V = diag(s!) of the small W (``counting.smith_factor``), so nothing is
 factored and solution counts are exact. The solver reports x at the
 edges' columns only, so the pinned m_0 never reaches the answer. The
-solver and its ``SolutionSet`` live here, with their only caller, so
-``residues`` stays numpy-free.
+solver lives here, with its only caller, so ``residues`` stays numpy-free.
+The ``solve`` verb runs the same solve on Python lists
+(``newton.solve_phases``); ``solve_weights`` is the reference the tests
+hold it against.
+``SolutionSet``, ``SolveOutcome`` and the solve errors live in the
+numpy-free ``newton`` and are re-exported here.
 ``census`` solves no table: the reachable tables are the image of the
 linear map, d^{#vars} / K of them for a kernel of size K, and each has
 exactly K solutions; K has a closed form in the diagonal s!. W and the
 column of each variable in W^{⊗n} fix the whole system, so
 ``system_fingerprint`` hashes those. ``census``, the factor, the
 fingerprint and the variable order (``counting.edge_tuples``) live in the
-numpy-free ``counting`` module and are re-exported here.
+numpy-free ``counting`` module; all but the variable order are re-exported
+here.
 ``representability_constraints`` reads rows of U^{⊗n}; only
 ``build_system`` assembles the dense canonical matrix. Matrices are
 C-contiguous, read-only int64 arrays with entries reduced mod d, frozen as
@@ -49,7 +54,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -67,73 +71,21 @@ from .counting import (
     _exponent_count,
     _fingerprint,
     census,
-    edge_tuples,
     smith_factor,
     system_fingerprint,
 )
-from .graphs import MultiHyperedge, WeightedEdgeMap
+from .graphs import MultiHyperedge
+from .newton import (
+    NonCanonical,
+    RoundTripFailure,
+    SolutionSet,
+    SolveOutcome,
+    _no_solution,
+    _variables,
+    _vector_to_map,
+)
 from .residues import NonPrimeModulus, check_entries, is_prime, kernel_size
 from .states import PhaseFunction, _freeze, build_state, digits_of
-
-
-class NonCanonical(ValueError):
-    """The phase table has f(0, ..., 0) != 0."""
-
-
-class RoundTripFailure(RuntimeError):
-    """A solved edge map failed to rebuild its own phase table (solver bug)."""
-
-
-@dataclass(frozen=True)
-class SolutionSet:
-    """All solutions of one linear system over Z_d.
-
-    ``generators`` describes the solution affine sublattice: each entry is a
-    (direction, order) pair, and the full set is
-    ``particular + sum_j c_j * direction_j (mod d)`` for c_j in range(order_j).
-    The directions are independent mod d, so ``count`` equals the product of
-    the orders.
-    """
-
-    d: int
-    consistent: bool
-    particular: tuple[int, ...] | None
-    count: int
-    generators: tuple[tuple[tuple[int, ...], int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.consistent != (self.particular is not None) or self.consistent != (self.count >= 1):
-            raise ValueError("inconsistent SolutionSet fields")
-
-    def solutions(self, cap: int | None = None) -> list[tuple[int, ...]]:
-        """Enumerate every solution, sorted lexicographically.
-
-        Raises ValueError when the exact count exceeds ``cap``.
-        """
-        if not self.consistent:
-            return []
-        if cap is not None and self.count > cap:
-            raise ValueError(f"solution count {self.count} exceeds cap {cap}")
-        d = self.d
-        base = self.particular
-        assert base is not None
-        out = []
-        ranges = [range(order) for _, order in self.generators]
-        for coeffs in product(*ranges):
-            vec = list(base)
-            for c, (direction, _) in zip(coeffs, self.generators):
-                if c:
-                    for i, g in enumerate(direction):
-                        vec[i] = (vec[i] + c * g) % d
-            out.append(tuple(vec))
-        out.sort()
-        if len(out) != self.count:
-            raise AssertionError("generator enumeration does not match count")
-        return out
-
-
-def _no_solution(d: int) -> SolutionSet:
-    return SolutionSet(d, False, None, 0, ())
 
 
 def _apply_on_every_axis(matrix: np.ndarray, tensor: np.ndarray, d: int) -> np.ndarray:
@@ -256,11 +208,6 @@ def _digit_powers(d: int, mode: str) -> np.ndarray:
     return np.array(_digit_power_rows(d, mode), dtype=np.int64)
 
 
-def _variables(d: int, n: int, mode: str) -> tuple[MultiHyperedge, ...]:
-    """The mode's edges, the unknowns of the system, in ``counting._columns`` order."""
-    return tuple(MultiHyperedge(*pair) for pair in edge_tuples(n, _exponent_count(d, mode)))
-
-
 def _kronecker_solver(d: int, n: int, mode: str) -> KroneckerSolver:
     """The solver of W^{⊗n} x = f from the closed-form factor of the mode's
     digit-power matrix W; raises SizeLimit first when that factor is too large."""
@@ -307,37 +254,6 @@ def build_system(table: PhaseFunction, mode: str) -> CorrespondenceSystem:
     variables, tuples, matrix = _system_parts(table.d, table.n, mode)
     rhs = tuple(int(x) for x in table.table[1:])
     return CorrespondenceSystem(table.d, table.n, mode, variables, tuples, matrix, rhs)
-
-
-@dataclass(frozen=True)
-class SolveOutcome:
-    """Result of solving one canonical table.
-
-    Solution vectors list the weights of ``variables`` in order. ``edge_map``
-    is rebuilt from the particular solution when consistent and is always
-    round-trip checked against the input table.
-    """
-
-    mode: str
-    variables: tuple[MultiHyperedge, ...]
-    fingerprint: str
-    solution: SolutionSet
-    edge_map: WeightedEdgeMap | None
-
-    def edge_maps(self, cap: int | None = None) -> list[WeightedEdgeMap]:
-        """Every solution as an edge map, in lexicographic weight-vector order."""
-        if self.edge_map is None:
-            return []
-        d, n = self.edge_map.d, self.edge_map.n
-        return [
-            _vector_to_map(d, n, self.variables, vec) for vec in self.solution.solutions(cap=cap)
-        ]
-
-
-def _vector_to_map(
-    d: int, n: int, variables: tuple[MultiHyperedge, ...], vector: tuple[int, ...]
-) -> WeightedEdgeMap:
-    return WeightedEdgeMap(d, n, {e: w for e, w in zip(variables, vector) if w % d})
 
 
 def solve_weights(table: PhaseFunction, mode: str) -> SolveOutcome:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -273,11 +274,16 @@ def from_dict(payload: Any) -> WeightedEdgeMap:
 def decode_json(text: str) -> Any:
     """``json.loads``, raising SchemaError at "$" on malformed JSON, nesting
     too deep for the decoder and integers past Python's digit limit included:
-    a CLI request exits 2 on each, not with a traceback."""
+    a CLI request exits 2 on each, not with a traceback. The digit limit is
+    named, without the decoder's advice to raise it, which only a program can
+    follow."""
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # the decoder's only other error: an int past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError("$", f"invalid JSON: integer longer than {limit} digits") from exc
 
 
 def from_json(text: str) -> WeightedEdgeMap:

@@ -55,7 +55,7 @@ def run(capsys, *argv):
 ADDRESS_SPACE = 3 * 2**29  # 1.5 GB
 
 
-def run_capped(*argv):
+def run_capped(*argv, timeout=120):
     """The CLI in a child process whose address space is capped at 1.5 GB."""
 
     def cap():
@@ -69,7 +69,7 @@ def run_capped(*argv):
         text=True,
         preexec_fn=cap,
         env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -335,6 +335,16 @@ class TestLimitsBeforeWork:
         assert result.returncode == 3 and result.stdout == ""
         assert "kernel generators" in result.stderr and "limit" in result.stderr
 
+    def test_solve_refuses_to_list_too_many_solutions(self, tmp_path):
+        # 2^88 solutions of 63 weights each: within the cap, past the table limit.
+        phases = write_json(tmp_path / "p.json", {"d": 4, "n": 3, "phases": [0] * 64})
+        result = run_capped(
+            "solve", "--phases", phases, "--mode", "multihypergraph",
+            "--all-solutions", "--solution-cap", str(10**30), timeout=10,
+        )
+        assert result.returncode == 3 and result.stdout == ""
+        assert f"solutions of {2**88} x 63^1 entries" in result.stderr
+
     def test_solve_prints_counts_of_any_length(self, tmp_path):
         d, n = 16, 3
         phases = write_json(tmp_path / "p.json", {"d": d, "n": n, "phases": [0] * d**n})
@@ -414,6 +424,17 @@ class TestOversizedInputs:
         assert (code, out) == (2, "")
         assert err.startswith("error: " + start), err[:300]
         assert err.count("\n") == 1 and len(err.encode()) < 300, len(err)
+        assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("verb", ["solve", "build-state"])
+    def test_long_int_names_the_digit_limit(self, tmp_path, capsys, verb):
+        path = tmp_path / "input.json"
+        path.write_text('{"d": ' + LONG_INT + ', "n": 1, "phases": [0], "edges": []}')
+        flag, mode = ("--phases", ["--mode", "hypergraph"]) if verb == "solve" else ("--graph", [])
+        code, out, err = run(capsys, verb, flag, str(path), *mode)
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (2, "")
+        assert err == f"error: $: invalid JSON: integer longer than {limit} digits\n"
 
 
 class TestLimitBoundaries:

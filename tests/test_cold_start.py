@@ -116,12 +116,25 @@ def test_import_loads_no_numpy(statement):
             ],
             3,
         ),
+        # solve runs on lists at any size: 2401 entries, 2^8 solutions.
+        (["solve", "--phases", {"d": 7, "n": 4, "phases": [0] * 7**4}, "--mode", "multihypergraph"], 0),
+        (
+            [
+                "solve",
+                "--phases",
+                {"d": 3, "n": 2, "phases": [0, 1, 0, 1, 1, 0, 0, 1, 0]},
+                "--mode",
+                "hypergraph",
+            ],
+            1,
+        ),
+        (["solve", "--phases", {"d": 3, "n": 1, "phases": [1, 0, 0]}, "--mode", "hypergraph"], 2),
     ],
     ids=["census", "census-hypergraph", "census-budget", "census-usage", "unknown-verb",
          "identity-check-limit", "build-state-limit", "build-state-schema",
          "verify-stabilizers-limit", "verify-stabilizers-schema", "matrix-limit",
          "solve-schema", "solve-entry-type", "solve-entry-count", "solve-entry-range",
-         "solve-limit"],
+         "solve-limit", "solve", "solve-unreachable", "solve-noncanonical"],
 )
 def test_cli_path_loads_no_numpy(argv, code, tmp_path):
     # A dict in argv is an input file: write it and pass its path.
@@ -161,12 +174,9 @@ def test_array_verbs_still_load_numpy():
     assert _cli("matrix", "--d", "3", "--block", "1") == {"code": 0, "numpy": True}
 
 
-def _solve_threads(tmp_path, environ):
-    path = tmp_path / "phases.json"
-    path.write_text(json.dumps({"d": 3, "n": 2, "phases": [0, 1, 0, 1, 1, 0, 0, 1, 0]}))
+def _numpy_threads(environ):
     result = _python(
-        "-c", CLI_PROBE + THREADS, "solve", "--phases", str(path), "--mode", "multihypergraph",
-        environ=environ,
+        "-c", CLI_PROBE + THREADS, "matrix", "--d", "3", "--block", "1", environ=environ
     )
     *_, request, process = result.stderr.splitlines()
     assert json.loads(request) == {"code": 0, "numpy": True}, result.stderr
@@ -174,19 +184,19 @@ def _solve_threads(tmp_path, environ):
 
 
 @needs_proc_status
-def test_cli_runs_blas_single_threaded(tmp_path):
+def test_cli_runs_blas_single_threaded():
     # OpenBLAS starts one thread per core when numpy loads, unless told not to.
-    assert _solve_threads(tmp_path, UNSET_BLAS) == {"threads": 1, "setting": "1"}
+    assert _numpy_threads(UNSET_BLAS) == {"threads": 1, "setting": "1"}
 
 
 @needs_proc_status
-def test_cli_keeps_a_blas_setting_of_the_callers(tmp_path):
+def test_cli_keeps_a_blas_setting_of_the_callers():
     environ = dict(UNSET_BLAS, OPENBLAS_NUM_THREADS="2")
     bare_numpy = _python("-c", "import numpy" + THREADS, environ=environ)
     assert bare_numpy.returncode == 0, bare_numpy.stderr
     expected = json.loads(bare_numpy.stderr.splitlines()[-1])
     assert expected["setting"] == "2"
-    assert _solve_threads(tmp_path, environ) == expected
+    assert _numpy_threads(environ) == expected
 
 
 def test_library_import_leaves_the_environment_alone():

@@ -10,8 +10,9 @@ factors, so the solve factors nothing, and the census needs no solve at
 all: the kernel size has a closed form.
 
 Exports load on first use (PEP 562), so ``import quditgraphs`` and the
-census import no numpy; the state names and the numpy-backed solver names
-load it, while the solution types and solve errors (``newton``) do not.
+census import no numpy; the state names and the ``correspondence`` names
+load it (``solve_weights`` too, as it takes a ``PhaseFunction``), while the
+solution types and solve errors (``newton``) do not.
 """
 
 import importlib

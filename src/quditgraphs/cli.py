@@ -290,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--d", type=int, required=True)
     cen.add_argument("--n", type=int, required=True)
     cen.add_argument("--mode", required=True, choices=counting.MODES)
-    cen.add_argument("--budget", type=int, default=None)
+    cen.add_argument("--budget", type=_non_negative_int, default=None)
     cen.set_defaults(func=_cmd_census)
 
     idc = sub.add_parser(

@@ -17,15 +17,13 @@ adding a constant variable m_0 for s = 0, the system over all d^n tuples is
 W^{⊗n} x = f with the digit-power matrix W[i][s] = i^s mod d (0^0 = 1),
 s in 0..d-1 (multihypergraph) or {0, 1} (hypergraph). Row i = 0 pins
 m_0 = f(0) = 0, so the solutions are exactly those of the canonical system.
-``solve_weights`` solves it for every d and both modes with one Kronecker
-solve (``KroneckerSolver``, below) on the closed-form factor
-U·W·V = diag(s!) of the small W (``counting.smith_factor``), so nothing is
-factored and solution counts are exact. The solver reports x at the
-edges' columns only, so the pinned m_0 never reaches the answer. The
-solver lives here, with its only caller, so ``residues`` stays numpy-free.
-The ``solve`` verb runs the same solve on Python lists
-(``newton.solve_phases``); ``solve_weights`` is the reference the tests
-hold it against.
+``solve_weights`` solves it for every d and both modes with the one
+Kronecker solve of the package (``newton.KroneckerSolver``, re-exported
+here) on the closed-form factor U·W·V = diag(s!) of the small W
+(``counting.smith_factor``), so nothing is factored and solution counts are
+exact: it hands the table to ``newton.solve_phases``, the solve of the
+``solve`` verb, which runs on Python lists and reports x at the edges'
+columns only, so the pinned m_0 never reaches the answer.
 ``SolutionSet``, ``SolveOutcome`` and the solve errors live in the
 numpy-free ``newton`` and are re-exported here.
 ``census`` solves no table: the reachable tables are the image of the
@@ -36,10 +34,10 @@ column of each variable in W^{⊗n} fix the whole system, so
 fingerprint and the variable order (``counting.edge_tuples``) live in the
 numpy-free ``counting`` module; all but the variable order are re-exported
 here.
-``representability_constraints`` reads rows of U^{⊗n}; only
-``build_system`` assembles the dense canonical matrix. Matrices are
-C-contiguous, read-only int64 arrays with entries reduced mod d, frozen as
-``PhaseFunction`` tables are.
+This module keeps the dense-matrix code: ``representability_constraints``
+reads rows of U^{⊗n}, and only ``build_system`` assembles the dense
+canonical matrix. Matrices are C-contiguous, read-only int64 arrays with
+entries reduced mod d, frozen as ``PhaseFunction`` tables are.
 
 Sizes go through ``residues.check_entries`` before any work: ``solve_weights``
 refuses a factor of d·d entries and kernel generators of free·k^n entries
@@ -51,10 +49,7 @@ of (d-1)^(2·size) entries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -69,127 +64,22 @@ from .counting import (
     _columns,
     _digit_power_rows,
     _exponent_count,
-    _fingerprint,
     census,
     smith_factor,
     system_fingerprint,
 )
 from .graphs import MultiHyperedge
 from .newton import (
+    KroneckerSolver,
     NonCanonical,
     RoundTripFailure,
     SolutionSet,
     SolveOutcome,
-    _no_solution,
     _variables,
-    _vector_to_map,
+    solve_phases,
 )
-from .residues import NonPrimeModulus, check_entries, is_prime, kernel_size
-from .states import PhaseFunction, _freeze, build_state, digits_of
-
-
-def _apply_on_every_axis(matrix: np.ndarray, tensor: np.ndarray, d: int) -> np.ndarray:
-    """(matrix ⊗ ... ⊗ matrix) applied mod d to a tensor, one factor per axis.
-
-    Entries stay below d, so each dot product is below d^3: int64 holds it
-    for every d whose d x d matrix fits in memory.
-    """
-    for axis in range(tensor.ndim):
-        tensor = np.moveaxis(np.tensordot(matrix, tensor, axes=([1], [axis])) % d, 0, axis)
-    return tensor
-
-
-class KroneckerSolver:
-    """Solve (W ⊗ ... ⊗ W)·x = b (mod d), ``power`` factors, for any d >= 2.
-
-    Unknowns and equations are digit tuples in flat order, first digit most
-    significant. The base W (m x k, m >= k) enters only through a factor
-    U·W·V = D mod d, with U (m x m) and V (k x k) invertible mod d and D the
-    m x k matrix with ``diagonal`` on its diagonal. The mixed-product property
-    gives U^{⊗n}·W^{⊗n}·V^{⊗n} = D^{⊗n}, whose only nonzero entries sit at
-    (j, j) for tuples j with every digit below k, with value prod_v D[j_v].
-    So a solve is n tensor passes to form c = U^{⊗n} b, one elementwise
-    division y_j = c_j / D_j (mod d) with exactly gcd(D_j, d) choices each,
-    and n passes back to x = V^{⊗n} y. Equations j with a digit >= k have
-    no diagonal entry and demand c_j = 0.
-    """
-
-    def __init__(
-        self,
-        u: Sequence[Sequence[int]],
-        diagonal: Sequence[int],
-        v: Sequence[Sequence[int]],
-        *,
-        d: int,
-        power: int,
-    ):
-        self.u, self.v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
-        self.u %= d
-        self.v %= d
-        m, k = len(self.u), len(diagonal)
-        if self.u.shape != (m, m) or self.v.shape != (k, k) or m < k:
-            raise ValueError("need U m x m, V k x k and k diagonal entries, with m >= k")
-        if power < 1 or d < 2:
-            raise ValueError(f"need power >= 1 and d >= 2, got {power} and {d}")
-        self.d, self.power = d, power
-        self.rows, self.cols = m, k
-        self.diagonal = list(diagonal)
-        # entries[j] = prod_v D[j_v] mod d over the k^n column tuples.
-        diag = np.array([x % d for x in diagonal], dtype=np.int64)
-        entries = diag
-        for _ in range(power - 1):
-            entries = np.multiply.outer(entries, diag) % d
-        # Per residue a of the diagonal: g = gcd(a, d), and the inverse of
-        # a / g modulo d / g that turns c = a·y into y = (c / g)·inverse.
-        gcds = [math.gcd(a, d) for a in range(d)]
-        inverses = [
-            pow(a // g, -1, d // g) if g < d else 0 for a, g in zip(range(d), gcds)
-        ]
-        self.gcd = np.array(gcds, dtype=np.int64)[entries]
-        self.inverse = np.array(inverses, dtype=np.int64)[entries]
-        # c_j must be a multiple of divisor_j: g_j on the diagonal, and d
-        # (so c_j = 0) on the equations without a diagonal entry.
-        self.divisor = np.full((m,) * power, d, dtype=np.int64)
-        self.divisor[(slice(0, k),) * power] = self.gcd
-
-    @cached_property
-    def count(self) -> int:
-        """Solutions of every consistent right-hand side: the kernel size,
-        prod_j g_j. Computed on first use, as it can have millions of digits."""
-        return kernel_size(self.diagonal, self.d, self.power)
-
-    def solve(self, rhs: Sequence[int] | np.ndarray, unknowns: Sequence[int]) -> SolutionSet:
-        """The solutions of W^{⊗n} x = rhs, each vector listing x at the flat
-        indices ``unknowns``, in that order.
-
-        The set is the image of all solutions under that pick, and ``count``
-        is the number of solutions. The two agree only when every unknown
-        left out is 0 in every solution.
-        """
-        d, n, k = self.d, self.power, self.cols
-        b = np.asarray(rhs, dtype=np.int64)
-        if b.shape != (self.rows**n,):
-            raise ValueError("rhs length mismatch")
-        c = _apply_on_every_axis(self.u, b.reshape((self.rows,) * n) % d, d)
-        if (c % self.divisor).any():
-            return _no_solution(d)
-        diagonal_part = c[(slice(0, k),) * n]
-        y = (diagonal_part // self.gcd) * self.inverse % (d // self.gcd)
-        x = _apply_on_every_axis(self.v, y, d).reshape(-1)
-        picked = np.asarray(unknowns, dtype=np.intp)
-        particular = tuple(x[picked].tolist())
-        return SolutionSet(d, True, particular, self.count, self._generators(picked))
-
-    def _generators(self, picked: np.ndarray) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Column j of V^{⊗n} at the rows ``picked``, scaled by d / g_j, of
-        order g_j, for every g_j > 1."""
-        d = self.d
-        gcd = self.gcd.reshape(-1)
-        free = np.flatnonzero(gcd > 1)
-        columns = _power_rows(self.v.T, free, self.power, d)[:, picked]
-        columns *= (d // gcd[free])[:, None]
-        columns %= d
-        return tuple(zip(map(tuple, columns.tolist()), gcd[free].tolist()))
+from .residues import NonPrimeModulus, check_entries, is_prime
+from .states import PhaseFunction, _freeze, digits_of
 
 
 def _power_rows(matrix: np.ndarray, picked: np.ndarray, power: int, d: int) -> np.ndarray:
@@ -206,12 +96,6 @@ def _power_rows(matrix: np.ndarray, picked: np.ndarray, power: int, d: int) -> n
 def _digit_powers(d: int, mode: str) -> np.ndarray:
     """The digit-power matrix W of ``counting._digit_power_rows`` as an array."""
     return np.array(_digit_power_rows(d, mode), dtype=np.int64)
-
-
-def _kronecker_solver(d: int, n: int, mode: str) -> KroneckerSolver:
-    """The solver of W^{⊗n} x = f from the closed-form factor of the mode's
-    digit-power matrix W; raises SizeLimit first when that factor is too large."""
-    return KroneckerSolver(*smith_factor(d, mode), d=d, power=n)
 
 
 def _system_parts(
@@ -257,30 +141,9 @@ def build_system(table: PhaseFunction, mode: str) -> CorrespondenceSystem:
 
 
 def solve_weights(table: PhaseFunction, mode: str) -> SolveOutcome:
-    """Decide reachability of a canonical table and count all weight solutions.
-
-    Raises SizeLimit, before solving, when the kernel generators, one column
-    of V^{⊗n} per free unknown, would reach the table limit; that depends on
-    (d, n, mode) alone.
-    """
-    _check_table(table, mode)
-    d, n = table.d, table.n
-    solver = _kronecker_solver(d, n, mode)
-    free = int(np.count_nonzero(solver.gcd > 1))
-    check_entries("kernel generators", free, solver.cols, n)
-    variables, columns = _variables(d, n, mode), _columns(d, n, mode)
-    # The constant m_0, left out, is pinned to f(0) = 0 in every solution.
-    solution = solver.solve(table.table, columns)
-    fingerprint = _fingerprint(d, n, mode, columns)
-    edge_map = None
-    if solution.consistent:
-        assert solution.particular is not None
-        edge_map = _vector_to_map(d, n, variables, solution.particular)
-        if build_state(edge_map) != table:
-            raise RoundTripFailure(
-                f"solved weights do not rebuild the table (fingerprint {fingerprint})"
-            )
-    return SolveOutcome(mode, variables, fingerprint, solution, edge_map)
+    """Decide reachability of a canonical table and count all weight solutions:
+    ``newton.solve_phases`` on the table's entries, with its refusals."""
+    return solve_phases(table.d, table.n, table.table.tolist(), mode)
 
 
 def coefficient_block(d: int, size: int) -> np.ndarray:
@@ -309,7 +172,11 @@ def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, .
     check_entries("solver divisors", 1, d, n)
     if not is_prime(d):
         raise NonPrimeModulus(f"modulus {d} is not prime")
-    solver = _kronecker_solver(d, n, mode)
-    picked = np.flatnonzero(solver.divisor.reshape(-1) == d)
+    solver = KroneckerSolver(*smith_factor(d, mode), d=d, power=n)
+    divisor = [d] * d**n  # d, so c_j = 0, at the tuples without a diagonal entry
+    for i, g in zip(solver.inside, solver.gcd):
+        divisor[i] = g
+    picked = [j for j, g in enumerate(divisor) if g == d]
     check_entries("constraint rows", len(picked), d, n)
-    return [tuple(row) for row in _power_rows(solver.u, picked, n, d)[:, 1:].tolist()]
+    rows = _power_rows(np.array(solver.u, dtype=np.int64), np.array(picked, dtype=np.intp), n, d)
+    return [tuple(row) for row in rows[:, 1:].tolist()]

@@ -24,8 +24,8 @@ factorisation is needed to count them.
 
 ``smith_factor`` builds the inverses U = P^{-1} and V = (S^T)^{-1} by
 recurrences mod d, so U·W·V = D. It is the package's only factor of W:
-``solve`` hands it to ``correspondence.KroneckerSolver``, and ``census``
-reads its diagonal alone (``_factorial_diagonal``).
+``newton.solve_phases`` hands it to ``newton.KroneckerSolver``, and
+``census`` reads its diagonal alone (``_factorial_diagonal``).
 """
 
 from __future__ import annotations

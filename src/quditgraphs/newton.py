@@ -1,4 +1,4 @@
-"""Kronecker passes on Python lists, and the solve of the ``solve`` verb, without numpy.
+"""The Kronecker solve of the package, on Python lists, without numpy.
 
 A table f over Z_d^n is a flat list of d^n ints, i_0 the most significant
 digit. ``_forward`` applies a small matrix along every axis of such a list:
@@ -9,13 +9,11 @@ multiply-add on a 2-core Xeon, several times numpy's cost, but it loads
 nothing: importing numpy alone takes about 90 ms there, more than the whole
 solve of a small table.
 
-``solve_phases`` is the solve of the ``solve`` verb: the Kronecker solve of
-``correspondence.KroneckerSolver`` on lists, with the same solution set,
-particular solution, count, fingerprint and size refusals as
-``correspondence.solve_weights``, which the tests hold it against.
-
-The solution types ``SolutionSet`` and ``SolveOutcome`` live here, so both
-solves share them; ``correspondence`` re-exports them.
+``KroneckerSolver`` solves W^{⊗n} x = b for any base W from a factor
+U·W·V = D, and ``solve_phases``, the solve of the ``solve`` verb and of
+``correspondence.solve_weights``, runs it on the closed-form factor and
+checks the answer through W itself. The solution types ``SolutionSet`` and
+``SolveOutcome`` live here; ``correspondence`` re-exports them.
 """
 
 from __future__ import annotations
@@ -192,6 +190,88 @@ def _generators(
     return tuple(out)
 
 
+class KroneckerSolver:
+    """Solve (W ⊗ ... ⊗ W)·x = b (mod d), ``power`` factors, for any d >= 2.
+
+    Unknowns and equations are digit tuples in flat order, first digit most
+    significant. The base W (m x k, m >= k) enters only through a factor
+    U·W·V = D mod d, with U (m x m) and V (k x k) invertible mod d and D the
+    m x k matrix with ``diagonal`` on its diagonal. The mixed-product property
+    gives U^{⊗n}·W^{⊗n}·V^{⊗n} = D^{⊗n}, whose only nonzero entries sit at
+    (j, j) for tuples j with every digit below k, with value prod_v D[j_v].
+    So a solve is n passes to form c = U^{⊗n} b, one division y_j = c_j / D_j
+    (mod d) with exactly gcd(D_j, d) choices each, and n passes back to
+    x = V^{⊗n} y. Equations j with a digit >= k have no diagonal entry and
+    demand c_j = 0.
+    """
+
+    def __init__(
+        self,
+        u: Sequence[Sequence[int]],
+        diagonal: Sequence[int],
+        v: Sequence[Sequence[int]],
+        *,
+        d: int,
+        power: int,
+    ):
+        m, k = len(u), len(diagonal)
+        square = all(len(row) == m for row in u) and all(len(row) == k for row in v)
+        if not square or len(v) != k or m < k:
+            raise ValueError("need U m x m, V k x k and k diagonal entries, with m >= k")
+        if power < 1 or d < 2:
+            raise ValueError(f"need power >= 1 and d >= 2, got {power} and {d}")
+        # Every pass reduces mod d, so U and V are kept as given.
+        self.u, self.v, self.diagonal = u, v, list(diagonal)
+        self.d, self.power, self.rows = d, power, m
+        # The flat indices (base m) of the k^n tuples with every digit below
+        # k, and D_j = prod_v D[j_v] mod d at each.
+        self.inside, entries = [0], [1]
+        for _ in range(power):
+            self.inside = [i * m + s for i in self.inside for s in range(k)]
+            entries = [a * b % d for a in entries for b in diagonal]
+        # c_j = D_j·y_j has a solution iff g_j = gcd(D_j, d) divides c_j;
+        # then y_j = (c_j / g_j)·inverse_j, the inverse of D_j / g_j modulo
+        # d / g_j.
+        gcds = [math.gcd(a, d) for a in range(d)]
+        inverses = [pow(a // g, -1, d // g) if g < d else 0 for a, g in zip(range(d), gcds)]
+        self.gcd = [gcds[a] for a in entries]
+        self.inverse = [inverses[a] for a in entries]
+
+    @cached_property
+    def count(self) -> int:
+        """Solutions of every consistent right-hand side: the kernel size,
+        prod_j g_j. Computed on first use, as it can have millions of digits."""
+        return kernel_size(self.diagonal, self.d, self.power)
+
+    def solve(self, rhs: Sequence[int], unknowns: Sequence[int]) -> SolutionSet:
+        """The solutions of W^{⊗n} x = rhs, each vector listing x at the flat
+        indices ``unknowns``, in that order.
+
+        The set is the image of all solutions under that pick, and ``count``
+        is the number of solutions. The two agree only when every unknown
+        left out is 0 in every solution. The kernel generators are built on
+        the first read of the set's ``generators``.
+        """
+        d, n = self.d, self.power
+        if len(rhs) != self.rows**n:
+            raise ValueError("rhs length mismatch")
+        c = _forward(self.u, rhs, n, d)
+        diagonal_part = [c[i] for i in self.inside]
+        if sum(map(bool, c)) != sum(map(bool, diagonal_part)) or any(
+            map(mod, diagonal_part, self.gcd)
+        ):
+            return _no_solution(d)
+        y = [
+            cj // g * inverse % (d // g)
+            for cj, g, inverse in zip(diagonal_part, self.gcd, self.inverse)
+        ]
+        x = _forward(self.v, y, n, d)
+        particular = tuple(x[i] for i in unknowns)
+        free = [(j, g) for j, g in enumerate(self.gcd) if g > 1]
+        generators = partial(_generators, self.v, free, unknowns, n, d)
+        return SolutionSet(d, True, particular, self.count, generators)
+
+
 def solve_phases(d: int, n: int, phases: Sequence[int], mode: str) -> SolveOutcome:
     """Decide reachability of a canonical table and count all weight solutions.
 
@@ -210,39 +290,17 @@ def solve_phases(d: int, n: int, phases: Sequence[int], mode: str) -> SolveOutco
     check_entries("kernel generators", k**n - units**n, k, n)
     columns, variables = _columns(d, n, mode), _variables(d, n, mode)
     fingerprint = _fingerprint(d, n, mode, columns)
-    # c = U^{⊗n} f; U·W·V = D turns W^{⊗n} x = f into D^{⊗n} y = c, x = V^{⊗n} y.
-    c = _forward(u, phases, n, d)
-    inside = [0]  # the flat indices of the tuples with every digit below k
-    for _ in range(n):
-        inside = [i * d + s for i in inside for s in range(k)]
-    diagonal_part = [c[i] for i in inside]
-    entries = [1]  # D_j = prod_v D[j_v] mod d over the k^n tuples j
-    for _ in range(n):
-        entries = [a * b % d for a in entries for b in diagonal]
-    # c_j = D_j·y_j has a solution iff g = gcd(D_j, d) divides c_j; then
-    # y_j = (c_j / g)·inverse, the inverse of D_j / g modulo d / g. An
-    # equation with a digit >= k has no diagonal entry and needs c_j = 0.
-    gcds = [math.gcd(a, d) for a in range(d)]
-    inverses = [pow(a // g, -1, d // g) if g < d else 0 for a, g in zip(range(d), gcds)]
-    if sum(map(bool, c)) != sum(map(bool, diagonal_part)) or any(
-        cj % gcds[a] for cj, a in zip(diagonal_part, entries)
-    ):
-        return SolveOutcome(mode, variables, fingerprint, _no_solution(d), None)
-    y = [cj // gcds[a] * inverses[a] % (d // gcds[a]) for cj, a in zip(diagonal_part, entries)]
-    x = _forward(v, y, n, d)
     # The constant m_0 at column 0, left out, is pinned to f(0) = 0.
-    particular = tuple(x[i] for i in columns)
+    solution = KroneckerSolver(u, diagonal, v, d=d, power=n).solve(phases, columns)
+    if not solution.consistent:
+        return SolveOutcome(mode, variables, fingerprint, solution, None)
     # The round trip goes through W itself, not its factor.
     placed = [0] * k**n
-    for i, weight in zip(columns, particular):
+    for i, weight in zip(columns, solution.particular):
         placed[i] = weight
     if _forward(_digit_power_rows(d, mode), placed, n, d) != list(phases):
         raise RoundTripFailure(
             f"solved weights do not rebuild the table (fingerprint {fingerprint})"
         )
-    # Built only when the solutions are listed: the free y_j with g_j > 1.
-    free = [(j, gcds[a]) for j, a in enumerate(entries) if gcds[a] > 1]
-    generators = partial(_generators, v, free, columns, n, d)
-    solution = SolutionSet(d, True, particular, kernel_size(diagonal, d, n), generators)
-    edge_map = _vector_to_map(d, n, variables, particular)
+    edge_map = _vector_to_map(d, n, variables, solution.particular)
     return SolveOutcome(mode, variables, fingerprint, solution, edge_map)

@@ -3,7 +3,7 @@
 ``kernel_size`` counts the kernel of a Kronecker power D^{⊗n} of a diagonal
 D over Z_d from D's diagonal alone, so the census needs neither a
 right-hand side nor a solve; the solver of such powers, ``KroneckerSolver``,
-works on numpy tensors and lives in ``correspondence``, its only caller.
+works on Python lists and lives in ``newton``.
 ``is_prime`` tests a modulus by trial division.
 
 ``check_entries`` is the one place that refuses an array: count·base^exponent

@@ -1,8 +1,8 @@
 """Reference solvers for dense systems over Z_d, kept as test oracles.
 
 The package solves every system through the Kronecker factor of its small
-base (``quditgraphs.correspondence.KroneckerSolver``). The dense solvers here work
-on the whole matrix instead, on plain Python integers:
+base, on Python lists (``quditgraphs.newton.KroneckerSolver``). The dense
+solvers here work on the whole matrix instead, on plain Python integers:
 
 * prime modulus: Gaussian elimination over the field (``PrimeSolver``), with
   rank, kernel and a canonical left-nullspace basis;
@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from quditgraphs.correspondence import SolutionSet, _no_solution
+from quditgraphs.newton import SolutionSet, _no_solution
 from quditgraphs.residues import NonPrimeModulus, is_prime
 
 

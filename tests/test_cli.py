@@ -208,6 +208,13 @@ class TestSolve:
         assert code == 2 and out == ""
         assert "--solution-cap" in err
 
+    def test_negative_census_budget_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "census", "--d", "3", "--n", "1", "--mode", "hypergraph", "--budget", "-3"
+        )
+        assert code == 2 and out == ""
+        assert "--budget" in err
+
     def test_noncanonical_is_usage_error(self, tmp_path, capsys):
         phases = write_json(tmp_path / "p.json", {"d": 2, "n": 1, "phases": [1, 0]})
         code, _, err = run(capsys, "solve", "--phases", phases, "--mode", "hypergraph")

@@ -65,7 +65,13 @@ def _cli(*argv):
 
 
 @pytest.mark.parametrize(
-    "statement", ["import quditgraphs", "import quditgraphs.cli", "import quditgraphs.counting"]
+    "statement",
+    [
+        "import quditgraphs",
+        "import quditgraphs.cli",
+        "import quditgraphs.counting",
+        "from quditgraphs.newton import KroneckerSolver, solve_phases",
+    ],
 )
 def test_import_loads_no_numpy(statement):
     result = _python("-c", f"{statement}; import sys; print('numpy' in sys.modules)")

@@ -635,7 +635,7 @@ class TestClosedFormKernel:
             for mode in MODES:
                 rows = counting._digit_power_rows(d, mode)
                 solver = KroneckerSolver(*smith_factor_of(rows, d), d=d, power=n)
-                per_tuple = math.prod(solver.gcd.reshape(-1).tolist())
+                per_tuple = math.prod(solver.gcd)
                 assert _closed_form_kernel(d, n, mode) == solver.count == per_tuple, (d, n, mode)
             n += 1
 

@@ -1,17 +1,27 @@
-"""The numpy-free solve of ``newton`` against ``correspondence.solve_weights``."""
+"""The solve of ``newton`` against the same Kronecker solve on a factor of W
+found by elimination (``oracles.smith_factor_of``), not the closed form."""
 
 import random
-import re
+from functools import cache
 
 import numpy as np
 import pytest
 
 from quditgraphs import correspondence, newton
-from quditgraphs.correspondence import MODES, MULTIHYPERGRAPH, solve_weights
+from quditgraphs.counting import _columns, _digit_power_rows
+from quditgraphs.correspondence import MODES, MULTIHYPERGRAPH
 from quditgraphs.graphs import WeightedEdgeMap
-from quditgraphs.newton import NonCanonical, RoundTripFailure, solve_phases
+from quditgraphs.newton import (
+    KroneckerSolver,
+    NonCanonical,
+    RoundTripFailure,
+    SolutionSet,
+    solve_phases,
+)
 from quditgraphs.residues import SizeLimit
 from quditgraphs.states import PhaseFunction, build_state
+
+from oracles import smith_factor_of
 
 # One larger cell per n: the largest d with n·d^(n+1) < 2^16 multiply-adds.
 LARGER = [(255, 1), (31, 2), (12, 3), (6, 4), (4, 5), (3, 7), (2, 11)]
@@ -33,35 +43,49 @@ def _tables(d, n, mode):
     return [built.table.tolist(), [0] + [rng.randrange(d) for _ in range(d**n - 1)]]
 
 
+@cache
+def _elimination_factor(d, mode):
+    """U, diagonal and V of the mode's W from the Smith form by elimination."""
+    return smith_factor_of(_digit_power_rows(d, mode), d)
+
+
+def _reference(d, n, mode, phases):
+    solver = KroneckerSolver(*_elimination_factor(d, mode), d=d, power=n)
+    return solver.solve(phases, _columns(d, n, mode))
+
+
 @pytest.mark.parametrize("d,n", _sizes())
-def test_lists_match_solve_weights(d, n):
+def test_lists_match_the_elimination_factor(d, n):
+    # The particular solutions may differ between the two factors; the
+    # solution sets may not.
     for mode in MODES:
         for phases in _tables(d, n, mode):
             ours = solve_phases(d, n, phases, mode)
-            theirs = solve_weights(PhaseFunction(d, n, np.array(phases)), mode)
-            assert ours.solution.consistent == theirs.solution.consistent
-            assert ours.solution.count == theirs.solution.count
-            assert ours.solution.particular == theirs.solution.particular
-            assert ours.edge_map == theirs.edge_map
-            assert ours.fingerprint == theirs.fingerprint
-            assert ours.variables == theirs.variables
-            assert ours.solution == theirs.solution
-            if ours.solution.consistent and ours.solution.count <= 64:
-                assert ours.solution.generators == theirs.solution.generators
-                assert ours.solution.solutions() == theirs.solution.solutions()
+            theirs = _reference(d, n, mode, phases)
+            assert ours.solution.consistent == theirs.consistent
+            assert ours.solution.count == theirs.count
+            if ours.solution.consistent:
+                table = PhaseFunction(d, n, np.array(phases))
+                assert build_state(ours.edge_map) == table
+                if ours.solution.count <= 64:
+                    assert ours.solution.solutions() == theirs.solutions()
+            else:
+                assert ours.edge_map is None
 
 
 @pytest.mark.parametrize(
-    "d,n,mode",
-    [(4, 7, MULTIHYPERGRAPH), (6, 5, MULTIHYPERGRAPH), (4096, 1, MULTIHYPERGRAPH)],
+    "d,n,message",
+    [
+        (4, 7, "kernel generators of 16256 x 4^7 entries would reach the limit 16777216"),
+        (6, 5, "kernel generators of 7744 x 6^5 entries would reach the limit 16777216"),
+        (4096, 1, "base factor U of 4096 x 4096^1 entries would reach the limit 16777216"),
+    ],
     ids=["d4-generators", "d6-generators", "base-factor"],
 )
-def test_size_refusals_match_solve_weights(d, n, mode):
-    phases = [0] * d**n
-    with pytest.raises(SizeLimit) as theirs:
-        solve_weights(PhaseFunction(d, n, np.array(phases)), mode)
-    with pytest.raises(SizeLimit, match=f"^{re.escape(str(theirs.value))}$"):
-        solve_phases(d, n, phases, mode)
+def test_size_refusals_keep_their_messages(d, n, message):
+    with pytest.raises(SizeLimit) as refusal:
+        solve_phases(d, n, [0] * d**n, MULTIHYPERGRAPH)
+    assert str(refusal.value) == message
 
 
 def test_forward_is_the_kronecker_power():
@@ -106,8 +130,9 @@ def test_noncanonical_keeps_its_message():
 def test_solution_sets_compare_without_their_generators():
     phases = [0] * 16
     ours = solve_phases(4, 2, phases, MULTIHYPERGRAPH).solution
-    theirs = solve_weights(PhaseFunction(4, 2, np.array(phases)), MULTIHYPERGRAPH).solution
-    assert ours == theirs and hash(ours) == hash(theirs)
+    theirs = _reference(4, 2, MULTIHYPERGRAPH, phases)
+    bare = SolutionSet(4, True, ours.particular, ours.count)
+    assert ours == theirs == bare and hash(ours) == hash(theirs) == hash(bare)
     assert "kernel" not in repr(ours) and "generators" not in vars(ours)
 
 
@@ -116,3 +141,4 @@ def test_the_error_types_are_shared():
     assert correspondence.SolveOutcome is newton.SolveOutcome
     assert correspondence.NonCanonical is NonCanonical
     assert correspondence.RoundTripFailure is RoundTripFailure
+    assert correspondence.KroneckerSolver is newton.KroneckerSolver

@@ -21,7 +21,6 @@ import importlib
 _EXPORTS = {
     "HYPERGRAPH": "counting",
     "MULTIHYPERGRAPH": "counting",
-    "BudgetExceeded": "counting",
     "CensusReport": "counting",
     "ConjugationReport": "stabilizers",
     "CorrespondenceSystem": "correspondence",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / affirmative result, 1 negative mathematical result
 (unsolvable system, unstabilized vertex, broken identity), 2 usage or schema
-error, 3 size or budget limit. Data goes to stdout, diagnostics to stderr.
+error, 3 size limit. Data goes to stdout, diagnostics to stderr.
 
 A verb imports what it runs, inside the verb: ``graphs`` where it reads an
 edge map or a table, and the numpy-backed modules (``build-state``,
@@ -169,7 +169,7 @@ def _cmd_verify_stabilizers(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    report = counting.census(args.d, args.n, args.mode, budget=args.budget)
+    report = counting.census(args.d, args.n, args.mode)
     _emit(report.to_dict())
     return EXIT_OK
 
@@ -290,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--d", type=int, required=True)
     cen.add_argument("--n", type=int, required=True)
     cen.add_argument("--mode", required=True, choices=counting.MODES)
-    cen.add_argument("--budget", type=_non_negative_int, default=None)
     cen.set_defaults(func=_cmd_census)
 
     idc = sub.add_parser(
@@ -325,7 +324,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     # SizeLimit is a ValueError, so it is caught first. Schema, JSON and
     # non-canonical table errors are ValueErrors too.
-    except (SizeLimit, counting.BudgetExceeded) as exc:
+    except SizeLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except ValueError as exc:

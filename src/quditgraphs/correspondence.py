@@ -57,7 +57,6 @@ from .counting import (
     HYPERGRAPH,
     MODES,
     MULTIHYPERGRAPH,
-    BudgetExceeded,
     CensusReport,
     _check_block,
     _check_mode,

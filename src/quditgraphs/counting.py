@@ -20,7 +20,8 @@ unitriangular. So both outer factors are unimodular, and as s! divides
 kernel of W^{⊗n} over Z_d then has K = prod_{j in [k]^n} gcd(prod_v j_v!, d)
 elements (``residues.kernel_size``). Every reachable table has exactly K weight
 solutions, so R = d^{#vars} / K tables are reachable, and no table and no
-factorisation is needed to count them.
+factorisation is needed to count them. The census refuses only through
+``residues.check_entries``, on a count worked out from (d, n) alone.
 
 ``smith_factor`` builds the inverses U = P^{-1} and V = (S^T)^{-1} by
 recurrences mod d, so U·W·V = D. It is the package's only factor of W:
@@ -30,22 +31,15 @@ recurrences mod d, so U·W·V = D. It is the package's only factor of W:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from itertools import accumulate, combinations, product, repeat
 from typing import Iterator, NamedTuple, Sequence
 
-from .residues import check_entries, kernel_size, power_at_least
+from .residues import check_entries, kernel_size
 
 HYPERGRAPH = "hypergraph"
 MULTIHYPERGRAPH = "multihypergraph"
 MODES = (HYPERGRAPH, MULTIHYPERGRAPH)
-
-DEFAULT_CENSUS_BUDGET = 10**7
-
-
-class BudgetExceeded(RuntimeError):
-    """The census would cover more tables than the configured budget."""
 
 
 def _check_mode(mode: str) -> str:
@@ -153,6 +147,8 @@ def system_fingerprint(d: int, n: int, mode: str) -> str:
 
 
 def _fingerprint(d: int, n: int, mode: str, columns: list[int]) -> str:
+    import hashlib  # here, not at the top: only solve and census hash anything
+
     payload = {
         "d": d,
         "n": n,
@@ -194,26 +190,25 @@ class CensusReport(NamedTuple):
         }
 
 
-def census(
-    d: int, n: int, mode: str, budget: int | None = None
-) -> CensusReport:
+def census(d: int, n: int, mode: str) -> CensusReport:
     """Classify every canonical phase table at (d, n) by its solution count.
 
     No table is solved and nothing is factored. The reachable tables are the
     image of the linear map, R = d^{#vars} / K of them for a kernel of size
     K, and each has exactly K solutions, so the histogram is
     {0: total - R, K: R}. K comes from the closed-form Smith diagonal s! of
-    W (module docstring). Refuses cleanly when the table count exceeds the
-    budget.
+    W (module docstring).
+
+    Raises SizeLimit, before any power of d is built, when bits(d)·d^(2n)
+    reaches the table limit. That count covers what a census builds: the
+    d·k entries of W that the fingerprint encodes, and the printed integers
+    of about (d^n - 1)·log2 d bits each, whose conversion to decimal takes
+    time quadratic in their length.
     """
     _check_mode(mode)
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
-    cap = DEFAULT_CENSUS_BUDGET if budget is None else budget
-    # d^(d^n - 1) > cap, decided without building either power: once
-    # d^n - 1 exceeds cap's bit length, the table count exceeds cap.
-    if power_at_least(d, n, cap.bit_length() + 2) or power_at_least(d, d**n - 1, cap + 1):
-        raise BudgetExceeded(f"census covers {d}^({d}^{n} - 1) tables, budget is {cap}")
+    check_entries("census", d.bit_length(), d, 2 * n)
     total = d ** (d**n - 1)
     columns = _columns(d, n, mode)
     kernel = kernel_size(_factorial_diagonal(d, mode), d, n)

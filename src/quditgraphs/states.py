@@ -257,11 +257,6 @@ def dense_blocks(state: DenseState) -> Iterator[str]:
         yield "".join(f"{i} {texts[j]}\n" for i, j in enumerate(block, start))
 
 
-def dense_text(state: DenseState) -> str:
-    """The whole text export of ``dense_blocks`` as one string."""
-    return "".join(dense_blocks(state))
-
-
 # --- JSON serialization of phase tables --------------------------------------
 
 

@@ -208,13 +208,6 @@ class TestSolve:
         assert code == 2 and out == ""
         assert "--solution-cap" in err
 
-    def test_negative_census_budget_is_usage_error(self, capsys):
-        code, out, err = run(
-            capsys, "census", "--d", "3", "--n", "1", "--mode", "hypergraph", "--budget", "-3"
-        )
-        assert code == 2 and out == ""
-        assert "--budget" in err
-
     def test_noncanonical_is_usage_error(self, tmp_path, capsys):
         phases = write_json(tmp_path / "p.json", {"d": 2, "n": 1, "phases": [1, 0]})
         code, _, err = run(capsys, "solve", "--phases", phases, "--mode", "hypergraph")
@@ -278,7 +271,7 @@ class TestLimitsBeforeWork:
         code, out, err = self.run_timed(
             capsys, "census", "--d", "10", "--n", "10", "--mode", "hypergraph"
         )
-        assert code == 3 and out == "" and "budget" in err
+        assert code == 3 and out == "" and "limit" in err
 
     def test_census_dimension_below_two_is_usage_error(self, capsys):
         code, out, _ = self.run_timed(
@@ -540,8 +533,7 @@ class TestCensus:
         # is of the output that run printed.
         start = time.perf_counter()
         code, out, _ = run(
-            capsys, "census", "--d", "512", "--n", "1", "--mode", "multihypergraph",
-            "--budget", str(10**1400),
+            capsys, "census", "--d", "512", "--n", "1", "--mode", "multihypergraph"
         )
         assert time.perf_counter() - start < 2.0
         assert code == 0
@@ -558,13 +550,12 @@ class TestCensus:
         assert payload["histogram"] == {"0": 48, "4": 16}
         assert payload["solution_sum"] == 64
 
-    def test_budget_exceeded(self, capsys):
-        code, _, err = run(
-            capsys,
-            "census", "--d", "3", "--n", "2", "--mode", "multihypergraph",
-            "--budget", "10",
-        )
-        assert code == 3 and "budget" in err
+    def test_size_limit_boundary(self, capsys):
+        # bits(2)·2^(2n) reaches the 2^24 table limit first at n=12.
+        code, out, _ = run(capsys, "census", "--d", "2", "--n", "11", "--mode", "multihypergraph")
+        assert code == 0 and json.loads(out)["total_states"] == 2**2047
+        code, out, err = run(capsys, "census", "--d", "2", "--n", "12", "--mode", "multihypergraph")
+        assert code == 3 and out == "" and "limit" in err
 
 
 class TestIdentityCheck:

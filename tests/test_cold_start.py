@@ -84,7 +84,8 @@ def test_import_loads_no_numpy(statement):
     [
         (["census", "--d", "4", "--n", "1", "--mode", "multihypergraph"], 0),
         (["census", "--d", "2", "--n", "3", "--mode", "hypergraph"], 0),
-        (["census", "--d", "3", "--n", "2", "--mode", "multihypergraph", "--budget", "10"], 3),
+        # Refused before d^n is built: 2^(2^100000000 - 1) would never finish.
+        (["census", "--d", "2", "--n", "100000000", "--mode", "multihypergraph"], 3),
         (["census", "--d", "0", "--n", "1", "--mode", "hypergraph"], 2),
         (["frobnicate"], 2),
         (["identity-check", "--d", "10", "--n", "10"], 3),
@@ -136,7 +137,7 @@ def test_import_loads_no_numpy(statement):
         ),
         (["solve", "--phases", {"d": 3, "n": 1, "phases": [1, 0, 0]}, "--mode", "hypergraph"], 2),
     ],
-    ids=["census", "census-hypergraph", "census-budget", "census-usage", "unknown-verb",
+    ids=["census", "census-hypergraph", "census-limit", "census-usage", "unknown-verb",
          "identity-check-limit", "build-state-limit", "build-state-schema",
          "verify-stabilizers-limit", "verify-stabilizers-schema", "matrix-limit",
          "solve-schema", "solve-entry-type", "solve-entry-count", "solve-entry-range",
@@ -240,7 +241,21 @@ def test_cli_import_loads_no_edge_layer():
         "-c", "import json, sys, quditgraphs.cli; print(json.dumps(list(sys.modules)))"
     )
     assert result.returncode == 0, result.stderr
-    assert not {"dataclasses", "inspect", "quditgraphs.graphs"} & set(json.loads(result.stdout))
+    loaded = set(json.loads(result.stdout))
+    assert not {"dataclasses", "inspect", "quditgraphs.graphs", "hashlib"} & loaded
+
+
+def test_hashlib_loads_only_for_a_fingerprint(tmp_path):
+    # Only solve and census hash their system; OpenSSL's import is theirs alone.
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"d": 3, "n": 2, "edges": []}))
+    probe = CLI_PROBE + "print('hashlib' in sys.modules, file=sys.stderr)\n"
+    for argv, hashed in [
+        (["build-state", "--graph", str(graph)], "False"),
+        (["census", "--d", "3", "--n", "1", "--mode", "hypergraph"], "True"),
+    ]:
+        *_, request, loaded = _python("-c", probe, *argv).stderr.splitlines()
+        assert (json.loads(request)["code"], loaded) == (0, hashed)
 
 
 class TestLazyExports:

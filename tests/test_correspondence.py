@@ -15,7 +15,6 @@ from quditgraphs.correspondence import (
     HYPERGRAPH,
     MODES,
     MULTIHYPERGRAPH,
-    BudgetExceeded,
     CensusReport,
     KroneckerSolver,
     NonCanonical,
@@ -463,9 +462,12 @@ class TestCensus:
             report = census(d, n, mode)
             assert report.solution_sum == report.weight_assignments
 
-    def test_budget_refusal(self):
-        with pytest.raises(BudgetExceeded):
-            census(3, 2, MULTIHYPERGRAPH, budget=100)
+    def test_size_limit_refusal(self):
+        census(1234, 1, MULTIHYPERGRAPH)
+        with pytest.raises(
+            SizeLimit, match=r"^census of 11 x 1235\^2 entries would reach the limit 16777216$"
+        ):
+            census(1235, 1, MULTIHYPERGRAPH)
 
     def test_census_agrees_with_per_table_solver(self):
         report = census(3, 1, MULTIHYPERGRAPH)
@@ -553,7 +555,7 @@ class TestClosedFormCensus:
     @pytest.mark.parametrize("mode", MODES)
     def test_past_any_enumeration(self, mode):
         start = time.perf_counter()
-        report = census(3, 3, mode, budget=3**26)
+        report = census(3, 3, mode)
         assert time.perf_counter() - start < 1.0
         assert report.total_states == 3**26
         if mode == MULTIHYPERGRAPH:
@@ -652,5 +654,5 @@ class TestClosedFormKernel:
         # gcd(s!, 2^9) over s < 512, with v_2(s!) = s - popcount(s) (Legendre).
         kernel = math.prod(2 ** min(s - bin(s).count("1"), 9) for s in range(512))
         total = 512**511
-        report = census(512, 1, MULTIHYPERGRAPH, budget=10**1400)
+        report = census(512, 1, MULTIHYPERGRAPH)
         assert report.histogram_dict() == {0: total - total // kernel, kernel: total // kernel}

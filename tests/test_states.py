@@ -19,7 +19,7 @@ from quditgraphs.states import (
     apply_uv,
     build_state,
     canonicalize,
-    dense_text,
+    dense_blocks,
     digits_of,
     index_of,
     monomial_coefficients,
@@ -214,7 +214,7 @@ class TestDense:
             assert np.max(np.abs(ours - oracle)) < 1e-10
 
     def test_text_export_format(self):
-        text = dense_text(to_dense(PhaseFunction(2, 1, np.array([0, 1]))))
+        text = "".join(dense_blocks(to_dense(PhaseFunction(2, 1, np.array([0, 1])))))
         lines = text.strip().split("\n")
         assert lines[0].split() == ["0", f"{2 ** -0.5:.17g}", "0"]
         assert lines[1].split()[0] == "1"
@@ -225,12 +225,12 @@ class TestDense:
         per_line = "\n".join(
             f"{i} {amp.real:.17g} {amp.imag:.17g}" for i, amp in enumerate(state.amplitudes)
         ) + "\n"
-        assert dense_text(state) == per_line
-        assert dense_text(state).splitlines()[1] == "1 0.5 -0"
+        assert "".join(dense_blocks(state)) == per_line
+        assert "".join(dense_blocks(state)).splitlines()[1] == "1 0.5 -0"
 
     def test_text_export_streams_in_blocks(self, monkeypatch):
         state = to_dense(build_state(random_edge_map(random.Random(7), 3, 2)))
-        whole = dense_text(state)
+        whole = "".join(dense_blocks(state))
         monkeypatch.setattr(states, "_DENSE_BLOCK_LINES", 4)
         blocks = list(states.dense_blocks(state))
         assert [block.count("\n") for block in blocks] == [4, 4, 1]

@@ -50,10 +50,19 @@ def check_entries(what: str, count: int, base: int, exponent: int) -> None:
     else:  # count·x >= limit iff x >= ceil(limit / count), for integers x
         too_large = power_at_least(base, exponent, -(-limit // count))
     if too_large:
-        times = f"{count} x " if count > 1 else ""
+        times = f"{_shown(count)} x " if count > 1 else ""
         raise SizeLimit(
-            f"{what} of {times}{base}^{exponent} entries would reach the limit {limit}"
+            f"{what} of {times}{_shown(base)}^{_shown(exponent)} entries"
+            f" would reach the limit {limit}"
         )
+
+
+def _shown(value: int) -> str:
+    """``value`` in decimal up to 256 bits, else its bit length: a count such
+    as 2n from a 4300-digit ``--n`` has no decimal under Python's int -> str
+    limit, and a long one would flood stderr."""
+    bits = value.bit_length()
+    return str(value) if bits <= 256 else f"<a {bits}-bit number>"
 
 
 def power_at_least(base: int, exponent: int, bound: int) -> bool:

@@ -273,6 +273,20 @@ class TestLimitsBeforeWork:
         )
         assert code == 3 and out == "" and "limit" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "--d", "2", "--n", "9" * 4300, "--mode", "hypergraph"],
+            ["identity-check", "--d", "2", "--n", "9" * 4300],
+            ["matrix", "--d", "3", "--block", "9" * 4300],
+        ],
+        ids=["census", "identity-check", "matrix"],
+    )
+    def test_longest_flag_value_is_a_size_refusal(self, capsys, argv):
+        # The refused count has 4301 digits or more, past the int -> str limit.
+        code, out, err = self.run_timed(capsys, *argv)
+        assert code == 3 and out == "" and "-bit number>" in err and len(err) < 200
+
     def test_census_dimension_below_two_is_usage_error(self, capsys):
         code, out, _ = self.run_timed(
             capsys, "census", "--d", "0", "--n", "1", "--mode", "hypergraph"

@@ -461,3 +461,9 @@ class TestCheckEntries:
         check_entries("block", 2**24 - 1, 1, 60_000_000)
         with pytest.raises(SizeLimit):
             check_entries("block", 2**24, 1, 60_000_000)
+
+    def test_exponent_past_the_int_to_str_limit_is_named_by_bits(self):
+        exponent = 2 * int("9" * 4300)  # 4301 digits: str() of it would raise
+        message = rf"^census of 2 x 2\^<a {exponent.bit_length()}-bit number> entries"
+        with pytest.raises(SizeLimit, match=message):
+            check_entries("census", 2, 2, exponent)

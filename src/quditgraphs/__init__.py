@@ -6,8 +6,9 @@ between phase tables and edge weights is decided by exact linear algebra over
 Z_d: one Kronecker solve for every d and both modes on the small
 digit-power matrix W[i][s] = i^s mod d, never the d^n-sized system. W's
 Smith form is diag(s!) with Pascal and Stirling matrices as its unimodular
-factors, so the solve factors nothing, and the census needs no solve at
-all: the kernel size has a closed form.
+factors, so the solve factors nothing. Reachability and solution counts
+are one divisor rule on the Newton coefficients (``counting``), so the
+census needs no solve at all.
 
 Exports load on first use (PEP 562), so ``import quditgraphs`` and the
 census import no numpy; the state names and the ``correspondence`` names

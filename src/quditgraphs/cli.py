@@ -96,10 +96,11 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         from .graphs import SchemaError
 
-        raise SchemaError("$", f"cannot read {path}: {exc.strerror}") from exc
+        reason = exc.strerror if isinstance(exc, OSError) else str(exc)
+        raise SchemaError("$", f"cannot read {path}: {reason}") from exc
 
 
 def _cmd_build_state(args: argparse.Namespace) -> int:

@@ -26,9 +26,9 @@ exact: it hands the table to ``newton.solve_phases``, the solve of the
 columns only, so the pinned m_0 never reaches the answer.
 ``SolutionSet``, ``SolveOutcome`` and the solve errors live in the
 numpy-free ``newton`` and are re-exported here.
-``census`` solves no table: the reachable tables are the image of the
-linear map, d^{#vars} / K of them for a kernel of size K, and each has
-exactly K solutions; K has a closed form in the diagonal s!. W and the
+Which tables are reachable, and with how many solutions, is the divisor
+rule on their Newton coefficients (``counting``'s module docstring and
+``counting.divisor_rule``), so ``census`` solves no table. W and the
 column of each variable in W^{⊗n} fix the whole system, so
 ``system_fingerprint`` hashes those. ``census``, the factor, the
 fingerprint and the variable order (``counting.edge_tuples``) live in the
@@ -159,9 +159,9 @@ def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, .
 
     A canonical table is reachable iff every basis vector y has
     y . rhs = 0 (mod d), rhs taken in equation order. The vectors are the
-    rows j of U^{⊗n} whose divisor is d (``KroneckerSolver``), for
-    the closed-form factor U·W·V = D: some digit j_v >= k, or
-    prod_v D[j_v] = 0 (mod d). Column 0 is dropped, as f(0) = 0. Row j has
+    rows j of U^{⊗n} whose divisor is d (``counting.divisor_rule``, read
+    through the solver), for the closed-form factor U·W·V = D: some digit
+    j_v >= k, or prod_v D[j_v] = 0 (mod d). Column 0 is dropped, as f(0) = 0. Row j has
     its unit pivot at column j != 0, so the rows are independent.
 
     Raises SizeLimit before allocating the solver's d^n divisors or the

@@ -16,26 +16,32 @@ and hence mod d,
 
 with Pascal's d x d matrix P[i][t] = C(i, t) and the k x k S^T, both
 unitriangular. So both outer factors are unimodular, and as s! divides
-(s+1)!, D is the Smith form of W (Singmaster 1974; Kempner 1921). The
-kernel of W^{⊗n} over Z_d then has K = prod_{j in [k]^n} gcd(prod_v j_v!, d)
-elements (``residues.kernel_size``). Every reachable table has exactly K weight
-solutions, so R = d^{#vars} / K tables are reachable, and no table and no
-factorisation is needed to count them. The census refuses only through
-``residues.check_entries``, on a count worked out from (d, n) alone.
+(s+1)!, D is the Smith form of W (Singmaster 1974; Kempner 1921).
 
 ``smith_factor`` builds the inverses U = P^{-1} and V = (S^T)^{-1} by
 recurrences mod d, so U·W·V = D. It is the package's only factor of W:
 ``newton.solve_phases`` hands it to ``newton.KroneckerSolver``, and
 ``census`` reads its diagonal alone (``_factorial_diagonal``).
+
+The Smith form gives the package's one rule, on the Newton coefficients
+c = U^{⊗n} f of a table f; ``divisor_rule`` is its only home. With
+g_j = gcd(prod_v j_v!, d) for j in [k]^n, f is reachable iff g_j divides
+c_j at each such j and c_j = 0 wherever a digit is >= k. The kernel of
+W^{⊗n} over Z_d then has K = prod_j g_j elements, every reachable table
+has exactly K weight solutions, and R = d^{#vars} / K tables are
+reachable, so counting them needs no table and no factorisation. The
+census refuses only through ``residues.check_entries``, on a count worked
+out from (d, n) alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import accumulate, combinations, product, repeat
 from typing import Iterator, NamedTuple, Sequence
 
-from .residues import check_entries, kernel_size
+from .residues import check_entries
 
 HYPERGRAPH = "hypergraph"
 MULTIHYPERGRAPH = "multihypergraph"
@@ -79,6 +85,24 @@ def _factorial_diagonal(d: int, mode: str) -> list[int]:
         value = value * max(s, 1) % d
         diagonal.append(value)
     return diagonal
+
+
+def divisor_rule(diagonal: Sequence[int], d: int, n: int) -> tuple[list[int], list[int]]:
+    """The rule of the module docstring on D^{⊗n}, D = diag(diagonal): for
+    each of the k^n tuples j of diagonal positions, in flat order (base k,
+    j_0 most significant), g_j = gcd(D_j, d) for D_j = prod_v D[j_v], and
+    the inverse of D_j / g_j modulo d / g_j, which is 0 where g_j = d. So
+    D_j·y = c has g_j solutions y mod d if g_j divides c, one of them
+    (c / g_j)·inverse_j, and none otherwise. Each residue D_j mod d is
+    worked out once."""
+    entries = [1]
+    for _ in range(n):
+        entries = [a * b % d for a in entries for b in diagonal]
+    gcds, inverses = {}, {}
+    for a in set(entries):
+        g = gcds[a] = math.gcd(a, d)
+        inverses[a] = pow(a // g, -1, d // g)
+    return [gcds[a] for a in entries], [inverses[a] for a in entries]
 
 
 def _signed_triangle(steps: Sequence[int], d: int) -> list[list[int]]:
@@ -193,15 +217,14 @@ class CensusReport(NamedTuple):
 def census(d: int, n: int, mode: str) -> CensusReport:
     """Classify every canonical phase table at (d, n) by its solution count.
 
-    No table is solved and nothing is factored. The reachable tables are the
-    image of the linear map, R = d^{#vars} / K of them for a kernel of size
-    K, and each has exactly K solutions, so the histogram is
-    {0: total - R, K: R}. K comes from the closed-form Smith diagonal s! of
-    W (module docstring).
+    No table is solved and nothing is factored: the histogram is
+    {0: total - R, K: R} for the K and R of the module docstring, with K
+    from ``divisor_rule`` on the closed-form Smith diagonal s! of W.
 
     Raises SizeLimit, before any power of d is built, when bits(d)·d^(2n)
     reaches the table limit. That count covers what a census builds: the
-    d·k entries of W that the fingerprint encodes, and the printed integers
+    d·k entries of W that the fingerprint encodes, the k^n < 2900 divisors
+    g_j, and the printed integers
     of about (d^n - 1)·log2 d bits each, whose conversion to decimal takes
     time quadratic in their length.
     """
@@ -211,7 +234,8 @@ def census(d: int, n: int, mode: str) -> CensusReport:
     check_entries("census", d.bit_length(), d, 2 * n)
     total = d ** (d**n - 1)
     columns = _columns(d, n, mode)
-    kernel = kernel_size(_factorial_diagonal(d, mode), d, n)
+    gcd, _ = divisor_rule(_factorial_diagonal(d, mode), d, n)
+    kernel = math.prod(g ** gcd.count(g) for g in set(gcd))
     weight_assignments = d ** len(columns)
     reachable = weight_assignments // kernel
     histogram = {0: total - reachable, kernel: reachable}

@@ -185,6 +185,21 @@ def _shown(value: Any) -> str:
     return _cut(reprlib.repr(value))
 
 
+def _expect_object(value: Any, path: str, keys: tuple[str, ...]) -> dict:
+    """``value`` as a JSON object holding each of ``keys`` and no other key:
+    the one rule for every object of both schemas. Field paths extend
+    ``path``, and a top-level ("$") field's path is its bare key."""
+    if not isinstance(value, dict):
+        raise SchemaError(path, f"expected an object, got {_shown(value)}")
+    prefix = "" if path == "$" else f"{path}."
+    for key in keys:
+        if key not in value:
+            raise SchemaError(prefix + key, "missing required field")
+    if len(value) > len(keys):
+        raise SchemaError(prefix + _cut(min(set(value) - set(keys))), "unknown field")
+    return value
+
+
 def _expect_int(value: Any, path: str, minimum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(path, f"expected an integer, got {_shown(value)}")
@@ -206,11 +221,7 @@ def phase_table(payload: Any) -> tuple[int, int, list[int]]:
     schema and size rule checked: d^n entries under the table limit, each an
     int in [0, d). It needs no numpy, so ``solve`` refuses any bad table
     before loading it; ``states.phases_from_dict`` is this and the array."""
-    if not isinstance(payload, dict):
-        raise SchemaError("$", f"expected an object, got {_shown(payload)}")
-    for key in ("d", "n", "phases"):
-        if key not in payload:
-            raise SchemaError(key, "missing required field")
+    _expect_object(payload, "$", ("d", "n", "phases"))
     d = _expect_int(payload["d"], "d", minimum=2)
     n = _expect_int(payload["n"], "n", minimum=1)
     check_entries("table", 1, d, n)
@@ -224,14 +235,7 @@ def phase_table(payload: Any) -> tuple[int, int, list[int]]:
 
 
 def from_dict(payload: Any) -> WeightedEdgeMap:
-    if not isinstance(payload, dict):
-        raise SchemaError("$", f"expected an object, got {_shown(payload)}")
-    for key in ("d", "n", "edges"):
-        if key not in payload:
-            raise SchemaError(key, "missing required field")
-    unknown = set(payload) - {"d", "n", "edges"}
-    if unknown:
-        raise SchemaError(_cut(sorted(unknown)[0]), "unknown field")
+    _expect_object(payload, "$", ("d", "n", "edges"))
     d = _expect_int(payload["d"], "d", minimum=2)
     n = _expect_int(payload["n"], "n", minimum=1)
     edges = payload["edges"]
@@ -240,11 +244,7 @@ def from_dict(payload: Any) -> WeightedEdgeMap:
     weights: dict[MultiHyperedge, int] = {}
     for i, item in enumerate(edges):
         path = f"edges[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError(path, f"expected an object, got {_shown(item)}")
-        for key in ("vertices", "exponents", "weight"):
-            if key not in item:
-                raise SchemaError(f"{path}.{key}", "missing required field")
+        _expect_object(item, path, ("vertices", "exponents", "weight"))
         vertices = _expect_int_list(item["vertices"], f"{path}.vertices")
         exponents = _expect_int_list(item["exponents"], f"{path}.exponents")
         weight = _expect_int(item["weight"], f"{path}.weight")

@@ -31,11 +31,12 @@ from .counting import (
     _digit_power_rows,
     _exponent_count,
     _fingerprint,
+    divisor_rule,
     edge_tuples,
     smith_factor,
 )
 from .graphs import MultiHyperedge, WeightedEdgeMap
-from .residues import check_entries, kernel_size
+from .residues import check_entries
 
 Generators = tuple[tuple[tuple[int, ...], int], ...]
 
@@ -202,7 +203,8 @@ class KroneckerSolver:
     So a solve is n passes to form c = U^{⊗n} b, one division y_j = c_j / D_j
     (mod d) with exactly gcd(D_j, d) choices each, and n passes back to
     x = V^{⊗n} y. Equations j with a digit >= k have no diagonal entry and
-    demand c_j = 0.
+    demand c_j = 0. This is the rule of ``counting.divisor_rule``, which
+    gives the solver its ``gcd`` and ``inverse`` lists.
     """
 
     def __init__(
@@ -221,27 +223,20 @@ class KroneckerSolver:
         if power < 1 or d < 2:
             raise ValueError(f"need power >= 1 and d >= 2, got {power} and {d}")
         # Every pass reduces mod d, so U and V are kept as given.
-        self.u, self.v, self.diagonal = u, v, list(diagonal)
+        self.u, self.v = u, v
         self.d, self.power, self.rows = d, power, m
         # The flat indices (base m) of the k^n tuples with every digit below
-        # k, and D_j = prod_v D[j_v] mod d at each.
-        self.inside, entries = [0], [1]
+        # k, in the order of their g_j and inverse_j.
+        self.inside = [0]
         for _ in range(power):
             self.inside = [i * m + s for i in self.inside for s in range(k)]
-            entries = [a * b % d for a in entries for b in diagonal]
-        # c_j = D_j·y_j has a solution iff g_j = gcd(D_j, d) divides c_j;
-        # then y_j = (c_j / g_j)·inverse_j, the inverse of D_j / g_j modulo
-        # d / g_j.
-        gcds = [math.gcd(a, d) for a in range(d)]
-        inverses = [pow(a // g, -1, d // g) if g < d else 0 for a, g in zip(range(d), gcds)]
-        self.gcd = [gcds[a] for a in entries]
-        self.inverse = [inverses[a] for a in entries]
+        self.gcd, self.inverse = divisor_rule(diagonal, d, power)
 
     @cached_property
     def count(self) -> int:
         """Solutions of every consistent right-hand side: the kernel size,
         prod_j g_j. Computed on first use, as it can have millions of digits."""
-        return kernel_size(self.diagonal, self.d, self.power)
+        return math.prod(g ** self.gcd.count(g) for g in set(self.gcd))
 
     def solve(self, rhs: Sequence[int], unknowns: Sequence[int]) -> SolutionSet:
         """The solutions of W^{⊗n} x = rhs, each vector listing x at the flat
@@ -285,8 +280,9 @@ def solve_phases(d: int, n: int, phases: Sequence[int], mode: str) -> SolveOutco
         raise NonCanonical("phase table must have f(0, ..., 0) = 0")
     u, diagonal, v = smith_factor(d, mode)
     k = len(diagonal)
-    # y_j is free (g_j > 1) unless every D[j_v] is a unit mod d.
-    units = sum(math.gcd(a, d) == 1 for a in diagonal)
+    # y_j is free (g_j > 1) unless every D[j_v] is a unit mod d: the rule at
+    # n = 1 gives the units, before any list of k^n divisors exists.
+    units = divisor_rule(diagonal, d, 1)[0].count(1)
     check_entries("kernel generators", k**n - units**n, k, n)
     columns, variables = _columns(d, n, mode), _variables(d, n, mode)
     fingerprint = _fingerprint(d, n, mode, columns)

@@ -1,20 +1,14 @@
-"""Exact integer arithmetic over Z_d, without numpy.
-
-``kernel_size`` counts the kernel of a Kronecker power D^{⊗n} of a diagonal
-D over Z_d from D's diagonal alone, so the census needs neither a
-right-hand side nor a solve; the solver of such powers, ``KroneckerSolver``,
-works on Python lists and lives in ``newton``.
-``is_prime`` tests a modulus by trial division.
+"""The size rule and the modulus test, without numpy.
 
 ``check_entries`` is the one place that refuses an array: count·base^exponent
 entries at or above ``DEFAULT_TABLE_LIMIT`` raise ``SizeLimit``.
+``is_prime`` tests a modulus by trial division. The divisor rule over Z_d,
+which the solve and the census read, lives in ``counting.divisor_rule``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Sequence
 
 
 class NonPrimeModulus(ValueError):
@@ -80,21 +74,3 @@ def power_at_least(base: int, exponent: int, bound: int) -> bool:
         value *= base
     return value >= bound
 
-
-def kernel_size(diagonal: Sequence[int], d: int, n: int) -> int:
-    """Size of the kernel of D^{⊗n} over Z_d for D = diag(diagonal).
-
-    That is the product of gcd(prod_v D[j_v], d) over the k^n tuples j of
-    diagonal positions. The tuples are never listed: n convolution steps
-    count them by that gcd alone, since gcd(ab, d) = gcd(gcd(a, d)·gcd(b, d), d),
-    so each step costs at most (#divisors of d)^2.
-    """
-    base = Counter(math.gcd(x, d) for x in diagonal)
-    tally = Counter({1: 1})
-    for _ in range(n):
-        step: Counter = Counter()
-        for g, count in tally.items():
-            for h, multiplicity in base.items():
-                step[math.gcd(g * h, d)] += count * multiplicity
-        tally = step
-    return math.prod(g**count for g, count in tally.items())

@@ -213,6 +213,16 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--phases", phases, "--mode", "hypergraph")
         assert code == 2 and "f(0" in err
 
+    @pytest.mark.parametrize("verb", ["solve", "build-state"])
+    def test_non_utf8_file_names_its_path(self, tmp_path, capsys, verb):
+        path = tmp_path / "p.json"
+        path.write_bytes(b"\xff{}")
+        flag, mode = ("--phases", ["--mode", "hypergraph"]) if verb == "solve" else ("--graph", [])
+        code, out, err = run(capsys, verb, flag, str(path), *mode)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: $: cannot read {path}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("built", [False, True])
     def test_large_base_is_not_factored(self, tmp_path, capsys, built):
         # Factoring this 512 x 512 W by elimination took about 2 minutes.
@@ -423,11 +433,17 @@ class TestOversizedInputs:
                 "edges[0].vertices: expected a list, got 'aaa",
             ),
             ("build-state", json.dumps({"d": 3, "n": 1, "edges": [], "k" * 10**6: 0}), "kkk"),
+            (
+                "solve",
+                json.dumps({"d": 2, "n": 1, "phases": [0, 1], "extra": 1}),
+                "extra: unknown field",
+            ),
             ("solve", '{"d": ' + LONG_INT + ', "n": 1, "phases": [0]}', "$: invalid JSON: "),
             ("build-state", '{"d": ' + LONG_INT + ', "n": 1, "edges": []}', "$: invalid JSON: "),
         ],
         ids=["solve-list", "build-state-list", "verify-stabilizers-list", "solve-string",
-             "build-state-string", "build-state-key", "solve-long-int", "build-state-long-int"],
+             "build-state-string", "build-state-key", "solve-key", "solve-long-int",
+             "build-state-long-int"],
     )
     def test_one_short_line(self, tmp_path, capsys, verb, text, start):
         path = tmp_path / "input.json"

@@ -26,7 +26,7 @@ from quditgraphs.correspondence import (
     system_fingerprint,
 )
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
-from quditgraphs.residues import NonPrimeModulus, is_prime, kernel_size
+from quditgraphs.residues import NonPrimeModulus, is_prime
 from quditgraphs.states import PhaseFunction, SizeLimit, build_state
 
 from helpers import brute_force_solutions, phase_table_of_map, random_edge_map
@@ -595,7 +595,8 @@ class TestNoDenseSystem:
 
 
 def _closed_form_kernel(d, n, mode):
-    return kernel_size(counting._factorial_diagonal(d, mode), d, n)
+    """K = prod_j g_j from the rule on the closed-form diagonal s!."""
+    return math.prod(counting.divisor_rule(counting._factorial_diagonal(d, mode), d, n)[0])
 
 
 class TestClosedFormFactor:

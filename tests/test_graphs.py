@@ -14,6 +14,7 @@ from quditgraphs.graphs import (
     enumerate_multihyperedges,
     from_json,
     hyperedge,
+    phase_table,
     to_json,
     validate_kind,
 )
@@ -161,6 +162,28 @@ class TestSerialization:
         with pytest.raises(SchemaError) as exc:
             from_json(json.dumps({"d": 2, "edges": []}))
         assert exc.value.path == "n"
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(SchemaError, match="unknown field") as exc:
+            from_json(json.dumps({"d": 2, "n": 1, "edges": [], "colour": "red"}))
+        assert exc.value.path == "colour"
+
+    def test_unknown_edge_field_rejected_and_cut(self):
+        edge = {"vertices": [0], "exponents": [1], "weight": 1, "colour": "red"}
+        with pytest.raises(SchemaError, match="unknown field") as exc:
+            from_json(json.dumps({"d": 2, "n": 1, "edges": [edge]}))
+        assert exc.value.path == "edges[0].colour"
+        del edge["colour"]
+        edge["k" * 1000] = 0
+        with pytest.raises(SchemaError) as exc:
+            from_json(json.dumps({"d": 2, "n": 1, "edges": [edge]}))
+        assert exc.value.path == "edges[0]." + "k" * 77 + "..."
+
+    def test_unknown_phase_table_field_rejected(self):
+        with pytest.raises(SchemaError, match="unknown field") as exc:
+            phase_table({"d": 2, "n": 1, "phases": [0, 1], "extra": 1})
+        assert exc.value.path == "extra"
+        assert phase_table({"d": 2, "n": 1, "phases": [0, 1]}) == (2, 1, [0, 1])
 
     def test_invalid_json_rejected(self):
         with pytest.raises(SchemaError):

@@ -88,6 +88,19 @@ def test_size_refusals_keep_their_messages(d, n, message):
     assert str(refusal.value) == message
 
 
+def test_generators_refusal_comes_before_any_power_of_the_rule(monkeypatch):
+    powers, rule = [], newton.divisor_rule
+
+    def spy(diagonal, d, n):
+        powers.append(n)
+        return rule(diagonal, d, n)
+
+    monkeypatch.setattr(newton, "divisor_rule", spy)
+    with pytest.raises(SizeLimit, match="kernel generators"):
+        solve_phases(4, 7, [0] * 4**7, MULTIHYPERGRAPH)
+    assert powers == [1]
+
+
 def test_forward_is_the_kronecker_power():
     rng = np.random.default_rng(3)
     d, n = 6, 3

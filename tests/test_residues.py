@@ -12,12 +12,12 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from quditgraphs import residues
 from quditgraphs.correspondence import KroneckerSolver
+from quditgraphs.counting import divisor_rule
 from quditgraphs.residues import (
     NonPrimeModulus,
     SizeLimit,
     check_entries,
     is_prime,
-    kernel_size,
     power_at_least,
 )
 
@@ -391,26 +391,44 @@ class TestKroneckerSolver:
             KroneckerSolver(unit, [1, 1], unit, d=1, power=2)
 
 
-class TestKernelSize:
-    @given(
-        d=st.integers(2, 60),
-        diagonal=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
-        n=st.integers(1, 4),
-    )
+DIVISOR_CASES = dict(
+    d=st.integers(2, 60),
+    diagonal=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+    n=st.integers(1, 4),
+)
+
+
+class TestDivisorRule:
+    """``counting.divisor_rule`` against brute force over every tuple j."""
+
+    @given(**DIVISOR_CASES)
     @settings(max_examples=150, deadline=None)
-    def test_matches_the_product_over_every_tuple(self, d, diagonal, n):
-        expected = math.prod(
-            math.gcd(math.prod(entries), d) for entries in product(diagonal, repeat=n)
-        )
-        assert kernel_size(diagonal, d, n) == expected
+    def test_matches_the_gcd_of_every_tuple(self, d, diagonal, n):
+        gcd, inverse = divisor_rule(diagonal, d, n)
+        products = [math.prod(entries) for entries in product(diagonal, repeat=n)]
+        assert gcd == [math.gcd(p, d) for p in products]
+        assert len(inverse) == len(gcd) == len(diagonal) ** n
+
+    @given(**DIVISOR_CASES)
+    @settings(max_examples=150, deadline=None)
+    def test_inverts_each_quotient(self, d, diagonal, n):
+        # (D_j / g_j)·inverse_j = 1 (mod d / g_j) wherever g_j < d.
+        gcd, inverse = divisor_rule(diagonal, d, n)
+        products = [math.prod(entries) for entries in product(diagonal, repeat=n)]
+        for p, g, inv in zip(products, gcd, inverse):
+            if g < d:
+                assert p // g * inv % (d // g) == 1, (p, g, inv)
 
     def test_units_give_a_trivial_kernel(self):
-        assert kernel_size([1, 5, 7], 12, 9) == 1
+        gcd, _ = divisor_rule([1, 5, 7], 12, 9)
+        assert len(gcd) == 3**9 and set(gcd) == {1}
 
     def test_zero_entries_are_fully_free(self):
         # gcd(0, d) = d: one zero on the diagonal of a 2 x 2 base, power 3,
         # leaves 2^3 - 1 = 7 tuples with a zero factor.
-        assert kernel_size([1, 0], 6, 3) == 6**7
+        gcd, inverse = divisor_rule([1, 0], 6, 3)
+        assert gcd == [1] + [6] * 7 and inverse == [1] + [0] * 7
+        assert math.prod(gcd) == 6**7
 
 
 class TestPowerAtLeast:

@@ -185,9 +185,9 @@ def _shown(value: Any) -> str:
     return _cut(reprlib.repr(value))
 
 
-def _expect_object(value: Any, path: str, keys: tuple[str, ...]) -> dict:
-    """``value`` as a JSON object holding each of ``keys`` and no other key:
-    the one rule for every object of both schemas. Field paths extend
+def _expect_object(value: Any, path: str, keys: tuple[str, ...]) -> None:
+    """That ``value`` is a JSON object holding each of ``keys`` and no other
+    key: the one rule for every object of both schemas. Field paths extend
     ``path``, and a top-level ("$") field's path is its bare key."""
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected an object, got {_shown(value)}")
@@ -197,7 +197,6 @@ def _expect_object(value: Any, path: str, keys: tuple[str, ...]) -> dict:
             raise SchemaError(prefix + key, "missing required field")
     if len(value) > len(keys):
         raise SchemaError(prefix + _cut(min(set(value) - set(keys))), "unknown field")
-    return value
 
 
 def _expect_int(value: Any, path: str, minimum: int | None = None) -> int:

@@ -8,8 +8,11 @@ A verb imports what it runs, inside the verb: ``graphs`` where it reads an
 edge map or a table, and the numpy-backed modules (``build-state``,
 ``verify-stabilizers``, ``identity-check`` and ``matrix``) only past every
 refusal. So ``census``, usage errors, every size refusal and every schema
-refusal start and finish without numpy, and ``census`` loads neither
-``graphs`` nor ``dataclasses``. ``solve`` checks its whole table with
+refusal start and finish without numpy, and ``census`` loads no
+``graphs``. No module of the package imports ``dataclasses`` (its value
+types derive from ``graphs._Value``), so ``solve`` and ``census`` load
+neither it nor the ``inspect`` it imports; numpy imports ``inspect``
+itself. ``solve`` checks its whole table with
 ``graphs.phase_table`` and hands it to ``newton.solve_phases``, which
 solves on Python lists and loads no numpy at all. Every size refusal is
 ``residues.check_entries``, the listing of ``--all-solutions`` included.
@@ -25,6 +28,7 @@ the interpreter's shutdown collections skip them.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from contextlib import contextmanager
@@ -88,19 +92,29 @@ def _any_int_digits() -> Iterator[None]:
 def _read_edge_map(args: argparse.Namespace) -> WeightedEdgeMap:
     from . import graphs
 
-    text = sys.stdin.read() if args.graph is None else _read_file(args.graph)
-    return graphs.from_json(text)
+    return graphs.from_json(_read_file(args.graph))
 
 
-def _read_file(path: str) -> str:
+def _read_file(path: str | None) -> str:
+    """The text of the file at ``path``, or of stdin when ``path`` is None,
+    decoded as strict UTF-8 whatever the locale. A source that cannot be
+    read or decoded is a SchemaError at "$" that names it (``<stdin>``)."""
     try:
+        if path is None:
+            # Stdin's bytes take a file's decoding, not the locale's text layer.
+            stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            try:
+                return stdin.read()
+            finally:
+                stdin.detach()  # so that closing the wrapper leaves stdin open
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         from .graphs import SchemaError
 
         reason = exc.strerror if isinstance(exc, OSError) else str(exc)
-        raise SchemaError("$", f"cannot read {path}: {reason}") from exc
+        source = "<stdin>" if path is None else path
+        raise SchemaError("$", f"cannot read {source}: {reason}") from exc
 
 
 def _cmd_build_state(args: argparse.Namespace) -> int:
@@ -134,7 +148,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     with _any_int_digits():
         if args.all_solutions and solution.consistent:
             if solution.count <= args.solution_cap:
-                check_entries("solutions", solution.count, len(outcome.variables), 1)
+                check_entries("solutions", solution.count, len(solution.particular), 1)
                 payload["all_solutions"] = [
                     graphs.to_dict(m) for m in outcome.edge_maps(cap=args.solution_cap)
                 ]

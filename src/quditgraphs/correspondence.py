@@ -49,8 +49,6 @@ of (d-1)^(2·size) entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .counting import (
@@ -67,14 +65,13 @@ from .counting import (
     smith_factor,
     system_fingerprint,
 )
-from .graphs import MultiHyperedge
+from .graphs import MultiHyperedge, _Value, enumerate_multihyperedges
 from .newton import (
     KroneckerSolver,
     NonCanonical,
     RoundTripFailure,
     SolutionSet,
     SolveOutcome,
-    _variables,
     solve_phases,
 )
 from .residues import NonPrimeModulus, check_entries, is_prime
@@ -101,17 +98,19 @@ def _system_parts(
     d: int, n: int, mode: str
 ) -> tuple[tuple[MultiHyperedge, ...], tuple[tuple[int, ...], ...], np.ndarray]:
     # W^{⊗n} is built whole, d^n x k^n entries, before its columns are picked.
-    check_entries("system", _exponent_count(d, mode) ** n, d, n)
-    variables, columns = _variables(d, n, mode), _columns(d, n, mode)
+    k = _exponent_count(d, mode)
+    check_entries("system", k**n, d, n)
+    variables, columns = tuple(enumerate_multihyperedges(n, k)), _columns(d, n, mode)
     tuples = tuple(digits_of(i, d, n) for i in range(1, d**n))
     power = _power_rows(_digit_powers(d, mode), np.arange(d**n), n, d)
     return variables, tuples, _freeze(power[1:, columns])
 
 
-@dataclass(frozen=True, eq=False)
-class CorrespondenceSystem:
-    """The coefficient matrix and right-hand side for one phase table."""
+class CorrespondenceSystem(_Value):
+    """The coefficient matrix and right-hand side for one phase table.
+    Equality and hash are identity, as for ``states.DenseState``."""
 
+    __slots__ = _fields = ("d", "n", "mode", "variables", "tuples", "matrix", "rhs")
     d: int
     n: int
     mode: str
@@ -119,6 +118,20 @@ class CorrespondenceSystem:
     tuples: tuple[tuple[int, ...], ...]
     matrix: np.ndarray
     rhs: tuple[int, ...]
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        d: int,
+        n: int,
+        mode: str,
+        variables: tuple[MultiHyperedge, ...],
+        tuples: tuple[tuple[int, ...], ...],
+        matrix: np.ndarray,
+        rhs: tuple[int, ...],
+    ):
+        self._set(d=d, n=n, mode=mode, variables=variables, tuples=tuples, matrix=matrix, rhs=rhs)
 
     def fingerprint(self) -> str:
         """Hash of the matrix and its orderings (rhs-independent)."""

@@ -19,23 +19,20 @@ checks the answer through W itself. The solution types ``SolutionSet`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import product, repeat
 from operator import add, mod, mul
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .counting import (
     _check_mode,
     _columns,
     _digit_power_rows,
-    _exponent_count,
     _fingerprint,
     divisor_rule,
-    edge_tuples,
     smith_factor,
 )
-from .graphs import MultiHyperedge, WeightedEdgeMap
+from .graphs import MultiHyperedge, WeightedEdgeMap, _Value, enumerate_multihyperedges
 from .residues import check_entries
 
 Generators = tuple[tuple[tuple[int, ...], int], ...]
@@ -49,8 +46,7 @@ class RoundTripFailure(RuntimeError):
     """A solved edge map failed to rebuild its own phase table (solver bug)."""
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(_Value):
     """All solutions of one linear system over Z_d.
 
     ``generators`` describes the solution affine sublattice: each entry is a
@@ -63,19 +59,35 @@ class SolutionSet:
     name.
     """
 
+    __slots__ = ("d", "consistent", "particular", "count", "kernel", "_generators")
+    _fields = ("d", "consistent", "particular", "count")
     d: int
     consistent: bool
     particular: tuple[int, ...] | None
     count: int
-    kernel: Generators | Callable[[], Generators] = field(default=(), compare=False, repr=False)
+    kernel: Generators | Callable[[], Generators]
 
-    def __post_init__(self) -> None:
-        if self.consistent != (self.particular is not None) or self.consistent != (self.count >= 1):
+    def __init__(
+        self,
+        d: int,
+        consistent: bool,
+        particular: tuple[int, ...] | None,
+        count: int,
+        kernel: Generators | Callable[[], Generators] = (),
+    ):
+        if consistent != (particular is not None) or consistent != (count >= 1):
             raise ValueError("inconsistent SolutionSet fields")
+        self._set(d=d, consistent=consistent, particular=particular, count=count, kernel=kernel)
 
-    @cached_property
+    @property
     def generators(self) -> Generators:
-        return self.kernel() if callable(self.kernel) else self.kernel
+        """The generators, built on the first read and kept."""
+        try:
+            return self._generators
+        except AttributeError:  # the slot is empty until the first read
+            generators = self.kernel() if callable(self.kernel) else self.kernel
+            self._set(_generators=generators)
+            return generators
 
     def solutions(self, cap: int | None = None) -> list[tuple[int, ...]]:
         """Enumerate every solution, sorted lexicographically.
@@ -108,20 +120,71 @@ def _no_solution(d: int) -> SolutionSet:
     return SolutionSet(d, False, None, 0, ())
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class _Unknowns:
+    """The edges of a mode's unknowns, in ``counting.edge_tuples`` order,
+    each built when it is read: unknown i is the edge whose exponent vector
+    sits at the flat index ``columns[i]`` (base k, vertex 0 most
+    significant) of W^{⊗n}. Iteration builds them all."""
+
+    __slots__ = ("columns", "k", "n")
+
+    def __init__(self, columns: list[int], k: int, n: int):
+        self.columns, self.k, self.n = columns, k, n
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, i: int) -> MultiHyperedge:
+        column, digits = self.columns[i], [0] * self.n
+        for v in range(self.n - 1, -1, -1):
+            column, digits[v] = divmod(column, self.k)
+        vertices = tuple(v for v, s in enumerate(digits) if s)
+        return MultiHyperedge(vertices, tuple(digits[v] for v in vertices))
+
+    def __iter__(self) -> Iterator[MultiHyperedge]:
+        return iter(enumerate_multihyperedges(self.n, self.k))
+
+
+class SolveOutcome(_Value):
     """Result of solving one canonical table.
 
     Solution vectors list the weights of ``variables`` in order. ``edge_map``
     is rebuilt from the particular solution when consistent and is always
-    round-trip checked against the input table.
+    round-trip checked against the input table. ``variables`` may be given
+    as any sequence of edges: the edge maps read it by index, at the nonzero
+    weights only, and it becomes a tuple on the first read of
+    ``variables``.
     """
 
+    __slots__ = ("mode", "_variables", "fingerprint", "solution", "edge_map")
+    _fields = ("mode", "variables", "fingerprint", "solution", "edge_map")
     mode: str
-    variables: tuple[MultiHyperedge, ...]
     fingerprint: str
     solution: SolutionSet
     edge_map: WeightedEdgeMap | None
+
+    def __init__(
+        self,
+        mode: str,
+        variables: Sequence[MultiHyperedge],
+        fingerprint: str,
+        solution: SolutionSet,
+        edge_map: WeightedEdgeMap | None,
+    ):
+        self._set(
+            mode=mode,
+            _variables=variables,
+            fingerprint=fingerprint,
+            solution=solution,
+            edge_map=edge_map,
+        )
+
+    @property
+    def variables(self) -> tuple[MultiHyperedge, ...]:
+        """The edges of the unknowns, in solution-vector order."""
+        if not isinstance(self._variables, tuple):
+            self._set(_variables=tuple(self._variables))
+        return self._variables
 
     def edge_maps(self, cap: int | None = None) -> list[WeightedEdgeMap]:
         """Every solution as an edge map, in lexicographic weight-vector order."""
@@ -129,19 +192,14 @@ class SolveOutcome:
             return []
         d, n = self.edge_map.d, self.edge_map.n
         return [
-            _vector_to_map(d, n, self.variables, vec) for vec in self.solution.solutions(cap=cap)
+            _vector_to_map(d, n, self._variables, vec) for vec in self.solution.solutions(cap=cap)
         ]
 
 
 def _vector_to_map(
-    d: int, n: int, variables: tuple[MultiHyperedge, ...], vector: tuple[int, ...]
+    d: int, n: int, variables: Sequence[MultiHyperedge], vector: tuple[int, ...]
 ) -> WeightedEdgeMap:
-    return WeightedEdgeMap(d, n, {e: w for e, w in zip(variables, vector) if w % d})
-
-
-def _variables(d: int, n: int, mode: str) -> tuple[MultiHyperedge, ...]:
-    """The mode's edges, the unknowns of the system, in ``counting._columns`` order."""
-    return tuple(MultiHyperedge(*pair) for pair in edge_tuples(n, _exponent_count(d, mode)))
+    return WeightedEdgeMap(d, n, {variables[i]: w for i, w in enumerate(vector) if w % d})
 
 
 def _forward(matrix: Sequence[Sequence[int]], flat: Sequence[int], n: int, d: int) -> list[int]:
@@ -284,7 +342,8 @@ def solve_phases(d: int, n: int, phases: Sequence[int], mode: str) -> SolveOutco
     # n = 1 gives the units, before any list of k^n divisors exists.
     units = divisor_rule(diagonal, d, 1)[0].count(1)
     check_entries("kernel generators", k**n - units**n, k, n)
-    columns, variables = _columns(d, n, mode), _variables(d, n, mode)
+    columns = _columns(d, n, mode)
+    variables = _Unknowns(columns, k, n)
     fingerprint = _fingerprint(d, n, mode, columns)
     # The constant m_0 at column 0, left out, is pinned to f(0) = 0.
     solution = KroneckerSolver(u, diagonal, v, d=d, power=n).solve(phases, columns)

@@ -20,11 +20,9 @@ under which the deleted-edge power m*(d-1) is exact for s_k = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .graphs import MultiHyperedge, WeightedEdgeMap
+from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
 from .states import (
     PhaseFunction,
     VertexOutOfRange,
@@ -100,11 +98,14 @@ def apply_generator(state: PhaseFunction, edge_map: WeightedEdgeMap, k: int) -> 
     return apply_shift(PhaseFunction(d, n, grid.reshape(-1)), k)
 
 
-@dataclass(frozen=True)
-class VertexCheck:
+class VertexCheck(_Value):
+    __slots__ = _fields = ("vertex", "stabilized", "mismatch_indices")
     vertex: int
     stabilized: bool
     mismatch_indices: tuple[int, ...]
+
+    def __init__(self, vertex: int, stabilized: bool, mismatch_indices: tuple[int, ...]):
+        self._set(vertex=vertex, stabilized=stabilized, mismatch_indices=mismatch_indices)
 
 
 def verify(edge_map: WeightedEdgeMap) -> list[VertexCheck]:
@@ -118,14 +119,23 @@ def verify(edge_map: WeightedEdgeMap) -> list[VertexCheck]:
     return results
 
 
-@dataclass(frozen=True)
-class ConjugationReport:
+class ConjugationReport(_Value):
     """Comparison of CZ_e^m X_k CZ_e^{d-m} against X_k CZ_{e\\{k}}^{m(d-1)}.
 
     Both sides are the shift composed with a diagonal, so operator equality
     reduces to equality of the two exponent tables over all d^n basis states.
     """
 
+    __slots__ = _fields = (
+        "edge",
+        "power",
+        "vertex",
+        "target_exponent",
+        "holds",
+        "exact_diagonal",
+        "printed_diagonal",
+        "mismatch_indices",
+    )
     edge: MultiHyperedge
     power: int
     vertex: int
@@ -134,6 +144,28 @@ class ConjugationReport:
     exact_diagonal: tuple[int, ...]
     printed_diagonal: tuple[int, ...]
     mismatch_indices: tuple[int, ...]
+
+    def __init__(
+        self,
+        edge: MultiHyperedge,
+        power: int,
+        vertex: int,
+        target_exponent: int,
+        holds: bool,
+        exact_diagonal: tuple[int, ...],
+        printed_diagonal: tuple[int, ...],
+        mismatch_indices: tuple[int, ...],
+    ):
+        self._set(
+            edge=edge,
+            power=power,
+            vertex=vertex,
+            target_exponent=target_exponent,
+            holds=holds,
+            exact_diagonal=exact_diagonal,
+            printed_diagonal=printed_diagonal,
+            mismatch_indices=mismatch_indices,
+        )
 
 
 def conjugation_report(

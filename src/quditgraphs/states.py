@@ -26,12 +26,11 @@ before they allocate, and raise its ``SizeLimit`` (re-exported here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graphs import MultiHyperedge, WeightedEdgeMap, phase_table
+from .graphs import MultiHyperedge, WeightedEdgeMap, _Value, phase_table
 from .residues import SizeLimit, check_entries  # noqa: F401 (SizeLimit is re-exported)
 
 
@@ -49,27 +48,27 @@ def _freeze(table: np.ndarray) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseFunction:
+class PhaseFunction(_Value):
     """Exponent table of a state; canonical means f(0, ..., 0) = 0.
 
     Canonicity is not required: the stabilizer machinery shifts tables, and a
     shifted table may have f(0, ..., 0) != 0.
     """
 
+    __slots__ = _fields = ("d", "n", "table")
     d: int
     n: int
     table: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.d < 2 or self.n < 1:
+    def __init__(self, d: int, n: int, table: np.ndarray):
+        if d < 2 or n < 1:
             raise ValueError("need d >= 2 and n >= 1")
-        table = np.asarray(self.table)
-        if table.shape != (self.d**self.n,):
-            raise ValueError(f"table must have d^n = {self.d ** self.n} entries")
-        if table.size and (table.min() < 0 or table.max() >= self.d):
+        table = np.asarray(table)
+        if table.shape != (d**n,):
+            raise ValueError(f"table must have d^n = {d ** n} entries")
+        if table.size and (table.min() < 0 or table.max() >= d):
             raise ValueError("table entries must lie in [0, d)")
-        object.__setattr__(self, "table", _freeze(table))
+        self._set(d=d, n=n, table=_freeze(table))
 
     @property
     def is_canonical(self) -> bool:
@@ -213,23 +212,26 @@ def canonicalize(state: PhaseFunction) -> PhaseFunction:
     return PhaseFunction(state.d, state.n, (state.table - state.table[0]) % state.d)
 
 
-@dataclass(frozen=True, eq=False)
-class DenseState:
-    """Explicit amplitude vector; always unit norm by construction."""
+class DenseState(_Value):
+    """Explicit amplitude vector; always unit norm by construction. Equality
+    and hash are identity, as arrays have no single truth value."""
 
+    __slots__ = _fields = ("d", "n", "amplitudes")
     d: int
     n: int
     amplitudes: np.ndarray
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.d**self.n,):
+    def __init__(self, d: int, n: int, amplitudes: np.ndarray):
+        amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+        if amps.shape != (d**n,):
             raise ValueError("amplitude count must be d^n")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        self._set(d=d, n=n, amplitudes=amps)
 
 
 def to_dense(state: PhaseFunction) -> DenseState:

@@ -87,10 +87,44 @@ class TestBuildState:
         assert json.loads(out) == {"d": 2, "n": 1, "phases": [0, 0]}
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(WORKED_GRAPH)))
+        stdin = io.TextIOWrapper(io.BytesIO(json.dumps(WORKED_GRAPH).encode()))
+        monkeypatch.setattr("sys.stdin", stdin)
         code, out, _ = run(capsys, "build-state", "--stdin")
         assert code == 0
         assert json.loads(out) == WORKED_PHASES
+
+    @pytest.mark.parametrize(
+        "environ",
+        [
+            {"LC_ALL": "C"},
+            {"LC_ALL": "C.UTF-8"},
+            {"PYTHONIOENCODING": "utf-8:strict"},
+            {"PYTHONIOENCODING": "latin-1"},
+        ],
+        ids=["C", "C.UTF-8", "strict", "latin-1"],
+    )
+    def test_stdin_reads_as_a_file_does_under_every_locale(self, environ, tmp_path):
+        src = str(Path(quditgraphs.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, **environ)
+        encoding = environ.get("PYTHONIOENCODING", "utf-8").split(":")[0]
+        path = tmp_path / "graph.json"
+        # Bytes that are not UTF-8, and a UTF-8 key outside the schema.
+        for data, message in [
+            (b"\xff\xfe", "$: cannot read <stdin>: 'utf-8' codec can't decode byte 0xff"),
+            ('{"d": 2, "n": 1, "edges": [], "\u00e9": 1}'.encode(), "\u00e9: unknown field"),
+        ]:
+            path.write_bytes(data)
+            from_file, from_stdin = (
+                subprocess.run(
+                    [sys.executable, "-m", "quditgraphs", "build-state", *argv],
+                    input=data, capture_output=True, env=env, timeout=60,
+                )
+                for argv in (["--graph", str(path)], ["--stdin"])
+            )
+            assert from_file.returncode == from_stdin.returncode == 2
+            assert from_stdin.stdout == from_file.stdout == b""
+            assert from_stdin.stderr == from_file.stderr.replace(str(path).encode(), b"<stdin>")
+            assert from_stdin.stderr.startswith(f"error: {message}".encode(encoding))
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -224,16 +224,36 @@ NOT_FOR_CENSUS = [
 ]
 
 
+# Modules a solve never runs: no module of the package imports dataclasses,
+# and the solve itself runs on lists.
+NOT_FOR_SOLVE = ["dataclasses", "inspect", "numpy"]
+
+
+def _importtime(*argv):
+    """The modules ``python -X importtime -m quditgraphs`` lists for a request."""
+    result = _python("-X", "importtime", "-m", "quditgraphs", *argv)
+    lines = result.stderr.splitlines()
+    return result.returncode, [line.rsplit("|", 1)[-1].strip() for line in lines]
+
+
 def test_importtime_lists_no_numpy_module():
-    result = _python(
-        "-X", "importtime", "-m", "quditgraphs",
-        "census", "--d", "4", "--n", "1", "--mode", "multihypergraph",
-    )
-    assert result.returncode == 0, result.stderr
-    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
+    code, imported = _importtime("census", "--d", "4", "--n", "1", "--mode", "multihypergraph")
+    assert code == 0, imported
     assert "quditgraphs.counting" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
     assert not set(NOT_FOR_CENSUS) & set(imported)
+
+
+@pytest.mark.parametrize("mode", ["hypergraph", "multihypergraph"])
+def test_solve_importtime_lists_no_dataclasses_inspect_or_numpy(mode, tmp_path):
+    # The worked table is reachable in multihypergraph mode only: one
+    # request exits 0 and the other 1.
+    path = tmp_path / "phases.json"
+    path.write_text(json.dumps({"d": 3, "n": 2, "phases": [0, 1, 0, 1, 1, 0, 0, 1, 0]}))
+    code, imported = _importtime("solve", "--phases", str(path), "--mode", mode)
+    assert code == (0 if mode == "multihypergraph" else 1), imported
+    assert {"quditgraphs.graphs", "quditgraphs.newton"} <= set(imported)
+    assert not set(NOT_FOR_SOLVE) & {name.split(".")[0] for name in imported}
 
 
 def test_cli_import_loads_no_edge_layer():

@@ -25,7 +25,12 @@ from quditgraphs.correspondence import (
     solve_weights,
     system_fingerprint,
 )
-from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
+from quditgraphs.graphs import (
+    MultiHyperedge,
+    WeightedEdgeMap,
+    enumerate_multihyperedges,
+    hyperedge,
+)
 from quditgraphs.residues import NonPrimeModulus, is_prime
 from quditgraphs.states import PhaseFunction, SizeLimit, build_state
 
@@ -490,7 +495,7 @@ class TestVariableColumns:
             for n in range(1, 13):
                 if d**n > 4096:
                     break
-                edges = correspondence._variables(d, n, mode)
+                edges = enumerate_multihyperedges(n, k)
                 expected = [
                     sum(s * k ** (n - 1 - v) for v, s in zip(e.vertices, e.exponents))
                     for e in edges

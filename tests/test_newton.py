@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from quditgraphs import correspondence, newton
-from quditgraphs.counting import _columns, _digit_power_rows
+from quditgraphs.counting import _columns, _digit_power_rows, _exponent_count
 from quditgraphs.correspondence import MODES, MULTIHYPERGRAPH
-from quditgraphs.graphs import WeightedEdgeMap
+from quditgraphs.graphs import WeightedEdgeMap, enumerate_multihyperedges
 from quditgraphs.newton import (
     KroneckerSolver,
     NonCanonical,
@@ -37,7 +37,7 @@ def _sizes():
 def _tables(d, n, mode):
     """A table built from random weights on the mode's edges, and a random one."""
     rng = random.Random(f"{d}:{n}:{mode}")
-    edges = newton._variables(d, n, mode)
+    edges = enumerate_multihyperedges(n, _exponent_count(d, mode))
     chosen = rng.sample(edges, min(len(edges), rng.randint(0, 64)))
     built = build_state(WeightedEdgeMap(d, n, {e: rng.randrange(d) for e in chosen}))
     return [built.table.tolist(), [0] + [rng.randrange(d) for _ in range(d**n - 1)]]
@@ -113,12 +113,29 @@ def test_forward_is_the_kronecker_power():
     assert newton._forward(matrix.tolist(), flat.tolist(), n, d) == expected
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_unknowns_are_built_by_index(mode):
+    for d, n in _sizes():
+        k = _exponent_count(d, mode)
+        unknowns = newton._Unknowns(_columns(d, n, mode), k, n)
+        edges = enumerate_multihyperedges(n, k)
+        assert [unknowns[i] for i in range(len(unknowns))] == edges == list(unknowns), (d, n)
+
+
+def test_a_solve_builds_only_the_edges_it_prints():
+    outcome = solve_phases(4, 1, [0] * 4, MULTIHYPERGRAPH)
+    assert len(outcome.edge_maps()) == outcome.solution.count == 4
+    assert isinstance(outcome._variables, newton._Unknowns)
+    assert outcome.variables == tuple(enumerate_multihyperedges(1, 4))
+    assert outcome.variables is outcome._variables
+
+
 def test_generators_wait_for_the_first_read():
     outcome = solve_phases(4, 1, [0] * 4, MULTIHYPERGRAPH)
     assert callable(outcome.solution.kernel)
-    assert "generators" not in vars(outcome.solution)
+    assert not hasattr(outcome.solution, "_generators")
     assert len(outcome.edge_maps()) == outcome.solution.count == 4
-    assert "generators" in vars(outcome.solution)
+    assert outcome.solution._generators is outcome.solution.generators
 
 
 def test_a_corrupted_w_pass_fails_the_round_trip(monkeypatch):
@@ -146,7 +163,7 @@ def test_solution_sets_compare_without_their_generators():
     theirs = _reference(4, 2, MULTIHYPERGRAPH, phases)
     bare = SolutionSet(4, True, ours.particular, ours.count)
     assert ours == theirs == bare and hash(ours) == hash(theirs) == hash(bare)
-    assert "kernel" not in repr(ours) and "generators" not in vars(ours)
+    assert "kernel" not in repr(ours) and not hasattr(ours, "_generators")
 
 
 def test_the_error_types_are_shared():

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import json
 import sys
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
@@ -46,10 +45,6 @@ class _Value:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _values: attrgetter  # the field tuple of an instance, in one C call
-
-    def __init_subclass__(cls) -> None:
-        cls._values = attrgetter(*cls._fields)
 
     def _set(self, **fields: Any) -> None:
         for name, value in fields.items():
@@ -58,10 +53,13 @@ class _Value:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values(self) == self._values(other)
+        return self._field_values() == other._field_values()
 
     def __hash__(self) -> int:
-        return hash(self._values(self))
+        return hash(self._field_values())
+
+    def _field_values(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -97,16 +95,6 @@ class MultiHyperedge(_Value):
         if any(s < 1 for s in exponents):
             raise ValueError("exponents must be >= 1")
         self._set(vertices=vertices, exponents=exponents)
-
-    # The base's rule, spelled out: edges are dict keys by the hundred
-    # thousand, and this hash takes half the time of the base's.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.exponents) == (other.vertices, other.exponents)
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.exponents))
 
     @property
     def arity(self) -> int:

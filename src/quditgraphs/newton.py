@@ -22,7 +22,7 @@ import math
 from functools import cached_property, partial
 from itertools import product, repeat
 from operator import add, mod, mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .counting import (
     _check_mode,
@@ -32,7 +32,7 @@ from .counting import (
     divisor_rule,
     smith_factor,
 )
-from .graphs import MultiHyperedge, WeightedEdgeMap, _Value, enumerate_multihyperedges
+from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
 from .residues import check_entries
 
 Generators = tuple[tuple[tuple[int, ...], int], ...]
@@ -124,7 +124,8 @@ class _Unknowns:
     """The edges of a mode's unknowns, in ``counting.edge_tuples`` order,
     each built when it is read: unknown i is the edge whose exponent vector
     sits at the flat index ``columns[i]`` (base k, vertex 0 most
-    significant) of W^{⊗n}. Iteration builds them all."""
+    significant) of W^{⊗n}. Iteration builds them all, through
+    ``__getitem__``."""
 
     __slots__ = ("columns", "k", "n")
 
@@ -140,9 +141,6 @@ class _Unknowns:
             column, digits[v] = divmod(column, self.k)
         vertices = tuple(v for v, s in enumerate(digits) if s)
         return MultiHyperedge(vertices, tuple(digits[v] for v in vertices))
-
-    def __iter__(self) -> Iterator[MultiHyperedge]:
-        return iter(enumerate_multihyperedges(self.n, self.k))
 
 
 class SolveOutcome(_Value):

@@ -13,7 +13,8 @@ census needs no solve at all.
 Exports load on first use (PEP 562), so ``import quditgraphs`` and the
 census import no numpy; the state names and the ``correspondence`` names
 load it (``solve_weights`` too, as it takes a ``PhaseFunction``), while the
-solution types and solve errors (``newton``) do not.
+solution types and solve errors (``newton``) and the conjugation report
+(``diagonals``) do not.
 """
 
 import importlib
@@ -23,7 +24,7 @@ _EXPORTS = {
     "HYPERGRAPH": "counting",
     "MULTIHYPERGRAPH": "counting",
     "CensusReport": "counting",
-    "ConjugationReport": "stabilizers",
+    "ConjugationReport": "diagonals",
     "CorrespondenceSystem": "correspondence",
     "DenseState": "states",
     "DimensionMismatch": "states",
@@ -37,7 +38,7 @@ _EXPORTS = {
     "SizeLimit": "residues",
     "SolutionSet": "newton",
     "SolveOutcome": "newton",
-    "VertexOutOfRange": "states",
+    "VertexOutOfRange": "diagonals",
     "WeightedEdgeMap": "graphs",
     "apply_generator": "stabilizers",
     "apply_multi_cz": "states",
@@ -48,7 +49,7 @@ _EXPORTS = {
     "canonicalize": "states",
     "census": "counting",
     "coefficient_block": "correspondence",
-    "conjugation_report": "stabilizers",
+    "conjugation_report": "diagonals",
     "enumerate_hyperedges": "graphs",
     "enumerate_multihyperedges": "graphs",
     "hyperedge": "graphs",

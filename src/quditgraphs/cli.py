@@ -6,13 +6,14 @@ error, 3 size limit. Data goes to stdout, diagnostics to stderr.
 
 A verb imports what it runs, inside the verb: ``graphs`` where it reads an
 edge map or a table, and the numpy-backed modules (``build-state``,
-``verify-stabilizers``, ``identity-check`` and ``matrix``) only past every
-refusal. So ``census``, usage errors, every size refusal and every schema
-refusal start and finish without numpy, and ``census`` loads no
-``graphs``. No module of the package imports ``dataclasses`` (its value
-types derive from ``graphs._Value``), so ``solve`` and ``census`` load
-neither it nor the ``inspect`` it imports; numpy imports ``inspect``
-itself. ``solve`` checks its whole table with
+``verify-stabilizers`` and ``matrix``) only past every refusal. So
+``census``, usage errors, every size refusal and every schema refusal start
+and finish without numpy, and ``census`` loads no ``graphs``.
+``identity-check`` builds its tables as lists in ``diagonals`` and loads no
+numpy at any exit code. No module of the package imports ``dataclasses``
+(its value types derive from ``graphs._Value``), so ``solve`` and
+``census`` load neither it nor the ``inspect`` it imports; numpy imports
+``inspect`` itself. ``solve`` checks its whole table with
 ``graphs.phase_table`` and hands it to ``newton.solve_phases``, which
 solves on Python lists and loads no numpy at all. Every size refusal is
 ``residues.check_entries``, the listing of ``--all-solutions`` included.
@@ -28,8 +29,10 @@ the interpreter's shutdown collections skip them.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -46,6 +49,11 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 
+# The int lists that ``_encode`` writes through a table of texts hold values
+# in range(_TEXT_RANGE); the table costs at most this many ``str`` calls.
+_TEXT_RANGE = 256
+
+
 def _emit(payload: dict) -> None:
     sys.stdout.write(_encode(payload, "\n") + "\n")
 
@@ -57,15 +65,25 @@ def _encode(value: object, newline: str) -> str:
 
     ``json.dumps`` with an indent runs the pure-Python encoder on every
     item. Here containers are written out level by level, and a list of
-    plain ints, such as a phase table, goes through the C encoder in one
-    call, with the item separator carrying the line break and the indent.
+    plain ints, such as a phase table, is written in one join, with the
+    item separator carrying the line break and the indent. When its values
+    are small and non-negative (below ``_TEXT_RANGE``), as in a phase table
+    or a diagonal, each value in that range is converted with ``str`` once
+    and the items are looked up in that table; any other int list goes
+    through the C encoder.
     """
     inner = newline + "  "
     if isinstance(value, dict) and value:
         items = (f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in value.items())
     elif isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) == {int}:  # one pass in C; a bool is not an int here
-            body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+            distinct = set(value)
+            top = max(distinct)
+            if min(distinct) >= 0 and top < _TEXT_RANGE:
+                texts = list(map(str, range(top + 1)))
+                body = ("," + inner).join([texts[x] for x in value])
+            else:
+                body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
             return "[" + inner + body + newline + "]"
         items = (_encode(v, inner) for v in value)
     else:
@@ -98,9 +116,13 @@ def _read_edge_map(args: argparse.Namespace) -> WeightedEdgeMap:
 def _read_file(path: str | None) -> str:
     """The text of the file at ``path``, or of stdin when ``path`` is None,
     decoded as strict UTF-8 whatever the locale. A source that cannot be
-    read or decoded is a SchemaError at "$" that names it (``<stdin>``)."""
+    read or decoded is a SchemaError at "$" that names it (``<stdin>``).
+    A stdin that was closed when Python started is ``None``, and is refused
+    as reading the closed descriptor would be."""
     try:
         if path is None:
+            if sys.stdin is None:
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             # Stdin's bytes take a file's decoding, not the locale's text layer.
             stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
             try:
@@ -209,31 +231,29 @@ def _check_identity_size(d: int, n: int, exhaustive: bool) -> None:
 def _cmd_identity_check(args: argparse.Namespace) -> int:
     d, n = args.d, args.n
     _check_identity_size(d, n, args.exhaustive)
-    from . import graphs, stabilizers  # after the size check: a refusal loads no numpy
+    from . import diagonals, graphs
 
     edges = graphs.enumerate_multihyperedges(n, d, max_arity=None if args.exhaustive else 2)
     mismatches = []
     verdicts: dict[int, bool] = {}
     checked = 0
     for edge in edges:
-        for m in range(d):
-            for k in edge.vertices:
-                report = stabilizers.conjugation_report(edge, m, k, d, n)
-                checked += 1
-                s_k = report.target_exponent
-                verdicts[s_k] = verdicts.get(s_k, True) and report.holds
-                if not report.holds:
-                    mismatches.append(
-                        {
-                            "vertices": list(edge.vertices),
-                            "exponents": list(edge.exponents),
-                            "power": m,
-                            "vertex": k,
-                            "target_exponent": s_k,
-                            "correction_diagonal": list(report.exact_diagonal),
-                            "deleted_edge_diagonal": list(report.printed_diagonal),
-                        }
-                    )
+        for report in diagonals.edge_reports(edge, d, n):
+            checked += 1
+            s_k = report.target_exponent
+            verdicts[s_k] = verdicts.get(s_k, True) and report.holds
+            if not report.holds:
+                mismatches.append(
+                    {
+                        "vertices": list(edge.vertices),
+                        "exponents": list(edge.exponents),
+                        "power": report.power,
+                        "vertex": report.vertex,
+                        "target_exponent": s_k,
+                        "correction_diagonal": report.exact_diagonal,
+                        "deleted_edge_diagonal": report.printed_diagonal,
+                    }
+                )
     payload = {
         "d": d,
         "n": n,

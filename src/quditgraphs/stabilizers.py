@@ -10,8 +10,15 @@ so g_k = X_k * prod_{e: k in e} diag(omega^{T_e}) fixes the state exactly, for
 every edge map; ``apply_generator(state, edge_map, k)`` applies it and
 ``verify`` checks it at every vertex. When s_k = 1 the correction collapses to
 the deleted-edge gate on e minus {k} raised to m*(d-1); for s_k >= 2 it does
-only in some cases. ``printed_exponents`` is the one place that form is
-computed, and ``conjugation_report`` the one judge of whether it is exact.
+only in some cases.
+
+Both diagonals are products of the per-vertex lookup lists of
+``diagonals`` (``shift_row``, ``power_row`` and
+``deleted_edge_coefficient``): ``correction_exponents`` and
+``printed_exponents`` lay them along the axes of a numpy grid.
+``conjugation_report``, the one judge of whether the deleted-edge form is
+exact, lives in the numpy-free ``diagonals`` and multiplies the same lists
+out as Python lists; it is re-exported here.
 
 Shift convention: X_k lowers the ket, X_k|i_k> = |i_k - 1 mod d>, which in
 phase-table form reads f'(i) = f(..., i_k + 1, ...). This is the convention
@@ -22,10 +29,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .diagonals import (  # noqa: F401 (the report and VertexOutOfRange are re-exported)
+    ConjugationReport,
+    VertexOutOfRange,
+    check_vertex,
+    conjugation_report,
+    deleted_edge_coefficient,
+    shift_row,
+    split_target,
+)
 from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
 from .states import (
     PhaseFunction,
-    VertexOutOfRange,
+    _add_edge_grids,
     _flat,
     _grid,
     _on_axis,
@@ -36,8 +52,7 @@ from .states import (
 
 def apply_shift(state: PhaseFunction, k: int) -> PhaseFunction:
     """Shift vertex k down one level: new f(i) = f(..., i_k + 1 mod d, ...)."""
-    if not 0 <= k < state.n:
-        raise VertexOutOfRange(f"vertex {k} out of range [0, {state.n})")
+    check_vertex(k, state.n)
     return PhaseFunction(state.d, state.n, np.roll(_grid(state), -1, axis=k).reshape(-1))
 
 
@@ -45,15 +60,8 @@ def _correction_grid(
     edge: MultiHyperedge, power: int, k: int, d: int, n: int
 ) -> np.ndarray:
     """``correction_exponents`` as a grid that broadcasts to (d,)*n."""
-    if k not in edge.vertices:
-        raise ValueError(f"vertex {k} not in edge {edge}")
-    s_k = edge.exponents[edge.vertices.index(k)]
-    delta = np.array(
-        [(power % d) * (pow((i - 1) % d, s_k, d) - pow(i, s_k, d)) % d for i in range(d)],
-        dtype=np.int64,
-    )
-    grid = _on_axis(delta, k, n)
-    reduced = edge.without_vertex(k)
+    s_k, reduced = split_target(edge, k)
+    grid = _on_axis(np.array(shift_row(power, s_k, d), dtype=np.int64), k, n)
     if reduced is not None:
         grid = grid * monomial_grid(d, n, reduced) % d
     return grid
@@ -74,10 +82,8 @@ def printed_exponents(
 
     Exact when s_k = 1; for s_k >= 2 ``conjugation_report`` says whether it is.
     """
-    if k not in edge.vertices:
-        raise ValueError(f"vertex {k} not in edge {edge}")
-    coeff = np.int64(power * (d - 1) % d)
-    reduced = edge.without_vertex(k)
+    _, reduced = split_target(edge, k)
+    coeff = np.int64(deleted_edge_coefficient(power, d))
     grid = coeff if reduced is None else coeff * monomial_grid(d, n, reduced) % d
     return _flat(grid, d, n)
 
@@ -88,12 +94,16 @@ def apply_generator(state: PhaseFunction, edge_map: WeightedEdgeMap, k: int) -> 
     d, n = edge_map.d, edge_map.n
     if (state.d, state.n) != (d, n):
         raise ValueError("state and edge map dimensions differ")
-    if not 0 <= k < n:
-        raise VertexOutOfRange(f"vertex {k} out of range [0, {n})")
+    check_vertex(k, n)
     grid = _grid(state).copy()
-    for edge, weight in edge_map.items():
-        if k in edge.vertices:
-            grid += _correction_grid(edge, weight, k, d, n)
+    _add_edge_grids(
+        grid,
+        (
+            (edge.vertices, _correction_grid(edge, weight, k, d, n))
+            for edge, weight in edge_map.items()
+            if k in edge.vertices
+        ),
+    )
     grid %= d
     return apply_shift(PhaseFunction(d, n, grid.reshape(-1)), k)
 
@@ -117,71 +127,3 @@ def verify(edge_map: WeightedEdgeMap) -> list[VertexCheck]:
         diff = np.nonzero(moved.table != state.table)[0]
         results.append(VertexCheck(k, diff.size == 0, tuple(diff.tolist())))
     return results
-
-
-class ConjugationReport(_Value):
-    """Comparison of CZ_e^m X_k CZ_e^{d-m} against X_k CZ_{e\\{k}}^{m(d-1)}.
-
-    Both sides are the shift composed with a diagonal, so operator equality
-    reduces to equality of the two exponent tables over all d^n basis states.
-    """
-
-    __slots__ = _fields = (
-        "edge",
-        "power",
-        "vertex",
-        "target_exponent",
-        "holds",
-        "exact_diagonal",
-        "printed_diagonal",
-        "mismatch_indices",
-    )
-    edge: MultiHyperedge
-    power: int
-    vertex: int
-    target_exponent: int
-    holds: bool
-    exact_diagonal: tuple[int, ...]
-    printed_diagonal: tuple[int, ...]
-    mismatch_indices: tuple[int, ...]
-
-    def __init__(
-        self,
-        edge: MultiHyperedge,
-        power: int,
-        vertex: int,
-        target_exponent: int,
-        holds: bool,
-        exact_diagonal: tuple[int, ...],
-        printed_diagonal: tuple[int, ...],
-        mismatch_indices: tuple[int, ...],
-    ):
-        self._set(
-            edge=edge,
-            power=power,
-            vertex=vertex,
-            target_exponent=target_exponent,
-            holds=holds,
-            exact_diagonal=exact_diagonal,
-            printed_diagonal=printed_diagonal,
-            mismatch_indices=mismatch_indices,
-        )
-
-
-def conjugation_report(
-    edge: MultiHyperedge, power: int, k: int, d: int, n: int
-) -> ConjugationReport:
-    exact = correction_exponents(edge, power, k, d, n)
-    printed = printed_exponents(edge, power, k, d, n)
-    diff = np.nonzero(exact != printed)[0]
-    return ConjugationReport(
-        edge=edge,
-        power=power % d,
-        vertex=k,
-        target_exponent=edge.exponents[edge.vertices.index(k)],
-        holds=diff.size == 0,
-        exact_diagonal=tuple(exact.tolist()),
-        printed_diagonal=tuple(printed.tolist()),
-        mismatch_indices=tuple(diff.tolist()),
-    )
-

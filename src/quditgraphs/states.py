@@ -11,13 +11,22 @@ application is exact and order-independent.
 Tables are computed on the C-order grid of shape (d,)*n, whose axis v is
 digit i_v; reshaping the grid to one axis gives the flat table above. A
 monomial prod_{v in e} i_v^{s_v} is a product of per-vertex lookup vectors
-[i^s mod d], each laid along its vertex's axis, so its grid has extent d on
-the edge's axes and 1 elsewhere and broadcasts against the full grid. No
-table is ever computed from its flat index. ``build_state`` adds each
-``weight * grid % d`` into one int64 grid and reduces mod d once at the end.
-That sum is exact: each term is below d, and a map has fewer than d^n
-distinct edges, so under the table limit (d^n < 2^24, hence d < 2^24) the
-sum stays below 2^48.
+[i^s mod d] (``diagonals.power_row``), each laid along its vertex's axis, so
+its grid has extent d on the edge's support (its vertex set) and 1 elsewhere
+and broadcasts against the full grid. No table is ever computed from its
+flat index.
+
+``build_state`` and ``stabilizers.apply_generator`` add their edge grids
+through ``_add_edge_grids``. It sums the small grids of each support first,
+folds each support's sum into a group of supports whose vertex set contains
+it or stays short of all n vertices, and only then broadcasts each group
+into the d^n grid: a map of many edges makes a few passes over the d^n
+entries, not one per edge. The int64 sum is reduced mod d once at the end,
+and it is exact: each term is below d, and every partial sum, on a support,
+a group or the full grid, adds a subset of the same terms, of which there
+are fewer than d^n (one per distinct edge). Under the table limit (d^n <
+2^24, hence d < 2^24) each sum stays below 2^48; ``apply_generator`` adds
+one table entry below d to it.
 
 ``plus_state``, ``build_state``, ``to_dense`` and ``phases_from_dict`` each
 count their d^n entries against that limit with ``residues.check_entries``
@@ -26,16 +35,18 @@ before they allocate, and raise its ``SizeLimit`` (re-exported here).
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .diagonals import (  # noqa: F401 (VertexOutOfRange is re-exported)
+    VertexOutOfRange,
+    check_edge,
+    check_vertex,
+    power_row,
+)
 from .graphs import MultiHyperedge, WeightedEdgeMap, _Value, phase_table
 from .residues import SizeLimit, check_entries  # noqa: F401 (SizeLimit is re-exported)
-
-
-class VertexOutOfRange(ValueError):
-    """A gate referenced a vertex index >= n."""
 
 
 class DimensionMismatch(ValueError):
@@ -108,8 +119,7 @@ def digits_of(index: int, d: int, n: int) -> tuple[int, ...]:
 def _on_axis(values: np.ndarray, vertex: int, n: int) -> np.ndarray:
     """A length-d vector laid along the grid axis of ``vertex``; it broadcasts
     against the (d,)*n grid."""
-    if not 0 <= vertex < n:
-        raise VertexOutOfRange(f"vertex {vertex} out of range [0, {n})")
+    check_vertex(vertex, n)
     return values.reshape((-1,) + (1,) * (n - 1 - vertex))
 
 
@@ -121,12 +131,10 @@ def _flat(grid: np.ndarray, d: int, n: int) -> np.ndarray:
 def monomial_grid(d: int, n: int, edge: MultiHyperedge) -> np.ndarray:
     """prod_{v in edge} i_v^{s_v} mod d as a grid that broadcasts to (d,)*n:
     extent d on the edge's axes, 1 on the others."""
-    if edge.vertices[-1] >= n:
-        raise VertexOutOfRange(f"edge {edge} references a vertex >= {n}")
+    check_edge(edge, n)
     grid = np.ones((), dtype=np.int64)
     for v, s in zip(edge.vertices, edge.exponents):
-        lut = np.array([pow(i, s, d) for i in range(d)], dtype=np.int64)
-        grid = grid * _on_axis(lut, v, n) % d
+        grid = grid * _on_axis(np.array(power_row(s, d), dtype=np.int64), v, n) % d
     return grid
 
 
@@ -190,10 +198,46 @@ def build_state(edge_map: WeightedEdgeMap) -> PhaseFunction:
     d, n = edge_map.d, edge_map.n
     check_entries("table", 1, d, n)
     grid = np.zeros((d,) * n, dtype=np.int64)
-    for edge, weight in edge_map.items():
-        grid += weight * monomial_grid(d, n, edge) % d
+    terms = edge_map.items()
+    _add_edge_grids(grid, ((e.vertices, w * monomial_grid(d, n, e) % d) for e, w in terms))
     grid %= d
     return PhaseFunction(d, n, grid.reshape(-1))
+
+
+def _add_edge_grids(
+    grid: np.ndarray, terms: Iterable[tuple[tuple[int, ...], np.ndarray]]
+) -> None:
+    """Add each (support, edge grid) term into the (d,)*n ``grid``, in place.
+
+    An edge grid has extent d on its support's axes and 1 on the others.
+    The terms are summed per support first. Then, largest support first,
+    each support's sum joins the group whose vertex set grows least by
+    taking the support in, as long as that set contains the support or
+    stays short of all n vertices; otherwise it starts a group. Only the
+    groups' sums are broadcast into ``grid``: one pass over the d^n entries
+    per group, not one per edge, and a merge into a group short of all n
+    vertices touches at most d^(n-1) entries.
+    """
+    n = grid.ndim
+    sums: dict[tuple[int, ...], np.ndarray] = {}
+    for support, term in terms:
+        sums[support] = sums[support] + term if support in sums else term
+    groups: list[tuple[frozenset[int], np.ndarray]] = []
+    for support in sorted(sums, key=lambda s: (-len(s), s)):
+        members = frozenset(support)
+        fits = [
+            (len(vertices | members), i)
+            for i, (vertices, _) in enumerate(groups)
+            if members <= vertices or len(vertices | members) < n
+        ]
+        if fits:
+            i = min(fits)[1]
+            vertices, total = groups[i]
+            groups[i] = (vertices | members, total + sums[support])
+        else:
+            groups.append((members, sums[support]))
+    for _, total in groups:
+        grid += total
 
 
 def states_equal(a: PhaseFunction, b: PhaseFunction) -> bool:

@@ -93,6 +93,27 @@ class TestBuildState:
         assert code == 0
         assert json.loads(out) == WORKED_PHASES
 
+    @pytest.mark.parametrize("verb", ["build-state", "verify-stabilizers"])
+    def test_closed_stdin_is_a_schema_error(self, capsys, monkeypatch, verb):
+        # Python sets sys.stdin to None when it starts with fd 0 closed.
+        monkeypatch.setattr("sys.stdin", None)
+        code, out, err = run(capsys, verb, "--stdin")
+        assert (code, out, err) == (2, "", "error: $: cannot read <stdin>: Bad file descriptor\n")
+
+    def test_closed_stdin_in_a_process(self):
+        src = str(Path(quditgraphs.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "quditgraphs", "build-state", "--stdin"],
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: os.close(0),
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: $: cannot read <stdin>: Bad file descriptor\n"
+
     @pytest.mark.parametrize(
         "environ",
         [

@@ -89,6 +89,10 @@ def test_import_loads_no_numpy(statement):
         (["census", "--d", "0", "--n", "1", "--mode", "hypergraph"], 2),
         (["frobnicate"], 2),
         (["identity-check", "--d", "10", "--n", "10"], 3),
+        # identity-check runs on lists at every exit code.
+        (["identity-check", "--d", "2", "--n", "2", "--exhaustive"], 0),
+        (["identity-check", "--d", "3", "--n", "1"], 1),
+        (["identity-check", "--d", "7", "--n", "3"], 1),
         (["build-state", "--graph", {"d": 1000, "n": 100000000, "edges": []}], 3),
         (
             [
@@ -138,7 +142,8 @@ def test_import_loads_no_numpy(statement):
         (["solve", "--phases", {"d": 3, "n": 1, "phases": [1, 0, 0]}, "--mode", "hypergraph"], 2),
     ],
     ids=["census", "census-hypergraph", "census-limit", "census-usage", "unknown-verb",
-         "identity-check-limit", "build-state-limit", "build-state-schema",
+         "identity-check-limit", "identity-check-holds", "identity-check-fails",
+         "identity-check-large", "build-state-limit", "build-state-schema",
          "verify-stabilizers-limit", "verify-stabilizers-schema", "matrix-limit",
          "solve-schema", "solve-entry-type", "solve-entry-count", "solve-entry-range",
          "solve-limit", "solve", "solve-unreachable", "solve-noncanonical"],

@@ -1,7 +1,9 @@
-"""The (d,)*n grid kernels against a per-index evaluator, and pinned CLI output.
+"""The (d,)*n grid kernels and the list report against a per-index
+evaluator, the encoder against ``json.dumps``, and pinned CLI output.
 
 The evaluator below reads every table entry off ``digits_of`` and ``pow``,
-one index at a time, so it shares no array code with the kernels under test.
+one index at a time, so it shares no array or list code with the kernels
+under test.
 """
 
 import hashlib
@@ -10,7 +12,8 @@ import random
 
 import pytest
 
-from quditgraphs.cli import main
+from quditgraphs.cli import _TEXT_RANGE, _any_int_digits, _encode, main
+from quditgraphs.diagonals import VertexOutOfRange, conjugation_report, edge_reports
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap
 from quditgraphs.stabilizers import (
     apply_generator,
@@ -75,12 +78,41 @@ def random_map(rng, d, n, count=10):
     return WeightedEdgeMap(d, n, weights)
 
 
+def support_maps(rng, d, n):
+    """Maps whose edges share supports: several edges on each support,
+    a chain of nested supports with siblings, every edge on one support,
+    and a single edge."""
+    def edges_on(support, count):
+        exponents = (tuple(rng.randrange(1, d) for _ in support) for _ in range(count))
+        return {MultiHyperedge(support, e): rng.randrange(1, d) for e in exponents}
+
+    full = tuple(range(n))
+    several = {}
+    for support in [(0,), full, (n - 1,), full[1:] or full, (0, n - 1) if n > 1 else full]:
+        several.update(edges_on(support, 3))
+    nested = {}
+    for t in range(1, n + 1):
+        nested.update(edges_on(full[:t], 2))
+        nested.update(edges_on(full[t - 1 : t], 1))
+    shared = edges_on(full[n // 2 :], 6)
+    single = edges_on((rng.randrange(n),), 1)
+    return [WeightedEdgeMap(d, n, w) for w in (several, nested, shared, single)]
+
+
+def grid_maps(rng, d, n):
+    """Two random maps, then the maps whose edges share supports. Each is
+    drawn when the test reaches it, after the powers drawn for the one
+    before."""
+    yield random_map(rng, d, n)
+    yield random_map(rng, d, n)
+    yield from support_maps(rng, d, n)
+
+
 @pytest.mark.parametrize("d,n", CELLS)
 def test_grid_kernels_match_per_index_evaluation(d, n):
     rng = random.Random(f"grid:{d}:{n}")
     every_digit = [digits_of(i, d, n) for i in range(d**n)]
-    for _ in range(2):
-        edge_map = random_map(rng, d, n)
+    for edge_map in grid_maps(rng, d, n):
         state = build_state(edge_map)
         assert state.table.tolist() == [phase_at(x, edge_map) for x in every_digit]
         for edge in edge_map.edges():
@@ -105,6 +137,121 @@ def test_grid_kernels_match_per_index_evaluation(d, n):
                 not mismatches,
                 mismatches,
             )
+
+
+def _check_report(report, edge, power, k, d, every_digit):
+    exact = [correction_at(x, edge, power, k, d) for x in every_digit]
+    printed = [printed_at(x, edge, power, k, d) for x in every_digit]
+    mismatches = tuple(i for i, (a, b) in enumerate(zip(exact, printed)) if a != b)
+    assert report.exact_diagonal == tuple(exact)
+    assert report.printed_diagonal == tuple(printed)
+    assert report.mismatch_indices == mismatches
+    assert report.holds is (not mismatches)
+    s_k = edge.exponents[edge.vertices.index(k)]
+    assert (report.edge, report.power, report.vertex, report.target_exponent) == (
+        edge,
+        power % d,
+        k,
+        s_k,
+    )
+
+
+@pytest.mark.parametrize("d,n", CELLS)
+def test_list_report_matches_per_index_evaluation(d, n):
+    rng = random.Random(f"report:{d}:{n}")
+    every_digit = [digits_of(i, d, n) for i in range(d**n)]
+    for edge in random_map(rng, d, n).edges():
+        # A negative power, one in Z_d and one past it.
+        for power in (rng.randrange(-2 * d, 0), rng.randrange(d), rng.randrange(d, 3 * d)):
+            for k in edge.vertices:
+                report = conjugation_report(edge, power, k, d, n)
+                _check_report(report, edge, power, k, d, every_digit)
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (4, 3), (6, 2)])
+def test_edge_reports_run_every_power_then_every_target(d, n):
+    every_digit = [digits_of(i, d, n) for i in range(d**n)]
+    rng = random.Random(f"edge-reports:{d}:{n}")
+    for edge in random_map(rng, d, n, count=4).edges():
+        reports = list(edge_reports(edge, d, n))
+        assert [(r.power, r.vertex) for r in reports] == [
+            (m, k) for m in range(d) for k in edge.vertices
+        ]
+        for report in reports:
+            assert report == conjugation_report(edge, report.power, report.vertex, d, n)
+            _check_report(report, edge, report.power, report.vertex, d, every_digit)
+
+
+# Each bad (edge, power, k, d, n) with the exception type and text that the
+# numpy tables gave.
+EDGE = MultiHyperedge((0, 1), (1, 2))
+FAR_EDGE = MultiHyperedge((0, 4), (1, 2))
+BAD_REPORTS = [
+    ((EDGE, 1, 2, 3, 2), ValueError, f"vertex 2 not in edge {EDGE}"),
+    ((FAR_EDGE, 1, 4, 3, 2), VertexOutOfRange, "vertex 4 out of range [0, 2)"),
+    ((FAR_EDGE, 1, 4, 3, -1), VertexOutOfRange, "vertex 4 out of range [0, -1)"),
+    ((EDGE, 1, 0, 3, 0), VertexOutOfRange, "vertex 0 out of range [0, 0)"),
+    ((FAR_EDGE, 1, 0, 3, 2), VertexOutOfRange,
+     "edge MultiHyperedge(vertices=(4,), exponents=(2,)) references a vertex >= 2"),
+    ((EDGE, 1, 0, 0, 2), ZeroDivisionError, "integer modulo by zero"),
+    ((EDGE, 1, 1, 0, 2), ZeroDivisionError, "integer modulo by zero"),
+    ((EDGE, 1, 0, -2, 2), ValueError, "all elements of broadcast shape must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("args,error,message", BAD_REPORTS)
+def test_bad_report_inputs_raise_as_before(args, error, message):
+    with pytest.raises(error) as raised:
+        conjugation_report(*args)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_report_at_d_1_is_one_zero_entry():
+    report = conjugation_report(EDGE, 1, 0, 1, 2)
+    assert (report.exact_diagonal, report.printed_diagonal, report.holds, report.power) == (
+        (0,),
+        (0,),
+        True,
+        0,
+    )
+
+
+def random_payload(rng, depth=0):
+    """A JSON value with int lists of every kind the encoder tells apart."""
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:  # small non-negative ints: the table path
+        top = rng.choice([1, 2, 7, _TEXT_RANGE])
+        return [rng.randrange(top) for _ in range(rng.randrange(1, 40))]
+    if kind == 1:  # negative ints, ints past the table and past 2^64: the C path
+        pool = [-1, -(2**70), _TEXT_RANGE, _TEXT_RANGE - 1, 2**64, 2**64 + 1, 10**30, 0]
+        return [rng.choice(pool + [rng.randrange(-5, 5)]) for _ in range(rng.randrange(1, 12))]
+    if kind == 2:  # bools among ints
+        return [rng.choice([0, 1, True, False, 5]) for _ in range(rng.randrange(1, 8))]
+    if kind == 3:
+        return rng.choice([[], {}, (), None, True, 0, -3, 2**65, 1.5, "text", "é\n"])
+    if kind == 4:  # a tuple of small ints
+        return tuple(rng.randrange(4) for _ in range(rng.randrange(1, 6)))
+    size = rng.randrange(0, 5)
+    if kind in (5, 6):
+        return {f"k{i}": random_payload(rng, depth + 1) for i in range(size)}
+    items = [random_payload(rng, depth + 1) for _ in range(size)]
+    return tuple(items) if kind == 7 else items
+
+
+def test_encoder_matches_json_dumps_on_random_payloads():
+    rng = random.Random("encode")
+    with _any_int_digits():
+        for _ in range(300):
+            payload = {"value": random_payload(rng)}
+            assert _encode(payload, "\n") == json.dumps(payload, indent=2)
+
+
+def test_encoder_writes_a_6_to_the_7_table_as_json_dumps():
+    rng = random.Random("encode-table")
+    phases = [rng.randrange(6) for _ in range(6**7)]
+    assert len(phases) == 279_936
+    payload = {"d": 6, "n": 7, "phases": phases}
+    assert _encode(payload, "\n") == json.dumps(payload, indent=2)
 
 
 def test_flat_tables_are_fresh_and_writable():

@@ -146,7 +146,7 @@ def _cmd_build_state(args: argparse.Namespace) -> int:
 
     state = states.build_state(edge_map)
     if args.dense:
-        for block in states.dense_blocks(states.to_dense(state)):
+        for block in states.dense_blocks(state):
             sys.stdout.write(block)
     else:
         _emit(states.phases_to_dict(state))

@@ -29,11 +29,11 @@ numpy-free ``newton`` and are re-exported here.
 Which tables are reachable, and with how many solutions, is the divisor
 rule on their Newton coefficients (``counting``'s module docstring and
 ``counting.divisor_rule``), so ``census`` solves no table. W and the
-column of each variable in W^{⊗n} fix the whole system, so
-``system_fingerprint`` hashes those. ``census``, the factor, the
-fingerprint and the variable order (``counting.edge_tuples``) live in the
-numpy-free ``counting`` module; all but the variable order are re-exported
-here.
+column of each variable in W^{⊗n} fix the whole system, so the fingerprint
+that ``solve_weights`` and ``census`` report hashes those. ``census``, the
+factor, the fingerprint and the variable order (``counting.edge_tuples``)
+live in the numpy-free ``counting`` module; ``census`` and the factor are
+re-exported here.
 This module keeps the dense-matrix code: ``representability_constraints``
 reads rows of U^{⊗n}, and only ``build_system`` assembles the dense
 canonical matrix. Matrices are C-contiguous, read-only int64 arrays with
@@ -42,12 +42,14 @@ entries reduced mod d, frozen as ``PhaseFunction`` tables are.
 Sizes go through ``residues.check_entries`` before any work: ``solve_weights``
 refuses a factor of d·d entries and kernel generators of free·k^n entries
 (one column of V^{⊗n} per free unknown), ``build_system`` a W^{⊗n} of
-k^n·d^n entries, ``representability_constraints`` a solver of d^n divisors
-and its picked rows of d^n entries each, and ``coefficient_block`` a block
-of (d-1)^(2·size) entries.
+k^n·d^n entries, ``representability_constraints`` d^n divisors and its
+picked rows of d^n entries each, and ``coefficient_block`` a block of
+(d-1)^(2·size) entries.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -62,8 +64,8 @@ from .counting import (
     _digit_power_rows,
     _exponent_count,
     census,
+    divisor_rule,
     smith_factor,
-    system_fingerprint,
 )
 from .graphs import MultiHyperedge, _Value, enumerate_multihyperedges
 from .newton import (
@@ -72,6 +74,7 @@ from .newton import (
     RoundTripFailure,
     SolutionSet,
     SolveOutcome,
+    _check_canonical,
     solve_phases,
 )
 from .residues import NonPrimeModulus, check_entries, is_prime
@@ -133,20 +136,10 @@ class CorrespondenceSystem(_Value):
     ):
         self._set(d=d, n=n, mode=mode, variables=variables, tuples=tuples, matrix=matrix, rhs=rhs)
 
-    def fingerprint(self) -> str:
-        """Hash of the matrix and its orderings (rhs-independent)."""
-        return system_fingerprint(self.d, self.n, self.mode)
-
-
-def _check_table(table: PhaseFunction, mode: str) -> None:
-    _check_mode(mode)
-    if not table.is_canonical:
-        raise NonCanonical("phase table must have f(0, ..., 0) = 0")
-
 
 def build_system(table: PhaseFunction, mode: str) -> CorrespondenceSystem:
     """One equation per nonzero index tuple, all variables on the left."""
-    _check_table(table, mode)
+    _check_canonical(mode, table.table[0])
     variables, tuples, matrix = _system_parts(table.d, table.n, mode)
     rhs = tuple(int(x) for x in table.table[1:])
     return CorrespondenceSystem(table.d, table.n, mode, variables, tuples, matrix, rhs)
@@ -172,23 +165,23 @@ def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, .
 
     A canonical table is reachable iff every basis vector y has
     y . rhs = 0 (mod d), rhs taken in equation order. The vectors are the
-    rows j of U^{⊗n} whose divisor is d (``counting.divisor_rule``, read
-    through the solver), for the closed-form factor U·W·V = D: some digit
-    j_v >= k, or prod_v D[j_v] = 0 (mod d). Column 0 is dropped, as f(0) = 0. Row j has
+    rows j of U^{⊗n} whose divisor is d (``counting.divisor_rule``) for the
+    closed-form factor U·W·V = D: some digit j_v >= k, or
+    prod_v D[j_v] = 0 (mod d). Column 0 is dropped, as f(0) = 0. Row j has
     its unit pivot at column j != 0, so the rows are independent.
 
-    Raises SizeLimit before allocating the solver's d^n divisors or the
-    picked rows of d^n entries each, when they would reach the table limit.
+    Raises SizeLimit before listing the d^n divisors or the picked rows of
+    d^n entries each, when they would reach the table limit.
     """
     _check_mode(mode)
     check_entries("solver divisors", 1, d, n)
     if not is_prime(d):
         raise NonPrimeModulus(f"modulus {d} is not prime")
-    solver = KroneckerSolver(*smith_factor(d, mode), d=d, power=n)
-    divisor = [d] * d**n  # d, so c_j = 0, at the tuples without a diagonal entry
-    for i, g in zip(solver.inside, solver.gcd):
-        divisor[i] = g
-    picked = [j for j, g in enumerate(divisor) if g == d]
+    u, diagonal, _ = smith_factor(d, mode)
+    # The g_j of the k^n tuples with every digit below k, in flat order.
+    gcd = iter(divisor_rule(diagonal, d, n)[0])
+    tuples = enumerate(product(range(d), repeat=n))
+    picked = [j for j, digits in tuples if max(digits) >= len(diagonal) or next(gcd) == d]
     check_entries("constraint rows", len(picked), d, n)
-    rows = _power_rows(np.array(solver.u, dtype=np.int64), np.array(picked, dtype=np.intp), n, d)
+    rows = _power_rows(np.array(u, dtype=np.int64), np.array(picked, dtype=np.intp), n, d)
     return [tuple(row) for row in rows[:, 1:].tolist()]

@@ -105,6 +105,12 @@ def divisor_rule(diagonal: Sequence[int], d: int, n: int) -> tuple[list[int], li
     return [gcds[a] for a in entries], [inverses[a] for a in entries]
 
 
+def kernel_size(gcd: list[int]) -> int:
+    """K = prod_j g_j, the solutions of every reachable table, from the g_j
+    of ``divisor_rule``: one power per distinct divisor."""
+    return math.prod(g ** gcd.count(g) for g in set(gcd))
+
+
 def _signed_triangle(steps: Sequence[int], d: int) -> list[list[int]]:
     """The square T with T[0] = e_0 and T[r+1][c] = T[r][c-1] - steps[r]·T[r][c]
     (mod d), T[r][-1] = 0: lower unitriangular, one row per step plus one.
@@ -160,17 +166,13 @@ def _columns(d: int, n: int, mode: str) -> list[int]:
     ]
 
 
-def system_fingerprint(d: int, n: int, mode: str) -> str:
+def _fingerprint(d: int, n: int, mode: str, columns: list[int]) -> str:
     """Hash of the canonical system at (d, n, mode); no table enters it.
 
     Rows are the nonzero index tuples in flat order, and column j of the
     dense matrix is column ``columns[j]`` of W^{⊗n}. So W and the columns fix
     every entry and both orderings, and they are hashed instead.
     """
-    return _fingerprint(d, n, mode, _columns(d, n, mode))
-
-
-def _fingerprint(d: int, n: int, mode: str, columns: list[int]) -> str:
     import hashlib  # here, not at the top: only solve and census hash anything
 
     payload = {
@@ -234,8 +236,7 @@ def census(d: int, n: int, mode: str) -> CensusReport:
     check_entries("census", d.bit_length(), d, 2 * n)
     total = d ** (d**n - 1)
     columns = _columns(d, n, mode)
-    gcd, _ = divisor_rule(_factorial_diagonal(d, mode), d, n)
-    kernel = math.prod(g ** gcd.count(g) for g in set(gcd))
+    kernel = kernel_size(divisor_rule(_factorial_diagonal(d, mode), d, n)[0])
     weight_assignments = d ** len(columns)
     reachable = weight_assignments // kernel
     histogram = {0: total - reachable, kernel: reachable}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 import sys
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
@@ -140,7 +141,8 @@ class WeightedEdgeMap(_Value):
     """Canonical map edge -> weight over Z_d on n vertices.
 
     Construction reduces weights mod d, drops zero weights (a gate applied 0
-    times is the identity), and validates vertex and exponent ranges.
+    times is the identity), and validates vertex and exponent ranges. A
+    weight that ``operator.index`` refuses raises ValueError.
     """
 
     __slots__ = _fields = ("d", "n", "weights")
@@ -161,7 +163,10 @@ class WeightedEdgeMap(_Value):
                 raise ValueError(f"edge {edge} references a vertex >= {n}")
             if any(s > d - 1 for s in edge.exponents):
                 raise ValueError(f"edge {edge} has an exponent >= d = {d}")
-            w = weights[edge] % d
+            try:
+                w = operator.index(weights[edge]) % d
+            except TypeError as exc:
+                raise ValueError(f"edge {edge} weight: {exc}") from None
             if w:
                 canonical[edge] = w
         self._set(d=d, n=n, weights=canonical)
@@ -219,10 +224,6 @@ def to_dict(edge_map: WeightedEdgeMap) -> dict[str, Any]:
     }
 
 
-def to_json(edge_map: WeightedEdgeMap) -> str:
-    return json.dumps(to_dict(edge_map), indent=2) + "\n"
-
-
 def _cut(text: str) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
@@ -270,7 +271,8 @@ def phase_table(payload: Any) -> tuple[int, int, list[int]]:
     """(d, n, phases) of a phase-table payload {"d", "n", "phases"}, every
     schema and size rule checked: d^n entries under the table limit, each an
     int in [0, d). It needs no numpy, so ``solve`` refuses any bad table
-    before loading it; ``states.phases_from_dict`` is this and the array."""
+    before loading it; ``states.PhaseFunction(*phase_table(payload))`` is
+    the table as an array."""
     _expect_object(payload, "$", ("d", "n", "phases"))
     d = _expect_int(payload["d"], "d", minimum=2)
     n = _expect_int(payload["n"], "n", minimum=1)

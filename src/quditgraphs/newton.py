@@ -18,7 +18,6 @@ checks the answer through W itself. The solution types ``SolutionSet`` and
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, partial
 from itertools import product, repeat
 from operator import add, mod, mul
@@ -30,6 +29,7 @@ from .counting import (
     _digit_power_rows,
     _fingerprint,
     divisor_rule,
+    kernel_size,
     smith_factor,
 )
 from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
@@ -40,6 +40,14 @@ Generators = tuple[tuple[tuple[int, ...], int], ...]
 
 class NonCanonical(ValueError):
     """The phase table has f(0, ..., 0) != 0."""
+
+
+def _check_canonical(mode: str, origin: int) -> None:
+    """The refusals every solve of a table makes first: an unknown mode, then
+    a table whose entry at (0, ..., 0) is ``origin`` != 0."""
+    _check_mode(mode)
+    if origin:
+        raise NonCanonical("phase table must have f(0, ..., 0) = 0")
 
 
 class RoundTripFailure(RuntimeError):
@@ -292,7 +300,7 @@ class KroneckerSolver:
     def count(self) -> int:
         """Solutions of every consistent right-hand side: the kernel size,
         prod_j g_j. Computed on first use, as it can have millions of digits."""
-        return math.prod(g ** self.gcd.count(g) for g in set(self.gcd))
+        return kernel_size(self.gcd)
 
     def solve(self, rhs: Sequence[int], unknowns: Sequence[int]) -> SolutionSet:
         """The solutions of W^{⊗n} x = rhs, each vector listing x at the flat
@@ -331,9 +339,7 @@ def solve_phases(d: int, n: int, phases: Sequence[int], mode: str) -> SolveOutco
     the kernel generators, one column of V^{⊗n} per free unknown, would
     reach the table limit; both depend on (d, mode) and n alone.
     """
-    _check_mode(mode)
-    if phases[0]:
-        raise NonCanonical("phase table must have f(0, ..., 0) = 0")
+    _check_canonical(mode, phases[0])
     u, diagonal, v = smith_factor(d, mode)
     k = len(diagonal)
     # y_j is free (g_j > 1) unless every D[j_v] is a unit mod d: the rule at

@@ -12,13 +12,13 @@ every edge map; ``apply_generator(state, edge_map, k)`` applies it and
 the deleted-edge gate on e minus {k} raised to m*(d-1); for s_k >= 2 it does
 only in some cases.
 
-Both diagonals are products of the per-vertex lookup lists of
-``diagonals`` (``shift_row``, ``power_row`` and
-``deleted_edge_coefficient``): ``correction_exponents`` and
-``printed_exponents`` lay them along the axes of a numpy grid.
-``conjugation_report``, the one judge of whether the deleted-edge form is
-exact, lives in the numpy-free ``diagonals`` and multiplies the same lists
-out as Python lists; it is re-exported here.
+The correction is a product of the per-vertex lookup lists of
+``diagonals`` (``shift_row`` and ``power_row``), which
+``correction_exponents`` and ``apply_generator`` lay along the axes of a
+numpy grid. ``conjugation_report``, the one judge of whether the
+deleted-edge form is exact, lives in the numpy-free ``diagonals`` and
+multiplies the same lists out as Python lists; its ``printed_diagonal`` is
+the deleted-edge form's table. It is re-exported here.
 
 Shift convention: X_k lowers the ket, X_k|i_k> = |i_k - 1 mod d>, which in
 phase-table form reads f'(i) = f(..., i_k + 1, ...). This is the convention
@@ -34,7 +34,6 @@ from .diagonals import (  # noqa: F401 (the report and VertexOutOfRange are re-e
     VertexOutOfRange,
     check_vertex,
     conjugation_report,
-    deleted_edge_coefficient,
     shift_row,
     split_target,
 )
@@ -42,7 +41,6 @@ from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
 from .states import (
     PhaseFunction,
     _add_edge_grids,
-    _flat,
     _grid,
     _on_axis,
     build_state,
@@ -71,21 +69,10 @@ def correction_exponents(
     edge: MultiHyperedge, power: int, k: int, d: int, n: int
 ) -> np.ndarray:
     """Exact diagonal exponent table of CZ_e^m X_k CZ_e^{d-m} with the leading
-    shift factored off: m * ((i_k-1)^{s_k} - i_k^{s_k}) * prod_{v != k} i_v^{s_v}."""
-    return _flat(_correction_grid(edge, power, k, d, n), d, n)
-
-
-def printed_exponents(
-    edge: MultiHyperedge, power: int, k: int, d: int, n: int
-) -> np.ndarray:
-    """Deleted-edge form of the same diagonal: m*(d-1) * prod_{v != k} i_v^{s_v}.
-
-    Exact when s_k = 1; for s_k >= 2 ``conjugation_report`` says whether it is.
-    """
-    _, reduced = split_target(edge, k)
-    coeff = np.int64(deleted_edge_coefficient(power, d))
-    grid = coeff if reduced is None else coeff * monomial_grid(d, n, reduced) % d
-    return _flat(grid, d, n)
+    shift factored off: m * ((i_k-1)^{s_k} - i_k^{s_k}) * prod_{v != k} i_v^{s_v},
+    as a fresh flat table of d^n entries."""
+    grid = _correction_grid(edge, power, k, d, n)
+    return np.array(np.broadcast_to(grid, (d,) * n), order="C").reshape(-1)
 
 
 def apply_generator(state: PhaseFunction, edge_map: WeightedEdgeMap, k: int) -> PhaseFunction:

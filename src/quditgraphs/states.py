@@ -18,9 +18,10 @@ flat index.
 
 ``build_state`` and ``stabilizers.apply_generator`` add their edge grids
 through ``_add_edge_grids``. It sums the small grids of each support first,
-folds each support's sum into a group of supports whose vertex set contains
-it or stays short of all n vertices, and only then broadcasts each group
-into the d^n grid: a map of many edges makes a few passes over the d^n
+then folds each support's sum into the group of the smallest vertex it
+misses (all n for the full support), and only then broadcasts each group
+into the d^n grid. Every group but the full support's spans at most n - 1
+axes, so a map of many edges makes at most n + 1 passes over the d^n
 entries, not one per edge. The int64 sum is reduced mod d once at the end,
 and it is exact: each term is below d, and every partial sum, on a support,
 a group or the full grid, adds a subset of the same terms, of which there
@@ -28,9 +29,14 @@ are fewer than d^n (one per distinct edge). Under the table limit (d^n <
 2^24, hence d < 2^24) each sum stays below 2^48; ``apply_generator`` adds
 one table entry below d to it.
 
-``plus_state``, ``build_state``, ``to_dense`` and ``phases_from_dict`` each
-count their d^n entries against that limit with ``residues.check_entries``
-before they allocate, and raise its ``SizeLimit`` (re-exported here).
+``plus_state``, ``build_state`` and ``to_dense`` each count their d^n
+entries against that limit with ``residues.check_entries`` before they
+allocate, and raise its ``SizeLimit`` (re-exported here).
+
+A table takes at most d amplitudes, d^{-n/2} * omega_d^f for f in Z_d
+(``_amplitudes``): ``to_dense`` looks each entry up there, and
+``dense_blocks`` formats each of the d amplitudes once and writes a line per
+entry by the same lookup.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .diagonals import (  # noqa: F401 (VertexOutOfRange is re-exported)
     check_vertex,
     power_row,
 )
-from .graphs import MultiHyperedge, WeightedEdgeMap, _Value, phase_table
+from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
 from .residues import SizeLimit, check_entries  # noqa: F401 (SizeLimit is re-exported)
 
 
@@ -77,6 +83,8 @@ class PhaseFunction(_Value):
         table = np.asarray(table)
         if table.shape != (d**n,):
             raise ValueError(f"table must have d^n = {d ** n} entries")
+        if table.dtype.kind not in "iu":  # a bool table is refused too, as in the JSON schema
+            raise ValueError(f"table entries must be integers, got dtype {table.dtype}")
         if table.size and (table.min() < 0 or table.max() >= d):
             raise ValueError("table entries must lie in [0, d)")
         self._set(d=d, n=n, table=_freeze(table))
@@ -123,11 +131,6 @@ def _on_axis(values: np.ndarray, vertex: int, n: int) -> np.ndarray:
     return values.reshape((-1,) + (1,) * (n - 1 - vertex))
 
 
-def _flat(grid: np.ndarray, d: int, n: int) -> np.ndarray:
-    """A fresh flat table of d^n entries holding the grid broadcast to (d,)*n."""
-    return np.array(np.broadcast_to(grid, (d,) * n), order="C").reshape(-1)
-
-
 def monomial_grid(d: int, n: int, edge: MultiHyperedge) -> np.ndarray:
     """prod_{v in edge} i_v^{s_v} mod d as a grid that broadcasts to (d,)*n:
     extent d on the edge's axes, 1 on the others."""
@@ -136,11 +139,6 @@ def monomial_grid(d: int, n: int, edge: MultiHyperedge) -> np.ndarray:
     for v, s in zip(edge.vertices, edge.exponents):
         grid = grid * _on_axis(np.array(power_row(s, d), dtype=np.int64), v, n) % d
     return grid
-
-
-def monomial_table(d: int, n: int, edge: MultiHyperedge) -> np.ndarray:
-    """Table of prod_{v in edge} i_v^{s_v} mod d over all d^n indices."""
-    return _flat(monomial_grid(d, n, edge), d, n)
 
 
 def _grid(state: PhaseFunction) -> np.ndarray:
@@ -210,33 +208,19 @@ def _add_edge_grids(
     """Add each (support, edge grid) term into the (d,)*n ``grid``, in place.
 
     An edge grid has extent d on its support's axes and 1 on the others.
-    The terms are summed per support first. Then, largest support first,
-    each support's sum joins the group whose vertex set grows least by
-    taking the support in, as long as that set contains the support or
-    stays short of all n vertices; otherwise it starts a group. Only the
-    groups' sums are broadcast into ``grid``: one pass over the d^n entries
-    per group, not one per edge, and a merge into a group short of all n
-    vertices touches at most d^(n-1) entries.
+    The terms are summed per support first, and the supports' sums per
+    smallest missing vertex (n for the full support). Only those at most
+    n + 1 group sums are broadcast into ``grid``, and each group but the
+    full support's spans at most n - 1 axes.
     """
-    n = grid.ndim
     sums: dict[tuple[int, ...], np.ndarray] = {}
     for support, term in terms:
         sums[support] = sums[support] + term if support in sums else term
-    groups: list[tuple[frozenset[int], np.ndarray]] = []
-    for support in sorted(sums, key=lambda s: (-len(s), s)):
-        members = frozenset(support)
-        fits = [
-            (len(vertices | members), i)
-            for i, (vertices, _) in enumerate(groups)
-            if members <= vertices or len(vertices | members) < n
-        ]
-        if fits:
-            i = min(fits)[1]
-            vertices, total = groups[i]
-            groups[i] = (vertices | members, total + sums[support])
-        else:
-            groups.append((members, sums[support]))
-    for _, total in groups:
+    groups: dict[int, np.ndarray] = {}
+    for support, total in sums.items():
+        missing = next((v for v, u in enumerate(support) if v != u), len(support))
+        groups[missing] = groups[missing] + total if missing in groups else total
+    for total in groups.values():
         grid += total
 
 
@@ -256,6 +240,11 @@ def canonicalize(state: PhaseFunction) -> PhaseFunction:
     return PhaseFunction(state.d, state.n, (state.table - state.table[0]) % state.d)
 
 
+def _check_norm(norm: float) -> None:
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+
+
 class DenseState(_Value):
     """Explicit amplitude vector; always unit norm by construction. Equality
     and hash are identity, as arrays have no single truth value."""
@@ -271,36 +260,41 @@ class DenseState(_Value):
         amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
         if amps.shape != (d**n,):
             raise ValueError("amplitude count must be d^n")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+        _check_norm(float(np.sum(np.abs(amps) ** 2)))
         amps.setflags(write=False)
         self._set(d=d, n=n, amplitudes=amps)
+
+
+def _amplitudes(d: int, n: int) -> np.ndarray:
+    """The amplitude d^{-n/2} * exp(2*pi*1j*f/d) of each phase f in Z_d."""
+    return np.exp(2j * np.pi * np.arange(d) / d) * d ** (-n / 2)
 
 
 def to_dense(state: PhaseFunction) -> DenseState:
     """Amplitudes d^{-n/2} * exp(2*pi*1j*f(i)/d)."""
     check_entries("table", 1, state.d, state.n)
-    phases = np.exp(2j * np.pi * state.table / state.d)
-    return DenseState(state.d, state.n, phases * state.d ** (-state.n / 2))
+    return DenseState(state.d, state.n, _amplitudes(state.d, state.n)[state.table])
 
 
 _DENSE_BLOCK_LINES = 1 << 14
 
 
-def dense_blocks(state: DenseState) -> Iterator[str]:
-    """Text export, one line per amplitude: 'index re im' at 17 significant
-    digits, in blocks of ``_DENSE_BLOCK_LINES`` lines, so a writer holds one
-    block of strings at a time rather than one per amplitude.
+def dense_blocks(state: PhaseFunction) -> Iterator[str]:
+    """Text export of ``to_dense(state)``, one line per amplitude: 'index re
+    im' at 17 significant digits, in blocks of ``_DENSE_BLOCK_LINES`` lines,
+    so a writer holds one block of strings at a time rather than one per
+    amplitude.
 
-    Each distinct amplitude is formatted once. Amplitudes are told apart by
-    their 16 bytes, not by value, so 0.0 and -0.0 keep their own text.
+    Each of the d amplitudes is formatted once and each line looks its text
+    up by the entry's phase. The norm, sum_f count_f * |a_f|^2 over the
+    phases' counts, passes the check of ``DenseState`` first.
     """
-    distinct, which = np.unique(state.amplitudes.view("V16"), return_inverse=True)
-    texts = [f"{amp.real:.17g} {amp.imag:.17g}" for amp in distinct.view(np.complex128).tolist()]
-    for start in range(0, which.size, _DENSE_BLOCK_LINES):
-        block = which[start : start + _DENSE_BLOCK_LINES].tolist()
-        yield "".join(f"{i} {texts[j]}\n" for i, j in enumerate(block, start))
+    amplitudes = _amplitudes(state.d, state.n)
+    _check_norm(float(np.bincount(state.table, minlength=state.d) @ np.abs(amplitudes) ** 2))
+    texts = [f" {a.real:.17g} {a.imag:.17g}\n" for a in amplitudes.tolist()]
+    for start in range(0, state.table.size, _DENSE_BLOCK_LINES):
+        block = state.table[start : start + _DENSE_BLOCK_LINES].tolist()
+        yield "".join([f"{i}{texts[f]}" for i, f in enumerate(block, start)])
 
 
 # --- JSON serialization of phase tables --------------------------------------
@@ -308,7 +302,3 @@ def dense_blocks(state: DenseState) -> Iterator[str]:
 
 def phases_to_dict(state: PhaseFunction) -> dict:
     return {"d": state.d, "n": state.n, "phases": state.table.tolist()}
-
-
-def phases_from_dict(payload: object) -> PhaseFunction:
-    return PhaseFunction(*phase_table(payload))

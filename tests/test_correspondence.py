@@ -23,7 +23,6 @@ from quditgraphs.correspondence import (
     coefficient_block,
     representability_constraints,
     solve_weights,
-    system_fingerprint,
 )
 from quditgraphs.graphs import (
     MultiHyperedge,
@@ -120,20 +119,28 @@ class TestBuildSystem:
         with pytest.raises(NonCanonical):
             build_system(pf(3, 1, [1, 0, 0]), HYPERGRAPH)
 
+    @pytest.mark.parametrize("mode", ["graph", HYPERGRAPH])
+    def test_build_and_solve_refuse_alike(self, mode):
+        # An unknown mode is refused before the non-canonical entry.
+        refusals = set()
+        for call in (build_system, solve_weights):
+            with pytest.raises(ValueError) as exc:
+                call(pf(3, 1, [1, 0, 0]), mode)
+            refusals.add((type(exc.value), str(exc.value)))
+        expected = NonCanonical if mode == HYPERGRAPH else ValueError
+        assert [error for error, _ in refusals] == [expected]
+
     def test_fingerprint_is_stable_and_rhs_independent(self):
-        a = build_system(WORKED_TABLE, HYPERGRAPH)
-        b = build_system(pf(3, 2, [0] * 9), HYPERGRAPH)
-        assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() != build_system(WORKED_TABLE, MULTIHYPERGRAPH).fingerprint()
+        a = solve_weights(WORKED_TABLE, HYPERGRAPH).fingerprint
+        b = solve_weights(pf(3, 2, [0] * 9), HYPERGRAPH).fingerprint
+        assert a == b
+        assert a != solve_weights(WORKED_TABLE, MULTIHYPERGRAPH).fingerprint
 
     def test_every_verb_reports_the_same_fingerprint(self):
         seen = set()
         for d, n, mode in [(2, 2, HYPERGRAPH), (2, 2, MULTIHYPERGRAPH), (3, 1, MULTIHYPERGRAPH),
                            (3, 2, HYPERGRAPH), (4, 1, MULTIHYPERGRAPH), (6, 1, HYPERGRAPH)]:
-            table = pf(d, n, [0] * d**n)
-            fingerprint = system_fingerprint(d, n, mode)
-            assert build_system(table, mode).fingerprint() == fingerprint
-            assert solve_weights(table, mode).fingerprint == fingerprint
+            fingerprint = solve_weights(pf(d, n, [0] * d**n), mode).fingerprint
             assert census(d, n, mode).matrix_fingerprint == fingerprint
             seen.add(fingerprint)
         assert len(seen) == 6
@@ -542,7 +549,7 @@ def _per_table_census(d, n, mode):
         histogram=tuple(sorted(histogram.items())),
         solution_sum=solution_sum,
         weight_assignments=d ** len(system.variables),
-        matrix_fingerprint=system.fingerprint(),
+        matrix_fingerprint=solve_weights(pf(d, n, [0] * d**n), mode).fingerprint,
     )
 
 

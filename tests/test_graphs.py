@@ -15,9 +15,13 @@ from quditgraphs.graphs import (
     from_json,
     hyperedge,
     phase_table,
-    to_json,
+    to_dict,
     validate_kind,
 )
+
+
+def to_json(edge_map):
+    return json.dumps(to_dict(edge_map), indent=2)
 
 
 class TestMultiHyperedge:
@@ -117,6 +121,23 @@ class TestWeightedEdgeMap:
     def test_exponent_range_checked(self):
         with pytest.raises(ValueError):
             WeightedEdgeMap(3, 2, {MultiHyperedge((0,), (3,)): 1})
+
+    @pytest.mark.parametrize("weight", [1.5, 2.0, "1", None, 1 + 0j])
+    def test_non_integer_weight_refused(self, weight):
+        with pytest.raises(ValueError) as exc:
+            WeightedEdgeMap(3, 2, {hyperedge(0): weight})
+        assert type(exc.value) is ValueError
+        kind = type(weight).__name__
+        assert str(exc.value) == (
+            f"edge {hyperedge(0)} weight: '{kind}' object cannot be interpreted as an integer"
+        )
+
+    def test_integer_like_weights_reduce_to_ints(self):
+        import numpy as np
+
+        emap = WeightedEdgeMap(3, 2, {hyperedge(0): np.int64(5), hyperedge(1): True})
+        assert emap.weights == {hyperedge(0): 2, hyperedge(1): 1}
+        assert all(type(w) is int for w in emap.weights.values())
 
 
 class TestSerialization:

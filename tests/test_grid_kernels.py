@@ -10,18 +10,14 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from quditgraphs.cli import _TEXT_RANGE, _any_int_digits, _encode, main
 from quditgraphs.diagonals import VertexOutOfRange, conjugation_report, edge_reports
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap
-from quditgraphs.stabilizers import (
-    apply_generator,
-    correction_exponents,
-    printed_exponents,
-    verify,
-)
-from quditgraphs.states import build_state, digits_of, monomial_table
+from quditgraphs.stabilizers import _correction_grid, apply_generator, correction_exponents, verify
+from quditgraphs.states import _add_edge_grids, build_state, digits_of, monomial_grid
 
 CELLS = [(d, n) for d in (2, 3, 4, 5, 6, 8) for n in (1, 2, 3, 4)]
 
@@ -116,16 +112,12 @@ def test_grid_kernels_match_per_index_evaluation(d, n):
         state = build_state(edge_map)
         assert state.table.tolist() == [phase_at(x, edge_map) for x in every_digit]
         for edge in edge_map.edges():
-            assert monomial_table(d, n, edge).tolist() == [
-                monomial_at(x, edge, d) for x in every_digit
-            ]
+            monomial = np.broadcast_to(monomial_grid(d, n, edge), (d,) * n)
+            assert monomial.reshape(-1).tolist() == [monomial_at(x, edge, d) for x in every_digit]
             power = rng.randrange(-d, 2 * d)
             for k in edge.vertices:
                 assert correction_exponents(edge, power, k, d, n).tolist() == [
                     correction_at(x, edge, power, k, d) for x in every_digit
-                ]
-                assert printed_exponents(edge, power, k, d, n).tolist() == [
-                    printed_at(x, edge, power, k, d) for x in every_digit
                 ]
         checks = verify(edge_map)
         for k in range(n):
@@ -137,6 +129,48 @@ def test_grid_kernels_match_per_index_evaluation(d, n):
                 not mismatches,
                 mismatches,
             )
+
+
+class PassCounter(np.ndarray):
+    """A grid that records the shape of every array added into it in place."""
+
+    def __iadd__(self, other):
+        self.added.append((1,) * (self.ndim - np.ndim(other)) + np.shape(other))
+        return super().__iadd__(other)
+
+
+def smallest_missing(support):
+    return min(set(range(len(support) + 1)) - set(support))
+
+
+@pytest.mark.parametrize("d,n", CELLS)
+def test_edge_grids_add_as_one_broadcast_per_term(d, n):
+    rng = random.Random(f"sum:{d}:{n}")
+    for edge_map in grid_maps(rng, d, n):
+        k = rng.randrange(n)
+        for terms in (
+            [(e.vertices, w * monomial_grid(d, n, e) % d) for e, w in edge_map.items()],
+            [
+                (e.vertices, _correction_grid(e, w, k, d, n))
+                for e, w in edge_map.items()
+                if k in e.vertices
+            ],
+        ):
+            expected = np.zeros((d,) * n, dtype=np.int64)
+            for _, term in terms:
+                expected = expected + term
+            grid = np.zeros((d,) * n, dtype=np.int64).view(PassCounter)
+            grid.added = []
+            _add_edge_grids(grid, iter(terms))
+            assert np.array_equal(grid, expected)
+            # One pass per smallest missing vertex, each group's grid of
+            # extent 1 first on that vertex's axis (none for the full support).
+            groups = sorted({smallest_missing(support) for support, _ in terms})
+            first_unit_axis = [
+                next((v for v, extent in enumerate(shape) if extent == 1), n)
+                for shape in grid.added
+            ]
+            assert sorted(first_unit_axis) == groups
 
 
 def _check_report(report, edge, power, k, d, every_digit):
@@ -256,10 +290,10 @@ def test_encoder_writes_a_6_to_the_7_table_as_json_dumps():
 
 def test_flat_tables_are_fresh_and_writable():
     edge = MultiHyperedge(tuple(range(3)), (1, 2, 1))
-    first = monomial_table(3, 3, edge)
+    first = correction_exponents(edge, 1, 1, 3, 3)
     first[0] = 2
-    assert monomial_table(3, 3, edge)[0] == 0
-    assert printed_exponents(MultiHyperedge((1,), (1,)), 1, 1, 3, 2).flags.writeable
+    assert correction_exponents(edge, 1, 1, 3, 3)[0] == 0
+    assert correction_exponents(MultiHyperedge((1,), (1,)), 1, 1, 3, 2).flags.writeable
 
 
 # A d=6 n=4 map with edges of every arity and exponents up to d - 1.

@@ -16,7 +16,6 @@ from quditgraphs.stabilizers import (
     apply_shift,
     conjugation_report,
     correction_exponents,
-    printed_exponents,
     verify,
 )
 from quditgraphs.states import PhaseFunction, VertexOutOfRange, build_state, plus_state, to_dense
@@ -202,12 +201,11 @@ class TestConjugation:
                 @ x_k
                 @ np.linalg.matrix_power(cz, d - m if m else 0)
             )
+            report = conjugation_report(edge, m, k, d, n)
             exact = np.diag(omega ** correction_exponents(edge, m, k, d, n))
-            printed = np.diag(omega ** printed_exponents(edge, m, k, d, n))
+            printed = np.diag(omega ** np.array(report.printed_diagonal))
             assert np.allclose(lhs, x_k @ exact, atol=1e-9)
-            assert np.allclose(lhs, x_k @ printed, atol=1e-9) == conjugation_report(
-                edge, m, k, d, n
-            ).holds
+            assert np.allclose(lhs, x_k @ printed, atol=1e-9) == report.holds
 
     def test_requires_vertex_in_edge(self):
         with pytest.raises(ValueError):

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditgraphs import residues, states
-from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
+from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge, phase_table
 from quditgraphs.states import (
-    DenseState,
     DimensionMismatch,
     PhaseFunction,
     SizeLimit,
@@ -23,7 +22,6 @@ from quditgraphs.states import (
     digits_of,
     index_of,
     monomial_coefficients,
-    phases_from_dict,
     phases_to_dict,
     plus_state,
     states_equal,
@@ -35,6 +33,53 @@ from helpers import dense_simulate, phase_table_of_map, random_edge_map
 
 def table(state):
     return list(int(x) for x in state.table)
+
+
+def phases_from_dict(payload):
+    return PhaseFunction(*phase_table(payload))
+
+
+def unique_export(state):
+    """The text export as an amplitude array once gave it: every amplitude
+    computed, and each distinct one, told apart by its 16 bytes, formatted
+    once."""
+    amplitudes = np.exp(2j * np.pi * state.table / state.d) * state.d ** (-state.n / 2)
+    distinct, which = np.unique(amplitudes.view("V16"), return_inverse=True)
+    texts = [f"{a.real:.17g} {a.imag:.17g}" for a in distinct.view(np.complex128).tolist()]
+    return "".join(f"{i} {texts[j]}\n" for i, j in enumerate(which.reshape(-1).tolist()))
+
+
+def random_table(rng, d, n):
+    return PhaseFunction(d, n, rng.integers(0, d, d**n))
+
+
+class TestPhaseFunctionEntries:
+    @pytest.mark.parametrize(
+        "d,entries,dtype",
+        [
+            (2, [0, 0.5], "float64"),
+            (3, np.array([0, 1.9, 2.2]), "float64"),
+            (2, [0.0, 1.0], "float64"),
+            (2, ["0", "1"], "<U1"),
+            (2, [False, True], "bool"),
+            (2, np.array([0, 1], dtype=object), "object"),
+            (2, [0, 1j], "complex128"),
+        ],
+    )
+    def test_non_integer_table_refused(self, d, entries, dtype):
+        with pytest.raises(ValueError) as exc:
+            PhaseFunction(d, 1, entries)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"table entries must be integers, got dtype {dtype}"
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64, np.int64])
+    def test_integer_tables_become_int64(self, dtype):
+        state = PhaseFunction(3, 1, np.array([0, 1, 2], dtype=dtype))
+        assert state.table.dtype == np.int64 and table(state) == [0, 1, 2]
+
+    def test_non_integer_weight_never_reaches_the_table(self):
+        with pytest.raises(ValueError, match="weight: 'float' object cannot be interpreted"):
+            build_state(WeightedEdgeMap(3, 2, {hyperedge(0): 1.5}))
 
 
 class TestIndexing:
@@ -213,28 +258,58 @@ class TestDense:
             oracle = dense_simulate(emap)
             assert np.max(np.abs(ours - oracle)) < 1e-10
 
+    @pytest.mark.parametrize("d,n", [*product(range(2, 17), range(1, 5)), (4093, 1)])
+    def test_amplitudes_are_bitwise_the_per_entry_formula(self, d, n):
+        state = random_table(np.random.default_rng(d * 10 + n), d, n)
+        formula = np.exp(2j * np.pi * state.table / d) * d ** (-n / 2)
+        looked_up = to_dense(state).amplitudes
+        assert np.array_equal(looked_up.view("V16"), formula.view("V16"))
+
     def test_text_export_format(self):
-        text = "".join(dense_blocks(to_dense(PhaseFunction(2, 1, np.array([0, 1])))))
+        text = "".join(dense_blocks(PhaseFunction(2, 1, np.array([0, 1]))))
         lines = text.strip().split("\n")
         assert lines[0].split() == ["0", f"{2 ** -0.5:.17g}", "0"]
         assert lines[1].split()[0] == "1"
 
-    def test_text_export_keeps_the_sign_of_zero(self):
-        half = [complex(0.5, 0.0), complex(0.5, -0.0), complex(0.5, 0.0), complex(0.5, 0.0)]
-        state = DenseState(2, 2, np.array(half))
-        per_line = "\n".join(
-            f"{i} {amp.real:.17g} {amp.imag:.17g}" for i, amp in enumerate(state.amplitudes)
-        ) + "\n"
-        assert "".join(dense_blocks(state)) == per_line
-        assert "".join(dense_blocks(state)).splitlines()[1] == "1 0.5 -0"
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_text_export_matches_the_unique_export(self, d, monkeypatch):
+        rng = np.random.default_rng(d)
+        for n in range(1, 5):
+            state = random_table(rng, d, n)
+            whole = unique_export(state)
+            assert "".join(dense_blocks(state)) == whole
+            # Blocks of 7 lines: a boundary inside every table past 7 entries.
+            monkeypatch.setattr(states, "_DENSE_BLOCK_LINES", 7)
+            blocks = list(dense_blocks(state))
+            monkeypatch.undo()
+            assert [block.count("\n") for block in blocks[:-1]] == [7] * (len(blocks) - 1)
+            assert 1 <= blocks[-1].count("\n") <= 7
+            assert "".join(blocks) == whole
+
+    def test_text_export_at_the_largest_base(self, monkeypatch):
+        state = random_table(np.random.default_rng(4093), 4093, 1)
+        monkeypatch.setattr(states, "_DENSE_BLOCK_LINES", 1000)
+        blocks = list(dense_blocks(state))
+        assert [block.count("\n") for block in blocks] == [1000] * 4 + [93]
+        assert "".join(blocks) == unique_export(state)
 
     def test_text_export_streams_in_blocks(self, monkeypatch):
-        state = to_dense(build_state(random_edge_map(random.Random(7), 3, 2)))
+        state = build_state(random_edge_map(random.Random(7), 3, 2))
         whole = "".join(dense_blocks(state))
         monkeypatch.setattr(states, "_DENSE_BLOCK_LINES", 4)
         blocks = list(states.dense_blocks(state))
         assert [block.count("\n") for block in blocks] == [4, 4, 1]
         assert "".join(blocks) == whole
+
+    @pytest.mark.parametrize("make", [to_dense, lambda state: next(dense_blocks(state))])
+    def test_norm_is_checked_before_any_output(self, make, monkeypatch):
+        exact = states._amplitudes
+        state = build_state(random_edge_map(random.Random(8), 5, 3))
+        monkeypatch.setattr(states, "_amplitudes", lambda d, n: exact(d, n) * (1 + 1e-13))
+        make(state)  # a deviation of about 2e-13 passes
+        monkeypatch.setattr(states, "_amplitudes", lambda d, n: exact(d, n) * (1 + 1e-11))
+        with pytest.raises(ValueError, match=r"^state norm deviates from 1 by 2\.000e-11$"):
+            make(state)
 
 
 class TestEquality:
@@ -321,7 +396,7 @@ class TestTableLimitBoundary:
         return make()
 
     @pytest.mark.parametrize("d,n", [(2, 5), (3, 3), (5, 2), (7, 1)])
-    def test_phases_from_dict(self, monkeypatch, d, n):
+    def test_phase_table_payload(self, monkeypatch, d, n):
         phases = [i % d for i in range(d**n)]
         payload = {"d": d, "n": n, "phases": phases}
         state = self.refused_at_size(monkeypatch, d**n, lambda: phases_from_dict(payload))

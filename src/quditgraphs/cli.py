@@ -49,9 +49,13 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 
-# The int lists that ``_encode`` writes through a table of texts hold values
-# in range(_TEXT_RANGE); the table costs at most this many ``str`` calls.
+# The int lists that ``_encode`` writes through the shared table of texts
+# hold values in range(_TEXT_RANGE).
 _TEXT_RANGE = 256
+_TEXTS = list(map(str, range(_TEXT_RANGE)))
+
+# json's own C function for a str in ASCII-only JSON, as json.dumps writes it.
+_quoted = json.encoder.encode_basestring_ascii
 
 
 def _emit(payload: dict) -> None:
@@ -64,32 +68,39 @@ def _encode(value: object, newline: str) -> str:
     in every payload.
 
     ``json.dumps`` with an indent runs the pure-Python encoder on every
-    item. Here containers are written out level by level, and a list of
-    plain ints, such as a phase table, is written in one join, with the
-    item separator carrying the line break and the indent. When its values
-    are small and non-negative (below ``_TEXT_RANGE``), as in a phase table
-    or a diagonal, each value in that range is converted with ``str`` once
-    and the items are looked up in that table; any other int list goes
-    through the C encoder.
+    item. Here containers are written out level by level: keys and str
+    values through json's C string encoder, ints, bools and None directly,
+    and floats by ``json.dumps``. A list of plain ints, such as a phase
+    table, is written in one join, with the item separator carrying the
+    line break and the indent. When its values are non-negative and each
+    below ``_TEXT_RANGE`` or the list's length, the items are looked up in a
+    table of texts: the shared one below ``_TEXT_RANGE``, else one built for
+    the list at no more ``str`` calls than it has items. Any other int list
+    goes through the C encoder.
     """
+    if isinstance(value, str):
+        return _quoted(value)
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
     inner = newline + "  "
+    separator = "," + inner
     if isinstance(value, dict) and value:
-        items = (f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in value.items())
-    elif isinstance(value, (list, tuple)) and value:
+        items = [f"{_quoted(k)}: {_encode(v, inner)}" for k, v in value.items()]
+        return "{" + inner + separator.join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) == {int}:  # one pass in C; a bool is not an int here
-            distinct = set(value)
-            top = max(distinct)
-            if min(distinct) >= 0 and top < _TEXT_RANGE:
-                texts = list(map(str, range(top + 1)))
-                body = ("," + inner).join([texts[x] for x in value])
+            top = max(value)
+            if min(value) >= 0 and top < max(_TEXT_RANGE, len(value)):
+                texts = _TEXTS if top < _TEXT_RANGE else list(map(str, range(top + 1)))
+                body = separator.join(map(texts.__getitem__, value))
             else:
-                body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+                body = json.dumps(value, separators=(separator, ": "))[1:-1]
             return "[" + inner + body + newline + "]"
-        items = (_encode(v, inner) for v in value)
-    else:
-        return json.dumps(value)
-    opening, closing = ("{", "}") if isinstance(value, dict) else ("[", "]")
-    return opening + inner + ("," + inner).join(items) + newline + closing
+        items = [_encode(v, inner) for v in value]
+        return "[" + inner + separator.join(items) + newline + "]"
+    return json.dumps(value)
 
 
 @contextmanager
@@ -141,15 +152,16 @@ def _read_file(path: str | None) -> str:
 
 def _cmd_build_state(args: argparse.Namespace) -> int:
     edge_map = _read_edge_map(args)
-    check_entries("table", 1, edge_map.d, edge_map.n)
-    from . import states  # after the size check: a refusal loads no numpy
+    d, n = edge_map.d, edge_map.n
+    check_entries("table", 1, d, n)
+    from . import diagonals
 
-    state = states.build_state(edge_map)
+    phases = diagonals.table_values(diagonals.edge_map_table(edge_map), d)
     if args.dense:
-        for block in states.dense_blocks(state):
+        for block in diagonals.dense_blocks(d, n, phases):
             sys.stdout.write(block)
     else:
-        _emit(states.phases_to_dict(state))
+        _emit({"d": d, "n": n, "phases": list(phases)})
     return EXIT_OK
 
 
@@ -185,9 +197,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_verify_stabilizers(args: argparse.Namespace) -> int:
     edge_map = _read_edge_map(args)
     check_entries("table", 1, edge_map.d, edge_map.n)
-    from . import stabilizers  # after the size check: a refusal loads no numpy
+    from . import diagonals
 
-    checks = stabilizers.verify(edge_map)
+    checks = diagonals.verify(edge_map)
     payload = {
         "d": edge_map.d,
         "n": edge_map.n,

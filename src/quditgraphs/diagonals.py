@@ -1,7 +1,8 @@
-"""The diagonal exponent tables of edge gates as Python lists, without numpy.
+"""Every edge-gate table of the package, as bytes of lanes, without numpy.
 
-Every diagonal the package builds is a product of per-vertex lookup lists
-over Z_d, one factor per vertex, read at that vertex's digit:
+Every diagonal the package builds is a sum of edge terms, each a weight
+times a product of per-vertex lookup rows over Z_d, one factor per vertex of
+the edge, read at that vertex's digit:
 
 - ``power_row(s, d)``: i^s mod d, a vertex of an edge with exponent s;
 - ``shift_row(m, s, d)``: m * ((i - 1)^s - i^s) mod d, the change that
@@ -14,23 +15,61 @@ leading shift factored off, is the diagonal
 
     T(i) = m * ((i_k - 1)^{s_k} - i_k^{s_k}) * prod_{v in e, v != k} i_v^{s_v}  (mod d),
 
-and its deleted-edge form is m*(d-1) * prod_{v != k} i_v^{s_v}. ``states`` and
-``stabilizers`` lay these lists along the axes of a (d,)*n numpy grid.
-``conjugation_report`` multiplies them out as a Kronecker product of lists
-(vertex 0 most significant, as in the flat tables), so the
-``identity-check`` verb loads no numpy. It is the one judge of whether the
-deleted-edge form is exact. ``edge_reports`` gives the reports of one edge
-for every power and target, and builds the product over the other vertices
-once per target.
+and its deleted-edge form is m*(d-1) * prod_{v != k} i_v^{s_v}.
+
+``gate_table`` is the one kernel that sums such terms over the d^n table
+(flat index sum_j i_j * d^{n-1-j}, i_0 most significant). A table is a bytes
+object of d^n fixed-width little-endian lanes, one per entry:
+
+- **Supports.** The terms on one support (vertex set) are summed on the
+  support's own d^t grid by one recursion over its first vertex:
+  grid = sum_s row_s (x) G_s, where G_s is the grid of the other vertices
+  for the terms whose first row is row_s. Each block of row_s (x) G_s is
+  G_s scaled by one entry of row_s, a ``bytes.translate`` for d <= 256, and
+  the blocks' sums are big-int sums. This is the W^{(x)t} pass at support
+  scale: a lone edge costs d^t lane writes, a full support t * d^(t+1).
+- **Groups.** Each support's grid is spread over the span from its first
+  to its last vertex (a block repeated for every vertex in between that it
+  misses), and the grids of one (first, last) span are summed there.
+- **The table.** The spans are laid onto the table in one Horner pass
+  over the last vertex b: the table so far, over axes 0..b-1, repeats each
+  lane d times for axis b, and the spans ending at b, each tiled for its
+  leading axes, are added. Every pass writes at most twice the entries of
+  its prefix of the table, so the laying costs a few d^n lane writes
+  however many supports there are.
+
+The sums are reduced mod d once, at the end. A lane never overflows: every
+support's grid is reduced mod d first, so a table lane is a sum of at most
+K values below d, K being the supports plus a constant and a base table,
+and a support's own sum adds at most d - 1 reduced grids. Under the table
+limit (d^n < 2^24) there are fewer than 2^n supports and (d - 1)^2 < 2^24
+wherever a support has two vertices, so (d - 1) * max(K, d - 1) < 2^25 and
+a lane needs at most 4 bytes. ``lane_width`` picks 1, 2 or 4 from that
+bound, and a table is handed out with the width of its values below d.
+
+``edge_map_table`` is a map's state table, ``generated_table`` the table
+that the map's generator g_k makes of it, and ``verify`` compares the two
+at every vertex. ``conjugation_report`` is the one judge of whether the
+deleted-edge form is exact; ``edge_reports`` gives the reports of one edge
+for every power and target, and builds its two tables once per target.
+``dense_blocks`` writes a table's amplitudes as text, one line per entry.
+``states`` and ``stabilizers`` wrap these tables in numpy arrays; the CLI
+reads them as they are, so no verb that works on an edge map loads numpy.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, count
-from operator import ne
-from typing import Callable, Iterator
+import cmath
+import math
+import sys
+from array import array
+from collections import Counter
+from itertools import compress, count
+from operator import add
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import MultiHyperedge, _Value
+from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
+from .residues import check_entries
 
 
 class VertexOutOfRange(ValueError):
@@ -69,17 +108,326 @@ def split_target(edge: MultiHyperedge, k: int) -> tuple[int, MultiHyperedge | No
     return edge.exponents[edge.vertices.index(k)], edge.without_vertex(k)
 
 
-def _product(rows: list[list[int]], d: int) -> list[int]:
-    """The Kronecker product mod d of one lookup list per vertex, vertex 0
-    most significant: entry i is prod_v rows[v][i_v] mod d. Each step joins,
-    in C, the multiple of the next list by each entry so far."""
-    # The empty product is [1 mod d], or [] when d = 0: a report then fails
-    # on "% d" as the numpy tables did.
-    table = [1 % d] if d else []
-    for row in rows:
-        multiples = [[x * y % d for y in row] for x in range(d)]
-        table = list(chain.from_iterable(map(multiples.__getitem__, table)))
-    return table
+# --- lanes -------------------------------------------------------------------
+
+_TYPECODES = {1: "B", 2: "H", 4: "I"}
+
+
+def lane_width(top: int) -> int:
+    """Bytes per lane for values up to ``top``: 1, or 2 or 4 with the top
+    bit to spare, as ``_cut`` needs."""
+    return 1 if top < 1 << 8 else 2 if top < 1 << 15 else 4
+
+
+def lane_values(lanes: bytes, width: int) -> Sequence[int]:
+    """The lanes' values: the bytes themselves at width 1, else an array."""
+    if width == 1:
+        return lanes
+    values = array(_TYPECODES[width])
+    values.frombytes(lanes)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
+
+
+def _pack(values: Iterable[int], width: int) -> bytes:
+    if width == 1:
+        return bytes(values)
+    packed = array(_TYPECODES[width], values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def table_values(table: bytes, d: int) -> Sequence[int]:
+    """The entries of a table that the kernel handed out, lanes below d."""
+    return lane_values(table, lane_width(d - 1))
+
+
+def _rewidth(lanes: bytes, width: int, new_width: int) -> bytes:
+    """The same lanes at ``new_width`` bytes; narrowing keeps the low bytes."""
+    if width == new_width:
+        return lanes
+    out = bytearray(len(lanes) // width * new_width)
+    for j in range(min(width, new_width)):
+        out[j::new_width] = lanes[j::width]
+    return bytes(out)
+
+
+_TRANSLATIONS: dict[tuple[int, int], bytes] = {}
+
+
+def _translation(c: int, d: int) -> bytes:
+    """The byte map x -> c * x mod d (c = 1: x mod d), for d <= 256."""
+    if (c, d) not in _TRANSLATIONS:
+        _TRANSLATIONS[c, d] = bytes([c * x % d for x in range(256)])
+    return _TRANSLATIONS[c, d]
+
+
+def _scale(lanes: bytes, c: int, d: int, width: int) -> bytes:
+    """Every lane, a value below d, times c mod d. For d <= 256 a lane's
+    high bytes are 0, which the map keeps, so one translate scales it."""
+    if d <= 256:
+        return lanes.translate(_translation(c, d))
+    return _pack([c * x % d for x in lane_values(lanes, width)], width)
+
+
+_LANE_CONSTANTS: dict[tuple[int, int, int], int] = {}
+
+
+def _lane_constant(value: int, lanes: int, width: int) -> int:
+    """The packed lanes that all hold ``value``."""
+    key = (value, lanes, width)
+    if key not in _LANE_CONSTANTS:
+        _LANE_CONSTANTS[key] = int.from_bytes(value.to_bytes(width, "little") * lanes, "little")
+    return _LANE_CONSTANTS[key]
+
+
+def _cut(x: int, lanes: int, d: int, width: int, top: int) -> int:
+    """The packed lanes of x, each a value up to ``top``, mod d: d * 2^j is
+    subtracted from every lane that reaches it, j from high to low. A lane's
+    top bit is spare, so adding 2^high - m to every lane sets it exactly in
+    the lanes that reach m, and no lane carries into the next."""
+    ones = _lane_constant(1, lanes, width)
+    high = 8 * width - 1
+    for j in reversed(range((top // d).bit_length())):
+        m = d << j
+        reached = ((x + _lane_constant((1 << high) - m, lanes, width)) >> high) & ones
+        x -= reached * m
+    return x
+
+
+def _reduced(x: int, size: int, d: int, width: int, top: int) -> bytes:
+    """The ``size`` bytes of packed lanes x, each a value up to ``top``, mod
+    d: one translate for one-byte lanes, else ``_cut``."""
+    if width == 1:
+        return x.to_bytes(size, "little").translate(_translation(1, d))
+    return _cut(x, size // width, d, width, top).to_bytes(size, "little")
+
+
+def _repeat(data: bytes, size: int, r: int) -> bytes:
+    """Each consecutive ``size``-byte chunk of ``data`` repeated r times in
+    place: a new axis of extent r below the axes that tell chunks apart. It
+    costs one slice per chunk or one strided copy per byte of a repeated
+    chunk, whichever is fewer."""
+    if r == 1:
+        return data
+    chunks = len(data) // size
+    if chunks <= r * size:
+        return b"".join([data[i : i + size] * r for i in range(0, len(data), size)])
+    out = bytearray(len(data) * r)
+    step = r * size
+    for j in range(step):
+        out[j::step] = data[j % size :: size]
+    return bytes(out)
+
+
+def _tile(x: int, size: int, r: int) -> int:
+    """The ``size`` bytes of packed lanes x, r times over: a new leading axis."""
+    if r == 1 or not x:
+        return x
+    return int.from_bytes(x.to_bytes(size, "little") * r, "little")
+
+
+# --- the kernel --------------------------------------------------------------
+
+# A term: (support, one row per support vertex, weight). Its table is
+# weight * prod_j rows[j][i_{support[j]}] mod d.
+Term = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
+
+
+def _support_grid(
+    terms: list[tuple[tuple[tuple[int, ...], ...], int]], d: int, width: int
+) -> bytes:
+    """sum weight * prod_j rows[j][i_j] mod d over the terms' t >= 1 common
+    axes, first axis most significant: grid = sum_s row_s (x) G_s, written
+    block by block. Block i sums G_s times row_s[i] over the first rows s."""
+    if len(terms[0][0]) == 1:
+        total = [0] * d
+        for (row,), w in terms:
+            total = list(map(add, total, map(w.__mul__, row)))
+        return _pack(map(d.__rmod__, total), width)
+    groups: dict[tuple[int, ...], list] = {}
+    for rows, weight in terms:
+        groups.setdefault(rows[0], []).append((rows[1:], weight))
+    scaled = [(row, _multiples(_support_grid(rest, d, width), row, d, width)) for row, rest in groups.items()]
+    if len(scaled) == 1:
+        ((row, times),) = scaled
+        return b"".join([times[c] for c in row])
+    size, top = d ** (len(terms[0][0]) - 1) * width, len(scaled) * (d - 1)
+    blocks = []
+    for i in range(d):
+        total = sum(int.from_bytes(times[row[i]], "little") for row, times in scaled)
+        blocks.append(_reduced(total, size, d, width, top))
+    return b"".join(blocks)
+
+
+def _multiples(inner: bytes, row: tuple[int, ...], d: int, width: int) -> Sequence[bytes]:
+    """inner times c mod d, indexed by each c in ``row``. For d <= 256 each
+    is one translate of inner. Past that, the multiples of inner are a
+    running sum, cut below d at each step."""
+    if d <= 256:
+        times = [b""] * d
+        for c in set(row):
+            times[c] = _scale(inner, c, d, width)
+        return times
+    lanes, step, multiple, times = len(inner) // width, int.from_bytes(inner, "little"), 0, []
+    for _ in range(d):
+        times.append(multiple.to_bytes(len(inner), "little"))
+        multiple = _cut(multiple + step, lanes, d, width, 2 * d - 2)
+    return times
+
+
+def _spread(grid: bytes, support: tuple[int, ...], d: int, width: int) -> bytes:
+    """A support's grid over the span support[0]..support[-1]: for each run
+    of missing vertices, the block of the axes after it repeats once per
+    digit tuple of the run."""
+    for low, high in reversed(list(zip(support, support[1:]))):
+        if high - low > 1:
+            grid = _repeat(grid, d ** (support[-1] - high + 1) * width, d ** (high - low - 1))
+    return grid
+
+
+def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None) -> bytes:
+    """The d^n table of base + sum of the terms, mod d: lanes of width
+    ``lane_width(d - 1)``. ``base`` is such a table or None; a term on the
+    empty support is a constant."""
+    check_entries("table", 1, d, n)
+    supports: dict[tuple[int, ...], list] = {}
+    for support, rows, weight in terms:
+        supports.setdefault(support, []).append((rows, weight))
+    constant = sum(w for _, w in supports.pop((), ())) % d
+    # A lane adds K values below d; a support adds its grids in groups of
+    # equal first rows, at most as many as the distinct rows on one vertex.
+    top = (d - 1) * (len(supports) + bool(constant) + (base is not None))
+    groups = max(
+        (len(set(rows)) for on_support in supports.values() for rows in zip(*[r for r, _ in on_support])),
+        default=1,
+    )
+    width = lane_width(max(top, (d - 1) * groups, 2 * d - 2))
+    spans: dict[tuple[int, int], int] = {}
+    for support, on_support in supports.items():
+        grid = _spread(_support_grid(on_support, d, width), support, d, width)
+        key = (support[0], support[-1])
+        spans[key] = spans.get(key, 0) + int.from_bytes(grid, "little")
+    if base is not None:
+        key = (0, n - 1)
+        spans[key] = spans.get(key, 0) + int.from_bytes(
+            _rewidth(base, lane_width(d - 1), width), "little"
+        )
+    table, size = constant, width  # the packed table over axes 0..last
+    for last in range(n):
+        if table:
+            table = int.from_bytes(_repeat(table.to_bytes(size, "little"), width, d), "little")
+        size *= d
+        span, start = 0, last + 1  # the spans ending at ``last``, over axes start..last
+        for first in sorted((a for a, b in spans if b == last), reverse=True):
+            span = _tile(span, d ** (last - start + 1) * width, d ** (start - first))
+            span += spans[first, last]
+            start = first
+        table += _tile(span, d ** (last - start + 1) * width, d**start)
+    return _rewidth(_reduced(table, size, d, width, top), width, lane_width(d - 1))
+
+
+class _Rows(dict):
+    """The lookup rows over Z_d by (on the target, exponent), each built on
+    first use: the shift row (i - 1)^s - i^s on the target, i^s elsewhere."""
+
+    def __init__(self, d: int):
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, key: tuple[bool, int]) -> tuple[int, ...]:
+        target, s = key
+        row = self[key] = tuple(shift_row(1, s, self.d) if target else power_row(s, self.d))
+        return row
+
+
+def edge_terms(
+    items: Iterable[tuple[MultiHyperedge, int]], d: int, k: int | None = None
+) -> list[Term]:
+    """The term of each (edge, weight): power rows i^s mod d, and with a
+    target k, the shift row (i - 1)^s - i^s mod d on k, where the edges
+    without k drop out. Equal rows are one tuple."""
+    rows, on_target = _Rows(d), (-1 if k is None else k).__eq__
+    return [
+        (edge.vertices, tuple(map(rows.__getitem__, zip(map(on_target, edge.vertices), edge.exponents))), w)
+        for edge, w in items
+        if k is None or k in edge.vertices
+    ]
+
+
+def edge_map_table(edge_map: WeightedEdgeMap) -> bytes:
+    """The map's state table f(i) = sum_e m_e prod_{v in e} i_v^{s_v} mod d."""
+    d, n = edge_map.d, edge_map.n
+    return gate_table(d, n, edge_terms(edge_map.items(), d))
+
+
+def roll_table(table: bytes, d: int, n: int, k: int) -> bytearray:
+    """The shift X_k on a table: entry i becomes entry (..., i_k + 1 mod d, ...).
+
+    The whole table moves up one slot of axis k, which is right everywhere
+    but in the last slot of each block of axis k; that slot is copied from
+    the block's first slot, by one slice per block or one strided copy per byte
+    of a slot, whichever is fewer.
+    """
+    slot = d ** (n - 1 - k) * lane_width(d - 1)
+    block = d * slot
+    out = bytearray(len(table))
+    out[: len(table) - slot] = memoryview(table)[slot:]
+    if len(table) // block <= slot:
+        for start in range(0, len(table), block):
+            out[start + block - slot : start + block] = table[start : start + slot]
+    else:
+        for x in range(slot):
+            out[block - slot + x :: block] = table[x::block]
+    return out
+
+
+def generated_table(edge_map: WeightedEdgeMap, k: int, state: bytes) -> bytes:
+    """g_k applied to the table ``state``: the exact correction of every edge
+    containing k added first (edges without k drop out), then the shift."""
+    d, n = edge_map.d, edge_map.n
+    check_vertex(k, n)
+    corrected = gate_table(d, n, edge_terms(edge_map.items(), d, k), base=state)
+    return roll_table(corrected, d, n, k)
+
+
+def _mismatches(table: bytes, other: bytes, width: int) -> tuple[int, ...]:
+    """The indices where two tables of one width differ."""
+    if table == other:
+        return ()
+    diff = int.from_bytes(table, "little") ^ int.from_bytes(other, "little")
+    return tuple(compress(count(), lane_values(diff.to_bytes(len(table), "little"), width)))
+
+
+class VertexCheck(_Value):
+    __slots__ = _fields = ("vertex", "stabilized", "mismatch_indices")
+    vertex: int
+    stabilized: bool
+    mismatch_indices: tuple[int, ...]
+
+    def __init__(self, vertex: int, stabilized: bool, mismatch_indices: tuple[int, ...]):
+        self._set(vertex=vertex, stabilized=stabilized, mismatch_indices=mismatch_indices)
+
+
+def vertex_checks(edge_map: WeightedEdgeMap, state: bytes) -> list[VertexCheck]:
+    """For every vertex k, whether g_k of the map leaves the table ``state``
+    unchanged, and the indices where it does not."""
+    width = lane_width(edge_map.d - 1)
+    checks = []
+    for k in range(edge_map.n):
+        mismatches = _mismatches(generated_table(edge_map, k, state), state, width)
+        checks.append(VertexCheck(k, not mismatches, mismatches))
+    return checks
+
+
+def verify(edge_map: WeightedEdgeMap) -> list[VertexCheck]:
+    """Check g_k|G> = |G> for every vertex k, by exact phase-table equality."""
+    return vertex_checks(edge_map, edge_map_table(edge_map))
+
+
+# --- the conjugation report --------------------------------------------------
 
 
 class ConjugationReport(_Value):
@@ -137,29 +485,28 @@ def _reporter(
     """The report of (edge, power, k) as a function of the power.
 
     Both diagonals are linear in the power m: the exact one is m times the
-    product with ``shift_row(1, s_k, d)`` on k, and the printed one is
-    m*(d-1) times the product over the other vertices. Those two products
-    are built once; a power then costs one lookup per entry of each."""
+    table with ``shift_row(1, s_k, d)`` on k, and the printed one is m*(d-1)
+    times the table of the other vertices. Those two tables are built once;
+    a power then scales each (a translate for d <= 256) and compares them."""
     s_k, reduced = split_target(edge, k)
     check_vertex(k, n)
     if reduced is not None:
         check_edge(reduced, n)
-    if d < 0:  # as numpy refuses the table's shape (d,)*n
+    if d < 0:  # as numpy refused the table's shape (d,)*n
         raise ValueError("all elements of broadcast shape must be non-negative")
-    rows = [[1] * d] * n
-    for v, s in zip(edge.vertices, edge.exponents):
-        if v != k:
-            rows[v] = power_row(s, d)
-    others = _product(rows, d)
-    rows[k] = shift_row(1, s_k, d)
-    unit_exact = _product(rows, d)
+    if d == 0:  # as the power mod d raised
+        raise ZeroDivisionError("integer modulo by zero")
+    if reduced is None:
+        others = gate_table(d, n, [((), (), 1)])  # the empty product
+    else:
+        others = gate_table(d, n, edge_terms([(reduced, 1)], d))
+    unit_exact = gate_table(d, n, edge_terms([(edge, 1)], d, k))
+    width = lane_width(d - 1)
 
     def report(power: int) -> ConjugationReport:
         m, c = power % d, deleted_edge_coefficient(power, d)
-        times_m = [m * x % d for x in range(d)]
-        times_c = [c * x % d for x in range(d)]
-        exact = [times_m[x] for x in unit_exact]
-        printed = [times_c[x] for x in others]
+        exact = _scale(unit_exact, m, d, width)
+        printed = _scale(others, c, d, width)
         holds = exact == printed
         return ConjugationReport(
             edge=edge,
@@ -167,9 +514,9 @@ def _reporter(
             vertex=k,
             target_exponent=s_k,
             holds=holds,
-            exact_diagonal=tuple(exact),
-            printed_diagonal=tuple(printed),
-            mismatch_indices=() if holds else tuple(compress(count(), map(ne, exact, printed))),
+            exact_diagonal=tuple(lane_values(exact, width)),
+            printed_diagonal=tuple(lane_values(printed, width)),
+            mismatch_indices=_mismatches(exact, printed, width),
         )
 
     return report
@@ -188,3 +535,42 @@ def edge_reports(edge: MultiHyperedge, d: int, n: int) -> Iterator[ConjugationRe
     for m in range(d):
         for report in reporters:
             yield report(m)
+
+
+# --- dense amplitudes --------------------------------------------------------
+
+
+def amplitude(f: int, d: int, n: int) -> complex:
+    """d^{-n/2} * exp(2*pi*1j*f/d), rounded as numpy's
+    ``np.exp(2j * np.pi * np.arange(d) / d) * d ** (-n / 2)`` rounds it:
+    numpy divides a complex by d as a product with 1/d."""
+    return cmath.exp(complex(0, (2 * math.pi * f) * (1.0 / d))) * d ** (-n / 2)
+
+
+def _check_norm(norm: float) -> None:
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+
+
+_DENSE_BLOCK_LINES = 1 << 14
+
+
+def dense_blocks(d: int, n: int, phases: Sequence[int]) -> Iterator[str]:
+    """Text export of the amplitudes of a phase table, one line per entry:
+    'index re im' at 17 significant digits, in blocks of
+    ``_DENSE_BLOCK_LINES`` lines, so a writer holds one block of strings at
+    a time rather than one per amplitude.
+
+    The phases are counted in one pass, and each phase that occurs is
+    formatted once; each line looks its text up by the entry's phase. The
+    norm, sum_f count_f * |a_f|^2, passes ``_check_norm`` first.
+    """
+    counts = Counter(phases)
+    amplitudes = {f: amplitude(f, d, n) for f in counts}
+    _check_norm(math.fsum(c * abs(amplitudes[f]) ** 2 for f, c in counts.items()))
+    texts = [""] * d
+    for f, a in amplitudes.items():
+        texts[f] = f" {a.real:.17g} {a.imag:.17g}\n"
+    for start in range(0, len(phases), _DENSE_BLOCK_LINES):
+        block = phases[start : start + _DENSE_BLOCK_LINES]
+        yield "".join([f"{i}{texts[f]}" for i, f in enumerate(block, start)])

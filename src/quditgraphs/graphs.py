@@ -89,13 +89,18 @@ class MultiHyperedge(_Value):
             raise ValueError("the empty edge is excluded")
         if len(vertices) != len(exponents):
             raise ValueError("one exponent per vertex required")
-        if any(v < 0 for v in vertices):
+        if min(vertices) < 0:
             raise ValueError("negative vertex index")
-        if any(a >= b for a, b in zip(vertices, vertices[1:])):
+        if not all(map(operator.lt, vertices, vertices[1:])):
             raise ValueError("vertices must be strictly increasing")
-        if any(s < 1 for s in exponents):
+        if min(exponents) < 1:
             raise ValueError("exponents must be >= 1")
         self._set(vertices=vertices, exponents=exponents)
+
+    def __hash__(self) -> int:
+        # _Value's field-tuple hash, without its loop over the fields: every
+        # edge map hashes each of its edges several times.
+        return hash((self.vertices, self.exponents))
 
     @property
     def arity(self) -> int:
@@ -161,7 +166,7 @@ class WeightedEdgeMap(_Value):
         for edge in sorted(weights, key=MultiHyperedge.sort_key):
             if edge.vertices[-1] >= n:
                 raise ValueError(f"edge {edge} references a vertex >= {n}")
-            if any(s > d - 1 for s in edge.exponents):
+            if max(edge.exponents) > d - 1:
                 raise ValueError(f"edge {edge} has an exponent >= d = {d}")
             try:
                 w = operator.index(weights[edge]) % d
@@ -304,16 +309,14 @@ def from_dict(payload: Any) -> WeightedEdgeMap:
             raise SchemaError(f"{path}.vertices", "edge must be nonempty")
         if len(vertices) != len(exponents):
             raise SchemaError(f"{path}.exponents", "one exponent per vertex required")
-        for j, v in enumerate(vertices):
-            if not 0 <= v < n:
-                raise SchemaError(f"{path}.vertices[{j}]", f"vertex out of range [0, {n})")
-        if any(a >= b for a, b in zip(vertices, vertices[1:])):
+        if min(vertices) < 0 or max(vertices) >= n:
+            j = next(j for j, v in enumerate(vertices) if not 0 <= v < n)
+            raise SchemaError(f"{path}.vertices[{j}]", f"vertex out of range [0, {n})")
+        if not all(map(operator.lt, vertices, vertices[1:])):
             raise SchemaError(f"{path}.vertices", "vertices must be strictly increasing")
-        for j, s in enumerate(exponents):
-            if not 1 <= s <= d - 1:
-                raise SchemaError(
-                    f"{path}.exponents[{j}]", f"exponent out of range [1, {d - 1}]"
-                )
+        if min(exponents) < 1 or max(exponents) > d - 1:
+            j = next(j for j, s in enumerate(exponents) if not 1 <= s <= d - 1)
+            raise SchemaError(f"{path}.exponents[{j}]", f"exponent out of range [1, {d - 1}]")
         if not 0 <= weight < d:
             raise SchemaError(f"{path}.weight", f"weight out of range [0, {d})")
         edge = MultiHyperedge(tuple(vertices), tuple(exponents))

@@ -8,48 +8,38 @@ Index convention: i_0 is the most significant digit, so the flat index of
 All diagonal gates act by adding an integer exponent table mod d, so gate
 application is exact and order-independent.
 
-Tables are computed on the C-order grid of shape (d,)*n, whose axis v is
-digit i_v; reshaping the grid to one axis gives the flat table above. A
-monomial prod_{v in e} i_v^{s_v} is a product of per-vertex lookup vectors
-[i^s mod d] (``diagonals.power_row``), each laid along its vertex's axis, so
-its grid has extent d on the edge's support (its vertex set) and 1 elsewhere
-and broadcasts against the full grid. No table is ever computed from its
-flat index.
-
-``build_state`` and ``stabilizers.apply_generator`` add their edge grids
-through ``_add_edge_grids``. It sums the small grids of each support first,
-then folds each support's sum into the group of the smallest vertex it
-misses (all n for the full support), and only then broadcasts each group
-into the d^n grid. Every group but the full support's spans at most n - 1
-axes, so a map of many edges makes at most n + 1 passes over the d^n
-entries, not one per edge. The int64 sum is reduced mod d once at the end,
-and it is exact: each term is below d, and every partial sum, on a support,
-a group or the full grid, adds a subset of the same terms, of which there
-are fewer than d^n (one per distinct edge). Under the table limit (d^n <
-2^24, hence d < 2^24) each sum stays below 2^48; ``apply_generator`` adds
-one table entry below d to it.
+Tables come from the numpy-free kernel ``diagonals.gate_table``, which sums
+edge terms over the d^n table as bytes of fixed-width lanes; this module
+wraps its tables in read-only int64 arrays. ``build_state``,
+``apply_multi_cz`` and ``apply_uv`` all build through it, so no table is
+computed here, and none from its flat index.
 
 ``plus_state``, ``build_state`` and ``to_dense`` each count their d^n
-entries against that limit with ``residues.check_entries`` before they
+entries against the table limit with ``residues.check_entries`` before they
 allocate, and raise its ``SizeLimit`` (re-exported here).
 
 A table takes at most d amplitudes, d^{-n/2} * omega_d^f for f in Z_d
-(``_amplitudes``): ``to_dense`` looks each entry up there, and
-``dense_blocks`` formats each of the d amplitudes once and writes a line per
-entry by the same lookup.
+(``diagonals.amplitude``): ``to_dense`` looks each entry up there, and
+``dense_blocks`` writes the text of ``diagonals.dense_blocks``, which
+formats each phase that occurs once and writes a line per entry by the same
+lookup.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import diagonals
 from .diagonals import (  # noqa: F401 (VertexOutOfRange is re-exported)
     VertexOutOfRange,
-    check_edge,
+    _check_norm,
     check_vertex,
-    power_row,
+    edge_map_table,
+    edge_terms,
+    gate_table,
+    lane_width,
 )
 from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
 from .residues import SizeLimit, check_entries  # noqa: F401 (SizeLimit is re-exported)
@@ -124,26 +114,14 @@ def digits_of(index: int, d: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _on_axis(values: np.ndarray, vertex: int, n: int) -> np.ndarray:
-    """A length-d vector laid along the grid axis of ``vertex``; it broadcasts
-    against the (d,)*n grid."""
-    check_vertex(vertex, n)
-    return values.reshape((-1,) + (1,) * (n - 1 - vertex))
+def _lanes(state: PhaseFunction) -> bytes:
+    """The state's table as kernel lanes."""
+    return state.table.astype(f"<u{lane_width(state.d - 1)}").tobytes()
 
 
-def monomial_grid(d: int, n: int, edge: MultiHyperedge) -> np.ndarray:
-    """prod_{v in edge} i_v^{s_v} mod d as a grid that broadcasts to (d,)*n:
-    extent d on the edge's axes, 1 on the others."""
-    check_edge(edge, n)
-    grid = np.ones((), dtype=np.int64)
-    for v, s in zip(edge.vertices, edge.exponents):
-        grid = grid * _on_axis(np.array(power_row(s, d), dtype=np.int64), v, n) % d
-    return grid
-
-
-def _grid(state: PhaseFunction) -> np.ndarray:
-    """The state's table as a read-only (d,)*n grid view."""
-    return state.table.reshape((state.d,) * state.n)
+def _from_lanes(d: int, n: int, table: bytes) -> PhaseFunction:
+    """A kernel table as a state."""
+    return PhaseFunction(d, n, np.frombuffer(table, dtype=f"<u{lane_width(d - 1)}"))
 
 
 def plus_state(n: int, d: int) -> PhaseFunction:
@@ -155,11 +133,12 @@ def plus_state(n: int, d: int) -> PhaseFunction:
 def apply_multi_cz(state: PhaseFunction, edge: MultiHyperedge, power: int) -> PhaseFunction:
     """Apply the edge's controlled phase gate ``power`` times:
     f'(i) = f(i) + power * prod_v i_v^{s_v} (mod d)."""
-    m = power % state.d
+    d, n = state.d, state.n
+    m = power % d
     if m == 0:
         return state
-    grid = _grid(state) + m * monomial_grid(state.d, state.n, edge)
-    return PhaseFunction(state.d, state.n, (grid % state.d).reshape(-1))
+    diagonals.check_edge(edge, n)
+    return _from_lanes(d, n, gate_table(d, n, edge_terms([(edge, m)], d), base=_lanes(state)))
 
 
 def apply_uv(state: PhaseFunction, vertex: int, coefficients: Sequence[int]) -> PhaseFunction:
@@ -169,15 +148,12 @@ def apply_uv(state: PhaseFunction, vertex: int, coefficients: Sequence[int]) -> 
     The monomial gate h(k) = k^eta is ``coefficients = (0,)*eta + (1,)``;
     with eta = 1 this is the single-vertex ring gate Z.
     """
-    d = state.d
-    h = np.array(
-        [sum(a * pow(k, j, d) for j, a in enumerate(coefficients)) % d for k in range(d)],
-        dtype=np.int64,
-    )
-    if not h.any():
+    d, n = state.d, state.n
+    h = tuple(sum(a * pow(k, j, d) for j, a in enumerate(coefficients)) % d for k in range(d))
+    if not any(h):
         return state
-    grid = _grid(state) + _on_axis(h, vertex, state.n)
-    return PhaseFunction(d, state.n, (grid % d).reshape(-1))
+    check_vertex(vertex, n)
+    return _from_lanes(d, n, gate_table(d, n, [((vertex,), (h,), 1)], base=_lanes(state)))
 
 
 def monomial_coefficients(eta: int) -> tuple[int, ...]:
@@ -193,35 +169,7 @@ def build_state(edge_map: WeightedEdgeMap) -> PhaseFunction:
     Every monomial vanishes at (0, ..., 0), so the result is canonical; the
     order of edge application never matters (all gates are diagonal).
     """
-    d, n = edge_map.d, edge_map.n
-    check_entries("table", 1, d, n)
-    grid = np.zeros((d,) * n, dtype=np.int64)
-    terms = edge_map.items()
-    _add_edge_grids(grid, ((e.vertices, w * monomial_grid(d, n, e) % d) for e, w in terms))
-    grid %= d
-    return PhaseFunction(d, n, grid.reshape(-1))
-
-
-def _add_edge_grids(
-    grid: np.ndarray, terms: Iterable[tuple[tuple[int, ...], np.ndarray]]
-) -> None:
-    """Add each (support, edge grid) term into the (d,)*n ``grid``, in place.
-
-    An edge grid has extent d on its support's axes and 1 on the others.
-    The terms are summed per support first, and the supports' sums per
-    smallest missing vertex (n for the full support). Only those at most
-    n + 1 group sums are broadcast into ``grid``, and each group but the
-    full support's spans at most n - 1 axes.
-    """
-    sums: dict[tuple[int, ...], np.ndarray] = {}
-    for support, term in terms:
-        sums[support] = sums[support] + term if support in sums else term
-    groups: dict[int, np.ndarray] = {}
-    for support, total in sums.items():
-        missing = next((v for v, u in enumerate(support) if v != u), len(support))
-        groups[missing] = groups[missing] + total if missing in groups else total
-    for total in groups.values():
-        grid += total
+    return _from_lanes(edge_map.d, edge_map.n, edge_map_table(edge_map))
 
 
 def states_equal(a: PhaseFunction, b: PhaseFunction) -> bool:
@@ -238,11 +186,6 @@ def canonicalize(state: PhaseFunction) -> PhaseFunction:
     if state.is_canonical:
         return state
     return PhaseFunction(state.d, state.n, (state.table - state.table[0]) % state.d)
-
-
-def _check_norm(norm: float) -> None:
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
 
 
 class DenseState(_Value):
@@ -265,36 +208,19 @@ class DenseState(_Value):
         self._set(d=d, n=n, amplitudes=amps)
 
 
-def _amplitudes(d: int, n: int) -> np.ndarray:
-    """The amplitude d^{-n/2} * exp(2*pi*1j*f/d) of each phase f in Z_d."""
-    return np.exp(2j * np.pi * np.arange(d) / d) * d ** (-n / 2)
-
-
 def to_dense(state: PhaseFunction) -> DenseState:
     """Amplitudes d^{-n/2} * exp(2*pi*1j*f(i)/d)."""
-    check_entries("table", 1, state.d, state.n)
-    return DenseState(state.d, state.n, _amplitudes(state.d, state.n)[state.table])
-
-
-_DENSE_BLOCK_LINES = 1 << 14
+    d, n = state.d, state.n
+    check_entries("table", 1, d, n)
+    amplitudes = np.array([diagonals.amplitude(f, d, n) for f in range(d)])
+    return DenseState(d, n, amplitudes[state.table])
 
 
 def dense_blocks(state: PhaseFunction) -> Iterator[str]:
     """Text export of ``to_dense(state)``, one line per amplitude: 'index re
-    im' at 17 significant digits, in blocks of ``_DENSE_BLOCK_LINES`` lines,
-    so a writer holds one block of strings at a time rather than one per
-    amplitude.
-
-    Each of the d amplitudes is formatted once and each line looks its text
-    up by the entry's phase. The norm, sum_f count_f * |a_f|^2 over the
-    phases' counts, passes the check of ``DenseState`` first.
-    """
-    amplitudes = _amplitudes(state.d, state.n)
-    _check_norm(float(np.bincount(state.table, minlength=state.d) @ np.abs(amplitudes) ** 2))
-    texts = [f" {a.real:.17g} {a.imag:.17g}\n" for a in amplitudes.tolist()]
-    for start in range(0, state.table.size, _DENSE_BLOCK_LINES):
-        block = state.table[start : start + _DENSE_BLOCK_LINES].tolist()
-        yield "".join([f"{i}{texts[f]}" for i, f in enumerate(block, start)])
+    im' at 17 significant digits, written in blocks by
+    ``diagonals.dense_blocks``."""
+    return diagonals.dense_blocks(state.d, state.n, state.table.tolist())
 
 
 # --- JSON serialization of phase tables --------------------------------------

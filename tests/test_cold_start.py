@@ -158,6 +158,39 @@ def test_cli_path_loads_no_numpy(argv, code, tmp_path):
     assert _cli(*argv) == {"code": code, "numpy": False}
 
 
+# A map with a decorated edge, whose stabilizer corrections are not the
+# deleted-edge form: the kernel runs every table kind on it.
+GRAPH = {
+    "d": 3,
+    "n": 3,
+    "edges": [
+        {"vertices": [0], "exponents": [2], "weight": 1},
+        {"vertices": [0, 2], "exponents": [2, 1], "weight": 2},
+        {"vertices": [0, 1, 2], "exponents": [1, 2, 2], "weight": 1},
+    ],
+}
+EDGE_MAP_VERBS = [
+    ["build-state", "--graph"],
+    ["build-state", "--stdin"],
+    ["build-state", "--dense", "--graph"],
+    ["build-state", "--dense", "--stdin"],
+    ["verify-stabilizers", "--graph"],
+    ["verify-stabilizers", "--stdin"],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_MAP_VERBS, ids=" ".join)
+def test_edge_map_verbs_load_no_numpy(argv, tmp_path):
+    # The kernel builds every table on bytes, so these run to exit 0 without numpy.
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(GRAPH))
+    stdin = json.dumps(GRAPH) if "--stdin" in argv else ""
+    argv = argv + [str(path)] if "--graph" in argv else argv
+    result = _python("-c", CLI_PROBE, *argv, stdin=stdin)
+    assert json.loads(result.stderr.splitlines()[-1]) == {"code": 0, "numpy": False}
+    assert result.stdout
+
+
 DEEP = "[" * 100_000  # far deeper than the JSON decoder recurses
 
 
@@ -247,6 +280,18 @@ def test_importtime_lists_no_numpy_module():
     assert "quditgraphs.counting" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
     assert not set(NOT_FOR_CENSUS) & set(imported)
+
+
+@pytest.mark.parametrize(
+    "verb", [["build-state", "--dense"], ["verify-stabilizers"]], ids=" ".join
+)
+def test_edge_map_importtime_lists_no_numpy(verb, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(GRAPH))
+    code, imported = _importtime(*verb, "--graph", str(path))
+    assert code == 0, imported
+    assert "quditgraphs.diagonals" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
 @pytest.mark.parametrize("mode", ["hypergraph", "multihypergraph"])

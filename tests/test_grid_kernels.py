@@ -1,23 +1,33 @@
-"""The (d,)*n grid kernels and the list report against a per-index
+"""The byte-lane table kernel and the report against a per-index
 evaluator, the encoder against ``json.dumps``, and pinned CLI output.
 
 The evaluator below reads every table entry off ``digits_of`` and ``pow``,
-one index at a time, so it shares no array or list code with the kernels
-under test.
+one index at a time, so it shares no array or list code with the kernel
+under test. Tables too large for it are checked against numpy broadcasts.
 """
 
 import hashlib
 import json
 import random
+from itertools import repeat
 
 import numpy as np
 import pytest
 
+from quditgraphs import diagonals
 from quditgraphs.cli import _TEXT_RANGE, _any_int_digits, _encode, main
-from quditgraphs.diagonals import VertexOutOfRange, conjugation_report, edge_reports
+from quditgraphs.diagonals import (
+    VertexOutOfRange,
+    conjugation_report,
+    edge_map_table,
+    edge_reports,
+    edge_terms,
+    gate_table,
+    table_values,
+)
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap
-from quditgraphs.stabilizers import _correction_grid, apply_generator, correction_exponents, verify
-from quditgraphs.states import _add_edge_grids, build_state, digits_of, monomial_grid
+from quditgraphs.stabilizers import apply_generator, correction_exponents, verify
+from quditgraphs.states import build_state, digits_of
 
 CELLS = [(d, n) for d in (2, 3, 4, 5, 6, 8) for n in (1, 2, 3, 4)]
 
@@ -112,8 +122,8 @@ def test_grid_kernels_match_per_index_evaluation(d, n):
         state = build_state(edge_map)
         assert state.table.tolist() == [phase_at(x, edge_map) for x in every_digit]
         for edge in edge_map.edges():
-            monomial = np.broadcast_to(monomial_grid(d, n, edge), (d,) * n)
-            assert monomial.reshape(-1).tolist() == [monomial_at(x, edge, d) for x in every_digit]
+            monomial = table_values(gate_table(d, n, edge_terms([(edge, 1)], d)), d)
+            assert list(monomial) == [monomial_at(x, edge, d) for x in every_digit]
             power = rng.randrange(-d, 2 * d)
             for k in edge.vertices:
                 assert correction_exponents(edge, power, k, d, n).tolist() == [
@@ -131,46 +141,123 @@ def test_grid_kernels_match_per_index_evaluation(d, n):
             )
 
 
-class PassCounter(np.ndarray):
-    """A grid that records the shape of every array added into it in place."""
-
-    def __iadd__(self, other):
-        self.added.append((1,) * (self.ndim - np.ndim(other)) + np.shape(other))
-        return super().__iadd__(other)
+# Every (d, n) with d = 2..9, n = 1..6 and at most 4096 entries.
+SMALL_CELLS = [(d, n) for d in range(2, 10) for n in range(1, 7) if d**n <= 4096]
 
 
-def smallest_missing(support):
-    return min(set(range(len(support) + 1)) - set(support))
+@pytest.mark.parametrize("d,n", SMALL_CELLS)
+def test_tables_match_per_index_evaluation(d, n):
+    rng = random.Random(f"table:{d}:{n}")
+    every_digit = [digits_of(i, d, n) for i in range(d**n)]
+    edge_map = random_map(rng, d, n, count=12)
+    assert list(table_values(edge_map_table(edge_map), d)) == [
+        phase_at(x, edge_map) for x in every_digit
+    ]
+    assert all(check.stabilized for check in verify(edge_map))
+
+
+def span_at(digits, edges, first, d):
+    """The sum mod d of the edges on one span, read at span digits."""
+    full = [0] * first + list(digits)
+    return sum(w * monomial_at(full, e, d) for e, w in edges) % d
 
 
 @pytest.mark.parametrize("d,n", CELLS)
-def test_edge_grids_add_as_one_broadcast_per_term(d, n):
-    rng = random.Random(f"sum:{d}:{n}")
+def test_each_support_is_spread_once_over_its_span(d, n, monkeypatch):
+    # A support's grid is spread over the span from its first to its last
+    # vertex once, and there it holds the support's edge terms.
+    spread = []
+
+    def recording(grid, support, d_, width):
+        out = original(grid, support, d_, width)
+        spread.append((support, width, out))
+        return out
+
+    original = diagonals._spread
+    monkeypatch.setattr(diagonals, "_spread", recording)
+    rng = random.Random(f"spread:{d}:{n}")
     for edge_map in grid_maps(rng, d, n):
         k = rng.randrange(n)
-        for terms in (
-            [(e.vertices, w * monomial_grid(d, n, e) % d) for e, w in edge_map.items()],
-            [
-                (e.vertices, _correction_grid(e, w, k, d, n))
-                for e, w in edge_map.items()
-                if k in e.vertices
-            ],
+        for items in (
+            list(edge_map.items()),
+            [(e, w) for e, w in edge_map.items() if k in e.vertices],
         ):
-            expected = np.zeros((d,) * n, dtype=np.int64)
-            for _, term in terms:
-                expected = expected + term
-            grid = np.zeros((d,) * n, dtype=np.int64).view(PassCounter)
-            grid.added = []
-            _add_edge_grids(grid, iter(terms))
-            assert np.array_equal(grid, expected)
-            # One pass per smallest missing vertex, each group's grid of
-            # extent 1 first on that vertex's axis (none for the full support).
-            groups = sorted({smallest_missing(support) for support, _ in terms})
-            first_unit_axis = [
-                next((v for v, extent in enumerate(shape) if extent == 1), n)
-                for shape in grid.added
-            ]
-            assert sorted(first_unit_axis) == groups
+            spread.clear()
+            gate_table(d, n, edge_terms(items, d))
+            on_support = {}
+            for edge, weight in items:
+                on_support.setdefault(edge.vertices, []).append((edge, weight))
+            assert sorted(support for support, _, _ in spread) == sorted(on_support)
+            for support, width, out in spread:
+                first, last = support[0], support[-1]
+                span = [digits_of(i, d, last - first + 1) for i in range(d ** (last - first + 1))]
+                assert list(diagonals.lane_values(out, width)) == [
+                    span_at(x, on_support[support], first, d) for x in span
+                ]
+
+
+def numpy_table(edge_map):
+    """The map's table by numpy broadcasts, one edge at a time."""
+    d, n = edge_map.d, edge_map.n
+    table = np.zeros((d,) * n, dtype=np.int64)
+    for edge, weight in edge_map.items():
+        term = np.full((1,) * n, weight, dtype=np.int64)
+        for v, s in zip(edge.vertices, edge.exponents):
+            row = np.array([pow(i, s, d) for i in range(d)], dtype=np.int64)
+            term = term * row.reshape((1,) * v + (d,) + (1,) * (n - 1 - v)) % d
+        table = (table + term) % d
+    return table.reshape(-1)
+
+
+def widths_of(monkeypatch, make):
+    """The lane widths that the support grids of ``make()`` ran at."""
+    widths = set()
+    original = diagonals._support_grid
+
+    def recording(terms, d, width):
+        widths.add(width)
+        return original(terms, d, width)
+
+    monkeypatch.setattr(diagonals, "_support_grid", recording)
+    make()
+    monkeypatch.undo()
+    return widths
+
+
+def test_lane_widths_1_2_and_4(monkeypatch):
+    # One byte while the lane sums stay below 256, two past that, four past
+    # 2^15; each width gives the table the numpy broadcasts give.
+    rng = random.Random("widths")
+    every_support = {
+        MultiHyperedge(tuple(v for v in range(12) if mask >> v & 1), (1,) * bin(mask).count("1")): 1
+        for mask in range(1, 2**12)
+    }
+    cases = [
+        (WeightedEdgeMap(2, 12, dict(list(every_support.items())[:100])), 1),
+        (WeightedEdgeMap(2, 12, every_support), 2),
+        (random_map(rng, 257, 2, count=6), 2),
+        (random_map(rng, 4093, 2, count=3), 2),
+        (random_map(rng, 40009, 1, count=3), 4),
+    ]
+    for edge_map, width in cases:
+        table = []
+        widths = widths_of(monkeypatch, lambda: table.append(edge_map_table(edge_map)))
+        assert widths == {width}
+        assert list(table_values(table[0], edge_map.d)) == numpy_table(edge_map).tolist()
+    assert all(check.stabilized for check in verify(cases[2][0]))
+
+
+def test_dense_amplitudes_are_bitwise_numpys_at_every_d_up_to_4096():
+    # Equal bits print equal texts: the --dense line of phase f is the one
+    # numpy's amplitude array gave, for every d <= 4096 and every n with
+    # d^n < 2^24.
+    for d in range(2, 4097):
+        for n in range(1, 25):
+            if d**n >= 2**24:
+                break
+            ours = np.array(list(map(diagonals.amplitude, range(d), repeat(d, d), repeat(n, d))))
+            formula = np.exp(2j * np.pi * np.arange(d) / d) * d ** (-n / 2)
+            assert np.array_equal(ours.view(np.int64), formula.view(np.int64)), (d, n)
 
 
 def _check_report(report, edge, power, k, d, every_digit):
@@ -250,10 +337,18 @@ def test_report_at_d_1_is_one_zero_entry():
     )
 
 
+# Keys past ASCII, with quotes, escapes and control characters.
+KEYS = ["k", "é", "ключ", "\U0001f600", 'a"b', "tab\t", "\x00", "", "back\\slash"]
+SCALARS = [
+    None, True, False, 0, -3, 2**65, -(2**65), 10**400, -(10**400), 1.5, -0.0, 0.1,
+    1e300, -2.5e-8, float("inf"), float("-inf"), float("nan"), "text", "é\n", "\U0001f600",
+]
+
+
 def random_payload(rng, depth=0):
     """A JSON value with int lists of every kind the encoder tells apart."""
-    kind = rng.randrange(9 if depth < 4 else 5)
-    if kind == 0:  # small non-negative ints: the table path
+    kind = rng.randrange(10 if depth < 4 else 6)
+    if kind == 0:  # small non-negative ints: the shared table
         top = rng.choice([1, 2, 7, _TEXT_RANGE])
         return [rng.randrange(top) for _ in range(rng.randrange(1, 40))]
     if kind == 1:  # negative ints, ints past the table and past 2^64: the C path
@@ -262,20 +357,24 @@ def random_payload(rng, depth=0):
     if kind == 2:  # bools among ints
         return [rng.choice([0, 1, True, False, 5]) for _ in range(rng.randrange(1, 8))]
     if kind == 3:
-        return rng.choice([[], {}, (), None, True, 0, -3, 2**65, 1.5, "text", "é\n"])
+        return rng.choice([[], {}, (), [[]], {"": {}}, ([], ()), *SCALARS])
     if kind == 4:  # a tuple of small ints
         return tuple(rng.randrange(4) for _ in range(rng.randrange(1, 6)))
+    if kind == 5:  # ints past the shared table, below the list's length or not
+        size = rng.randrange(_TEXT_RANGE, 3 * _TEXT_RANGE)
+        values = [rng.randrange(rng.choice([size, size + 1, 2 * size])) for _ in range(size)]
+        return tuple(values) if rng.randrange(2) else values
     size = rng.randrange(0, 5)
-    if kind in (5, 6):
-        return {f"k{i}": random_payload(rng, depth + 1) for i in range(size)}
+    if kind in (6, 7):
+        return {f"{rng.choice(KEYS)}{i}": random_payload(rng, depth + 1) for i in range(size)}
     items = [random_payload(rng, depth + 1) for _ in range(size)]
-    return tuple(items) if kind == 7 else items
+    return tuple(items) if kind == 8 else items
 
 
 def test_encoder_matches_json_dumps_on_random_payloads():
     rng = random.Random("encode")
     with _any_int_digits():
-        for _ in range(300):
+        for _ in range(600):
             payload = {"value": random_payload(rng)}
             assert _encode(payload, "\n") == json.dumps(payload, indent=2)
 

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from quditgraphs.diagonals import edge_map_table, lane_width, vertex_checks
 from quditgraphs.graphs import (
     MultiHyperedge,
     WeightedEdgeMap,
@@ -210,3 +211,39 @@ class TestConjugation:
     def test_requires_vertex_in_edge(self):
         with pytest.raises(ValueError):
             conjugation_report(hyperedge(0), 1, 1, 3, 2).holds
+
+
+def numpy_generated(edge_map, table, k):
+    """g_k applied to a flat table by numpy broadcasts: every correction of
+    an edge containing k added on the (d,)*n grid, then the shift on k."""
+    d, n = edge_map.d, edge_map.n
+    grid = table.reshape((d,) * n).astype(np.int64)
+    for edge, weight in edge_map.items():
+        if k not in edge.vertices:
+            continue
+        term = np.full((1,) * n, weight, dtype=np.int64)
+        for v, s in zip(edge.vertices, edge.exponents):
+            row = [pow(i - 1, s, d) - pow(i, s, d) if v == k else pow(i, s, d) for i in range(d)]
+            row = np.array(row, dtype=np.int64) % d
+            term = term * row.reshape((1,) * v + (d,) + (1,) * (n - 1 - v)) % d
+        grid = grid + term
+    return np.roll(grid % d, -1, axis=k).reshape(-1)
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (5, 3), (6, 3), (257, 2)])
+def test_verify_reports_the_mismatches_of_a_corrupted_table(d, n):
+    rng = random.Random(f"corrupt:{d}:{n}")
+    pool = enumerate_multihyperedges(n, d, max_arity=2)
+    edge_map = WeightedEdgeMap(d, n, {e: rng.randrange(d) for e in rng.sample(pool, 12)})
+    table = np.frombuffer(edge_map_table(edge_map), dtype=f"<u{lane_width(d - 1)}").astype(np.int64)
+    for changed in (1, 3, d**n // 2):
+        corrupted = table.copy()
+        for index in rng.sample(range(d**n), changed):
+            corrupted[index] = (corrupted[index] + rng.randrange(1, d)) % d
+        lanes = corrupted.astype(f"<u{lane_width(d - 1)}").tobytes()
+        checks = vertex_checks(edge_map, lanes)
+        for k, check in enumerate(checks):
+            expected = np.nonzero(numpy_generated(edge_map, corrupted, k) != corrupted)[0]
+            assert (check.vertex, check.mismatch_indices) == (k, tuple(expected.tolist()))
+            assert check.stabilized is (expected.size == 0)
+        assert not all(check.stabilized for check in checks)

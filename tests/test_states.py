@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditgraphs import residues, states
+from quditgraphs import diagonals, residues, states
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge, phase_table
 from quditgraphs.states import (
     DimensionMismatch,
@@ -270,7 +270,7 @@ class TestDense:
     @pytest.mark.parametrize("d,sizes", [(d, range(1, 5)) for d in range(2, 17)] + [(4093, [1])])
     def test_text_export_matches_the_unique_export(self, d, sizes, monkeypatch):
         # Blocks of 7 lines: a boundary inside every table past 7 entries.
-        monkeypatch.setattr(states, "_DENSE_BLOCK_LINES", 7)
+        monkeypatch.setattr(diagonals, "_DENSE_BLOCK_LINES", 7)
         rng = np.random.default_rng(d)
         for n in sizes:
             state = random_table(rng, d, n)
@@ -282,18 +282,18 @@ class TestDense:
     def test_text_export_streams_in_blocks(self, monkeypatch):
         state = build_state(random_edge_map(random.Random(7), 3, 2))
         whole = "".join(dense_blocks(state))
-        monkeypatch.setattr(states, "_DENSE_BLOCK_LINES", 4)
+        monkeypatch.setattr(diagonals, "_DENSE_BLOCK_LINES", 4)
         blocks = list(states.dense_blocks(state))
         assert [block.count("\n") for block in blocks] == [4, 4, 1]
         assert "".join(blocks) == whole
 
     @pytest.mark.parametrize("make", [to_dense, lambda state: next(dense_blocks(state))])
     def test_norm_is_checked_before_any_output(self, make, monkeypatch):
-        exact = states._amplitudes
+        exact = diagonals.amplitude
         state = build_state(random_edge_map(random.Random(8), 5, 3))
-        monkeypatch.setattr(states, "_amplitudes", lambda d, n: exact(d, n) * (1 + 1e-13))
+        monkeypatch.setattr(diagonals, "amplitude", lambda f, d, n: exact(f, d, n) * (1 + 1e-13))
         make(state)  # a deviation of about 2e-13 passes
-        monkeypatch.setattr(states, "_amplitudes", lambda d, n: exact(d, n) * (1 + 1e-11))
+        monkeypatch.setattr(diagonals, "amplitude", lambda f, d, n: exact(f, d, n) * (1 + 1e-11))
         with pytest.raises(ValueError, match=r"^state norm deviates from 1 by 2\.000e-11$"):
             make(state)
 

@@ -113,10 +113,14 @@ def split_target(edge: MultiHyperedge, k: int) -> tuple[int, MultiHyperedge | No
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
 
 
+# The largest lane value each width holds: wider lanes keep their top bit
+# spare, as ``_cut`` needs.
+_CAPACITY = {1: (1 << 8) - 1, 2: (1 << 15) - 1, 4: (1 << 31) - 1}
+
+
 def lane_width(top: int) -> int:
-    """Bytes per lane for values up to ``top``: 1, or 2 or 4 with the top
-    bit to spare, as ``_cut`` needs."""
-    return 1 if top < 1 << 8 else 2 if top < 1 << 15 else 4
+    """Bytes per lane for values up to ``top``: 1, 2 or 4."""
+    return next(width for width, capacity in _CAPACITY.items() if top <= capacity)
 
 
 def lane_values(lanes: bytes, width: int) -> Sequence[int]:
@@ -197,12 +201,23 @@ def _cut(x: int, lanes: int, d: int, width: int, top: int) -> int:
     return x
 
 
-def _reduced(x: int, size: int, d: int, width: int, top: int) -> bytes:
-    """The ``size`` bytes of packed lanes x, each a value up to ``top``, mod
-    d: one translate for one-byte lanes, else ``_cut``."""
-    if width == 1:
-        return x.to_bytes(size, "little").translate(_translation(1, d))
-    return _cut(x, size // width, d, width, top).to_bytes(size, "little")
+_CHUNK = 1 << 16  # bytes of lanes per big int: small enough to stay in cache
+
+
+def _reduce_sum(parts: list[bytes], d: int, width: int, top: int) -> bytes:
+    """The lane-wise sum mod d of equal-size tables whose lane sums are at
+    most ``top``, taken as big ints one chunk at a time. One-byte lanes are
+    reduced by one translate, wider ones by ``_cut``."""
+    size = len(parts[0])
+    chunks = []
+    for start in range(0, size, _CHUNK):
+        total = sum(int.from_bytes(part[start : start + _CHUNK], "little") for part in parts)
+        length = min(_CHUNK, size - start)
+        if width > 1:
+            total = _cut(total, length // width, d, width, top)
+        chunks.append(total.to_bytes(length, "little"))
+    table = b"".join(chunks)
+    return table.translate(_translation(1, d)) if width == 1 else table
 
 
 def _repeat(data: bytes, size: int, r: int) -> bytes:
@@ -222,13 +237,6 @@ def _repeat(data: bytes, size: int, r: int) -> bytes:
     return bytes(out)
 
 
-def _tile(x: int, size: int, r: int) -> int:
-    """The ``size`` bytes of packed lanes x, r times over: a new leading axis."""
-    if r == 1 or not x:
-        return x
-    return int.from_bytes(x.to_bytes(size, "little") * r, "little")
-
-
 # --- the kernel --------------------------------------------------------------
 
 # A term: (support, one row per support vertex, weight). Its table is
@@ -240,26 +248,31 @@ def _support_grid(
     terms: list[tuple[tuple[tuple[int, ...], ...], int]], d: int, width: int
 ) -> bytes:
     """sum weight * prod_j rows[j][i_j] mod d over the terms' t >= 1 common
-    axes, first axis most significant: grid = sum_s row_s (x) G_s, written
-    block by block. Block i sums G_s times row_s[i] over the first rows s."""
+    axes, first axis most significant."""
+    grids = _support_grids(terms, d, width)
+    return grids[0] if len(grids) == 1 else _reduce_sum(grids, d, width, len(grids) * (d - 1))
+
+
+def _support_grids(
+    terms: list[tuple[tuple[tuple[int, ...], ...], int]], d: int, width: int
+) -> list[bytes]:
+    """The grids whose sum mod d is ``_support_grid``: row_s (x) G_s for
+    each first row s, where G_s is the grid of the other axes for the terms
+    whose first row is s, and block i of row_s (x) G_s is G_s times
+    row_s[i]. On one axis the grid is a sum of rows."""
     if len(terms[0][0]) == 1:
         total = [0] * d
         for (row,), w in terms:
             total = list(map(add, total, map(w.__mul__, row)))
-        return _pack(map(d.__rmod__, total), width)
+        return [_pack(map(d.__rmod__, total), width)]
     groups: dict[tuple[int, ...], list] = {}
     for rows, weight in terms:
         groups.setdefault(rows[0], []).append((rows[1:], weight))
-    scaled = [(row, _multiples(_support_grid(rest, d, width), row, d, width)) for row, rest in groups.items()]
-    if len(scaled) == 1:
-        ((row, times),) = scaled
-        return b"".join([times[c] for c in row])
-    size, top = d ** (len(terms[0][0]) - 1) * width, len(scaled) * (d - 1)
-    blocks = []
-    for i in range(d):
-        total = sum(int.from_bytes(times[row[i]], "little") for row, times in scaled)
-        blocks.append(_reduced(total, size, d, width, top))
-    return b"".join(blocks)
+    grids = []
+    for row, rest in groups.items():
+        times = _multiples(_support_grid(rest, d, width), row, d, width)
+        grids.append(b"".join([times[c] for c in row]))
+    return grids
 
 
 def _multiples(inner: bytes, row: tuple[int, ...], d: int, width: int) -> Sequence[bytes]:
@@ -297,36 +310,33 @@ def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None)
     for support, rows, weight in terms:
         supports.setdefault(support, []).append((rows, weight))
     constant = sum(w for _, w in supports.pop((), ())) % d
-    # A lane adds K values below d; a support adds its grids in groups of
-    # equal first rows, at most as many as the distinct rows on one vertex.
-    top = (d - 1) * (len(supports) + bool(constant) + (base is not None))
-    groups = max(
-        (len(set(rows)) for on_support in supports.values() for rows in zip(*[r for r, _ in on_support])),
-        default=1,
-    )
-    width = lane_width(max(top, (d - 1) * groups, 2 * d - 2))
-    spans: dict[tuple[int, int], int] = {}
+    # Every sum adds tables of lanes below d: a support's grids of equal
+    # first rows, at most as many as the distinct rows on one vertex, or a
+    # span's grids with its tiled successor and the table so far, which are
+    # summed in batches as large as the lanes allow.
+    rows = [len(set(r)) for on in supports.values() for r in zip(*(r for r, _ in on))]
+    width = lane_width((d - 1) * max([3, *rows]))
+    batch = _CAPACITY[width] // max(d - 1, 1) - 2
+    spans: dict[tuple[int, int], list[bytes]] = {}
     for support, on_support in supports.items():
-        grid = _spread(_support_grid(on_support, d, width), support, d, width)
-        key = (support[0], support[-1])
-        spans[key] = spans.get(key, 0) + int.from_bytes(grid, "little")
+        grids = spans.setdefault((support[0], support[-1]), [])
+        for grid in _support_grids(on_support, d, width):
+            grids.append(_spread(grid, support, d, width))
+            if len(grids) == batch:
+                grids[:] = [_reduce_sum(grids, d, width, batch * (d - 1))]
     if base is not None:
-        key = (0, n - 1)
-        spans[key] = spans.get(key, 0) + int.from_bytes(
-            _rewidth(base, lane_width(d - 1), width), "little"
-        )
-    table, size = constant, width  # the packed table over axes 0..last
+        spans.setdefault((0, n - 1), []).append(_rewidth(base, lane_width(d - 1), width))
+    table = _pack([constant], width)  # over axes 0..last - 1
     for last in range(n):
-        if table:
-            table = int.from_bytes(_repeat(table.to_bytes(size, "little"), width, d), "little")
-        size *= d
-        span, start = 0, last + 1  # the spans ending at ``last``, over axes start..last
-        for first in sorted((a for a, b in spans if b == last), reverse=True):
-            span = _tile(span, d ** (last - start + 1) * width, d ** (start - first))
-            span += spans[first, last]
+        span, start = b"", last + 1  # the spans ending at ``last``, over axes start..last
+        for first in sorted({a for a, b in spans if b == last} | {0}, reverse=True):
+            grids = spans.get((first, last), []) + [span * d ** (start - first)] * bool(span)
+            if first == 0:
+                grids.append(_repeat(table, width, d))
+            span = grids[0] if len(grids) == 1 else _reduce_sum(grids, d, width, len(grids) * (d - 1))
             start = first
-        table += _tile(span, d ** (last - start + 1) * width, d**start)
-    return _rewidth(_reduced(table, size, d, width, top), width, lane_width(d - 1))
+        table = span
+    return _rewidth(table, width, lane_width(d - 1))
 
 
 class _Rows(dict):

@@ -163,9 +163,10 @@ def span_at(digits, edges, first, d):
 
 
 @pytest.mark.parametrize("d,n", CELLS)
-def test_each_support_is_spread_once_over_its_span(d, n, monkeypatch):
-    # A support's grid is spread over the span from its first to its last
-    # vertex once, and there it holds the support's edge terms.
+def test_supports_are_spread_over_their_spans(d, n, monkeypatch):
+    # A support's grids, one per first row, are spread over the span from
+    # its first to its last vertex, and there they add up to the support's
+    # edge terms.
     spread = []
 
     def recording(grid, support, d_, width):
@@ -187,13 +188,15 @@ def test_each_support_is_spread_once_over_its_span(d, n, monkeypatch):
             on_support = {}
             for edge, weight in items:
                 on_support.setdefault(edge.vertices, []).append((edge, weight))
-            assert sorted(support for support, _, _ in spread) == sorted(on_support)
+            sums = {}
             for support, width, out in spread:
+                values = diagonals.lane_values(out, width)
+                sums[support] = list(map(sum, zip(sums.get(support, [0] * len(values)), values)))
+            assert sorted(sums) == sorted(on_support)
+            for support, total in sums.items():
                 first, last = support[0], support[-1]
                 span = [digits_of(i, d, last - first + 1) for i in range(d ** (last - first + 1))]
-                assert list(diagonals.lane_values(out, width)) == [
-                    span_at(x, on_support[support], first, d) for x in span
-                ]
+                assert [x % d for x in total] == [span_at(x, on_support[support], first, d) for x in span]
 
 
 def numpy_table(edge_map):
@@ -212,29 +215,31 @@ def numpy_table(edge_map):
 def widths_of(monkeypatch, make):
     """The lane widths that the support grids of ``make()`` ran at."""
     widths = set()
-    original = diagonals._support_grid
+    original = diagonals._support_grids
 
     def recording(terms, d, width):
         widths.add(width)
         return original(terms, d, width)
 
-    monkeypatch.setattr(diagonals, "_support_grid", recording)
+    monkeypatch.setattr(diagonals, "_support_grids", recording)
     make()
     monkeypatch.undo()
     return widths
 
 
 def test_lane_widths_1_2_and_4(monkeypatch):
-    # One byte while the lane sums stay below 256, two past that, four past
-    # 2^15; each width gives the table the numpy broadcasts give.
+    # One byte while three values below d sum below 256, two past that, four
+    # past 2^15; each width gives the table the numpy broadcasts give. At
+    # d = 2 the 4095 supports are summed in batches of one-byte lanes.
     rng = random.Random("widths")
     every_support = {
         MultiHyperedge(tuple(v for v in range(12) if mask >> v & 1), (1,) * bin(mask).count("1")): 1
         for mask in range(1, 2**12)
     }
     cases = [
-        (WeightedEdgeMap(2, 12, dict(list(every_support.items())[:100])), 1),
-        (WeightedEdgeMap(2, 12, every_support), 2),
+        (WeightedEdgeMap(2, 12, every_support), 1),
+        (random_map(rng, 86, 3, count=3), 1),
+        (random_map(rng, 87, 3, count=3), 2),
         (random_map(rng, 257, 2, count=6), 2),
         (random_map(rng, 4093, 2, count=3), 2),
         (random_map(rng, 40009, 1, count=3), 4),

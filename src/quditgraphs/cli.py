@@ -86,19 +86,22 @@ def _encode(value: object, newline: str) -> str:
         return int.__repr__(value)
     inner = newline + "  "
     separator = "," + inner
+    # Items come from generators, so that the list which join makes of them
+    # is freed before the brackets are added.
     if isinstance(value, dict) and value:
-        items = [f"{_quoted(k)}: {_encode(v, inner)}" for k, v in value.items()]
+        items = (f"{_quoted(k)}: {_encode(v, inner)}" for k, v in value.items())
         return "{" + inner + separator.join(items) + newline + "}"
     if isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) == {int}:  # one pass in C; a bool is not an int here
-            top = max(value)
-            if min(value) >= 0 and top < max(_TEXT_RANGE, len(value)):
+            distinct = set(value)
+            top = max(distinct)
+            if min(distinct) >= 0 and top < max(_TEXT_RANGE, len(value)):
                 texts = _TEXTS if top < _TEXT_RANGE else list(map(str, range(top + 1)))
-                body = separator.join(map(texts.__getitem__, value))
+                body = separator.join([texts[x] for x in value])
             else:
                 body = json.dumps(value, separators=(separator, ": "))[1:-1]
             return "[" + inner + body + newline + "]"
-        items = [_encode(v, inner) for v in value]
+        items = (_encode(v, inner) for v in value)
         return "[" + inner + separator.join(items) + newline + "]"
     return json.dumps(value)
 

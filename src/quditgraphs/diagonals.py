@@ -120,7 +120,7 @@ _CAPACITY = {1: (1 << 8) - 1, 2: (1 << 15) - 1, 4: (1 << 31) - 1}
 
 def lane_width(top: int) -> int:
     """Bytes per lane for values up to ``top``: 1, 2 or 4."""
-    return next(width for width, capacity in _CAPACITY.items() if top <= capacity)
+    return 1 if top <= _CAPACITY[1] else 2 if top <= _CAPACITY[2] else 4
 
 
 def lane_values(lanes: bytes, width: int) -> Sequence[int]:
@@ -326,17 +326,18 @@ def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None)
                 grids[:] = [_reduce_sum(grids, d, width, batch * (d - 1))]
     if base is not None:
         spans.setdefault((0, n - 1), []).append(_rewidth(base, lane_width(d - 1), width))
-    table = _pack([constant], width)  # over axes 0..last - 1
+    table = _pack([constant], width) if constant else b""  # over axes 0..last - 1; b"": zeros
     for last in range(n):
         span, start = b"", last + 1  # the spans ending at ``last``, over axes start..last
         for first in sorted({a for a, b in spans if b == last} | {0}, reverse=True):
             grids = spans.get((first, last), []) + [span * d ** (start - first)] * bool(span)
-            if first == 0:
+            if first == 0 and table:
                 grids.append(_repeat(table, width, d))
-            span = grids[0] if len(grids) == 1 else _reduce_sum(grids, d, width, len(grids) * (d - 1))
+            if grids:
+                span = grids[0] if len(grids) == 1 else _reduce_sum(grids, d, width, len(grids) * (d - 1))
             start = first
         table = span
-    return _rewidth(table, width, lane_width(d - 1))
+    return _rewidth(table, width, lane_width(d - 1)) if table else bytes(d**n * lane_width(d - 1))
 
 
 class _Rows(dict):

@@ -5,12 +5,13 @@ Exit codes: 0 success / affirmative result, 1 negative mathematical result
 error, 3 size limit. Data goes to stdout, diagnostics to stderr.
 
 A verb imports what it runs, inside the verb: ``graphs`` where it reads an
-edge map or a table, and the numpy-backed modules (``build-state``,
-``verify-stabilizers`` and ``matrix``) only past every refusal. So
-``census``, usage errors, every size refusal and every schema refusal start
-and finish without numpy, and ``census`` loads no ``graphs``.
-``identity-check`` builds its tables as lists in ``diagonals`` and loads no
-numpy at any exit code. No module of the package imports ``dataclasses``
+edge map or a table, and ``correspondence``, the one numpy-backed module a
+verb runs (``matrix``), only past every refusal. ``build-state`` (plain and
+``--dense``), ``verify-stabilizers`` and ``identity-check`` build their
+tables with the byte-lane kernel of ``diagonals`` and load no numpy at any
+exit code. So ``census``, usage errors, every size refusal and every schema
+refusal start and finish without numpy too, and ``census`` loads no
+``graphs``. No module of the package imports ``dataclasses``
 (its value types derive from ``graphs._Value``), so ``solve`` and
 ``census`` load neither it nor the ``inspect`` it imports; numpy imports
 ``inspect`` itself. ``solve`` checks its whole table with
@@ -20,7 +21,8 @@ solves on Python lists and loads no numpy at all. Every size refusal is
 
 Payloads are written by ``_encode``, byte for byte what
 ``json.dumps(payload, indent=2)`` writes, and ``build-state --dense``
-streams its lines in blocks. The process entry is ``__main__``: it runs
+streams its lines in blocks (``diagonals.dense_blocks``). The process
+entry is ``__main__``: it runs
 OpenBLAS with one thread unless the caller set ``OPENBLAS_NUM_THREADS``,
 turns a closed stdout into exit 141, and freezes the request's objects so
 the interpreter's shutdown collections skip them.

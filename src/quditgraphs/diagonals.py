@@ -25,27 +25,32 @@ object of d^n fixed-width little-endian lanes, one per entry:
   support's own d^t grid by one recursion over its first vertex:
   grid = sum_s row_s (x) G_s, where G_s is the grid of the other vertices
   for the terms whose first row is row_s. Each block of row_s (x) G_s is
-  G_s scaled by one entry of row_s, a ``bytes.translate`` for d <= 256, and
-  the blocks' sums are big-int sums. This is the W^{(x)t} pass at support
-  scale: a lone edge costs d^t lane writes, a full support t * d^(t+1).
-- **Groups.** Each support's grid is spread over the span from its first
+  G_s scaled by one entry of row_s: a ``bytes.translate`` for d <= 256, and
+  past that a multiple from a running sum of G_s. This is the W^{(x)t} pass
+  at support scale: a lone edge costs d^t lane writes, a full support
+  t * d^(t+1).
+- **Spans.** Each support's grids are spread over the span from its first
   to its last vertex (a block repeated for every vertex in between that it
   misses), and the grids of one (first, last) span are summed there.
 - **The table.** The spans are laid onto the table in one Horner pass
-  over the last vertex b: the table so far, over axes 0..b-1, repeats each
-  lane d times for axis b, and the spans ending at b, each tiled for its
-  leading axes, are added. Every pass writes at most twice the entries of
-  its prefix of the table, so the laying costs a few d^n lane writes
-  however many supports there are.
+  over the last vertex b: the spans ending at b are summed from the
+  latest first vertex down, each sum tiled for the next leading axis, and
+  the table so far, over axes 0..b-1, joins the last sum with each lane
+  repeated d times for axis b. Every pass writes at most about twice the
+  entries of its prefix of the table, so the laying costs a few d^n lane
+  writes however many spans there are.
 
-The sums are reduced mod d once, at the end. A lane never overflows: every
-support's grid is reduced mod d first, so a table lane is a sum of at most
-K values below d, K being the supports plus a constant and a base table,
-and a support's own sum adds at most d - 1 reduced grids. Under the table
-limit (d^n < 2^24) there are fewer than 2^n supports and (d - 1)^2 < 2^24
-wherever a support has two vertices, so (d - 1) * max(K, d - 1) < 2^25 and
-a lane needs at most 4 bytes. ``lane_width`` picks 1, 2 or 4 from that
-bound, and a table is handed out with the width of its values below d.
+Every sum adds tables whose lanes are below d and is reduced mod d as it is
+taken: as big ints, one 64 KiB chunk at a time so that they stay in cache,
+then by a translate for one-byte lanes, or by subtracting d * 2^j from
+every lane that reaches it, j from high to low, for wider ones. A lane
+holds 1, 2 or 4 bytes, the fewest in which three values below d add up
+(wider lanes keep a spare top bit), or as many as a support has distinct
+rows on one vertex; ``lane_width`` picks it. A span with more grids than
+its lanes can sum at once is summed in batches. Under the table limit
+(d^n < 2^24) d < 2^24, so 4 bytes always do, and past d = 256 (then n <= 2)
+only the translates give way to the running sums. A table is handed out
+with the lanes of its values, ``lane_width(d - 1)``.
 
 ``edge_map_table`` is a map's state table, ``generated_table`` the table
 that the map's generator g_k makes of it, and ``verify`` compares the two
@@ -311,10 +316,15 @@ def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None)
         supports.setdefault(support, []).append((rows, weight))
     constant = sum(w for _, w in supports.pop((), ())) % d
     # Every sum adds tables of lanes below d: a support's grids of equal
-    # first rows, at most as many as the distinct rows on one vertex, or a
-    # span's grids with its tiled successor and the table so far, which are
-    # summed in batches as large as the lanes allow.
-    rows = [len(set(r)) for on in supports.values() for r in zip(*(r for r, _ in on))]
+    # first rows, at most as many as the distinct rows on one of its
+    # vertices but the last, or a span's grids with its tiled successor and
+    # the table so far, which are summed in batches as large as the lanes
+    # allow.
+    rows = [
+        len(set(column))
+        for on_support in supports.values()
+        for column in list(zip(*(rows for rows, _ in on_support)))[:-1]
+    ]
     width = lane_width((d - 1) * max([3, *rows]))
     batch = _CAPACITY[width] // max(d - 1, 1) - 2
     spans: dict[tuple[int, int], list[bytes]] = {}

@@ -46,8 +46,8 @@ then by a translate for one-byte lanes, or by subtracting d * 2^j from
 every lane that reaches it, j from high to low, for wider ones. A lane
 holds 1, 2 or 4 bytes, the fewest in which three values below d add up
 (wider lanes keep a spare top bit), or as many as a support has distinct
-rows on one vertex; ``lane_width`` picks it. A span with more grids than
-its lanes can sum at once is summed in batches. Under the table limit
+rows on one vertex; ``lane_width`` picks it. A span's grids are summed in
+batches of at most eight, or as many as its lanes can hold. Under the table limit
 (d^n < 2^24) d < 2^24, so 4 bytes always do, and past d = 256 (then n <= 2)
 only the translates give way to the running sums. A table is handed out
 with the lanes of its values, ``lane_width(d - 1)``.
@@ -207,6 +207,7 @@ def _cut(x: int, lanes: int, d: int, width: int, top: int) -> int:
 
 
 _CHUNK = 1 << 16  # bytes of lanes per big int: small enough to stay in cache
+_BATCH = 8  # grids of one span summed at once, at most
 
 
 def _reduce_sum(parts: list[bytes], d: int, width: int, top: int) -> bytes:
@@ -318,15 +319,16 @@ def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None)
     # Every sum adds tables of lanes below d: a support's grids of equal
     # first rows, at most as many as the distinct rows on one of its
     # vertices but the last, or a span's grids with its tiled successor and
-    # the table so far, which are summed in batches as large as the lanes
-    # allow.
+    # the table so far. A span's grids are summed in batches of at most
+    # _BATCH, fewer if the lanes cannot hold that many, so that few grids of
+    # a span are held at once.
     rows = [
         len(set(column))
         for on_support in supports.values()
         for column in list(zip(*(rows for rows, _ in on_support)))[:-1]
     ]
     width = lane_width((d - 1) * max([3, *rows]))
-    batch = _CAPACITY[width] // max(d - 1, 1) - 2
+    batch = min(_BATCH, _CAPACITY[width] // max(d - 1, 1) - 2)
     spans: dict[tuple[int, int], list[bytes]] = {}
     for support, on_support in supports.items():
         grids = spans.setdefault((support[0], support[-1]), [])

@@ -213,7 +213,10 @@ _BATCH = 8  # grids of one span summed at once, at most
 def _reduce_sum(parts: list[bytes], d: int, width: int, top: int) -> bytes:
     """The lane-wise sum mod d of equal-size tables whose lane sums are at
     most ``top``, taken as big ints one chunk at a time. One-byte lanes are
-    reduced by one translate, wider ones by ``_cut``."""
+    reduced by one translate, wider ones by ``_cut``. Every table of the
+    kernel is reduced, so one alone is its own sum."""
+    if len(parts) == 1:
+        return parts[0]
     size = len(parts[0])
     chunks = []
     for start in range(0, size, _CHUNK):
@@ -256,7 +259,7 @@ def _support_grid(
     """sum weight * prod_j rows[j][i_j] mod d over the terms' t >= 1 common
     axes, first axis most significant."""
     grids = _support_grids(terms, d, width)
-    return grids[0] if len(grids) == 1 else _reduce_sum(grids, d, width, len(grids) * (d - 1))
+    return _reduce_sum(grids, d, width, len(grids) * (d - 1))
 
 
 def _support_grids(
@@ -338,18 +341,21 @@ def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None)
                 grids[:] = [_reduce_sum(grids, d, width, batch * (d - 1))]
     if base is not None:
         spans.setdefault((0, n - 1), []).append(_rewidth(base, lane_width(d - 1), width))
-    table = _pack([constant], width) if constant else b""  # over axes 0..last - 1; b"": zeros
+    table = _pack([constant], width) if constant else b""  # over axes 0..last - 1; b"" is 0
     for last in range(n):
         span, start = b"", last + 1  # the spans ending at ``last``, over axes start..last
         for first in sorted({a for a, b in spans if b == last} | {0}, reverse=True):
-            grids = spans.get((first, last), []) + [span * d ** (start - first)] * bool(span)
+            grids = list(spans.get((first, last), ()))
+            if span:
+                grids.append(span * d ** (start - first))
             if first == 0 and table:
                 grids.append(_repeat(table, width, d))
             if grids:
-                span = grids[0] if len(grids) == 1 else _reduce_sum(grids, d, width, len(grids) * (d - 1))
-            start = first
+                span, start = _reduce_sum(grids, d, width, len(grids) * (d - 1)), first
         table = span
-    return _rewidth(table, width, lane_width(d - 1)) if table else bytes(d**n * lane_width(d - 1))
+    if not table:
+        return bytes(d**n * lane_width(d - 1))
+    return _rewidth(table, width, lane_width(d - 1))
 
 
 class _Rows(dict):

@@ -82,8 +82,10 @@ def _encode(value: object, newline: str) -> str:
     """
     if isinstance(value, str):
         return _quoted(value)
-    if value is None or isinstance(value, bool):
-        return {None: "null", True: "true", False: "false"}[value]
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     inner = newline + "  "
@@ -158,8 +160,7 @@ def _read_file(path: str | None) -> str:
 def _cmd_build_state(args: argparse.Namespace) -> int:
     edge_map = _read_edge_map(args)
     d, n = edge_map.d, edge_map.n
-    check_entries("table", 1, d, n)
-    from . import diagonals
+    from . import diagonals  # its kernel refuses an oversized table before any work
 
     phases = diagonals.table_values(diagonals.edge_map_table(edge_map), d)
     if args.dense:
@@ -201,8 +202,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify_stabilizers(args: argparse.Namespace) -> int:
     edge_map = _read_edge_map(args)
-    check_entries("table", 1, edge_map.d, edge_map.n)
-    from . import diagonals
+    from . import diagonals  # its kernel refuses an oversized table before any work
 
     checks = diagonals.verify(edge_map)
     payload = {

@@ -5,8 +5,8 @@ times a product of per-vertex lookup rows over Z_d, one factor per vertex of
 the edge, read at that vertex's digit:
 
 - ``power_row(s, d)``: i^s mod d, a vertex of an edge with exponent s;
-- ``shift_row(m, s, d)``: m * ((i - 1)^s - i^s) mod d, the change that
-  conjugating CZ_e^m by the shift X_k makes on the target k;
+- ``shift_row(s, d)``: (i - 1)^s - i^s mod d, the change that conjugating
+  CZ_e by the shift X_k makes on the target k (times m for CZ_e^m);
 - ``deleted_edge_coefficient(m, d)``: m * (d - 1) mod d, the constant that
   the deleted-edge form puts on k.
 
@@ -96,9 +96,9 @@ def power_row(s: int, d: int) -> list[int]:
     return [pow(i, s, d) for i in range(d)]
 
 
-def shift_row(power: int, s: int, d: int) -> list[int]:
-    """[power * ((i - 1)^s - i^s) mod d for i in Z_d]."""
-    return [(power % d) * (pow((i - 1) % d, s, d) - pow(i, s, d)) % d for i in range(d)]
+def shift_row(s: int, d: int) -> list[int]:
+    """[((i - 1)^s - i^s) mod d for i in Z_d]."""
+    return [(pow((i - 1) % d, s, d) - pow(i, s, d)) % d for i in range(d)]
 
 
 def deleted_edge_coefficient(power: int, d: int) -> int:
@@ -368,7 +368,7 @@ class _Rows(dict):
 
     def __missing__(self, key: tuple[bool, int]) -> tuple[int, ...]:
         target, s = key
-        row = self[key] = tuple(shift_row(1, s, self.d) if target else power_row(s, self.d))
+        row = self[key] = tuple(shift_row(s, self.d) if target else power_row(s, self.d))
         return row
 
 
@@ -379,11 +379,12 @@ def edge_terms(
     target k, the shift row (i - 1)^s - i^s mod d on k, where the edges
     without k drop out. Equal rows are one tuple."""
     rows, on_target = _Rows(d), (-1 if k is None else k).__eq__
-    return [
-        (edge.vertices, tuple(map(rows.__getitem__, zip(map(on_target, edge.vertices), edge.exponents))), w)
-        for edge, w in items
-        if k is None or k in edge.vertices
-    ]
+
+    def term(edge: MultiHyperedge, weight: int) -> Term:
+        keys = zip(map(on_target, edge.vertices), edge.exponents)
+        return edge.vertices, tuple(map(rows.__getitem__, keys)), weight
+
+    return [term(edge, w) for edge, w in items if k is None or k in edge.vertices]
 
 
 def edge_map_table(edge_map: WeightedEdgeMap) -> bytes:
@@ -413,7 +414,7 @@ def roll_table(table: bytes, d: int, n: int, k: int) -> bytearray:
     return out
 
 
-def generated_table(edge_map: WeightedEdgeMap, k: int, state: bytes) -> bytes:
+def generated_table(edge_map: WeightedEdgeMap, k: int, state: bytes) -> bytearray:
     """g_k applied to the table ``state``: the exact correction of every edge
     containing k added first (edges without k drop out), then the shift."""
     d, n = edge_map.d, edge_map.n
@@ -514,7 +515,7 @@ def _reporter(
     """The report of (edge, power, k) as a function of the power.
 
     Both diagonals are linear in the power m: the exact one is m times the
-    table with ``shift_row(1, s_k, d)`` on k, and the printed one is m*(d-1)
+    table with ``shift_row(s_k, d)`` on k, and the printed one is m*(d-1)
     times the table of the other vertices. Those two tables are built once;
     a power then scales each (a translate for d <= 256) and compares them."""
     s_k, reduced = split_target(edge, k)

@@ -196,7 +196,8 @@ def test_supports_are_spread_over_their_spans(d, n, monkeypatch):
             for support, total in sums.items():
                 first, last = support[0], support[-1]
                 span = [digits_of(i, d, last - first + 1) for i in range(d ** (last - first + 1))]
-                assert [x % d for x in total] == [span_at(x, on_support[support], first, d) for x in span]
+                expected = [span_at(x, on_support[support], first, d) for x in span]
+                assert [x % d for x in total] == expected
 
 
 def numpy_table(edge_map):

@@ -44,12 +44,14 @@ Every sum adds tables whose lanes are below d and is reduced mod d as it is
 taken: as big ints, one 64 KiB chunk at a time so that they stay in cache,
 then by a translate for one-byte lanes, or by subtracting d * 2^j from
 every lane that reaches it, j from high to low, for wider ones. A lane
-holds 1, 2 or 4 bytes, the fewest in which three values below d add up
+holds 1, 2 or 4 bytes, the fewest in which four values below d add up
 (wider lanes keep a spare top bit), or as many as a support has distinct
 rows on one vertex; ``lane_width`` picks it. A span's grids are summed in
-batches of at most eight, or as many as its lanes can hold. Under the table limit
-(d^n < 2^24) d < 2^24, so 4 bytes always do, and past d = 256 (then n <= 2)
-only the translates give way to the running sums. A table is handed out
+batches of at most eight, or two fewer than its lanes can hold, since a
+span's last sum adds its batch to a base, the next span and the table so
+far. Under the table limit (d^n < 2^24) d < 2^24, so 4 bytes always do,
+and past d = 256 (then n <= 2) only the translates give way to the running
+sums. A table is handed out
 with the lanes of its values, ``lane_width(d - 1)``.
 
 ``edge_map_table`` is a map's state table, ``generated_table`` the table
@@ -321,24 +323,26 @@ def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None)
     constant = sum(w for _, w in supports.pop((), ())) % d
     # Every sum adds tables of lanes below d: a support's grids of equal
     # first rows, at most as many as the distinct rows on one of its
-    # vertices but the last, or a span's grids with its tiled successor and
-    # the table so far. A span's grids are summed in batches of at most
-    # _BATCH, fewer if the lanes cannot hold that many, so that few grids of
-    # a span are held at once.
+    # vertices but the last, or a span's grids with ``base``, its tiled
+    # successor and the table so far. A span's grids are summed in batches
+    # of at most _BATCH, fewer if the lanes cannot hold that many, so a span
+    # holds at most batch - 1 grids between batches and its last sum adds at
+    # most batch + 2 tables. The lanes hold four values below d at least, so
+    # batch >= 2 and a batch's sum leaves a span room for the next grid.
     rows = [
         len(set(column))
         for on_support in supports.values()
         for column in list(zip(*(rows for rows, _ in on_support)))[:-1]
     ]
-    width = lane_width((d - 1) * max([3, *rows]))
+    width = lane_width((d - 1) * max([4, *rows]))
     batch = min(_BATCH, _CAPACITY[width] // max(d - 1, 1) - 2)
     spans: dict[tuple[int, int], list[bytes]] = {}
     for support, on_support in supports.items():
         grids = spans.setdefault((support[0], support[-1]), [])
         for grid in _support_grids(on_support, d, width):
             grids.append(_spread(grid, support, d, width))
-            if len(grids) == batch:
-                grids[:] = [_reduce_sum(grids, d, width, batch * (d - 1))]
+            if len(grids) >= batch:
+                grids[:] = [_reduce_sum(grids, d, width, len(grids) * (d - 1))]
     if base is not None:
         spans.setdefault((0, n - 1), []).append(_rewidth(base, lane_width(d - 1), width))
     table = _pack([constant], width) if constant else b""  # over axes 0..last - 1; b"" is 0

@@ -156,6 +156,48 @@ def test_tables_match_per_index_evaluation(d, n):
     assert all(check.stabilized for check in verify(edge_map))
 
 
+def narrow_lane_map(d, weights):
+    """A d, n = 2 map from {(vertices, exponents): weight}."""
+    return WeightedEdgeMap(d, 2, {MultiHyperedge(v, s): w for (v, s), w in weights.items()})
+
+
+# Maps near the one-byte bound (four values below d sum below 256 up to
+# d = 64): two or three distinct first rows on the span (0, 1), with edges
+# on vertex 0 or 1 alone, so that the span's last sum adds several grids,
+# the next span and the table so far, and verify adds the state as well.
+NARROW_LANE_MAPS = [
+    narrow_lane_map(
+        70, {((0, 1), (1, 1)): 1, ((0, 1), (2, 1)): 1, ((0, 1), (3, 1)): 1, ((1,), (1,)): 1}
+    ),
+    *(
+        narrow_lane_map(
+            d,
+            {
+                ((0, 1), (1, 1)): d - 1,
+                ((0, 1), (2, 3)): d - 1,
+                ((0, 1), (5, 1)): d - 1,
+                ((0,), (2,)): d - 1,
+                ((1,), (1,)): d - 1,
+            },
+        )
+        for d in (64, 65, 86)
+    ),
+]
+
+
+@pytest.mark.parametrize("edge_map", NARROW_LANE_MAPS, ids=lambda m: f"d{m.d}")
+def test_narrow_lane_tables_match_per_index_evaluation(edge_map):
+    d, n = edge_map.d, edge_map.n
+    table = edge_map_table(edge_map)
+    phases = [phase_at(digits_of(i, d, n), edge_map) for i in range(d**n)]
+    assert list(table_values(table, d)) == phases
+    for k, check in enumerate(verify(edge_map)):
+        moved = [generated_at(i, edge_map, k) for i in range(d**n)]
+        assert list(table_values(diagonals.generated_table(edge_map, k, table), d)) == moved
+        mismatches = tuple(i for i, f in enumerate(phases) if moved[i] != f)
+        assert (check.vertex, check.stabilized, check.mismatch_indices) == (k, True, mismatches)
+
+
 def span_at(digits, edges, first, d):
     """The sum mod d of the edges on one span, read at span digits."""
     full = [0] * first + list(digits)
@@ -229,7 +271,7 @@ def widths_of(monkeypatch, make):
 
 
 def test_lane_widths_1_2_and_4(monkeypatch):
-    # One byte while three values below d sum below 256, two past that, four
+    # One byte while four values below d sum below 256, two past that, four
     # past 2^15; each width gives the table the numpy broadcasts give. At
     # d = 2 the 4095 supports are summed in batches of one-byte lanes.
     rng = random.Random("widths")
@@ -239,8 +281,8 @@ def test_lane_widths_1_2_and_4(monkeypatch):
     }
     cases = [
         (WeightedEdgeMap(2, 12, every_support), 1),
-        (random_map(rng, 86, 3, count=3), 1),
-        (random_map(rng, 87, 3, count=3), 2),
+        (random_map(rng, 64, 3, count=3), 1),
+        (random_map(rng, 65, 3, count=3), 2),
         (random_map(rng, 257, 2, count=6), 2),
         (random_map(rng, 4093, 2, count=3), 2),
         (random_map(rng, 40009, 1, count=3), 4),

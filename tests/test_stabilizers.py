@@ -235,6 +235,29 @@ def test_verify_reports_the_mismatches_of_a_corrupted_table(d, n):
     rng = random.Random(f"corrupt:{d}:{n}")
     pool = enumerate_multihyperedges(n, d, max_arity=2)
     edge_map = WeightedEdgeMap(d, n, {e: rng.randrange(d) for e in rng.sample(pool, 12)})
+    check_corrupted_tables(edge_map, rng)
+
+
+@pytest.mark.parametrize("d", [64, 65, 70, 86])
+def test_verify_reports_the_mismatches_of_a_corrupted_narrow_lane_table(d):
+    # Three distinct first rows on the span (0, 1) and edges on each vertex
+    # alone, at d near the one-byte bound: verify's last sum adds the
+    # state's table to the span's grids, the next span and the table so far.
+    weights = {
+        ((0, 1), (1, 1)): d - 1,
+        ((0, 1), (2, 1)): d - 1,
+        ((0, 1), (3, 1)): d - 1,
+        ((0,), (2,)): d - 1,
+        ((1,), (1,)): d - 1,
+    }
+    edge_map = WeightedEdgeMap(d, 2, {MultiHyperedge(v, s): w for (v, s), w in weights.items()})
+    check_corrupted_tables(edge_map, random.Random(f"corrupt:{d}"))
+
+
+def check_corrupted_tables(edge_map, rng):
+    """``vertex_checks`` on the map's table with 1, 3 and half of its
+    entries changed, against ``numpy_generated``."""
+    d, n = edge_map.d, edge_map.n
     table = np.frombuffer(edge_map_table(edge_map), dtype=f"<u{lane_width(d - 1)}").astype(np.int64)
     for changed in (1, 3, d**n // 2):
         corrupted = table.copy()

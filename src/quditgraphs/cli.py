@@ -74,11 +74,9 @@ def _encode(value: object, newline: str) -> str:
     values through json's C string encoder, ints, bools and None directly,
     and floats by ``json.dumps``. A list of plain ints, such as a phase
     table, is written in one join, with the item separator carrying the
-    line break and the indent. When its values are non-negative and each
-    below ``_TEXT_RANGE`` or the list's length, the items are looked up in a
-    table of texts: the shared one below ``_TEXT_RANGE``, else one built for
-    the list at no more ``str`` calls than it has items. Any other int list
-    goes through the C encoder.
+    line break and the indent. When its values are non-negative and below
+    ``_TEXT_RANGE``, the items are looked up in the shared table of texts;
+    any other int list goes through the C encoder.
     """
     if isinstance(value, str):
         return _quoted(value)
@@ -98,10 +96,8 @@ def _encode(value: object, newline: str) -> str:
     if isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) == {int}:  # one pass in C; a bool is not an int here
             distinct = set(value)
-            top = max(distinct)
-            if min(distinct) >= 0 and top < max(_TEXT_RANGE, len(value)):
-                texts = _TEXTS if top < _TEXT_RANGE else list(map(str, range(top + 1)))
-                body = separator.join([texts[x] for x in value])
+            if min(distinct) >= 0 and max(distinct) < _TEXT_RANGE:
+                body = separator.join([_TEXTS[x] for x in value])
             else:
                 body = json.dumps(value, separators=(separator, ": "))[1:-1]
             return "[" + inner + body + newline + "]"

@@ -18,11 +18,11 @@ computed here, and none from its flat index.
 entries against the table limit with ``residues.check_entries`` before they
 allocate, and raise its ``SizeLimit`` (re-exported here).
 
-A table takes at most d amplitudes, d^{-n/2} * omega_d^f for f in Z_d
-(``diagonals.amplitude``): ``to_dense`` looks each entry up there, and
-``dense_blocks`` writes the text of ``diagonals.dense_blocks``, which
-formats each phase that occurs once and writes a line per entry by the same
-lookup.
+A table takes at most d amplitudes, d^{-n/2} * omega_d^f for f in Z_d:
+``to_dense`` computes all d in one numpy pass and looks each entry up
+there, and ``dense_blocks`` writes the text of ``diagonals.dense_blocks``,
+which formats each phase that occurs once (``diagonals.amplitude``, bitwise
+the same values) and writes a line per entry by the same lookup.
 """
 
 from __future__ import annotations
@@ -208,12 +208,16 @@ class DenseState(_Value):
         self._set(d=d, n=n, amplitudes=amps)
 
 
+def _amplitudes(d: int, n: int) -> np.ndarray:
+    """The amplitude d^{-n/2} * exp(2*pi*1j*f/d) of each phase f in Z_d, in
+    one numpy pass; each is bitwise ``diagonals.amplitude(f, d, n)``."""
+    return np.exp(2j * np.pi * np.arange(d) / d) * d ** (-n / 2)
+
+
 def to_dense(state: PhaseFunction) -> DenseState:
     """Amplitudes d^{-n/2} * exp(2*pi*1j*f(i)/d)."""
-    d, n = state.d, state.n
-    check_entries("table", 1, d, n)
-    amplitudes = np.array([diagonals.amplitude(f, d, n) for f in range(d)])
-    return DenseState(d, n, amplitudes[state.table])
+    check_entries("table", 1, state.d, state.n)
+    return DenseState(state.d, state.n, _amplitudes(state.d, state.n)[state.table])
 
 
 def dense_blocks(state: PhaseFunction) -> Iterator[str]:

@@ -287,13 +287,21 @@ class TestDense:
         assert [block.count("\n") for block in blocks] == [4, 4, 1]
         assert "".join(blocks) == whole
 
-    @pytest.mark.parametrize("make", [to_dense, lambda state: next(dense_blocks(state))])
-    def test_norm_is_checked_before_any_output(self, make, monkeypatch):
-        exact = diagonals.amplitude
+    @pytest.mark.parametrize(
+        "make,source,name",
+        [
+            (to_dense, states, "_amplitudes"),
+            (lambda state: next(dense_blocks(state)), diagonals, "amplitude"),
+        ],
+        ids=["to_dense", "dense_blocks"],
+    )
+    def test_norm_is_checked_before_any_output(self, make, source, name, monkeypatch):
+        # ``source.name`` is the amplitude formula that ``make`` reads.
+        exact = getattr(source, name)
         state = build_state(random_edge_map(random.Random(8), 5, 3))
-        monkeypatch.setattr(diagonals, "amplitude", lambda f, d, n: exact(f, d, n) * (1 + 1e-13))
+        monkeypatch.setattr(source, name, lambda *args: exact(*args) * (1 + 1e-13))
         make(state)  # a deviation of about 2e-13 passes
-        monkeypatch.setattr(diagonals, "amplitude", lambda f, d, n: exact(f, d, n) * (1 + 1e-11))
+        monkeypatch.setattr(source, name, lambda *args: exact(*args) * (1 + 1e-11))
         with pytest.raises(ValueError, match=r"^state norm deviates from 1 by 2\.000e-11$"):
             make(state)
 

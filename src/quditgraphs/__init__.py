@@ -10,11 +10,12 @@ factors, so the solve factors nothing. Reachability and solution counts
 are one divisor rule on the Newton coefficients (``counting``), so the
 census needs no solve at all.
 
-Exports load on first use (PEP 562), so ``import quditgraphs`` and the
-census import no numpy; the state names and the ``correspondence`` names
-load it (``solve_weights`` too, as it takes a ``PhaseFunction``), while the
-solution types and solve errors (``newton``) and the conjugation report
-(``diagonals``) do not.
+Exports load on first use (PEP 562), so ``import quditgraphs`` imports no
+numpy, and no verb of the CLI loads it. The array types need it, from the
+``arrays`` extra: the state, stabilizer and ``correspondence`` names load
+it (``solve_weights`` too, as it takes a ``PhaseFunction``), while the
+census (``counting``), the solution types and solve errors (``newton``)
+and the conjugation report (``diagonals``) do not.
 """
 
 import importlib
@@ -41,19 +42,14 @@ _EXPORTS = {
     "VertexOutOfRange": "diagonals",
     "WeightedEdgeMap": "graphs",
     "apply_generator": "stabilizers",
-    "apply_multi_cz": "states",
-    "apply_shift": "stabilizers",
-    "apply_uv": "states",
     "build_state": "states",
     "build_system": "correspondence",
-    "canonicalize": "states",
     "census": "counting",
     "coefficient_block": "correspondence",
     "conjugation_report": "diagonals",
     "enumerate_hyperedges": "graphs",
     "enumerate_multihyperedges": "graphs",
     "hyperedge": "graphs",
-    "plus_state": "states",
     "representability_constraints": "correspondence",
     "solve_weights": "correspondence",
     "states_equal": "states",

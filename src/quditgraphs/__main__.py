@@ -1,10 +1,5 @@
 """Process entry of ``python -m quditgraphs`` and the ``quditgraphs`` script.
 
-No verb calls BLAS: every result is exact int64 arithmetic. OpenBLAS would
-still start a worker thread per core when numpy loads, so the entry asks for
-one thread before anything can import numpy. A value the caller exported
-wins. A library ``import quditgraphs`` leaves the environment alone.
-
 A reader that closes stdout early (``quditgraphs ... | head``) ends the
 process with status 141, 128 + SIGPIPE as a shell reports a process that
 signal ended, and no traceback: exit 1 means a negative mathematical result.
@@ -25,9 +20,7 @@ import io
 import os
 import sys
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from . import cli  # noqa: E402 (after the setting: cli may load numpy)
+from . import cli
 
 EXIT_CLOSED_STDOUT = 141
 

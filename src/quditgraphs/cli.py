@@ -5,27 +5,23 @@ Exit codes: 0 success / affirmative result, 1 negative mathematical result
 error, 3 size limit. Data goes to stdout, diagnostics to stderr.
 
 A verb imports what it runs, inside the verb: ``graphs`` where it reads an
-edge map or a table, and ``correspondence``, the one numpy-backed module a
-verb runs (``matrix``), only past every refusal. ``build-state`` (plain and
+edge map or a table, and ``diagonals`` past every refusal that needs no
+table. No verb imports numpy, at any exit code: ``build-state`` (plain and
 ``--dense``), ``verify-stabilizers`` and ``identity-check`` build their
-tables with the byte-lane kernel of ``diagonals`` and load no numpy at any
-exit code. So ``census``, usage errors, every size refusal and every schema
-refusal start and finish without numpy too, and ``census`` loads no
-``graphs``. No module of the package imports ``dataclasses``
+tables with the byte-lane kernel of ``diagonals``, and ``matrix`` builds
+its Kronecker block with the same module's ``power_rows``. ``census``
+loads no ``graphs``. No module of the package imports ``dataclasses``
 (its value types derive from ``graphs._Value``), so ``solve`` and
-``census`` load neither it nor the ``inspect`` it imports; numpy imports
-``inspect`` itself. ``solve`` checks its whole table with
-``graphs.phase_table`` and hands it to ``newton.solve_phases``, which
-solves on Python lists and loads no numpy at all. Every size refusal is
-``residues.check_entries``, the listing of ``--all-solutions`` included.
+``census`` load neither it nor the ``inspect`` it imports. ``solve``
+checks its whole table with ``graphs.phase_table`` and hands it to
+``newton.solve_phases``, which solves on Python lists. Every size refusal
+is ``residues.check_entries``, the listing of ``--all-solutions`` included.
 
 Payloads are written by ``_encode``, byte for byte what
 ``json.dumps(payload, indent=2)`` writes, and ``build-state --dense``
 streams its lines in blocks (``diagonals.dense_blocks``). The process
-entry is ``__main__``: it runs
-OpenBLAS with one thread unless the caller set ``OPENBLAS_NUM_THREADS``,
-turns a closed stdout into exit 141, and freezes the request's objects so
-the interpreter's shutdown collections skip them.
+entry is ``__main__``: it turns a closed stdout into exit 141, and freezes
+the request's objects so the interpreter's shutdown collections skip them.
 """
 
 from __future__ import annotations
@@ -284,15 +280,17 @@ def _cmd_identity_check(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     counting._check_block(args.d, args.block)
-    from . import correspondence  # after the size check: a refusal loads no numpy
+    from . import diagonals  # after the size check: a refusal compiles no kernel
 
-    block = correspondence.coefficient_block(args.d, args.block)
+    side, lanes = diagonals.coefficient_lanes(args.d, args.block)
+    entries = list(diagonals.table_values(lanes, args.d))
+    del lanes  # not held while the payload is encoded
     payload = {
         "d": args.d,
         "block": args.block,
-        "rows": block.shape[0],
-        "cols": block.shape[1],
-        "entries": block.ravel().tolist(),
+        "rows": side,
+        "cols": side,
+        "entries": entries,
     }
     _emit(payload)
     return EXIT_OK

@@ -36,8 +36,11 @@ live in the numpy-free ``counting`` module; ``census`` and the factor are
 re-exported here.
 This module keeps the dense-matrix code: ``representability_constraints``
 reads rows of U^{⊗n}, and only ``build_system`` assembles the dense
-canonical matrix. Matrices are C-contiguous, read-only int64 arrays with
-entries reduced mod d, frozen as ``PhaseFunction`` tables are.
+canonical matrix. Every Kronecker power comes from the numpy-free
+``diagonals.power_rows`` as lanes: the constraint rows are read off them,
+and ``build_system`` and ``coefficient_block`` wrap them in C-contiguous,
+read-only int64 arrays with entries reduced mod d, frozen as
+``PhaseFunction`` tables are.
 
 Sizes go through ``residues.check_entries`` before any work: ``solve_weights``
 refuses a factor of d·d entries and kernel generators of free·k^n entries
@@ -58,7 +61,6 @@ from .counting import (
     MODES,
     MULTIHYPERGRAPH,
     CensusReport,
-    _check_block,
     _check_mode,
     _columns,
     _digit_power_rows,
@@ -67,6 +69,7 @@ from .counting import (
     divisor_rule,
     smith_factor,
 )
+from .diagonals import coefficient_lanes, lane_width, power_rows, table_values
 from .graphs import MultiHyperedge, _Value, enumerate_multihyperedges
 from .newton import (
     KroneckerSolver,
@@ -81,32 +84,22 @@ from .residues import NonPrimeModulus, check_entries, is_prime
 from .states import PhaseFunction, _freeze, digits_of
 
 
-def _power_rows(matrix: np.ndarray, picked: np.ndarray, power: int, d: int) -> np.ndarray:
-    """Rows ``picked`` (flat digit-tuple indices) of matrix^{⊗power} mod d,
-    one Kronecker factor at a time, without building the power."""
-    rows = np.ones((len(picked), 1), dtype=np.int64)
-    for digit in np.unravel_index(picked, (len(matrix),) * power):
-        factor = matrix[digit]  # row f holds row digit[f] of matrix
-        outer = rows[:, :, None] * factor[:, None, :]
-        rows = outer.reshape(len(picked), rows.shape[1] * factor.shape[1]) % d
-    return rows
-
-
-def _digit_powers(d: int, mode: str) -> np.ndarray:
-    """The digit-power matrix W of ``counting._digit_power_rows`` as an array."""
-    return np.array(_digit_power_rows(d, mode), dtype=np.int64)
+def _lane_rows(lanes: bytes, rows: int, d: int) -> np.ndarray:
+    """Lanes of ``diagonals.power_rows`` as a read-only view of ``rows`` rows."""
+    return np.frombuffer(lanes, dtype=f"<u{lane_width(d - 1)}").reshape(rows, -1)
 
 
 def _system_parts(
     d: int, n: int, mode: str
 ) -> tuple[tuple[MultiHyperedge, ...], tuple[tuple[int, ...], ...], np.ndarray]:
-    # W^{⊗n} is built whole, d^n x k^n entries, before its columns are picked.
+    # The rows of W^{⊗n}, k^n entries each, are built whole before the
+    # columns are picked.
     k = _exponent_count(d, mode)
     check_entries("system", k**n, d, n)
     variables, columns = tuple(enumerate_multihyperedges(n, k)), _columns(d, n, mode)
     tuples = tuple(digits_of(i, d, n) for i in range(1, d**n))
-    power = _power_rows(_digit_powers(d, mode), np.arange(d**n), n, d)
-    return variables, tuples, _freeze(power[1:, columns])
+    lanes = power_rows(_digit_power_rows(d, mode), range(1, d**n), n, d)
+    return variables, tuples, _freeze(_lane_rows(lanes, d**n - 1, d)[:, columns])
 
 
 class CorrespondenceSystem(_Value):
@@ -154,10 +147,8 @@ def solve_weights(table: PhaseFunction, mode: str) -> SolveOutcome:
 def coefficient_block(d: int, size: int) -> np.ndarray:
     """size-fold Kronecker power of the (d-1)x(d-1) digit-power matrix
     V[i][s] = i^s mod d (i, s in 1..d-1), as a read-only int64 array."""
-    _check_block(d, size)
-    base = _digit_powers(d, MULTIHYPERGRAPH)[1:, 1:]
-    power = 1 if d == 2 else size  # at d = 2 the block is [[1]] for every size
-    return _freeze(_power_rows(base, np.arange((d - 1) ** power), power, d))
+    side, lanes = coefficient_lanes(d, size)
+    return _freeze(_lane_rows(lanes, side, d))
 
 
 def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, ...]]:
@@ -183,5 +174,5 @@ def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, .
     tuples = enumerate(product(range(d), repeat=n))
     picked = [j for j, digits in tuples if max(digits) >= len(diagonal) or next(gcd) == d]
     check_entries("constraint rows", len(picked), d, n)
-    rows = _power_rows(np.array(u, dtype=np.int64), np.array(picked, dtype=np.intp), n, d)
-    return [tuple(row) for row in rows[:, 1:].tolist()]
+    values, size = table_values(power_rows(u, picked, n, d), d), d**n
+    return [tuple(values[start + 1 : start + size]) for start in range(0, len(values), size)]

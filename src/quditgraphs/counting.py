@@ -71,7 +71,8 @@ def _digit_power_rows(d: int, mode: str) -> list[list[int]]:
 
 
 def _check_block(d: int, size: int) -> None:
-    """The refusals of ``correspondence.coefficient_block``, without numpy."""
+    """The refusals of ``diagonals.coefficient_lanes``, which the ``matrix``
+    verb makes before it compiles ``diagonals``."""
     if d < 2 or size < 1:
         raise ValueError("need d >= 2 and size >= 1")
     check_entries("block", 1, d - 1, 2 * size)

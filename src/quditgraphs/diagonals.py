@@ -60,8 +60,15 @@ at every vertex. ``conjugation_report`` is the one judge of whether the
 deleted-edge form is exact; ``edge_reports`` gives the reports of one edge
 for every power and target, and builds its two tables once per target.
 ``dense_blocks`` writes a table's amplitudes as text, one line per entry.
-``states`` and ``stabilizers`` wrap these tables in numpy arrays; the CLI
-reads them as they are, so no verb that works on an edge map loads numpy.
+
+``power_rows`` is the package's one Kronecker-power builder: rows of
+M^{⊗p} mod d as lanes, each widened one factor at a time by the same
+translates or running sums. ``coefficient_lanes`` is the digit-power block
+of the ``matrix`` verb, and ``correspondence`` builds its dense systems
+and constraint rows with it too.
+
+``states``, ``stabilizers`` and ``correspondence`` wrap these lanes in
+numpy arrays; the CLI reads them as they are, so no verb loads numpy.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ from itertools import compress, count
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .counting import MULTIHYPERGRAPH, _check_block, _digit_power_rows
 from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
 from .residues import check_entries
 
@@ -302,6 +310,46 @@ def _multiples(inner: bytes, row: tuple[int, ...], d: int, width: int) -> Sequen
     return times
 
 
+def power_rows(
+    matrix: Sequence[Sequence[int]], picked: Iterable[int], power: int, d: int
+) -> bytes:
+    """Rows ``picked`` of matrix^{⊗power} mod d, one after another, as lanes
+    of ``lane_width(d - 1)``. The matrix's entries lie in [0, d), and a row
+    index is a flat digit tuple (a_0, ..., a_{power-1}) in base
+    len(matrix), a_0 most significant. Row (a_0, ..., a_{power-1}) is
+    matrix[a_0] ⊗ ... ⊗ matrix[a_{power-1}]: it starts as the packed row of
+    its last digit, and each digit before that widens it to the blocks
+    row times matrix[a][s] for each column s (``_multiples``)."""
+    width, base = lane_width(d - 1), len(matrix)
+    packed: dict[int, bytes] = {}
+    rows = []
+    for index in picked:
+        index, digit = divmod(index, base)
+        if digit not in packed:
+            packed[digit] = _pack(matrix[digit], width)
+        row = packed[digit]
+        for _ in range(power - 1):
+            index, digit = divmod(index, base)
+            factor = matrix[digit]
+            times = _multiples(row, factor, d, width)
+            row = b"".join([times[c] for c in factor])
+        rows.append(row)
+    return b"".join(rows)
+
+
+def coefficient_lanes(d: int, size: int) -> tuple[int, bytes]:
+    """The side and the lanes of the size-fold Kronecker power of the
+    (d-1)x(d-1) digit-power matrix V[i][s] = i^s mod d (i, s in 1..d-1),
+    row after row. At d = 2 the block is [[1]] for every size."""
+    _check_block(d, size)
+    base = _digit_power_rows(d, MULTIHYPERGRAPH)[1:]
+    for row in base:  # in place: at d = 4096 a copy would hold d^2 more pointers
+        del row[0]
+    power = 1 if d == 2 else size
+    side = (d - 1) ** power
+    return side, power_rows(base, range(side), power, d)
+
+
 def _spread(grid: bytes, support: tuple[int, ...], d: int, width: int) -> bytes:
     """A support's grid over the span support[0]..support[-1]: for each run
     of missing vertices, the block of the axes after it repeats once per
@@ -526,10 +574,8 @@ def _reporter(
     check_vertex(k, n)
     if reduced is not None:
         check_edge(reduced, n)
-    if d < 0:  # as numpy refused the table's shape (d,)*n
-        raise ValueError("all elements of broadcast shape must be non-negative")
-    if d == 0:  # as the power mod d raised
-        raise ZeroDivisionError("integer modulo by zero")
+    if d < 1:
+        raise ValueError("need d >= 1")
     if reduced is None:
         others = gate_table(d, n, [((), (), 1)])  # the empty product
     else:

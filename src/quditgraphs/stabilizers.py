@@ -39,18 +39,11 @@ from .diagonals import (  # noqa: F401 (the report, the check and VertexOutOfRan
     gate_table,
     generated_table,
     lane_width,
-    roll_table,
     split_target,
     verify,
 )
 from .graphs import MultiHyperedge, WeightedEdgeMap
 from .states import PhaseFunction, _from_lanes, _lanes
-
-
-def apply_shift(state: PhaseFunction, k: int) -> PhaseFunction:
-    """Shift vertex k down one level: new f(i) = f(..., i_k + 1 mod d, ...)."""
-    check_vertex(k, state.n)
-    return _from_lanes(state.d, state.n, roll_table(_lanes(state), state.d, state.n, k))
 
 
 def correction_exponents(

@@ -10,38 +10,33 @@ application is exact and order-independent.
 
 Tables come from the numpy-free kernel ``diagonals.gate_table``, which sums
 edge terms over the d^n table as bytes of fixed-width lanes; this module
-wraps its tables in read-only int64 arrays. ``build_state``,
-``apply_multi_cz`` and ``apply_uv`` all build through it, so no table is
-computed here, and none from its flat index.
+wraps its tables in read-only int64 arrays. ``build_state`` builds through
+it, so no table is computed here, and none from its flat index.
 
-``plus_state``, ``build_state`` and ``to_dense`` each count their d^n
+``build_state`` (through the kernel) and ``to_dense`` count their d^n
 entries against the table limit with ``residues.check_entries`` before they
 allocate, and raise its ``SizeLimit`` (re-exported here).
 
 A table takes at most d amplitudes, d^{-n/2} * omega_d^f for f in Z_d:
 ``to_dense`` computes all d in one numpy pass and looks each entry up
-there, and ``dense_blocks`` writes the text of ``diagonals.dense_blocks``,
-which formats each phase that occurs once (``diagonals.amplitude``, bitwise
-the same values) and writes a line per entry by the same lookup.
+there. The text export of the CLI is ``diagonals.dense_blocks``, which
+formats each phase that occurs once (``diagonals.amplitude``, bitwise the
+same values) and writes a line per entry by the same lookup.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import diagonals
 from .diagonals import (  # noqa: F401 (VertexOutOfRange is re-exported)
     VertexOutOfRange,
     _check_norm,
-    check_vertex,
     edge_map_table,
-    edge_terms,
-    gate_table,
     lane_width,
 )
-from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
+from .graphs import WeightedEdgeMap, _Value
 from .residues import SizeLimit, check_entries  # noqa: F401 (SizeLimit is re-exported)
 
 
@@ -124,45 +119,6 @@ def _from_lanes(d: int, n: int, table: bytes) -> PhaseFunction:
     return PhaseFunction(d, n, np.frombuffer(table, dtype=f"<u{lane_width(d - 1)}"))
 
 
-def plus_state(n: int, d: int) -> PhaseFunction:
-    """|+_d>^{(x)n}: the uniform superposition, i.e. the all-zero table."""
-    check_entries("table", 1, d, n)
-    return PhaseFunction(d, n, np.zeros(d**n, dtype=np.int64))
-
-
-def apply_multi_cz(state: PhaseFunction, edge: MultiHyperedge, power: int) -> PhaseFunction:
-    """Apply the edge's controlled phase gate ``power`` times:
-    f'(i) = f(i) + power * prod_v i_v^{s_v} (mod d)."""
-    d, n = state.d, state.n
-    m = power % d
-    if m == 0:
-        return state
-    diagonals.check_edge(edge, n)
-    return _from_lanes(d, n, gate_table(d, n, edge_terms([(edge, m)], d), base=_lanes(state)))
-
-
-def apply_uv(state: PhaseFunction, vertex: int, coefficients: Sequence[int]) -> PhaseFunction:
-    """Apply the single-vertex diagonal gate with h(k) = sum_j a_j k^j.
-
-    ``coefficients`` is (a_0, ..., a_eta); a_0 contributes a global phase.
-    The monomial gate h(k) = k^eta is ``coefficients = (0,)*eta + (1,)``;
-    with eta = 1 this is the single-vertex ring gate Z.
-    """
-    d, n = state.d, state.n
-    h = tuple(sum(a * pow(k, j, d) for j, a in enumerate(coefficients)) % d for k in range(d))
-    if not any(h):
-        return state
-    check_vertex(vertex, n)
-    return _from_lanes(d, n, gate_table(d, n, [((vertex,), (h,), 1)], base=_lanes(state)))
-
-
-def monomial_coefficients(eta: int) -> tuple[int, ...]:
-    """Coefficient vector of h(k) = k^eta."""
-    if eta < 1:
-        raise ValueError("eta must be >= 1")
-    return (0,) * eta + (1,)
-
-
 def build_state(edge_map: WeightedEdgeMap) -> PhaseFunction:
     """State of a weighted edge map: f(i) = sum_e m_e prod_{v in e} i_v^{s_v} mod d.
 
@@ -179,13 +135,6 @@ def states_equal(a: PhaseFunction, b: PhaseFunction) -> bool:
     ta = (a.table - a.table[0]) % a.d
     tb = (b.table - b.table[0]) % b.d
     return bool(np.array_equal(ta, tb))
-
-
-def canonicalize(state: PhaseFunction) -> PhaseFunction:
-    """Subtract f(0, ..., 0) from every entry."""
-    if state.is_canonical:
-        return state
-    return PhaseFunction(state.d, state.n, (state.table - state.table[0]) % state.d)
 
 
 class DenseState(_Value):
@@ -218,17 +167,3 @@ def to_dense(state: PhaseFunction) -> DenseState:
     """Amplitudes d^{-n/2} * exp(2*pi*1j*f(i)/d)."""
     check_entries("table", 1, state.d, state.n)
     return DenseState(state.d, state.n, _amplitudes(state.d, state.n)[state.table])
-
-
-def dense_blocks(state: PhaseFunction) -> Iterator[str]:
-    """Text export of ``to_dense(state)``, one line per amplitude: 'index re
-    im' at 17 significant digits, written in blocks by
-    ``diagonals.dense_blocks``."""
-    return diagonals.dense_blocks(state.d, state.n, state.table.tolist())
-
-
-# --- JSON serialization of phase tables --------------------------------------
-
-
-def phases_to_dict(state: PhaseFunction) -> dict:
-    return {"d": state.d, "n": state.n, "phases": state.table.tolist()}

@@ -1,4 +1,4 @@
-"""Paths that do no array work start and finish without importing numpy.
+"""Every verb starts and finishes without importing numpy.
 
 Each check runs in a fresh interpreter, because this test process has
 numpy loaded already.
@@ -29,22 +29,11 @@ except SystemExit as exc:
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}), file=sys.stderr)
 """
 
-
-# Appended to a probe: a last stderr line with the process's thread count and
-# the OPENBLAS_NUM_THREADS it ran under.
-THREADS = """
-import json, os, sys
-with open("/proc/self/status") as status:
-    threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
-print(json.dumps({"threads": threads, "setting": os.environ.get("OPENBLAS_NUM_THREADS")}), file=sys.stderr)
-"""
+# The probe in a child where ``import numpy`` raises ImportError.
+NUMPY_BLOCKED_PROBE = 'import sys\nsys.modules["numpy"] = None\n' + CLI_PROBE
 
 # The environment without a BLAS thread setting of the caller's.
 UNSET_BLAS = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-
-needs_proc_status = pytest.mark.skipif(
-    not Path("/proc/self/status").is_file(), reason="no /proc/self/status to count threads"
-)
 
 
 def _python(*args, environ=os.environ, stdin=None):
@@ -57,6 +46,15 @@ def _python(*args, environ=os.environ, stdin=None):
         env=dict(environ, PYTHONPATH=path),
         timeout=60,
     )
+
+
+def _with_input_file(argv, tmp_path):
+    """``argv`` with a dict in it written to an input file and passed as its path."""
+    path = tmp_path / "input.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            path.write_text(json.dumps(arg))
+    return [str(path) if isinstance(arg, dict) else arg for arg in argv]
 
 
 def _cli(*argv):
@@ -149,12 +147,7 @@ def test_import_loads_no_numpy(statement):
          "solve-limit", "solve", "solve-unreachable", "solve-noncanonical"],
 )
 def test_cli_path_loads_no_numpy(argv, code, tmp_path):
-    # A dict in argv is an input file: write it and pass its path.
-    path = tmp_path / "input.json"
-    for arg in argv:
-        if isinstance(arg, dict):
-            path.write_text(json.dumps(arg))
-    argv = [str(path) if isinstance(arg, dict) else arg for arg in argv]
+    argv = _with_input_file(argv, tmp_path)
     assert _cli(*argv) == {"code": code, "numpy": False}
 
 
@@ -214,34 +207,36 @@ def test_deeply_nested_json_is_a_schema_error(argv, tmp_path):
     assert len(message) == 1 and message[0].startswith("error: $: invalid JSON: "), message
 
 
-def test_array_verbs_still_load_numpy():
-    # The probe itself can see numpy: a matrix request needs it.
-    assert _cli("matrix", "--d", "3", "--block", "1") == {"code": 0, "numpy": True}
+PHASES = {"d": 3, "n": 2, "phases": [0, 1, 0, 1, 1, 0, 0, 1, 0]}
 
 
-def _numpy_threads(environ):
-    result = _python(
-        "-c", CLI_PROBE + THREADS, "matrix", "--d", "3", "--block", "1", environ=environ
-    )
-    *_, request, process = result.stderr.splitlines()
-    assert json.loads(request) == {"code": 0, "numpy": True}, result.stderr
-    return json.loads(process)
-
-
-@needs_proc_status
-def test_cli_runs_blas_single_threaded():
-    # OpenBLAS starts one thread per core when numpy loads, unless told not to.
-    assert _numpy_threads(UNSET_BLAS) == {"threads": 1, "setting": "1"}
-
-
-@needs_proc_status
-def test_cli_keeps_a_blas_setting_of_the_callers():
-    environ = dict(UNSET_BLAS, OPENBLAS_NUM_THREADS="2")
-    bare_numpy = _python("-c", "import numpy" + THREADS, environ=environ)
-    assert bare_numpy.returncode == 0, bare_numpy.stderr
-    expected = json.loads(bare_numpy.stderr.splitlines()[-1])
-    assert expected["setting"] == "2"
-    assert _numpy_threads(environ) == expected
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["matrix", "--d", "6", "--block", "1"], 0),
+        (["matrix", "--d", "3", "--block", "3"], 0),
+        (["matrix", "--d", "3", "--block", "100"], 3),
+        (["solve", "--phases", PHASES, "--mode", "multihypergraph"], 0),
+        (["solve", "--phases", PHASES, "--mode", "hypergraph"], 1),
+        (["census", "--d", "3", "--n", "2", "--mode", "hypergraph"], 0),
+        (["build-state", "--graph", GRAPH], 0),
+        (["build-state", "--dense", "--graph", GRAPH], 0),
+        (["verify-stabilizers", "--graph", GRAPH], 0),
+        (["identity-check", "--d", "3", "--n", "2"], 1),
+    ],
+    ids=["matrix", "matrix-block-3", "matrix-limit", "solve", "solve-unreachable", "census",
+         "build-state", "build-state-dense", "verify-stabilizers", "identity-check"],
+)
+def test_every_verb_runs_where_numpy_cannot_be_imported(argv, code, tmp_path):
+    # The same stdout, stderr and exit code as a run that could load numpy.
+    argv = _with_input_file(argv, tmp_path)
+    normal = _python("-m", "quditgraphs", *argv)
+    blocked = _python("-c", NUMPY_BLOCKED_PROBE, *argv)
+    *message, probe = blocked.stderr.splitlines()
+    assert normal.returncode == code, normal.stderr
+    assert json.loads(probe)["code"] == code, blocked.stderr
+    assert (blocked.stdout, message) == (normal.stdout, normal.stderr.splitlines())
+    assert normal.stdout or code == 3
 
 
 def test_library_import_leaves_the_environment_alone():

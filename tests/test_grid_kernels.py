@@ -1,5 +1,6 @@
 """The byte-lane table kernel and the report against a per-index
-evaluator, the encoder against ``json.dumps``, and pinned CLI output.
+evaluator, the Kronecker-power builder against numpy outer products, the
+encoder against ``json.dumps``, and pinned CLI output.
 
 The evaluator below reads every table entry off ``digits_of`` and ``pow``,
 one index at a time, so it shares no array or list code with the kernel
@@ -16,6 +17,7 @@ import pytest
 
 from quditgraphs import diagonals
 from quditgraphs.cli import _TEXT_RANGE, _any_int_digits, _encode, main
+from quditgraphs.counting import HYPERGRAPH, MULTIHYPERGRAPH, _digit_power_rows, smith_factor
 from quditgraphs.diagonals import (
     VertexOutOfRange,
     conjugation_report,
@@ -23,8 +25,10 @@ from quditgraphs.diagonals import (
     edge_reports,
     edge_terms,
     gate_table,
+    power_rows,
     table_values,
 )
+from quditgraphs.residues import DEFAULT_TABLE_LIMIT
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap
 from quditgraphs.stabilizers import apply_generator, correction_exponents, verify
 from quditgraphs.states import build_state, digits_of
@@ -351,8 +355,8 @@ def test_edge_reports_run_every_power_then_every_target(d, n):
             _check_report(report, edge, report.power, report.vertex, d, every_digit)
 
 
-# Each bad (edge, power, k, d, n) with the exception type and text that the
-# numpy tables gave.
+# Each bad (edge, power, k, d, n) with the exception type and text it raises:
+# the vertex and edge checks first, then the modulus.
 EDGE = MultiHyperedge((0, 1), (1, 2))
 FAR_EDGE = MultiHyperedge((0, 4), (1, 2))
 BAD_REPORTS = [
@@ -362,9 +366,9 @@ BAD_REPORTS = [
     ((EDGE, 1, 0, 3, 0), VertexOutOfRange, "vertex 0 out of range [0, 0)"),
     ((FAR_EDGE, 1, 0, 3, 2), VertexOutOfRange,
      "edge MultiHyperedge(vertices=(4,), exponents=(2,)) references a vertex >= 2"),
-    ((EDGE, 1, 0, 0, 2), ZeroDivisionError, "integer modulo by zero"),
-    ((EDGE, 1, 1, 0, 2), ZeroDivisionError, "integer modulo by zero"),
-    ((EDGE, 1, 0, -2, 2), ValueError, "all elements of broadcast shape must be non-negative"),
+    ((EDGE, 1, 0, 0, 2), ValueError, "need d >= 1"),
+    ((EDGE, 1, 1, 0, 2), ValueError, "need d >= 1"),
+    ((EDGE, 1, 0, -2, 2), ValueError, "need d >= 1"),
 ]
 
 
@@ -383,6 +387,71 @@ def test_report_at_d_1_is_one_zero_entry():
         True,
         0,
     )
+
+
+def reference_power_rows(matrix, picked, power, d):
+    """Rows ``picked`` of matrix^{⊗power} mod d by numpy outer products, one
+    Kronecker factor at a time, without building the power: the builder
+    that ``power_rows`` replaced."""
+    rows = np.ones((len(picked), 1), dtype=np.int64)
+    for digit in np.unravel_index(np.array(picked, dtype=np.intp), (len(matrix),) * power):
+        factor = matrix[digit]  # row f holds row digit[f] of matrix
+        outer = rows[:, :, None] * factor[:, None, :]
+        rows = outer.reshape(len(picked), rows.shape[1] * factor.shape[1]) % d
+    return rows
+
+
+def kronecker_bases(d):
+    """W in both modes, the factor U of U·W·V = diag(s!) (the same d x d
+    matrix in both modes) and the (d-1)x(d-1) block V[i][s] = i^s, as lists
+    and as arrays."""
+    multihypergraph = _digit_power_rows(d, MULTIHYPERGRAPH)
+    array = np.array(multihypergraph, dtype=np.int64)
+    u = smith_factor(d, HYPERGRAPH)[0]
+    bases = {
+        "W multihypergraph": (multihypergraph, array),
+        "W hypergraph": (_digit_power_rows(d, HYPERGRAPH), array[:, :2]),
+        "U": (u, np.array(u, dtype=np.int64)),
+        "V": ([row[1:] for row in multihypergraph[1:]], array[1:, 1:]),
+    }
+    if d == 2:  # W's two columns in both modes
+        del bases["W hypergraph"]
+    return bases
+
+
+@pytest.mark.parametrize("d", [*range(2, 10), 64, 65, 255, 256, 257, 4093])
+def test_power_rows_match_numpy_outer_products(d):
+    # Every power whose whole matrix stays under the table limit (up to 24
+    # for V = [[1]] at d = 2); each time no rows, a few random rows in
+    # random order, and every row when the power is small.
+    rng = random.Random(f"power-rows:{d}")
+    for name, (rows, array) in kronecker_bases(d).items():
+        entries = len(rows) * len(rows[0])
+        power = 1
+        while entries**power < DEFAULT_TABLE_LIMIT and power <= 24:
+            count = len(rows) ** power
+            picks = [[], rng.sample(range(count), min(6, count))]
+            if entries**power <= 4096:
+                picks.append(list(range(count)))
+            for picked in picks:
+                lanes = power_rows(rows, picked, power, d)
+                expected = reference_power_rows(array, picked, power, d).reshape(-1).tolist()
+                assert list(table_values(lanes, d)) == expected, (name, power, picked)
+            power += 1
+        assert power > 1, name
+
+
+# MD5 of ``matrix`` stdout as the numpy builder printed it.
+PINNED_BLOCKS = [
+    (4, 6, "7a418d632375f6e2695c9a4c9a34f76b"),
+    (9, 3, "14d43189b9e107e513f4e7a25f109ec1"),
+]
+
+
+@pytest.mark.parametrize("d,block,digest", PINNED_BLOCKS, ids=["d4-block6", "d9-block3"])
+def test_pinned_matrix_output(capsys, d, block, digest):
+    assert main(["matrix", "--d", str(d), "--block", str(block)]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # Keys past ASCII, with quotes, escapes and control characters.

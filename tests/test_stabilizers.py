@@ -4,7 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quditgraphs.diagonals import edge_map_table, lane_width, vertex_checks
+from quditgraphs.diagonals import (
+    edge_map_table,
+    generated_table,
+    lane_width,
+    roll_table,
+    vertex_checks,
+)
 from quditgraphs.graphs import (
     MultiHyperedge,
     WeightedEdgeMap,
@@ -14,12 +20,18 @@ from quditgraphs.graphs import (
 )
 from quditgraphs.stabilizers import (
     apply_generator,
-    apply_shift,
     conjugation_report,
     correction_exponents,
     verify,
 )
-from quditgraphs.states import PhaseFunction, VertexOutOfRange, build_state, plus_state, to_dense
+from quditgraphs.states import (
+    PhaseFunction,
+    VertexOutOfRange,
+    _from_lanes,
+    _lanes,
+    build_state,
+    to_dense,
+)
 
 from helpers import edge_gate_matrix, lowering_shift, random_edge_map, site_operator
 
@@ -28,7 +40,17 @@ def pf(d, n, entries):
     return PhaseFunction(d, n, np.array(entries))
 
 
-class TestApplyShift:
+def plus_state(n, d):
+    """|+_d>^{(x)n}: the state of the empty map, the all-zero table."""
+    return build_state(WeightedEdgeMap(d, n, {}))
+
+
+def apply_shift(state, k):
+    """The kernel's shift X_k on a state's table: new f(i) = f(..., i_k + 1, ...)."""
+    return _from_lanes(state.d, state.n, roll_table(_lanes(state), state.d, state.n, k))
+
+
+class TestRollTable:
     def test_qubit_swap(self):
         assert apply_shift(pf(2, 1, [0, 1]), 0) == pf(2, 1, [1, 0])
 
@@ -57,8 +79,10 @@ class TestApplyShift:
         )
 
     def test_vertex_range(self):
+        # The shift is g_k of the empty map, which checks k first.
+        empty = WeightedEdgeMap(2, 1, {})
         with pytest.raises(VertexOutOfRange):
-            apply_shift(plus_state(1, 2), 1)
+            generated_table(empty, 1, edge_map_table(empty))
 
 
 class TestGenerator:

@@ -5,17 +5,16 @@ Exit codes: 0 success / affirmative result, 1 negative mathematical result
 error, 3 size limit. Data goes to stdout, diagnostics to stderr.
 
 A verb imports what it runs, inside the verb: ``graphs`` where it reads an
-edge map or a table, and ``diagonals`` past every refusal that needs no
-table. No verb imports numpy, at any exit code: ``build-state`` (plain and
-``--dense``), ``verify-stabilizers`` and ``identity-check`` build their
-tables with the byte-lane kernel of ``diagonals``, and ``matrix`` builds
-its Kronecker block with the same module's ``power_rows``. ``census``
-loads no ``graphs``. No module of the package imports ``dataclasses``
-(its value types derive from ``graphs._Value``), so ``solve`` and
-``census`` load neither it nor the ``inspect`` it imports. ``solve``
-checks its whole table with ``graphs.phase_table`` and hands it to
-``newton.solve_phases``, which solves on Python lists. Every size refusal
-is ``residues.check_entries``, the listing of ``--all-solutions`` included.
+edge map or a table, and ``diagonals`` or ``lanes`` past every refusal
+that needs no table. No verb imports numpy, at any exit code:
+``build-state``, ``verify-stabilizers`` and ``identity-check`` build their
+tables with the edge-gate kernel of ``diagonals``, ``matrix`` its block
+with ``lanes.power_rows``, and ``solve`` hands the table that
+``graphs.phase_table`` checked to ``newton.solve_phases``, which solves on
+``lanes`` without the gate kernel. ``census`` loads no ``graphs``, and no
+module imports ``dataclasses`` (value types derive from ``graphs._Value``),
+so ``solve`` and ``census`` load neither it nor ``inspect``. Every size
+refusal is ``residues.check_entries``, ``--all-solutions`` included.
 
 Payloads are written by ``_encode``, byte for byte what
 ``json.dumps(payload, indent=2)`` writes, and ``build-state --dense``
@@ -153,8 +152,9 @@ def _cmd_build_state(args: argparse.Namespace) -> int:
     edge_map = _read_edge_map(args)
     d, n = edge_map.d, edge_map.n
     from . import diagonals  # its kernel refuses an oversized table before any work
+    from .lanes import table_values
 
-    phases = diagonals.table_values(diagonals.edge_map_table(edge_map), d)
+    phases = table_values(diagonals.edge_map_table(edge_map), d)
     if args.dense:
         for block in diagonals.dense_blocks(d, n, phases):
             sys.stdout.write(block)
@@ -280,11 +280,11 @@ def _cmd_identity_check(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     counting._check_block(args.d, args.block)
-    from . import diagonals  # after the size check: a refusal compiles no kernel
+    from .lanes import coefficient_lanes, table_values  # after the size check
 
-    side, lanes = diagonals.coefficient_lanes(args.d, args.block)
-    entries = list(diagonals.table_values(lanes, args.d))
-    del lanes  # not held while the payload is encoded
+    side, block = coefficient_lanes(args.d, args.block)
+    entries = list(table_values(block, args.d))
+    del block  # not held while the payload is encoded
     payload = {
         "d": args.d,
         "block": args.block,

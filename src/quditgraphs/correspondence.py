@@ -1,53 +1,38 @@
 """Phase tables vs edge weights: build, solve, and count the linear systems.
 
 A canonical phase table f (f(0,...,0) = 0) is reachable from an edge map iff
-the system
 
     sum_e m_e * prod_{v in e} i_v^{s_v}  =  f(i)   (mod d),  one equation per
     nonzero index tuple i,
 
-has a solution in the edge weights m_e. In hypergraph mode the variables are
-the 2^n - 1 plain hyperedges; in multihypergraph mode all d^n - 1 decorated
-edges. Equations are ordered by ascending flat index of the tuple (mixed
-radix, i_0 most significant); variables follow the enumeration order of the
-graphs module.
+has a solution in the edge weights m_e: the 2^n - 1 plain hyperedges in
+hypergraph mode, all d^n - 1 decorated edges in multihypergraph mode.
+Equations follow the flat index of the tuple (i_0 most significant),
+variables the enumeration order of ``graphs``.
 
-Writing each edge as its exponent vector s (s_v = 0 off the support) and
-adding a constant variable m_0 for s = 0, the system over all d^n tuples is
-W^{⊗n} x = f with the digit-power matrix W[i][s] = i^s mod d (0^0 = 1),
-s in 0..d-1 (multihypergraph) or {0, 1} (hypergraph). Row i = 0 pins
-m_0 = f(0) = 0, so the solutions are exactly those of the canonical system.
-``solve_weights`` solves it for every d and both modes with the one
-Kronecker solve of the package (``newton.KroneckerSolver``, re-exported
-here) on the closed-form factor U·W·V = diag(s!) of the small W
-(``counting.smith_factor``), so nothing is factored and solution counts are
-exact: it hands the table to ``newton.solve_phases``, the solve of the
-``solve`` verb, which runs on Python lists and reports x at the edges'
-columns only, so the pinned m_0 never reaches the answer.
-``SolutionSet``, ``SolveOutcome`` and the solve errors live in the
-numpy-free ``newton`` and are re-exported here.
-Which tables are reachable, and with how many solutions, is the divisor
-rule on their Newton coefficients (``counting``'s module docstring and
-``counting.divisor_rule``), so ``census`` solves no table. W and the
-column of each variable in W^{⊗n} fix the whole system, so the fingerprint
-that ``solve_weights`` and ``census`` report hashes those. ``census``, the
-factor, the fingerprint and the variable order (``counting.edge_tuples``)
-live in the numpy-free ``counting`` module; ``census`` and the factor are
-re-exported here.
-This module keeps the dense-matrix code: ``representability_constraints``
-reads rows of U^{⊗n}, and only ``build_system`` assembles the dense
-canonical matrix. Every Kronecker power comes from the numpy-free
-``diagonals.power_rows`` as lanes: the constraint rows are read off them,
-and ``build_system`` and ``coefficient_block`` wrap them in C-contiguous,
-read-only int64 arrays with entries reduced mod d, frozen as
-``PhaseFunction`` tables are.
+With each edge written as its exponent vector s (0 off the support) and a
+constant m_0 for s = 0, the system over all d^n tuples is W^{⊗n} x = f for
+the digit-power matrix W[i][s] = i^s mod d (0^0 = 1), s in 0..d-1
+(multihypergraph) or {0, 1} (hypergraph); row 0 pins m_0 = f(0) = 0.
+``solve_weights`` hands the table to ``newton.solve_phases``, the one
+Kronecker solve of the package on the closed-form factor U·W·V = diag(s!)
+(``counting.smith_factor``), which reports x at the edges' columns only.
+Reachability and solution counts are the divisor rule on the Newton
+coefficients (``counting.divisor_rule``), so ``census`` solves no table,
+and the fingerprint hashes W and each variable's column, which fix the
+whole system. ``census``, the factor and the solve's types and errors are
+re-exported here from the numpy-free ``counting`` and ``newton``.
 
-Sizes go through ``residues.check_entries`` before any work: ``solve_weights``
-refuses a factor of d·d entries and kernel generators of free·k^n entries
-(one column of V^{⊗n} per free unknown), ``build_system`` a W^{⊗n} of
-k^n·d^n entries, ``representability_constraints`` d^n divisors and its
-picked rows of d^n entries each, and ``coefficient_block`` a block of
-(d-1)^(2·size) entries.
+This module keeps the dense-matrix code. Its Kronecker powers come from
+``lanes.power_rows``: ``representability_constraints`` reads rows of
+U^{⊗n} off the lanes, and ``build_system`` and ``coefficient_block`` wrap
+them in read-only int64 arrays, frozen as ``PhaseFunction`` tables are.
+
+Sizes go through ``residues.check_entries`` before any work: ``build_system``
+refuses a W^{⊗n} of k^n·d^n entries, ``representability_constraints`` d^n
+divisors and its picked rows of d^n entries each, ``coefficient_block`` a
+block of (d-1)^(2·size) entries, and ``solve_weights`` whatever
+``solve_phases`` refuses.
 """
 
 from __future__ import annotations
@@ -69,8 +54,8 @@ from .counting import (
     divisor_rule,
     smith_factor,
 )
-from .diagonals import coefficient_lanes, lane_width, power_rows, table_values
 from .graphs import MultiHyperedge, _Value, enumerate_multihyperedges
+from .lanes import coefficient_lanes, lane_width, power_rows, table_values
 from .newton import (
     KroneckerSolver,
     NonCanonical,
@@ -85,7 +70,7 @@ from .states import PhaseFunction, _freeze, digits_of
 
 
 def _lane_rows(lanes: bytes, rows: int, d: int) -> np.ndarray:
-    """Lanes of ``diagonals.power_rows`` as a read-only view of ``rows`` rows."""
+    """Lanes of ``lanes.power_rows`` as a read-only view of ``rows`` rows."""
     return np.frombuffer(lanes, dtype=f"<u{lane_width(d - 1)}").reshape(rows, -1)
 
 

@@ -71,7 +71,7 @@ def _digit_power_rows(d: int, mode: str) -> list[list[int]]:
 
 
 def _check_block(d: int, size: int) -> None:
-    """The refusals of ``diagonals.coefficient_lanes``, which the ``matrix``
+    """The refusals of ``lanes.coefficient_lanes``, which the ``matrix``
     verb makes before it compiles ``diagonals``."""
     if d < 2 or size < 1:
         raise ValueError("need d >= 2 and size >= 1")
@@ -167,8 +167,9 @@ def _columns(d: int, n: int, mode: str) -> list[int]:
     ]
 
 
-def _fingerprint(d: int, n: int, mode: str, columns: list[int]) -> str:
-    """Hash of the canonical system at (d, n, mode); no table enters it.
+def _fingerprint(d: int, n: int, mode: str, w: list[list[int]], columns: list[int]) -> str:
+    """Hash of the canonical system at (d, n, mode), given its W
+    (``_digit_power_rows``); no table enters it.
 
     Rows are the nonzero index tuples in flat order, and column j of the
     dense matrix is column ``columns[j]`` of W^{⊗n}. So W and the columns fix
@@ -180,7 +181,7 @@ def _fingerprint(d: int, n: int, mode: str, columns: list[int]) -> str:
         "d": d,
         "n": n,
         "mode": mode,
-        "base": _digit_power_rows(d, mode),
+        "base": w,
         "columns": columns,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -250,5 +251,5 @@ def census(d: int, n: int, mode: str) -> CensusReport:
         histogram=tuple(sorted((k, v) for k, v in histogram.items() if v)),
         solution_sum=reachable * kernel,
         weight_assignments=weight_assignments,
-        matrix_fingerprint=_fingerprint(d, n, mode, columns),
+        matrix_fingerprint=_fingerprint(d, n, mode, _digit_power_rows(d, mode), columns),
     )

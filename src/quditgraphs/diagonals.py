@@ -18,8 +18,8 @@ leading shift factored off, is the diagonal
 and its deleted-edge form is m*(d-1) * prod_{v != k} i_v^{s_v}.
 
 ``gate_table`` is the one kernel that sums such terms over the d^n table
-(flat index sum_j i_j * d^{n-1-j}, i_0 most significant). A table is a bytes
-object of d^n fixed-width little-endian lanes, one per entry:
+(flat index sum_j i_j * d^{n-1-j}, i_0 most significant). A table is bytes
+of d^n lanes, one per entry, in the format of ``lanes``:
 
 - **Supports.** The terms on one support (vertex set) are summed on the
   support's own d^t grid by one recursion over its first vertex:
@@ -28,7 +28,10 @@ object of d^n fixed-width little-endian lanes, one per entry:
   G_s scaled by one entry of row_s: a ``bytes.translate`` for d <= 256, and
   past that a multiple from a running sum of G_s. This is the W^{(x)t} pass
   at support scale: a lone edge costs d^t lane writes, a full support
-  t * d^(t+1).
+  t * d^(t+1). It stays apart from ``lanes.kronecker_pass``: it costs a
+  Python-level node per group of equal first rows, so on a dense table it
+  would run k^(n-1) nodes (131072 at d=2 n=18) where the pass scales n·m·k
+  times.
 - **Spans.** Each support's grids are spread over the span from its first
   to its last vertex (a block repeated for every vertex in between that it
   misses), and the grids of one (first, last) span are summed there.
@@ -40,20 +43,6 @@ object of d^n fixed-width little-endian lanes, one per entry:
   entries of its prefix of the table, so the laying costs a few d^n lane
   writes however many spans there are.
 
-Every sum adds tables whose lanes are below d and is reduced mod d as it is
-taken: as big ints, one 64 KiB chunk at a time so that they stay in cache,
-then by a translate for one-byte lanes, or by subtracting d * 2^j from
-every lane that reaches it, j from high to low, for wider ones. A lane
-holds 1, 2 or 4 bytes, the fewest in which four values below d add up
-(wider lanes keep a spare top bit), or as many as a support has distinct
-rows on one vertex; ``lane_width`` picks it. A span's grids are summed in
-batches of at most eight, or two fewer than its lanes can hold, since a
-span's last sum adds its batch to a base, the next span and the table so
-far. Under the table limit (d^n < 2^24) d < 2^24, so 4 bytes always do,
-and past d = 256 (then n <= 2) only the translates give way to the running
-sums. A table is handed out
-with the lanes of its values, ``lane_width(d - 1)``.
-
 ``edge_map_table`` is a map's state table, ``generated_table`` the table
 that the map's generator g_k makes of it, and ``verify`` compares the two
 at every vertex. ``conjugation_report`` is the one judge of whether the
@@ -61,29 +50,30 @@ deleted-edge form is exact; ``edge_reports`` gives the reports of one edge
 for every power and target, and builds its two tables once per target.
 ``dense_blocks`` writes a table's amplitudes as text, one line per entry.
 
-``power_rows`` is the package's one Kronecker-power builder: rows of
-M^{⊗p} mod d as lanes, each widened one factor at a time by the same
-translates or running sums. ``coefficient_lanes`` is the digit-power block
-of the ``matrix`` verb, and ``correspondence`` builds its dense systems
-and constraint rows with it too.
-
-``states``, ``stabilizers`` and ``correspondence`` wrap these lanes in
-numpy arrays; the CLI reads them as they are, so no verb loads numpy.
+``states`` and ``stabilizers`` wrap these lanes in numpy arrays; the CLI
+reads them as they are, so no verb loads numpy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
-from array import array
 from collections import Counter
 from itertools import compress, count
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .counting import MULTIHYPERGRAPH, _check_block, _digit_power_rows
 from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
+from .lanes import (
+    _CAPACITY,
+    _multiples,
+    _pack,
+    _reduce_sum,
+    _rewidth,
+    _scale,
+    lane_values,
+    lane_width,
+)
 from .residues import check_entries
 
 
@@ -123,122 +113,6 @@ def split_target(edge: MultiHyperedge, k: int) -> tuple[int, MultiHyperedge | No
     return edge.exponents[edge.vertices.index(k)], edge.without_vertex(k)
 
 
-# --- lanes -------------------------------------------------------------------
-
-_TYPECODES = {1: "B", 2: "H", 4: "I"}
-
-
-# The largest lane value each width holds: wider lanes keep their top bit
-# spare, as ``_cut`` needs.
-_CAPACITY = {1: (1 << 8) - 1, 2: (1 << 15) - 1, 4: (1 << 31) - 1}
-
-
-def lane_width(top: int) -> int:
-    """Bytes per lane for values up to ``top``: 1, 2 or 4."""
-    return 1 if top <= _CAPACITY[1] else 2 if top <= _CAPACITY[2] else 4
-
-
-def lane_values(lanes: bytes, width: int) -> Sequence[int]:
-    """The lanes' values: the bytes themselves at width 1, else an array."""
-    if width == 1:
-        return lanes
-    values = array(_TYPECODES[width])
-    values.frombytes(lanes)
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values
-
-
-def _pack(values: Iterable[int], width: int) -> bytes:
-    if width == 1:
-        return bytes(values)
-    packed = array(_TYPECODES[width], values)
-    if sys.byteorder == "big":
-        packed.byteswap()
-    return packed.tobytes()
-
-
-def table_values(table: bytes, d: int) -> Sequence[int]:
-    """The entries of a table that the kernel handed out, lanes below d."""
-    return lane_values(table, lane_width(d - 1))
-
-
-def _rewidth(lanes: bytes, width: int, new_width: int) -> bytes:
-    """The same lanes at ``new_width`` bytes; narrowing keeps the low bytes."""
-    if width == new_width:
-        return lanes
-    out = bytearray(len(lanes) // width * new_width)
-    for j in range(min(width, new_width)):
-        out[j::new_width] = lanes[j::width]
-    return bytes(out)
-
-
-_TRANSLATIONS: dict[tuple[int, int], bytes] = {}
-
-
-def _translation(c: int, d: int) -> bytes:
-    """The byte map x -> c * x mod d (c = 1: x mod d), for d <= 256."""
-    if (c, d) not in _TRANSLATIONS:
-        _TRANSLATIONS[c, d] = bytes([c * x % d for x in range(256)])
-    return _TRANSLATIONS[c, d]
-
-
-def _scale(lanes: bytes, c: int, d: int, width: int) -> bytes:
-    """Every lane, a value below d, times c mod d. For d <= 256 a lane's
-    high bytes are 0, which the map keeps, so one translate scales it."""
-    if d <= 256:
-        return lanes.translate(_translation(c, d))
-    return _pack([c * x % d for x in lane_values(lanes, width)], width)
-
-
-_LANE_CONSTANTS: dict[tuple[int, int, int], int] = {}
-
-
-def _lane_constant(value: int, lanes: int, width: int) -> int:
-    """The packed lanes that all hold ``value``."""
-    key = (value, lanes, width)
-    if key not in _LANE_CONSTANTS:
-        _LANE_CONSTANTS[key] = int.from_bytes(value.to_bytes(width, "little") * lanes, "little")
-    return _LANE_CONSTANTS[key]
-
-
-def _cut(x: int, lanes: int, d: int, width: int, top: int) -> int:
-    """The packed lanes of x, each a value up to ``top``, mod d: d * 2^j is
-    subtracted from every lane that reaches it, j from high to low. A lane's
-    top bit is spare, so adding 2^high - m to every lane sets it exactly in
-    the lanes that reach m, and no lane carries into the next."""
-    ones = _lane_constant(1, lanes, width)
-    high = 8 * width - 1
-    for j in reversed(range((top // d).bit_length())):
-        m = d << j
-        reached = ((x + _lane_constant((1 << high) - m, lanes, width)) >> high) & ones
-        x -= reached * m
-    return x
-
-
-_CHUNK = 1 << 16  # bytes of lanes per big int: small enough to stay in cache
-_BATCH = 8  # grids of one span summed at once, at most
-
-
-def _reduce_sum(parts: list[bytes], d: int, width: int, top: int) -> bytes:
-    """The lane-wise sum mod d of equal-size tables whose lane sums are at
-    most ``top``, taken as big ints one chunk at a time. One-byte lanes are
-    reduced by one translate, wider ones by ``_cut``. Every table of the
-    kernel is reduced, so one alone is its own sum."""
-    if len(parts) == 1:
-        return parts[0]
-    size = len(parts[0])
-    chunks = []
-    for start in range(0, size, _CHUNK):
-        total = sum(int.from_bytes(part[start : start + _CHUNK], "little") for part in parts)
-        length = min(_CHUNK, size - start)
-        if width > 1:
-            total = _cut(total, length // width, d, width, top)
-        chunks.append(total.to_bytes(length, "little"))
-    table = b"".join(chunks)
-    return table.translate(_translation(1, d)) if width == 1 else table
-
-
 def _repeat(data: bytes, size: int, r: int) -> bytes:
     """Each consecutive ``size``-byte chunk of ``data`` repeated r times in
     place: a new axis of extent r below the axes that tell chunks apart. It
@@ -262,23 +136,17 @@ def _repeat(data: bytes, size: int, r: int) -> bytes:
 # weight * prod_j rows[j][i_{support[j]}] mod d.
 Term = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
 
-
-def _support_grid(
-    terms: list[tuple[tuple[tuple[int, ...], ...], int]], d: int, width: int
-) -> bytes:
-    """sum weight * prod_j rows[j][i_j] mod d over the terms' t >= 1 common
-    axes, first axis most significant."""
-    grids = _support_grids(terms, d, width)
-    return _reduce_sum(grids, d, width, len(grids) * (d - 1))
+_BATCH = 8  # grids of one span summed at once, at most
 
 
 def _support_grids(
     terms: list[tuple[tuple[tuple[int, ...], ...], int]], d: int, width: int
 ) -> list[bytes]:
-    """The grids whose sum mod d is ``_support_grid``: row_s (x) G_s for
-    each first row s, where G_s is the grid of the other axes for the terms
-    whose first row is s, and block i of row_s (x) G_s is G_s times
-    row_s[i]. On one axis the grid is a sum of rows."""
+    """The grids whose sum mod d is sum weight * prod_j rows[j][i_j] over
+    the terms' t >= 1 common axes, first axis most significant: row_s (x)
+    G_s for each first row s, where G_s is the sum of the grids of the other
+    axes for the terms whose first row is s, and block i of row_s (x) G_s
+    is G_s times row_s[i]. On one axis the grid is a sum of rows."""
     if len(terms[0][0]) == 1:
         total = [0] * d
         for (row,), w in terms:
@@ -289,65 +157,11 @@ def _support_grids(
         groups.setdefault(rows[0], []).append((rows[1:], weight))
     grids = []
     for row, rest in groups.items():
-        times = _multiples(_support_grid(rest, d, width), row, d, width)
+        inner = _support_grids(rest, d, width)
+        inner_sum = _reduce_sum(inner, d, width, len(inner) * (d - 1))
+        times = _multiples(inner_sum, row, d, width)
         grids.append(b"".join([times[c] for c in row]))
     return grids
-
-
-def _multiples(inner: bytes, row: tuple[int, ...], d: int, width: int) -> Sequence[bytes]:
-    """inner times c mod d, indexed by each c in ``row``. For d <= 256 each
-    is one translate of inner. Past that, the multiples of inner are a
-    running sum, cut below d at each step."""
-    if d <= 256:
-        times = [b""] * d
-        for c in set(row):
-            times[c] = _scale(inner, c, d, width)
-        return times
-    lanes, step, multiple, times = len(inner) // width, int.from_bytes(inner, "little"), 0, []
-    for _ in range(d):
-        times.append(multiple.to_bytes(len(inner), "little"))
-        multiple = _cut(multiple + step, lanes, d, width, 2 * d - 2)
-    return times
-
-
-def power_rows(
-    matrix: Sequence[Sequence[int]], picked: Iterable[int], power: int, d: int
-) -> bytes:
-    """Rows ``picked`` of matrix^{⊗power} mod d, one after another, as lanes
-    of ``lane_width(d - 1)``. The matrix's entries lie in [0, d), and a row
-    index is a flat digit tuple (a_0, ..., a_{power-1}) in base
-    len(matrix), a_0 most significant. Row (a_0, ..., a_{power-1}) is
-    matrix[a_0] ⊗ ... ⊗ matrix[a_{power-1}]: it starts as the packed row of
-    its last digit, and each digit before that widens it to the blocks
-    row times matrix[a][s] for each column s (``_multiples``)."""
-    width, base = lane_width(d - 1), len(matrix)
-    packed: dict[int, bytes] = {}
-    rows = []
-    for index in picked:
-        index, digit = divmod(index, base)
-        if digit not in packed:
-            packed[digit] = _pack(matrix[digit], width)
-        row = packed[digit]
-        for _ in range(power - 1):
-            index, digit = divmod(index, base)
-            factor = matrix[digit]
-            times = _multiples(row, factor, d, width)
-            row = b"".join([times[c] for c in factor])
-        rows.append(row)
-    return b"".join(rows)
-
-
-def coefficient_lanes(d: int, size: int) -> tuple[int, bytes]:
-    """The side and the lanes of the size-fold Kronecker power of the
-    (d-1)x(d-1) digit-power matrix V[i][s] = i^s mod d (i, s in 1..d-1),
-    row after row. At d = 2 the block is [[1]] for every size."""
-    _check_block(d, size)
-    base = _digit_power_rows(d, MULTIHYPERGRAPH)[1:]
-    for row in base:  # in place: at d = 4096 a copy would hold d^2 more pointers
-        del row[0]
-    power = 1 if d == 2 else size
-    side = (d - 1) ** power
-    return side, power_rows(base, range(side), power, d)
 
 
 def _spread(grid: bytes, support: tuple[int, ...], d: int, width: int) -> bytes:

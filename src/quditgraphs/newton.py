@@ -1,13 +1,10 @@
-"""The Kronecker solve of the package, on Python lists, without numpy.
+"""The Kronecker solve of the package, on lanes, without numpy.
 
-A table f over Z_d^n is a flat list of d^n ints, i_0 the most significant
-digit. ``_forward`` applies a small matrix along every axis of such a list:
-with Pascal's U of ``counting.smith_factor`` it gives c = U^{⊗n} f, the
-Newton forward differences of f, and with the digit-power matrix W it
-rebuilds a table from edge weights. A pass costs about 0.03 µs per
-multiply-add on a 2-core Xeon, several times numpy's cost, but it loads
-nothing: importing numpy alone takes about 90 ms there, more than the whole
-solve of a small table.
+A table f over Z_d^n is d^n values, i_0 the most significant digit, as
+lanes of ``lanes``. ``lanes.kronecker_pass`` applies a small matrix along
+every axis: with Pascal's U of ``counting.smith_factor`` it gives
+c = U^{⊗n} f, the Newton forward differences of f, and with the
+digit-power matrix W it rebuilds a table from edge weights.
 
 ``KroneckerSolver`` solves W^{⊗n} x = b for any base W from a factor
 U·W·V = D, and ``solve_phases``, the solve of the ``solve`` verb and of
@@ -19,8 +16,8 @@ checks the answer through W itself. The solution types ``SolutionSet`` and
 from __future__ import annotations
 
 from functools import cached_property, partial
-from itertools import product, repeat
-from operator import add, mod, mul
+from itertools import product
+from operator import mod
 from typing import Callable, Sequence
 
 from .counting import (
@@ -33,6 +30,7 @@ from .counting import (
     smith_factor,
 )
 from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
+from .lanes import _pack, kronecker_pass, lane_width, power_rows, table_values
 from .residues import check_entries
 
 Generators = tuple[tuple[tuple[int, ...], int], ...]
@@ -208,51 +206,18 @@ def _vector_to_map(
     return WeightedEdgeMap(d, n, {variables[i]: w for i, w in enumerate(vector) if w % d})
 
 
-def _forward(matrix: Sequence[Sequence[int]], flat: Sequence[int], n: int, d: int) -> list[int]:
-    """(matrix ⊗ ... ⊗ matrix)·flat mod d for an m x k matrix and a flat
-    C-order tensor of k^n ints: the m^n entries, in C order.
-
-    Each of the n steps applies the matrix to the last axis and puts the new
-    axis first, so after n steps every axis is done once and back in its
-    place. A step runs its inner products in C along the longer side: one
-    ``sum`` per output entry while the k-long rows are longer than the
-    columns, and otherwise one ``map`` over a whole column per nonzero
-    matrix entry.
-    """
-    k = len(matrix[0])
-    for _ in range(n):
-        rows = len(flat) // k
-        if rows < k:
-            chunks = list(zip(*[iter(flat)] * k))
-            flat = [sum(map(mul, row, chunk)) % d for row in matrix for chunk in chunks]
-            continue
-        columns = [flat[j::k] for j in range(k)]
-        out: list[int] = []
-        for coefficients in matrix:
-            total = None
-            for c, column in zip(coefficients, columns):
-                if c:
-                    term = column if c == 1 else map(mul, column, repeat(c))
-                    total = list(term) if total is None else list(map(add, total, term))
-            out += repeat(0, rows) if total is None else map(mod, total, repeat(d))
-        flat = out
-    return flat
-
-
 def _generators(
     v: Sequence[Sequence[int]], free: list[tuple[int, int]], columns: list[int], n: int, d: int
 ) -> Generators:
     """For each (j, g) in ``free``: column j (a flat index, base k) of
-    V^{⊗n} at the rows ``columns``, times d / g, of order g."""
-    k = len(v)
-    out = []
-    for j, g in free:
-        column = [1]
-        for place in range(n - 1, -1, -1):
-            digit = j // k**place % k
-            column = [a * row[digit] % d for a in column for row in v]
-        out.append((tuple(column[i] * (d // g) % d for i in columns), g))
-    return tuple(out)
+    V^{⊗n} at the rows ``columns``, times d / g, of order g. Column j of
+    V^{⊗n} is row j of (V^T)^{⊗n}, taken mod d for ``power_rows``."""
+    size, transposed = len(v) ** n, [[a % d for a in column] for column in zip(*v)]
+    values = table_values(power_rows(transposed, [j for j, _ in free], n, d), d)
+    return tuple(
+        (tuple(values[start + i] * (d // g) % d for i in columns), g)
+        for start, (_, g) in zip(range(0, len(values), size), free)
+    )
 
 
 class KroneckerSolver:
@@ -286,7 +251,8 @@ class KroneckerSolver:
             raise ValueError("need U m x m, V k x k and k diagonal entries, with m >= k")
         if power < 1 or d < 2:
             raise ValueError(f"need power >= 1 and d >= 2, got {power} and {d}")
-        # Every pass reduces mod d, so U and V are kept as given.
+        # A pass takes any ints, so U and V are kept as given: reducing them
+        # would cost about a second at d = 4000.
         self.u, self.v = u, v
         self.d, self.power, self.rows = d, power, m
         # The flat indices (base m) of the k^n tuples with every digit below
@@ -302,29 +268,31 @@ class KroneckerSolver:
         prod_j g_j. Computed on first use, as it can have millions of digits."""
         return kernel_size(self.gcd)
 
-    def solve(self, rhs: Sequence[int], unknowns: Sequence[int]) -> SolutionSet:
+    def solve(self, rhs: Sequence[int] | bytes, unknowns: Sequence[int]) -> SolutionSet:
         """The solutions of W^{⊗n} x = rhs, each vector listing x at the flat
-        indices ``unknowns``, in that order.
+        indices ``unknowns``, in that order. ``rhs`` is m^n values in [0, d),
+        or their lanes (bytes of ``lane_width(d - 1)``).
 
         The set is the image of all solutions under that pick, and ``count``
-        is the number of solutions. The two agree only when every unknown
-        left out is 0 in every solution. The kernel generators are built on
-        the first read of the set's ``generators``.
+        the number of solutions; they agree only when every unknown left out
+        is 0 in every solution. The generators are built on their first read.
         """
-        d, n = self.d, self.power
-        if len(rhs) != self.rows**n:
+        d, n, width = self.d, self.power, lane_width(self.d - 1)
+        packed = isinstance(rhs, bytes)
+        if len(rhs) != self.rows**n * (width if packed else 1):
             raise ValueError("rhs length mismatch")
-        c = _forward(self.u, rhs, n, d)
+        if not packed:
+            rhs = _pack(rhs, width)
+        c = table_values(kronecker_pass(self.u, rhs, n, d), d)
         diagonal_part = [c[i] for i in self.inside]
-        if sum(map(bool, c)) != sum(map(bool, diagonal_part)) or any(
-            map(mod, diagonal_part, self.gcd)
-        ):
+        outside = len(c) - c.count(0) - (len(diagonal_part) - diagonal_part.count(0))
+        if outside or any(map(mod, diagonal_part, self.gcd)):
             return _no_solution(d)
         y = [
             cj // g * inverse % (d // g)
             for cj, g, inverse in zip(diagonal_part, self.gcd, self.inverse)
         ]
-        x = _forward(self.v, y, n, d)
+        x = table_values(kronecker_pass(self.v, _pack(y, width), n, d), d)
         particular = tuple(x[i] for i in unknowns)
         free = [(j, g) for j, g in enumerate(self.gcd) if g > 1]
         generators = partial(_generators, self.v, free, unknowns, n, d)
@@ -335,9 +303,10 @@ def solve_phases(d: int, n: int, phases: Sequence[int], mode: str) -> SolveOutco
     """Decide reachability of a canonical table and count all weight solutions.
 
     ``phases`` is a table as ``graphs.phase_table`` returns it: d^n entries
-    in [0, d). Raises SizeLimit, before solving, when the base factor U or
-    the kernel generators, one column of V^{⊗n} per free unknown, would
-    reach the table limit; both depend on (d, mode) and n alone.
+    in [0, d). Raises SizeLimit, before solving, when the base factor U, the
+    kernel generators (a column of V^{⊗n} per free unknown) or, past
+    d = 256, where each is a Python multiply, the d^(n+1) products of a
+    pass would reach the table limit; each depends on (d, mode, n) alone.
     """
     _check_canonical(mode, phases[0])
     u, diagonal, v = smith_factor(d, mode)
@@ -346,18 +315,23 @@ def solve_phases(d: int, n: int, phases: Sequence[int], mode: str) -> SolveOutco
     # n = 1 gives the units, before any list of k^n divisors exists.
     units = divisor_rule(diagonal, d, 1)[0].count(1)
     check_entries("kernel generators", k**n - units**n, k, n)
+    if d > 256:
+        check_entries("solve pass products", 1, d, n + 1)
     columns = _columns(d, n, mode)
     variables = _Unknowns(columns, k, n)
-    fingerprint = _fingerprint(d, n, mode, columns)
+    w = _digit_power_rows(d, mode)
+    fingerprint = _fingerprint(d, n, mode, w, columns)
+    width = lane_width(d - 1)
+    table = _pack(phases, width)
     # The constant m_0 at column 0, left out, is pinned to f(0) = 0.
-    solution = KroneckerSolver(u, diagonal, v, d=d, power=n).solve(phases, columns)
+    solution = KroneckerSolver(u, diagonal, v, d=d, power=n).solve(table, columns)
     if not solution.consistent:
         return SolveOutcome(mode, variables, fingerprint, solution, None)
     # The round trip goes through W itself, not its factor.
     placed = [0] * k**n
     for i, weight in zip(columns, solution.particular):
         placed[i] = weight
-    if _forward(_digit_power_rows(d, mode), placed, n, d) != list(phases):
+    if kronecker_pass(w, _pack(placed, width), n, d) != table:
         raise RoundTripFailure(
             f"solved weights do not rebuild the table (fingerprint {fingerprint})"
         )

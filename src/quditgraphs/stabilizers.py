@@ -38,11 +38,11 @@ from .diagonals import (  # noqa: F401 (the report, the check and VertexOutOfRan
     edge_terms,
     gate_table,
     generated_table,
-    lane_width,
     split_target,
     verify,
 )
 from .graphs import MultiHyperedge, WeightedEdgeMap
+from .lanes import lane_width
 from .states import PhaseFunction, _from_lanes, _lanes
 
 

@@ -34,9 +34,9 @@ from .diagonals import (  # noqa: F401 (VertexOutOfRange is re-exported)
     VertexOutOfRange,
     _check_norm,
     edge_map_table,
-    lane_width,
 )
 from .graphs import WeightedEdgeMap, _Value
+from .lanes import lane_width
 from .residues import SizeLimit, check_entries  # noqa: F401 (SizeLimit is re-exported)
 
 

@@ -1,7 +1,7 @@
 """Reference solvers for dense systems over Z_d, kept as test oracles.
 
 The package solves every system through the Kronecker factor of its small
-base, on Python lists (``quditgraphs.newton.KroneckerSolver``). The dense
+base, on byte lanes (``quditgraphs.newton.KroneckerSolver``). The dense
 solvers here work on the whole matrix instead, on plain Python integers:
 
 * prime modulus: Gaussian elimination over the field (``PrimeSolver``), with

@@ -414,6 +414,17 @@ class TestLimitsBeforeWork:
         assert result.returncode == 3 and result.stdout == ""
         assert "kernel generators" in result.stderr and "limit" in result.stderr
 
+    @pytest.mark.parametrize("mode", ["hypergraph", "multihypergraph"])
+    def test_solve_refuses_pass_products_past_d_256(self, tmp_path, mode):
+        # Past d = 256 every product of a pass is a Python multiply: d^(n+1)
+        # of them at n = 2 would take minutes, so the request exits 3 at once.
+        phases = write_json(tmp_path / "p.json", {"d": 257, "n": 2, "phases": [0] * 257**2})
+        start = time.perf_counter()
+        result = run_capped("solve", "--phases", phases, "--mode", mode)
+        assert time.perf_counter() - start < 2.0
+        assert result.returncode == 3 and result.stdout == ""
+        assert "solve pass products of 257^3 entries" in result.stderr
+
     def test_solve_refuses_to_list_too_many_solutions(self, tmp_path):
         # 2^88 solutions of 63 weights each: within the cap, past the table limit.
         phases = write_json(tmp_path / "p.json", {"d": 4, "n": 3, "phases": [0] * 64})

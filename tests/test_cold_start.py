@@ -87,7 +87,7 @@ def test_import_loads_no_numpy(statement):
         (["census", "--d", "0", "--n", "1", "--mode", "hypergraph"], 2),
         (["frobnicate"], 2),
         (["identity-check", "--d", "10", "--n", "10"], 3),
-        # identity-check runs on lists at every exit code.
+        # identity-check runs without numpy at every exit code.
         (["identity-check", "--d", "2", "--n", "2", "--exhaustive"], 0),
         (["identity-check", "--d", "3", "--n", "1"], 1),
         (["identity-check", "--d", "7", "--n", "3"], 1),
@@ -125,7 +125,7 @@ def test_import_loads_no_numpy(statement):
             ],
             3,
         ),
-        # solve runs on lists at any size: 2401 entries, 2^8 solutions.
+        # solve runs on lanes at any size: 2401 entries, one solution.
         (["solve", "--phases", {"d": 7, "n": 4, "phases": [0] * 7**4}, "--mode", "multihypergraph"], 0),
         (
             [
@@ -258,8 +258,9 @@ NOT_FOR_CENSUS = [
 
 
 # Modules a solve never runs: no module of the package imports dataclasses,
-# and the solve itself runs on lists.
-NOT_FOR_SOLVE = ["dataclasses", "inspect", "numpy"]
+# the solve runs on the lanes of ``quditgraphs.lanes``, and the edge-gate
+# kernel is for edge maps.
+NOT_FOR_SOLVE = ["dataclasses", "inspect", "numpy", "quditgraphs.diagonals"]
 
 
 def _importtime(*argv):
@@ -297,8 +298,17 @@ def test_solve_importtime_lists_no_dataclasses_inspect_or_numpy(mode, tmp_path):
     path.write_text(json.dumps({"d": 3, "n": 2, "phases": [0, 1, 0, 1, 1, 0, 0, 1, 0]}))
     code, imported = _importtime("solve", "--phases", str(path), "--mode", mode)
     assert code == (0 if mode == "multihypergraph" else 1), imported
-    assert {"quditgraphs.graphs", "quditgraphs.newton"} <= set(imported)
-    assert not set(NOT_FOR_SOLVE) & {name.split(".")[0] for name in imported}
+    assert {"quditgraphs.graphs", "quditgraphs.lanes", "quditgraphs.newton"} <= set(imported)
+    loaded = set(imported) | {name.split(".")[0] for name in imported}
+    assert not set(NOT_FOR_SOLVE) & loaded
+
+
+def test_matrix_importtime_lists_lanes_and_no_kernel_or_numpy():
+    code, imported = _importtime("matrix", "--d", "6", "--block", "1")
+    assert code == 0, imported
+    assert "quditgraphs.lanes" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+    assert "quditgraphs.diagonals" not in imported
 
 
 def test_cli_import_loads_no_edge_layer():

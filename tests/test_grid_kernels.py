@@ -1,6 +1,7 @@
 """The byte-lane table kernel and the report against a per-index
 evaluator, the Kronecker-power builder against numpy outer products, the
-encoder against ``json.dumps``, and pinned CLI output.
+Kronecker pass against the list pass it replaced, the encoder against
+``json.dumps``, and pinned CLI output.
 
 The evaluator below reads every table entry off ``digits_of`` and ``pow``,
 one index at a time, so it shares no array or list code with the kernel
@@ -11,6 +12,7 @@ import hashlib
 import json
 import random
 from itertools import repeat
+from operator import add, mod, mul
 
 import numpy as np
 import pytest
@@ -25,6 +27,12 @@ from quditgraphs.diagonals import (
     edge_reports,
     edge_terms,
     gate_table,
+)
+from quditgraphs.lanes import (
+    _pack,
+    kronecker_pass,
+    lane_values,
+    lane_width,
     power_rows,
     table_values,
 )
@@ -236,7 +244,7 @@ def test_supports_are_spread_over_their_spans(d, n, monkeypatch):
                 on_support.setdefault(edge.vertices, []).append((edge, weight))
             sums = {}
             for support, width, out in spread:
-                values = diagonals.lane_values(out, width)
+                values = lane_values(out, width)
                 sums[support] = list(map(sum, zip(sums.get(support, [0] * len(values)), values)))
             assert sorted(sums) == sorted(on_support)
             for support, total in sums.items():
@@ -439,6 +447,69 @@ def test_power_rows_match_numpy_outer_products(d):
                 assert list(table_values(lanes, d)) == expected, (name, power, picked)
             power += 1
         assert power > 1, name
+
+
+def reference_pass(matrix, flat, n, d):
+    """matrix^{⊗n}·flat mod d on Python lists: the pass that
+    ``kronecker_pass`` replaced in the solve. Each step applies the matrix
+    to the last axis and puts the new axis first."""
+    k = len(matrix[0])
+    for _ in range(n):
+        rows = len(flat) // k
+        if rows < k:
+            chunks = list(zip(*[iter(flat)] * k))
+            flat = [sum(map(mul, row, chunk)) % d for row in matrix for chunk in chunks]
+            continue
+        columns = [flat[j::k] for j in range(k)]
+        out = []
+        for coefficients in matrix:
+            total = None
+            for c, column in zip(coefficients, columns):
+                if c:
+                    term = column if c == 1 else map(mul, column, repeat(c))
+                    total = list(term) if total is None else list(map(add, total, term))
+            out += repeat(0, rows) if total is None else map(mod, total, repeat(d))
+        flat = out
+    return flat
+
+
+def pass_matrices(d, rng):
+    """U and V of U·W·V = diag(s!) and W, in both modes, a matrix of d - 1
+    everywhere (the largest lane sums), one of entries outside [0, d) and
+    random non-square ones."""
+    matrices = {
+        "full 3x3": [[d - 1] * 3 for _ in range(3)],
+        "unreduced 3x3": [[rng.randrange(-2 * d, 2 * d) for _ in range(3)] for _ in range(3)],
+    }
+    for mode in (HYPERGRAPH, MULTIHYPERGRAPH):
+        u, _, v = smith_factor(d, mode)
+        matrices.update({f"U {mode}": u, f"V {mode}": v, f"W {mode}": _digit_power_rows(d, mode)})
+    for m, k in [(2, 3), (3, 2), (5, 4)]:
+        matrices[f"random {m}x{k}"] = [[rng.randrange(d) for _ in range(k)] for _ in range(m)]
+    return matrices
+
+
+# Each side of both width boundaries of the pass: its working lanes widen
+# from one byte to two at d = 64/65, and past d = 256 its translates give
+# way to a Python multiply per product.
+PASS_MODULI = [*range(2, 18), 63, 64, 65, 66, 255, 256, 257, 300]
+
+
+@pytest.mark.parametrize("d", PASS_MODULI)
+def test_kronecker_pass_matches_the_list_pass(d):
+    # Every power up to about 20000 products in a step, and n = 1 always,
+    # on an all-zero, an all-(d - 1) and a random table.
+    rng = random.Random(f"pass:{d}")
+    width = lane_width(d - 1)
+    for name, matrix in pass_matrices(d, rng).items():
+        m, k, n = len(matrix), len(matrix[0]), 1
+        while n == 1 or max(m, k) ** (n + 1) <= 20000:
+            for flat in ([0] * k**n, [d - 1] * k**n, [rng.randrange(d) for _ in range(k**n)]):
+                lanes = kronecker_pass(matrix, _pack(flat, width), n, d)
+                assert len(lanes) == m**n * width
+                expected = reference_pass(matrix, flat, n, d)
+                assert list(table_values(lanes, d)) == expected, (name, n, flat[:3])
+            n += 1
 
 
 # MD5 of ``matrix`` stdout as the numpy builder printed it.

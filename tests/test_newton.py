@@ -7,8 +7,9 @@ from functools import cache
 import numpy as np
 import pytest
 
-from quditgraphs import correspondence, newton
+from quditgraphs import correspondence, counting, newton
 from quditgraphs.counting import _columns, _digit_power_rows, _exponent_count
+from quditgraphs.lanes import kronecker_pass, table_values
 from quditgraphs.correspondence import MODES, MULTIHYPERGRAPH
 from quditgraphs.graphs import WeightedEdgeMap, enumerate_multihyperedges
 from quditgraphs.newton import (
@@ -79,8 +80,9 @@ def test_lists_match_the_elimination_factor(d, n):
         (4, 7, "kernel generators of 16256 x 4^7 entries would reach the limit 16777216"),
         (6, 5, "kernel generators of 7744 x 6^5 entries would reach the limit 16777216"),
         (4096, 1, "base factor U of 4096 x 4096^1 entries would reach the limit 16777216"),
+        (257, 2, "solve pass products of 257^3 entries would reach the limit 16777216"),
     ],
-    ids=["d4-generators", "d6-generators", "base-factor"],
+    ids=["d4-generators", "d6-generators", "base-factor", "pass-products"],
 )
 def test_size_refusals_keep_their_messages(d, n, message):
     with pytest.raises(SizeLimit) as refusal:
@@ -101,7 +103,7 @@ def test_generators_refusal_comes_before_any_power_of_the_rule(monkeypatch):
     assert powers == [1]
 
 
-def test_forward_is_the_kronecker_power():
+def test_kronecker_pass_is_the_kronecker_power():
     rng = np.random.default_rng(3)
     d, n = 6, 3
     matrix = rng.integers(0, d, size=(4, 3))
@@ -110,7 +112,24 @@ def test_forward_is_the_kronecker_power():
     for _ in range(n):
         power = np.kron(power, matrix)
     expected = (power @ flat % d).tolist()
-    assert newton._forward(matrix.tolist(), flat.tolist(), n, d) == expected
+    lanes = kronecker_pass(matrix.tolist(), bytes(flat.tolist()), n, d)
+    assert list(table_values(lanes, d)) == expected
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_solve_builds_w_once(mode, monkeypatch):
+    # The fingerprint and the round trip read one W.
+    calls, rows = [], counting._digit_power_rows
+
+    def spy(d, mode):
+        calls.append((d, mode))
+        return rows(d, mode)
+
+    monkeypatch.setattr(counting, "_digit_power_rows", spy)
+    monkeypatch.setattr(newton, "_digit_power_rows", spy)
+    outcome = solve_phases(3, 2, [0, 1, 0, 1, 1, 0, 0, 1, 0], mode)
+    assert outcome.solution.consistent == (mode == MULTIHYPERGRAPH)
+    assert calls == [(3, mode)]
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -19,8 +19,8 @@ Kronecker solve of the package on the closed-form factor U·W·V = diag(s!)
 (``counting.smith_factor``), which reports x at the edges' columns only.
 Reachability and solution counts are the divisor rule on the Newton
 coefficients (``counting.divisor_rule``), so ``census`` solves no table,
-and the fingerprint hashes W and each variable's column, which fix the
-whole system. ``census``, the factor and the solve's types and errors are
+and the fingerprint hashes the name (d, n, mode), which fixes W and every
+column. ``census``, the factor and the solve's types and errors are
 re-exported here from the numpy-free ``counting`` and ``newton``.
 
 This module keeps the dense-matrix code. Its Kronecker powers come from

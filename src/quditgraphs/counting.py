@@ -2,8 +2,8 @@
 
 This module needs neither numpy nor ``graphs``, so ``census`` starts and
 finishes without either: the variables are (support, exponents) pairs from
-``edge_tuples``, which ``graphs.enumerate_*`` wrap as edges, and a census
-reads only their columns in W^{⊗n}.
+``edge_tuples``, which ``graphs.enumerate_*`` wrap as edges and a solve
+reads as columns of W^{⊗n}; a census needs only their number, k^n - 1.
 
 The canonical system at (d, n, mode) is W^{⊗n} x = f with the digit-power
 matrix W[i][s] = i^s mod d (0^0 = 1), s in 0..k-1 for k = d
@@ -32,6 +32,11 @@ has exactly K weight solutions, and R = d^{#vars} / K tables are
 reachable, so counting them needs no table and no factorisation. The
 census refuses only through ``residues.check_entries``, on a count worked
 out from (d, n) alone.
+
+W is fixed by (d, mode) and the columns by (d, n, mode), so that name fixes
+the whole system, and the fingerprint that ``solve`` and ``census`` print
+hashes the name alone (``_fingerprint``): neither verb builds W or a column
+list for it.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ def _digit_power_rows(d: int, mode: str) -> list[list[int]]:
 
 def _check_block(d: int, size: int) -> None:
     """The refusals of ``lanes.coefficient_lanes``, which the ``matrix``
-    verb makes before it compiles ``diagonals``."""
+    verb makes before it compiles ``lanes``."""
     if d < 2 or size < 1:
         raise ValueError("need d >= 2 and size >= 1")
     check_entries("block", 1, d - 1, 2 * size)
@@ -167,24 +172,14 @@ def _columns(d: int, n: int, mode: str) -> list[int]:
     ]
 
 
-def _fingerprint(d: int, n: int, mode: str, w: list[list[int]], columns: list[int]) -> str:
-    """Hash of the canonical system at (d, n, mode), given its W
-    (``_digit_power_rows``); no table enters it.
-
-    Rows are the nonzero index tuples in flat order, and column j of the
-    dense matrix is column ``columns[j]`` of W^{⊗n}. So W and the columns fix
-    every entry and both orderings, and they are hashed instead.
-    """
+def _fingerprint(d: int, n: int, mode: str) -> str:
+    """Hash of the canonical system at (d, n, mode), which its name fixes:
+    no table, no W and no column enters it. ``version`` tags the scheme, so
+    a system hashed another way cannot share its value."""
     import hashlib  # here, not at the top: only solve and census hash anything
 
-    payload = {
-        "d": d,
-        "n": n,
-        "mode": mode,
-        "base": w,
-        "columns": columns,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    name = {"d": d, "mode": mode, "n": n, "version": 2}
+    blob = json.dumps(name, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -227,19 +222,17 @@ def census(d: int, n: int, mode: str) -> CensusReport:
 
     Raises SizeLimit, before any power of d is built, when bits(d)·d^(2n)
     reaches the table limit. That count covers what a census builds: the
-    d·k entries of W that the fingerprint encodes, the k^n < 2900 divisors
-    g_j, and the printed integers
-    of about (d^n - 1)·log2 d bits each, whose conversion to decimal takes
-    time quadratic in their length.
+    k^n < 2900 divisors g_j, and the printed integers of about
+    (d^n - 1)·log2 d bits each, whose conversion to decimal takes time
+    quadratic in their length.
     """
     _check_mode(mode)
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
     check_entries("census", d.bit_length(), d, 2 * n)
     total = d ** (d**n - 1)
-    columns = _columns(d, n, mode)
     kernel = kernel_size(divisor_rule(_factorial_diagonal(d, mode), d, n)[0])
-    weight_assignments = d ** len(columns)
+    weight_assignments = d ** (_exponent_count(d, mode) ** n - 1)
     reachable = weight_assignments // kernel
     histogram = {0: total - reachable, kernel: reachable}
     return CensusReport(
@@ -251,5 +244,5 @@ def census(d: int, n: int, mode: str) -> CensusReport:
         histogram=tuple(sorted((k, v) for k, v in histogram.items() if v)),
         solution_sum=reachable * kernel,
         weight_assignments=weight_assignments,
-        matrix_fingerprint=_fingerprint(d, n, mode, _digit_power_rows(d, mode), columns),
+        matrix_fingerprint=_fingerprint(d, n, mode),
     )

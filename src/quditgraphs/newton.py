@@ -9,8 +9,9 @@ digit-power matrix W it rebuilds a table from edge weights.
 ``KroneckerSolver`` solves W^{⊗n} x = b for any base W from a factor
 U·W·V = D, and ``solve_phases``, the solve of the ``solve`` verb and of
 ``correspondence.solve_weights``, runs it on the closed-form factor and
-checks the answer through W itself. The solution types ``SolutionSet`` and
-``SolveOutcome`` live here; ``correspondence`` re-exports them.
+checks a consistent answer through W itself, the one use of W. The
+solution types ``SolutionSet`` and ``SolveOutcome`` live here;
+``correspondence`` re-exports them.
 """
 
 from __future__ import annotations
@@ -319,8 +320,7 @@ def solve_phases(d: int, n: int, phases: Sequence[int], mode: str) -> SolveOutco
         check_entries("solve pass products", 1, d, n + 1)
     columns = _columns(d, n, mode)
     variables = _Unknowns(columns, k, n)
-    w = _digit_power_rows(d, mode)
-    fingerprint = _fingerprint(d, n, mode, w, columns)
+    fingerprint = _fingerprint(d, n, mode)
     width = lane_width(d - 1)
     table = _pack(phases, width)
     # The constant m_0 at column 0, left out, is pinned to f(0) = 0.
@@ -331,7 +331,7 @@ def solve_phases(d: int, n: int, phases: Sequence[int], mode: str) -> SolveOutco
     placed = [0] * k**n
     for i, weight in zip(columns, solution.particular):
         placed[i] = weight
-    if kronecker_pass(w, _pack(placed, width), n, d) != table:
+    if kronecker_pass(_digit_power_rows(d, mode), _pack(placed, width), n, d) != table:
         raise RoundTripFailure(
             f"solved weights do not rebuild the table (fingerprint {fingerprint})"
         )

@@ -190,16 +190,18 @@ class TestBuildState:
 
 
 # SHA-256 of solve stdout, taken before the census moved out of the
-# numpy-backed modules: (phase table, extra flags, exit code, digest).
+# numpy-backed modules and re-pinned once when the fingerprint became a
+# hash of (d, n, mode), the only bytes that moved: (phase table, extra
+# flags, exit code, digest).
 PINNED_SOLVE = [
     (WORKED_PHASES, ["--mode", "multihypergraph"], 0,
-     "931b06ed81f8f2b85941882ded3554e65779c8a08ba43a11be6b9f4bb9f10909"),
+     "9400c7d5dc3a3cf49d672928480e04ad91f3d58e7c9dd825f165ef4cd8262fa8"),
     (WORKED_PHASES, ["--mode", "hypergraph"], 1,
-     "97ef2abb487e3e5cac5db824630a996f93b57b3e2c805f677ad9fd1ab45e3519"),
+     "c0845a9da613e5156cbc0aa542882bb5c73fa55b7d147d33545720a1367feb8a"),
     ({"d": 4, "n": 1, "phases": [0, 2, 0, 2]}, ["--mode", "multihypergraph", "--all-solutions"], 0,
-     "ebb5440eef1b8103d3b8f7111a1889dcb30125e1b8dbc9acac6dae805e85553c"),
+     "c8f84745199daf4793d29848a5e41fd0f1c8e7ba7c1b920d18b4e6af39c79ace"),
     ({"d": 6, "n": 2, "phases": [0] * 36}, ["--mode", "multihypergraph", "--all-solutions"], 0,
-     "79a0cdd80bdc00b23545af88d198d4573072cc332fd0bf0205df6ad131ce4e81"),
+     "30ec24757157518c20cf584c18ef0211f162c36f1a1bc08385c1221e5830ae5c"),
 ]
 
 
@@ -596,24 +598,25 @@ class TestVerifyStabilizers:
 
 
 # SHA-256 of census stdout for the benchmark's census cells, taken before
-# the census moved from the Smith form of W to its closed form.
+# the census moved from the Smith form of W to its closed form and
+# re-pinned once, as the solve digests were, for the new fingerprint.
 PINNED_CENSUS = [
-    ("multihypergraph", 2, 3, "70579c5f56e06e942f74137d456ef7ea71bd204c5c39b3a6748ec38352f94c70"),
-    ("hypergraph", 2, 3, "6a61699374bf664a32cddc8fe3a154c7fee7d924a8ce992e5b90916d43076333"),
-    ("multihypergraph", 2, 4, "6a008bd0f5a03ad0e6cf47ee3cf49dc5777771aa2254a3e04e616dff6711d7a4"),
-    ("hypergraph", 2, 4, "7720ea1093764b0fe8ba6b22466c3502844a7f29f78fbc8e91d19ba446cb60c4"),
-    ("multihypergraph", 3, 1, "7d7c8387e9548cc754ef578c9c19d1b0dfcc4ae412005b74117b739e0b50fb0e"),
-    ("hypergraph", 3, 1, "34c54ff77634d06d8ff5c804ecd7685b7799a287337715c2048a6e8d88775c07"),
-    ("multihypergraph", 3, 2, "9be888a8cad48f8002c0d9ce32014eccc5186ac4beeec855575f911c89a621c2"),
-    ("hypergraph", 3, 2, "0785dd241e67b66cfd51514787458435bc1e747301566e65f670ae8468012027"),
-    ("multihypergraph", 4, 1, "bf7eca73ea48e2e9e2920353e542caffd000deea152c2d614122050730a098c2"),
-    ("hypergraph", 4, 1, "d4f2ab81dfb8f7d42628f49f87114f52da168f50777e93691c8b5445f04c733b"),
-    ("multihypergraph", 5, 1, "5acbf6cf185dd631001dbcece193b36287683bd05223a9879f8092b1509417b7"),
-    ("hypergraph", 5, 1, "00bbc384c8436ce4ac27a417f58c58a4d076c951753d8d6d00bac354dac27771"),
-    ("multihypergraph", 6, 1, "305679be9f19c74d8fdb4fc91339d67e899dd7d4acc7614a24f3ebcac9d1b87a"),
-    ("hypergraph", 6, 1, "739f0f005f52b0b5324c1eca55969a4192f1fd211cd2a05e32e165b9b322c099"),
-    ("multihypergraph", 7, 1, "3ca3de47af41e0d4973702473b493cb4112cd0b497c3058de98c298c71bf252d"),
-    ("hypergraph", 7, 1, "670596eb64a411eaeb014eed2fb51d128e10511c1e12055ee1b4dd373f35f65d"),
+    ("multihypergraph", 2, 3, "e114bda7248385331dba59698d2b03eef00811101f3feee44367067b4f7a084f"),
+    ("hypergraph", 2, 3, "c1e51081f44c307273ac957c048f76092b688408c451b384b20f1d04592f33fc"),
+    ("multihypergraph", 2, 4, "ed8b8434d1f72bd42c8d84b014a2c143e95710988ef42ed61ebeaba3992e0dd8"),
+    ("hypergraph", 2, 4, "25a7af1f3d323f4783fc2a2b6184113d95de63528fbc64a9e133ce69d4278854"),
+    ("multihypergraph", 3, 1, "a98d6194c4abcef45761d82a3b426278187db5b9b8241212b7df49261147a2f7"),
+    ("hypergraph", 3, 1, "be93dcdb29349f4e9eac79ee99a18b35db0023bbb6a6d93ed8c7da3ac9f4ae77"),
+    ("multihypergraph", 3, 2, "8af7db288c1237afa516139fb9219e4c4bd24c87e390bf0efa3cadacee2a5c0a"),
+    ("hypergraph", 3, 2, "ad91a1c082d14f2ea15419da9b4439ca87ffbcfc874c37dac68981a31ddd515d"),
+    ("multihypergraph", 4, 1, "6118e8092cbf0bec3823ac21cf5a716714308c5c18cd67e21e153772649f3646"),
+    ("hypergraph", 4, 1, "7abee0dcd01b3067ec9920dc2afaa1889c5a8e27853873d67af375220a0b00bb"),
+    ("multihypergraph", 5, 1, "acdabbcdd485e38564bb13186ac19feef0c0a001306ce83ad7f385227c1fd62c"),
+    ("hypergraph", 5, 1, "984ae43e99547ea52a229c6579d514c20b1ea531651e577633f11a8b2fded032"),
+    ("multihypergraph", 6, 1, "982117d0e1ca6f4407d92b100f41abc2ed7cf72f40bac6c7ee058b1824d3276b"),
+    ("hypergraph", 6, 1, "8f675b765239be7476f38147a80487df7eb68e7b69f469df0129df6d039770b3"),
+    ("multihypergraph", 7, 1, "418401e6f129dc9ea1c916fd7560ee0c5c4ece47d21bd6107288f5c8dfef0ddf"),
+    ("hypergraph", 7, 1, "63daa380fa1a6f69048bf6e99ba49b762fabbaf0bcd41c624ce237d04b8976ce"),
 ]
 
 
@@ -626,7 +629,7 @@ class TestCensus:
 
     def test_large_base_is_not_factored(self, capsys):
         # Factoring this 512 x 512 W in pure Python took minutes; the digest
-        # is of the output that run printed.
+        # is of the output that run printed, with the new fingerprint.
         start = time.perf_counter()
         code, out, _ = run(
             capsys, "census", "--d", "512", "--n", "1", "--mode", "multihypergraph"
@@ -634,7 +637,7 @@ class TestCensus:
         assert time.perf_counter() - start < 2.0
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "da248a9fefdc344031255c876fa8ca8cb35ab11adc57901a526e43e107f73ef8"
+            "4d96f4de506852b00cee2b7a768b57cfc5377784146e27921b1f6f3ca6e5c935"
         )
 
     def test_mod4_histogram(self, capsys):

@@ -279,13 +279,21 @@ def test_importtime_lists_no_numpy_module():
 
 
 @pytest.mark.parametrize(
-    "verb", [["build-state", "--dense"], ["verify-stabilizers"]], ids=" ".join
+    "verb", [["build-state"], ["build-state", "--dense"], ["verify-stabilizers"]], ids=" ".join
 )
 def test_edge_map_importtime_lists_no_numpy(verb, tmp_path):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(GRAPH))
     code, imported = _importtime(*verb, "--graph", str(path))
     assert code == 0, imported
+    assert "quditgraphs.diagonals" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+def test_identity_check_importtime_lists_the_kernel_and_no_numpy():
+    # The exhaustive d=3 n=2 check finds a broken identity: exit 1.
+    code, imported = _importtime("identity-check", "--d", "3", "--n", "2", "--exhaustive")
+    assert code == 1, imported
     assert "quditgraphs.diagonals" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -97,7 +98,8 @@ class TestBuildSystem:
          (6, 2, MULTIHYPERGRAPH), (5, 2, HYPERGRAPH), (3, 3, MULTIHYPERGRAPH)],
     )
     def test_every_entry_is_the_edge_monomial(self, d, n, mode):
-        # The fingerprint hashes these entries, so they must not change.
+        # The fingerprint names this matrix by (d, n, mode) alone, so its
+        # entries must not change under that name.
         system = build_system(pf(d, n, [0] * d**n), mode)
         expected = []
         for t in system.tuples:
@@ -137,13 +139,22 @@ class TestBuildSystem:
         assert a != solve_weights(WORKED_TABLE, MULTIHYPERGRAPH).fingerprint
 
     def test_every_verb_reports_the_same_fingerprint(self):
-        seen = set()
-        for d, n, mode in [(2, 2, HYPERGRAPH), (2, 2, MULTIHYPERGRAPH), (3, 1, MULTIHYPERGRAPH),
-                           (3, 2, HYPERGRAPH), (4, 1, MULTIHYPERGRAPH), (6, 1, HYPERGRAPH)]:
-            fingerprint = solve_weights(pf(d, n, [0] * d**n), mode).fingerprint
-            assert census(d, n, mode).matrix_fingerprint == fingerprint
-            seen.add(fingerprint)
-        assert len(seen) == 6
+        # Every (d, n, mode) with d <= 12 and n <= 3 that solve accepts: the
+        # value names the system, whatever the table, and no two share it.
+        rng, seen = random.Random(2028), {}
+        for d, n, mode in product(range(2, 13), range(1, 4), MODES):
+            tables = [[0] * d**n, [0] + [rng.randrange(d) for _ in range(d**n - 1)]]
+            try:
+                values = {solve_weights(pf(d, n, table), mode).fingerprint for table in tables}
+            except SizeLimit:
+                continue
+            assert values == {census(d, n, mode).matrix_fingerprint}, (d, n, mode)
+            seen[values.pop()] = (d, n, mode)
+        assert len(seen) == 66
+        # The versioned scheme itself: SHA-256 of the sorted, compact name.
+        name = b'{"d":3,"mode":"multihypergraph","n":2,"version":2}'
+        assert seen["3d843c29f5b82b12"] == (3, 2, MULTIHYPERGRAPH)
+        assert hashlib.sha256(name).hexdigest()[:16] == "3d843c29f5b82b12"
 
 
 class TestReadOnlyArrays:

@@ -10,7 +10,7 @@ import pytest
 from quditgraphs import correspondence, counting, newton
 from quditgraphs.counting import _columns, _digit_power_rows, _exponent_count
 from quditgraphs.lanes import kronecker_pass, table_values
-from quditgraphs.correspondence import MODES, MULTIHYPERGRAPH
+from quditgraphs.correspondence import HYPERGRAPH, MODES, MULTIHYPERGRAPH
 from quditgraphs.graphs import WeightedEdgeMap, enumerate_multihyperedges
 from quditgraphs.newton import (
     KroneckerSolver,
@@ -116,20 +116,43 @@ def test_kronecker_pass_is_the_kronecker_power():
     assert list(table_values(lanes, d)) == expected
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """"W" for each call of ``_digit_power_rows`` and "columns" for each
+    call of ``_columns`` that ``counting`` or ``newton`` make, in order."""
+    calls = []
+    for name, tag in (("_digit_power_rows", "W"), ("_columns", "columns")):
+
+        def spy(*args, build=getattr(counting, name), tag=tag):
+            calls.append(tag)
+            return build(*args)
+
+        for module in (counting, newton):
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("mode", MODES)
-def test_a_solve_builds_w_once(mode, monkeypatch):
-    # The fingerprint and the round trip read one W.
-    calls, rows = [], counting._digit_power_rows
+def test_a_census_builds_no_w_and_no_columns(mode, builds):
+    for d, n in [(2, 3), (4, 1), (6, 2), (12, 3)]:
+        counting.census(d, n, mode)
+    assert builds == []
 
-    def spy(d, mode):
-        calls.append((d, mode))
-        return rows(d, mode)
 
-    monkeypatch.setattr(counting, "_digit_power_rows", spy)
-    monkeypatch.setattr(newton, "_digit_power_rows", spy)
-    outcome = solve_phases(3, 2, [0, 1, 0, 1, 1, 0, 0, 1, 0], mode)
-    assert outcome.solution.consistent == (mode == MULTIHYPERGRAPH)
-    assert calls == [(3, mode)]
+@pytest.mark.parametrize(
+    "d,n,phases,mode,reachable",
+    [
+        (3, 2, [0, 1, 0, 1, 1, 0, 0, 1, 0], HYPERGRAPH, False),
+        (3, 2, [0, 1, 0, 1, 1, 0, 0, 1, 0], MULTIHYPERGRAPH, True),
+        (4, 1, [0, 1, 0, 0], MULTIHYPERGRAPH, False),
+        (4, 1, [0, 2, 0, 2], MULTIHYPERGRAPH, True),
+    ],
+)
+def test_only_a_reachable_solve_builds_w(d, n, phases, mode, reachable, builds):
+    # W is built once, for the round trip, after the solve; the columns are
+    # the solve's unknowns either way.
+    assert solve_phases(d, n, phases, mode).solution.consistent == reachable
+    assert builds == (["columns", "W"] if reachable else ["columns"])
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -55,7 +55,7 @@ from .counting import (
     smith_factor,
 )
 from .graphs import MultiHyperedge, _Value, enumerate_multihyperedges
-from .lanes import coefficient_lanes, lane_width, power_rows, table_values
+from .lanes import coefficient_lanes, power_rows, table_values
 from .newton import (
     KroneckerSolver,
     NonCanonical,
@@ -66,12 +66,7 @@ from .newton import (
     solve_phases,
 )
 from .residues import NonPrimeModulus, check_entries, is_prime
-from .states import PhaseFunction, _freeze, digits_of
-
-
-def _lane_rows(lanes: bytes, rows: int, d: int) -> np.ndarray:
-    """Lanes of ``lanes.power_rows`` as a read-only view of ``rows`` rows."""
-    return np.frombuffer(lanes, dtype=f"<u{lane_width(d - 1)}").reshape(rows, -1)
+from .states import PhaseFunction, _freeze, _lane_view, digits_of
 
 
 def _system_parts(
@@ -84,7 +79,7 @@ def _system_parts(
     variables, columns = tuple(enumerate_multihyperedges(n, k)), _columns(d, n, mode)
     tuples = tuple(digits_of(i, d, n) for i in range(1, d**n))
     lanes = power_rows(_digit_power_rows(d, mode), range(1, d**n), n, d)
-    return variables, tuples, _freeze(_lane_rows(lanes, d**n - 1, d)[:, columns])
+    return variables, tuples, _freeze(_lane_view(lanes, d).reshape(d**n - 1, -1)[:, columns])
 
 
 class CorrespondenceSystem(_Value):
@@ -133,7 +128,7 @@ def coefficient_block(d: int, size: int) -> np.ndarray:
     """size-fold Kronecker power of the (d-1)x(d-1) digit-power matrix
     V[i][s] = i^s mod d (i, s in 1..d-1), as a read-only int64 array."""
     side, lanes = coefficient_lanes(d, size)
-    return _freeze(_lane_rows(lanes, side, d))
+    return _freeze(_lane_view(lanes, d).reshape(side, -1))
 
 
 def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, ...]]:

@@ -25,13 +25,13 @@ of d^n lanes, one per entry, in the format of ``lanes``:
   support's own d^t grid by one recursion over its first vertex:
   grid = sum_s row_s (x) G_s, where G_s is the grid of the other vertices
   for the terms whose first row is row_s. Each block of row_s (x) G_s is
-  G_s scaled by one entry of row_s: a ``bytes.translate`` for d <= 256, and
-  past that a multiple from a running sum of G_s. This is the W^{(x)t} pass
-  at support scale: a lone edge costs d^t lane writes, a full support
-  t * d^(t+1). It stays apart from ``lanes.kronecker_pass``: it costs a
-  Python-level node per group of equal first rows, so on a dense table it
-  would run k^(n-1) nodes (131072 at d=2 n=18) where the pass scales n·m·k
-  times.
+  G_s scaled by one entry of row_s (``lanes._kron``): a ``bytes.translate``
+  for d <= 256, and past that a multiple from a running sum of G_s. This is
+  the W^{(x)t} pass at support scale: a lone edge costs d^t lane writes, a
+  full support t * d^(t+1). It stays apart from ``lanes.kronecker_pass``: it
+  costs a Python-level node per group of equal first rows, so on a dense
+  table it would run k^(n-1) nodes (131072 at d=2 n=18) where the pass
+  scales n·m·k times.
 - **Spans.** Each support's grids are spread over the span from its first
   to its last vertex (a block repeated for every vertex in between that it
   misses), and the grids of one (first, last) span are summed there.
@@ -42,6 +42,9 @@ of d^n lanes, one per entry, in the format of ``lanes``:
   repeated d times for axis b. Every pass writes at most about twice the
   entries of its prefix of the table, so the laying costs a few d^n lane
   writes however many spans there are.
+
+Every sum here is ``lanes._reduce_sum`` on lanes of ``lanes.work_width(d)``,
+which bounds and batches it, so the kernel just adds tables.
 
 ``edge_map_table`` is a map's state table, ``generated_table`` the table
 that the map's generator g_k makes of it, and ``verify`` compares the two
@@ -65,14 +68,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
 from .lanes import (
-    _CAPACITY,
-    _multiples,
+    _kron,
     _pack,
     _reduce_sum,
     _rewidth,
     _scale,
     lane_values,
     lane_width,
+    work_width,
 )
 from .residues import check_entries
 
@@ -136,12 +139,12 @@ def _repeat(data: bytes, size: int, r: int) -> bytes:
 # weight * prod_j rows[j][i_{support[j]}] mod d.
 Term = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
 
-_BATCH = 8  # grids of one span summed at once, at most
+_BATCH = 8  # grids of one span held at once, at most: memory, not a lane bound
 
 
 def _support_grids(
     terms: list[tuple[tuple[tuple[int, ...], ...], int]], d: int, width: int
-) -> list[bytes]:
+) -> Iterator[bytes]:
     """The grids whose sum mod d is sum weight * prod_j rows[j][i_j] over
     the terms' t >= 1 common axes, first axis most significant: row_s (x)
     G_s for each first row s, where G_s is the sum of the grids of the other
@@ -151,17 +154,13 @@ def _support_grids(
         total = [0] * d
         for (row,), w in terms:
             total = list(map(add, total, map(w.__mul__, row)))
-        return [_pack(map(d.__rmod__, total), width)]
+        yield _pack(map(d.__rmod__, total), width)
+        return
     groups: dict[tuple[int, ...], list] = {}
     for rows, weight in terms:
         groups.setdefault(rows[0], []).append((rows[1:], weight))
-    grids = []
     for row, rest in groups.items():
-        inner = _support_grids(rest, d, width)
-        inner_sum = _reduce_sum(inner, d, width, len(inner) * (d - 1))
-        times = _multiples(inner_sum, row, d, width)
-        grids.append(b"".join([times[c] for c in row]))
-    return grids
+        yield _kron(row, _reduce_sum(_support_grids(rest, d, width), d, width), d, width)
 
 
 def _spread(grid: bytes, support: tuple[int, ...], d: int, width: int) -> bytes:
@@ -182,29 +181,14 @@ def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None)
     supports: dict[tuple[int, ...], list] = {}
     for support, rows, weight in terms:
         supports.setdefault(support, []).append((rows, weight))
-    constant = sum(w for _, w in supports.pop((), ())) % d
-    # Every sum adds tables of lanes below d: a support's grids of equal
-    # first rows, at most as many as the distinct rows on one of its
-    # vertices but the last, or a span's grids with ``base``, its tiled
-    # successor and the table so far. A span's grids are summed in batches
-    # of at most _BATCH, fewer if the lanes cannot hold that many, so a span
-    # holds at most batch - 1 grids between batches and its last sum adds at
-    # most batch + 2 tables. The lanes hold four values below d at least, so
-    # batch >= 2 and a batch's sum leaves a span room for the next grid.
-    rows = [
-        len(set(column))
-        for on_support in supports.values()
-        for column in list(zip(*(rows for rows, _ in on_support)))[:-1]
-    ]
-    width = lane_width((d - 1) * max([4, *rows]))
-    batch = min(_BATCH, _CAPACITY[width] // max(d - 1, 1) - 2)
+    constant, width = sum(w for _, w in supports.pop((), ())) % d, work_width(d)
     spans: dict[tuple[int, int], list[bytes]] = {}
     for support, on_support in supports.items():
         grids = spans.setdefault((support[0], support[-1]), [])
         for grid in _support_grids(on_support, d, width):
             grids.append(_spread(grid, support, d, width))
-            if len(grids) >= batch:
-                grids[:] = [_reduce_sum(grids, d, width, len(grids) * (d - 1))]
+            if len(grids) >= _BATCH:
+                grids[:] = [_reduce_sum(grids, d, width)]
     if base is not None:
         spans.setdefault((0, n - 1), []).append(_rewidth(base, lane_width(d - 1), width))
     table = _pack([constant], width) if constant else b""  # over axes 0..last - 1; b"" is 0
@@ -217,7 +201,7 @@ def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None)
             if first == 0 and table:
                 grids.append(_repeat(table, width, d))
             if grids:
-                span, start = _reduce_sum(grids, d, width, len(grids) * (d - 1)), first
+                span, start = _reduce_sum(grids, d, width), first
         table = span
     if not table:
         return bytes(d**n * lane_width(d - 1))

@@ -2,11 +2,15 @@
 
 A table of values below d is bytes of little-endian lanes of 1, 2 or 4
 bytes, one per entry (``lane_width``; wider lanes keep a spare top bit),
-handed out at ``lane_width(d - 1)``. Tables are summed as big ints, several
-lanes to a word (SWAR: H. S. Warren, *Hacker's Delight*, 2nd ed., ch. 2),
-and reduced mod d as they are summed (``_reduce_sum``), each sum within a
-stated bound. Scaling mod d is a translate for d <= 256 and a multiply per
-lane past that (``_scale``). Under the table limit 4 bytes always do.
+handed out at ``lane_width(d - 1)``. Both kernels, ``kronecker_pass`` and
+``diagonals.gate_table``, sum on ``work_width(d)``, lanes that hold four
+values below d. ``_reduce_sum`` is the one lane sum: it adds tables as big
+ints, several lanes to a word (SWAR: H. S. Warren, *Hacker's Delight*, 2nd
+ed., ch. 2), in batches of as many values below d as a lane holds, and
+reduces each batch mod d, so its callers just add tables. Scaling mod d is a
+translate for d <= 256 and a multiply per lane past that (``_scale``), and
+``_kron`` widens a table to row ⊗ table. Under the table limit 4 bytes
+always do.
 
 ``power_rows`` builds rows of M^{⊗p}: the ``matrix`` block, the dense
 systems of ``correspondence`` and the kernel generators of ``newton``.
@@ -21,6 +25,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import cache
+from itertools import islice
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -36,6 +41,11 @@ _CAPACITY = {1: (1 << 8) - 1, 2: (1 << 15) - 1, 4: (1 << 31) - 1}
 def lane_width(top: int) -> int:
     """Bytes per lane for values up to ``top``: 1, 2 or 4."""
     return 1 if top <= _CAPACITY[1] else 2 if top <= _CAPACITY[2] else 4
+
+
+def work_width(d: int) -> int:
+    """Bytes per lane that the kernels sum on: four values below d fit."""
+    return lane_width(4 * (d - 1))
 
 
 def lane_values(lanes: bytes, width: int) -> Sequence[int]:
@@ -110,39 +120,43 @@ def _cut(x: int, lanes: int, d: int, width: int, top: int) -> int:
 _CHUNK = 1 << 16  # bytes of lanes per big int: small enough to stay in cache
 
 
-def _reduce_sum(parts: list[bytes], d: int, width: int, top: int) -> bytes:
-    """The lane-wise sum mod d of equal-size tables whose lane sums are at
-    most ``top``, taken as big ints one chunk at a time. One-byte lanes are
-    reduced by one translate, wider ones by ``_cut``. Every table here is
+def _reduce_sum(parts: Iterable[bytes], d: int, width: int) -> bytes:
+    """The lane-wise sum mod d of equal-size tables of lanes below d, at
+    least ``work_width(d)`` wide. A lane holds ``_CAPACITY[width] // (d - 1)``
+    such values, so the tables are added that many at a time, the running
+    total among them: any number of parts is safe, and one batch is held at a
+    time. A batch is summed as big ints one chunk at a time and reduced by
+    one translate (one-byte lanes) or by ``_cut``. Every table here is
     reduced, so one alone is its own sum."""
-    if len(parts) == 1:
-        return parts[0]
-    size = len(parts[0])
-    chunks = []
-    for start in range(0, size, _CHUNK):
-        total = sum(int.from_bytes(part[start : start + _CHUNK], "little") for part in parts)
-        length = min(_CHUNK, size - start)
-        if width > 1:
-            total = _cut(total, length // width, d, width, top)
-        chunks.append(total.to_bytes(length, "little"))
-    table = b"".join(chunks)
-    return table.translate(_translation(1, d)) if width == 1 else table
+    parts, batch = iter(parts), _CAPACITY[width] // max(d - 1, 1)
+    total = next(parts)
+    for more in iter(lambda: list(islice(parts, batch - 1)), []):
+        tables, size, chunks = [total, *more], len(total), []
+        for start in range(0, size, _CHUNK):
+            x = sum(int.from_bytes(table[start : start + _CHUNK], "little") for table in tables)
+            length = min(_CHUNK, size - start)
+            if width > 1:
+                x = _cut(x, length // width, d, width, len(tables) * (d - 1))
+            chunks.append(x.to_bytes(length, "little"))
+        total = b"".join(chunks)
+        if width == 1:
+            total = total.translate(_translation(1, d))
+    return total
 
 
-def _multiples(inner: bytes, row: tuple[int, ...], d: int, width: int) -> Sequence[bytes]:
-    """inner times c mod d, indexed by each c in ``row``. For d <= 256 each
-    is one translate of inner. Past that, the multiples of inner are a
-    running sum, cut below d at each step."""
+def _kron(row: Sequence[int], inner: bytes, d: int, width: int) -> bytes:
+    """row ⊗ inner mod d, for entries of row below d: block i is inner times
+    row[i]. For d <= 256 each distinct entry is one translate of inner. Past
+    that, the multiples of inner are a running sum, cut below d at each
+    step, so the lanes must hold 2 (d - 1)."""
     if d <= 256:
-        times = [b""] * d
-        for c in set(row):
-            times[c] = _scale(inner, c, d, width)
-        return times
-    lanes, step, multiple, times = len(inner) // width, int.from_bytes(inner, "little"), 0, []
-    for _ in range(d):
-        times.append(multiple.to_bytes(len(inner), "little"))
-        multiple = _cut(multiple + step, lanes, d, width, 2 * d - 2)
-    return times
+        times = {c: _scale(inner, c, d, width) for c in set(row)}
+    else:
+        lanes, step, multiple, times = len(inner) // width, int.from_bytes(inner, "little"), 0, []
+        for _ in range(d):
+            times.append(multiple.to_bytes(len(inner), "little"))
+            multiple = _cut(multiple + step, lanes, d, width, 2 * d - 2)
+    return b"".join([times[c] for c in row])
 
 
 def power_rows(
@@ -154,7 +168,7 @@ def power_rows(
     len(matrix), a_0 most significant. Row (a_0, ..., a_{power-1}) is
     matrix[a_0] ⊗ ... ⊗ matrix[a_{power-1}]: it starts as the packed row of
     its last digit, and each digit before that widens it to the blocks
-    row times matrix[a][s] for each column s (``_multiples``)."""
+    row times matrix[a][s] for each column s (``_kron``)."""
     width, base = lane_width(d - 1), len(matrix)
     packed: dict[int, bytes] = {}
     rows = []
@@ -165,9 +179,7 @@ def power_rows(
         row = packed[digit]
         for _ in range(power - 1):
             index, digit = divmod(index, base)
-            factor = matrix[digit]
-            times = _multiples(row, factor, d, width)
-            row = b"".join([times[c] for c in factor])
+            row = _kron(matrix[digit], row, d, width)
         rows.append(row)
     return b"".join(rows)
 
@@ -194,14 +206,11 @@ def kronecker_pass(matrix: Sequence[Sequence[int]], lanes: bytes, n: int, d: int
     axis first, so after n steps every axis is done once and back in its
     place. Block i of a step is sum_s matrix[i][s]·t[s::k]. While a block is
     at least a row long and d <= 256, a step works on lanes of
-    ``lane_width(4 (d - 1))``: each t[s::k] is a strided copy, each term a
-    translate, and each sum adds at most batch + 1 values below d (a batch
-    of terms and the block so far), which those lanes hold. Otherwise
-    (always at n = 1) a step takes a C-level dot product per entry.
+    ``work_width(d)``: each t[s::k] is a strided copy, each term a
+    translate, and ``_reduce_sum`` adds the terms. Otherwise (always at
+    n = 1) a step takes a C-level dot product per entry.
     """
-    k, width = len(matrix[0]), lane_width(d - 1)
-    work = lane_width(4 * (d - 1)) if d <= 256 else width
-    batch = _CAPACITY[work] // (d - 1) - 1
+    k, width, work = len(matrix[0]), lane_width(d - 1), work_width(d)
     lanes = _rewidth(lanes, width, work)
     for _ in range(n):
         rows = len(lanes) // work // k
@@ -213,14 +222,8 @@ def kronecker_pass(matrix: Sequence[Sequence[int]], lanes: bytes, n: int, d: int
         columns = [flat[s::k].tobytes() for s in range(k)]
         blocks = []
         for coefficients in matrix:
-            terms: list[bytes] = []
-            for c, column in zip(coefficients, columns):
-                c %= d
-                if c:
-                    terms.append(column if c == 1 else _scale(column, c, d, work))
-                    if len(terms) > batch:
-                        terms = [_reduce_sum(terms, d, work, len(terms) * (d - 1))]
-            top = len(terms) * (d - 1)
-            blocks.append(_reduce_sum(terms, d, work, top) if terms else bytes(rows * work))
+            terms = [(c % d, column) for c, column in zip(coefficients, columns) if c % d]
+            scaled = (column if c == 1 else _scale(column, c, d, work) for c, column in terms)
+            blocks.append(_reduce_sum(scaled, d, work) if terms else bytes(rows * work))
         lanes = b"".join(blocks)
     return _rewidth(lanes, work, width)

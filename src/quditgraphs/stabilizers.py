@@ -42,8 +42,7 @@ from .diagonals import (  # noqa: F401 (the report, the check and VertexOutOfRan
     verify,
 )
 from .graphs import MultiHyperedge, WeightedEdgeMap
-from .lanes import lane_width
-from .states import PhaseFunction, _from_lanes, _lanes
+from .states import PhaseFunction, _from_lanes, _lane_view, _lanes
 
 
 def correction_exponents(
@@ -57,7 +56,7 @@ def correction_exponents(
     if reduced is not None:
         check_edge(reduced, n)
     table = gate_table(d, n, edge_terms([(edge, power)], d, k))
-    return np.frombuffer(table, dtype=f"<u{lane_width(d - 1)}").astype(np.int64)
+    return _lane_view(table, d).astype(np.int64)
 
 
 def apply_generator(state: PhaseFunction, edge_map: WeightedEdgeMap, k: int) -> PhaseFunction:

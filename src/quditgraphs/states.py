@@ -114,9 +114,15 @@ def _lanes(state: PhaseFunction) -> bytes:
     return state.table.astype(f"<u{lane_width(state.d - 1)}").tobytes()
 
 
+def _lane_view(lanes: bytes, d: int) -> np.ndarray:
+    """Lanes of values below d, as the kernel hands them out, as a read-only
+    flat numpy view."""
+    return np.frombuffer(lanes, dtype=f"<u{lane_width(d - 1)}")
+
+
 def _from_lanes(d: int, n: int, table: bytes) -> PhaseFunction:
     """A kernel table as a state."""
-    return PhaseFunction(d, n, np.frombuffer(table, dtype=f"<u{lane_width(d - 1)}"))
+    return PhaseFunction(d, n, _lane_view(table, d))
 
 
 def build_state(edge_map: WeightedEdgeMap) -> PhaseFunction:

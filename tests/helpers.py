@@ -71,6 +71,18 @@ def random_edge_map(rng: random.Random, d: int, n: int) -> WeightedEdgeMap:
     return WeightedEdgeMap(d, n, {e: rng.randrange(d) for e in chosen})
 
 
+def many_row_map(d: int, n: int) -> WeightedEdgeMap:
+    """A map whose supports carry the power rows i^s of every s in 1..d-1 on
+    one vertex, all at weight d - 1: the edges (s, 1) on (0, 1), at n = 3
+    also (1, s, 1) on (0, 1, 2), and an edge on each vertex alone."""
+    weights = {MultiHyperedge((v,), (2 if v else 1,)): d - 1 for v in range(n)}
+    for s in range(1, d):
+        weights[MultiHyperedge((0, 1), (s, 1))] = d - 1
+        if n == 3:
+            weights[MultiHyperedge((0, 1, 2), (1, s, 1))] = d - 1
+    return WeightedEdgeMap(d, n, weights)
+
+
 def random_matrix_rows(rng: random.Random, rows: int, cols: int, d: int):
     return [[rng.randrange(d) for _ in range(cols)] for _ in range(rows)]
 

@@ -29,17 +29,23 @@ from quditgraphs.diagonals import (
     gate_table,
 )
 from quditgraphs.lanes import (
+    _CAPACITY,
+    _CHUNK,
     _pack,
+    _reduce_sum,
     kronecker_pass,
     lane_values,
     lane_width,
     power_rows,
     table_values,
+    work_width,
 )
 from quditgraphs.residues import DEFAULT_TABLE_LIMIT
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap
 from quditgraphs.stabilizers import apply_generator, correction_exponents, verify
 from quditgraphs.states import build_state, digits_of
+
+from helpers import many_row_map
 
 CELLS = [(d, n) for d in (2, 3, 4, 5, 6, 8) for n in (1, 2, 3, 4)]
 
@@ -208,6 +214,59 @@ def test_narrow_lane_tables_match_per_index_evaluation(edge_map):
         assert list(table_values(diagonals.generated_table(edge_map, k, table), d)) == moved
         mismatches = tuple(i for i, f in enumerate(phases) if moved[i] != f)
         assert (check.vertex, check.stabilized, check.mismatch_indices) == (k, True, mismatches)
+
+
+# Maps whose supports carry up to d - 1 distinct rows on one vertex: one-byte
+# lanes while four values below d fit, so a support's or a span's grids are
+# summed in batches of 255 // (d - 1). At n = 3 the middle vertex's rows are
+# summed inside the support recursion as well.
+MANY_ROW_MAPS = [*(many_row_map(d, 2) for d in (17, 40, 64)), many_row_map(17, 3)]
+
+
+@pytest.mark.parametrize("edge_map", MANY_ROW_MAPS, ids=lambda m: f"d{m.d}-n{m.n}")
+def test_many_row_tables_match_per_index_evaluation(edge_map, monkeypatch):
+    d, n = edge_map.d, edge_map.n
+    built = []
+    assert widths_of(monkeypatch, lambda: built.append(edge_map_table(edge_map))) == {1}
+    phases = [phase_at(digits_of(i, d, n), edge_map) for i in range(d**n)]
+    assert list(table_values(built[0], d)) == phases
+    for k, check in enumerate(verify(edge_map)):
+        moved = [generated_at(i, edge_map, k) for i in range(d**n)]
+        assert list(table_values(diagonals.generated_table(edge_map, k, built[0]), d)) == moved
+        assert moved == phases
+        assert (check.vertex, check.stabilized, check.mismatch_indices) == (k, True, ())
+
+
+# Each side of every width boundary of the lane sum: work_width(d) widens
+# from one byte to two at d = 64/65 and from two to four at d = 8192/8193,
+# d = 256/257 is the end of the translates, and lane_width(d - 1) widens at
+# d = 32768/32769.
+REDUCE_MODULI = [2, 3, 64, 65, 256, 257, 8192, 8193, 32768, 32769]
+
+
+@pytest.mark.parametrize("d", REDUCE_MODULI)
+def test_reduce_sum_matches_per_lane_sums_at_every_width_boundary(d):
+    # Part counts on both sides of one batch and past three, tables of d - 1
+    # everywhere (the largest sums) and random ones, on both sides of a
+    # chunk, handed over as a list and as a generator. A batch of four-byte
+    # lanes holds tens of thousands of tables, so counts past 2048 run on
+    # tables of three lanes.
+    rng = random.Random(f"reduce:{d}")
+    width = work_width(d)
+    batch = _CAPACITY[width] // (d - 1)
+    pools = {}
+    for lanes in (_CHUNK // width - 1, _CHUNK // width + 1, 3):
+        pools[lanes] = [[d - 1] * lanes], [rng.choices(range(d), k=lanes) for _ in range(3)]
+    for count in (1, 2, batch - 1, batch, batch + 1, 3 * batch + 1):
+        for lanes in (3,) if count > 2048 else (_CHUNK // width - 1, _CHUNK // width + 1):
+            for pool in pools[lanes]:
+                tables = [_pack(values, width) for values in pool]
+                parts = [tables[i % len(tables)] for i in range(count)]
+                uses = [len(range(j, count, len(tables))) for j in range(len(tables))]
+                expected = [sum(map(mul, uses, lane)) % d for lane in zip(*pool)]
+                for given in (parts, (part for part in parts)):
+                    total = _reduce_sum(given, d, width)
+                    assert list(lane_values(total, width)) == expected, (count, lanes)
 
 
 def span_at(digits, edges, first, d):
@@ -475,8 +534,9 @@ def reference_pass(matrix, flat, n, d):
 
 def pass_matrices(d, rng):
     """U and V of U·W·V = diag(s!) and W, in both modes, a matrix of d - 1
-    everywhere (the largest lane sums), one of entries outside [0, d) and
-    random non-square ones."""
+    everywhere (the largest lane sums), one of entries outside [0, d),
+    random non-square ones and a 2 x 130 matrix of d - 1, whose 130 terms a
+    block sums past one batch of two-byte lanes from d = 255 on."""
     matrices = {
         "full 3x3": [[d - 1] * 3 for _ in range(3)],
         "unreduced 3x3": [[rng.randrange(-2 * d, 2 * d) for _ in range(3)] for _ in range(3)],
@@ -486,24 +546,26 @@ def pass_matrices(d, rng):
         matrices.update({f"U {mode}": u, f"V {mode}": v, f"W {mode}": _digit_power_rows(d, mode)})
     for m, k in [(2, 3), (3, 2), (5, 4)]:
         matrices[f"random {m}x{k}"] = [[rng.randrange(d) for _ in range(k)] for _ in range(m)]
+    matrices["full 2x130"] = [[d - 1] * 130 for _ in range(2)]
     return matrices
 
 
 # Each side of both width boundaries of the pass: its working lanes widen
 # from one byte to two at d = 64/65, and past d = 256 its translates give
-# way to a Python multiply per product.
+# way to a Python multiply per product. At d = 255 and 256 the 2 x 130
+# matrix at n = 2 sums more terms than one batch of two-byte lanes holds.
 PASS_MODULI = [*range(2, 18), 63, 64, 65, 66, 255, 256, 257, 300]
 
 
 @pytest.mark.parametrize("d", PASS_MODULI)
 def test_kronecker_pass_matches_the_list_pass(d):
-    # Every power up to about 20000 products in a step, and n = 1 always,
-    # on an all-zero, an all-(d - 1) and a random table.
+    # Every power up to 40000 products in its largest step, and n = 1
+    # always, on an all-zero, an all-(d - 1) and a random table.
     rng = random.Random(f"pass:{d}")
     width = lane_width(d - 1)
     for name, matrix in pass_matrices(d, rng).items():
         m, k, n = len(matrix), len(matrix[0]), 1
-        while n == 1 or max(m, k) ** (n + 1) <= 20000:
+        while n == 1 or max(m**n * k, m * k**n) <= 40000:
             for flat in ([0] * k**n, [d - 1] * k**n, [rng.randrange(d) for _ in range(k**n)]):
                 lanes = kronecker_pass(matrix, _pack(flat, width), n, d)
                 assert len(lanes) == m**n * width

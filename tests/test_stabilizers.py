@@ -33,7 +33,13 @@ from quditgraphs.states import (
     to_dense,
 )
 
-from helpers import edge_gate_matrix, lowering_shift, random_edge_map, site_operator
+from helpers import (
+    edge_gate_matrix,
+    lowering_shift,
+    many_row_map,
+    random_edge_map,
+    site_operator,
+)
 
 
 def pf(d, n, entries):
@@ -276,6 +282,13 @@ def test_verify_reports_the_mismatches_of_a_corrupted_narrow_lane_table(d):
     }
     edge_map = WeightedEdgeMap(d, 2, {MultiHyperedge(v, s): w for (v, s), w in weights.items()})
     check_corrupted_tables(edge_map, random.Random(f"corrupt:{d}"))
+
+
+@pytest.mark.parametrize("d,n", [(17, 2), (40, 2), (64, 2), (17, 3)])
+def test_verify_reports_the_mismatches_of_a_corrupted_many_row_table(d, n):
+    # Supports with up to d - 1 distinct rows on one vertex, summed in
+    # batches of one-byte lanes.
+    check_corrupted_tables(many_row_map(d, n), random.Random(f"corrupt:many:{d}:{n}"))
 
 
 def check_corrupted_tables(edge_map, rng):

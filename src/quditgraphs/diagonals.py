@@ -32,7 +32,7 @@ of d^n lanes, one per entry, in the format of ``lanes``:
   costs a Python-level node per group of equal first rows, so on a dense
   table it would run k^(n-1) nodes (131072 at d=2 n=18) where the pass
   scales n·m·k times.
-- **Spans.** Each support's grids are spread over the span from its first
+- **Spans.** Each support's grid is spread over the span from its first
   to its last vertex (a block repeated for every vertex in between that it
   misses), and the grids of one (first, last) span are summed there.
 - **The table.** The spans are laid onto the table in one Horner pass
@@ -142,25 +142,24 @@ Term = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
 _BATCH = 8  # grids of one span held at once, at most: memory, not a lane bound
 
 
-def _support_grids(
+def _support_grid(
     terms: list[tuple[tuple[tuple[int, ...], ...], int]], d: int, width: int
-) -> Iterator[bytes]:
-    """The grids whose sum mod d is sum weight * prod_j rows[j][i_j] over
-    the terms' t >= 1 common axes, first axis most significant: row_s (x)
-    G_s for each first row s, where G_s is the sum of the grids of the other
+) -> bytes:
+    """The grid of sum weight * prod_j rows[j][i_j] mod d over the terms'
+    t >= 1 common axes, first axis most significant: the sum of row_s (x)
+    G_s over the distinct first rows s, where G_s is the grid of the other
     axes for the terms whose first row is s, and block i of row_s (x) G_s
     is G_s times row_s[i]. On one axis the grid is a sum of rows."""
     if len(terms[0][0]) == 1:
         total = [0] * d
         for (row,), w in terms:
             total = list(map(add, total, map(w.__mul__, row)))
-        yield _pack(map(d.__rmod__, total), width)
-        return
+        return _pack(map(d.__rmod__, total), width)
     groups: dict[tuple[int, ...], list] = {}
     for rows, weight in terms:
         groups.setdefault(rows[0], []).append((rows[1:], weight))
-    for row, rest in groups.items():
-        yield _kron(row, _reduce_sum(_support_grids(rest, d, width), d, width), d, width)
+    grids = (_kron(row, _support_grid(rest, d, width), d, width) for row, rest in groups.items())
+    return _reduce_sum(grids, d, width)
 
 
 def _spread(grid: bytes, support: tuple[int, ...], d: int, width: int) -> bytes:
@@ -185,10 +184,9 @@ def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None)
     spans: dict[tuple[int, int], list[bytes]] = {}
     for support, on_support in supports.items():
         grids = spans.setdefault((support[0], support[-1]), [])
-        for grid in _support_grids(on_support, d, width):
-            grids.append(_spread(grid, support, d, width))
-            if len(grids) >= _BATCH:
-                grids[:] = [_reduce_sum(grids, d, width)]
+        grids.append(_spread(_support_grid(on_support, d, width), support, d, width))
+        if len(grids) >= _BATCH:
+            grids[:] = [_reduce_sum(grids, d, width)]
     if base is not None:
         spans.setdefault((0, n - 1), []).append(_rewidth(base, lane_width(d - 1), width))
     table = _pack([constant], width) if constant else b""  # over axes 0..last - 1; b"" is 0

@@ -128,10 +128,11 @@ def _reduce_sum(parts: Iterable[bytes], d: int, width: int) -> bytes:
     time. A batch is summed as big ints one chunk at a time and reduced by
     one translate (one-byte lanes) or by ``_cut``. Every table here is
     reduced, so one alone is its own sum."""
-    parts, batch = iter(parts), _CAPACITY[width] // max(d - 1, 1)
+    parts = iter(parts)
     total = next(parts)
-    for more in iter(lambda: list(islice(parts, batch - 1)), []):
-        tables, size, chunks = [total, *more], len(total), []
+    for part in parts:
+        tables = [total, part, *islice(parts, _CAPACITY[width] // max(d - 1, 1) - 2)]
+        size, chunks = len(total), []
         for start in range(0, size, _CHUNK):
             x = sum(int.from_bytes(table[start : start + _CHUNK], "little") for table in tables)
             length = min(_CHUNK, size - start)

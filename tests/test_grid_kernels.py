@@ -277,9 +277,8 @@ def span_at(digits, edges, first, d):
 
 @pytest.mark.parametrize("d,n", CELLS)
 def test_supports_are_spread_over_their_spans(d, n, monkeypatch):
-    # A support's grids, one per first row, are spread over the span from
-    # its first to its last vertex, and there they add up to the support's
-    # edge terms.
+    # A support's grid is spread over the span from its first to its last
+    # vertex, and there it adds up to the support's edge terms.
     spread = []
 
     def recording(grid, support, d_, width):
@@ -329,13 +328,13 @@ def numpy_table(edge_map):
 def widths_of(monkeypatch, make):
     """The lane widths that the support grids of ``make()`` ran at."""
     widths = set()
-    original = diagonals._support_grids
+    original = diagonals._support_grid
 
     def recording(terms, d, width):
         widths.add(width)
         return original(terms, d, width)
 
-    monkeypatch.setattr(diagonals, "_support_grids", recording)
+    monkeypatch.setattr(diagonals, "_support_grid", recording)
     make()
     monkeypatch.undo()
     return widths

@@ -152,9 +152,9 @@ def _cmd_build_state(args: argparse.Namespace) -> int:
     edge_map = _read_edge_map(args)
     d, n = edge_map.d, edge_map.n
     from . import diagonals  # its kernel refuses an oversized table before any work
-    from .lanes import table_values
+    from .lanes import lane_values
 
-    phases = table_values(diagonals.edge_map_table(edge_map), d)
+    phases = lane_values(diagonals.edge_map_table(edge_map), d)
     if args.dense:
         for block in diagonals.dense_blocks(d, n, phases):
             sys.stdout.write(block)
@@ -280,10 +280,10 @@ def _cmd_identity_check(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     counting._check_block(args.d, args.block)
-    from .lanes import coefficient_lanes, table_values  # after the size check
+    from .lanes import coefficient_lanes, lane_values  # after the size check
 
     side, block = coefficient_lanes(args.d, args.block)
-    entries = list(table_values(block, args.d))
+    entries = list(lane_values(block, args.d))
     del block  # not held while the payload is encoded
     payload = {
         "d": args.d,

@@ -55,7 +55,7 @@ from .counting import (
     smith_factor,
 )
 from .graphs import MultiHyperedge, _Value, enumerate_multihyperedges
-from .lanes import coefficient_lanes, power_rows, table_values
+from .lanes import coefficient_lanes, lane_values, power_rows
 from .newton import (
     KroneckerSolver,
     NonCanonical,
@@ -154,5 +154,5 @@ def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, .
     tuples = enumerate(product(range(d), repeat=n))
     picked = [j for j, digits in tuples if max(digits) >= len(diagonal) or next(gcd) == d]
     check_entries("constraint rows", len(picked), d, n)
-    values, size = table_values(power_rows(u, picked, n, d), d), d**n
+    values, size = lane_values(power_rows(u, picked, n, d), d), d**n
     return [tuple(values[start + 1 : start + size]) for start in range(0, len(values), size)]

@@ -43,8 +43,8 @@ of d^n lanes, one per entry, in the format of ``lanes``:
   entries of its prefix of the table, so the laying costs a few d^n lane
   writes however many spans there are.
 
-Every sum here is ``lanes._reduce_sum`` on lanes of ``lanes.work_width(d)``,
-which bounds and batches it, so the kernel just adds tables.
+Every sum here is ``lanes._reduce_sum``, which bounds and batches it, so
+the kernel just adds tables.
 
 ``edge_map_table`` is a map's state table, ``generated_table`` the table
 that the map's generator g_k makes of it, and ``verify`` compares the two
@@ -67,16 +67,7 @@ from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
-from .lanes import (
-    _kron,
-    _pack,
-    _reduce_sum,
-    _rewidth,
-    _scale,
-    lane_values,
-    lane_width,
-    work_width,
-)
+from .lanes import _kron, _pack, _reduce_sum, _scale, lane_values, lane_width
 from .residues import check_entries
 
 
@@ -116,6 +107,15 @@ def split_target(edge: MultiHyperedge, k: int) -> tuple[int, MultiHyperedge | No
     return edge.exponents[edge.vertices.index(k)], edge.without_vertex(k)
 
 
+def check_target(edge: MultiHyperedge, k: int, n: int) -> tuple[int, MultiHyperedge | None]:
+    """``split_target(edge, k)``, once k and the edge without k lie below n."""
+    s_k, reduced = split_target(edge, k)
+    check_vertex(k, n)
+    if reduced is not None:
+        check_edge(reduced, n)
+    return s_k, reduced
+
+
 def _repeat(data: bytes, size: int, r: int) -> bytes:
     """Each consecutive ``size``-byte chunk of ``data`` repeated r times in
     place: a new axis of extent r below the axes that tell chunks apart. It
@@ -142,9 +142,7 @@ Term = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
 _BATCH = 8  # grids of one span held at once, at most: memory, not a lane bound
 
 
-def _support_grid(
-    terms: list[tuple[tuple[tuple[int, ...], ...], int]], d: int, width: int
-) -> bytes:
+def _support_grid(terms: list[tuple[tuple[tuple[int, ...], ...], int]], d: int) -> bytes:
     """The grid of sum weight * prod_j rows[j][i_j] mod d over the terms'
     t >= 1 common axes, first axis most significant: the sum of row_s (x)
     G_s over the distinct first rows s, where G_s is the grid of the other
@@ -154,42 +152,42 @@ def _support_grid(
         total = [0] * d
         for (row,), w in terms:
             total = list(map(add, total, map(w.__mul__, row)))
-        return _pack(map(d.__rmod__, total), width)
+        return _pack(map(d.__rmod__, total), d)
     groups: dict[tuple[int, ...], list] = {}
     for rows, weight in terms:
         groups.setdefault(rows[0], []).append((rows[1:], weight))
-    grids = (_kron(row, _support_grid(rest, d, width), d, width) for row, rest in groups.items())
-    return _reduce_sum(grids, d, width)
+    grids = (_kron(row, _support_grid(rest, d), d) for row, rest in groups.items())
+    return _reduce_sum(grids, d)
 
 
-def _spread(grid: bytes, support: tuple[int, ...], d: int, width: int) -> bytes:
+def _spread(grid: bytes, support: tuple[int, ...], d: int) -> bytes:
     """A support's grid over the span support[0]..support[-1]: for each run
     of missing vertices, the block of the axes after it repeats once per
     digit tuple of the run."""
     for low, high in reversed(list(zip(support, support[1:]))):
         if high - low > 1:
-            grid = _repeat(grid, d ** (support[-1] - high + 1) * width, d ** (high - low - 1))
+            block = d ** (support[-1] - high + 1) * lane_width(d)
+            grid = _repeat(grid, block, d ** (high - low - 1))
     return grid
 
 
 def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None) -> bytes:
-    """The d^n table of base + sum of the terms, mod d: lanes of width
-    ``lane_width(d - 1)``. ``base`` is such a table or None; a term on the
-    empty support is a constant."""
+    """The d^n table of base + sum of the terms, mod d. ``base`` is such a
+    table or None; a term on the empty support is a constant."""
     check_entries("table", 1, d, n)
     supports: dict[tuple[int, ...], list] = {}
     for support, rows, weight in terms:
         supports.setdefault(support, []).append((rows, weight))
-    constant, width = sum(w for _, w in supports.pop((), ())) % d, work_width(d)
+    constant = sum(w for _, w in supports.pop((), ())) % d
     spans: dict[tuple[int, int], list[bytes]] = {}
     for support, on_support in supports.items():
         grids = spans.setdefault((support[0], support[-1]), [])
-        grids.append(_spread(_support_grid(on_support, d, width), support, d, width))
+        grids.append(_spread(_support_grid(on_support, d), support, d))
         if len(grids) >= _BATCH:
-            grids[:] = [_reduce_sum(grids, d, width)]
+            grids[:] = [_reduce_sum(grids, d)]
     if base is not None:
-        spans.setdefault((0, n - 1), []).append(_rewidth(base, lane_width(d - 1), width))
-    table = _pack([constant], width) if constant else b""  # over axes 0..last - 1; b"" is 0
+        spans.setdefault((0, n - 1), []).append(base)
+    table = _pack([constant], d) if constant else b""  # over axes 0..last - 1; b"" is 0
     for last in range(n):
         span, start = b"", last + 1  # the spans ending at ``last``, over axes start..last
         for first in sorted({a for a, b in spans if b == last} | {0}, reverse=True):
@@ -197,13 +195,11 @@ def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None)
             if span:
                 grids.append(span * d ** (start - first))
             if first == 0 and table:
-                grids.append(_repeat(table, width, d))
+                grids.append(_repeat(table, lane_width(d), d))
             if grids:
-                span, start = _reduce_sum(grids, d, width), first
+                span, start = _reduce_sum(grids, d), first
         table = span
-    if not table:
-        return bytes(d**n * lane_width(d - 1))
-    return _rewidth(table, width, lane_width(d - 1))
+    return table or bytes(d**n * lane_width(d))
 
 
 class _Rows(dict):
@@ -249,7 +245,7 @@ def roll_table(table: bytes, d: int, n: int, k: int) -> bytearray:
     the block's first slot, by one slice per block or one strided copy per byte
     of a slot, whichever is fewer.
     """
-    slot = d ** (n - 1 - k) * lane_width(d - 1)
+    slot = d ** (n - 1 - k) * lane_width(d)
     block = d * slot
     out = bytearray(len(table))
     out[: len(table) - slot] = memoryview(table)[slot:]
@@ -271,12 +267,12 @@ def generated_table(edge_map: WeightedEdgeMap, k: int, state: bytes) -> bytearra
     return roll_table(corrected, d, n, k)
 
 
-def _mismatches(table: bytes, other: bytes, width: int) -> tuple[int, ...]:
-    """The indices where two tables of one width differ."""
+def _mismatches(table: bytes, other: bytes, d: int) -> tuple[int, ...]:
+    """The indices where two tables mod d differ."""
     if table == other:
         return ()
     diff = int.from_bytes(table, "little") ^ int.from_bytes(other, "little")
-    return tuple(compress(count(), lane_values(diff.to_bytes(len(table), "little"), width)))
+    return tuple(compress(count(), lane_values(diff.to_bytes(len(table), "little"), d)))
 
 
 class VertexCheck(_Value):
@@ -292,10 +288,9 @@ class VertexCheck(_Value):
 def vertex_checks(edge_map: WeightedEdgeMap, state: bytes) -> list[VertexCheck]:
     """For every vertex k, whether g_k of the map leaves the table ``state``
     unchanged, and the indices where it does not."""
-    width = lane_width(edge_map.d - 1)
     checks = []
     for k in range(edge_map.n):
-        mismatches = _mismatches(generated_table(edge_map, k, state), state, width)
+        mismatches = _mismatches(generated_table(edge_map, k, state), state, edge_map.d)
         checks.append(VertexCheck(k, not mismatches, mismatches))
     return checks
 
@@ -366,10 +361,7 @@ def _reporter(
     table with ``shift_row(s_k, d)`` on k, and the printed one is m*(d-1)
     times the table of the other vertices. Those two tables are built once;
     a power then scales each (a translate for d <= 256) and compares them."""
-    s_k, reduced = split_target(edge, k)
-    check_vertex(k, n)
-    if reduced is not None:
-        check_edge(reduced, n)
+    s_k, reduced = check_target(edge, k, n)
     if d < 1:
         raise ValueError("need d >= 1")
     if reduced is None:
@@ -377,12 +369,11 @@ def _reporter(
     else:
         others = gate_table(d, n, edge_terms([(reduced, 1)], d))
     unit_exact = gate_table(d, n, edge_terms([(edge, 1)], d, k))
-    width = lane_width(d - 1)
 
     def report(power: int) -> ConjugationReport:
         m, c = power % d, deleted_edge_coefficient(power, d)
-        exact = _scale(unit_exact, m, d, width)
-        printed = _scale(others, c, d, width)
+        exact = _scale(unit_exact, m, d)
+        printed = _scale(others, c, d)
         holds = exact == printed
         return ConjugationReport(
             edge=edge,
@@ -390,9 +381,9 @@ def _reporter(
             vertex=k,
             target_exponent=s_k,
             holds=holds,
-            exact_diagonal=tuple(lane_values(exact, width)),
-            printed_diagonal=tuple(lane_values(printed, width)),
-            mismatch_indices=_mismatches(exact, printed, width),
+            exact_diagonal=tuple(lane_values(exact, d)),
+            printed_diagonal=tuple(lane_values(printed, d)),
+            mismatch_indices=_mismatches(exact, printed, d),
         )
 
     return report

@@ -1,16 +1,15 @@
 """Tables as lanes, and their Kronecker products, without numpy.
 
-A table of values below d is bytes of little-endian lanes of 1, 2 or 4
-bytes, one per entry (``lane_width``; wider lanes keep a spare top bit),
-handed out at ``lane_width(d - 1)``. Both kernels, ``kronecker_pass`` and
-``diagonals.gate_table``, sum on ``work_width(d)``, lanes that hold four
-values below d. ``_reduce_sum`` is the one lane sum: it adds tables as big
-ints, several lanes to a word (SWAR: H. S. Warren, *Hacker's Delight*, 2nd
-ed., ch. 2), in batches of as many values below d as a lane holds, and
-reduces each batch mod d, so its callers just add tables. Scaling mod d is a
-translate for d <= 256 and a multiply per lane past that (``_scale``), and
-``_kron`` widens a table to row ⊗ table. Under the table limit 4 bytes
-always do.
+A table of values below d is bytes of little-endian lanes, one per entry,
+of ``lane_width(d)`` bytes: 1, 2 or 4, the fewest that hold four values
+below d (wider lanes keep a spare top bit). Every table of the package is
+in that one format, so a kernel sums the lanes it hands out.
+``_reduce_sum`` is the one lane sum: it adds tables as big ints, several
+lanes to a word (SWAR: H. S. Warren, *Hacker's Delight*, 2nd ed., ch. 2),
+in batches of as many values below d as a lane holds, and reduces each
+batch mod d, so its callers just add tables. Scaling mod d is a translate
+for d <= 256 and a multiply per lane past that (``_scale``), and ``_kron``
+widens a table to row ⊗ table. Under the table limit 4 bytes always do.
 
 ``power_rows`` builds rows of M^{⊗p}: the ``matrix`` block, the dense
 systems of ``correspondence`` and the kernel generators of ``newton``.
@@ -25,7 +24,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import cache
-from itertools import islice
+from itertools import compress, islice, repeat
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -38,18 +37,17 @@ _TYPECODES = {1: "B", 2: "H", 4: "I"}
 _CAPACITY = {1: (1 << 8) - 1, 2: (1 << 15) - 1, 4: (1 << 31) - 1}
 
 
-def lane_width(top: int) -> int:
-    """Bytes per lane for values up to ``top``: 1, 2 or 4."""
+def lane_width(d: int) -> int:
+    """Bytes per lane of a table mod d: 1, 2 or 4, the fewest in which four
+    values below d fit."""
+    top = 4 * (d - 1)
     return 1 if top <= _CAPACITY[1] else 2 if top <= _CAPACITY[2] else 4
 
 
-def work_width(d: int) -> int:
-    """Bytes per lane that the kernels sum on: four values below d fit."""
-    return lane_width(4 * (d - 1))
-
-
-def lane_values(lanes: bytes, width: int) -> Sequence[int]:
-    """The lanes' values: the bytes themselves at width 1, else an array."""
+def lane_values(lanes: bytes, d: int) -> Sequence[int]:
+    """The values of a table mod d: the bytes themselves at one-byte lanes,
+    else an array."""
+    width = lane_width(d)
     if width == 1:
         return lanes
     values = array(_TYPECODES[width])
@@ -59,7 +57,8 @@ def lane_values(lanes: bytes, width: int) -> Sequence[int]:
     return values
 
 
-def _pack(values: Iterable[int], width: int) -> bytes:
+def _pack(values: Iterable[int], d: int) -> bytes:
+    width = lane_width(d)
     if width == 1:
         return bytes(values)
     packed = array(_TYPECODES[width], values)
@@ -68,33 +67,21 @@ def _pack(values: Iterable[int], width: int) -> bytes:
     return packed.tobytes()
 
 
-def table_values(table: bytes, d: int) -> Sequence[int]:
-    """The entries of a table that the kernel handed out, lanes below d."""
-    return lane_values(table, lane_width(d - 1))
-
-
-def _rewidth(lanes: bytes, width: int, new_width: int) -> bytes:
-    """The same lanes at ``new_width`` bytes; narrowing keeps the low bytes."""
-    if width == new_width:
-        return lanes
-    out = bytearray(len(lanes) // width * new_width)
-    for j in range(min(width, new_width)):
-        out[j::new_width] = lanes[j::width]
-    return bytes(out)
-
-
 @cache
 def _translation(c: int, d: int) -> bytes:
     """The byte map x -> c * x mod d (c = 1: x mod d), for d <= 256."""
     return bytes([c * x % d for x in range(256)])
 
 
-def _scale(lanes: bytes, c: int, d: int, width: int) -> bytes:
-    """Every lane, a value below d, times c mod d. For d <= 256 a lane's
-    high bytes are 0, which the map keeps, so one translate scales it."""
+def _scale(lanes: bytes, c: int, d: int) -> bytes:
+    """Every lane, a value below d, times c mod d; at c = 1 the lanes
+    themselves. For d <= 256 a lane's high bytes are 0, which the map
+    keeps, so one translate scales it."""
+    if c == 1:
+        return lanes
     if d <= 256:
         return lanes.translate(_translation(c, d))
-    return _pack([c * x % d for x in lane_values(lanes, width)], width)
+    return _pack([c * x % d for x in lane_values(lanes, d)], d)
 
 
 @cache
@@ -103,11 +90,12 @@ def _lane_constant(value: int, lanes: int, width: int) -> int:
     return int.from_bytes(value.to_bytes(width, "little") * lanes, "little")
 
 
-def _cut(x: int, lanes: int, d: int, width: int, top: int) -> int:
+def _cut(x: int, lanes: int, d: int, top: int) -> int:
     """The packed lanes of x, each a value up to ``top``, mod d: d * 2^j is
     subtracted from every lane that reaches it, j from high to low. A lane's
     top bit is spare, so adding 2^high - m to every lane sets it exactly in
     the lanes that reach m, and no lane carries into the next."""
+    width = lane_width(d)
     ones = _lane_constant(1, lanes, width)
     high = 8 * width - 1
     for j in reversed(range((top // d).bit_length())):
@@ -120,24 +108,27 @@ def _cut(x: int, lanes: int, d: int, width: int, top: int) -> int:
 _CHUNK = 1 << 16  # bytes of lanes per big int: small enough to stay in cache
 
 
-def _reduce_sum(parts: Iterable[bytes], d: int, width: int) -> bytes:
-    """The lane-wise sum mod d of equal-size tables of lanes below d, at
-    least ``work_width(d)`` wide. A lane holds ``_CAPACITY[width] // (d - 1)``
-    such values, so the tables are added that many at a time, the running
-    total among them: any number of parts is safe, and one batch is held at a
-    time. A batch is summed as big ints one chunk at a time and reduced by
-    one translate (one-byte lanes) or by ``_cut``. Every table here is
-    reduced, so one alone is its own sum."""
+def _reduce_sum(parts: Iterable[bytes], d: int) -> bytes:
+    """The lane-wise sum mod d of equal-size tables mod d. A lane holds
+    ``_CAPACITY[lane_width(d)] // (d - 1)`` values below d, so the tables
+    are added that many at a time, the running total among them: any
+    number of parts is safe, and one batch is held at a time. A batch is
+    summed as big ints one chunk at a time and reduced by one translate
+    (one-byte lanes) or by ``_cut``. Every table here is reduced, so one
+    alone is its own sum."""
+    width = lane_width(d)
     parts = iter(parts)
     total = next(parts)
     for part in parts:
         tables = [total, part, *islice(parts, _CAPACITY[width] // max(d - 1, 1) - 2)]
         size, chunks = len(total), []
         for start in range(0, size, _CHUNK):
-            x = sum(int.from_bytes(table[start : start + _CHUNK], "little") for table in tables)
+            # Tables within one chunk are read whole, with no Python step per table.
+            chunk = tables if size <= _CHUNK else (t[start : start + _CHUNK] for t in tables)
+            x = sum(map(int.from_bytes, chunk, repeat("little")))
             length = min(_CHUNK, size - start)
             if width > 1:
-                x = _cut(x, length // width, d, width, len(tables) * (d - 1))
+                x = _cut(x, length // width, d, len(tables) * (d - 1))
             chunks.append(x.to_bytes(length, "little"))
         total = b"".join(chunks)
         if width == 1:
@@ -145,42 +136,43 @@ def _reduce_sum(parts: Iterable[bytes], d: int, width: int) -> bytes:
     return total
 
 
-def _kron(row: Sequence[int], inner: bytes, d: int, width: int) -> bytes:
+def _kron(row: Sequence[int], inner: bytes, d: int) -> bytes:
     """row ⊗ inner mod d, for entries of row below d: block i is inner times
     row[i]. For d <= 256 each distinct entry is one translate of inner. Past
     that, the multiples of inner are a running sum, cut below d at each
     step, so the lanes must hold 2 (d - 1)."""
     if d <= 256:
-        times = {c: _scale(inner, c, d, width) for c in set(row)}
+        times = {c: _scale(inner, c, d) for c in set(row)}
     else:
-        lanes, step, multiple, times = len(inner) // width, int.from_bytes(inner, "little"), 0, []
+        lanes, step = len(inner) // lane_width(d), int.from_bytes(inner, "little")
+        multiple, times = 0, []
         for _ in range(d):
             times.append(multiple.to_bytes(len(inner), "little"))
-            multiple = _cut(multiple + step, lanes, d, width, 2 * d - 2)
+            multiple = _cut(multiple + step, lanes, d, 2 * d - 2)
     return b"".join([times[c] for c in row])
 
 
 def power_rows(
     matrix: Sequence[Sequence[int]], picked: Iterable[int], power: int, d: int
 ) -> bytes:
-    """Rows ``picked`` of matrix^{⊗power} mod d, one after another, as lanes
-    of ``lane_width(d - 1)``. The matrix's entries lie in [0, d), and a row
+    """Rows ``picked`` of matrix^{⊗power} mod d, one table after another.
+    The matrix's entries lie in [0, d), and a row
     index is a flat digit tuple (a_0, ..., a_{power-1}) in base
     len(matrix), a_0 most significant. Row (a_0, ..., a_{power-1}) is
     matrix[a_0] ⊗ ... ⊗ matrix[a_{power-1}]: it starts as the packed row of
     its last digit, and each digit before that widens it to the blocks
     row times matrix[a][s] for each column s (``_kron``)."""
-    width, base = lane_width(d - 1), len(matrix)
+    base = len(matrix)
     packed: dict[int, bytes] = {}
     rows = []
     for index in picked:
         index, digit = divmod(index, base)
         if digit not in packed:
-            packed[digit] = _pack(matrix[digit], width)
+            packed[digit] = _pack(matrix[digit], d)
         row = packed[digit]
         for _ in range(power - 1):
             index, digit = divmod(index, base)
-            row = _kron(matrix[digit], row, d, width)
+            row = _kron(matrix[digit], row, d)
         rows.append(row)
     return b"".join(rows)
 
@@ -200,31 +192,31 @@ def coefficient_lanes(d: int, size: int) -> tuple[int, bytes]:
 
 def kronecker_pass(matrix: Sequence[Sequence[int]], lanes: bytes, n: int, d: int) -> bytes:
     """matrix^{⊗n}·t mod d, for an m x k matrix of ints and a table t of k^n
-    values below d in C order: the m^n entries in C order, both as lanes of
-    ``lane_width(d - 1)``.
+    values below d in C order: the table of the m^n entries in C order.
 
     Each of the n steps applies the matrix to the last axis and puts the new
     axis first, so after n steps every axis is done once and back in its
     place. Block i of a step is sum_s matrix[i][s]·t[s::k]. While a block is
-    at least a row long and d <= 256, a step works on lanes of
-    ``work_width(d)``: each t[s::k] is a strided copy, each term a
-    translate, and ``_reduce_sum`` adds the terms. Otherwise (always at
-    n = 1) a step takes a C-level dot product per entry.
+    at least a row long and d <= 256, each t[s::k] is a strided copy, each
+    term a translate, and ``_reduce_sum`` adds the terms. Otherwise (always
+    at n = 1) a step takes a C-level dot product per entry.
     """
-    k, width, work = len(matrix[0]), lane_width(d - 1), work_width(d)
-    lanes = _rewidth(lanes, width, work)
+    k, width = len(matrix[0]), lane_width(d)
     for _ in range(n):
-        rows = len(lanes) // work // k
+        rows = len(lanes) // width // k
         if rows < k or d > 256:
-            chunks = list(zip(*[iter(lane_values(lanes, work))] * k))
-            lanes = _pack([sum(map(mul, row, chunk)) % d for row in matrix for chunk in chunks], work)
+            chunks = list(zip(*[iter(lane_values(lanes, d))] * k))
+            lanes = _pack([sum(map(mul, row, chunk)) % d for row in matrix for chunk in chunks], d)
             continue
-        flat = memoryview(lanes).cast(_TYPECODES[work])
+        flat = memoryview(lanes).cast(_TYPECODES[width])
         columns = [flat[s::k].tobytes() for s in range(k)]
         blocks = []
         for coefficients in matrix:
-            terms = [(c % d, column) for c, column in zip(coefficients, columns) if c % d]
-            scaled = (column if c == 1 else _scale(column, c, d, work) for c, column in terms)
-            blocks.append(_reduce_sum(scaled, d, work) if terms else bytes(rows * work))
+            reduced = [c % d for c in coefficients]
+            if any(reduced):
+                terms = map(_scale, compress(columns, reduced), filter(None, reduced), repeat(d))
+                blocks.append(_reduce_sum(terms, d))
+            else:
+                blocks.append(bytes(rows * width))
         lanes = b"".join(blocks)
-    return _rewidth(lanes, work, width)
+    return lanes

@@ -31,7 +31,7 @@ from .counting import (
     smith_factor,
 )
 from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
-from .lanes import _pack, kronecker_pass, lane_width, power_rows, table_values
+from .lanes import _pack, kronecker_pass, lane_values, lane_width, power_rows
 from .residues import check_entries
 
 Generators = tuple[tuple[tuple[int, ...], int], ...]
@@ -214,7 +214,7 @@ def _generators(
     V^{⊗n} at the rows ``columns``, times d / g, of order g. Column j of
     V^{⊗n} is row j of (V^T)^{⊗n}, taken mod d for ``power_rows``."""
     size, transposed = len(v) ** n, [[a % d for a in column] for column in zip(*v)]
-    values = table_values(power_rows(transposed, [j for j, _ in free], n, d), d)
+    values = lane_values(power_rows(transposed, [j for j, _ in free], n, d), d)
     return tuple(
         (tuple(values[start + i] * (d // g) % d for i in columns), g)
         for start, (_, g) in zip(range(0, len(values), size), free)
@@ -272,19 +272,19 @@ class KroneckerSolver:
     def solve(self, rhs: Sequence[int] | bytes, unknowns: Sequence[int]) -> SolutionSet:
         """The solutions of W^{⊗n} x = rhs, each vector listing x at the flat
         indices ``unknowns``, in that order. ``rhs`` is m^n values in [0, d),
-        or their lanes (bytes of ``lane_width(d - 1)``).
+        or their table of ``lanes``.
 
         The set is the image of all solutions under that pick, and ``count``
         the number of solutions; they agree only when every unknown left out
         is 0 in every solution. The generators are built on their first read.
         """
-        d, n, width = self.d, self.power, lane_width(self.d - 1)
+        d, n = self.d, self.power
         packed = isinstance(rhs, bytes)
-        if len(rhs) != self.rows**n * (width if packed else 1):
+        if len(rhs) != self.rows**n * (lane_width(d) if packed else 1):
             raise ValueError("rhs length mismatch")
         if not packed:
-            rhs = _pack(rhs, width)
-        c = table_values(kronecker_pass(self.u, rhs, n, d), d)
+            rhs = _pack(rhs, d)
+        c = lane_values(kronecker_pass(self.u, rhs, n, d), d)
         diagonal_part = [c[i] for i in self.inside]
         outside = len(c) - c.count(0) - (len(diagonal_part) - diagonal_part.count(0))
         if outside or any(map(mod, diagonal_part, self.gcd)):
@@ -293,7 +293,7 @@ class KroneckerSolver:
             cj // g * inverse % (d // g)
             for cj, g, inverse in zip(diagonal_part, self.gcd, self.inverse)
         ]
-        x = table_values(kronecker_pass(self.v, _pack(y, width), n, d), d)
+        x = lane_values(kronecker_pass(self.v, _pack(y, d), n, d), d)
         particular = tuple(x[i] for i in unknowns)
         free = [(j, g) for j, g in enumerate(self.gcd) if g > 1]
         generators = partial(_generators, self.v, free, unknowns, n, d)
@@ -321,8 +321,7 @@ def solve_phases(d: int, n: int, phases: Sequence[int], mode: str) -> SolveOutco
     columns = _columns(d, n, mode)
     variables = _Unknowns(columns, k, n)
     fingerprint = _fingerprint(d, n, mode)
-    width = lane_width(d - 1)
-    table = _pack(phases, width)
+    table = _pack(phases, d)
     # The constant m_0 at column 0, left out, is pinned to f(0) = 0.
     solution = KroneckerSolver(u, diagonal, v, d=d, power=n).solve(table, columns)
     if not solution.consistent:
@@ -331,7 +330,7 @@ def solve_phases(d: int, n: int, phases: Sequence[int], mode: str) -> SolveOutco
     placed = [0] * k**n
     for i, weight in zip(columns, solution.particular):
         placed[i] = weight
-    if kronecker_pass(_digit_power_rows(d, mode), _pack(placed, width), n, d) != table:
+    if kronecker_pass(_digit_power_rows(d, mode), _pack(placed, d), n, d) != table:
         raise RoundTripFailure(
             f"solved weights do not rebuild the table (fingerprint {fingerprint})"
         )

@@ -32,13 +32,11 @@ from .diagonals import (  # noqa: F401 (the report, the check and VertexOutOfRan
     ConjugationReport,
     VertexCheck,
     VertexOutOfRange,
-    check_edge,
-    check_vertex,
+    check_target,
     conjugation_report,
     edge_terms,
     gate_table,
     generated_table,
-    split_target,
     verify,
 )
 from .graphs import MultiHyperedge, WeightedEdgeMap
@@ -51,10 +49,7 @@ def correction_exponents(
     """Exact diagonal exponent table of CZ_e^m X_k CZ_e^{d-m} with the leading
     shift factored off: m * ((i_k-1)^{s_k} - i_k^{s_k}) * prod_{v != k} i_v^{s_v},
     as a fresh flat table of d^n entries."""
-    _, reduced = split_target(edge, k)
-    check_vertex(k, n)
-    if reduced is not None:
-        check_edge(reduced, n)
+    check_target(edge, k, n)
     table = gate_table(d, n, edge_terms([(edge, power)], d, k))
     return _lane_view(table, d).astype(np.int64)
 

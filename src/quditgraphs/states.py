@@ -111,13 +111,12 @@ def digits_of(index: int, d: int, n: int) -> tuple[int, ...]:
 
 def _lanes(state: PhaseFunction) -> bytes:
     """The state's table as kernel lanes."""
-    return state.table.astype(f"<u{lane_width(state.d - 1)}").tobytes()
+    return state.table.astype(f"<u{lane_width(state.d)}").tobytes()
 
 
 def _lane_view(lanes: bytes, d: int) -> np.ndarray:
-    """Lanes of values below d, as the kernel hands them out, as a read-only
-    flat numpy view."""
-    return np.frombuffer(lanes, dtype=f"<u{lane_width(d - 1)}")
+    """A kernel table mod d as a read-only flat numpy view."""
+    return np.frombuffer(lanes, dtype=f"<u{lane_width(d)}")
 
 
 def _from_lanes(d: int, n: int, table: bytes) -> PhaseFunction:

@@ -37,8 +37,6 @@ from quditgraphs.lanes import (
     lane_values,
     lane_width,
     power_rows,
-    table_values,
-    work_width,
 )
 from quditgraphs.residues import DEFAULT_TABLE_LIMIT
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap
@@ -140,7 +138,7 @@ def test_grid_kernels_match_per_index_evaluation(d, n):
         state = build_state(edge_map)
         assert state.table.tolist() == [phase_at(x, edge_map) for x in every_digit]
         for edge in edge_map.edges():
-            monomial = table_values(gate_table(d, n, edge_terms([(edge, 1)], d)), d)
+            monomial = lane_values(gate_table(d, n, edge_terms([(edge, 1)], d)), d)
             assert list(monomial) == [monomial_at(x, edge, d) for x in every_digit]
             power = rng.randrange(-d, 2 * d)
             for k in edge.vertices:
@@ -168,7 +166,7 @@ def test_tables_match_per_index_evaluation(d, n):
     rng = random.Random(f"table:{d}:{n}")
     every_digit = [digits_of(i, d, n) for i in range(d**n)]
     edge_map = random_map(rng, d, n, count=12)
-    assert list(table_values(edge_map_table(edge_map), d)) == [
+    assert list(lane_values(edge_map_table(edge_map), d)) == [
         phase_at(x, edge_map) for x in every_digit
     ]
     assert all(check.stabilized for check in verify(edge_map))
@@ -208,10 +206,10 @@ def test_narrow_lane_tables_match_per_index_evaluation(edge_map):
     d, n = edge_map.d, edge_map.n
     table = edge_map_table(edge_map)
     phases = [phase_at(digits_of(i, d, n), edge_map) for i in range(d**n)]
-    assert list(table_values(table, d)) == phases
+    assert list(lane_values(table, d)) == phases
     for k, check in enumerate(verify(edge_map)):
         moved = [generated_at(i, edge_map, k) for i in range(d**n)]
-        assert list(table_values(diagonals.generated_table(edge_map, k, table), d)) == moved
+        assert list(lane_values(diagonals.generated_table(edge_map, k, table), d)) == moved
         mismatches = tuple(i for i, f in enumerate(phases) if moved[i] != f)
         assert (check.vertex, check.stabilized, check.mismatch_indices) == (k, True, mismatches)
 
@@ -229,18 +227,18 @@ def test_many_row_tables_match_per_index_evaluation(edge_map, monkeypatch):
     built = []
     assert widths_of(monkeypatch, lambda: built.append(edge_map_table(edge_map))) == {1}
     phases = [phase_at(digits_of(i, d, n), edge_map) for i in range(d**n)]
-    assert list(table_values(built[0], d)) == phases
+    assert list(lane_values(built[0], d)) == phases
     for k, check in enumerate(verify(edge_map)):
         moved = [generated_at(i, edge_map, k) for i in range(d**n)]
-        assert list(table_values(diagonals.generated_table(edge_map, k, built[0]), d)) == moved
+        assert list(lane_values(diagonals.generated_table(edge_map, k, built[0]), d)) == moved
         assert moved == phases
         assert (check.vertex, check.stabilized, check.mismatch_indices) == (k, True, ())
 
 
-# Each side of every width boundary of the lane sum: work_width(d) widens
+# Each side of every width boundary of the lane sum: lane_width(d) widens
 # from one byte to two at d = 64/65 and from two to four at d = 8192/8193,
-# d = 256/257 is the end of the translates, and lane_width(d - 1) widens at
-# d = 32768/32769.
+# and d = 256/257 is the end of the translates. d = 32768/32769, deep in the
+# four-byte range, sum batches of 65538 and 65535 tables.
 REDUCE_MODULI = [2, 3, 64, 65, 256, 257, 8192, 8193, 32768, 32769]
 
 
@@ -252,7 +250,7 @@ def test_reduce_sum_matches_per_lane_sums_at_every_width_boundary(d):
     # lanes holds tens of thousands of tables, so counts past 2048 run on
     # tables of three lanes.
     rng = random.Random(f"reduce:{d}")
-    width = work_width(d)
+    width = lane_width(d)
     batch = _CAPACITY[width] // (d - 1)
     pools = {}
     for lanes in (_CHUNK // width - 1, _CHUNK // width + 1, 3):
@@ -260,13 +258,13 @@ def test_reduce_sum_matches_per_lane_sums_at_every_width_boundary(d):
     for count in (1, 2, batch - 1, batch, batch + 1, 3 * batch + 1):
         for lanes in (3,) if count > 2048 else (_CHUNK // width - 1, _CHUNK // width + 1):
             for pool in pools[lanes]:
-                tables = [_pack(values, width) for values in pool]
+                tables = [_pack(values, d) for values in pool]
                 parts = [tables[i % len(tables)] for i in range(count)]
                 uses = [len(range(j, count, len(tables))) for j in range(len(tables))]
                 expected = [sum(map(mul, uses, lane)) % d for lane in zip(*pool)]
                 for given in (parts, (part for part in parts)):
-                    total = _reduce_sum(given, d, width)
-                    assert list(lane_values(total, width)) == expected, (count, lanes)
+                    total = _reduce_sum(given, d)
+                    assert list(lane_values(total, d)) == expected, (count, lanes)
 
 
 def span_at(digits, edges, first, d):
@@ -281,9 +279,9 @@ def test_supports_are_spread_over_their_spans(d, n, monkeypatch):
     # vertex, and there it adds up to the support's edge terms.
     spread = []
 
-    def recording(grid, support, d_, width):
-        out = original(grid, support, d_, width)
-        spread.append((support, width, out))
+    def recording(grid, support, d_):
+        out = original(grid, support, d_)
+        spread.append((support, out))
         return out
 
     original = diagonals._spread
@@ -301,8 +299,8 @@ def test_supports_are_spread_over_their_spans(d, n, monkeypatch):
             for edge, weight in items:
                 on_support.setdefault(edge.vertices, []).append((edge, weight))
             sums = {}
-            for support, width, out in spread:
-                values = lane_values(out, width)
+            for support, out in spread:
+                values = lane_values(out, d)
                 sums[support] = list(map(sum, zip(sums.get(support, [0] * len(values)), values)))
             assert sorted(sums) == sorted(on_support)
             for support, total in sums.items():
@@ -326,13 +324,15 @@ def numpy_table(edge_map):
 
 
 def widths_of(monkeypatch, make):
-    """The lane widths that the support grids of ``make()`` ran at."""
+    """The lane widths that the support grids of ``make()`` ran at: the
+    bytes per entry of each grid."""
     widths = set()
     original = diagonals._support_grid
 
-    def recording(terms, d, width):
-        widths.add(width)
-        return original(terms, d, width)
+    def recording(terms, d):
+        grid = original(terms, d)
+        widths.add(len(grid) // d ** len(terms[0][0]))
+        return grid
 
     monkeypatch.setattr(diagonals, "_support_grid", recording)
     make()
@@ -361,7 +361,8 @@ def test_lane_widths_1_2_and_4(monkeypatch):
         table = []
         widths = widths_of(monkeypatch, lambda: table.append(edge_map_table(edge_map)))
         assert widths == {width}
-        assert list(table_values(table[0], edge_map.d)) == numpy_table(edge_map).tolist()
+        assert len(table[0]) == edge_map.d**edge_map.n * width
+        assert list(lane_values(table[0], edge_map.d)) == numpy_table(edge_map).tolist()
     assert all(check.stabilized for check in verify(cases[2][0]))
 
 
@@ -502,7 +503,7 @@ def test_power_rows_match_numpy_outer_products(d):
             for picked in picks:
                 lanes = power_rows(rows, picked, power, d)
                 expected = reference_power_rows(array, picked, power, d).reshape(-1).tolist()
-                assert list(table_values(lanes, d)) == expected, (name, power, picked)
+                assert list(lane_values(lanes, d)) == expected, (name, power, picked)
             power += 1
         assert power > 1, name
 
@@ -561,15 +562,15 @@ def test_kronecker_pass_matches_the_list_pass(d):
     # Every power up to 40000 products in its largest step, and n = 1
     # always, on an all-zero, an all-(d - 1) and a random table.
     rng = random.Random(f"pass:{d}")
-    width = lane_width(d - 1)
+    width = lane_width(d)
     for name, matrix in pass_matrices(d, rng).items():
         m, k, n = len(matrix), len(matrix[0]), 1
         while n == 1 or max(m**n * k, m * k**n) <= 40000:
             for flat in ([0] * k**n, [d - 1] * k**n, [rng.randrange(d) for _ in range(k**n)]):
-                lanes = kronecker_pass(matrix, _pack(flat, width), n, d)
+                lanes = kronecker_pass(matrix, _pack(flat, d), n, d)
                 assert len(lanes) == m**n * width
                 expected = reference_pass(matrix, flat, n, d)
-                assert list(table_values(lanes, d)) == expected, (name, n, flat[:3])
+                assert list(lane_values(lanes, d)) == expected, (name, n, flat[:3])
             n += 1
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from quditgraphs import correspondence, counting, newton
 from quditgraphs.counting import _columns, _digit_power_rows, _exponent_count
-from quditgraphs.lanes import kronecker_pass, table_values
+from quditgraphs.lanes import kronecker_pass, lane_values
 from quditgraphs.correspondence import HYPERGRAPH, MODES, MULTIHYPERGRAPH
 from quditgraphs.graphs import WeightedEdgeMap, enumerate_multihyperedges
 from quditgraphs.newton import (
@@ -55,23 +55,50 @@ def _reference(d, n, mode, phases):
     return solver.solve(phases, _columns(d, n, mode))
 
 
-@pytest.mark.parametrize("d,n", _sizes())
-def test_lists_match_the_elimination_factor(d, n):
+def _check_against_the_elimination_factor(ours, d, n, mode, phases):
     # The particular solutions may differ between the two factors; the
     # solution sets may not.
+    theirs = _reference(d, n, mode, phases)
+    assert ours.solution.consistent == theirs.consistent
+    assert ours.solution.count == theirs.count
+    if ours.solution.consistent:
+        table = PhaseFunction(d, n, np.array(phases))
+        assert build_state(ours.edge_map) == table
+        if ours.solution.count <= 64:
+            assert ours.solution.solutions() == theirs.solutions()
+    else:
+        assert ours.edge_map is None
+
+
+@pytest.mark.parametrize("d,n", _sizes())
+def test_lists_match_the_elimination_factor(d, n):
     for mode in MODES:
         for phases in _tables(d, n, mode):
             ours = solve_phases(d, n, phases, mode)
-            theirs = _reference(d, n, mode, phases)
-            assert ours.solution.consistent == theirs.consistent
-            assert ours.solution.count == theirs.count
-            if ours.solution.consistent:
-                table = PhaseFunction(d, n, np.array(phases))
-                assert build_state(ours.edge_map) == table
-                if ours.solution.count <= 64:
-                    assert ours.solution.solutions() == theirs.solutions()
-            else:
-                assert ours.edge_map is None
+            _check_against_the_elimination_factor(ours, d, n, mode, phases)
+
+
+@pytest.mark.parametrize("d", [65, 101, 256])
+def test_solve_weights_on_two_byte_tables(d):
+    # Past d = 64 a table is two-byte lanes. In hypergraph mode the built
+    # table is reachable and the random one is not. In multihypergraph mode
+    # n = 2 runs at the prime d = 101 alone, where W is a Vandermonde matrix
+    # invertible mod d: each table has one solution, which rebuilds it. At
+    # d = 65 and 256 the kernel generators would reach the table limit.
+    tables = [PhaseFunction(d, 2, np.array(phases)) for phases in _tables(d, 2, HYPERGRAPH)]
+    outcomes = [correspondence.solve_weights(table, HYPERGRAPH) for table in tables]
+    assert [outcome.solution.consistent for outcome in outcomes] == [True, False]
+    for table, outcome in zip(tables, outcomes):
+        _check_against_the_elimination_factor(outcome, d, 2, HYPERGRAPH, table.table.tolist())
+    for phases in _tables(d, 2, MULTIHYPERGRAPH):
+        table = PhaseFunction(d, 2, np.array(phases))
+        if d != 101:
+            with pytest.raises(SizeLimit, match="kernel generators"):
+                correspondence.solve_weights(table, MULTIHYPERGRAPH)
+            continue
+        outcome = correspondence.solve_weights(table, MULTIHYPERGRAPH)
+        assert outcome.solution.count == 1
+        assert build_state(outcome.edge_map) == table
 
 
 @pytest.mark.parametrize(
@@ -113,7 +140,7 @@ def test_kronecker_pass_is_the_kronecker_power():
         power = np.kron(power, matrix)
     expected = (power @ flat % d).tolist()
     lanes = kronecker_pass(matrix.tolist(), bytes(flat.tolist()), n, d)
-    assert list(table_values(lanes, d)) == expected
+    assert list(lane_values(lanes, d)) == expected
 
 
 @pytest.fixture

@@ -37,6 +37,7 @@ from helpers import (
     edge_gate_matrix,
     lowering_shift,
     many_row_map,
+    phase_table_of_map,
     random_edge_map,
     site_operator,
 )
@@ -260,7 +261,9 @@ def numpy_generated(edge_map, table, k):
     return np.roll(grid % d, -1, axis=k).reshape(-1)
 
 
-@pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (5, 3), (6, 3), (257, 2)])
+@pytest.mark.parametrize(
+    "d,n", [(2, 5), (3, 4), (5, 3), (6, 3), (65, 2), (101, 2), (256, 2), (257, 2)]
+)
 def test_verify_reports_the_mismatches_of_a_corrupted_table(d, n):
     rng = random.Random(f"corrupt:{d}:{n}")
     pool = enumerate_multihyperedges(n, d, max_arity=2)
@@ -291,16 +294,40 @@ def test_verify_reports_the_mismatches_of_a_corrupted_many_row_table(d, n):
     check_corrupted_tables(many_row_map(d, n), random.Random(f"corrupt:many:{d}:{n}"))
 
 
+# Past d = 64 a table is two-byte lanes, which the numpy layers read and
+# write: build_state against the entry-by-entry table, and apply_generator
+# (on the map's state and on a random table) and correction_exponents
+# against numpy broadcasts.
+@pytest.mark.parametrize("d", [65, 101, 256])
+def test_two_byte_tables_through_the_numpy_layers(d):
+    n, rng = 2, random.Random(f"two-byte:{d}")
+    pool = enumerate_multihyperedges(n, d, max_arity=2)
+    edge_map = WeightedEdgeMap(d, n, {e: rng.randrange(1, d) for e in rng.sample(pool, 6)})
+    state = build_state(edge_map)
+    assert state.table.tolist() == phase_table_of_map(edge_map)
+    noise = pf(d, n, [rng.randrange(d) for _ in range(d**n)])
+    for k in range(n):
+        for table in (state, noise):
+            expected = numpy_generated(edge_map, table.table, k)
+            assert apply_generator(table, edge_map, k).table.tolist() == expected.tolist()
+    zeros = np.zeros(d**n, dtype=np.int64)
+    for edge, weight in edge_map.items():
+        for k in edge.vertices:
+            moved = numpy_generated(WeightedEdgeMap(d, n, {edge: weight}), zeros, k)
+            expected = np.roll(moved.reshape((d,) * n), 1, axis=k).reshape(-1)
+            assert correction_exponents(edge, weight, k, d, n).tolist() == expected.tolist()
+
+
 def check_corrupted_tables(edge_map, rng):
     """``vertex_checks`` on the map's table with 1, 3 and half of its
     entries changed, against ``numpy_generated``."""
     d, n = edge_map.d, edge_map.n
-    table = np.frombuffer(edge_map_table(edge_map), dtype=f"<u{lane_width(d - 1)}").astype(np.int64)
+    table = np.frombuffer(edge_map_table(edge_map), dtype=f"<u{lane_width(d)}").astype(np.int64)
     for changed in (1, 3, d**n // 2):
         corrupted = table.copy()
         for index in rng.sample(range(d**n), changed):
             corrupted[index] = (corrupted[index] + rng.randrange(1, d)) % d
-        lanes = corrupted.astype(f"<u{lane_width(d - 1)}").tobytes()
+        lanes = corrupted.astype(f"<u{lane_width(d)}").tobytes()
         checks = vertex_checks(edge_map, lanes)
         for k, check in enumerate(checks):
             expected = np.nonzero(numpy_generated(edge_map, corrupted, k) != corrupted)[0]

@@ -100,20 +100,16 @@ def deleted_edge_coefficient(power: int, d: int) -> int:
     return power * (d - 1) % d
 
 
-def split_target(edge: MultiHyperedge, k: int) -> tuple[int, MultiHyperedge | None]:
-    """(s_k, the edge without k), or ValueError when k is not in the edge."""
+def check_target(edge: MultiHyperedge, k: int, n: int) -> tuple[int, MultiHyperedge | None]:
+    """(s_k, the edge without k): ValueError when k is not in the edge, then
+    VertexOutOfRange when k or the edge without k reaches n."""
     if k not in edge.vertices:
         raise ValueError(f"vertex {k} not in edge {edge}")
-    return edge.exponents[edge.vertices.index(k)], edge.without_vertex(k)
-
-
-def check_target(edge: MultiHyperedge, k: int, n: int) -> tuple[int, MultiHyperedge | None]:
-    """``split_target(edge, k)``, once k and the edge without k lie below n."""
-    s_k, reduced = split_target(edge, k)
+    reduced = edge.without_vertex(k)
     check_vertex(k, n)
     if reduced is not None:
         check_edge(reduced, n)
-    return s_k, reduced
+    return edge.exponents[edge.vertices.index(k)], reduced
 
 
 def _repeat(data: bytes, size: int, r: int) -> bytes:

@@ -34,7 +34,6 @@ _EXPORTS = {
     "NonCanonical": "newton",
     "NonPrimeModulus": "residues",
     "PhaseFunction": "states",
-    "RoundTripFailure": "newton",
     "SchemaError": "graphs",
     "SizeLimit": "residues",
     "SolutionSet": "newton",

@@ -17,22 +17,24 @@ the digit-power matrix W[i][s] = i^s mod d (0^0 = 1), s in 0..d-1
 ``solve_weights`` hands the table to ``newton.solve_phases``, the one
 Kronecker solve of the package on the closed-form factor U·W·V = diag(s!)
 (``counting.smith_factor``), which reports x at the edges' columns only.
-Reachability and solution counts are the divisor rule on the Newton
-coefficients (``counting.divisor_rule``), so ``census`` solves no table,
-and the fingerprint hashes the name (d, n, mode), which fixes W and every
-column. ``census``, the factor and the solve's types and errors are
-re-exported here from the numpy-free ``counting`` and ``newton``.
+Reachability is the divisor rule on the Newton coefficients on [k]^n
+(``counting.divisor_rule``), then the round trip through W itself; the
+solution counts are the rule's alone, so ``census`` solves no table, and
+the fingerprint hashes the name (d, n, mode), which fixes W and every
+column. ``census`` and the solve's types and errors are re-exported here
+from the numpy-free ``counting`` and ``newton``.
 
 This module keeps the dense-matrix code. Its Kronecker powers come from
 ``lanes.power_rows``: ``representability_constraints`` reads rows of
 U^{⊗n} off the lanes, and ``build_system`` and ``coefficient_block`` wrap
 them in read-only int64 arrays, frozen as ``PhaseFunction`` tables are.
 
-Sizes go through ``residues.check_entries`` before any work: ``build_system``
-refuses a W^{⊗n} of k^n·d^n entries, ``representability_constraints`` d^n
-divisors and its picked rows of d^n entries each, ``coefficient_block`` a
-block of (d-1)^(2·size) entries, and ``solve_weights`` whatever
-``solve_phases`` refuses.
+Sizes go through ``residues.check_entries`` before any work:
+``build_system`` refuses a W^{⊗n} of k^n·d^n entries,
+``representability_constraints`` d^n divisors, the d·d entries of the whole
+U and its picked rows of d^n entries each, ``coefficient_block`` a block of
+(d-1)^(2·size) entries, and ``solve_weights`` whatever ``solve_phases``
+refuses.
 """
 
 from __future__ import annotations
@@ -50,16 +52,16 @@ from .counting import (
     _columns,
     _digit_power_rows,
     _exponent_count,
+    _factorial_diagonal,
+    _signed_triangle,
     census,
     divisor_rule,
-    smith_factor,
 )
 from .graphs import MultiHyperedge, _Value, enumerate_multihyperedges
 from .lanes import coefficient_lanes, lane_values, power_rows
 from .newton import (
     KroneckerSolver,
     NonCanonical,
-    RoundTripFailure,
     SolutionSet,
     SolveOutcome,
     _check_canonical,
@@ -141,14 +143,16 @@ def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, .
     prod_v D[j_v] = 0 (mod d). Column 0 is dropped, as f(0) = 0. Row j has
     its unit pivot at column j != 0, so the rows are independent.
 
-    Raises SizeLimit before listing the d^n divisors or the picked rows of
-    d^n entries each, when they would reach the table limit.
+    Raises SizeLimit before listing the d^n divisors, building U's d x d
+    entries or the picked rows of d^n entries each, when they would reach
+    the table limit.
     """
     _check_mode(mode)
     check_entries("solver divisors", 1, d, n)
     if not is_prime(d):
         raise NonPrimeModulus(f"modulus {d} is not prime")
-    u, diagonal, _ = smith_factor(d, mode)
+    check_entries("base factor U", d, d, 1)  # every row, not only the k that meet D
+    u, diagonal = _signed_triangle([1] * (d - 1), d, d), _factorial_diagonal(d, mode)
     # The g_j of the k^n tuples with every digit below k, in flat order.
     gcd = iter(divisor_rule(diagonal, d, n)[0])
     tuples = enumerate(product(range(d), repeat=n))

@@ -18,20 +18,22 @@ with Pascal's d x d matrix P[i][t] = C(i, t) and the k x k S^T, both
 unitriangular. So both outer factors are unimodular, and as s! divides
 (s+1)!, D is the Smith form of W (Singmaster 1974; Kempner 1921).
 
-``smith_factor`` builds the inverses U = P^{-1} and V = (S^T)^{-1} by
-recurrences mod d, so U·W·V = D. It is the package's only factor of W:
-``newton.solve_phases`` hands it to ``newton.KroneckerSolver``, and
-``census`` reads its diagonal alone (``_factorial_diagonal``).
+``smith_factor`` builds the inverses U = P^{-1}, its k rows that meet D,
+and V = (S^T)^{-1} by recurrences mod d, so U·W·V = D. It is the
+package's only factor of W: ``newton.solve_phases`` hands it to
+``newton.KroneckerSolver``, and ``census`` reads its diagonal alone
+(``_factorial_diagonal``).
 
 The Smith form gives the package's one rule, on the Newton coefficients
 c = U^{⊗n} f of a table f; ``divisor_rule`` is its only home. With
 g_j = gcd(prod_v j_v!, d) for j in [k]^n, f is reachable iff g_j divides
-c_j at each such j and c_j = 0 wherever a digit is >= k. The kernel of
-W^{⊗n} over Z_d then has K = prod_j g_j elements, every reachable table
-has exactly K weight solutions, and R = d^{#vars} / K tables are
-reachable, so counting them needs no table and no factorisation. The
-census refuses only through ``residues.check_entries``, on a count worked
-out from (d, n) alone.
+c_j at each such j and c_j = 0 wherever a digit is >= k; the solve tests
+the second half as W^{⊗n} x = f, the same once the division holds. The
+kernel of W^{⊗n} over Z_d then has K = prod_j g_j elements, every
+reachable table has exactly K weight solutions, and R = d^{#vars} / K
+tables are reachable, so counting them needs no table and no
+factorisation. The census refuses only through ``residues.check_entries``,
+on a count worked out from (d, n) alone.
 
 W is fixed by (d, mode) and the columns by (d, n, mode), so that name fixes
 the whole system, and the fingerprint that ``solve`` and ``census`` print
@@ -117,33 +119,36 @@ def kernel_size(gcd: list[int]) -> int:
     return math.prod(g ** gcd.count(g) for g in set(gcd))
 
 
-def _signed_triangle(steps: Sequence[int], d: int) -> list[list[int]]:
-    """The square T with T[0] = e_0 and T[r+1][c] = T[r][c-1] - steps[r]·T[r][c]
-    (mod d), T[r][-1] = 0: lower unitriangular, one row per step plus one.
-    Entries share one int object per residue, as in ``_digit_power_rows``."""
+def _signed_triangle(steps: Sequence[int], d: int, width: int) -> list[list[int]]:
+    """T with T[0] = e_0 and T[r+1][c] = T[r][c-1] - steps[r]·T[r][c] (mod d),
+    T[r][-1] = 0: lower unitriangular, one row per step plus one, each row
+    padded with zeros to ``width`` columns. Entries share one int object per
+    residue, as in ``_digit_power_rows``."""
     rows, residue = [[1]], list(range(d))
     for step in steps:
         row = rows[-1]
         rows.append([residue[(left - step * here) % d] for left, here in zip([0] + row, row + [0])])
     for row in rows:
-        row.extend([0] * (len(rows) - len(row)))
+        row.extend([0] * (width - len(row)))
     return rows
 
 
 def smith_factor(d: int, mode: str) -> tuple[list[list[int]], list[int], list[list[int]]]:
-    """U, the diagonal s! and V with U·W·V = diag(s!) (mod d); see the module
-    docstring. Built by recurrences mod d in O(d^2) steps, nothing factored:
+    """The first k rows of U, the diagonal s! and V, with U·W·V = diag(s!)
+    (mod d); see the module docstring. Built by recurrences mod d in O(k·d)
+    steps, nothing factored:
 
-    * U[i][t] = (-1)^(i-t)·C(i, t), d x d, from Pascal's rule;
+    * U[i][t] = (-1)^(i-t)·C(i, t), k x d, from Pascal's rule;
     * V[s][t] = s(t, s), k x k, the signed Stirling numbers of the first kind
       from s(t+1, s) = s(t, s-1) - t·s(t, s), so V is upper unitriangular.
 
-    Raises SizeLimit before building anything when U's d^2 entries, the most
-    of any part (W has d·k), would reach the table limit.
+    Raises SizeLimit before building anything when U's k·d entries, the most
+    of any part (W has as many), would reach the table limit.
     """
-    check_entries("base factor U", d, d, 1)
-    pascal = _signed_triangle([1] * (d - 1), d)
-    stirling = _signed_triangle(range(_exponent_count(d, mode) - 1), d)
+    k = _exponent_count(d, mode)
+    check_entries("base factor U", k, d, 1)
+    pascal = _signed_triangle([1] * (k - 1), d, d)
+    stirling = _signed_triangle(range(k - 1), d, k)
     return pascal, _factorial_diagonal(d, mode), [list(column) for column in zip(*stirling)]
 
 

@@ -2,16 +2,17 @@
 
 A table f over Z_d^n is d^n values, i_0 the most significant digit, as
 lanes of ``lanes``. ``lanes.kronecker_pass`` applies a small matrix along
-every axis: with Pascal's U of ``counting.smith_factor`` it gives
-c = U^{⊗n} f, the Newton forward differences of f, and with the
-digit-power matrix W it rebuilds a table from edge weights.
+every axis: with the first k rows of Pascal's U of
+``counting.smith_factor`` it gives the Newton forward differences
+c = U^{⊗n} f on [k]^n, and with the digit-power matrix W it rebuilds a
+table from edge weights.
 
 ``KroneckerSolver`` solves W^{⊗n} x = b for any base W from a factor
-U·W·V = D, and ``solve_phases``, the solve of the ``solve`` verb and of
-``correspondence.solve_weights``, runs it on the closed-form factor and
-checks a consistent answer through W itself, the one use of W. The
-solution types ``SolutionSet`` and ``SolveOutcome`` live here;
-``correspondence`` re-exports them.
+U·W·V = D: the divisor rule on [k]^n, then a round trip through W itself
+that decides the rest, so it verifies every answer. ``solve_phases``, the
+solve of the ``solve`` verb and of ``correspondence.solve_weights``, runs
+it on the closed-form factor. The solution types ``SolutionSet`` and
+``SolveOutcome`` live here; ``correspondence`` re-exports them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .counting import (
     _check_mode,
     _columns,
     _digit_power_rows,
+    _factorial_diagonal,
     _fingerprint,
     divisor_rule,
     kernel_size,
@@ -47,10 +49,6 @@ def _check_canonical(mode: str, origin: int) -> None:
     _check_mode(mode)
     if origin:
         raise NonCanonical("phase table must have f(0, ..., 0) = 0")
-
-
-class RoundTripFailure(RuntimeError):
-    """A solved edge map failed to rebuild its own phase table (solver bug)."""
 
 
 class SolutionSet(_Value):
@@ -154,11 +152,10 @@ class SolveOutcome(_Value):
     """Result of solving one canonical table.
 
     Solution vectors list the weights of ``variables`` in order. ``edge_map``
-    is rebuilt from the particular solution when consistent and is always
-    round-trip checked against the input table. ``variables`` may be given
-    as any sequence of edges: the edge maps read it by index, at the nonzero
-    weights only, and it becomes a tuple on the first read of
-    ``variables``.
+    is rebuilt from the particular solution when consistent, which the solve
+    has checked through W. ``variables`` may be given as any sequence of
+    edges: the edge maps read it by index, at the nonzero weights only, and
+    it becomes a tuple on the first read of ``variables``.
     """
 
     __slots__ = ("mode", "_variables", "fingerprint", "solution", "edge_map")
@@ -225,20 +222,22 @@ class KroneckerSolver:
     """Solve (W ⊗ ... ⊗ W)·x = b (mod d), ``power`` factors, for any d >= 2.
 
     Unknowns and equations are digit tuples in flat order, first digit most
-    significant. The base W (m x k, m >= k) enters only through a factor
-    U·W·V = D mod d, with U (m x m) and V (k x k) invertible mod d and D the
-    m x k matrix with ``diagonal`` on its diagonal. The mixed-product property
-    gives U^{⊗n}·W^{⊗n}·V^{⊗n} = D^{⊗n}, whose only nonzero entries sit at
-    (j, j) for tuples j with every digit below k, with value prod_v D[j_v].
-    So a solve is n passes to form c = U^{⊗n} b, one division y_j = c_j / D_j
-    (mod d) with exactly gcd(D_j, d) choices each, and n passes back to
-    x = V^{⊗n} y. Equations j with a digit >= k have no diagonal entry and
-    demand c_j = 0. This is the rule of ``counting.divisor_rule``, which
-    gives the solver its ``gcd`` and ``inverse`` lists.
+    significant. The base W (m x k, m >= k), built by ``base`` at most once,
+    has a factor U·W·V = D mod d, with U (m x m) and V (k x k) invertible
+    mod d and D the m x k matrix with ``diagonal`` on its diagonal. The
+    mixed-product property gives U^{⊗n}·W^{⊗n}·V^{⊗n} = D^{⊗n}, whose only
+    nonzero entries sit at (j, j) for tuples j with every digit below k,
+    with value prod_v D[j_v], so only the first k rows of U are kept. A
+    solve is n passes to form c_j on [k]^n, one division y_j = c_j / D_j
+    (mod d) with exactly gcd(D_j, d) choices each, by the ``gcd`` and
+    ``inverse`` lists of ``counting.divisor_rule``, and n passes back to
+    x = V^{⊗n} y. The equations with a digit >= k demand c_j = 0, which,
+    as U is invertible, holds iff W^{⊗n} x = b: n passes through W decide it.
     """
 
     def __init__(
         self,
+        base: Callable[[], Sequence[Sequence[int]]],
         u: Sequence[Sequence[int]],
         diagonal: Sequence[int],
         v: Sequence[Sequence[int]],
@@ -246,22 +245,22 @@ class KroneckerSolver:
         d: int,
         power: int,
     ):
-        m, k = len(u), len(diagonal)
-        square = all(len(row) == m for row in u) and all(len(row) == k for row in v)
-        if not square or len(v) != k or m < k:
-            raise ValueError("need U m x m, V k x k and k diagonal entries, with m >= k")
-        if power < 1 or d < 2:
-            raise ValueError(f"need power >= 1 and d >= 2, got {power} and {d}")
+        k, m = len(diagonal), len(u[0])
         # A pass takes any ints, so U and V are kept as given: reducing them
         # would cost about a second at d = 4000.
-        self.u, self.v = u, v
-        self.d, self.power, self.rows = d, power, m
-        # The flat indices (base m) of the k^n tuples with every digit below
-        # k, in the order of their g_j and inverse_j.
-        self.inside = [0]
-        for _ in range(power):
-            self.inside = [i * m + s for i in self.inside for s in range(k)]
+        self.u, self.v = u[:k], v
+        shaped = all(len(row) == m for row in self.u) and all(len(row) == k for row in v)
+        if not shaped or len(self.u) != k or len(v) != k or m < k:
+            raise ValueError("need k rows of U (m x m), V k x k and k diagonal entries, m >= k")
+        if power < 1 or d < 2:
+            raise ValueError(f"need power >= 1 and d >= 2, got {power} and {d}")
+        self.base, self.d, self.power, self.rows = base, d, power, m
         self.gcd, self.inverse = divisor_rule(diagonal, d, power)
+
+    @cached_property
+    def w(self) -> Sequence[Sequence[int]]:
+        """W, built on the first right-hand side that passes the division."""
+        return self.base()
 
     @cached_property
     def count(self) -> int:
@@ -285,16 +284,14 @@ class KroneckerSolver:
         if not packed:
             rhs = _pack(rhs, d)
         c = lane_values(kronecker_pass(self.u, rhs, n, d), d)
-        diagonal_part = [c[i] for i in self.inside]
-        outside = len(c) - c.count(0) - (len(diagonal_part) - diagonal_part.count(0))
-        if outside or any(map(mod, diagonal_part, self.gcd)):
+        if any(map(mod, c, self.gcd)):
             return _no_solution(d)
-        y = [
-            cj // g * inverse % (d // g)
-            for cj, g, inverse in zip(diagonal_part, self.gcd, self.inverse)
-        ]
-        x = lane_values(kronecker_pass(self.v, _pack(y, d), n, d), d)
-        particular = tuple(x[i] for i in unknowns)
+        y = [cj // g * inverse % (d // g) for cj, g, inverse in zip(c, self.gcd, self.inverse)]
+        x = kronecker_pass(self.v, _pack(y, d), n, d)
+        if kronecker_pass(self.w, x, n, d) != rhs:
+            return _no_solution(d)
+        values = lane_values(x, d)
+        particular = tuple(values[i] for i in unknowns)
         free = [(j, g) for j, g in enumerate(self.gcd) if g > 1]
         generators = partial(_generators, self.v, free, unknowns, n, d)
         return SolutionSet(d, True, particular, self.count, generators)
@@ -304,35 +301,28 @@ def solve_phases(d: int, n: int, phases: Sequence[int], mode: str) -> SolveOutco
     """Decide reachability of a canonical table and count all weight solutions.
 
     ``phases`` is a table as ``graphs.phase_table`` returns it: d^n entries
-    in [0, d). Raises SizeLimit, before solving, when the base factor U, the
-    kernel generators (a column of V^{⊗n} per free unknown) or, past
-    d = 256, where each is a Python multiply, the d^(n+1) products of a
-    pass would reach the table limit; each depends on (d, mode, n) alone.
+    in [0, d). Raises SizeLimit, before anything is built, when the base
+    factor U (k rows of d), the kernel generators (a column of V^{⊗n} per
+    free unknown) or, past d = 256, where each is a Python multiply, the
+    d^(n+1) products of a pass would reach the table limit; each depends
+    on (d, mode, n) alone.
     """
     _check_canonical(mode, phases[0])
-    u, diagonal, v = smith_factor(d, mode)
+    diagonal = _factorial_diagonal(d, mode)
     k = len(diagonal)
+    check_entries("base factor U", k, d, 1)  # smith_factor's own rule, made first
     # y_j is free (g_j > 1) unless every D[j_v] is a unit mod d: the rule at
     # n = 1 gives the units, before any list of k^n divisors exists.
     units = divisor_rule(diagonal, d, 1)[0].count(1)
     check_entries("kernel generators", k**n - units**n, k, n)
     if d > 256:
         check_entries("solve pass products", 1, d, n + 1)
+    u, _, v = smith_factor(d, mode)
     columns = _columns(d, n, mode)
     variables = _Unknowns(columns, k, n)
     fingerprint = _fingerprint(d, n, mode)
-    table = _pack(phases, d)
     # The constant m_0 at column 0, left out, is pinned to f(0) = 0.
-    solution = KroneckerSolver(u, diagonal, v, d=d, power=n).solve(table, columns)
-    if not solution.consistent:
-        return SolveOutcome(mode, variables, fingerprint, solution, None)
-    # The round trip goes through W itself, not its factor.
-    placed = [0] * k**n
-    for i, weight in zip(columns, solution.particular):
-        placed[i] = weight
-    if kronecker_pass(_digit_power_rows(d, mode), _pack(placed, d), n, d) != table:
-        raise RoundTripFailure(
-            f"solved weights do not rebuild the table (fingerprint {fingerprint})"
-        )
-    edge_map = _vector_to_map(d, n, variables, solution.particular)
+    solver = KroneckerSolver(partial(_digit_power_rows, d, mode), u, diagonal, v, d=d, power=n)
+    solution = solver.solve(_pack(phases, d), columns)
+    edge_map = _vector_to_map(d, n, variables, solution.particular) if solution.consistent else None
     return SolveOutcome(mode, variables, fingerprint, solution, edge_map)

@@ -8,18 +8,24 @@ solvers here work on the whole matrix instead, on plain Python integers:
   rank, kernel and a canonical left-nullspace basis;
 * any modulus: the Smith normal form of the integer lift with explicit
   unimodular transforms (``smith_normal_form``, ``SmithSolver``), which also
-  yields the exact solution count.
+  yields the exact solution count;
+* the canonical system alone: ``full_grid_solve``, the decision on all d^n
+  Newton coefficients, by numpy, that the round trip through W replaced.
 
 They cost O(N^3) on an N-unknown system, so tests use them at desk sizes only.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from quditgraphs.counting import HYPERGRAPH, _columns
 from quditgraphs.newton import SolutionSet, _no_solution
 from quditgraphs.residues import NonPrimeModulus, is_prime
 
@@ -295,3 +301,51 @@ class SmithSolver:
     def _v_column(self, j: int, scale: int) -> tuple[int, ...]:
         d = self.d
         return tuple(self.v[r][j] * scale % d for r in range(len(self.v)))
+
+
+def _axes_product(matrix: np.ndarray, table: np.ndarray, d: int) -> np.ndarray:
+    """matrix^{⊗n}·table mod d, for a table of n axes: the matrix applied
+    along every axis, each result axis kept in its place."""
+    for axis in range(table.ndim):
+        table = np.moveaxis(np.tensordot(matrix, table, axes=([1], [axis])) % d, 0, axis)
+    return table
+
+
+def full_grid_solve(d: int, n: int, phases: Sequence[int], mode: str):
+    """The canonical system W^{⊗n} x = f at (d, n, mode), decided on all d^n
+    Newton coefficients c = U^{⊗n} f, with Pascal's signed d x d matrix
+    U[i][t] = (-1)^(i-t)·C(i, t) from ``math.comb``. f is reachable iff
+    c_j = 0 wherever a digit of j is >= k, and g_j = gcd(prod_v j_v!, d)
+    divides c_j on [k]^n; then y_j = (c_j / g_j)·(D_j / g_j)^{-1} mod d / g_j
+    and x = V^{⊗n} y, for V[s][t] the coefficient of x^s in the falling
+    factorial x(x-1)...(x-t+1). Returns (consistent, x at the mode's
+    columns or None, prod_j g_j, the fingerprint of the name (d, n, mode))."""
+    k = 2 if mode == HYPERGRAPH else d
+    pascal = np.array(
+        [[(-1) ** (i - t) * math.comb(i, t) % d for t in range(d)] for i in range(d)]
+    )
+    c = _axes_product(pascal, np.array(phases, dtype=np.int64).reshape((d,) * n), d)
+    falling = [[1]]
+    for t in range(1, k):
+        # x·p(x) - (t - 1)·p(x), for p the falling factorial of degree t - 1
+        previous = falling[-1] + [0]
+        falling.append([(a - (t - 1) * b) for a, b in zip([0] + falling[-1], previous)])
+    v = np.array([[falling[t][s] % d if s <= t else 0 for t in range(k)] for s in range(k)])
+    name = {"d": d, "mode": mode, "n": n, "version": 2}
+    blob = json.dumps(name, sort_keys=True, separators=(",", ":"))
+    fingerprint = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    grid = (slice(0, k),) * n
+    inside, outside = c[grid].copy(), c
+    outside[grid] = 0
+    if outside.any():
+        return False, None, 0, fingerprint
+    y, count = np.zeros((k,) * n, dtype=np.int64), 1
+    for j in product(range(k), repeat=n):
+        diagonal = math.prod(math.factorial(s) for s in j)
+        g = math.gcd(diagonal, d)
+        if inside[j] % g:
+            return False, None, 0, fingerprint
+        y[j] = inside[j] // g * pow(diagonal // g, -1, d // g) % (d // g)
+        count *= g
+    x = _axes_product(v, y, d).reshape(-1)
+    return True, tuple(int(x[i]) for i in _columns(d, n, mode)), count, fingerprint

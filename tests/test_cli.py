@@ -397,15 +397,19 @@ class TestLimitsBeforeWork:
         assert payload["consistent"] and payload["count"] == 1
         assert payload["solution"] == {"d": 2, "n": 14, "edges": []}
 
-    @pytest.mark.parametrize("mode", ["hypergraph", "multihypergraph"])
-    def test_solve_refuses_an_oversized_base(self, tmp_path, mode):
-        # A valid 4099-entry table, but the factor of its base has 4099^2 entries.
+    @pytest.mark.parametrize(
+        "mode,refusal",
+        [("hypergraph", "solve pass products of 4099^2"), ("multihypergraph", "4099 x 4099")],
+    )
+    def test_solve_refuses_an_oversized_base(self, tmp_path, mode, refusal):
+        # A valid 4099-entry table, but the factor of its base has k x 4099
+        # entries, and a pass 4099^2 products.
         phases = write_json(tmp_path / "p.json", {"d": 4099, "n": 1, "phases": [0] * 4099})
         start = time.perf_counter()
         result = run_capped("solve", "--phases", phases, "--mode", mode)
         assert time.perf_counter() - start < 1.0
         assert result.returncode == 3 and result.stdout == ""
-        assert "4099 x 4099" in result.stderr and "limit" in result.stderr
+        assert refusal in result.stderr and "limit" in result.stderr
 
     @pytest.mark.parametrize("d,n", [(4, 7), (6, 5)])
     def test_solve_refuses_huge_kernel_generators(self, tmp_path, d, n):

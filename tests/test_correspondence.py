@@ -623,7 +623,9 @@ def _closed_form_kernel(d, n, mode):
 
 
 class TestClosedFormFactor:
-    """U·W·V = diag(s!) (mod d) from recurrences, checked by multiplying out."""
+    """U·W·V = diag(s!) (mod d) from recurrences, checked by multiplying out:
+    U is the first k rows of Pascal's signed d x d matrix, the rows that meet
+    the diagonal."""
 
     @pytest.mark.parametrize("d", range(2, 65))
     @pytest.mark.parametrize("mode", MODES)
@@ -631,23 +633,27 @@ class TestClosedFormFactor:
         u, diagonal, v = (np.array(part, dtype=np.int64) for part in counting.smith_factor(d, mode))
         k = len(diagonal)
         w = np.array([[pow(i, s, d) for s in range(k)] for i in range(d)], dtype=np.int64)
-        expected = np.zeros((d, k), dtype=np.int64)
+        expected = np.zeros((k, k), dtype=np.int64)
         expected[range(k), range(k)] = [math.factorial(s) % d for s in range(k)]
         assert (u @ w % d @ v % d == expected).all()
         # Unitriangular, so invertible over Z: U lower, V upper.
         assert (u == np.tril(u)).all() and (np.diag(u) == 1).all()
         assert (v == np.triu(v)).all() and (np.diag(v) == 1).all()
-        assert u.shape == (d, d) and v.shape == (k, k)
+        assert u.shape == (k, d) and v.shape == (k, k)
 
     def test_refuses_a_base_at_the_table_limit(self, monkeypatch):
-        # U is d x d in both modes, W only d x k.
+        # U is k x d, as many entries as W.
         with pytest.raises(SizeLimit, match="4096 x 4096"):
-            counting.smith_factor(4096, HYPERGRAPH)
+            counting.smith_factor(4096, MULTIHYPERGRAPH)
+        assert len(counting.smith_factor(4096, HYPERGRAPH)[0][1]) == 4096
         monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 26)
-        assert len(counting.smith_factor(5, HYPERGRAPH)[0]) == 5
+        assert len(counting.smith_factor(5, MULTIHYPERGRAPH)[0]) == 5
         monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 25)
         with pytest.raises(SizeLimit, match="5 x 5"):
             counting.smith_factor(5, MULTIHYPERGRAPH)
+        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 10)
+        with pytest.raises(SizeLimit, match="2 x 5"):
+            counting.smith_factor(5, HYPERGRAPH)
 
 
 class TestClosedFormKernel:
@@ -660,7 +666,7 @@ class TestClosedFormKernel:
         while d**n <= 3000:
             for mode in MODES:
                 rows = counting._digit_power_rows(d, mode)
-                solver = KroneckerSolver(*smith_factor_of(rows, d), d=d, power=n)
+                solver = KroneckerSolver(lambda: rows, *smith_factor_of(rows, d), d=d, power=n)
                 per_tuple = math.prod(solver.gcd)
                 assert _closed_form_kernel(d, n, mode) == solver.count == per_tuple, (d, n, mode)
             n += 1

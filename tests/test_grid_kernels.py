@@ -19,7 +19,13 @@ import pytest
 
 from quditgraphs import diagonals
 from quditgraphs.cli import _TEXT_RANGE, _any_int_digits, _encode, main
-from quditgraphs.counting import HYPERGRAPH, MULTIHYPERGRAPH, _digit_power_rows, smith_factor
+from quditgraphs.counting import (
+    HYPERGRAPH,
+    MULTIHYPERGRAPH,
+    _digit_power_rows,
+    _signed_triangle,
+    smith_factor,
+)
 from quditgraphs.diagonals import (
     VertexOutOfRange,
     conjugation_report,
@@ -469,12 +475,12 @@ def reference_power_rows(matrix, picked, power, d):
 
 
 def kronecker_bases(d):
-    """W in both modes, the factor U of U·W·V = diag(s!) (the same d x d
-    matrix in both modes) and the (d-1)x(d-1) block V[i][s] = i^s, as lists
+    """W in both modes, Pascal's signed d x d matrix (every row of the factor
+    U of U·W·V = diag(s!)) and the (d-1)x(d-1) block V[i][s] = i^s, as lists
     and as arrays."""
     multihypergraph = _digit_power_rows(d, MULTIHYPERGRAPH)
     array = np.array(multihypergraph, dtype=np.int64)
-    u = smith_factor(d, HYPERGRAPH)[0]
+    u = _signed_triangle([1] * (d - 1), d, d)
     bases = {
         "W multihypergraph": (multihypergraph, array),
         "W hypergraph": (_digit_power_rows(d, HYPERGRAPH), array[:, :2]),

@@ -1,13 +1,16 @@
 """The solve of ``newton`` against the same Kronecker solve on a factor of W
 found by elimination (``oracles.smith_factor_of``), not the closed form."""
 
+import json
 import random
+import re
 from functools import cache
 
 import numpy as np
 import pytest
 
 from quditgraphs import correspondence, counting, newton
+from quditgraphs.cli import main
 from quditgraphs.counting import _columns, _digit_power_rows, _exponent_count
 from quditgraphs.lanes import kronecker_pass, lane_values
 from quditgraphs.correspondence import HYPERGRAPH, MODES, MULTIHYPERGRAPH
@@ -15,14 +18,13 @@ from quditgraphs.graphs import WeightedEdgeMap, enumerate_multihyperedges
 from quditgraphs.newton import (
     KroneckerSolver,
     NonCanonical,
-    RoundTripFailure,
     SolutionSet,
     solve_phases,
 )
 from quditgraphs.residues import SizeLimit
 from quditgraphs.states import PhaseFunction, build_state
 
-from oracles import smith_factor_of
+from oracles import full_grid_solve, smith_factor_of
 
 # One larger cell per n: the largest d with n·d^(n+1) < 2^16 multiply-adds.
 LARGER = [(255, 1), (31, 2), (12, 3), (6, 4), (4, 5), (3, 7), (2, 11)]
@@ -51,7 +53,8 @@ def _elimination_factor(d, mode):
 
 
 def _reference(d, n, mode, phases):
-    solver = KroneckerSolver(*_elimination_factor(d, mode), d=d, power=n)
+    base = _digit_power_rows(d, mode)
+    solver = KroneckerSolver(lambda: base, *_elimination_factor(d, mode), d=d, power=n)
     return solver.solve(phases, _columns(d, n, mode))
 
 
@@ -101,6 +104,60 @@ def test_solve_weights_on_two_byte_tables(d):
         assert build_state(outcome.edge_map) == table
 
 
+def _full_grid_cells():
+    """Every ``_sizes()`` cell in both modes, and the two-byte cells at n = 2
+    that ``solve_phases`` answers (see ``test_solve_weights_on_two_byte_tables``)."""
+    cells = [(d, n, mode) for d, n in _sizes() for mode in MODES]
+    return cells + [(65, 2, HYPERGRAPH), (101, 2, HYPERGRAPH), (101, 2, MULTIHYPERGRAPH),
+                    (256, 2, HYPERGRAPH)]
+
+
+@pytest.mark.parametrize("d,n,mode", _full_grid_cells())
+def test_agrees_with_the_full_grid_solve(d, n, mode):
+    # The decision on all d^n Newton coefficients, as it was made before the
+    # round trip through W decided: the same verdict, particular, count and
+    # fingerprint on a built, a random and the all-zero table.
+    for phases in [*_tables(d, n, mode), [0] * d**n]:
+        ours = solve_phases(d, n, phases, mode)
+        consistent, particular, count, fingerprint = full_grid_solve(d, n, phases, mode)
+        assert ours.solution.consistent == consistent
+        assert ours.solution.particular == particular
+        assert ours.solution.count == count
+        assert ours.fingerprint == fingerprint
+
+
+@pytest.mark.parametrize("d", [67, 71, 79])
+def test_prime_moduli_are_a_bijection(d):
+    # The paper's bijection at prime d: every table has exactly one weight
+    # vector, and its edge map builds the table through the gate kernel.
+    rng = random.Random(f"bijection:{d}")
+    for _ in range(2):
+        phases = [0] + [rng.randrange(d) for _ in range(d**2 - 1)]
+        outcome = solve_phases(d, 2, phases, MULTIHYPERGRAPH)
+        assert outcome.solution.count == 1
+        assert build_state(outcome.edge_map) == PhaseFunction(d, 2, np.array(phases))
+
+
+@pytest.mark.parametrize("d", [*range(3, 13), 65, 101, 256])
+def test_an_entry_off_the_grid_is_turned_away_by_the_round_trip(d, tmp_path, capsys):
+    # c on [2]^n reads f only on [2]^n, and in hypergraph mode every D_j is
+    # a unit, so one entry changed off [2]^n leaves the division and x as
+    # they were: only the round trip through W turns the table away. At
+    # d = 2 every entry is on [2]^n.
+    built = _tables(d, 2, HYPERGRAPH)[0]
+    assert solve_phases(d, 2, built, HYPERGRAPH).solution.consistent
+    rng = random.Random(f"off-grid:{d}")
+    i = rng.choice([i for i in range(d**2) if max(divmod(i, d)) >= 2])
+    changed = [*built[:i], (built[i] + rng.randrange(1, d)) % d, *built[i + 1 :]]
+    outcome = solve_phases(d, 2, changed, HYPERGRAPH)
+    assert outcome.solution == SolutionSet(d, False, None, 0)
+    assert outcome.edge_map is None
+    phases = tmp_path / "phases.json"
+    phases.write_text(json.dumps({"d": d, "n": 2, "phases": changed}))
+    assert main(["solve", "--phases", str(phases), "--mode", HYPERGRAPH]) == 1
+    assert json.loads(capsys.readouterr().out)["consistent"] is False
+
+
 @pytest.mark.parametrize(
     "d,n,message",
     [
@@ -115,6 +172,25 @@ def test_size_refusals_keep_their_messages(d, n, message):
     with pytest.raises(SizeLimit) as refusal:
         solve_phases(d, n, [0] * d**n, MULTIHYPERGRAPH)
     assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize(
+    "d,n,mode,refusal",
+    [
+        (4, 7, MULTIHYPERGRAPH, "kernel generators"),
+        (4096, 1, MULTIHYPERGRAPH, "base factor U"),
+        (257, 2, MULTIHYPERGRAPH, "solve pass products"),
+        (4096, 1, HYPERGRAPH, "solve pass products of 4096^2 entries"),
+        (257, 2, HYPERGRAPH, "solve pass products of 257^3 entries"),
+    ],
+)
+def test_a_refused_cell_builds_no_factor(monkeypatch, d, n, mode, refusal):
+    def refuse(*args):
+        raise AssertionError("the factor was built")
+
+    monkeypatch.setattr(newton, "smith_factor", refuse)
+    with pytest.raises(SizeLimit, match=re.escape(refusal)):
+        solve_phases(d, n, [0] * d**n, mode)
 
 
 def test_generators_refusal_comes_before_any_power_of_the_rule(monkeypatch):
@@ -167,19 +243,35 @@ def test_a_census_builds_no_w_and_no_columns(mode, builds):
 
 
 @pytest.mark.parametrize(
-    "d,n,phases,mode,reachable",
+    "d,n,phases,mode,reachable,divides",
     [
-        (3, 2, [0, 1, 0, 1, 1, 0, 0, 1, 0], HYPERGRAPH, False),
-        (3, 2, [0, 1, 0, 1, 1, 0, 0, 1, 0], MULTIHYPERGRAPH, True),
-        (4, 1, [0, 1, 0, 0], MULTIHYPERGRAPH, False),
-        (4, 1, [0, 2, 0, 2], MULTIHYPERGRAPH, True),
+        (3, 2, [0, 1, 0, 1, 1, 0, 0, 1, 0], HYPERGRAPH, False, True),
+        (3, 2, [0, 1, 0, 1, 1, 0, 0, 1, 0], MULTIHYPERGRAPH, True, True),
+        (4, 1, [0, 1, 0, 0], MULTIHYPERGRAPH, False, False),
+        (4, 1, [0, 2, 0, 2], MULTIHYPERGRAPH, True, True),
     ],
 )
-def test_only_a_reachable_solve_builds_w(d, n, phases, mode, reachable, builds):
-    # W is built once, for the round trip, after the solve; the columns are
-    # the solve's unknowns either way.
+def test_only_a_table_that_passes_the_division_builds_w(
+    d, n, phases, mode, reachable, divides, builds
+):
+    # W is built once, for the round trip, after the division holds; the
+    # columns are the solve's unknowns either way. In hypergraph mode every
+    # D_j is a unit, so every table divides and the round trip decides.
     assert solve_phases(d, n, phases, mode).solution.consistent == reachable
-    assert builds == (["columns", "W"] if reachable else ["columns"])
+    assert builds == (["columns", "W"] if divides else ["columns"])
+
+
+def test_the_base_is_built_once_on_the_first_table_that_divides():
+    calls = []
+
+    def base():
+        calls.append("W")
+        return _digit_power_rows(4, MULTIHYPERGRAPH)
+
+    solver = KroneckerSolver(base, *counting.smith_factor(4, MULTIHYPERGRAPH), d=4, power=1)
+    assert not solver.solve([0, 1, 0, 0], range(4)).consistent and calls == []
+    assert solver.solve([0, 2, 0, 2], range(4)).consistent and calls == ["W"]
+    assert solver.solve([0, 0, 0, 0], range(4)).count == 4 and calls == ["W"]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -216,9 +308,11 @@ def test_a_corrupted_w_pass_fails_the_round_trip(monkeypatch):
         return w
 
     monkeypatch.setattr(newton, "_digit_power_rows", corrupted)
+    # The division holds, so only the round trip can turn this table away.
     phases = [0, 1, 0, 1, 1, 0, 0, 1, 0]
-    with pytest.raises(RoundTripFailure, match="do not rebuild the table"):
-        solve_phases(3, 2, phases, MULTIHYPERGRAPH)
+    outcome = solve_phases(3, 2, phases, MULTIHYPERGRAPH)
+    assert outcome.solution == SolutionSet(3, False, None, 0)
+    assert outcome.edge_map is None
 
 
 def test_noncanonical_keeps_its_message():
@@ -239,5 +333,4 @@ def test_the_error_types_are_shared():
     assert correspondence.SolutionSet is newton.SolutionSet
     assert correspondence.SolveOutcome is newton.SolveOutcome
     assert correspondence.NonCanonical is NonCanonical
-    assert correspondence.RoundTripFailure is RoundTripFailure
     assert correspondence.KroneckerSolver is newton.KroneckerSolver

@@ -35,7 +35,7 @@ from oracles import (
 def inverse(a, d):
     """The x with a·x = 1 (mod d) found by the Kronecker solver on the 1x1
     base [a], whose factor is 1·[a]·1, or None when there is none."""
-    solution = KroneckerSolver([[1]], [a], [[1]], d=d, power=1).solve([1], [0])
+    solution = KroneckerSolver(lambda: [[a]], [[1]], [a], [[1]], d=d, power=1).solve([1], [0])
     return solution.particular[0] if solution.consistent else None
 
 
@@ -313,7 +313,7 @@ class TestKroneckerSolver:
         base = random_matrix_rows(rnd, rows, cols, d)
         full = kron_power(base, d, power)
         reference = SmithSolver(full, d)
-        solver = KroneckerSolver(*smith_factor_of(base, d), d=d, power=power)
+        solver = KroneckerSolver(lambda: base, *smith_factor_of(base, d), d=d, power=power)
         for _ in range(3):
             if rnd.random() < 0.5:
                 rhs = [rnd.randrange(d) for _ in range(len(full))]
@@ -342,7 +342,7 @@ class TestKroneckerSolver:
             power = 1
         base = random_matrix_rows(rnd, rows, cols, d)
         full = kron_power(base, d, power)
-        solver = KroneckerSolver(*smith_factor_of(base, d), d=d, power=power)
+        solver = KroneckerSolver(lambda: base, *smith_factor_of(base, d), d=d, power=power)
         perm = rnd.sample(range(cols**power), cols**power)
 
         def permuted(vector):
@@ -376,19 +376,20 @@ class TestKroneckerSolver:
                 if rng.random() < 0.5:
                     rhs = mul_vector(full, d, [rng.randrange(d) for _ in range(len(full[0]))])
                 expected = brute_force_solutions(full, rhs, d)
-                solver = KroneckerSolver(*smith_factor_of(base, d), d=d, power=2)
+                solver = KroneckerSolver(lambda: base, *smith_factor_of(base, d), d=d, power=2)
                 assert solver.solve(rhs, range(4)).solutions() == sorted(expected)
 
     def test_rejects_wide_base_and_bad_rhs(self):
         unit = [[1, 0], [0, 1]]
         with pytest.raises(ValueError):
-            KroneckerSolver([[1]], [1, 1], unit, d=5, power=2)
+            KroneckerSolver(lambda: unit, [[1]], [1, 1], unit, d=5, power=2)
+        solver = KroneckerSolver(lambda: unit, unit, [1, 1], unit, d=5, power=2)
         with pytest.raises(ValueError):
-            KroneckerSolver(unit, [1, 1], unit, d=5, power=2).solve([0, 0, 0], range(4))
+            solver.solve([0, 0, 0], range(4))
         with pytest.raises(ValueError):
-            KroneckerSolver(unit, [1, 1], unit, d=5, power=2).solve([[0, 0, 0, 0]], range(4))
+            solver.solve([[0, 0, 0, 0]], range(4))
         with pytest.raises(ValueError, match="d >= 2"):
-            KroneckerSolver(unit, [1, 1], unit, d=1, power=2)
+            KroneckerSolver(lambda: unit, unit, [1, 1], unit, d=1, power=2)
 
 
 DIVISOR_CASES = dict(

@@ -325,11 +325,10 @@ def full_grid_solve(d: int, n: int, phases: Sequence[int], mode: str):
         [[(-1) ** (i - t) * math.comb(i, t) % d for t in range(d)] for i in range(d)]
     )
     c = _axes_product(pascal, np.array(phases, dtype=np.int64).reshape((d,) * n), d)
-    falling = [[1]]
+    falling = [[1]]  # falling[t][s]: the coefficient of x^s in x(x-1)...(x-t+1)
     for t in range(1, k):
-        # x·p(x) - (t - 1)·p(x), for p the falling factorial of degree t - 1
-        previous = falling[-1] + [0]
-        falling.append([(a - (t - 1) * b) for a, b in zip([0] + falling[-1], previous)])
+        low = falling[-1]
+        falling.append([a - (t - 1) * b for a, b in zip([0] + low, low + [0])])
     v = np.array([[falling[t][s] % d if s <= t else 0 for t in range(k)] for s in range(k)])
     name = {"d": d, "mode": mode, "n": n, "version": 2}
     blob = json.dumps(name, sort_keys=True, separators=(",", ":"))

@@ -1,5 +1,7 @@
 """The solve of ``newton`` against the same Kronecker solve on a factor of W
-found by elimination (``oracles.smith_factor_of``), not the closed form."""
+found by elimination (``oracles.smith_factor_of``), not the closed form, and
+against the decision on all d^n Newton coefficients
+(``oracles.full_grid_solve``) that the round trip through W replaced."""
 
 import json
 import random
@@ -108,8 +110,8 @@ def _full_grid_cells():
     """Every ``_sizes()`` cell in both modes, and the two-byte cells at n = 2
     that ``solve_phases`` answers (see ``test_solve_weights_on_two_byte_tables``)."""
     cells = [(d, n, mode) for d, n in _sizes() for mode in MODES]
-    return cells + [(65, 2, HYPERGRAPH), (101, 2, HYPERGRAPH), (101, 2, MULTIHYPERGRAPH),
-                    (256, 2, HYPERGRAPH)]
+    cells += [(d, 2, HYPERGRAPH) for d in (65, 101, 256)]
+    return cells + [(101, 2, MULTIHYPERGRAPH)]
 
 
 @pytest.mark.parametrize("d,n,mode", _full_grid_cells())

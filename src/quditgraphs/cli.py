@@ -4,6 +4,11 @@ Exit codes: 0 success / affirmative result, 1 negative mathematical result
 (unsolvable system, unstabilized vertex, broken identity), 2 usage or schema
 error, 3 size limit. Data goes to stdout, diagnostics to stderr.
 
+``_parse`` reads argv from the table ``_VERBS`` as the standard library's
+parser that it replaced did (``tests/oracles.py`` keeps that parser as its
+oracle), and loads neither it nor gettext or locale. ``-h`` prints usage to
+stdout and exits 0; any other usage error is one ``error:`` line and exit 2.
+
 A verb imports what it runs, inside the verb: ``graphs`` where it reads an
 edge map or a table, and ``diagonals`` or ``lanes`` past every refusal
 that needs no table. No verb imports numpy, at any exit code:
@@ -25,14 +30,16 @@ the request's objects so the interpreter's shutdown collections skip them.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import io
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Sequence
+from itertools import takewhile
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from . import counting
 from .residues import SizeLimit, check_entries
@@ -116,7 +123,7 @@ def _any_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-def _read_edge_map(args: argparse.Namespace) -> WeightedEdgeMap:
+def _read_edge_map(args: SimpleNamespace) -> WeightedEdgeMap:
     from . import graphs
 
     return graphs.from_json(_read_file(args.graph))
@@ -148,7 +155,7 @@ def _read_file(path: str | None) -> str:
         raise SchemaError("$", f"cannot read {source}: {reason}") from exc
 
 
-def _cmd_build_state(args: argparse.Namespace) -> int:
+def _cmd_build_state(args: SimpleNamespace) -> int:
     edge_map = _read_edge_map(args)
     d, n = edge_map.d, edge_map.n
     from . import diagonals  # its kernel refuses an oversized table before any work
@@ -163,7 +170,7 @@ def _cmd_build_state(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: SimpleNamespace) -> int:
     from . import graphs, newton
 
     d, n, phases = graphs.phase_table(graphs.decode_json(_read_file(args.phases)))
@@ -192,7 +199,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK if solution.consistent else EXIT_NEGATIVE
 
 
-def _cmd_verify_stabilizers(args: argparse.Namespace) -> int:
+def _cmd_verify_stabilizers(args: SimpleNamespace) -> int:
     edge_map = _read_edge_map(args)
     from . import diagonals  # its kernel refuses an oversized table before any work
 
@@ -214,7 +221,7 @@ def _cmd_verify_stabilizers(args: argparse.Namespace) -> int:
     return EXIT_OK if payload["all_stabilized"] else EXIT_NEGATIVE
 
 
-def _cmd_census(args: argparse.Namespace) -> int:
+def _cmd_census(args: SimpleNamespace) -> int:
     report = counting.census(args.d, args.n, args.mode)
     _emit(report.to_dict())
     return EXIT_OK
@@ -237,7 +244,7 @@ def _check_identity_size(d: int, n: int, exhaustive: bool) -> None:
     check_entries("identity-check tables", count, d, exponent)
 
 
-def _cmd_identity_check(args: argparse.Namespace) -> int:
+def _cmd_identity_check(args: SimpleNamespace) -> int:
     d, n = args.d, args.n
     _check_identity_size(d, n, args.exhaustive)
     from . import diagonals, graphs
@@ -278,7 +285,7 @@ def _cmd_identity_check(args: argparse.Namespace) -> int:
     return EXIT_OK if not mismatches else EXIT_NEGATIVE
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
+def _cmd_matrix(args: SimpleNamespace) -> int:
     counting._check_block(args.d, args.block)
     from .lanes import coefficient_lanes, lane_values  # after the size check
 
@@ -299,75 +306,128 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+        raise ValueError(f"expected an integer >= 0, got {value}")
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quditgraphs",
-        description="Exact qudit (multi)hypergraph states, stabilizers, and weight solving.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each verb: its handler, its help line and its options, each mapped to the
+# kind of its value: a function of the text, a tuple of choices, or None for
+# a switch (False unless given). A valued option is required unless _DEFAULTS
+# holds its default; a verb with both options of _ONE_OF takes exactly one.
+_VERBS = {
+    "build-state": (_cmd_build_state, "edge map (--graph or --stdin) -> phase table",
+                    {"--graph": str, "--stdin": None, "--dense": None}),
+    "solve": (_cmd_solve, "phase table -> weight solution", {
+        "--phases": str, "--mode": counting.MODES, "--all-solutions": None,
+        "--solution-cap": _non_negative_int}),
+    "verify-stabilizers": (_cmd_verify_stabilizers, "check g_k|G> = |G> per vertex",
+                           {"--graph": str, "--stdin": None}),
+    "census": (_cmd_census, "classify every canonical table at (d, n)",
+               {"--d": int, "--n": int, "--mode": counting.MODES}),
+    "identity-check": (_cmd_identity_check, "compare conjugated gates with the deleted-edge form",
+                       {"--d": int, "--n": int, "--exhaustive": None}),
+    "matrix": (_cmd_matrix, "emit the digit-power coefficient block",
+               {"--d": int, "--block": int}),
+}
+_DEFAULTS = {"--graph": None, "--solution-cap": 1024}
+_ONE_OF = {"--graph", "--stdin"}
+_HELP = ("-h", "--help")
 
-    build = sub.add_parser("build-state", help="edge-map JSON -> phase-table JSON")
-    src = build.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph", help="edge-map JSON file")
-    src.add_argument("--stdin", action="store_true", help="read edge-map JSON from stdin")
-    build.add_argument(
-        "--dense", action="store_true", help="emit dense amplitudes (text) instead of JSON"
-    )
-    build.set_defaults(func=_cmd_build_state)
 
-    solve = sub.add_parser("solve", help="phase-table JSON -> weight solution JSON")
-    solve.add_argument("--phases", required=True, help="phase-table JSON file")
-    solve.add_argument("--mode", required=True, choices=counting.MODES)
-    solve.add_argument("--all-solutions", action="store_true")
-    solve.add_argument("--solution-cap", type=_non_negative_int, default=1024)
-    solve.set_defaults(func=_cmd_solve)
+def _option(arg: str, names: Sequence[str]) -> tuple[str | None, str | None] | None:
+    """None for an operand, else the option of ``names`` that ``arg`` names
+    (None if none) and its ``=`` value (None if none), as the old parser read
+    them: a long option by a unique prefix too, ``-hh`` as ``-h`` valued ``h``."""
+    if arg == "--":
+        raise ValueError("unrecognized arguments: '--' and what follows it")
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, equals, value = arg.partition("=")
+    if name in names:
+        return name, value if equals else None
+    found = [option for option in names if arg[1] == "-" and option.startswith(name)]
+    if len(found) > 1:
+        raise ValueError(f"ambiguous option: {arg!r} could match {', '.join(found)}")
+    if found:
+        return found[0], value if equals else None
+    if arg[:2] in names:
+        return arg[:2], arg[2:]
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg else (None, None)
 
-    ver = sub.add_parser("verify-stabilizers", help="check g_k|G> = |G> per vertex")
-    vsrc = ver.add_mutually_exclusive_group(required=True)
-    vsrc.add_argument("--graph", help="edge-map JSON file")
-    vsrc.add_argument("--stdin", action="store_true")
-    ver.set_defaults(func=_cmd_verify_stabilizers)
 
-    cen = sub.add_parser("census", help="classify every canonical table at (d, n)")
-    cen.add_argument("--d", type=int, required=True)
-    cen.add_argument("--n", type=int, required=True)
-    cen.add_argument("--mode", required=True, choices=counting.MODES)
-    cen.set_defaults(func=_cmd_census)
+def _parse(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """The handler of ``argv`` and its arguments, read as the old parser read
+    them: the first operand is the verb, ``-h`` asks for help where it stands,
+    an option takes the next argument unless that is an option (a negative
+    number is not), and the last of a repeated option wins. Raises ValueError."""
+    argv, verb, names, options, given, stray, at = list(argv), None, _HELP, {}, {}, [], 0
+    while at < len(argv):
+        arg, at = argv[at], at + 1
+        option = _option(arg, names)
+        if option is None and verb is None:
+            if arg not in _VERBS:
+                raise ValueError(f"invalid verb: {arg!r} (choose from {', '.join(_VERBS)})")
+            verb, options = arg, _VERBS[arg][2]
+            names = (*_HELP, *options)
+            for later in takewhile("--".__ne__, argv[at:]):
+                _option(later, names)  # an ambiguous prefix fails before any option acts
+            continue
+        name, value = option or (None, None)
+        kind = options.get(name)
+        if name is None:
+            stray.append(arg)
+            continue
+        if name in _HELP and (value is None or name == "-h" and value and not value.strip("h")):
+            return _cmd_help, SimpleNamespace(command=verb)
+        if kind is None:  # a switch, or -h with a value other than h's
+            if value is not None:
+                raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+            given[name] = True
+        else:
+            if value is None and at < len(argv) and not _option(argv[at], names):
+                value, at = argv[at], at + 1
+            if value in (None, "--"):  # the old parser made "--d=--" an empty list
+                raise ValueError(f"argument {name}: expected one argument")
+            if isinstance(kind, tuple) and value not in kind:
+                raise ValueError(f"argument {name}: {value!r} is not one of {', '.join(kind)}")
+            try:
+                given[name] = value if isinstance(kind, tuple) else kind(value)
+            except ValueError as exc:
+                raise ValueError(f"argument {name}: {exc}") from None
+        if _ONE_OF <= given.keys():
+            raise ValueError("argument --stdin: not allowed with argument --graph")
+    if verb is None:
+        raise ValueError(f"a verb is required: one of {', '.join(_VERBS)}")
+    missing = [name for name, kind in options.items()
+               if kind is not None and name not in given.keys() | _DEFAULTS.keys()]
+    if _ONE_OF <= options.keys() and not _ONE_OF & given.keys():
+        missing.append("--graph or --stdin")
+    if missing:
+        raise ValueError(f"{verb} needs {', '.join(missing)}")
+    if stray:
+        raise ValueError(f"unrecognized arguments: {' '.join(map(repr, stray))}")
+    defaults = {name: _DEFAULTS.get(name, False) for name in options}
+    values = {name[2:].replace("-", "_"): value for name, value in {**defaults, **given}.items()}
+    return _VERBS[verb][0], SimpleNamespace(command=verb, **values)
 
-    idc = sub.add_parser(
-        "identity-check",
-        help="compare conjugated gates against their deleted-edge form",
-    )
-    idc.add_argument("--d", type=int, required=True)
-    idc.add_argument("--n", type=int, required=True)
-    idc.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="check every multihyperedge (default: supports of size <= 2)",
-    )
-    idc.set_defaults(func=_cmd_identity_check)
 
-    mat = sub.add_parser("matrix", help="emit the digit-power coefficient block")
-    mat.add_argument("--d", type=int, required=True)
-    mat.add_argument("--block", type=int, required=True, help="Kronecker power")
-    mat.set_defaults(func=_cmd_matrix)
-
-    return parser
+def _cmd_help(args: SimpleNamespace) -> int:
+    """Print the usage of the verb ``args.command``, or of every verb."""
+    for verb in [args.command] if args.command else _VERBS:
+        _, line, options = _VERBS[verb]
+        words = []
+        for name, kind in options.items():  # an optional one in brackets
+            metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name[2:].upper()
+            word = f"{name} {metavar}" if kind else name
+            words.append(word if kind and name not in _DEFAULTS else f"[{word}]")
+        print(f"usage: quditgraphs {verb} [-h] {' '.join(words)}\n    {line}")
+    return EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes.
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        return args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     # SizeLimit is a ValueError, so it is caught first. Schema, JSON and
     # non-canonical table errors are ValueErrors too.
     except SizeLimit as exc:

@@ -37,8 +37,8 @@ on a count worked out from (d, n) alone.
 
 W is fixed by (d, mode) and the columns by (d, n, mode), so that name fixes
 the whole system, and the fingerprint that ``solve`` and ``census`` print
-hashes the name alone (``_fingerprint``): neither verb builds W or a column
-list for it.
+hashes the name alone (``_fingerprint``), by the interpreter's own SHA-256
+rather than OpenSSL's: neither verb builds W or a column list for it.
 """
 
 from __future__ import annotations
@@ -180,12 +180,19 @@ def _columns(d: int, n: int, mode: str) -> list[int]:
 def _fingerprint(d: int, n: int, mode: str) -> str:
     """Hash of the canonical system at (d, n, mode), which its name fixes:
     no table, no W and no column enters it. ``version`` tags the scheme, so
-    a system hashed another way cannot share its value."""
-    import hashlib  # here, not at the top: only solve and census hash anything
+    a system hashed another way cannot share its value. The interpreter's own
+    SHA-256 module hashes it; OpenSSL's is the fallback for a build without."""
+    try:  # here, not at the top: only solve and census hash anything
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12 on
+        except ImportError:
+            from hashlib import sha256
 
     name = {"d": d, "mode": mode, "n": n, "version": 2}
     blob = json.dumps(name, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 class CensusReport(NamedTuple):

@@ -13,10 +13,15 @@ solvers here work on the whole matrix instead, on plain Python integers:
   Newton coefficients, by numpy, that the round trip through W replaced.
 
 They cost O(N^3) on an N-unknown system, so tests use them at desk sizes only.
+
+``_build_parser`` is the argparse parser that the command line's table of
+verbs (``quditgraphs.cli._parse``) replaced, kept as its oracle: the table
+accepts what it accepts, with the same values.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -25,6 +30,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from quditgraphs import counting
+from quditgraphs.cli import (
+    _cmd_build_state,
+    _cmd_census,
+    _cmd_identity_check,
+    _cmd_matrix,
+    _cmd_solve,
+    _cmd_verify_stabilizers,
+)
 from quditgraphs.counting import HYPERGRAPH, _columns
 from quditgraphs.newton import SolutionSet, _no_solution
 from quditgraphs.residues import NonPrimeModulus, is_prime
@@ -348,3 +362,66 @@ def full_grid_solve(d: int, n: int, phases: Sequence[int], mode: str):
         count *= g
     x = _axes_product(v, y, d).reshape(-1)
     return True, tuple(int(x[i]) for i in _columns(d, n, mode)), count, fingerprint
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="quditgraphs",
+        description="Exact qudit (multi)hypergraph states, stabilizers, and weight solving.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    build = sub.add_parser("build-state", help="edge-map JSON -> phase-table JSON")
+    src = build.add_mutually_exclusive_group(required=True)
+    src.add_argument("--graph", help="edge-map JSON file")
+    src.add_argument("--stdin", action="store_true", help="read edge-map JSON from stdin")
+    build.add_argument(
+        "--dense", action="store_true", help="emit dense amplitudes (text) instead of JSON"
+    )
+    build.set_defaults(func=_cmd_build_state)
+
+    solve = sub.add_parser("solve", help="phase-table JSON -> weight solution JSON")
+    solve.add_argument("--phases", required=True, help="phase-table JSON file")
+    solve.add_argument("--mode", required=True, choices=counting.MODES)
+    solve.add_argument("--all-solutions", action="store_true")
+    solve.add_argument("--solution-cap", type=_non_negative_int, default=1024)
+    solve.set_defaults(func=_cmd_solve)
+
+    ver = sub.add_parser("verify-stabilizers", help="check g_k|G> = |G> per vertex")
+    vsrc = ver.add_mutually_exclusive_group(required=True)
+    vsrc.add_argument("--graph", help="edge-map JSON file")
+    vsrc.add_argument("--stdin", action="store_true")
+    ver.set_defaults(func=_cmd_verify_stabilizers)
+
+    cen = sub.add_parser("census", help="classify every canonical table at (d, n)")
+    cen.add_argument("--d", type=int, required=True)
+    cen.add_argument("--n", type=int, required=True)
+    cen.add_argument("--mode", required=True, choices=counting.MODES)
+    cen.set_defaults(func=_cmd_census)
+
+    idc = sub.add_parser(
+        "identity-check",
+        help="compare conjugated gates against their deleted-edge form",
+    )
+    idc.add_argument("--d", type=int, required=True)
+    idc.add_argument("--n", type=int, required=True)
+    idc.add_argument(
+        "--exhaustive",
+        action="store_true",
+        help="check every multihyperedge (default: supports of size <= 2)",
+    )
+    idc.set_defaults(func=_cmd_identity_check)
+
+    mat = sub.add_parser("matrix", help="emit the digit-power coefficient block")
+    mat.add_argument("--d", type=int, required=True)
+    mat.add_argument("--block", type=int, required=True, help="Kronecker power")
+    mat.set_defaults(func=_cmd_matrix)
+
+    return parser

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -20,9 +21,10 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import quditgraphs
-from quditgraphs import graphs, residues
+from quditgraphs import cli, counting, graphs, residues
 from quditgraphs.cli import _any_int_digits, _encode, main
 
+import oracles
 from helpers import phase_table_of_map, random_edge_map
 
 WORKED_GRAPH = {
@@ -742,6 +744,128 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["entries"] == [1]
+
+
+REPO = Path(__file__).resolve().parents[1]
+OPTIONS = sorted({name for _, _, options in cli._VERBS.values() for name in options} | {"--help"})
+# Every option with each of its prefixes ("--" alone included), and -h in the
+# forms argparse reads as -h with a value.
+FLAG_WORDS = sorted({name[:i] for name in OPTIONS for i in range(2, len(name) + 1)}) + [
+    "-h", "-hh", "-hx", "-h=h", "-h=", "-", "---", "-d", "-x",
+]
+VALUE_WORDS = [
+    "0", "1", "2", "3", "-1", "-3", "-1.5", "-.5", "+2", " 2", "2_0", "1.5", "x", "", "-", "--",
+    "--x", "-x y", "a b", "-3\n", "٣", "9" * 4301, "h", "hh", "=", "-h", "-h=h",
+    *counting.MODES, "graph", "Hypergraph",
+]
+VERB_WORDS = [*cli._VERBS, "frobnicate", "cens", "Census"]
+REQUIRED = {
+    "build-state": ["--graph", "g.json"],
+    "solve": ["--phases", "p.json", "--mode", "hypergraph"],
+    "verify-stabilizers": ["--stdin"],
+    "census": ["--d", "3", "--n", "1", "--mode", "multihypergraph"],
+    "identity-check": ["--d", "3", "--n", "1"],
+    "matrix": ["--d", "2", "--block", "1"],
+}
+
+
+@st.composite
+def argv_lists(draw):
+    """A verb, often with its required options, and up to four insertions:
+    an option word alone, with its value next or after "=", or any word."""
+    verb = draw(st.sampled_from(VERB_WORDS))
+    argv = [verb, *(REQUIRED.get(verb, []) if draw(st.booleans()) else [])]
+    for _ in range(draw(st.integers(0, 4))):
+        flag, value = draw(st.sampled_from(FLAG_WORDS)), draw(st.sampled_from(VALUE_WORDS))
+        words = draw(st.sampled_from([[flag], [flag, value], [f"{flag}={value}"], [value]]))
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = words
+    return argv
+
+
+ARGPARSE = oracles._build_parser()
+
+
+def _argparse_outcome(argv):
+    """help, usage, or the handler and typed arguments the argparse oracle gives."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = vars(ARGPARSE.parse_args(argv))
+    except SystemExit as exc:
+        return "usage" if exc.code else "help"
+    return args.pop("func"), {k: (type(v), v) for k, v in args.items()}
+
+
+def _table_outcome(argv):
+    try:
+        handler, args = cli._parse(argv)
+    except ValueError:
+        return "usage"
+    if handler is cli._cmd_help:
+        return "help"
+    return handler, {k: (type(v), v) for k, v in vars(args).items()}
+
+
+def _example_argvs():
+    """The argv of every README example line and of every CI console-script line."""
+    readme = (REPO / "README.md").read_text()
+    workflow = (REPO / ".github" / "workflows" / "tests.yml").read_text()
+    lines = re.findall(r"^quditgraphs ([^#\n]*)", readme, re.M)
+    lines += re.findall(r"^ +\d ([a-z-]+ .*)$", workflow, re.M)
+    assert len(lines) >= 40, lines
+    return [line.replace("$", "").split() for line in lines]
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13), reason="argparse 3.13 reads some argv differently from 3.10-3.12"
+)
+class TestArgparseOracle:
+    """``cli._parse`` accepts what the argparse parser it replaced accepts, with
+    the same values: every argv is parsed by both, to help, a usage error or
+    the same handler and arguments. The one difference: an option given
+    "=--" is refused where argparse stored an empty list, on which the verb
+    then failed with a traceback."""
+
+    @staticmethod
+    def check(argv):
+        table = _table_outcome(argv)
+        if table == "usage" and any(word.endswith("=--") for word in argv):
+            return
+        assert table == _argparse_outcome(argv), argv
+
+    @given(argv_lists())
+    @settings(max_examples=3000, deadline=None)
+    def test_generated_argv(self, argv):
+        self.check(argv)
+
+    @pytest.mark.parametrize("argv", _example_argvs(), ids=" ".join)
+    def test_documented_and_ci_argv(self, argv):
+        assert _table_outcome(argv) == _argparse_outcome(argv)
+
+    @pytest.mark.parametrize(
+        "argv,outcome",
+        [
+            (["census", "--d=3", "--n=1", "--mo=hypergraph"], cli._cmd_census),
+            (["census", "--d", "-3", "--n", "1", "--mode", "hypergraph", "--d", "4"], cli._cmd_census),
+            (["-h", "frobnicate"], "help"),
+            (["census", "--d", "x", "-h"], "usage"),
+            (["census", "-h", "--d", "x"], "help"),
+            (["census", "-h", "--=x"], "usage"),  # an ambiguous prefix fails before -h acts
+            (["census", "--d", "--n", "1"], "usage"),
+            (["build-state", "--graph", "g.json", "--stdin"], "usage"),
+            (["build-state", "--dense=1", "--stdin"], "usage"),
+            (["census", "--d", "3", "--n", "1", "--mode", "hypergraph", "--"], "usage"),
+        ],
+    )
+    def test_pinned_outcomes(self, argv, outcome):
+        table = _table_outcome(argv)
+        assert (table if isinstance(table, str) else table[0]) == outcome
+        self.check(argv)
+
+    def test_empty_list_value_is_refused(self):
+        argv = ["census", "--d", "3", "--n=--", "--mode", "hypergraph"]
+        assert _argparse_outcome(argv)[1]["n"] == (list, [])
+        assert _table_outcome(argv) == "usage"
 
 
 def _map_6_7():

@@ -17,16 +17,22 @@ from quditgraphs import counting, residues, states
 
 SRC = str(Path(quditgraphs.__file__).resolve().parents[1])
 
+# Modules no request loads, at any exit code: argparse with the gettext and
+# locale it imports, and OpenSSL's hashes.
+NEVER_LOADED = ["argparse", "gettext", "locale", "hashlib", "_hashlib"]
+
 # Runs the CLI as ``python -m quditgraphs`` does and reports, as the last
-# line of stderr, the exit code and whether numpy was imported.
-CLI_PROBE = """
+# line of stderr, the exit code, whether numpy was imported and which of
+# NEVER_LOADED were.
+CLI_PROBE = f"""
 import json, runpy, sys
 sys.argv = ["quditgraphs", *sys.argv[1:]]
 try:
     runpy.run_module("quditgraphs", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}), file=sys.stderr)
+loaded = sorted(set({NEVER_LOADED!r}) & set(sys.modules))
+print(json.dumps({{"code": code, "numpy": "numpy" in sys.modules, "loaded": loaded}}), file=sys.stderr)
 """
 
 # The probe in a child where ``import numpy`` raises ImportError.
@@ -57,9 +63,17 @@ def _with_input_file(argv, tmp_path):
     return [str(path) if isinstance(arg, dict) else arg for arg in argv]
 
 
+def _probe(line):
+    """The exit code and numpy flag of a CLI_PROBE report, once it shows that
+    none of NEVER_LOADED was loaded."""
+    report = json.loads(line)
+    assert report.pop("loaded") == [], report
+    return report
+
+
 def _cli(*argv):
     result = _python("-c", CLI_PROBE, *argv)
-    return json.loads(result.stderr.splitlines()[-1])
+    return _probe(result.stderr.splitlines()[-1])
 
 
 @pytest.mark.parametrize(
@@ -86,6 +100,9 @@ def test_import_loads_no_numpy(statement):
         (["census", "--d", "2", "--n", "100000000", "--mode", "multihypergraph"], 3),
         (["census", "--d", "0", "--n", "1", "--mode", "hypergraph"], 2),
         (["frobnicate"], 2),
+        (["census", "--d", "3", "--n", "1"], 2),
+        (["-h"], 0),
+        (["census", "--help"], 0),
         (["identity-check", "--d", "10", "--n", "10"], 3),
         # identity-check runs without numpy at every exit code.
         (["identity-check", "--d", "2", "--n", "2", "--exhaustive"], 0),
@@ -140,6 +157,7 @@ def test_import_loads_no_numpy(statement):
         (["solve", "--phases", {"d": 3, "n": 1, "phases": [1, 0, 0]}, "--mode", "hypergraph"], 2),
     ],
     ids=["census", "census-hypergraph", "census-limit", "census-usage", "unknown-verb",
+         "missing-option", "help", "census-help",
          "identity-check-limit", "identity-check-holds", "identity-check-fails",
          "identity-check-large", "build-state-limit", "build-state-schema",
          "verify-stabilizers-limit", "verify-stabilizers-schema", "matrix-limit",
@@ -180,7 +198,7 @@ def test_edge_map_verbs_load_no_numpy(argv, tmp_path):
     stdin = json.dumps(GRAPH) if "--stdin" in argv else ""
     argv = argv + [str(path)] if "--graph" in argv else argv
     result = _python("-c", CLI_PROBE, *argv, stdin=stdin)
-    assert json.loads(result.stderr.splitlines()[-1]) == {"code": 0, "numpy": False}
+    assert _probe(result.stderr.splitlines()[-1]) == {"code": 0, "numpy": False}
     assert result.stdout
 
 
@@ -203,7 +221,7 @@ def test_deeply_nested_json_is_a_schema_error(argv, tmp_path):
     argv = [str(path) if arg is DEEP else arg for arg in argv]
     result = _python("-c", CLI_PROBE, *argv, stdin=DEEP if "--stdin" in argv else "")
     *message, probe = result.stderr.splitlines()
-    assert json.loads(probe) == {"code": 2, "numpy": False}
+    assert _probe(probe) == {"code": 2, "numpy": False}
     assert len(message) == 1 and message[0].startswith("error: $: invalid JSON: "), message
 
 
@@ -325,20 +343,50 @@ def test_cli_import_loads_no_edge_layer():
     )
     assert result.returncode == 0, result.stderr
     loaded = set(json.loads(result.stdout))
-    assert not {"dataclasses", "inspect", "quditgraphs.graphs", "hashlib"} & loaded
+    assert not {
+        "dataclasses", "inspect", "quditgraphs.graphs", "hashlib", "argparse", "_hashlib"
+    } & loaded
 
 
-def test_hashlib_loads_only_for_a_fingerprint(tmp_path):
-    # Only solve and census hash their system; OpenSSL's import is theirs alone.
+def test_no_verb_loads_openssl(tmp_path):
+    # solve and census print a fingerprint, hashed by the interpreter's own
+    # SHA-256 module; no verb imports hashlib or OpenSSL's _hashlib.
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps({"d": 3, "n": 2, "edges": []}))
-    probe = CLI_PROBE + "print('hashlib' in sys.modules, file=sys.stderr)\n"
-    for argv, hashed in [
-        (["build-state", "--graph", str(graph)], "False"),
-        (["census", "--d", "3", "--n", "1", "--mode", "hypergraph"], "True"),
+    phases = tmp_path / "phases.json"
+    phases.write_text(json.dumps(PHASES))
+    for argv, code in [
+        (["build-state", "--graph", str(graph)], 0),
+        (["census", "--d", "3", "--n", "1", "--mode", "hypergraph"], 0),
+        (["solve", "--phases", str(phases), "--mode", "hypergraph"], 1),
     ]:
-        *_, request, loaded = _python("-c", probe, *argv).stderr.splitlines()
-        assert (json.loads(request)["code"], loaded) == (0, hashed)
+        report = json.loads(_python("-c", CLI_PROBE, *argv).stderr.splitlines()[-1])
+        assert (report["code"], report["loaded"]) == (code, [])
+
+
+# The probe in a child where neither built-in SHA-256 module can be imported,
+# so that the fingerprint falls back to hashlib.
+SHA_BLOCKED_PROBE = 'import sys\nsys.modules["_sha256"] = sys.modules["_sha2"] = None\n' + CLI_PROBE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--d", "3", "--n", "2", "--mode", "multihypergraph"],
+        ["census", "--d", "12", "--n", "1", "--mode", "hypergraph"],
+        ["solve", "--phases", PHASES, "--mode", "multihypergraph"],
+        ["solve", "--phases", PHASES, "--mode", "hypergraph"],
+    ],
+    ids=["census", "census-hypergraph", "solve", "solve-unreachable"],
+)
+def test_fingerprint_without_the_builtin_sha256_module(argv, tmp_path):
+    # The hashlib fallback prints the same bytes as the built-in module.
+    argv = _with_input_file(argv, tmp_path)
+    normal = _python("-m", "quditgraphs", *argv)
+    blocked = _python("-c", SHA_BLOCKED_PROBE, *argv)
+    report = json.loads(blocked.stderr.splitlines()[-1])
+    assert report["code"] == normal.returncode and "hashlib" in report["loaded"]
+    assert blocked.stdout == normal.stdout and 'fingerprint": "' in normal.stdout
 
 
 class TestLazyExports:

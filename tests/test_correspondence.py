@@ -156,6 +156,12 @@ class TestBuildSystem:
         assert seen["3d843c29f5b82b12"] == (3, 2, MULTIHYPERGRAPH)
         assert hashlib.sha256(name).hexdigest()[:16] == "3d843c29f5b82b12"
 
+    def test_fingerprint_is_hashlibs_sha256_of_the_name(self):
+        # The interpreter's own SHA-256 module, not hashlib, hashes the name.
+        for d, n, mode in product(range(2, 301), range(1, 21), MODES):
+            name = f'{{"d":{d},"mode":"{mode}","n":{n},"version":2}}'.encode()
+            assert counting._fingerprint(d, n, mode) == hashlib.sha256(name).hexdigest()[:16]
+
 
 class TestReadOnlyArrays:
     """Matrices are C-contiguous, read-only int64 arrays reduced mod d."""

@@ -14,7 +14,8 @@ edge map or a table, and ``diagonals`` or ``lanes`` past every refusal
 that needs no table. No verb imports numpy, at any exit code:
 ``build-state``, ``verify-stabilizers`` and ``identity-check`` build their
 tables with the edge-gate kernel of ``diagonals``, ``matrix`` its block
-with ``lanes.power_rows``, and ``solve`` hands the table that
+with ``counting.coefficient_lanes``, which refuses a bad block before it
+imports ``lanes``, and ``solve`` hands the table that
 ``graphs.phase_table`` checked to ``newton.solve_phases``, which solves on
 ``lanes`` without the gate kernel. ``census`` loads no ``graphs``, and no
 module imports ``dataclasses`` (value types derive from ``graphs._Value``),
@@ -286,10 +287,9 @@ def _cmd_identity_check(args: SimpleNamespace) -> int:
 
 
 def _cmd_matrix(args: SimpleNamespace) -> int:
-    counting._check_block(args.d, args.block)
-    from .lanes import coefficient_lanes, lane_values  # after the size check
+    side, block = counting.coefficient_lanes(args.d, args.block)
+    from .lanes import lane_values
 
-    side, block = coefficient_lanes(args.d, args.block)
     entries = list(lane_values(block, args.d))
     del block  # not held while the payload is encoded
     payload = {

@@ -55,10 +55,11 @@ from .counting import (
     _factorial_diagonal,
     _signed_triangle,
     census,
+    coefficient_lanes,
     divisor_rule,
 )
 from .graphs import MultiHyperedge, _Value, enumerate_multihyperedges
-from .lanes import coefficient_lanes, lane_values, power_rows
+from .lanes import lane_values, power_rows
 from .newton import (
     KroneckerSolver,
     NonCanonical,
@@ -98,18 +99,6 @@ class CorrespondenceSystem(_Value):
     rhs: tuple[int, ...]
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        d: int,
-        n: int,
-        mode: str,
-        variables: tuple[MultiHyperedge, ...],
-        tuples: tuple[tuple[int, ...], ...],
-        matrix: np.ndarray,
-        rhs: tuple[int, ...],
-    ):
-        self._set(d=d, n=n, mode=mode, variables=variables, tuples=tuples, matrix=matrix, rhs=rhs)
 
 
 def build_system(table: PhaseFunction, mode: str) -> CorrespondenceSystem:

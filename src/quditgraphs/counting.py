@@ -4,6 +4,8 @@ This module needs neither numpy nor ``graphs``, so ``census`` starts and
 finishes without either: the variables are (support, exponents) pairs from
 ``edge_tuples``, which ``graphs.enumerate_*`` wrap as edges and a solve
 reads as columns of W^{⊗n}; a census needs only their number, k^n - 1.
+The ``matrix`` verb's block, ``coefficient_lanes``, is built from the rows
+of W here, and imports ``lanes`` only past its refusals.
 
 The canonical system at (d, n, mode) is W^{⊗n} x = f with the digit-power
 matrix W[i][s] = i^s mod d (0^0 = 1), s in 0..k-1 for k = d
@@ -77,12 +79,23 @@ def _digit_power_rows(d: int, mode: str) -> list[list[int]]:
     ]
 
 
-def _check_block(d: int, size: int) -> None:
-    """The refusals of ``lanes.coefficient_lanes``, which the ``matrix``
-    verb makes before it compiles ``lanes``."""
+def coefficient_lanes(d: int, size: int) -> tuple[int, bytes]:
+    """The side and the lanes of the size-fold Kronecker power of the
+    (d-1)x(d-1) digit-power matrix V[i][s] = i^s mod d (i, s in 1..d-1),
+    row after row. At d = 2 the block is [[1]] for every size. A bad or
+    oversized block is refused before ``lanes`` is imported, so the
+    ``matrix`` verb compiles it only for a block it builds."""
     if d < 2 or size < 1:
         raise ValueError("need d >= 2 and size >= 1")
     check_entries("block", 1, d - 1, 2 * size)
+    from .lanes import power_rows
+
+    base = _digit_power_rows(d, MULTIHYPERGRAPH)[1:]
+    for row in base:  # in place: at d = 4096 a copy would hold d^2 more pointers
+        del row[0]
+    power = 1 if d == 2 else size
+    side = (d - 1) ** power
+    return side, power_rows(base, range(side), power, d)
 
 
 def _factorial_diagonal(d: int, mode: str) -> list[int]:

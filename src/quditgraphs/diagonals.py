@@ -117,8 +117,6 @@ def _repeat(data: bytes, size: int, r: int) -> bytes:
     place: a new axis of extent r below the axes that tell chunks apart. It
     costs one slice per chunk or one strided copy per byte of a repeated
     chunk, whichever is fewer."""
-    if r == 1:
-        return data
     chunks = len(data) // size
     if chunks <= r * size:
         return b"".join([data[i : i + size] * r for i in range(0, len(data), size)])
@@ -277,9 +275,6 @@ class VertexCheck(_Value):
     stabilized: bool
     mismatch_indices: tuple[int, ...]
 
-    def __init__(self, vertex: int, stabilized: bool, mismatch_indices: tuple[int, ...]):
-        self._set(vertex=vertex, stabilized=stabilized, mismatch_indices=mismatch_indices)
-
 
 def vertex_checks(edge_map: WeightedEdgeMap, state: bytes) -> list[VertexCheck]:
     """For every vertex k, whether g_k of the map leaves the table ``state``
@@ -324,28 +319,6 @@ class ConjugationReport(_Value):
     exact_diagonal: tuple[int, ...]
     printed_diagonal: tuple[int, ...]
     mismatch_indices: tuple[int, ...]
-
-    def __init__(
-        self,
-        edge: MultiHyperedge,
-        power: int,
-        vertex: int,
-        target_exponent: int,
-        holds: bool,
-        exact_diagonal: tuple[int, ...],
-        printed_diagonal: tuple[int, ...],
-        mismatch_indices: tuple[int, ...],
-    ):
-        self._set(
-            edge=edge,
-            power=power,
-            vertex=vertex,
-            target_exponent=target_exponent,
-            holds=holds,
-            exact_diagonal=exact_diagonal,
-            printed_diagonal=printed_diagonal,
-            mismatch_indices=mismatch_indices,
-        )
 
 
 def _reporter(

@@ -33,19 +33,43 @@ class _Value:
     """An immutable value with the fields ``_fields``, the base of the
     package's data types.
 
-    ``__init__`` sets each field once through ``_set``; after that,
-    assigning or deleting an attribute raises AttributeError, while copy
-    and pickle still work. ``==`` holds between two instances of one class
-    with equal field tuples, ``hash`` is the hash of that tuple (a
-    TypeError when a field is unhashable), and the repr names every field,
-    as a frozen dataclass's do. A frozen dataclass would import
-    ``dataclasses``, and with it ``inspect``, on every cold start, and
-    ``exec`` each generated method. A subclass lists its fields and any
-    private cache in ``__slots__``.
+    ``__init__`` binds its arguments to ``_fields``, by position in field
+    order or by name, and raises TypeError, naming the class and its
+    fields, on a missing, extra or repeated field. A subclass writes
+    ``__init__`` only to validate or reshape its input, and then sets each
+    field once through ``_set``. After that, assigning or deleting an
+    attribute raises AttributeError, while copy and pickle still work.
+    ``==`` holds between two instances of one class with equal field
+    tuples, ``hash`` is the hash of that tuple (a TypeError when a field is
+    unhashable), and the repr names every field, as a frozen dataclass's
+    do. A frozen dataclass would import ``dataclasses``, and with it
+    ``inspect``, on every cold start, and ``exec`` each generated method. A
+    subclass lists its fields and any private cache in ``__slots__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields = self._fields
+        if len(args) + len(kwargs) != len(fields):
+            raise self._unbound(args, kwargs)
+        values = dict(zip(fields, args), **kwargs) if args else kwargs
+        try:  # as many arguments as fields: one left unbound means one repeated or unknown
+            for name in fields:
+                object.__setattr__(self, name, values[name])
+        except KeyError:
+            raise self._unbound(args, kwargs) from None
+
+    def _unbound(self, args: tuple[Any, ...], kwargs: dict[str, Any]) -> TypeError:
+        """The TypeError for arguments that do not bind one to each field."""
+        fields, count = self._fields, len(args)
+        extra = count > len(fields)
+        faults = [f"{count} positional arguments for {len(fields)} fields"] if extra else []
+        faults += [f"{name!r} given twice" for name in fields[:count] if name in kwargs]
+        faults += [f"unknown field {name!r}" for name in kwargs if name not in fields]
+        faults += [f"missing {name!r}" for name in fields[count:] if name not in kwargs]
+        return TypeError(f"{type(self).__qualname__}({', '.join(fields)}): {', '.join(faults)}")
 
     def _set(self, **fields: Any) -> None:
         for name, value in fields.items():

@@ -11,12 +11,12 @@ batch mod d, so its callers just add tables. Scaling mod d is a translate
 for d <= 256 and a multiply per lane past that (``_scale``), and ``_kron``
 widens a table to row ⊗ table. Under the table limit 4 bytes always do.
 
-``power_rows`` builds rows of M^{⊗p}: the ``matrix`` block, the dense
-systems of ``correspondence`` and the kernel generators of ``newton``.
-``kronecker_pass`` applies M^{⊗n} to a table: the U, V and W passes of
-``newton``'s solve. ``diagonals`` builds the edge-gate tables on the same
-lanes; this module needs only ``counting``, so ``solve`` does not compile
-the gate kernel.
+``power_rows`` builds rows of M^{⊗p}: the ``matrix`` verb's block, the
+dense systems of ``correspondence`` and the kernel generators of
+``newton``. ``kronecker_pass`` applies M^{⊗n} to a table: the U, V and W
+passes of ``newton``'s solve. ``diagonals`` builds the edge-gate tables on
+the same lanes; this module imports nothing from the package, so ``solve``
+does not compile the gate kernel.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from functools import cache
 from itertools import compress, islice, repeat
 from operator import mul
 from typing import Iterable, Sequence
-
-from .counting import MULTIHYPERGRAPH, _check_block, _digit_power_rows
 
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
 
@@ -175,19 +173,6 @@ def power_rows(
             row = _kron(matrix[digit], row, d)
         rows.append(row)
     return b"".join(rows)
-
-
-def coefficient_lanes(d: int, size: int) -> tuple[int, bytes]:
-    """The side and the lanes of the size-fold Kronecker power of the
-    (d-1)x(d-1) digit-power matrix V[i][s] = i^s mod d (i, s in 1..d-1),
-    row after row. At d = 2 the block is [[1]] for every size."""
-    _check_block(d, size)
-    base = _digit_power_rows(d, MULTIHYPERGRAPH)[1:]
-    for row in base:  # in place: at d = 4096 a copy would hold d^2 more pointers
-        del row[0]
-    power = 1 if d == 2 else size
-    side = (d - 1) ** power
-    return side, power_rows(base, range(side), power, d)
 
 
 def kronecker_pass(matrix: Sequence[Sequence[int]], lanes: bytes, n: int, d: int) -> bytes:

@@ -33,7 +33,7 @@ from .counting import (
     smith_factor,
 )
 from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
-from .lanes import _pack, kronecker_pass, lane_values, lane_width, power_rows
+from .lanes import _pack, kronecker_pass, lane_values, power_rows
 from .residues import check_entries
 
 Generators = tuple[tuple[tuple[int, ...], int], ...]
@@ -268,27 +268,24 @@ class KroneckerSolver:
         prod_j g_j. Computed on first use, as it can have millions of digits."""
         return kernel_size(self.gcd)
 
-    def solve(self, rhs: Sequence[int] | bytes, unknowns: Sequence[int]) -> SolutionSet:
+    def solve(self, rhs: Sequence[int], unknowns: Sequence[int]) -> SolutionSet:
         """The solutions of W^{⊗n} x = rhs, each vector listing x at the flat
-        indices ``unknowns``, in that order. ``rhs`` is m^n values in [0, d),
-        or their table of ``lanes``.
+        indices ``unknowns``, in that order. ``rhs`` is m^n values in [0, d).
 
         The set is the image of all solutions under that pick, and ``count``
         the number of solutions; they agree only when every unknown left out
         is 0 in every solution. The generators are built on their first read.
         """
         d, n = self.d, self.power
-        packed = isinstance(rhs, bytes)
-        if len(rhs) != self.rows**n * (lane_width(d) if packed else 1):
+        if len(rhs) != self.rows**n:
             raise ValueError("rhs length mismatch")
-        if not packed:
-            rhs = _pack(rhs, d)
-        c = lane_values(kronecker_pass(self.u, rhs, n, d), d)
+        b = _pack(rhs, d)
+        c = lane_values(kronecker_pass(self.u, b, n, d), d)
         if any(map(mod, c, self.gcd)):
             return _no_solution(d)
         y = [cj // g * inverse % (d // g) for cj, g, inverse in zip(c, self.gcd, self.inverse)]
         x = kronecker_pass(self.v, _pack(y, d), n, d)
-        if kronecker_pass(self.w, x, n, d) != rhs:
+        if kronecker_pass(self.w, x, n, d) != b:
             return _no_solution(d)
         values = lane_values(x, d)
         particular = tuple(values[i] for i in unknowns)
@@ -323,6 +320,6 @@ def solve_phases(d: int, n: int, phases: Sequence[int], mode: str) -> SolveOutco
     fingerprint = _fingerprint(d, n, mode)
     # The constant m_0 at column 0, left out, is pinned to f(0) = 0.
     solver = KroneckerSolver(partial(_digit_power_rows, d, mode), u, diagonal, v, d=d, power=n)
-    solution = solver.solve(_pack(phases, d), columns)
+    solution = solver.solve(phases, columns)
     edge_map = _vector_to_map(d, n, variables, solution.particular) if solution.consistent else None
     return SolveOutcome(mode, variables, fingerprint, solution, edge_map)

@@ -74,10 +74,6 @@ class PhaseFunction(_Value):
             raise ValueError("table entries must lie in [0, d)")
         self._set(d=d, n=n, table=_freeze(table))
 
-    @property
-    def is_canonical(self) -> bool:
-        return int(self.table[0]) == 0
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhaseFunction):
             return NotImplemented

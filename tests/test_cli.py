@@ -730,6 +730,47 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ([], "a verb is required: one of build-state, solve, verify-stabilizers, census, "
+                 "identity-check, matrix"),
+            (["matrix", "--d", "1", "--block", "1"], "need d >= 2 and size >= 1"),
+            (["matrix", "--d", "3", "--block", "0"], "need d >= 2 and size >= 1"),
+        ],
+        ids=["no-verb", "matrix-d-1", "matrix-block-0"],
+    )
+    def test_refusal_is_one_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"d": 3, "n": 1, "edges": {}}, "edges: expected a list, got {}"),
+            (
+                {"d": 3, "n": 1, "edges": [{"vertices": [], "exponents": [], "weight": 1}]},
+                "edges[0].vertices: edge must be nonempty",
+            ),
+            (
+                {"d": 3, "n": 1, "edges": [{"vertices": [0], "exponents": [1, 1], "weight": 1}]},
+                "edges[0].exponents: one exponent per vertex required",
+            ),
+            (
+                {"d": 3, "n": 2, "edges": [{"vertices": [1, 0], "exponents": [1, 1], "weight": 1}]},
+                "edges[0].vertices: vertices must be strictly increasing",
+            ),
+            (
+                {"d": 3, "n": 1, "edges": [{"vertices": [0], "exponents": [1], "weight": 3}]},
+                "edges[0].weight: weight out of range [0, 3)",
+            ),
+            ({"d": 1, "n": 1, "edges": []}, "d: expected an integer >= 2, got 1"),
+        ],
+        ids=["edges-not-a-list", "empty-edge", "exponent-count", "unsorted", "weight", "d-1"],
+    )
+    def test_edge_map_schema_refusal_is_one_line(self, tmp_path, capsys, payload, message):
+        graph = write_json(tmp_path / "g.json", payload)
+        assert run(capsys, "build-state", "--graph", graph) == (2, "", f"error: {message}\n")
+
     def test_missing_required_flag(self, capsys):
         assert main(["solve", "--mode", "hypergraph"]) == 2
 
@@ -809,10 +850,10 @@ def _table_outcome(argv):
 def _example_argvs():
     """The argv of every README example line and of every CI console-script line."""
     readme = (REPO / "README.md").read_text()
-    workflow = (REPO / ".github" / "workflows" / "tests.yml").read_text()
+    smoke = (REPO / ".github" / "console-script-smoke.sh").read_text()
     lines = re.findall(r"^quditgraphs ([^#\n]*)", readme, re.M)
-    lines += re.findall(r"^ +\d ([a-z-]+ .*)$", workflow, re.M)
-    assert len(lines) >= 40, lines
+    lines += re.findall(r"^\d ([a-z-]+ .*)$", smoke, re.M)
+    assert len(lines) >= 39, lines
     return [line.replace("$", "").split() for line in lines]
 
 

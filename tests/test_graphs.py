@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import combinations, product
 
 import pytest
@@ -10,6 +11,7 @@ from quditgraphs.graphs import (
     MultiHyperedge,
     SchemaError,
     WeightedEdgeMap,
+    _Value,
     enumerate_hyperedges,
     enumerate_multihyperedges,
     from_json,
@@ -43,6 +45,37 @@ class TestMultiHyperedge:
         edge = MultiHyperedge((0, 2, 3), (1, 2, 3))
         assert edge.without_vertex(2) == MultiHyperedge((0, 3), (1, 3))
         assert hyperedge(1).without_vertex(1) is None
+
+
+class TestValueBinding:
+    """``_Value.__init__`` binds arguments to the fields, by position or by
+    name, one to each field."""
+
+    class Point(_Value):
+        __slots__ = _fields = ("x", "y", "z")
+
+    def test_by_position_and_by_name(self):
+        assert repr(self.Point(1, 2, 3)) == "TestValueBinding.Point(x=1, y=2, z=3)"
+        assert self.Point(1, z=3, y=2) == self.Point(x=1, y=2, z=3) == self.Point(1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "args,kwargs,fault",
+        [
+            ((1, 2), {}, "missing 'z'"),
+            ((1,), {"z": 3}, "missing 'y'"),
+            ((1, 2, 3, 4), {}, "4 positional arguments for 3 fields"),
+            ((1, 2, 3), {"w": 4}, "unknown field 'w'"),
+            ((1, 2), {"w": 4}, "unknown field 'w', missing 'z'"),
+            ((1, 2), {"x": 1}, "'x' given twice, missing 'z'"),
+            ((1, 2, 3), {"y": 2}, "'y' given twice"),
+        ],
+        ids=["missing", "missing-named", "extra", "extra-named", "unknown", "repeated",
+             "repeated-extra"],
+    )
+    def test_a_field_missing_extra_or_repeated_is_a_type_error(self, args, kwargs, fault):
+        message = f"TestValueBinding.Point(x, y, z): {fault}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            self.Point(*args, **kwargs)
 
 
 class TestEnumeration:

@@ -39,6 +39,7 @@ from quditgraphs.lanes import (
     _CHUNK,
     _pack,
     _reduce_sum,
+    _scale,
     kronecker_pass,
     lane_values,
     lane_width,
@@ -460,6 +461,32 @@ def test_report_at_d_1_is_one_zero_entry():
         True,
         0,
     )
+
+
+@pytest.mark.parametrize(
+    "edge,d,n",
+    [
+        (MultiHyperedge((0,), (3,)), 257, 1),
+        (MultiHyperedge((0, 1), (5, 299)), 300, 2),
+        (MultiHyperedge((0,), (4092,)), 4093, 1),
+    ],
+    ids=["257-1", "300-2", "4093-1"],
+)
+def test_reports_past_d_256_match_per_index_evaluation(edge, d, n):
+    # Past d = 256 a power scales each diagonal lane by lane, not by a translate.
+    every_digit = [digits_of(i, d, n) for i in range(d**n)]
+    for power in (2, d - 1, -3):
+        for k in edge.vertices:
+            report = conjugation_report(edge, power, k, d, n)
+            _check_report(report, edge, power, k, d, every_digit)
+
+
+@pytest.mark.parametrize("d", [257, 4093])
+def test_scale_past_d_256_is_a_product_per_lane(d):
+    values = list(range(d)) + random.Random(f"scale:{d}").choices(range(d), k=1000)
+    lanes = _pack(values, d)
+    for c in (0, 1, 2, d - 1):
+        assert list(lane_values(_scale(lanes, c, d), d)) == [c * x % d for x in values]
 
 
 def reference_power_rows(matrix, picked, power, d):

@@ -322,6 +322,14 @@ def test_noncanonical_keeps_its_message():
         solve_phases(3, 2, [1] + [0] * 8, MULTIHYPERGRAPH)
 
 
+def test_listing_past_the_cap_is_refused():
+    # The all-zero d=4 n=1 table has 4 solutions.
+    outcome = solve_phases(4, 1, [0, 0, 0, 0], MULTIHYPERGRAPH)
+    assert len(outcome.edge_maps(cap=4)) == 4
+    with pytest.raises(ValueError, match=r"^solution count 4 exceeds cap 2$"):
+        outcome.edge_maps(cap=2)
+
+
 def test_solution_sets_compare_without_their_generators():
     phases = [0] * 16
     ours = solve_phases(4, 2, phases, MULTIHYPERGRAPH).solution

@@ -165,6 +165,34 @@ class TestBuildState:
         assert code == 2
         assert "edges[0].exponents[0]" in err
 
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"d": 3, "n": 1, "edges": {}}, "edges: expected a list, got {}"),
+            (
+                {"d": 3, "n": 1, "edges": [{"vertices": [], "exponents": [], "weight": 1}]},
+                "edges[0].vertices: edge must be nonempty",
+            ),
+            (
+                {"d": 3, "n": 1, "edges": [{"vertices": [0], "exponents": [1, 1], "weight": 1}]},
+                "edges[0].exponents: one exponent per vertex required",
+            ),
+            (
+                {"d": 3, "n": 2, "edges": [{"vertices": [1, 0], "exponents": [1, 1], "weight": 1}]},
+                "edges[0].vertices: vertices must be strictly increasing",
+            ),
+            (
+                {"d": 3, "n": 1, "edges": [{"vertices": [0], "exponents": [1], "weight": 3}]},
+                "edges[0].weight: weight out of range [0, 3)",
+            ),
+            ({"d": 1, "n": 1, "edges": []}, "d: expected an integer >= 2, got 1"),
+        ],
+        ids=["edges-not-a-list", "empty-edge", "exponent-count", "unsorted", "weight", "d-1"],
+    )
+    def test_edge_map_schema_refusal_is_one_line(self, tmp_path, capsys, payload, message):
+        graph = write_json(tmp_path / "g.json", payload)
+        assert run(capsys, "build-state", "--graph", graph) == (2, "", f"error: {message}\n")
+
     def test_size_limit(self, tmp_path, capsys):
         graph = write_json(tmp_path / "g.json", {"d": 256, "n": 3, "edges": []})
         code, _, err = run(capsys, "build-state", "--graph", graph)
@@ -742,34 +770,6 @@ class TestUsage:
     )
     def test_refusal_is_one_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
-
-    @pytest.mark.parametrize(
-        "payload,message",
-        [
-            ({"d": 3, "n": 1, "edges": {}}, "edges: expected a list, got {}"),
-            (
-                {"d": 3, "n": 1, "edges": [{"vertices": [], "exponents": [], "weight": 1}]},
-                "edges[0].vertices: edge must be nonempty",
-            ),
-            (
-                {"d": 3, "n": 1, "edges": [{"vertices": [0], "exponents": [1, 1], "weight": 1}]},
-                "edges[0].exponents: one exponent per vertex required",
-            ),
-            (
-                {"d": 3, "n": 2, "edges": [{"vertices": [1, 0], "exponents": [1, 1], "weight": 1}]},
-                "edges[0].vertices: vertices must be strictly increasing",
-            ),
-            (
-                {"d": 3, "n": 1, "edges": [{"vertices": [0], "exponents": [1], "weight": 3}]},
-                "edges[0].weight: weight out of range [0, 3)",
-            ),
-            ({"d": 1, "n": 1, "edges": []}, "d: expected an integer >= 2, got 1"),
-        ],
-        ids=["edges-not-a-list", "empty-edge", "exponent-count", "unsorted", "weight", "d-1"],
-    )
-    def test_edge_map_schema_refusal_is_one_line(self, tmp_path, capsys, payload, message):
-        graph = write_json(tmp_path / "g.json", payload)
-        assert run(capsys, "build-state", "--graph", graph) == (2, "", f"error: {message}\n")
 
     def test_missing_required_flag(self, capsys):
         assert main(["solve", "--mode", "hypergraph"]) == 2

@@ -12,10 +12,11 @@ census needs no solve at all.
 
 Exports load on first use (PEP 562), so ``import quditgraphs`` imports no
 numpy, and no verb of the CLI loads it. The array types need it, from the
-``arrays`` extra: the state, stabilizer and ``correspondence`` names load
-it (``solve_weights`` too, as it takes a ``PhaseFunction``), while the
-census (``counting``), the solution types and solve errors (``newton``)
-and the conjugation report (``diagonals``) do not.
+``arrays`` extra: the ``states`` and ``correspondence`` names and
+``stabilizers.apply_generator`` load it (``solve_weights`` too, as it takes
+a ``PhaseFunction``), while the census and the size errors (``counting``),
+the solution types and solve errors (``newton``), ``verify`` and the
+conjugation report (``diagonals``) and the edge types (``graphs``) do not.
 """
 
 import importlib
@@ -32,10 +33,10 @@ _EXPORTS = {
     "GraphKind": "graphs",
     "MultiHyperedge": "graphs",
     "NonCanonical": "newton",
-    "NonPrimeModulus": "residues",
+    "NonPrimeModulus": "counting",
     "PhaseFunction": "states",
     "SchemaError": "graphs",
-    "SizeLimit": "residues",
+    "SizeLimit": "counting",
     "SolutionSet": "newton",
     "SolveOutcome": "newton",
     "VertexOutOfRange": "diagonals",
@@ -54,7 +55,7 @@ _EXPORTS = {
     "states_equal": "states",
     "to_dense": "states",
     "validate_kind": "graphs",
-    "verify": "stabilizers",
+    "verify": "diagonals",
 }
 
 __all__ = list(_EXPORTS)

@@ -20,7 +20,7 @@ imports ``lanes``, and ``solve`` hands the table that
 ``lanes`` without the gate kernel. ``census`` loads no ``graphs``, and no
 module imports ``dataclasses`` (value types derive from ``graphs._Value``),
 so ``solve`` and ``census`` load neither it nor ``inspect``. Every size
-refusal is ``residues.check_entries``, ``--all-solutions`` included.
+refusal is ``counting.check_entries``, ``--all-solutions`` included.
 
 Payloads are written by ``_encode``, byte for byte what
 ``json.dumps(payload, indent=2)`` writes, and ``build-state --dense``
@@ -43,7 +43,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from . import counting
-from .residues import SizeLimit, check_entries
+from .counting import SizeLimit, check_entries
 
 if TYPE_CHECKING:
     from .graphs import WeightedEdgeMap
@@ -223,8 +223,9 @@ def _cmd_verify_stabilizers(args: SimpleNamespace) -> int:
 
 
 def _cmd_census(args: SimpleNamespace) -> int:
-    report = counting.census(args.d, args.n, args.mode)
-    _emit(report.to_dict())
+    # The counts and the histogram's keys may have any number of digits.
+    with _any_int_digits():
+        _emit(counting.census(args.d, args.n, args.mode).to_dict())
     return EXIT_OK
 
 

@@ -21,15 +21,15 @@ Reachability is the divisor rule on the Newton coefficients on [k]^n
 (``counting.divisor_rule``), then the round trip through W itself; the
 solution counts are the rule's alone, so ``census`` solves no table, and
 the fingerprint hashes the name (d, n, mode), which fixes W and every
-column. ``census`` and the solve's types and errors are re-exported here
-from the numpy-free ``counting`` and ``newton``.
+column. ``census`` lives in the numpy-free ``counting``, and the solve's
+types and errors in ``newton``.
 
 This module keeps the dense-matrix code. Its Kronecker powers come from
 ``lanes.power_rows``: ``representability_constraints`` reads rows of
 U^{⊗n} off the lanes, and ``build_system`` and ``coefficient_block`` wrap
 them in read-only int64 arrays, frozen as ``PhaseFunction`` tables are.
 
-Sizes go through ``residues.check_entries`` before any work:
+Sizes go through ``counting.check_entries`` before any work:
 ``build_system`` refuses a W^{⊗n} of k^n·d^n entries,
 ``representability_constraints`` d^n divisors, the d·d entries of the whole
 U and its picked rows of d^n entries each, ``coefficient_block`` a block of
@@ -44,32 +44,25 @@ from itertools import product
 import numpy as np
 
 from .counting import (
-    HYPERGRAPH,
-    MODES,
-    MULTIHYPERGRAPH,
-    CensusReport,
+    NonPrimeModulus,
     _check_mode,
     _columns,
     _digit_power_rows,
     _exponent_count,
-    _factorial_diagonal,
     _signed_triangle,
-    census,
+    check_entries,
     coefficient_lanes,
-    divisor_rule,
+    is_prime,
 )
 from .graphs import MultiHyperedge, _Value, enumerate_multihyperedges
 from .lanes import lane_values, power_rows
-from .newton import (
-    KroneckerSolver,
-    NonCanonical,
-    SolutionSet,
-    SolveOutcome,
-    _check_canonical,
-    solve_phases,
-)
-from .residues import NonPrimeModulus, check_entries, is_prime
+from .newton import SolveOutcome, _check_canonical, solve_phases
 from .states import PhaseFunction, _freeze, _lane_view, digits_of
+
+# Unused here: tests/test_acceptance.py imports all three from this module,
+# and perfbench/launcher.py wraps ``census`` by this path until ROADMAP item
+# 1 step C.
+from .counting import HYPERGRAPH, MULTIHYPERGRAPH, census  # noqa: F401
 
 
 def _system_parts(
@@ -127,12 +120,13 @@ def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, .
 
     A canonical table is reachable iff every basis vector y has
     y . rhs = 0 (mod d), rhs taken in equation order. The vectors are the
-    rows j of U^{⊗n} whose divisor is d (``counting.divisor_rule``) for the
-    closed-form factor U·W·V = D: some digit j_v >= k, or
-    prod_v D[j_v] = 0 (mod d). Column 0 is dropped, as f(0) = 0. Row j has
-    its unit pivot at column j != 0, so the rows are independent.
+    rows j of U^{⊗n} with some digit j_v >= k, for the closed-form factor
+    U·W·V = D. At prime d, j_v! with j_v < k <= d is a unit, so the divisor
+    rule (``counting.divisor_rule``) picks no row on [k]^n. Column 0 is
+    dropped, as f(0) = 0. Row j has its unit pivot at column j != 0, so the
+    rows are independent.
 
-    Raises SizeLimit before listing the d^n divisors, building U's d x d
+    Raises SizeLimit before scanning the d^n tuples, building U's d x d
     entries or the picked rows of d^n entries each, when they would reach
     the table limit.
     """
@@ -141,11 +135,9 @@ def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, .
     if not is_prime(d):
         raise NonPrimeModulus(f"modulus {d} is not prime")
     check_entries("base factor U", d, d, 1)  # every row, not only the k that meet D
-    u, diagonal = _signed_triangle([1] * (d - 1), d, d), _factorial_diagonal(d, mode)
-    # The g_j of the k^n tuples with every digit below k, in flat order.
-    gcd = iter(divisor_rule(diagonal, d, n)[0])
+    u, k = _signed_triangle([1] * (d - 1), d, d), _exponent_count(d, mode)
     tuples = enumerate(product(range(d), repeat=n))
-    picked = [j for j, digits in tuples if max(digits) >= len(diagonal) or next(gcd) == d]
+    picked = [j for j, digits in tuples if max(digits) >= k]
     check_entries("constraint rows", len(picked), d, n)
     values, size = lane_values(power_rows(u, picked, n, d), d), d**n
     return [tuple(values[start + 1 : start + size]) for start in range(0, len(values), size)]

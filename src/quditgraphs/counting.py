@@ -34,13 +34,17 @@ the second half as W^{⊗n} x = f, the same once the division holds. The
 kernel of W^{⊗n} over Z_d then has K = prod_j g_j elements, every
 reachable table has exactly K weight solutions, and R = d^{#vars} / K
 tables are reachable, so counting them needs no table and no
-factorisation. The census refuses only through ``residues.check_entries``,
-on a count worked out from (d, n) alone.
+factorisation. The census refuses only through ``check_entries``, on a count
+worked out from (d, n) alone.
 
 W is fixed by (d, mode) and the columns by (d, n, mode), so that name fixes
 the whole system, and the fingerprint that ``solve`` and ``census`` print
 hashes the name alone (``_fingerprint``), by the interpreter's own SHA-256
 rather than OpenSSL's: neither verb builds W or a column list for it.
+
+The package's one size rule lives here too: ``check_entries`` refuses an
+array of count·base^exponent entries at or above ``DEFAULT_TABLE_LIMIT``
+with ``SizeLimit``. ``is_prime`` tests a modulus by trial division.
 """
 
 from __future__ import annotations
@@ -50,7 +54,70 @@ import math
 from itertools import accumulate, combinations, product, repeat
 from typing import Iterator, NamedTuple, Sequence
 
-from .residues import check_entries
+
+class NonPrimeModulus(ValueError):
+    """A field-only routine was called with a composite modulus."""
+
+
+def is_prime(d: int) -> bool:
+    """Whether d is prime, by trial division up to isqrt(d)."""
+    return d >= 2 and all(d % p for p in range(2, math.isqrt(d) + 1))
+
+
+DEFAULT_TABLE_LIMIT = 2**24
+
+
+class SizeLimit(ValueError):
+    """An array would meet or exceed the table limit on its entries."""
+
+
+def check_entries(what: str, count: int, base: int, exponent: int) -> None:
+    """Raise SizeLimit when count·base^exponent >= DEFAULT_TABLE_LIMIT.
+
+    The package's one size rule: every array a verb builds holds a closed
+    form of entries in (d, n, mode), decided here before any work. The power
+    is never built, so a huge exponent costs at most about 24 steps. A count
+    of 0 is never refused, and base 1 only when the count alone reaches the
+    limit.
+    """
+    limit = DEFAULT_TABLE_LIMIT
+    if count < 1:
+        return
+    if base == 1:
+        too_large = count >= limit
+    else:  # count·x >= limit iff x >= ceil(limit / count), for integers x
+        too_large = power_at_least(base, exponent, -(-limit // count))
+    if too_large:
+        times = f"{_shown(count)} x " if count > 1 else ""
+        raise SizeLimit(
+            f"{what} of {times}{_shown(base)}^{_shown(exponent)} entries"
+            f" would reach the limit {limit}"
+        )
+
+
+def _shown(value: int) -> str:
+    """``value`` in decimal up to 256 bits, else its bit length: a count such
+    as 2n from a 4300-digit ``--n`` has no decimal under Python's int -> str
+    limit, and a long one would flood stderr."""
+    bits = value.bit_length()
+    return str(value) if bits <= 256 else f"<a {bits}-bit number>"
+
+
+def power_at_least(base: int, exponent: int, bound: int) -> bool:
+    """Whether base**exponent >= bound, for base >= 2 and exponent >= 0.
+
+    Multiplies with an early exit, so a huge exponent costs at most about
+    log2(bound) steps and the power itself is never built.
+    """
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
+    value = 1
+    for _ in range(exponent):
+        if value >= bound:
+            return True
+        value *= base
+    return value >= bound
+
 
 HYPERGRAPH = "hypergraph"
 MULTIHYPERGRAPH = "multihypergraph"

@@ -66,9 +66,9 @@ from itertools import compress, count
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .counting import check_entries
 from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
 from .lanes import _kron, _pack, _reduce_sum, _scale, lane_values, lane_width
-from .residues import check_entries
 
 
 class VertexOutOfRange(ValueError):

@@ -17,8 +17,7 @@ import sys
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
-from .counting import edge_tuples
-from .residues import check_entries
+from .counting import check_entries, edge_tuples
 
 
 class SchemaError(ValueError):
@@ -199,9 +198,6 @@ class WeightedEdgeMap(_Value):
             if w:
                 canonical[edge] = w
         self._set(d=d, n=n, weights=canonical)
-
-    def edges(self) -> tuple[MultiHyperedge, ...]:
-        return tuple(self.weights)
 
     def items(self) -> Iterable[tuple[MultiHyperedge, int]]:
         return self.weights.items()

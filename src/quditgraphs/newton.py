@@ -12,7 +12,7 @@ U·W·V = D: the divisor rule on [k]^n, then a round trip through W itself
 that decides the rest, so it verifies every answer. ``solve_phases``, the
 solve of the ``solve`` verb and of ``correspondence.solve_weights``, runs
 it on the closed-form factor. The solution types ``SolutionSet`` and
-``SolveOutcome`` live here; ``correspondence`` re-exports them.
+``SolveOutcome`` live here.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from .counting import (
     _digit_power_rows,
     _factorial_diagonal,
     _fingerprint,
+    check_entries,
     divisor_rule,
     kernel_size,
     smith_factor,
 )
 from .graphs import MultiHyperedge, WeightedEdgeMap, _Value
 from .lanes import _pack, kronecker_pass, lane_values, power_rows
-from .residues import check_entries
 
 Generators = tuple[tuple[tuple[int, ...], int], ...]
 

@@ -17,7 +17,7 @@ corrections are its edge terms with ``shift_row`` on k, and the shift is
 its ``roll_table``. This module wraps the tables in numpy types.
 ``verify``, with its ``VertexCheck``, and ``conjugation_report``, the one
 judge of whether the deleted-edge form is exact, live in ``diagonals`` and
-run on its tables alone; they are re-exported here.
+run on its tables alone.
 
 Shift convention: X_k lowers the ket, X_k|i_k> = |i_k - 1 mod d>, which in
 phase-table form reads f'(i) = f(..., i_k + 1, ...). This is the convention
@@ -28,17 +28,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diagonals import (  # noqa: F401 (the report, the check and VertexOutOfRange are re-exported)
-    ConjugationReport,
-    VertexCheck,
-    VertexOutOfRange,
-    check_target,
-    conjugation_report,
-    edge_terms,
-    gate_table,
-    generated_table,
-    verify,
-)
+from .diagonals import check_target, edge_terms, gate_table, generated_table
+
+# Unused here: tests/test_acceptance.py imports both from this module, and
+# perfbench/launcher.py wraps them by this path until ROADMAP item 1 step C.
+from .diagonals import conjugation_report, verify  # noqa: F401
 from .graphs import MultiHyperedge, WeightedEdgeMap
 from .states import PhaseFunction, _from_lanes, _lane_view, _lanes
 

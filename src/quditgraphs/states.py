@@ -14,8 +14,8 @@ wraps its tables in read-only int64 arrays. ``build_state`` builds through
 it, so no table is computed here, and none from its flat index.
 
 ``build_state`` (through the kernel) and ``to_dense`` count their d^n
-entries against the table limit with ``residues.check_entries`` before they
-allocate, and raise its ``SizeLimit`` (re-exported here).
+entries against the table limit with ``counting.check_entries`` before they
+allocate, and raise its ``SizeLimit``.
 
 A table takes at most d amplitudes, d^{-n/2} * omega_d^f for f in Z_d:
 ``to_dense`` computes all d in one numpy pass and looks each entry up
@@ -30,14 +30,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagonals import (  # noqa: F401 (VertexOutOfRange is re-exported)
-    VertexOutOfRange,
-    _check_norm,
-    edge_map_table,
-)
+from .counting import check_entries
+from .diagonals import _check_norm, edge_map_table
 from .graphs import WeightedEdgeMap, _Value
 from .lanes import lane_width
-from .residues import SizeLimit, check_entries  # noqa: F401 (SizeLimit is re-exported)
 
 
 class DimensionMismatch(ValueError):
@@ -84,9 +80,6 @@ class PhaseFunction(_Value):
         )
 
     __hash__ = None  # type: ignore[assignment]
-
-    def entry(self, digits: Sequence[int]) -> int:
-        return int(self.table[index_of(digits, self.d)])
 
 
 def index_of(digits: Sequence[int], d: int) -> int:

@@ -39,9 +39,8 @@ from quditgraphs.cli import (
     _cmd_solve,
     _cmd_verify_stabilizers,
 )
-from quditgraphs.counting import HYPERGRAPH, _columns
+from quditgraphs.counting import HYPERGRAPH, NonPrimeModulus, _columns, is_prime
 from quditgraphs.newton import SolutionSet, _no_solution
-from quditgraphs.residues import NonPrimeModulus, is_prime
 
 
 def reduced_rows(rows, d: int) -> tuple[list[list[int]], int, int]:

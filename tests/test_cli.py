@@ -21,7 +21,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import quditgraphs
-from quditgraphs import cli, counting, graphs, residues
+from quditgraphs import cli, counting, graphs
 from quditgraphs.cli import _any_int_digits, _encode, main
 
 import oracles
@@ -575,10 +575,10 @@ class TestLimitBoundaries:
 
     @staticmethod
     def refused_at_size(monkeypatch, capsys, entries, *argv):
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", entries)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", entries)
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and "limit" in err
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", entries + 1)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", entries + 1)
         code, out, _ = run(capsys, *argv)
         assert code in (0, 1)
         return json.loads(out)
@@ -683,6 +683,26 @@ class TestCensus:
         assert payload["histogram"] == {"0": 48, "4": 16}
         assert payload["solution_sum"] == 64
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit"
+    )
+    @pytest.mark.parametrize("d,n", [(3, 7), (6, 4)])
+    def test_prints_under_a_lowered_digit_limit(self, capsys, d, n):
+        # 3^2186 has 1043 digits, and 6^1295, a histogram key, 1008.
+        argv = ["census", "--d", str(d), "--n", str(n), "--mode", "multihypergraph"]
+        expected = run(capsys, *argv)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            lowered = run(capsys, *argv)
+            # Input is still parsed under the limit.
+            long_d = run(capsys, "census", "--d", "3" * 641, "--n", "1", "--mode", "hypergraph")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert expected[0] == 0 and len(expected[1]) > 5000
+        assert lowered == expected
+        assert long_d[:2] == (2, "") and long_d[2].startswith("error: argument --d: ")
+
     def test_size_limit_boundary(self, capsys):
         # bits(2)·2^(2n) reaches the 2^24 table limit first at n=12.
         code, out, _ = run(capsys, "census", "--d", "2", "--n", "11", "--mode", "multihypergraph")
@@ -765,11 +785,37 @@ class TestUsage:
                  "identity-check, matrix"),
             (["matrix", "--d", "1", "--block", "1"], "need d >= 2 and size >= 1"),
             (["matrix", "--d", "3", "--block", "0"], "need d >= 2 and size >= 1"),
+            (["identity-check", "--d", "1", "--n", "1"], "need d >= 2 and n >= 1"),
         ],
-        ids=["no-verb", "matrix-d-1", "matrix-block-0"],
+        ids=["no-verb", "matrix-d-1", "matrix-block-0", "identity-check-d-1"],
     )
     def test_refusal_is_one_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    USAGE = {
+        "build-state": "[-h] [--graph GRAPH] [--stdin] [--dense]\n"
+        "    edge map (--graph or --stdin) -> phase table",
+        "solve": "[-h] --phases PHASES --mode {hypergraph,multihypergraph} [--all-solutions]"
+        " [--solution-cap SOLUTION-CAP]\n    phase table -> weight solution",
+        "verify-stabilizers": "[-h] [--graph GRAPH] [--stdin]\n    check g_k|G> = |G> per vertex",
+        "census": "[-h] --d D --n N --mode {hypergraph,multihypergraph}\n"
+        "    classify every canonical table at (d, n)",
+        "identity-check": "[-h] --d D --n N [--exhaustive]\n"
+        "    compare conjugated gates with the deleted-edge form",
+        "matrix": "[-h] --d D --block BLOCK\n    emit the digit-power coefficient block",
+    }
+
+    @pytest.mark.parametrize("verb", list(USAGE))
+    def test_verb_help_text(self, capsys, verb):
+        usage = f"usage: quditgraphs {verb} {self.USAGE[verb]}\n"
+        assert run(capsys, verb, "--help") == (0, usage, "")
+        assert run(capsys, verb, "-h", "--d") == (0, usage, "")
+
+    def test_help_text_lists_every_verb(self, capsys):
+        text = "".join(f"usage: quditgraphs {verb} {usage}\n" for verb, usage in self.USAGE.items())
+        assert list(self.USAGE) == list(cli._VERBS)
+        assert run(capsys, "--help") == (0, text, "")
+        assert run(capsys, "-h", "census") == (0, text, "")
 
     def test_missing_required_flag(self, capsys):
         assert main(["solve", "--mode", "hypergraph"]) == 2

@@ -4,6 +4,8 @@ Each check runs in a fresh interpreter, because this test process has
 numpy loaded already.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import quditgraphs
-from quditgraphs import counting, residues, states
+from quditgraphs import counting
 
 SRC = str(Path(quditgraphs.__file__).resolve().parents[1])
 
@@ -257,6 +259,42 @@ def test_every_verb_runs_where_numpy_cannot_be_imported(argv, code, tmp_path):
     assert normal.stdout or code == 3
 
 
+# Runs the CLI as the console script does and reports, as the last line of
+# stderr, the exit code and every quditgraphs module loaded.
+MODULES_PROBE = """
+import json, sys
+from quditgraphs.__main__ import main
+code = main()
+loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "quditgraphs")
+print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
+"""
+ENTRY = ["", "__main__", "cli", "counting"]
+EDGE_GATES = [*ENTRY, "diagonals", "graphs", "lanes"]
+SOLVE = [*ENTRY, "graphs", "lanes", "newton"]
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        (["census", "--d", "3", "--n", "2", "--mode", "hypergraph"], ENTRY),
+        (["--help"], ENTRY),
+        (["matrix", "--d", "3", "--block", "2"], [*ENTRY, "lanes"]),
+        (["solve", "--phases", PHASES, "--mode", "multihypergraph"], SOLVE),
+        (["solve", "--phases", PHASES, "--mode", "multihypergraph", "--all-solutions"], SOLVE),
+        (["build-state", "--graph", GRAPH], EDGE_GATES),
+        (["build-state", "--dense", "--graph", GRAPH], EDGE_GATES),
+        (["verify-stabilizers", "--graph", GRAPH], EDGE_GATES),
+        (["identity-check", "--d", "2", "--n", "2", "--exhaustive"], EDGE_GATES),
+    ],
+    ids=["census", "help", "matrix", "solve", "solve-all-solutions", "build-state",
+         "build-state-dense", "verify-stabilizers", "identity-check"],
+)
+def test_each_verb_loads_exactly_its_modules(argv, modules, tmp_path):
+    result = _python("-c", MODULES_PROBE, *_with_input_file(argv, tmp_path))
+    expected = sorted(f"quditgraphs.{name}".rstrip(".") for name in modules)
+    assert json.loads(result.stderr.splitlines()[-1]) == {"code": 0, "loaded": expected}
+
+
 def test_library_import_leaves_the_environment_alone():
     result = _python(
         "-c",
@@ -413,7 +451,37 @@ class TestLazyExports:
             quditgraphs.no_such_name
 
     def test_size_limit_is_one_class(self):
-        assert quditgraphs.SizeLimit is states.SizeLimit is residues.SizeLimit
+        assert quditgraphs.SizeLimit is counting.SizeLimit
+
+    def test_every_name_comes_from_the_module_that_defines_it(self):
+        for name, module in quditgraphs._EXPORTS.items():
+            home = importlib.import_module(f"quditgraphs.{module}")
+            tree = ast.parse(Path(home.__file__).read_text())
+            defined = {node.name for node in tree.body if hasattr(node, "name")}
+            defined |= {
+                target.id
+                for node in tree.body
+                if isinstance(node, ast.Assign)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            assert name in defined, (name, module)
+            assert getattr(quditgraphs, name) is getattr(home, name)
+
+    def test_numpy_free_names_load_no_numpy(self):
+        # The names of the modules that import no numpy, quditgraphs.verify among them.
+        names = [
+            name
+            for name, module in quditgraphs._EXPORTS.items()
+            if module in ("counting", "diagonals", "graphs", "newton")
+        ]
+        assert "verify" in names
+        result = _python(
+            "-c",
+            f"import quditgraphs, sys; [getattr(quditgraphs, name) for name in {names!r}]; "
+            "print('numpy' in sys.modules)",
+        )
+        assert result.stdout.strip() == "False", result.stderr
 
     def test_census_is_one_function(self):
         from quditgraphs import cli, correspondence

@@ -11,19 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditgraphs import correspondence, counting, residues
+from quditgraphs import correspondence, counting
 from quditgraphs.correspondence import (
+    build_system,
+    coefficient_block,
+    representability_constraints,
+    solve_weights,
+)
+from quditgraphs.counting import (
     HYPERGRAPH,
     MODES,
     MULTIHYPERGRAPH,
     CensusReport,
-    KroneckerSolver,
-    NonCanonical,
-    build_system,
+    NonPrimeModulus,
+    SizeLimit,
     census,
-    coefficient_block,
-    representability_constraints,
-    solve_weights,
+    is_prime,
 )
 from quditgraphs.graphs import (
     MultiHyperedge,
@@ -31,8 +34,8 @@ from quditgraphs.graphs import (
     enumerate_multihyperedges,
     hyperedge,
 )
-from quditgraphs.residues import NonPrimeModulus, is_prime
-from quditgraphs.states import PhaseFunction, SizeLimit, build_state
+from quditgraphs.newton import KroneckerSolver, NonCanonical
+from quditgraphs.states import PhaseFunction, build_state
 
 from helpers import brute_force_solutions, phase_table_of_map, random_edge_map
 from oracles import PrimeSolver, SmithSolver, smith_factor_of
@@ -199,10 +202,10 @@ class TestSizeRefusals:
     def test_system_bound_is_exact(self, monkeypatch, d, n, mode):
         k = 2 if mode == HYPERGRAPH else d
         table = pf(d, n, [0] * d**n)
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", k**n * d**n)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", k**n * d**n)
         with pytest.raises(SizeLimit, match=f"^system of {k**n} x {d}\\^{n} entries"):
             build_system(table, mode)
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", k**n * d**n + 1)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", k**n * d**n + 1)
         assert build_system(table, mode).matrix.shape[0] == d**n - 1
 
     def test_system_at_the_table_limit(self):
@@ -216,16 +219,16 @@ class TestSizeRefusals:
         # At (3, 3) the solver holds 3^3 = 27 divisors. Multihypergraph mode
         # picks no row; hypergraph mode picks the 3^3 - 2^3 = 19 rows with a
         # digit 2, 19 x 27 = 513 entries.
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 27)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", 27)
         for mode in MODES:
             with pytest.raises(SizeLimit, match="^solver divisors of 3\\^3 entries"):
                 representability_constraints(3, 3, mode)
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 28)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", 28)
         assert representability_constraints(3, 3, MULTIHYPERGRAPH) == []
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 513)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", 513)
         with pytest.raises(SizeLimit, match="^constraint rows of 19 x 3\\^3 entries"):
             representability_constraints(3, 3, HYPERGRAPH)
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 514)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", 514)
         assert len(representability_constraints(3, 3, HYPERGRAPH)) == 19
 
     def test_constraints_at_the_table_limit(self):
@@ -296,10 +299,10 @@ class TestGeneratorBound:
         # d=4: two of W's four Smith entries are units, so at n=2 there are
         # 4^2 - 2^2 = 12 free unknowns and 12 x 4^2 = 192 generator entries.
         table = pf(4, 2, [0] * 16)
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 193)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", 193)
         solution = solve_weights(table, MULTIHYPERGRAPH).solution
         assert len(solution.generators) == 12
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 192)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", 192)
         with pytest.raises(SizeLimit, match="12 x 4\\^2"):
             solve_weights(table, MULTIHYPERGRAPH)
 
@@ -307,7 +310,7 @@ class TestGeneratorBound:
         # Prime d, and plain hyperedges for any d: W has only unit Smith entries.
         # The limit is the least that the d x d factor and the d^n table pass.
         for d, n, mode in [(3, 2, MULTIHYPERGRAPH), (4, 2, HYPERGRAPH), (6, 2, HYPERGRAPH)]:
-            monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", max(d * d, d**n) + 1)
+            monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", max(d * d, d**n) + 1)
             assert solve_weights(pf(d, n, [0] * d**n), mode).solution.count == 1
 
 
@@ -652,12 +655,12 @@ class TestClosedFormFactor:
         with pytest.raises(SizeLimit, match="4096 x 4096"):
             counting.smith_factor(4096, MULTIHYPERGRAPH)
         assert len(counting.smith_factor(4096, HYPERGRAPH)[0][1]) == 4096
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 26)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", 26)
         assert len(counting.smith_factor(5, MULTIHYPERGRAPH)[0]) == 5
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 25)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", 25)
         with pytest.raises(SizeLimit, match="5 x 5"):
             counting.smith_factor(5, MULTIHYPERGRAPH)
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", 10)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", 10)
         with pytest.raises(SizeLimit, match="2 x 5"):
             counting.smith_factor(5, HYPERGRAPH)
 

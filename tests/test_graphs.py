@@ -46,6 +46,10 @@ class TestMultiHyperedge:
         assert edge.without_vertex(2) == MultiHyperedge((0, 3), (1, 3))
         assert hyperedge(1).without_vertex(1) is None
 
+    def test_deleting_a_missing_vertex_is_refused(self):
+        with pytest.raises(ValueError, match="^vertex 1 not in edge$"):
+            MultiHyperedge((0, 2), (1, 1)).without_vertex(1)
+
 
 class TestValueBinding:
     """``_Value.__init__`` binds arguments to the fields, by position or by
@@ -117,6 +121,19 @@ class TestEnumeration:
         arities = [e.arity for e in edges]
         assert arities == sorted(arities)
 
+    @pytest.mark.parametrize(
+        "enumerate_edges,message",
+        [
+            (lambda: enumerate_hyperedges(0), "n must be >= 1"),
+            (lambda: enumerate_multihyperedges(0, 3), "n must be >= 1"),
+            (lambda: enumerate_multihyperedges(2, 1), "d must be >= 2"),
+        ],
+        ids=["hyperedges-n-0", "multihyperedges-n-0", "multihyperedges-d-1"],
+    )
+    def test_bad_dimensions_refused(self, enumerate_edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_edges()
+
 
 class TestKinds:
     def test_plain_pair_edge_fits_everything(self):
@@ -139,7 +156,7 @@ class TestKinds:
 class TestWeightedEdgeMap:
     def test_zero_weights_dropped(self):
         emap = WeightedEdgeMap(3, 2, {hyperedge(0): 0, hyperedge(1): 3, hyperedge(0, 1): 4})
-        assert emap.edges() == (hyperedge(0, 1),)
+        assert tuple(emap.weights) == (hyperedge(0, 1),)
         assert emap.weights[hyperedge(0, 1)] == 1
 
     def test_equality_ignores_zero_weight_edges(self):
@@ -150,6 +167,10 @@ class TestWeightedEdgeMap:
     def test_vertex_range_checked(self):
         with pytest.raises(ValueError):
             WeightedEdgeMap(3, 2, {hyperedge(2): 1})
+
+    def test_no_vertices_refused(self):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            WeightedEdgeMap(2, 0)
 
     def test_exponent_range_checked(self):
         with pytest.raises(ValueError):

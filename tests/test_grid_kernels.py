@@ -20,6 +20,7 @@ import pytest
 from quditgraphs import diagonals
 from quditgraphs.cli import _TEXT_RANGE, _any_int_digits, _encode, main
 from quditgraphs.counting import (
+    DEFAULT_TABLE_LIMIT,
     HYPERGRAPH,
     MULTIHYPERGRAPH,
     _digit_power_rows,
@@ -45,7 +46,6 @@ from quditgraphs.lanes import (
     lane_width,
     power_rows,
 )
-from quditgraphs.residues import DEFAULT_TABLE_LIMIT
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap
 from quditgraphs.stabilizers import apply_generator, correction_exponents, verify
 from quditgraphs.states import build_state, digits_of
@@ -144,7 +144,7 @@ def test_grid_kernels_match_per_index_evaluation(d, n):
     for edge_map in grid_maps(rng, d, n):
         state = build_state(edge_map)
         assert state.table.tolist() == [phase_at(x, edge_map) for x in every_digit]
-        for edge in edge_map.edges():
+        for edge in edge_map.weights:
             monomial = lane_values(gate_table(d, n, edge_terms([(edge, 1)], d)), d)
             assert list(monomial) == [monomial_at(x, edge, d) for x in every_digit]
             power = rng.randrange(-d, 2 * d)
@@ -407,7 +407,7 @@ def _check_report(report, edge, power, k, d, every_digit):
 def test_list_report_matches_per_index_evaluation(d, n):
     rng = random.Random(f"report:{d}:{n}")
     every_digit = [digits_of(i, d, n) for i in range(d**n)]
-    for edge in random_map(rng, d, n).edges():
+    for edge in random_map(rng, d, n).weights:
         # A negative power, one in Z_d and one past it.
         for power in (rng.randrange(-2 * d, 0), rng.randrange(d), rng.randrange(d, 3 * d)):
             for k in edge.vertices:
@@ -419,7 +419,7 @@ def test_list_report_matches_per_index_evaluation(d, n):
 def test_edge_reports_run_every_power_then_every_target(d, n):
     every_digit = [digits_of(i, d, n) for i in range(d**n)]
     rng = random.Random(f"edge-reports:{d}:{n}")
-    for edge in random_map(rng, d, n, count=4).edges():
+    for edge in random_map(rng, d, n, count=4).weights:
         reports = list(edge_reports(edge, d, n))
         assert [(r.power, r.vertex) for r in reports] == [
             (m, k) for m in range(d) for k in edge.vertices

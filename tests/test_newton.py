@@ -13,9 +13,16 @@ import pytest
 
 from quditgraphs import correspondence, counting, newton
 from quditgraphs.cli import main
-from quditgraphs.counting import _columns, _digit_power_rows, _exponent_count
+from quditgraphs.counting import (
+    HYPERGRAPH,
+    MODES,
+    MULTIHYPERGRAPH,
+    SizeLimit,
+    _columns,
+    _digit_power_rows,
+    _exponent_count,
+)
 from quditgraphs.lanes import kronecker_pass, lane_values
-from quditgraphs.correspondence import HYPERGRAPH, MODES, MULTIHYPERGRAPH
 from quditgraphs.graphs import WeightedEdgeMap, enumerate_multihyperedges
 from quditgraphs.newton import (
     KroneckerSolver,
@@ -23,7 +30,6 @@ from quditgraphs.newton import (
     SolutionSet,
     solve_phases,
 )
-from quditgraphs.residues import SizeLimit
 from quditgraphs.states import PhaseFunction, build_state
 
 from oracles import full_grid_solve, smith_factor_of
@@ -322,6 +328,13 @@ def test_noncanonical_keeps_its_message():
         solve_phases(3, 2, [1] + [0] * 8, MULTIHYPERGRAPH)
 
 
+def test_an_unreachable_table_lists_no_edge_maps():
+    # f(i) = m·i is the only hypergraph form at n = 1, which [0, 1, 0] is not.
+    outcome = solve_phases(3, 1, [0, 1, 0], HYPERGRAPH)
+    assert not outcome.solution.consistent and outcome.edge_map is None
+    assert outcome.edge_maps() == [] and outcome.edge_maps(cap=0) == []
+
+
 def test_listing_past_the_cap_is_refused():
     # The all-zero d=4 n=1 table has 4 solutions.
     outcome = solve_phases(4, 1, [0, 0, 0, 0], MULTIHYPERGRAPH)
@@ -337,10 +350,3 @@ def test_solution_sets_compare_without_their_generators():
     bare = SolutionSet(4, True, ours.particular, ours.count)
     assert ours == theirs == bare and hash(ours) == hash(theirs) == hash(bare)
     assert "kernel" not in repr(ours) and not hasattr(ours, "_generators")
-
-
-def test_the_error_types_are_shared():
-    assert correspondence.SolutionSet is newton.SolutionSet
-    assert correspondence.SolveOutcome is newton.SolveOutcome
-    assert correspondence.NonCanonical is NonCanonical
-    assert correspondence.KroneckerSolver is newton.KroneckerSolver

@@ -10,16 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from quditgraphs import residues
-from quditgraphs.correspondence import KroneckerSolver
-from quditgraphs.counting import divisor_rule
-from quditgraphs.residues import (
+from quditgraphs import counting
+from quditgraphs.counting import (
     NonPrimeModulus,
     SizeLimit,
     check_entries,
+    divisor_rule,
     is_prime,
     power_at_least,
 )
+from quditgraphs.newton import KroneckerSolver
 
 from helpers import brute_force_solutions, random_matrix_rows
 from oracles import (
@@ -458,7 +458,7 @@ class TestCheckEntries:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_the_built_product(self, count, base, exponent, limit):
-        with mock.patch.object(residues, "DEFAULT_TABLE_LIMIT", limit):
+        with mock.patch.object(counting, "DEFAULT_TABLE_LIMIT", limit):
             try:
                 check_entries("table", count, base, exponent)
                 refused = False

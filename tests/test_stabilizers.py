@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quditgraphs.diagonals import (
+    VertexOutOfRange,
     edge_map_table,
     generated_table,
     lane_width,
@@ -26,7 +27,6 @@ from quditgraphs.stabilizers import (
 )
 from quditgraphs.states import (
     PhaseFunction,
-    VertexOutOfRange,
     _from_lanes,
     _lanes,
     build_state,

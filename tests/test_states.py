@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditgraphs import diagonals, residues, states
+from quditgraphs import counting, diagonals, states
+from quditgraphs.counting import SizeLimit
 from quditgraphs.diagonals import dense_blocks, edge_terms, gate_table
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge, phase_table
 from quditgraphs.states import (
+    DenseState,
     DimensionMismatch,
     PhaseFunction,
-    SizeLimit,
     _from_lanes,
     _lanes,
     build_state,
@@ -90,6 +92,26 @@ class TestPhaseFunctionEntries:
         state = PhaseFunction(3, 1, np.array([0, 1, 2], dtype=dtype))
         assert state.table.dtype == np.int64 and table(state) == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "d,n,entries,message",
+        [
+            (1, 1, [0], "need d >= 2 and n >= 1"),
+            (3, 0, [0], "need d >= 2 and n >= 1"),
+            (3, 2, [0] * 8, "table must have d^n = 9 entries"),
+            (3, 1, [[0, 1, 2]], "table must have d^n = 3 entries"),
+            (3, 1, [0, 1, 3], "table entries must lie in [0, d)"),
+            (3, 1, [0, -1, 2], "table entries must lie in [0, d)"),
+        ],
+    )
+    def test_shape_and_range_refused(self, d, n, entries, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PhaseFunction(d, n, np.array(entries))
+
+    def test_equality_with_a_non_state_is_not_implemented(self):
+        state = PhaseFunction(2, 1, [0, 1])
+        assert state.__eq__([0, 1]) is NotImplemented
+        assert state != [0, 1] and state != "state"
+
 
 class TestIndexing:
     def test_first_digit_most_significant(self):
@@ -113,7 +135,7 @@ class TestGateOnTable:
         state = apply_gate(plus_state(2, 3), MultiHyperedge((0, 1), (1, 2)), 1)
         expected = [i0 * i1**2 % 3 for i0, i1 in product(range(3), repeat=2)]
         assert table(state) == expected
-        assert state.entry((2, 2)) == 2
+        assert state.table[index_of((2, 2), 3)] == 2
 
     def test_zero_power_is_identity(self):
         start = apply_gate(plus_state(2, 3), hyperedge(0), 2)
@@ -198,6 +220,11 @@ class TestBuildState:
 
 
 class TestDense:
+    @pytest.mark.parametrize("amplitudes", [[1.0], [0.5] * 4, [[0.5, 0.5], [0.5, 0.5]]])
+    def test_amplitude_count_refused(self, amplitudes):
+        with pytest.raises(ValueError, match=r"^amplitude count must be d\^n$"):
+            DenseState(2, 1, amplitudes)
+
     def test_plus_amplitudes(self):
         dense = to_dense(plus_state(1, 2))
         assert np.allclose(dense.amplitudes, [2**-0.5, 2**-0.5])
@@ -357,10 +384,10 @@ class TestTableLimitBoundary:
 
     @staticmethod
     def refused_at_size(monkeypatch, entries, make):
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", entries)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", entries)
         with pytest.raises(SizeLimit):
             make()
-        monkeypatch.setattr(residues, "DEFAULT_TABLE_LIMIT", entries + 1)
+        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", entries + 1)
         return make()
 
     @pytest.mark.parametrize("d,n", [(2, 5), (3, 3), (5, 2), (7, 1)])

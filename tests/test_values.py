@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from quditgraphs import correspondence, newton, stabilizers
+from quditgraphs.diagonals import ConjugationReport, VertexCheck
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
 from quditgraphs.newton import SolutionSet, SolveOutcome
-from quditgraphs.stabilizers import ConjugationReport, VertexCheck
 from quditgraphs.states import DenseState, PhaseFunction
 
 EDGE = MultiHyperedge((0, 2), (1, 2))

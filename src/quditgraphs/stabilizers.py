@@ -29,12 +29,12 @@ from __future__ import annotations
 import numpy as np
 
 from .diagonals import check_target, edge_terms, gate_table, generated_table
+from .graphs import MultiHyperedge, WeightedEdgeMap
+from .states import PhaseFunction, _from_lanes, _lane_view, _lanes
 
 # Unused here: tests/test_acceptance.py imports both from this module, and
 # perfbench/launcher.py wraps them by this path until ROADMAP item 1 step C.
 from .diagonals import conjugation_report, verify  # noqa: F401
-from .graphs import MultiHyperedge, WeightedEdgeMap
-from .states import PhaseFunction, _from_lanes, _lane_view, _lanes
 
 
 def correction_exponents(

@@ -688,7 +688,7 @@ class TestCensus:
     )
     @pytest.mark.parametrize("d,n", [(3, 7), (6, 4)])
     def test_prints_under_a_lowered_digit_limit(self, capsys, d, n):
-        # 3^2186 has 1043 digits, and 6^1295, a histogram key, 1008.
+        # The total 3^2186 has 1043 digits; at d=6 n=4 a histogram key has 966.
         argv = ["census", "--d", str(d), "--n", str(n), "--mode", "multihypergraph"]
         expected = run(capsys, *argv)
         limit = sys.get_int_max_str_digits()

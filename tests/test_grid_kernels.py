@@ -34,6 +34,7 @@ from quditgraphs.diagonals import (
     edge_reports,
     edge_terms,
     gate_table,
+    verify,
 )
 from quditgraphs.lanes import (
     _CAPACITY,
@@ -47,7 +48,7 @@ from quditgraphs.lanes import (
     power_rows,
 )
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap
-from quditgraphs.stabilizers import apply_generator, correction_exponents, verify
+from quditgraphs.stabilizers import apply_generator, correction_exponents
 from quditgraphs.states import build_state, digits_of
 
 from helpers import many_row_map

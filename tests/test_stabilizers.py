@@ -6,11 +6,12 @@ import pytest
 
 from quditgraphs.diagonals import (
     VertexOutOfRange,
+    conjugation_report,
     edge_map_table,
     generated_table,
-    lane_width,
     roll_table,
     vertex_checks,
+    verify,
 )
 from quditgraphs.graphs import (
     MultiHyperedge,
@@ -19,12 +20,8 @@ from quditgraphs.graphs import (
     enumerate_multihyperedges,
     hyperedge,
 )
-from quditgraphs.stabilizers import (
-    apply_generator,
-    conjugation_report,
-    correction_exponents,
-    verify,
-)
+from quditgraphs.lanes import lane_width
+from quditgraphs.stabilizers import apply_generator, correction_exponents
 from quditgraphs.states import (
     PhaseFunction,
     _from_lanes,

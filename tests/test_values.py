@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from quditgraphs import correspondence, newton, stabilizers
+from quditgraphs import correspondence, diagonals, newton
 from quditgraphs.diagonals import ConjugationReport, VertexCheck
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge
 from quditgraphs.newton import SolutionSet, SolveOutcome
@@ -208,7 +208,7 @@ class TestStabilizerReports:
 
     def test_conjugation_report(self):
         edge = MultiHyperedge((0,), (2,))
-        report = stabilizers.conjugation_report(edge, 1, 0, 3, 1)
+        report = diagonals.conjugation_report(edge, 1, 0, 3, 1)
         again = ConjugationReport(
             edge=edge,
             power=1,
@@ -261,7 +261,7 @@ def test_copies_and_pickles_keep_every_field(duplicate):
         table,
         DenseState(2, 1, np.array([1, 0])),
         VertexCheck(1, False, (2, 5)),
-        stabilizers.conjugation_report(MultiHyperedge((0,), (2,)), 1, 0, 3, 1),
+        diagonals.conjugation_report(MultiHyperedge((0,), (2,)), 1, 0, 3, 1),
         correspondence.build_system(table, "hypergraph"),
     ]
     for value in values:

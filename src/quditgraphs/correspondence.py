@@ -57,7 +57,7 @@ from .counting import (
 from .graphs import MultiHyperedge, _Value, enumerate_multihyperedges
 from .lanes import lane_values, power_rows
 from .newton import SolveOutcome, _check_canonical, solve_phases
-from .states import PhaseFunction, _freeze, _lane_view, digits_of
+from .states import PhaseFunction, _freeze, _lane_view
 
 # Unused here: tests/test_acceptance.py imports all three from this module,
 # and perfbench/launcher.py wraps ``census`` by this path until ROADMAP item
@@ -73,7 +73,7 @@ def _system_parts(
     k = _exponent_count(d, mode)
     check_entries("system", k**n, d, n)
     variables, columns = tuple(enumerate_multihyperedges(n, k)), _columns(d, n, mode)
-    tuples = tuple(digits_of(i, d, n) for i in range(1, d**n))
+    tuples = tuple(product(range(d), repeat=n))[1:]
     lanes = power_rows(_digit_power_rows(d, mode), range(1, d**n), n, d)
     return variables, tuples, _freeze(_lane_view(lanes, d).reshape(d**n - 1, -1)[:, columns])
 
@@ -98,7 +98,7 @@ def build_system(table: PhaseFunction, mode: str) -> CorrespondenceSystem:
     """One equation per nonzero index tuple, all variables on the left."""
     _check_canonical(mode, table.table[0])
     variables, tuples, matrix = _system_parts(table.d, table.n, mode)
-    rhs = tuple(int(x) for x in table.table[1:])
+    rhs = tuple(table.table[1:].tolist())
     return CorrespondenceSystem(table.d, table.n, mode, variables, tuples, matrix, rhs)
 
 

@@ -44,7 +44,8 @@ of d^n lanes, one per entry, in the format of ``lanes``:
   writes however many spans there are.
 
 Every sum here is ``lanes._reduce_sum``, which bounds and batches it, so
-the kernel just adds tables.
+the kernel just adds tables; the grids of each span and of each group of
+first rows are made lazily into the sum that adds them.
 
 ``edge_map_table`` is a map's state table, ``generated_table`` the table
 that the map's generator g_k makes of it, and ``verify`` compares the two
@@ -62,7 +63,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -133,8 +134,6 @@ def _repeat(data: bytes, size: int, r: int) -> bytes:
 # weight * prod_j rows[j][i_{support[j]}] mod d.
 Term = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
 
-_BATCH = 8  # grids of one span held at once, at most: memory, not a lane bound
-
 
 def _support_grid(terms: list[tuple[tuple[tuple[int, ...], ...], int]], d: int) -> bytes:
     """The grid of sum weight * prod_j rows[j][i_j] mod d over the terms'
@@ -173,25 +172,21 @@ def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None)
     for support, rows, weight in terms:
         supports.setdefault(support, []).append((rows, weight))
     constant = sum(w for _, w in supports.pop((), ())) % d
-    spans: dict[tuple[int, int], list[bytes]] = {}
+    spans: dict[tuple[int, int], list] = {}
     for support, on_support in supports.items():
-        grids = spans.setdefault((support[0], support[-1]), [])
-        grids.append(_spread(_support_grid(on_support, d), support, d))
-        if len(grids) >= _BATCH:
-            grids[:] = [_reduce_sum(grids, d)]
-    if base is not None:
-        spans.setdefault((0, n - 1), []).append(base)
+        spans.setdefault((support[0], support[-1]), []).append((support, on_support))
     table = _pack([constant], d) if constant else b""  # over axes 0..last - 1; b"" is 0
     for last in range(n):
         span, start = b"", last + 1  # the spans ending at ``last``, over axes start..last
         for first in sorted({a for a, b in spans if b == last} | {0}, reverse=True):
-            grids = list(spans.get((first, last), ()))
-            if span:
-                grids.append(span * d ** (start - first))
+            laid = [span * d ** (start - first)] if span else []
             if first == 0 and table:
-                grids.append(_repeat(table, lane_width(d), d))
-            if grids:
-                span, start = _reduce_sum(grids, d), first
+                laid.append(_repeat(table, lane_width(d), d))
+            if (first, last) == (0, n - 1) and base is not None:
+                laid.append(base)
+            on_span = spans.get((first, last), ())
+            grids = (_spread(_support_grid(on, d), support, d) for support, on in on_span)
+            span, start = _reduce_sum(chain(laid, grids), d), first
         table = span
     return table or bytes(d**n * lane_width(d))
 

@@ -6,10 +6,11 @@ below d (wider lanes keep a spare top bit). Every table of the package is
 in that one format, so a kernel sums the lanes it hands out.
 ``_reduce_sum`` is the one lane sum: it adds tables as big ints, several
 lanes to a word (SWAR: H. S. Warren, *Hacker's Delight*, 2nd ed., ch. 2),
-in batches of as many values below d as a lane holds, and reduces each
-batch mod d, so its callers just add tables. Scaling mod d is a translate
-for d <= 256 and a multiply per lane past that (``_scale``), and ``_kron``
-widens a table to row ⊗ table. Under the table limit 4 bytes always do.
+in batches of as many values below d as a lane holds and at most ``_HOLD``
+tables, and reduces each batch mod d, so its callers just add tables.
+Scaling mod d is a translate for d <= 256 and a multiply per lane past
+that (``_scale``), and ``_kron`` widens a table to row ⊗ table. Under the
+table limit 4 bytes always do.
 
 ``power_rows`` builds rows of M^{⊗p}: the ``matrix`` verb's block, the
 dense systems of ``correspondence`` and the kernel generators of
@@ -104,21 +105,23 @@ def _cut(x: int, lanes: int, d: int, top: int) -> int:
 
 
 _CHUNK = 1 << 16  # bytes of lanes per big int: small enough to stay in cache
+_HOLD = 8  # tables one batch holds at most: a memory bound, beside the lane bound
 
 
 def _reduce_sum(parts: Iterable[bytes], d: int) -> bytes:
-    """The lane-wise sum mod d of equal-size tables mod d. A lane holds
-    ``_CAPACITY[lane_width(d)] // (d - 1)`` values below d, so the tables
-    are added that many at a time, the running total among them: any
-    number of parts is safe, and one batch is held at a time. A batch is
-    summed as big ints one chunk at a time and reduced by one translate
-    (one-byte lanes) or by ``_cut``. Every table here is reduced, so one
-    alone is its own sum."""
+    """The lane-wise sum mod d of equal-size reduced tables (none: b""),
+    added a batch at a time with the running total among them. A batch
+    holds the fewer of ``_CAPACITY[lane_width(d)] // (d - 1)`` tables, the
+    values below d that a lane holds, and ``_HOLD``, a memory bound, so
+    parts handed over lazily are held a batch at a time. A batch is summed
+    as big ints by chunks and reduced by one translate (one-byte lanes) or
+    by ``_cut``. A table alone is reduced, so it is its own sum."""
     width = lane_width(d)
+    batch = min(_CAPACITY[width] // max(d - 1, 1), _HOLD)
     parts = iter(parts)
-    total = next(parts)
+    total = next(parts, b"")
     for part in parts:
-        tables = [total, part, *islice(parts, _CAPACITY[width] // max(d - 1, 1) - 2)]
+        tables = [total, part, *islice(parts, batch - 2)]
         size, chunks = len(total), []
         for start in range(0, size, _CHUNK):
             # Tables within one chunk are read whole, with no Python step per table.
@@ -128,6 +131,7 @@ def _reduce_sum(parts: Iterable[bytes], d: int) -> bytes:
             if width > 1:
                 x = _cut(x, length // width, d, len(tables) * (d - 1))
             chunks.append(x.to_bytes(length, "little"))
+        del tables  # before the next batch is drawn
         total = b"".join(chunks)
         if width == 1:
             total = total.translate(_translation(1, d))

@@ -11,6 +11,7 @@ under test. Tables too large for it are checked against numpy broadcasts.
 import hashlib
 import json
 import random
+import tracemalloc
 from itertools import repeat
 from operator import add, mod, mul
 
@@ -39,6 +40,7 @@ from quditgraphs.diagonals import (
 from quditgraphs.lanes import (
     _CAPACITY,
     _CHUNK,
+    _HOLD,
     _pack,
     _reduce_sum,
     _scale,
@@ -246,24 +248,26 @@ def test_many_row_tables_match_per_index_evaluation(edge_map, monkeypatch):
 # Each side of every width boundary of the lane sum: lane_width(d) widens
 # from one byte to two at d = 64/65 and from two to four at d = 8192/8193,
 # and d = 256/257 is the end of the translates. d = 32768/32769, deep in the
-# four-byte range, sum batches of 65538 and 65535 tables.
+# four-byte range, have lane bounds of 65538 and 65535 tables.
 REDUCE_MODULI = [2, 3, 64, 65, 256, 257, 8192, 8193, 32768, 32769]
 
 
 @pytest.mark.parametrize("d", REDUCE_MODULI)
 def test_reduce_sum_matches_per_lane_sums_at_every_width_boundary(d):
-    # Part counts on both sides of one batch and past three, tables of d - 1
-    # everywhere (the largest sums) and random ones, on both sides of a
-    # chunk, handed over as a list and as a generator. A batch of four-byte
-    # lanes holds tens of thousands of tables, so counts past 2048 run on
-    # tables of three lanes.
+    # Part counts on both sides of each bound of a batch, the lane bound and
+    # the hold count, and past three lane bounds and two hold counts; tables
+    # of d - 1 everywhere (the largest sums) and random ones, on both sides
+    # of a chunk, handed over as a list and as a generator. A lane bound of
+    # four-byte lanes is tens of thousands of tables, so counts past 2048 run
+    # on tables of three lanes.
     rng = random.Random(f"reduce:{d}")
     width = lane_width(d)
     batch = _CAPACITY[width] // (d - 1)
+    held = (_HOLD - 1, _HOLD, _HOLD + 1, 2 * _HOLD + 1)
     pools = {}
     for lanes in (_CHUNK // width - 1, _CHUNK // width + 1, 3):
         pools[lanes] = [[d - 1] * lanes], [rng.choices(range(d), k=lanes) for _ in range(3)]
-    for count in (1, 2, batch - 1, batch, batch + 1, 3 * batch + 1):
+    for count in (1, 2, *held, batch - 1, batch, batch + 1, 3 * batch + 1):
         for lanes in (3,) if count > 2048 else (_CHUNK // width - 1, _CHUNK // width + 1):
             for pool in pools[lanes]:
                 tables = [_pack(values, d) for values in pool]
@@ -273,6 +277,27 @@ def test_reduce_sum_matches_per_lane_sums_at_every_width_boundary(d):
                 for given in (parts, (part for part in parts)):
                     total = _reduce_sum(given, d)
                     assert list(lane_values(total, d)) == expected, (count, lanes)
+
+
+def test_many_row_support_builds_in_a_few_tables_of_memory():
+    # 100 edges on (0, 1, 2) with exponents (s, 1, 1) at d = 127: one
+    # support with 100 distinct rows at vertex 0, whose grids are summed
+    # there and then laid with the rest. A sum holds at most ``_HOLD``
+    # tables, so the build and g_0 each peak at about 11 tables of traced
+    # memory; a sum that held one grid per row peaked at 102.
+    d, n = 127, 3
+    edge_map = WeightedEdgeMap(d, n, {MultiHyperedge((0, 1, 2), (s, 1, 1)): 1 for s in range(1, 101)})
+    tracemalloc.start()
+    try:
+        state = edge_map_table(edge_map)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        generated = diagonals.generated_table(edge_map, 0, state)
+        moved = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(state) == len(generated) == d**n * lane_width(d)
+    assert max(built, moved) <= 16 * len(state), (built / len(state), moved / len(state))
 
 
 def span_at(digits, edges, first, d):

@@ -74,7 +74,7 @@ def _system_parts(
     check_entries("system", k**n, d, n)
     variables, columns = tuple(enumerate_multihyperedges(n, k)), _columns(d, n, mode)
     tuples = tuple(product(range(d), repeat=n))[1:]
-    lanes = power_rows(_digit_power_rows(d, mode), range(1, d**n), n, d)
+    lanes = power_rows(_digit_power_rows(d, mode), tuples, d)
     return variables, tuples, _freeze(_lane_view(lanes, d).reshape(d**n - 1, -1)[:, columns])
 
 
@@ -136,8 +136,7 @@ def representability_constraints(d: int, n: int, mode: str) -> list[tuple[int, .
         raise NonPrimeModulus(f"modulus {d} is not prime")
     check_entries("base factor U", d, d, 1)  # every row, not only the k that meet D
     u, k = _signed_triangle([1] * (d - 1), d, d), _exponent_count(d, mode)
-    tuples = enumerate(product(range(d), repeat=n))
-    picked = [j for j, digits in tuples if max(digits) >= k]
+    picked = [digits for digits in product(range(d), repeat=n) if max(digits) >= k]
     check_entries("constraint rows", len(picked), d, n)
-    values, size = lane_values(power_rows(u, picked, n, d), d), d**n
+    values, size = lane_values(power_rows(u, picked, d), d), d**n
     return [tuple(values[start + 1 : start + size]) for start in range(0, len(values), size)]

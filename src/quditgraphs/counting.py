@@ -162,7 +162,7 @@ def coefficient_lanes(d: int, size: int) -> tuple[int, bytes]:
         del row[0]
     power = 1 if d == 2 else size
     side = (d - 1) ** power
-    return side, power_rows(base, range(side), power, d)
+    return side, power_rows(base, product(range(d - 1), repeat=power), d)
 
 
 def _factorial_diagonal(d: int, mode: str) -> list[int]:
@@ -292,17 +292,8 @@ class CensusReport(NamedTuple):
         return dict(self.histogram)
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "mode": self.mode,
-            "total_states": self.total_states,
-            "reachable": self.reachable,
-            "histogram": {str(k): v for k, v in self.histogram},
-            "solution_sum": self.solution_sum,
-            "weight_assignments": self.weight_assignments,
-            "matrix_fingerprint": self.matrix_fingerprint,
-        }
+        """The fields in order, the histogram as a dict keyed by text."""
+        return {**self._asdict(), "histogram": {str(k): v for k, v in self.histogram}}
 
 
 def census(d: int, n: int, mode: str) -> CensusReport:

@@ -81,11 +81,6 @@ def check_vertex(vertex: int, n: int) -> None:
         raise VertexOutOfRange(f"vertex {vertex} out of range [0, {n})")
 
 
-def check_edge(edge: MultiHyperedge, n: int) -> None:
-    if edge.vertices[-1] >= n:
-        raise VertexOutOfRange(f"edge {edge} references a vertex >= {n}")
-
-
 def power_row(s: int, d: int) -> list[int]:
     """[i^s mod d for i in Z_d]."""
     return [pow(i, s, d) for i in range(d)]
@@ -108,8 +103,8 @@ def check_target(edge: MultiHyperedge, k: int, n: int) -> tuple[int, MultiHypere
         raise ValueError(f"vertex {k} not in edge {edge}")
     reduced = edge.without_vertex(k)
     check_vertex(k, n)
-    if reduced is not None:
-        check_edge(reduced, n)
+    if reduced is not None and reduced.vertices[-1] >= n:
+        raise VertexOutOfRange(f"edge {reduced} references a vertex >= {n}")
     return edge.exponents[edge.vertices.index(k)], reduced
 
 
@@ -130,8 +125,8 @@ def _repeat(data: bytes, size: int, r: int) -> bytes:
 
 # --- the kernel --------------------------------------------------------------
 
-# A term: (support, one row per support vertex, weight). Its table is
-# weight * prod_j rows[j][i_{support[j]}] mod d.
+# A term: (support, one row per support vertex, weight), on an edge's
+# nonempty support. Its table is weight * prod_j rows[j][i_{support[j]}] mod d.
 Term = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
 
 
@@ -166,16 +161,15 @@ def _spread(grid: bytes, support: tuple[int, ...], d: int) -> bytes:
 
 def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None) -> bytes:
     """The d^n table of base + sum of the terms, mod d. ``base`` is such a
-    table or None; a term on the empty support is a constant."""
+    table or None."""
     check_entries("table", 1, d, n)
     supports: dict[tuple[int, ...], list] = {}
     for support, rows, weight in terms:
         supports.setdefault(support, []).append((rows, weight))
-    constant = sum(w for _, w in supports.pop((), ())) % d
     spans: dict[tuple[int, int], list] = {}
     for support, on_support in supports.items():
         spans.setdefault((support[0], support[-1]), []).append((support, on_support))
-    table = _pack([constant], d) if constant else b""  # over axes 0..last - 1; b"" is 0
+    table = b""  # over axes 0..last - 1; b"" is 0
     for last in range(n):
         span, start = b"", last + 1  # the spans ending at ``last``, over axes start..last
         for first in sorted({a for a, b in spans if b == last} | {0}, reverse=True):
@@ -328,11 +322,12 @@ def _reporter(
     s_k, reduced = check_target(edge, k, n)
     if d < 1:
         raise ValueError("need d >= 1")
+    # First: the kernel refuses an oversized table before any table exists.
+    unit_exact = gate_table(d, n, edge_terms([(edge, 1)], d, k))
     if reduced is None:
-        others = gate_table(d, n, [((), (), 1)])  # the empty product
+        others = _pack([1], d) * d**n  # the empty product
     else:
         others = gate_table(d, n, edge_terms([(reduced, 1)], d))
-    unit_exact = gate_table(d, n, edge_terms([(edge, 1)], d, k))
 
     def report(power: int) -> ConjugationReport:
         m, c = power % d, deleted_edge_coefficient(power, d)

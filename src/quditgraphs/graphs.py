@@ -210,9 +210,7 @@ def validate_kind(edge_map: WeightedEdgeMap, kind: GraphKind) -> bool:
 
 def enumerate_hyperedges(n: int) -> list[MultiHyperedge]:
     """All 2^n - 1 nonempty hyperedges, by support size then vertex tuple."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return [MultiHyperedge(*pair) for pair in edge_tuples(n, 2)]
+    return enumerate_multihyperedges(n, 2)
 
 
 def enumerate_multihyperedges(

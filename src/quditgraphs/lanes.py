@@ -154,26 +154,21 @@ def _kron(row: Sequence[int], inner: bytes, d: int) -> bytes:
     return b"".join([times[c] for c in row])
 
 
-def power_rows(
-    matrix: Sequence[Sequence[int]], picked: Iterable[int], power: int, d: int
-) -> bytes:
-    """Rows ``picked`` of matrix^{⊗power} mod d, one table after another.
-    The matrix's entries lie in [0, d), and a row
-    index is a flat digit tuple (a_0, ..., a_{power-1}) in base
-    len(matrix), a_0 most significant. Row (a_0, ..., a_{power-1}) is
-    matrix[a_0] ⊗ ... ⊗ matrix[a_{power-1}]: it starts as the packed row of
-    its last digit, and each digit before that widens it to the blocks
-    row times matrix[a][s] for each column s (``_kron``)."""
-    base = len(matrix)
+def power_rows(matrix: Sequence[Sequence[int]], picked: Iterable[Sequence[int]], d: int) -> bytes:
+    """Rows ``picked`` of matrix^{⊗p} mod d, one table after another. The
+    matrix's entries lie in [0, d), and each picked row is a digit tuple
+    (a_0, ..., a_{p-1}), a row index of the matrix per factor. Row
+    (a_0, ..., a_{p-1}) is matrix[a_0] ⊗ ... ⊗ matrix[a_{p-1}]: it starts as
+    the packed row of its last digit, and each digit before that widens it
+    to the blocks row times matrix[a][s] for each column s (``_kron``)."""
     packed: dict[int, bytes] = {}
     rows = []
-    for index in picked:
-        index, digit = divmod(index, base)
-        if digit not in packed:
-            packed[digit] = _pack(matrix[digit], d)
-        row = packed[digit]
-        for _ in range(power - 1):
-            index, digit = divmod(index, base)
+    for digits in picked:
+        last = digits[-1]
+        if last not in packed:
+            packed[last] = _pack(matrix[last], d)
+        row = packed[last]
+        for digit in digits[-2::-1]:
             row = _kron(matrix[digit], row, d)
         rows.append(row)
     return b"".join(rows)

@@ -64,7 +64,7 @@ class SolutionSet(_Value):
     name.
     """
 
-    __slots__ = ("d", "consistent", "particular", "count", "kernel", "_generators")
+    __slots__ = ("d", "consistent", "particular", "count", "kernel")
     _fields = ("d", "consistent", "particular", "count")
     d: int
     consistent: bool
@@ -86,13 +86,10 @@ class SolutionSet(_Value):
 
     @property
     def generators(self) -> Generators:
-        """The generators, built on the first read and kept."""
-        try:
-            return self._generators
-        except AttributeError:  # the slot is empty until the first read
-            generators = self.kernel() if callable(self.kernel) else self.kernel
-            self._set(_generators=generators)
-            return generators
+        """The generators, built on the first read and kept in ``kernel``."""
+        if callable(self.kernel):
+            self._set(kernel=self.kernel())
+        return self.kernel
 
     def solutions(self, cap: int | None = None) -> list[tuple[int, ...]]:
         """Enumerate every solution, sorted lexicographically.
@@ -205,13 +202,17 @@ def _vector_to_map(
 
 
 def _generators(
-    v: Sequence[Sequence[int]], free: list[tuple[int, int]], columns: list[int], n: int, d: int
+    v: Sequence[Sequence[int]],
+    free: list[tuple[tuple[int, ...], int]],
+    columns: list[int],
+    n: int,
+    d: int,
 ) -> Generators:
-    """For each (j, g) in ``free``: column j (a flat index, base k) of
-    V^{⊗n} at the rows ``columns``, times d / g, of order g. Column j of
-    V^{⊗n} is row j of (V^T)^{⊗n}, taken mod d for ``power_rows``."""
+    """For each (j, g) in ``free``: column j (a digit tuple) of V^{⊗n} at
+    the rows ``columns``, times d / g, of order g. Column j of V^{⊗n} is
+    row j of (V^T)^{⊗n}, taken mod d for ``power_rows``."""
     size, transposed = len(v) ** n, [[a % d for a in column] for column in zip(*v)]
-    values = lane_values(power_rows(transposed, [j for j, _ in free], n, d), d)
+    values = lane_values(power_rows(transposed, [j for j, _ in free], d), d)
     return tuple(
         (tuple(values[start + i] * (d // g) % d for i in columns), g)
         for start, (_, g) in zip(range(0, len(values), size), free)
@@ -289,7 +290,8 @@ class KroneckerSolver:
             return _no_solution(d)
         values = lane_values(x, d)
         particular = tuple(values[i] for i in unknowns)
-        free = [(j, g) for j, g in enumerate(self.gcd) if g > 1]
+        digits = product(range(len(self.v)), repeat=n)  # the tuples j of ``gcd``, in its order
+        free = [(j, g) for j, g in zip(digits, self.gcd) if g > 1]
         generators = partial(_generators, self.v, free, unknowns, n, d)
         return SolutionSet(d, True, particular, self.count, generators)
 

@@ -17,21 +17,19 @@ it, so no table is computed here, and none from its flat index.
 entries against the table limit with ``counting.check_entries`` before they
 allocate, and raise its ``SizeLimit``.
 
-A table takes at most d amplitudes, d^{-n/2} * omega_d^f for f in Z_d:
-``to_dense`` computes all d in one numpy pass and looks each entry up
-there. The text export of the CLI is ``diagonals.dense_blocks``, which
-formats each phase that occurs once (``diagonals.amplitude``, bitwise the
-same values) and writes a line per entry by the same lookup.
+A table takes at most d amplitudes, d^{-n/2} * omega_d^f for f in Z_d, each
+from ``diagonals.amplitude``: ``to_dense`` computes all d and looks each
+entry up there. The text export of the CLI is ``diagonals.dense_blocks``,
+which formats each phase that occurs once and writes a line per entry by
+the same lookup.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .counting import check_entries
-from .diagonals import _check_norm, edge_map_table
+from .diagonals import _check_norm, amplitude, edge_map_table
 from .graphs import WeightedEdgeMap, _Value
 from .lanes import lane_width
 
@@ -80,22 +78,6 @@ class PhaseFunction(_Value):
         )
 
     __hash__ = None  # type: ignore[assignment]
-
-
-def index_of(digits: Sequence[int], d: int) -> int:
-    """Flat index of a digit tuple, i_0 most significant."""
-    idx = 0
-    for digit in digits:
-        idx = idx * d + digit
-    return idx
-
-
-def digits_of(index: int, d: int, n: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(n):
-        index, r = divmod(index, d)
-        digits.append(r)
-    return tuple(reversed(digits))
 
 
 def _lanes(state: PhaseFunction) -> bytes:
@@ -151,13 +133,9 @@ class DenseState(_Value):
         self._set(d=d, n=n, amplitudes=amps)
 
 
-def _amplitudes(d: int, n: int) -> np.ndarray:
-    """The amplitude d^{-n/2} * exp(2*pi*1j*f/d) of each phase f in Z_d, in
-    one numpy pass; each is bitwise ``diagonals.amplitude(f, d, n)``."""
-    return np.exp(2j * np.pi * np.arange(d) / d) * d ** (-n / 2)
-
-
 def to_dense(state: PhaseFunction) -> DenseState:
-    """Amplitudes d^{-n/2} * exp(2*pi*1j*f(i)/d)."""
-    check_entries("table", 1, state.d, state.n)
-    return DenseState(state.d, state.n, _amplitudes(state.d, state.n)[state.table])
+    """Amplitudes d^{-n/2} * exp(2*pi*1j*f(i)/d), by ``diagonals.amplitude``."""
+    d, n = state.d, state.n
+    check_entries("table", 1, d, n)
+    amplitudes = np.array([amplitude(f, d, n) for f in range(d)])
+    return DenseState(d, n, amplitudes[state.table])

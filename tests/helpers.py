@@ -14,6 +14,23 @@ import numpy as np
 from quditgraphs import MultiHyperedge, WeightedEdgeMap, enumerate_multihyperedges
 
 
+def index_of(digits, d):
+    """Flat index of a digit tuple, i_0 most significant."""
+    idx = 0
+    for digit in digits:
+        idx = idx * d + digit
+    return idx
+
+
+def digits_of(index, d, n):
+    """The n digits base d of a flat index, i_0 most significant."""
+    digits = []
+    for _ in range(n):
+        index, r = divmod(index, d)
+        digits.append(r)
+    return tuple(reversed(digits))
+
+
 def brute_force_solutions(rows, rhs, d):
     """All x in Z_d^n with A x = b (mod d), by full enumeration."""
     n = len(rows[0]) if rows else 0

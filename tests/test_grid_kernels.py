@@ -51,9 +51,9 @@ from quditgraphs.lanes import (
 )
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap
 from quditgraphs.stabilizers import apply_generator, correction_exponents
-from quditgraphs.states import build_state, digits_of
+from quditgraphs.states import build_state
 
-from helpers import many_row_map
+from helpers import digits_of, many_row_map
 
 CELLS = [(d, n) for d in (2, 3, 4, 5, 6, 8) for n in (1, 2, 3, 4)]
 
@@ -560,7 +560,7 @@ def test_power_rows_match_numpy_outer_products(d):
             if entries**power <= 4096:
                 picks.append(list(range(count)))
             for picked in picks:
-                lanes = power_rows(rows, picked, power, d)
+                lanes = power_rows(rows, [digits_of(j, len(rows), power) for j in picked], d)
                 expected = reference_power_rows(array, picked, power, d).reshape(-1).tolist()
                 assert list(lane_values(lanes, d)) == expected, (name, power, picked)
             power += 1

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from quditgraphs import counting, diagonals, states
 from quditgraphs.counting import SizeLimit
-from quditgraphs.diagonals import dense_blocks, edge_terms, gate_table
+from quditgraphs.diagonals import conjugation_report, dense_blocks, edge_terms, gate_table
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge, phase_table
+from quditgraphs.stabilizers import correction_exponents
 from quditgraphs.states import (
     DenseState,
     DimensionMismatch,
@@ -19,13 +20,11 @@ from quditgraphs.states import (
     _from_lanes,
     _lanes,
     build_state,
-    digits_of,
-    index_of,
     states_equal,
     to_dense,
 )
 
-from helpers import dense_simulate, phase_table_of_map, random_edge_map
+from helpers import dense_simulate, digits_of, index_of, phase_table_of_map, random_edge_map
 
 
 def table(state):
@@ -293,7 +292,7 @@ class TestDense:
     @pytest.mark.parametrize(
         "make,source,name",
         [
-            (to_dense, states, "_amplitudes"),
+            (to_dense, states, "amplitude"),
             (lambda state: next(text_export(state)), diagonals, "amplitude"),
         ],
         ids=["to_dense", "dense_blocks"],
@@ -401,3 +400,21 @@ class TestTableLimitBoundary:
         emap = WeightedEdgeMap(3, 2, {MultiHyperedge((0, 1), (1, 2)): 1})
         state = self.refused_at_size(monkeypatch, 9, lambda: build_state(emap))
         assert self.refused_at_size(monkeypatch, 9, lambda: to_dense(state)).n == 2
+
+    def test_conjugation_report_and_corrections(self, monkeypatch):
+        # At m = 1 and k = 1 the printed diagonal is 2 * prod_{v != 1} i_v^{s_v}:
+        # 2 everywhere for vertex 1 alone (the empty product), 2 * i_0 on (0, 1).
+        printed = {
+            hyperedge(1): [2] * 9,
+            MultiHyperedge((0, 1), (1, 2)): [2 * i0 % 3 for i0 in range(3) for _ in range(3)],
+        }
+        for edge, diagonal in printed.items():
+            report = self.refused_at_size(
+                monkeypatch, 9, lambda: conjugation_report(edge, 1, 1, 3, 2)
+            )
+            exponents = self.refused_at_size(
+                monkeypatch, 9, lambda: correction_exponents(edge, 1, 1, 3, 2)
+            )
+            assert list(report.printed_diagonal) == diagonal
+            assert list(report.exact_diagonal) == exponents.tolist()
+            assert report.holds is (len(edge.vertices) == 1)

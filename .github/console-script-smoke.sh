@@ -32,6 +32,10 @@ wide_edge="$dir/wide-edge.json"  # d=67: one [1, 1]-exponent edge
 echo '{"d": 67, "n": 2, "edges": [{"vertices": [0, 1], "exponents": [1, 1], "weight": 5}]}' > "$wide_edge"
 edge_phases="$dir/edge-phases.json"  # its state's table: reachable in both modes
 quditgraphs build-state --graph "$wide_edge" > "$edge_phases"
+huge="$dir/huge.json"  # one edge at d=10^9, n=1: refused before any lookup row is built
+echo '{"d": 1000000000, "n": 1, "edges": [{"vertices": [0], "exponents": [1], "weight": 1}]}' > "$huge"
+four="$dir/four.json"  # d=4 n=1: 4 weight vectors, (1,1,3), (1,3,1), (3,1,1) and (3,3,3)
+echo '{"d": 4, "n": 1, "phases": [0, 1, 2, 1]}' > "$four"
 
 while read -r expected args; do
   code=0; quditgraphs $args > "$dir/script.out" 2> "$dir/script.err" || code=$?
@@ -63,6 +67,7 @@ done <<EOF
 2 solve --phases $deep --mode hypergraph
 2 solve --phases $extra --mode hypergraph
 3 solve --phases $allzero --mode multihypergraph --all-solutions --solution-cap 1000000000000000000000000000000
+0 solve --phases $four --mode multihypergraph --all-solutions
 0 solve --phases $wide_phases --mode multihypergraph
 1 solve --phases $wide_phases --mode hypergraph
 0 solve --phases $edge_phases --mode hypergraph
@@ -72,8 +77,10 @@ done <<EOF
 0 build-state --dense --graph $wide
 2 build-state --graph $graph --stdin
 2 build-state --graph $unsorted
+3 build-state --graph $huge
 0 verify-stabilizers --graph $graph
 0 verify-stabilizers --graph $wide
+3 verify-stabilizers --graph $huge
 1 identity-check --d 3 --n 1
 1 identity-check --d 3 --n 2 --exhaustive
 0 matrix --d 6 --block 1

@@ -18,8 +18,10 @@ leading shift factored off, is the diagonal
 and its deleted-edge form is m*(d-1) * prod_{v != k} i_v^{s_v}.
 
 ``gate_table`` is the one kernel that sums such terms over the d^n table
-(flat index sum_j i_j * d^{n-1-j}, i_0 most significant). A table is bytes
-of d^n lanes, one per entry, in the format of ``lanes``:
+(flat index sum_j i_j * d^{n-1-j}, i_0 most significant). It takes (edge,
+weight) pairs and an optional target k, checks the table's size before it
+builds any row, and builds each distinct row once. A table is bytes of d^n
+lanes, one per entry, in the format of ``lanes``:
 
 - **Supports.** The terms on one support (vertex set) are summed on the
   support's own d^t grid by one recursion over its first vertex:
@@ -125,11 +127,6 @@ def _repeat(data: bytes, size: int, r: int) -> bytes:
 
 # --- the kernel --------------------------------------------------------------
 
-# A term: (support, one row per support vertex, weight), on an edge's
-# nonempty support. Its table is weight * prod_j rows[j][i_{support[j]}] mod d.
-Term = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
-
-
 def _support_grid(terms: list[tuple[tuple[tuple[int, ...], ...], int]], d: int) -> bytes:
     """The grid of sum weight * prod_j rows[j][i_j] mod d over the terms'
     t >= 1 common axes, first axis most significant: the sum of row_s (x)
@@ -159,13 +156,25 @@ def _spread(grid: bytes, support: tuple[int, ...], d: int) -> bytes:
     return grid
 
 
-def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None) -> bytes:
-    """The d^n table of base + sum of the terms, mod d. ``base`` is such a
-    table or None."""
+def gate_table(
+    d: int,
+    n: int,
+    items: Iterable[tuple[MultiHyperedge, int]],
+    k: int | None = None,
+    base: bytes | None = None,
+) -> bytes:
+    """The d^n table of base + sum of weight * prod_{v in e} row_v[i_v] mod d
+    over the (edge, weight) items, row_v = ``power_row(s_v, d)``; with a target
+    k, ``shift_row(s_k, d)`` on k and no edge without k. ``base`` is a table or None."""
     check_entries("table", 1, d, n)
+    rows: dict[tuple[bool, int], tuple[int, ...]] = {}  # by (on the target, exponent)
     supports: dict[tuple[int, ...], list] = {}
-    for support, rows, weight in terms:
-        supports.setdefault(support, []).append((rows, weight))
+    for edge, weight in items:
+        if k is None or k in edge.vertices:
+            keys = [(v == k, s) for v, s in zip(edge.vertices, edge.exponents)]
+            for on_target, s in set(keys).difference(rows):
+                rows[on_target, s] = tuple(shift_row(s, d) if on_target else power_row(s, d))
+            supports.setdefault(edge.vertices, []).append((tuple(map(rows.get, keys)), weight))
     spans: dict[tuple[int, int], list] = {}
     for support, on_support in supports.items():
         spans.setdefault((support[0], support[-1]), []).append((support, on_support))
@@ -185,39 +194,9 @@ def gate_table(d: int, n: int, terms: Iterable[Term], base: bytes | None = None)
     return table or bytes(d**n * lane_width(d))
 
 
-class _Rows(dict):
-    """The lookup rows over Z_d by (on the target, exponent), each built on
-    first use: the shift row (i - 1)^s - i^s on the target, i^s elsewhere."""
-
-    def __init__(self, d: int):
-        super().__init__()
-        self.d = d
-
-    def __missing__(self, key: tuple[bool, int]) -> tuple[int, ...]:
-        target, s = key
-        row = self[key] = tuple(shift_row(s, self.d) if target else power_row(s, self.d))
-        return row
-
-
-def edge_terms(
-    items: Iterable[tuple[MultiHyperedge, int]], d: int, k: int | None = None
-) -> list[Term]:
-    """The term of each (edge, weight): power rows i^s mod d, and with a
-    target k, the shift row (i - 1)^s - i^s mod d on k, where the edges
-    without k drop out. Equal rows are one tuple."""
-    rows, on_target = _Rows(d), (-1 if k is None else k).__eq__
-
-    def term(edge: MultiHyperedge, weight: int) -> Term:
-        keys = zip(map(on_target, edge.vertices), edge.exponents)
-        return edge.vertices, tuple(map(rows.__getitem__, keys)), weight
-
-    return [term(edge, w) for edge, w in items if k is None or k in edge.vertices]
-
-
 def edge_map_table(edge_map: WeightedEdgeMap) -> bytes:
     """The map's state table f(i) = sum_e m_e prod_{v in e} i_v^{s_v} mod d."""
-    d, n = edge_map.d, edge_map.n
-    return gate_table(d, n, edge_terms(edge_map.items(), d))
+    return gate_table(edge_map.d, edge_map.n, edge_map.items())
 
 
 def roll_table(table: bytes, d: int, n: int, k: int) -> bytearray:
@@ -246,7 +225,7 @@ def generated_table(edge_map: WeightedEdgeMap, k: int, state: bytes) -> bytearra
     containing k added first (edges without k drop out), then the shift."""
     d, n = edge_map.d, edge_map.n
     check_vertex(k, n)
-    corrected = gate_table(d, n, edge_terms(edge_map.items(), d, k), base=state)
+    corrected = gate_table(d, n, edge_map.items(), k, base=state)
     return roll_table(corrected, d, n, k)
 
 
@@ -323,11 +302,11 @@ def _reporter(
     if d < 1:
         raise ValueError("need d >= 1")
     # First: the kernel refuses an oversized table before any table exists.
-    unit_exact = gate_table(d, n, edge_terms([(edge, 1)], d, k))
+    unit_exact = gate_table(d, n, [(edge, 1)], k)
     if reduced is None:
         others = _pack([1], d) * d**n  # the empty product
     else:
-        others = gate_table(d, n, edge_terms([(reduced, 1)], d))
+        others = gate_table(d, n, [(reduced, 1)])
 
     def report(power: int) -> ConjugationReport:
         m, c = power % d, deleted_edge_coefficient(power, d)

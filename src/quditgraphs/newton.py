@@ -203,14 +203,16 @@ def _vector_to_map(
 
 def _generators(
     v: Sequence[Sequence[int]],
-    free: list[tuple[tuple[int, ...], int]],
+    gcd: Sequence[int],
     columns: list[int],
     n: int,
     d: int,
 ) -> Generators:
-    """For each (j, g) in ``free``: column j (a digit tuple) of V^{⊗n} at
-    the rows ``columns``, times d / g, of order g. Column j of V^{⊗n} is
-    row j of (V^T)^{⊗n}, taken mod d for ``power_rows``."""
+    """For each digit tuple j whose divisor g = gcd[j] is above 1: column j of
+    V^{⊗n} at the rows ``columns``, times d / g, of order g. Column j of
+    V^{⊗n} is row j of (V^T)^{⊗n}, taken mod d for ``power_rows``."""
+    digits = product(range(len(v)), repeat=n)  # the tuples j of ``gcd``, in its order
+    free = [(j, g) for j, g in zip(digits, gcd) if g > 1]
     size, transposed = len(v) ** n, [[a % d for a in column] for column in zip(*v)]
     values = lane_values(power_rows(transposed, [j for j, _ in free], d), d)
     return tuple(
@@ -290,9 +292,7 @@ class KroneckerSolver:
             return _no_solution(d)
         values = lane_values(x, d)
         particular = tuple(values[i] for i in unknowns)
-        digits = product(range(len(self.v)), repeat=n)  # the tuples j of ``gcd``, in its order
-        free = [(j, g) for j, g in zip(digits, self.gcd) if g > 1]
-        generators = partial(_generators, self.v, free, unknowns, n, d)
+        generators = partial(_generators, self.v, self.gcd, unknowns, n, d)
         return SolutionSet(d, True, particular, self.count, generators)
 
 

@@ -13,8 +13,8 @@ the deleted-edge gate on e minus {k} raised to m*(d-1); for s_k >= 2 it does
 only in some cases.
 
 Every table here comes from the numpy-free kernel of ``diagonals``: the
-corrections are its edge terms with ``shift_row`` on k, and the shift is
-its ``roll_table``. This module wraps the tables in numpy types.
+corrections are its ``gate_table`` with target k (``shift_row`` on k), and
+the shift is its ``roll_table``. This module wraps the tables in numpy types.
 ``verify``, with its ``VertexCheck``, and ``conjugation_report``, the one
 judge of whether the deleted-edge form is exact, live in ``diagonals`` and
 run on its tables alone.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diagonals import check_target, edge_terms, gate_table, generated_table
+from .diagonals import check_target, gate_table, generated_table
 from .graphs import MultiHyperedge, WeightedEdgeMap
 from .states import PhaseFunction, _from_lanes, _lane_view, _lanes
 
@@ -44,7 +44,7 @@ def correction_exponents(
     shift factored off: m * ((i_k-1)^{s_k} - i_k^{s_k}) * prod_{v != k} i_v^{s_v},
     as a fresh flat table of d^n entries."""
     check_target(edge, k, n)
-    table = gate_table(d, n, edge_terms([(edge, power)], d, k))
+    table = gate_table(d, n, [(edge, power)], k)
     return _lane_view(table, d).astype(np.int64)
 
 

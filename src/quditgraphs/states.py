@@ -9,13 +9,13 @@ All diagonal gates act by adding an integer exponent table mod d, so gate
 application is exact and order-independent.
 
 Tables come from the numpy-free kernel ``diagonals.gate_table``, which sums
-edge terms over the d^n table as bytes of fixed-width lanes; this module
-wraps its tables in read-only int64 arrays. ``build_state`` builds through
-it, so no table is computed here, and none from its flat index.
+the gates of (edge, weight) pairs over the d^n table as bytes of fixed-width
+lanes; this module wraps its tables in read-only int64 arrays. ``build_state``
+builds through it, so no table is computed here, and none from its flat index.
 
-``build_state`` (through the kernel) and ``to_dense`` count their d^n
-entries against the table limit with ``counting.check_entries`` before they
-allocate, and raise its ``SizeLimit``.
+``build_state`` (through the kernel, before any lookup row) and
+``to_dense`` count their d^n entries against the table limit with
+``counting.check_entries`` before they allocate, and raise its ``SizeLimit``.
 
 A table takes at most d amplitudes, d^{-n/2} * omega_d^f for f in Z_d, each
 from ``diagonals.amplitude``: ``to_dense`` computes all d and looks each

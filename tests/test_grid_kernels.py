@@ -33,7 +33,6 @@ from quditgraphs.diagonals import (
     conjugation_report,
     edge_map_table,
     edge_reports,
-    edge_terms,
     gate_table,
     verify,
 )
@@ -148,7 +147,7 @@ def test_grid_kernels_match_per_index_evaluation(d, n):
         state = build_state(edge_map)
         assert state.table.tolist() == [phase_at(x, edge_map) for x in every_digit]
         for edge in edge_map.weights:
-            monomial = lane_values(gate_table(d, n, edge_terms([(edge, 1)], d)), d)
+            monomial = lane_values(gate_table(d, n, [(edge, 1)]), d)
             assert list(monomial) == [monomial_at(x, edge, d) for x in every_digit]
             power = rng.randrange(-d, 2 * d)
             for k in edge.vertices:
@@ -327,7 +326,7 @@ def test_supports_are_spread_over_their_spans(d, n, monkeypatch):
             [(e, w) for e, w in edge_map.items() if k in e.vertices],
         ):
             spread.clear()
-            gate_table(d, n, edge_terms(items, d))
+            gate_table(d, n, items)
             on_support = {}
             for edge, weight in items:
                 on_support.setdefault(edge.vertices, []).append((edge, weight))

@@ -7,6 +7,7 @@ import json
 import random
 import re
 from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -305,6 +306,20 @@ def test_generators_wait_for_the_first_read():
     assert len(outcome.edge_maps()) == outcome.solution.count == 4
     assert not callable(outcome.solution.kernel)
     assert outcome.solution.kernel is outcome.solution.generators
+
+
+def test_the_free_digit_tuples_wait_for_the_first_read(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(newton, "product", counted)
+    solution = solve_phases(4, 2, [0] * 16, MULTIHYPERGRAPH).solution
+    assert solution.count > 1 and calls == []
+    assert solution.generators and len(calls) == 1
+    assert solution.generators and len(calls) == 1
 
 
 def test_a_corrupted_w_pass_fails_the_round_trip(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quditgraphs import counting, diagonals, states
 from quditgraphs.counting import SizeLimit
-from quditgraphs.diagonals import conjugation_report, dense_blocks, edge_terms, gate_table
+from quditgraphs.diagonals import conjugation_report, dense_blocks, gate_table
 from quditgraphs.graphs import MultiHyperedge, WeightedEdgeMap, hyperedge, phase_table
 from quditgraphs.stabilizers import correction_exponents
 from quditgraphs.states import (
@@ -44,7 +44,7 @@ def apply_gate(state, edge, power):
     """The edge's gate ``power`` times on a state: the kernel's term added
     to the state's table as ``base``."""
     d, n = state.d, state.n
-    table = gate_table(d, n, edge_terms([(edge, power)], d), base=_lanes(state))
+    table = gate_table(d, n, [(edge, power)], base=_lanes(state))
     return _from_lanes(d, n, table)
 
 
@@ -383,9 +383,18 @@ class TestTableLimitBoundary:
 
     @staticmethod
     def refused_at_size(monkeypatch, entries, make):
-        monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", entries)
-        with pytest.raises(SizeLimit):
-            make()
+        """Refused at ``entries`` before any lookup row is built, then built
+        at ``entries + 1``."""
+
+        def no_row(s, d):
+            pytest.fail(f"a lookup row (s={s}, d={d}) was built before the size check")
+
+        with monkeypatch.context() as refused:
+            refused.setattr(counting, "DEFAULT_TABLE_LIMIT", entries)
+            refused.setattr(diagonals, "power_row", no_row)
+            refused.setattr(diagonals, "shift_row", no_row)
+            with pytest.raises(SizeLimit):
+                make()
         monkeypatch.setattr(counting, "DEFAULT_TABLE_LIMIT", entries + 1)
         return make()
 
@@ -399,6 +408,8 @@ class TestTableLimitBoundary:
     def test_build_state_and_dense(self, monkeypatch):
         emap = WeightedEdgeMap(3, 2, {MultiHyperedge((0, 1), (1, 2)): 1})
         state = self.refused_at_size(monkeypatch, 9, lambda: build_state(emap))
+        checks = self.refused_at_size(monkeypatch, 9, lambda: diagonals.verify(emap))
+        assert [check.stabilized for check in checks] == [True, True]
         assert self.refused_at_size(monkeypatch, 9, lambda: to_dense(state)).n == 2
 
     def test_conjugation_report_and_corrections(self, monkeypatch):

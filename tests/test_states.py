@@ -41,8 +41,8 @@ def plus_state(n, d):
 
 
 def apply_gate(state, edge, power):
-    """The edge's gate ``power`` times on a state: the kernel's term added
-    to the state's table as ``base``."""
+    """The edge's gate ``power`` times on a state: the kernel's table of the
+    one (edge, power) pair, added to the state's table as ``base``."""
     d, n = state.d, state.n
     table = gate_table(d, n, [(edge, power)], base=_lanes(state))
     return _from_lanes(d, n, table)

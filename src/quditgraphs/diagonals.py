@@ -21,33 +21,24 @@ and its deleted-edge form is m*(d-1) * prod_{v != k} i_v^{s_v}.
 (flat index sum_j i_j * d^{n-1-j}, i_0 most significant). It takes (edge,
 weight) pairs and an optional target k, checks the table's size before it
 builds any row, and builds each distinct row once. A table is bytes of d^n
-lanes, one per entry, in the format of ``lanes``:
+lanes, one per entry, in the format of ``lanes``.
 
-- **Supports.** The terms on one support (vertex set) are summed on the
-  support's own d^t grid by one recursion over its first vertex:
-  grid = sum_s row_s (x) G_s, where G_s is the grid of the other vertices
-  for the terms whose first row is row_s. Each block of row_s (x) G_s is
-  G_s scaled by one entry of row_s (``lanes._kron``): a ``bytes.translate``
-  for d <= 256, and past that a multiple from a running sum of G_s. This is
-  the W^{(x)t} pass at support scale: a lone edge costs d^t lane writes, a
-  full support t * d^(t+1). It stays apart from ``lanes.kronecker_pass``: it
-  costs a Python-level node per group of equal first rows, so on a dense
-  table it would run k^(n-1) nodes (131072 at d=2 n=18) where the pass
-  scales n·m·k times.
-- **Spans.** Each support's grid is spread over the span from its first
-  to its last vertex (a block repeated for every vertex in between that it
-  misses), and the grids of one (first, last) span are summed there.
-- **The table.** The spans are laid onto the table in one Horner pass
-  over the last vertex b: the spans ending at b are summed from the
-  latest first vertex down, each sum tiled for the next leading axis, and
-  the table so far, over axes 0..b-1, joins the last sum with each lane
-  repeated d times for axis b. Every pass writes at most about twice the
-  entries of its prefix of the table, so the laying costs a few d^n lane
-  writes however many spans there are.
+Each edge is a term of n rows, None off the edge, and the table is one
+recursion over the axes (``_grid``): the table of some terms over axes
+a..n-1 is the sum, over the distinct rows r at axis a, of r (x) G_r, where
+G_r is the table over axes a+1..n-1 of the terms whose row at a is r, and
+None (x) G_None is G_None repeated d times. Block i of r (x) G_r is G_r
+times r[i] (``lanes._kron``): a ``bytes.translate`` for d <= 256, and past
+that a multiple from a running sum of G_r. Past the last axis a table is
+one lane, the weights' sum. A call at axis a stands for one distinct row
+prefix and returns d^(n-a) lanes, so the work is sum_a (distinct prefixes
+of length a) * d^(n-a): at most about d^n per axis, since a map's terms
+have at most d distinct rows at an axis, however many edges share a span.
+Terms that differ only at axis 0 still cost a full table per row there.
 
-Every sum here is ``lanes._reduce_sum``, which bounds and batches it, so
-the kernel just adds tables; the grids of each span and of each group of
-first rows are made lazily into the sum that adds them.
+Every sum is ``lanes._reduce_sum``, which bounds and batches it, so the
+kernel just adds tables; the tables of a call's groups are made lazily into
+the sum that adds them.
 
 ``edge_map_table`` is a map's state table, ``generated_table`` the table
 that the map's generator g_k makes of it, and ``verify`` compares the two
@@ -65,8 +56,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from itertools import chain, compress, count
-from operator import add
+from itertools import chain, compress, count, starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .counting import check_entries
@@ -110,50 +100,27 @@ def check_target(edge: MultiHyperedge, k: int, n: int) -> tuple[int, MultiHypere
     return edge.exponents[edge.vertices.index(k)], reduced
 
 
-def _repeat(data: bytes, size: int, r: int) -> bytes:
-    """Each consecutive ``size``-byte chunk of ``data`` repeated r times in
-    place: a new axis of extent r below the axes that tell chunks apart. It
-    costs one slice per chunk or one strided copy per byte of a repeated
-    chunk, whichever is fewer."""
-    chunks = len(data) // size
-    if chunks <= r * size:
-        return b"".join([data[i : i + size] * r for i in range(0, len(data), size)])
-    out = bytearray(len(data) * r)
-    step = r * size
-    for j in range(step):
-        out[j::step] = data[j % size :: size]
-    return bytes(out)
-
-
 # --- the kernel --------------------------------------------------------------
 
-def _support_grid(terms: list[tuple[tuple[tuple[int, ...], ...], int]], d: int) -> bytes:
-    """The grid of sum weight * prod_j rows[j][i_j] mod d over the terms'
-    t >= 1 common axes, first axis most significant: the sum of row_s (x)
-    G_s over the distinct first rows s, where G_s is the grid of the other
-    axes for the terms whose first row is s, and block i of row_s (x) G_s
-    is G_s times row_s[i]. On one axis the grid is a sum of rows."""
-    if len(terms[0][0]) == 1:
-        total = [0] * d
-        for (row,), w in terms:
-            total = list(map(add, total, map(w.__mul__, row)))
-        return _pack(map(d.__rmod__, total), d)
-    groups: dict[tuple[int, ...], list] = {}
-    for rows, weight in terms:
-        groups.setdefault(rows[0], []).append((rows[1:], weight))
-    grids = (_kron(row, _support_grid(rest, d), d) for row, rest in groups.items())
-    return _reduce_sum(grids, d)
+def _grid(terms: list[tuple[tuple, int]], axis: int, d: int, base: bytes | None = None) -> bytes:
+    """The table over axes axis..n-1 of sum weight * prod_{j >= axis}
+    rows[j][i_j] mod d over the (rows, weight) terms, each of n rows, None
+    where the vertex is outside the edge; ``base`` (a table or None) is added
+    at the root. The terms are grouped by their row at ``axis``: a row
+    group's table is row (x) its child's, and the None group's is its child's
+    repeated d times. Past the last axis the table is one lane, the weights'
+    sum."""
+    if axis == len(terms[0][0]):
+        return _pack([sum(weight for _, weight in terms) % d], d)
+    groups: dict[tuple[int, ...] | None, list] = {}
+    for term in terms:
+        groups.setdefault(term[0][axis], []).append(term)
 
+    def table(row: tuple[int, ...] | None, group: list) -> bytes:
+        child = _grid(group, axis + 1, d)
+        return child * d if row is None else _kron(row, child, d)
 
-def _spread(grid: bytes, support: tuple[int, ...], d: int) -> bytes:
-    """A support's grid over the span support[0]..support[-1]: for each run
-    of missing vertices, the block of the axes after it repeats once per
-    digit tuple of the run."""
-    for low, high in reversed(list(zip(support, support[1:]))):
-        if high - low > 1:
-            block = d ** (support[-1] - high + 1) * lane_width(d)
-            grid = _repeat(grid, block, d ** (high - low - 1))
-    return grid
+    return _reduce_sum(chain([base] if base else [], starmap(table, groups.items())), d)
 
 
 def gate_table(
@@ -165,33 +132,24 @@ def gate_table(
 ) -> bytes:
     """The d^n table of base + sum of weight * prod_{v in e} row_v[i_v] mod d
     over the (edge, weight) items, row_v = ``power_row(s_v, d)``; with a target
-    k, ``shift_row(s_k, d)`` on k and no edge without k. ``base`` is a table or None."""
+    k, ``shift_row(s_k, d)`` on k and no edge without k. ``base`` is a table or None.
+
+    Each edge becomes a term of n rows, None off the edge, and ``_grid`` sums
+    the terms: sum_a (distinct row prefixes of length a) * d^(n-a) lane
+    writes, at most about (n + 1) * d^n however the supports share spans."""
     check_entries("table", 1, d, n)
     rows: dict[tuple[bool, int], tuple[int, ...]] = {}  # by (on the target, exponent)
-    supports: dict[tuple[int, ...], list] = {}
+    terms = []
     for edge, weight in items:
         if k is None or k in edge.vertices:
             keys = [(v == k, s) for v, s in zip(edge.vertices, edge.exponents)]
             for on_target, s in set(keys).difference(rows):
                 rows[on_target, s] = tuple(shift_row(s, d) if on_target else power_row(s, d))
-            supports.setdefault(edge.vertices, []).append((tuple(map(rows.get, keys)), weight))
-    spans: dict[tuple[int, int], list] = {}
-    for support, on_support in supports.items():
-        spans.setdefault((support[0], support[-1]), []).append((support, on_support))
-    table = b""  # over axes 0..last - 1; b"" is 0
-    for last in range(n):
-        span, start = b"", last + 1  # the spans ending at ``last``, over axes start..last
-        for first in sorted({a for a, b in spans if b == last} | {0}, reverse=True):
-            laid = [span * d ** (start - first)] if span else []
-            if first == 0 and table:
-                laid.append(_repeat(table, lane_width(d), d))
-            if (first, last) == (0, n - 1) and base is not None:
-                laid.append(base)
-            on_span = spans.get((first, last), ())
-            grids = (_spread(_support_grid(on, d), support, d) for support, on in on_span)
-            span, start = _reduce_sum(chain(laid, grids), d), first
-        table = span
-    return table or bytes(d**n * lane_width(d))
+            on_edge = dict(zip(edge.vertices, map(rows.get, keys)))
+            terms.append((tuple(map(on_edge.get, range(n))), weight))
+    if not terms:
+        return base or bytes(d**n * lane_width(d))
+    return _grid(terms, 0, d, base)
 
 
 def edge_map_table(edge_map: WeightedEdgeMap) -> bytes:

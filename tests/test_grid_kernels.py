@@ -12,7 +12,7 @@ import hashlib
 import json
 import random
 import tracemalloc
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import add, mod, mul
 
 import numpy as np
@@ -187,9 +187,10 @@ def narrow_lane_map(d, weights):
 
 
 # Maps near the one-byte bound (four values below d sum below 256 up to
-# d = 64): two or three distinct first rows on the span (0, 1), with edges
-# on vertex 0 or 1 alone, so that the span's last sum adds several grids,
-# the next span and the table so far, and verify adds the state as well.
+# d = 64): two or three distinct rows at vertex 0 on edges (0, 1), with
+# edges on vertex 0 or 1 alone, so that the root sum adds several row
+# tables and the table of the edges without vertex 0, and verify adds the
+# state as well.
 NARROW_LANE_MAPS = [
     narrow_lane_map(
         70, {((0, 1), (1, 1)): 1, ((0, 1), (2, 1)): 1, ((0, 1), (3, 1)): 1, ((1,), (1,)): 1}
@@ -224,9 +225,9 @@ def test_narrow_lane_tables_match_per_index_evaluation(edge_map):
 
 
 # Maps whose supports carry up to d - 1 distinct rows on one vertex: one-byte
-# lanes while four values below d fit, so a support's or a span's grids are
+# lanes while four values below d fit, so the row tables of one axis are
 # summed in batches of 255 // (d - 1). At n = 3 the middle vertex's rows are
-# summed inside the support recursion as well.
+# summed one axis below the root as well.
 MANY_ROW_MAPS = [*(many_row_map(d, 2) for d in (17, 40, 64)), many_row_map(17, 3)]
 
 
@@ -279,11 +280,11 @@ def test_reduce_sum_matches_per_lane_sums_at_every_width_boundary(d):
 
 
 def test_many_row_support_builds_in_a_few_tables_of_memory():
-    # 100 edges on (0, 1, 2) with exponents (s, 1, 1) at d = 127: one
-    # support with 100 distinct rows at vertex 0, whose grids are summed
-    # there and then laid with the rest. A sum holds at most ``_HOLD``
-    # tables, so the build and g_0 each peak at about 11 tables of traced
-    # memory; a sum that held one grid per row peaked at 102.
+    # 100 edges on (0, 1, 2) with exponents (s, 1, 1) at d = 127: 100
+    # distinct rows at vertex 0, whose full-size tables the root sums. A sum
+    # holds at most ``_HOLD`` tables, so the build and g_0 each peak at
+    # about 11 tables of traced memory; a sum that held one grid per row
+    # peaked at 102.
     d, n = 127, 3
     edge_map = WeightedEdgeMap(d, n, {MultiHyperedge((0, 1, 2), (s, 1, 1)): 1 for s in range(1, 101)})
     tracemalloc.start()
@@ -299,25 +300,61 @@ def test_many_row_support_builds_in_a_few_tables_of_memory():
     assert max(built, moved) <= 16 * len(state), (built / len(state), moved / len(state))
 
 
+def test_gate_work_grows_with_row_prefixes_not_spans(monkeypatch):
+    # 200 distinct supports of arity 2-5 on the span (0, 13) at d = 2. The
+    # recursion's tables at axis a number at most the distinct row prefixes
+    # before a, each d^(n-a) lanes, so the lanes handed to all the sums stay
+    # a few d^n per table built; spreading each support's grid over its
+    # span handed them about 200 d^n.
+    d, n = 2, 14
+    rng = random.Random("one-span")
+    supports = [(0, *inner, n - 1) for t in range(4) for inner in combinations(range(1, n - 1), t)]
+    picked = rng.sample(supports, 200)
+    edge_map = WeightedEdgeMap(d, n, {MultiHyperedge(s, (1,) * len(s)): 1 for s in picked})
+    handed = [0]
+    original = diagonals._reduce_sum
+
+    def counting(parts, d_):
+        def counted():
+            for part in parts:
+                handed[0] += len(part) // lane_width(d_)
+                yield part
+
+        return original(counted(), d_)
+
+    monkeypatch.setattr(diagonals, "_reduce_sum", counting)
+    table = edge_map_table(edge_map)
+    assert handed[0] <= 16 * d**n, handed[0] / d**n
+    handed[0] = 0
+    checks = verify(edge_map)
+    assert handed[0] <= 16 * (n + 1) * d**n, handed[0] / d**n
+    assert list(lane_values(table, d)) == numpy_table(edge_map).tolist()
+    assert all(check.stabilized for check in checks)
+
+
 def span_at(digits, edges, first, d):
-    """The sum mod d of the edges on one span, read at span digits."""
-    full = [0] * first + list(digits)
+    """The sum mod d of the edges' terms over axes first..n-1, read at those
+    axes' digits: a vertex before ``first`` reads 1, which every power row
+    maps to 1."""
+    full = [1] * first + list(digits)
     return sum(w * monomial_at(full, e, d) for e, w in edges) % d
 
 
 @pytest.mark.parametrize("d,n", CELLS)
-def test_supports_are_spread_over_their_spans(d, n, monkeypatch):
-    # A support's grid is spread over the span from its first to its last
-    # vertex, and there it adds up to the support's edge terms.
-    spread = []
+def test_each_grid_sums_its_terms_over_the_later_axes(d, n, monkeypatch):
+    # Every table the recursion returns, at every axis, adds up the terms
+    # handed to it over that axis and the ones after it. The root's terms
+    # are the items' in order, and every call below it holds the same term
+    # objects, so each term is traced back to its edge.
+    grids = []
 
-    def recording(grid, support, d_):
-        out = original(grid, support, d_)
-        spread.append((support, out))
+    def recording(terms, axis, d_, base=None):
+        out = original(terms, axis, d_, base)
+        grids.append((terms, axis, out))
         return out
 
-    original = diagonals._spread
-    monkeypatch.setattr(diagonals, "_spread", recording)
+    original = diagonals._grid
+    monkeypatch.setattr(diagonals, "_grid", recording)
     rng = random.Random(f"spread:{d}:{n}")
     for edge_map in grid_maps(rng, d, n):
         k = rng.randrange(n)
@@ -325,21 +362,16 @@ def test_supports_are_spread_over_their_spans(d, n, monkeypatch):
             list(edge_map.items()),
             [(e, w) for e, w in edge_map.items() if k in e.vertices],
         ):
-            spread.clear()
+            grids.clear()
             gate_table(d, n, items)
-            on_support = {}
-            for edge, weight in items:
-                on_support.setdefault(edge.vertices, []).append((edge, weight))
-            sums = {}
-            for support, out in spread:
-                values = lane_values(out, d)
-                sums[support] = list(map(sum, zip(sums.get(support, [0] * len(values)), values)))
-            assert sorted(sums) == sorted(on_support)
-            for support, total in sums.items():
-                first, last = support[0], support[-1]
-                span = [digits_of(i, d, last - first + 1) for i in range(d ** (last - first + 1))]
-                expected = [span_at(x, on_support[support], first, d) for x in span]
-                assert [x % d for x in total] == expected
+            roots = [terms for terms, axis, _ in grids if axis == 0]
+            assert len(roots) == (1 if items else 0)
+            edge_of = {id(term): item for root in roots for term, item in zip(root, items)}
+            assert len(edge_of) == len(items)
+            for terms, axis, out in grids:
+                edges = [edge_of[id(term)] for term in terms]
+                later = [digits_of(i, d, n - axis) for i in range(d ** (n - axis))]
+                assert list(lane_values(out, d)) == [span_at(x, edges, axis, d) for x in later]
 
 
 def numpy_table(edge_map):
@@ -356,17 +388,17 @@ def numpy_table(edge_map):
 
 
 def widths_of(monkeypatch, make):
-    """The lane widths that the support grids of ``make()`` ran at: the
-    bytes per entry of each grid."""
+    """The lane widths that the gate recursion's tables in ``make()`` ran
+    at: the bytes per entry of each table."""
     widths = set()
-    original = diagonals._support_grid
+    original = diagonals._grid
 
-    def recording(terms, d):
-        grid = original(terms, d)
-        widths.add(len(grid) // d ** len(terms[0][0]))
+    def recording(terms, axis, d, base=None):
+        grid = original(terms, axis, d, base)
+        widths.add(len(grid) // d ** (len(terms[0][0]) - axis))
         return grid
 
-    monkeypatch.setattr(diagonals, "_support_grid", recording)
+    monkeypatch.setattr(diagonals, "_grid", recording)
     make()
     monkeypatch.undo()
     return widths
@@ -375,7 +407,7 @@ def widths_of(monkeypatch, make):
 def test_lane_widths_1_2_and_4(monkeypatch):
     # One byte while four values below d sum below 256, two past that, four
     # past 2^15; each width gives the table the numpy broadcasts give. At
-    # d = 2 the 4095 supports are summed in batches of one-byte lanes.
+    # d = 2 the 4095 supports' tables are summed in batches of one-byte lanes.
     rng = random.Random("widths")
     every_support = {
         MultiHyperedge(tuple(v for v in range(12) if mask >> v & 1), (1,) * bin(mask).count("1")): 1
